@@ -216,7 +216,11 @@ def _load_source(config: RunConfig) -> PermAction:
     else:
         action = load_action(config.action_file)
     # fail early, under the configured budget, instead of deep in a search
-    action.elements(limit=config.element_cap)
+    order = action.order()
+    if order > config.element_cap:
+        raise RuntimeError(
+            f"group order {order} exceeds element budget {config.element_cap}"
+        )
     return action
 
 

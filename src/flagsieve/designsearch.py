@@ -20,8 +20,10 @@ was complete, or the subgroup enumeration raises and no claim is made.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .permgroup import (
@@ -29,7 +31,6 @@ from .permgroup import (
     compose,
     identity_perm,
     inverse_perm,
-    subgroup_classes,
     subgroups_of_order,
 )
 from .sieve import DesignParams, check_basic
@@ -90,17 +91,21 @@ def _canonical_blocks(blocks: Iterable[FrozenSet[int]]) -> BlockSet:
 
 def _pair_coverage(blocks: Sequence[FrozenSet[int]], v: int) -> Optional[int]:
     """Common pair multiplicity, or None if it is not constant."""
-    counts: Dict[Tuple[int, int], int] = {}
+    counts: Counter = Counter()
     for block in blocks:
-        pts = sorted(block)
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                key = (pts[i], pts[j])
-                counts[key] = counts.get(key, 0) + 1
+        counts.update(combinations(sorted(block), 2))
     if len(counts) != v * (v - 1) // 2:
         return None  # some pair uncovered
     values = set(counts.values())
     return values.pop() if len(values) == 1 else None
+
+
+def _images_of(points: Iterable[int]):
+    """A function taking a permutation to the tuple of images of points."""
+    points = tuple(points)
+    if len(points) < 2:  # itemgetter of one index returns a bare item
+        return lambda g: tuple(g[i] for i in points)
+    return itemgetter(*points)
 
 
 def set_stabilizer(action: PermAction, block: Iterable[int]) -> Tuple[PermAction, int]:
@@ -114,8 +119,9 @@ def set_stabilizer(action: PermAction, block: Iterable[int]) -> Tuple[PermAction
     while head < len(queue):
         cur = queue[head]
         head += 1
+        images = _images_of(cur)
         for g in action.generators:
-            img = frozenset(g[i] for i in cur)
+            img = frozenset(images(g))
             word = compose(transversal[cur], g)
             if img not in transversal:
                 transversal[img] = word
@@ -134,7 +140,8 @@ def _flag_transitive_on(action: PermAction, block: FrozenSet[int]) -> bool:
     """Does the setwise stabilizer move the block's points transitively?"""
     stab, orbit_len = set_stabilizer(action, block)
     reachable = set(stab.orbit(min(block)))
-    assert reachable <= set(block)
+    if not reachable <= set(block):
+        raise RuntimeError("set stabilizer moves a point out of its block")
     return len(reachable) == len(block) and action.order() == orbit_len * stab.order()
 
 
@@ -189,28 +196,6 @@ def hypothesis_filter(records: Iterable[DesignRecord]) -> Tuple[DesignRecord, ..
     return tuple(kept)
 
 
-def _subgroup_orbits(degree: int, elements: Iterable[Tuple[int, ...]]):
-    """Orbits of a subgroup given by its element set, sorted by minimum."""
-    gens = [e for e in elements]
-    left = set(range(degree))
-    out = []
-    while left:
-        start = min(left)
-        orb = {start}
-        queue = [start]
-        head = 0
-        while head < len(queue):
-            cur = queue[head]
-            head += 1
-            for g in gens:
-                if g[cur] not in orb:
-                    orb.add(g[cur])
-                    queue.append(g[cur])
-        out.append(tuple(sorted(orb)))
-        left -= orb
-    return out
-
-
 def _orbit_unions(
     orbits: Sequence[Tuple[int, ...]],
     forced: Sequence[Tuple[int, ...]],
@@ -253,8 +238,9 @@ def _bounded_set_orbit(
     while head < len(queue):
         cur = queue[head]
         head += 1
+        images = _images_of(cur)
         for g in action.generators:
-            img = frozenset(g[i] for i in cur)
+            img = frozenset(images(g))
             if img not in seen:
                 if len(seen) >= cap:
                     return None
@@ -275,7 +261,8 @@ def _candidate_design(
     if not _flag_transitive_on(action, union):
         return None
     report = verify_design(action, orbit, expect=params)
-    assert report.ok and report.flag_transitive, report.problems
+    if not (report.ok and report.flag_transitive):
+        raise RuntimeError(f"candidate design fails verification: {report.problems}")
     return DesignRecord(
         group=action.label,
         params=params,
@@ -311,26 +298,25 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     checked = 0
     if m > 1:
         alpha = 0
-        stab = action.point_stabilizer(alpha)
-        subgroups = subgroups_of_order(stab, m)
-        classes = subgroup_classes(stab, subgroups)
+        classes = subgroups_of_order(action.point_stabilizer(alpha), m)
         cert.append(
             (
                 "flag-stabilizer-candidates",
-                f"complete enumeration: {len(subgroups)} subgroups of order {m} "
-                f"in the point stabilizer ({len(classes)} conjugacy classes); "
-                "every block through the base point is a union of orbits of "
-                "one of them",
+                f"complete enumeration: {sum(c.size for c in classes)} subgroups "
+                f"of order {m} in the point stabilizer ({len(classes)} conjugacy "
+                "classes); every block through the base point is a union of "
+                "orbits of one of them",
             )
         )
-        for sub in subgroups:
-            orbits = _subgroup_orbits(v, sub)
-            forced = [orb for orb in orbits if alpha in orb]
-            for union in _orbit_unions(orbits, forced, k):
-                checked += 1
-                rec = _candidate_design(action, params, union)
-                if rec is not None:
-                    found[rec.blocks] = rec
+        for cls in classes:
+            for gens in cls.members:
+                orbits = PermAction(v, gens).orbits()
+                forced = [orb for orb in orbits if alpha in orb]
+                for union in _orbit_unions(orbits, forced, k):
+                    checked += 1
+                    rec = _candidate_design(action, params, union)
+                    if rec is not None:
+                        found[rec.blocks] = rec
     else:
         if order % b != 0:
             cert.append(
@@ -342,19 +328,19 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
             )
             return SearchResult(action.label, params, (), True, tuple(cert))
         mb = order // b
-        subgroups = subgroups_of_order(action, mb)
-        classes = subgroup_classes(action, subgroups)
+        classes = subgroups_of_order(action, mb)
         cert.append(
             (
                 "block-stabilizer-candidates",
                 f"trivial flag stabilizer: searching block stabilizers instead; "
-                f"complete enumeration: {len(subgroups)} subgroups of order {mb} "
-                f"({len(classes)} conjugacy classes), one representative tested "
-                "per class since conjugate stabilizers give translated designs",
+                f"complete enumeration: {sum(c.size for c in classes)} subgroups "
+                f"of order {mb} ({len(classes)} conjugacy classes), one "
+                "representative tested per class since conjugate stabilizers "
+                "give translated designs",
             )
         )
-        for rep, _size in classes:
-            orbits = _subgroup_orbits(v, rep)
+        for cls in classes:
+            orbits = PermAction(v, cls.representative).orbits()
             for union in _orbit_unions(orbits, [], k):
                 checked += 1
                 rec = _candidate_design(action, params, union)

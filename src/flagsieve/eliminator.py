@@ -18,11 +18,12 @@ Everything is deterministic, so a rerun reproduces reports byte for byte.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .designsearch import stabilizer_search
+from .designsearch import SearchResult, stabilizer_search
 from .exactmath import gcd, p_prime_part, prime_powers_upto
 from .grouporders import (
     CaseOrders,
@@ -244,6 +245,16 @@ def _fmt_params(params: DesignParams) -> str:
     return f"({params.v},{params.b},{params.r},{params.k},{params.lam})"
 
 
+@functools.lru_cache(maxsize=None)
+def _registry_search(name: str, params: DesignParams) -> SearchResult:
+    """One stored search per (builtin action, tuple) and process; a
+    SearchResult is frozen, so every cell that asks shares it."""
+    result = stabilizer_search(builtin_action(name), params)
+    if not result.exhaustive:
+        raise RuntimeError(f"search {name} {_fmt_params(params)} is not exhaustive")
+    return result
+
+
 def _search_step(
     spec: GroupSpec,
     case: SubgroupCase,
@@ -263,8 +274,7 @@ def _search_step(
     for params in found:
         hits = 0
         for name in groups:
-            result = stabilizer_search(builtin_action(name), params)
-            assert result.exhaustive
+            result = _registry_search(name, params)
             hits += len(result.designs)
             wit.append((f"{name} {_fmt_params(params)}", len(result.designs)))
         if hits:

@@ -2,16 +2,34 @@
 
 Everything is deterministic: element lists are sorted, orbit enumerations run
 breadth-first over sorted generator lists, and the builtin actions are
-constructed the same way in every process.  Groups here are tiny (at most a
-few tens of thousands of elements), so elements are stored as plain tuples
-and closures are computed by brute breadth-first multiplication.
+constructed the same way in every process.  Elements are plain tuples.
+
+Group order, membership and point stabilizers are read off a base and strong
+generating set (Sims 1970; Seress, *Permutation Group Algorithms*, ch. 4-5),
+built once per action by deterministic Schreier-Sims, so no element of a
+large group is ever listed for them.  Breadth-first closure (`elements`)
+remains for groups of order at most 1000, where the lattice search for
+subgroups works on the element list, as the independent oracle of the tests,
+and inside the builtin constructions, whose generators it fixes.  Subgroups
+of larger groups come from the Sylow-normalizer argument and are handled as
+generator sets.
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .exactmath import factorize, prime_power
 
@@ -30,7 +48,8 @@ __all__ = [
     "pair_action",
     "subgroup_conjugation_action",
     "subgroups_of_order",
-    "subgroup_classes",
+    "SubgroupClass",
+    "StabChain",
     "find_two_generated_subgroup",
     "builtin_action",
     "BUILTIN_NAMES",
@@ -296,7 +315,8 @@ def hermitian_isotropic_points(q0: int) -> Tuple[Tuple[int, ...], ...]:
     pts = [
         x for x in projective_points(F, 3) if _hermitian_form(F, q0, x, x) == 0
     ]
-    assert len(pts) == q0**3 + 1
+    if len(pts) != q0**3 + 1:
+        raise ArithmeticError(f"{len(pts)} isotropic points, expected {q0**3 + 1}")
     return tuple(pts)
 
 
@@ -310,7 +330,9 @@ def identity_perm(n: int) -> Perm:
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p first, then q."""
-    return tuple(q[i] for i in p)
+    if len(p) < 2:  # itemgetter of one index returns a bare item
+        return tuple(q[i] for i in p)
+    return itemgetter(*p)(q)
 
 
 def inverse_perm(p: Perm) -> Perm:
@@ -349,6 +371,155 @@ def _gcd2(a: int, b: int) -> int:
     return a
 
 
+def _perm_power(p: Perm, e: int) -> Perm:
+    """p applied e >= 0 times, by repeated squaring."""
+    out = identity_perm(len(p))
+    while e:
+        if e & 1:
+            out = compose(out, p)
+        p = compose(p, p)
+        e >>= 1
+    return out
+
+
+def _first_moved(p: Perm) -> int:
+    return next(i for i, image in enumerate(p) if image != i)
+
+
+class StabChain:
+    """Base and strong generating set, built by deterministic Schreier-Sims.
+
+    Level i holds the base point base[i], the strong generators fixing
+    base[0..i-1], and a transversal of their orbit of base[i]: for each
+    orbit point beta an element u with u[base[i]] == beta, and its inverse.
+    The group order is the product of the orbit lengths.  Generators are
+    added one at a time; one that already sifts to the identity is dropped,
+    so a chain also picks a small generating set out of a long list.
+    """
+
+    def __init__(
+        self, degree: int, generators: Iterable[Perm] = (), base: Sequence[int] = ()
+    ):
+        self.degree = degree
+        self.identity = identity_perm(degree)
+        self.base: List[int] = []
+        self.gens: List[List[Perm]] = []
+        self.trans: List[Dict[int, Perm]] = []
+        self.inv: List[Dict[int, Perm]] = []
+        # Schreier generators (orbit point, generator index) known to sift
+        self._checked: List[set] = []
+        for point in base:
+            self._add_level(point)
+        for g in generators:
+            self.extend(g)
+
+    def _add_level(self, point: int) -> None:
+        self.base.append(point)
+        self.gens.append([])
+        self.trans.append({point: self.identity})
+        self.inv.append({point: self.identity})
+        self._checked.append(set())
+
+    def tail(self) -> "StabChain":
+        """The chain of the stabilizer of the first base point."""
+        out = StabChain(self.degree)
+        out.base = self.base[1:]
+        out.gens = [list(g) for g in self.gens[1:]]
+        out.trans = [dict(t) for t in self.trans[1:]]
+        out.inv = [dict(t) for t in self.inv[1:]]
+        out._checked = [set(c) for c in self._checked[1:]]
+        return out
+
+    def order(self) -> int:
+        out = 1
+        for t in self.trans:
+            out *= len(t)
+        return out
+
+    def sift(self, g: Perm, start: int = 0) -> Tuple[Perm, int]:
+        """Strip g level by level; returns the residue and where it stopped."""
+        for level in range(start, len(self.base)):
+            point = self.base[level]
+            beta = g[point]
+            if beta == point:
+                continue
+            inv = self.inv[level].get(beta)
+            if inv is None:
+                return g, level
+            g = compose(g, inv)
+        return g, len(self.base)
+
+    def contains(self, g: Perm) -> bool:
+        return self.sift(tuple(g))[0] == self.identity
+
+    def extend(self, g: Perm) -> bool:
+        """Add g to the group; False if it was a member already."""
+        residue, level = self.sift(tuple(g))
+        if residue == self.identity:
+            return False
+        self._install(residue, 0, level)
+        self._complete(level)
+        return True
+
+    def _install(self, h: Perm, low: int, high: int) -> None:
+        """Make h, which fixes base[0..high-1], a strong generator of levels
+        low..high, adding a base point if high is past the base."""
+        if high == len(self.base):
+            self._add_level(_first_moved(h))
+        for level in range(low, high + 1):
+            self.gens[level].append(h)
+            self._grow_orbit(level, h)
+
+    def _grow_orbit(self, level: int, new: Perm) -> None:
+        trans, inv, gens = self.trans[level], self.inv[level], self.gens[level]
+        fresh = []
+        for beta in list(trans):
+            image = new[beta]
+            if image not in trans:
+                trans[image] = compose(trans[beta], new)
+                inv[image] = inverse_perm(trans[image])
+                fresh.append(image)
+        head = 0
+        while head < len(fresh):
+            beta = fresh[head]
+            head += 1
+            for g in gens:
+                image = g[beta]
+                if image not in trans:
+                    trans[image] = compose(trans[beta], g)
+                    inv[image] = inverse_perm(trans[image])
+                    fresh.append(image)
+
+    def _complete(self, level: int) -> None:
+        """Sift Schreier generators from level up to level 0 until all pass.
+
+        While level i is checked, every deeper level is complete for its own
+        generators, so a Schreier generator of level i that sifts to the
+        identity through them stays accounted for as those levels grow.  One
+        that does not is installed, and checking resumes at the deepest
+        level it reached.
+        """
+        i = level
+        while i >= 0:
+            i = self._check_level(i)
+
+    def _check_level(self, i: int) -> int:
+        trans, inv, checked = self.trans[i], self.inv[i], self._checked[i]
+        for beta, u in list(trans.items()):
+            for gi, x in enumerate(self.gens[i]):
+                if (beta, gi) in checked:
+                    continue
+                checked.add((beta, gi))
+                schreier = compose(compose(u, x), inv[x[beta]])
+                if schreier == self.identity:
+                    continue
+                residue, j = self.sift(schreier, i + 1)
+                if residue != self.identity:
+                    self._install(residue, i + 1, j)
+                    return j
+        return i - 1
+
+
 class PermAction:
     """A permutation group given by generators on {0, ..., degree-1}."""
 
@@ -366,12 +537,41 @@ class PermAction:
         self.generators: Tuple[Perm, ...] = tuple(gens)
         self.label = label
         self._elements: Optional[Tuple[Perm, ...]] = None
+        # stabilizer chains by first base point; None is the default base
+        self._chains: Dict[Optional[int], StabChain] = {}
 
     def __repr__(self) -> str:
         return f"PermAction({self.label or 'unnamed'}, degree={self.degree})"
 
+    def chain(self, point: Optional[int] = None) -> StabChain:
+        """The stabilizer chain, built once; with a base starting at point
+        if one is given.
+
+        The default base starts at the smallest moved point, so for a
+        transitive group point 0 shares the default chain.  A point
+        stabilizer instead inherits the rest of its parent's chain.
+        """
+        chain = self._chains.get(None)
+        if chain is None:
+            ident = identity_perm(self.degree)
+            moved = [_first_moved(g) for g in self.generators if g != ident]
+            base = [min(moved)] if moved else []
+            chain = StabChain(self.degree, self.generators, base=base)
+            self._chains[None] = chain
+        if point is None or chain.base[:1] == [point]:
+            return chain
+        if point not in self._chains:
+            self._chains[point] = StabChain(self.degree, self.generators, base=[point])
+        return self._chains[point]
+
     def elements(self, limit: int = 10**6) -> Tuple[Perm, ...]:
-        """All group elements, sorted; BFS closure over the generators."""
+        """All group elements, sorted; BFS closure over the generators.
+
+        Refuses, before listing anything, when the group order exceeds limit.
+        """
+        order = self.order()
+        if order > limit:
+            raise RuntimeError(f"group order {order} exceeds element budget {limit}")
         if self._elements is None:
             ident = identity_perm(self.degree)
             seen = {ident}
@@ -383,17 +583,17 @@ class PermAction:
                 for g in self.generators:
                     nxt = compose(cur, g)
                     if nxt not in seen:
-                        if len(seen) >= limit:
-                            raise RuntimeError(
-                                f"group exceeds element budget {limit}"
-                            )
                         seen.add(nxt)
                         queue.append(nxt)
             self._elements = tuple(sorted(seen))
         return self._elements
 
     def order(self) -> int:
-        return len(self.elements())
+        return self.chain().order()
+
+    def contains(self, perm: Perm) -> bool:
+        """Membership by sifting through the stabilizer chain."""
+        return len(perm) == self.degree and self.chain().contains(perm)
 
     def orbit(self, point: int) -> Tuple[int, ...]:
         seen = {point}
@@ -424,59 +624,35 @@ class PermAction:
         return tuple(e for e in self.elements() if e[point] == point)
 
     def point_stabilizer(self, point: int) -> "PermAction":
-        """Stabilizer as its own action, with a small generating set."""
-        stab = self.stabilizer_elements(point)
-        target = len(stab)
-        ident = identity_perm(self.degree)
-        gens: List[Perm] = []
-        closure = {ident}
-        for e in stab:
-            if e in closure:
-                continue
-            gens.append(e)
-            closure = set(_closure_perms(gens, ident))
-            if len(closure) == target:
-                break
-        assert len(closure) == target
-        return PermAction(
-            self.degree, gens or [ident], label=f"{self.label}_stab{point}"
+        """Stabilizer as its own action: the strong generators of the second
+        level of a chain whose base starts at point, which also serve as
+        the stabilizer's own chain."""
+        chain = self.chain(point)
+        tail = chain.tail()
+        gens = tail.gens[0] if tail.base else []
+        stab = PermAction(
+            self.degree, gens or [chain.identity], label=f"{self.label}_stab{point}"
         )
+        if stab.generators == tuple(gens):
+            stab._chains[None] = tail
+        return stab
 
     def suborbit_lengths(self, point: int) -> Tuple[int, ...]:
         """Sorted orbit lengths of the stabilizer of point."""
-        stab = self.stabilizer_elements(point)
-        left = set(range(self.degree))
-        lengths = []
-        while left:
-            start = min(left)
-            seen = {start}
-            queue = [start]
-            head = 0
-            while head < len(queue):
-                cur = queue[head]
-                head += 1
-                for g in stab:
-                    if g[cur] not in seen:
-                        seen.add(g[cur])
-                        queue.append(g[cur])
-            lengths.append(len(seen))
-            left -= seen
-        return tuple(sorted(lengths))
+        return tuple(sorted(len(orb) for orb in self.point_stabilizer(point).orbits()))
 
     def reduced(self) -> "PermAction":
-        """Same group with a greedily chosen small generating set."""
+        """Same group with a greedily chosen small generating set: each
+        element, in sorted order, that the earlier choices do not generate."""
         elements = self.elements()
-        ident = identity_perm(self.degree)
+        chain = StabChain(self.degree)
         gens: List[Perm] = []
-        closure = {ident}
         for e in elements:
-            if e in closure:
-                continue
-            gens.append(e)
-            closure = set(_closure_perms(gens, ident))
-            if len(closure) == len(elements):
+            if chain.order() == len(elements):
                 break
-        act = PermAction(self.degree, gens or [ident], label=self.label)
+            if chain.extend(e):
+                gens.append(e)
+        act = PermAction(self.degree, gens or [chain.identity], label=self.label)
         act._elements = elements
         return act
 
@@ -642,7 +818,8 @@ def _unitary_action(q0: int, variant: str) -> PermAction:
                 A = ((1, a, b), (0, 1, c), (0, 0, 1))
                 if _unitary_matrix_ok(F, q0, A):
                     mats.append(A)
-    assert len(mats) == q0**3
+    if len(mats) != q0**3:
+        raise ArithmeticError(f"{len(mats)} root elements, expected {q0**3}")
     for a in F.elements():
         if a == 0:
             continue
@@ -666,7 +843,8 @@ def _unitary_action(q0: int, variant: str) -> PermAction:
                     break
             if found_weyl:
                 break
-    assert found_weyl
+    if not found_weyl:
+        raise ArithmeticError("no monomial Weyl element in the unitary group")
     perms = [_matrix_point_perm(F, A, points, index) for A in mats]
     if variant == "socle.2":
         frob = []
@@ -776,14 +954,25 @@ def _close_indices(
     return frozenset(seen)
 
 
-def _lattice_route(
-    action: PermAction, m: int
-) -> Tuple[FrozenSet[Perm], ...]:
-    """Every subgroup of order m, grown one generator at a time.
+class SubgroupClass(NamedTuple):
+    """One conjugacy class of subgroups, each member given by generators.
+
+    The representative is the first member; size is the number of members.
+    """
+
+    representative: Tuple[Perm, ...]
+    size: int
+    members: Tuple[Tuple[Perm, ...], ...]
+
+
+def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
+    """Every subgroup of order m, grown one generator at a time, in classes.
 
     Any order-m subgroup K admits a chain of subgroups 1 < ... < K in which
     each term adds a single element of K, and all terms have order dividing
-    m; breadth-first search over such chains is therefore complete.
+    m; breadth-first search over such chains is therefore complete.  Each
+    subgroup keeps the elements that grew it as its generators.  Classes are
+    listed by their first member in sorted order, and members sorted.
     """
     elements = action.elements()
     index, mult = _index_tables(elements)
@@ -792,7 +981,7 @@ def _lattice_route(
         i for i, e in enumerate(elements) if m % perm_order(e) == 0
     ]
     trivial = frozenset({id_idx})
-    seen = {trivial}
+    grown_by: Dict[FrozenSet[int], Tuple[int, ...]] = {trivial: ()}
     queue = [trivial]
     head = 0
     found = []
@@ -808,14 +997,74 @@ def _lattice_route(
             grown = _close_indices(mult, id_idx, list(sub) + [y], m + 1)
             if grown is None or m % len(grown) != 0:
                 continue
-            if grown not in seen:
-                seen.add(grown)
+            if grown not in grown_by:
+                grown_by[grown] = grown_by[sub] + (y,)
                 queue.append(grown)
-    packed = [frozenset(elements[i] for i in sub) for sub in found]
-    return tuple(sorted(packed, key=lambda s: sorted(s)))
+    found.sort(key=lambda sub: sorted(elements[i] for i in sub))
+    conj = [
+        [index[conjugate_perm(e, g)] for e in elements] for g in action.generators
+    ]
+    unclassed = set(found)
+    classes = []
+    for sub in found:
+        if sub not in unclassed:
+            continue
+        orbit = {sub}
+        queue = [sub]
+        head = 0
+        while head < len(queue):
+            cur = queue[head]
+            head += 1
+            for table in conj:
+                nxt = frozenset(table[i] for i in cur)
+                if nxt not in orbit:
+                    orbit.add(nxt)
+                    queue.append(nxt)
+        if not orbit <= unclassed:
+            raise RuntimeError("a conjugate subgroup escaped the lattice search")
+        unclassed -= orbit
+        members = tuple(
+            tuple(elements[i] for i in grown_by[s]) for s in found if s in orbit
+        )
+        classes.append(SubgroupClass(members[0], len(members), members))
+    return tuple(classes)
 
 
-def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[FrozenSet[Perm], ...]]:
+def _element_of_order(action: PermAction, ell: int) -> Perm:
+    """An element of prime order ell dividing the group order, from the
+    first element of the breadth-first walk over generator words whose
+    order ell divides (one exists by Cauchy's theorem)."""
+    ident = identity_perm(action.degree)
+    seen = {ident}
+    queue = [ident]
+    head = 0
+    while head < len(queue):
+        cur = queue[head]
+        head += 1
+        for g in action.generators:
+            nxt = compose(cur, g)
+            if nxt in seen:
+                continue
+            order = perm_order(nxt)
+            if order % ell == 0:
+                return _perm_power(nxt, order // ell)
+            seen.add(nxt)
+            queue.append(nxt)
+    raise RuntimeError(f"no element of order {ell} in {action.label or 'the group'}")
+
+
+def _cyclic_key(y: Perm) -> Perm:
+    """For y of prime order: the generator of <y> that takes the smallest
+    point y moves to the next smallest point of that cycle.  Two subgroups
+    of prime order with the same key are equal."""
+    start = _first_moved(y)
+    cycle = [start]
+    while y[cycle[-1]] != start:
+        cycle.append(y[cycle[-1]])
+    return _perm_power(y, cycle.index(min(cycle[1:])))
+
+
+def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ...]]:
     """Order-m subgroups when they are exactly the normalizers of a Sylow.
 
     Applies when some prime ell divides m and the group order exactly once,
@@ -823,12 +1072,14 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[FrozenSet[Perm], 
     group of order m.  Then each order-m subgroup normalizes a Sylow
     ell-subgroup P of the whole group, hence equals the normalizer of P
     whenever that normalizer has order m; conjugacy of Sylow subgroups makes
-    the enumeration complete.
+    the enumeration complete, and the normalizers form one class.
+
+    No element list is needed: P is generated by one element x, its
+    conjugates come from conjugating x by the generators with a transversal,
+    |N(P)| = |G| / (number of conjugates) decides conclusiveness, and the
+    Schreier generators of that orbit generate N(P).
     """
-    elements = action.elements()
-    n = len(elements)
-    if n % m != 0:
-        return ()
+    n = action.order()
     for ell, e in factorize(m).pairs:
         if e != 1:
             continue
@@ -842,36 +1093,44 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[FrozenSet[Perm], 
         )
         if not forced:
             continue
-        gen = next((x for x in elements if perm_order(x) == ell), None)
-        if gen is None:
-            return ()
-        power = gen
-        sylow = {identity_perm(action.degree)}
-        while power not in sylow:
-            sylow.add(power)
-            power = compose(power, gen)
-        normalizer = frozenset(
-            g for g in elements if conjugate_perm(gen, g) in sylow
-        )
-        if len(normalizer) != m:
-            return None  # normalizer bigger than m: route not conclusive
-        seen = {normalizer}
-        queue = [normalizer]
+        x = _element_of_order(action, ell)
+        ident = identity_perm(action.degree)
+        transversal = {_cyclic_key(x): ident}
+        queue = [(x, ident)]
+        schreier: List[Perm] = []
         head = 0
         while head < len(queue):
-            cur = queue[head]
+            y, t = queue[head]
             head += 1
             for g in action.generators:
-                nxt = frozenset(conjugate_perm(x, g) for x in cur)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return tuple(sorted(seen, key=lambda s: sorted(s)))
+                z = conjugate_perm(y, g)
+                word = compose(t, g)
+                conjugate = _cyclic_key(z)
+                known = transversal.get(conjugate)
+                if known is None:
+                    transversal[conjugate] = word
+                    queue.append((z, word))
+                else:
+                    s = compose(word, inverse_perm(known))
+                    if s != ident:
+                        schreier.append(s)
+        if n // len(transversal) != m:
+            return None  # normalizer bigger than m: route not conclusive
+        normalizer = StabChain(action.degree)
+        gens = tuple(s for s in schreier if normalizer.extend(s))
+        if normalizer.order() != m:
+            raise RuntimeError(
+                f"Sylow normalizer has order {normalizer.order()}, expected {m}"
+            )
+        members = tuple(
+            tuple(conjugate_perm(h, t) for h in gens) for _, t in queue
+        )
+        return (SubgroupClass(members[0], len(members), members),)
     return None
 
 
-def subgroups_of_order(action: PermAction, m: int) -> Tuple[FrozenSet[Perm], ...]:
-    """Complete list of order-m subgroups, or an error.
+def subgroups_of_order(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
+    """Complete list of the conjugacy classes of order-m subgroups, or an error.
 
     Uses the exhaustive one-generator-at-a-time lattice search for small
     groups and the Sylow-normalizer argument for larger ones; raises when
@@ -881,7 +1140,7 @@ def subgroups_of_order(action: PermAction, m: int) -> Tuple[FrozenSet[Perm], ...
     if m < 1 or order % m != 0:
         return ()
     if m == 1:
-        return (frozenset({identity_perm(action.degree)}),)
+        return (SubgroupClass((), 1, ((),)),)
     if order <= 1000 and m <= 64:
         return _lattice_route(action, m)
     sylow = _sylow_route(action, m)
@@ -891,34 +1150,6 @@ def subgroups_of_order(action: PermAction, m: int) -> Tuple[FrozenSet[Perm], ...
         f"cannot certify a complete order-{m} subgroup enumeration "
         f"in a group of order {order}"
     )
-
-
-def subgroup_classes(
-    action: PermAction, subgroups: Sequence[FrozenSet[Perm]]
-) -> Tuple[Tuple[FrozenSet[Perm], int], ...]:
-    """Partition subgroups into conjugacy classes: (representative, size)."""
-    remaining = set(subgroups)
-    out = []
-    for sub in subgroups:
-        if sub not in remaining:
-            continue
-        seen = {sub}
-        queue = [sub]
-        head = 0
-        while head < len(queue):
-            cur = queue[head]
-            head += 1
-            for g in action.generators:
-                nxt = frozenset(conjugate_perm(x, g) for x in cur)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        unseen = seen - set(subgroups)
-        if unseen:
-            raise AssertionError("conjugate fell outside the supplied list")
-        out.append((sub, len(seen)))
-        remaining -= seen
-    return tuple(out)
 
 
 def find_two_generated_subgroup(
@@ -975,7 +1206,8 @@ def _unitary_cosets_36(extended: bool) -> PermAction:
     sub = find_two_generated_subgroup(socle, 168, 2, 3, 7)
     act = subgroup_conjugation_action(base, sub)
     act.label = "psu3_3_2_36" if extended else "psu3_3_36"
-    assert act.degree == 36
+    if act.degree != 36:
+        raise RuntimeError(f"{act.label} has degree {act.degree}, expected 36")
     return act
 
 
@@ -995,7 +1227,8 @@ def _sylow13_action_144(extended: bool) -> PermAction:
         ).reduced()
     act = subgroup_conjugation_action(source, frozenset(sylow))
     act.label = "psl3_3_2_144" if extended else "psl3_3_144"
-    assert act.degree == 144
+    if act.degree != 144:
+        raise RuntimeError(f"{act.label} has degree {act.degree}, expected 144")
     return act
 
 

@@ -1,9 +1,13 @@
 """Command line contract: output text, report files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import flagsieve
 from flagsieve.cli import (
     EXIT_DISCREPANCY,
     EXIT_OK,
@@ -375,3 +379,40 @@ def test_runconfig_validates_budgets():
         RunConfig(subcommand="sieve", element_cap=0)
     with pytest.raises(ValueError):
         RunConfig(subcommand="sweep", workers=0)
+
+
+def test_element_cap_edges(capsys, tmp_path):
+    # pgl2_7 has order 336: the cap refuses from the group order alone
+    argv = ["search", "--group", "pgl2_7", "--k", "4", "--out-dir", str(tmp_path)]
+    code, lines = run_cli(capsys, *argv, "--element-cap", "336")
+    assert code == EXIT_OK
+    assert "group pgl2_7 degree 8 order 336" in lines
+    code = main(argv + ["--element-cap", "335"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "group order 336 exceeds element budget 335" in captured.err
+
+
+def test_eliminate_searched_cell_under_optimize(capsys, tmp_path):
+    """Correctness checks are explicit raises, so python -O changes nothing."""
+    argv = "eliminate --family psl --n 3 --q 3 --class c3 --m 1 --t 3".split()
+    normal = tmp_path / "normal.json"
+    optimized = tmp_path / "optimized.json"
+    code, _ = run_cli(capsys, *argv, "--output", str(normal))
+    assert code == EXIT_OK
+    src = os.path.dirname(os.path.dirname(flagsieve.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "flagsieve.cli", *argv]
+        + ["--output", str(optimized)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    (want,) = json.loads(normal.read_text())["cells"]
+    (got,) = json.loads(optimized.read_text())["cells"]
+    assert got["final"] == want["final"]
+    assert want["steps"][-1]["name"] == "design-search"
+    assert got["steps"] == want["steps"]

@@ -14,6 +14,8 @@ from flagsieve.designsearch import (
     stabilizer_search,
     verify_design,
 )
+from flagsieve.eliminator import SEARCH_REGISTRY, eliminate
+from flagsieve.grouporders import GroupSpec, SubgroupCase
 from flagsieve.permgroup import PermAction, builtin_action
 from flagsieve.sieve import DesignParams
 
@@ -201,6 +203,37 @@ def test_extension_144_search_empty():
     assert "144 subgroups of order 78" in detail["block-stabilizer-candidates"]
     assert "1 conjugacy classes" in detail["block-stabilizer-candidates"]
     assert detail["candidate-blocks"] == "tested 5 orbit unions of size 78"
+
+
+def test_certified_144_cell_lists_no_large_group(monkeypatch):
+    """Certifying linear n=3 q=3 C3(1,3) never lists a group of order > 1000.
+
+    The built-in constructions may enumerate; they are built first.  The
+    searches then run on fresh copies, so every chain is built under the
+    guard, which turns any full listing of a large group into a failure.
+    """
+    cell = ("linear", 3, 3, "C3", (1, 3))
+    actions = []
+    for name in SEARCH_REGISTRY[cell]:
+        built = builtin_action(name)
+        actions.append(PermAction(built.degree, built.generators, label=built.label))
+    listing = PermAction.elements
+
+    def guarded(self, limit=10**6):
+        listed = listing(self, limit)
+        if len(listed) > 1000:
+            raise AssertionError(f"listed the {len(listed)} elements of {self.label}")
+        return listed
+
+    monkeypatch.setattr(PermAction, "elements", guarded)
+    spec, case = GroupSpec(*cell[:3]), SubgroupCase(*cell[3:])
+    report = eliminate(spec, case, run_searches=False)
+    assert report.final.tuples == (PARAMS_144,)
+    results = [stabilizer_search(act, PARAMS_144) for act in actions]
+    assert all(result.exhaustive and not result.designs for result in results)
+    assert dict(results[0].certificate)["flag-count"]
+    detail = dict(results[1].certificate)["block-stabilizer-candidates"]
+    assert "144 subgroups of order 78 (1 conjugacy classes)" in detail
 
 
 # -- verification

@@ -2,6 +2,7 @@
 
 import pytest
 
+from flagsieve import eliminator
 from flagsieve.eliminator import (
     FINAL_KINDS,
     SEARCH_REGISTRY,
@@ -133,6 +134,23 @@ def test_unitary_line_one_survives_with_design():
     assert wit["psu3_3_2_36 (36,36,21,21,12)"] == 1
     assert wit["psu3_3_36 (36,48,28,21,16)"] == 0
     assert wit["psu3_3_2_36 (36,48,28,21,16)"] == 0
+
+
+def test_registry_searches_run_once_per_process(monkeypatch):
+    cell = (GroupSpec("unitary", 3, 3), SubgroupCase("S", (1,)))
+    first = eliminate(*cell)
+    calls = []
+    real = eliminator.stabilizer_search
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(eliminator, "stabilizer_search", counting)
+    second = eliminate(*cell)
+    assert calls == []
+    assert second == first
+    assert second.final.kind == "Survives"
 
 
 def test_unitary_line_one_other_q_eliminated():

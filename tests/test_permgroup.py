@@ -4,6 +4,8 @@ Group orders and suborbit shapes are asserted against independently known
 values for the small classical groups involved.
 """
 
+import random
+
 import pytest
 
 from flagsieve.permgroup import (
@@ -23,7 +25,7 @@ from flagsieve.permgroup import (
     perm_order,
     projective_points,
     save_action,
-    subgroup_classes,
+    SubgroupClass,
     subgroup_conjugation_action,
     subgroups_of_order,
 )
@@ -229,44 +231,52 @@ def test_point_stabilizer_and_suborbits_consistency():
     assert sum(act.suborbit_lengths(0)) == act.degree
 
 
+def _sizes(classes):
+    return [cls.size for cls in classes]
+
+
 def test_subgroups_of_order_projective_line():
     act = builtin_action("psl2_7")
     eights = subgroups_of_order(act, 8)
-    assert len(eights) == 21
-    assert all(len(s) == 8 for s in eights)
-    assert [size for _, size in subgroup_classes(act, eights)] == [21]
+    assert sum(_sizes(eights)) == 21
+    assert all(
+        PermAction(8, gens).order() == 8 for cls in eights for gens in cls.members
+    )
+    assert _sizes(eights) == [21]
     sixes = subgroups_of_order(act, 6)
-    assert len(sixes) == 28
-    assert [size for _, size in subgroup_classes(act, sixes)] == [28]
+    assert sum(_sizes(sixes)) == 28
+    assert _sizes(sixes) == [28]
     threes = subgroups_of_order(act, 3)
-    assert len(threes) == 28
+    assert sum(_sizes(threes)) == 28
 
 
 def test_subgroups_of_order_pgl():
     act = builtin_action("pgl2_7")
     sixteens = subgroups_of_order(act, 16)
-    assert len(sixteens) == 21
-    assert [size for _, size in subgroup_classes(act, sixteens)] == [21]
+    assert sum(_sizes(sixteens)) == 21
+    assert _sizes(sixteens) == [21]
     twelves = subgroups_of_order(act, 12)
-    assert len(twelves) == 42
-    assert sorted(size for _, size in subgroup_classes(act, twelves)) == [14, 28]
+    assert sum(_sizes(twelves)) == 42
+    assert sorted(_sizes(twelves)) == [14, 28]
 
 
 def test_subgroups_closed_under_multiplication():
     act = builtin_action("psl2_7")
-    for sub in subgroups_of_order(act, 6)[:5]:
-        elems = sorted(sub)
-        for a in elems:
-            for b in elems:
+    (sixes,) = subgroups_of_order(act, 6)
+    for gens in sixes.members[:5]:
+        sub = set(PermAction(8, gens).elements())
+        assert len(sub) == 6 and sub <= set(act.elements())
+        for a in sub:
+            for b in sub:
                 assert compose(a, b) in sub
 
 
 def test_subgroups_of_order_sylow_route():
     act = builtin_action("psl3_3_2_144")
     subs = subgroups_of_order(act, 78)
-    assert len(subs) == 144
-    assert all(len(s) == 78 for s in subs)
-    assert [size for _, size in subgroup_classes(act, subs)] == [144]
+    assert sum(_sizes(subs)) == 144
+    assert all(PermAction(144, gens).order() == 78 for gens in subs[0].members)
+    assert _sizes(subs) == [144]
 
 
 def test_subgroups_of_order_uncertifiable():
@@ -281,7 +291,8 @@ def test_subgroups_of_order_edge_cases():
     act = builtin_action("psl2_7")
     assert subgroups_of_order(act, 5) == ()
     ones = subgroups_of_order(act, 1)
-    assert ones == (frozenset({identity_perm(8)}),)
+    assert ones == (SubgroupClass(representative=(), size=1, members=((),)),)
+    assert PermAction(8, ones[0].representative).order() == 1
 
 
 def test_find_two_generated_subgroup():
@@ -327,3 +338,88 @@ def test_load_action_rejects_malformed(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError):
         load_action(str(empty))
+
+
+# -- stabilizer chain against breadth-first enumeration
+
+
+def _bfs_closure(degree, gens):
+    """Independent oracle: every product of the generators, breadth-first."""
+    ident = tuple(range(degree))
+    seen = {ident}
+    queue = [ident]
+    for cur in queue:
+        for g in gens:
+            nxt = tuple(g[i] for i in cur)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_chain_matches_enumeration(name):
+    base = builtin_action(name)
+    act = PermAction(base.degree, base.generators)  # no cached chain or list
+    group = _bfs_closure(act.degree, act.generators)
+    assert act.order() == len(group) == EXPECTED_ORDERS[name][1]
+    rng = random.Random(f"chain/{name}")
+    listed = sorted(group)
+    # point stabilizers at several points
+    points = {0, act.degree // 2, act.degree - 1, rng.randrange(act.degree)}
+    for point in sorted(points):
+        stab = act.point_stabilizer(point)
+        fixing = {g for g in group if g[point] == point}
+        assert stab.order() == len(fixing), point
+        assert all(g[point] == point and g in group for g in stab.generators)
+        # members and non-members of the stabilizer
+        for g in rng.sample(listed, 20):
+            assert stab.contains(g) == (g in fixing)
+    # subgroups generated by random pairs of elements
+    for _ in range(3):
+        pair = rng.sample(listed, 2)
+        sub = PermAction(act.degree, pair)
+        closure = _bfs_closure(act.degree, pair)
+        assert sub.order() == len(closure)
+        for g in rng.sample(listed, 20):
+            assert sub.contains(g) == (g in closure)
+    # sampled members and random permutations of the domain
+    for g in rng.sample(listed, 20):
+        assert act.contains(g)
+    for _ in range(20):
+        perm = list(range(act.degree))
+        rng.shuffle(perm)
+        assert act.contains(tuple(perm)) == (tuple(perm) in group)
+    assert not act.contains(tuple(range(act.degree + 1)))
+
+
+@pytest.mark.parametrize("name,m", [("psl3_3_144", 39), ("psl3_3_2_144", 78)])
+def test_sylow_route_matches_element_list(name, m):
+    act = builtin_action(name)
+    group = _bfs_closure(act.degree, act.generators)
+    sylow_count = sum(1 for g in group if perm_order(g) == 13) // 12
+    assert sylow_count == 144
+    (cls,) = subgroups_of_order(act, m)
+    assert cls.size == len(cls.members) == sylow_count
+    assert cls.representative == cls.members[0]
+    members = set()
+    for gens in cls.members:
+        sub = frozenset(_bfs_closure(act.degree, gens))
+        assert len(sub) == m and sub <= group
+        members.add(sub)
+    assert len(members) == sylow_count
+
+
+# -- element budget
+
+
+def test_element_budget_edges():
+    base = builtin_action("pgl2_7")
+    assert len(PermAction(8, base.generators).elements(limit=336)) == 336
+    with pytest.raises(RuntimeError, match="exceeds element budget 335"):
+        PermAction(8, base.generators).elements(limit=335)
+    listed = PermAction(8, base.generators)
+    assert len(listed.elements()) == 336
+    with pytest.raises(RuntimeError, match="exceeds element budget 335"):
+        listed.elements(limit=335)
+    assert len(listed.elements(limit=336)) == 336

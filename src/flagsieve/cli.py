@@ -7,14 +7,12 @@ status: 0 = completed, 1 = result differs from an expected claim,
 """
 
 import argparse
-import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .designsearch import (
     DesignRecord,
@@ -25,7 +23,7 @@ from .designsearch import (
     stabilizer_search,
     verify_design,
 )
-from .eliminator import CellReport, eliminate, survivors, sweep
+from .eliminator import _ROUTES, CellReport, eliminate, survivors, sweep
 from .grouporders import GroupSpec, SubgroupCase, case_label
 from .permgroup import BUILTIN_NAMES, PermAction, builtin_action, load_action
 from .sieve import DesignParams, admissible_tuples_explained
@@ -44,39 +42,6 @@ _FAMILIES = {
     "unitary": "unitary",
     "psu": "unitary",
     "u": "unitary",
-}
-
-_KIND_TABLE = {
-    "linear": (
-        "C1_Pi",
-        "C1_Pij",
-        "C1_GLiGLni",
-        "C2_GLwr",
-        "C3",
-        "C4",
-        "C5_subfield",
-        "C6",
-        "C7",
-        "C8_Sp",
-        "C8_O",
-        "C8_U",
-        "S",
-    ),
-    "unitary": (
-        "C1_Pi",
-        "C1_Ni",
-        "C2_GU1wr",
-        "C2_GLwr",
-        "C2_GLhalf",
-        "C3",
-        "C4",
-        "C5_subfield",
-        "C5_Sp",
-        "C5_O",
-        "C6",
-        "C7",
-        "S",
-    ),
 }
 
 # short aliases for the common classes; exact kind names always work
@@ -146,14 +111,11 @@ class RunConfig:
     orbit_cap: int = 10**7
     subgroup_budget: int = 10**5
     tuple_budget: int = 10**7
-    workers: int = 1
 
     def __post_init__(self) -> None:
         for name in ("element_cap", "orbit_cap", "subgroup_budget", "tuple_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"budget {name.replace('_', '-')} must be positive")
-        if self.workers < 1:
-            raise ValueError("worker count must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -167,14 +129,20 @@ def _family(token: str) -> str:
     return _FAMILIES[key]
 
 
-def _resolve_case(family: str, token: str, args: argparse.Namespace) -> SubgroupCase:
+def _resolve_kind(family: str, token: str) -> str:
+    """A class name or short alias as one of the family's routed kinds."""
     key = token.lower()
     kind = _SHORT_CLASSES.get(key)
     if kind is None:
-        by_name = {k.lower(): k for k in _KIND_TABLE[family]}
+        by_name = {k.lower(): k for k in _ROUTES[family]}
         kind = by_name.get(key)
-    if kind is None or kind not in _KIND_TABLE[family]:
+    if kind is None or kind not in _ROUTES[family]:
         raise ValueError(f"unknown {family} class {token!r}")
+    return kind
+
+
+def _resolve_case(family: str, token: str, args: argparse.Namespace) -> SubgroupCase:
+    kind = _resolve_kind(family, token)
     if args.params is not None:
         params = tuple(
             int(p) if p.lstrip("+-").isdigit() else p
@@ -190,17 +158,6 @@ def _resolve_case(family: str, token: str, args: argparse.Namespace) -> Subgroup
             raise ValueError(f"class {kind} needs {wanted}")
         values.append(value)
     return SubgroupCase(kind, tuple(values))
-
-
-def _kind_filter(family: str, token: str) -> str:
-    key = token.lower()
-    kind = _SHORT_CLASSES.get(key)
-    if kind is None:
-        by_name = {k.lower(): k for k in _KIND_TABLE[family]}
-        kind = by_name.get(key)
-    if kind is None:
-        raise ValueError(f"unknown {family} class {token!r}")
-    return kind
 
 
 def _resolve_path(path: str) -> str:
@@ -252,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--class", dest="klass", required=True)
     p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--t", type=int, default=None)
     p.add_argument("--line", type=int, default=None)
@@ -269,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=int, required=True)
     p.add_argument("--class", dest="klass", default="", help="restrict to one class")
     p.add_argument("--no-search", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument(
         "--expect-survivors",
         default="",
@@ -337,9 +292,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             n_min=args.n_min,
             n_max=args.n_max,
             q_max=args.q_max,
-            kind_filter=_kind_filter(family, args.klass) if args.klass else "",
+            kind_filter=_resolve_kind(family, args.klass) if args.klass else "",
             run_searches=not args.no_search,
-            workers=args.workers,
             expect_survivors=args.expect_survivors,
             output=args.output,
             format=args.format,
@@ -550,25 +504,14 @@ def _run_eliminate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _merged_sweep(config: RunConfig) -> Tuple[CellReport, ...]:
-    args = (config.family, config.n_min, config.n_max, config.q_max)
-    if config.workers == 1:
-        return sweep(*args, run_searches=config.run_searches)
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
-        futures = [
-            pool.submit(sweep, *args, config.run_searches, (i, config.workers))
-            for i in range(config.workers)
-        ]
-        shards = [f.result() for f in futures]
-    # shard i holds cells i, i+W, ...; round-robin restores sweep order
-    merged: List[CellReport] = []
-    for row in itertools.zip_longest(*shards):
-        merged.extend(rep for rep in row if rep is not None)
-    return tuple(merged)
-
-
 def _run_sweep(config: RunConfig) -> int:
-    reports = _merged_sweep(config)
+    reports = sweep(
+        config.family,
+        config.n_min,
+        config.n_max,
+        config.q_max,
+        run_searches=config.run_searches,
+    )
     if config.kind_filter:
         reports = tuple(r for r in reports if r.case.kind == config.kind_filter)
     print(

@@ -1,10 +1,17 @@
 """Case-by-case elimination over the socle / point-stabilizer survey grid.
 
-For each cell (family, n, q, subgroup class) the pipeline runs a short
-sequence of exact arithmetic screens.  Every screen is a necessary
-condition for a flag-transitive 2-design with lambda >= (r,lambda)^2 > 1
-whose point stabilizer lies in the given class, so one failed screen
-eliminates the whole cell.  A cell that survives every screen ends as
+A cell is (family, n, q, subgroup class).  Its route is a row of
+``_ROUTES[family][kind]``: a short tuple of screens.  Every screen is a
+necessary condition for a flag-transitive 2-design with
+lambda >= (r,lambda)^2 > 1 whose point stabilizer lies in the given class,
+so one failed screen eliminates the whole cell.
+
+``eliminate`` is the one interpreter.  It computes the cell's orders once,
+runs the screens of the route in order on a per-cell record, and stops at
+the first screen that returns a ``Final``.  A screen may instead refine the
+divisor of r on the record and return None.  When every screen passes, the
+shared tail runs: the r* gcd bound, the tuple sieve, then the stored
+exhaustive searches.  A cell ends as
 
 * ``Survives``    - an open family, or a cell carrying an explicit design
                     found by exhaustive search;
@@ -13,18 +20,20 @@ eliminates the whole cell.  A cell that survives every screen ends as
 * ``Eliminated``  - a screen failed, the tuple sieve came back empty, or
                     the stored exhaustive searches found nothing.
 
-Everything is deterministic, so a rerun reproduces reports byte for byte.
+Adding a class is a new row of ``_ROUTES``.  Everything is deterministic,
+so a rerun reproduces reports byte for byte.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .designsearch import SearchResult, stabilizer_search
-from .exactmath import gcd, p_prime_part, prime_powers_upto
+from .exactmath import gcd, prime_powers_upto
 from .grouporders import (
     CaseOrders,
     GroupSpec,
@@ -36,7 +45,13 @@ from .grouporders import (
     sp_order,
 )
 from .permgroup import builtin_action, pair_action
-from .sieve import DesignParams, admissible_tuples_explained, best_subdegree_verdict
+from .sieve import (
+    DesignParams,
+    admissible_tuples_explained,
+    best_subdegree_verdict,
+    order_inequality_check,
+    two_point_divisor,
+)
 
 __all__ = [
     "STEP_NAMES",
@@ -165,80 +180,233 @@ class CellReport:
         return f"{self.family} n={self.n} q={self.q} {case_label(self.case)}"
 
 
-class _Trace:
-    __slots__ = ("steps",)
+class _Cell:
+    """What the screens of one cell share: its data, its r-divisor and the
+    steps applied so far.  divisor None means |Out| * |H0|."""
 
-    def __init__(self) -> None:
+    __slots__ = ("spec", "case", "orders", "divisor", "steps")
+
+    def __init__(self, spec: GroupSpec, case: SubgroupCase, orders: CaseOrders):
+        self.spec = spec
+        self.case = case
+        self.orders = orders
+        self.divisor: Optional[int] = None
         self.steps: List[Step] = []
 
-    def add(
-        self,
-        name: str,
-        witnesses: Sequence[Witness],
-        eliminated: bool = False,
-        info: bool = False,
-    ) -> bool:
-        verdict = "eliminated" if eliminated else ("info" if info else "pass")
+    def check(
+        self, name: str, witnesses: Sequence[Witness], eliminated: bool
+    ) -> Optional[Final]:
+        """Record a screen; the Eliminated outcome if it failed, else None."""
+        verdict = "eliminated" if eliminated else "pass"
         self.steps.append(Step(name, _CITATIONS[name], tuple(witnesses), verdict))
-        return eliminated
+        if eliminated:
+            return Final("Eliminated", len(self.steps) - 1)
+        return None
+
+    def info(self, name: str, witnesses: Sequence[Witness]) -> None:
+        self.steps.append(Step(name, _CITATIONS[name], tuple(witnesses), "info"))
 
 
-def _elim(trace: _Trace) -> Final:
-    return Final("Eliminated", len(trace.steps) - 1, ())
+Screen = Callable[[_Cell], Optional[Final]]
 
 
 # ---------------------------------------------------------------------------
-# shared screens
+# screens shared by several classes
 # ---------------------------------------------------------------------------
 
 
-def _cube_bound(trace: _Trace, orders: CaseOrders) -> bool:
+def _cube_bound(cell: _Cell) -> Optional[Final]:
+    orders = cell.orders
     cap = orders.order_h0 if orders.order_h0 is not None else orders.order_h0_bound
     lhs = 4 * orders.order_x
     rhs = orders.order_out**2 * cap**3
     wit: List[Witness] = [("four-x", lhs), ("out2-h0cap3", rhs)]
     if orders.order_h0 is None:
         wit.append(("h0-bound", cap))
-    return trace.add("cube-bound", wit, eliminated=lhs >= rhs)
+    return cell.check("cube-bound", wit, lhs >= rhs)
 
 
-def _order_inequality(trace: _Trace, orders: CaseOrders, p: int) -> bool:
-    h0 = orders.order_h0
-    rhs = p_prime_part(orders.order_out, p) ** 2 * h0 * p_prime_part(h0, p) ** 2
-    return trace.add(
-        "order-inequality",
-        [("x", orders.order_x), ("bound", rhs)],
-        eliminated=orders.order_x >= rhs,
+def _order_inequality(cell: _Cell) -> Optional[Final]:
+    bound, ok = order_inequality_check(cell.orders, cell.spec.p)
+    return cell.check(
+        "order-inequality", [("x", cell.orders.order_x), ("bound", bound)], not ok
     )
 
 
 def _subdegree_step(
-    trace: _Trace, v: int, subs: Sequence[int], name: str = "subdegree"
-) -> bool:
+    cell: _Cell, subs: Sequence[int], name: str = "subdegree"
+) -> Optional[Final]:
+    v = cell.orders.v
     big_r, ok = best_subdegree_verdict(v, list(subs))
     wit: List[Witness] = [("v", v)]
     wit += [(f"s{i + 1}", s) for i, s in enumerate(subs)]
     wit.append(("gcd", big_r))
-    return trace.add(name, wit, eliminated=not ok)
+    return cell.check(name, wit, not ok)
 
 
-def _tuples_step(
-    trace: _Trace, v: int, r_divisor: int, rstar_divisor: int
-) -> Optional[Tuple[DesignParams, ...]]:
-    try:
-        found, rejected = admissible_tuples_explained(
-            v, r_divisor, rstar_divisor=rstar_divisor
-        )
-    except ValueError as exc:
-        trace.add("admissible-tuples", [("budget", str(exc))], info=True)
+def _subdegree(cell: _Cell) -> Optional[Final]:
+    """The subdegree gcd when the subdegrees are tabulated, else the order
+    inequality."""
+    subs = known_subdegrees(cell.spec, cell.case)
+    if subs is None:
+        return _order_inequality(cell)
+    return _subdegree_step(cell, subs)
+
+
+def _survives(cell: _Cell, name: str, note: str) -> Final:
+    cell.info(name, [("v", cell.orders.v)])
+    return Final("Survives", None, (), note)
+
+
+def _imported(cell: _Cell) -> Optional[Final]:
+    return cell.check(
+        "imported-exclusion", [("class", case_label(cell.case))], True
+    )
+
+
+def _bounded_order_route(cell: _Cell) -> Optional[Final]:
+    """Classes where only an upper bound for |H0| may be available."""
+    orders = cell.orders
+    if orders.order_h0 is not None:
+        return _order_inequality(cell)
+    final = _cube_bound(cell)
+    if final is not None:
+        return final
+    bound = orders.order_h0_bound
+    threshold = bound * (orders.order_out * bound) ** 2
+    final = cell.check(
+        "order-bound-screen",
+        [("x", orders.order_x), ("h0-bound", bound), ("threshold", threshold)],
+        orders.order_x >= threshold,
+    )
+    if final is not None:
+        return final
+    return Final("NeedsSearch", None, (), "only an order bound is available")
+
+
+# ---------------------------------------------------------------------------
+# class screens, linear family
+# ---------------------------------------------------------------------------
+
+
+def _linear_point_family(cell: _Cell) -> Optional[Final]:
+    if cell.case.params != (1,):
         return None
-    codes: Dict[str, int] = {}
-    for rej in rejected:
-        codes[rej.code] = codes.get(rej.code, 0) + 1
-    wit: List[Witness] = [("tuples", len(found))]
-    wit += sorted(codes.items())
-    trace.add("admissible-tuples", wit, eliminated=not found)
-    return found
+    return _survives(cell, "survivor-family", "1-subspace stabilizer family")
+
+
+def _linear_line_family(cell: _Cell) -> Optional[Final]:
+    if cell.case.params != (2,) or cell.spec.n % 2 == 0:
+        return None
+    return _survives(
+        cell, "symmetric-exclusion", "2-subspace stabilizer family, non-symmetric"
+    )
+
+
+def _linear_c2(cell: _Cell) -> Optional[Final]:
+    spec, orders = cell.spec, cell.orders
+    m, t = cell.case.params
+    if t == 2:
+        return _subdegree(cell)
+    if m == 1:
+        return _order_inequality(cell)
+    # m >= 2 blocks of dimension >= 1, t >= 3 factors
+    e = spec.n * (spec.n - 2 * m - 1) + 2
+    lhs = spec.q**e
+    rhs = 4 * spec.f**2 * math.factorial(t) ** 3
+    final = cell.check(
+        "parameter-screen", [("exponent", e), ("lhs", lhs), ("bound", rhs)], lhs >= rhs
+    )
+    if final is not None:
+        return final
+    d = orders.order_out * orders.order_h0
+    return cell.check(
+        "rstar-square-vs-divisor", [("divisor", d), ("v", orders.v)], orders.v >= d * d
+    )
+
+
+def _linear_c3(cell: _Cell) -> Optional[Final]:
+    spec = cell.spec
+    m, t = cell.case.params
+    if t % 2 == 0:
+        return None
+    e = spec.n * spec.n - 2 * t * m * m - t * m + 1
+    rhs = 128 * t**3
+    wit: List[Witness] = [("exponent", e), ("bound", rhs)]
+    eliminated = False
+    if e > 0:
+        wit.insert(1, ("lhs", spec.q**e))
+        eliminated = spec.q**e >= rhs
+    return cell.check("parameter-screen", wit, eliminated)
+
+
+def _linear_c8_sp(cell: _Cell) -> Optional[Final]:
+    spec, orders = cell.spec, cell.orders
+    if spec.n == 4 and spec.q == 2:
+        action = pair_action(builtin_action("psl4_2"))
+        subs = tuple(s for s in action.suborbit_lengths(0) if s > 1)
+        return _subdegree_step(cell, subs, name="computed-subdegrees")
+    if spec.n >= 6:
+        order_n = sp_order(spec.n - 4, spec.q)
+        try:
+            d = two_point_divisor(orders.order_out, orders.order_h0, order_n)
+        except ArithmeticError:
+            pass
+        else:
+            cell.info("two-point-divisor", [("n-order", order_n), ("divisor", d)])
+            cell.divisor = d
+            return None
+    return _order_inequality(cell)
+
+
+# ---------------------------------------------------------------------------
+# class screens, unitary family
+# ---------------------------------------------------------------------------
+
+
+def _unitary_point_family(cell: _Cell) -> Optional[Final]:
+    if cell.spec.n != 3:
+        return None
+    return _survives(cell, "survivor-family", "isotropic-point stabilizer family")
+
+
+_ROUTES: Dict[str, Dict[str, Tuple[Screen, ...]]] = {
+    "linear": {
+        "C1_Pi": (_linear_point_family, _subdegree, _linear_line_family),
+        "C1_Pij": (_subdegree,),
+        "C1_GLiGLni": (_subdegree,),
+        "C2_GLwr": (_linear_c2,),
+        "C3": (_linear_c3, _order_inequality),
+        "C4": (_cube_bound, _order_inequality),
+        "C5_subfield": (_order_inequality,),
+        "C6": (_bounded_order_route,),
+        "C7": (_bounded_order_route,),
+        "C8_Sp": (_linear_c8_sp,),
+        "C8_O": (_order_inequality,),
+        "C8_U": (_order_inequality,),
+        "S": (_cube_bound, _order_inequality),
+    },
+    "unitary": {
+        "C1_Pi": (_unitary_point_family, _subdegree),
+        "C1_Ni": (_subdegree,),
+        "C2_GU1wr": (_subdegree,),
+        "C2_GLwr": (_order_inequality,),
+        "C2_GLhalf": (_order_inequality,),
+        "C3": (_imported,),
+        "C4": (_imported,),
+        "C5_subfield": (_imported,),
+        "C5_Sp": (_order_inequality,),
+        "C5_O": (_order_inequality,),
+        "C6": (_imported,),
+        "C7": (_imported,),
+        "S": (_cube_bound, _order_inequality),
+    },
+}
+
+
+# ---------------------------------------------------------------------------
+# the tail every unsettled cell ends in
+# ---------------------------------------------------------------------------
 
 
 def _fmt_params(params: DesignParams) -> str:
@@ -256,18 +424,14 @@ def _registry_search(name: str, params: DesignParams) -> SearchResult:
 
 
 def _search_step(
-    spec: GroupSpec,
-    case: SubgroupCase,
-    trace: _Trace,
-    found: Tuple[DesignParams, ...],
-    run_searches: bool,
+    cell: _Cell, found: Tuple[DesignParams, ...], run_searches: bool
 ) -> Final:
-    key = (spec.family, spec.n, spec.q, case.kind, case.params)
-    groups = SEARCH_REGISTRY.get(key)
+    spec, case = cell.spec, cell.case
+    groups = SEARCH_REGISTRY.get((spec.family, spec.n, spec.q, case.kind, case.params))
     if groups is None:
         return Final("NeedsSearch", None, found)
     if not run_searches:
-        trace.add("design-search", [("status", "skipped")], info=True)
+        cell.info("design-search", [("status", "skipped")])
         return Final("NeedsSearch", None, found, "searches skipped")
     witnessed: List[DesignParams] = []
     wit: List[Witness] = []
@@ -279,281 +443,58 @@ def _search_step(
             wit.append((f"{name} {_fmt_params(params)}", len(result.designs)))
         if hits:
             witnessed.append(params)
-    if trace.add("design-search", wit, eliminated=not witnessed):
-        return _elim(trace)
+    final = cell.check("design-search", wit, not witnessed)
+    if final is not None:
+        return final
     return Final(
         "Survives", None, tuple(witnessed), "design found by exhaustive search"
     )
 
 
-def _tail(
-    spec: GroupSpec,
-    case: SubgroupCase,
-    trace: _Trace,
-    orders: CaseOrders,
-    run_searches: bool,
-    divisor: Optional[int] = None,
-) -> Final:
+def _tail(cell: _Cell, run_searches: bool) -> Final:
     """Generic finish: gcd filter, tuple sieve, then searches if stored."""
-    d = divisor if divisor is not None else orders.order_out * orders.order_h0
-    big_r = gcd(orders.v - 1, d)
-    if trace.add(
+    orders = cell.orders
+    v = orders.v
+    d = cell.divisor
+    if d is None:
+        d = orders.order_out * orders.order_h0
+    big_r = gcd(v - 1, d)
+    final = cell.check(
         "rstar-square-vs-gcd",
-        [("v", orders.v), ("divisor", d), ("gcd", big_r)],
-        eliminated=orders.v >= big_r * big_r,
-    ):
-        return _elim(trace)
-    found = _tuples_step(trace, orders.v, d, big_r)
-    if found is None:
-        return Final("NeedsSearch", None, (), "tuple budget exceeded")
-    if not found:
-        return _elim(trace)
-    return _search_step(spec, case, trace, found, run_searches)
-
-
-# ---------------------------------------------------------------------------
-# per-class routes, linear family
-# ---------------------------------------------------------------------------
-
-
-def _order_ineq_then_tail(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    orders = case_orders(spec, case)
-    if _order_inequality(trace, orders, spec.p):
-        return _elim(trace)
-    return _tail(spec, case, trace, orders, run_searches)
-
-
-def _linear_c1_pi(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    orders = case_orders(spec, case)
-    (i,) = case.params
-    if i == 1:
-        trace.add("survivor-family", [("v", orders.v)], info=True)
-        return Final("Survives", None, (), "1-subspace stabilizer family")
-    if _subdegree_step(trace, orders.v, known_subdegrees(spec, case)):
-        return _elim(trace)
-    if i == 2 and spec.n % 2 == 1:
-        trace.add("symmetric-exclusion", [("v", orders.v)], info=True)
-        return Final(
-            "Survives", None, (), "2-subspace stabilizer family, non-symmetric"
-        )
-    return _tail(spec, case, trace, orders, run_searches)
-
-
-def _subdegree_then_tail(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    orders = case_orders(spec, case)
-    if _subdegree_step(trace, orders.v, known_subdegrees(spec, case)):
-        return _elim(trace)
-    return _tail(spec, case, trace, orders, run_searches)
-
-
-def _linear_c2(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    m, t = case.params
-    orders = case_orders(spec, case)
-    if t == 2:
-        if _subdegree_step(trace, orders.v, known_subdegrees(spec, case)):
-            return _elim(trace)
-        return _tail(spec, case, trace, orders, run_searches)
-    if m == 1:
-        if _order_inequality(trace, orders, spec.p):
-            return _elim(trace)
-        return _tail(spec, case, trace, orders, run_searches)
-    # m >= 2 blocks of dimension >= 1, t >= 3 factors
-    e = spec.n * (spec.n - 2 * m - 1) + 2
-    lhs = spec.q**e
-    rhs = 4 * spec.f**2 * math.factorial(t) ** 3
-    if trace.add(
-        "parameter-screen",
-        [("exponent", e), ("lhs", lhs), ("bound", rhs)],
-        eliminated=lhs >= rhs,
-    ):
-        return _elim(trace)
-    d = orders.order_out * orders.order_h0
-    if trace.add(
-        "rstar-square-vs-divisor",
-        [("divisor", d), ("v", orders.v)],
-        eliminated=orders.v >= d * d,
-    ):
-        return _elim(trace)
-    return _tail(spec, case, trace, orders, run_searches, divisor=d)
-
-
-def _linear_c3(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    m, t = case.params
-    orders = case_orders(spec, case)
-    if t % 2 == 1:
-        e = spec.n * spec.n - 2 * t * m * m - t * m + 1
-        rhs = 128 * t**3
-        wit: List[Witness] = [("exponent", e), ("bound", rhs)]
-        eliminated = False
-        if e > 0:
-            wit.insert(1, ("lhs", spec.q**e))
-            eliminated = spec.q**e >= rhs
-        if trace.add("parameter-screen", wit, eliminated=eliminated):
-            return _elim(trace)
-    if _order_inequality(trace, orders, spec.p):
-        return _elim(trace)
-    return _tail(spec, case, trace, orders, run_searches)
-
-
-def _cube_then_tail(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    orders = case_orders(spec, case)
-    if _cube_bound(trace, orders):
-        return _elim(trace)
-    if _order_inequality(trace, orders, spec.p):
-        return _elim(trace)
-    return _tail(spec, case, trace, orders, run_searches)
-
-
-def _bounded_order_route(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    """Classes where only an upper bound for |H0| is available."""
-    orders = case_orders(spec, case)
-    if orders.order_h0 is not None:
-        if _order_inequality(trace, orders, spec.p):
-            return _elim(trace)
-        return _tail(spec, case, trace, orders, run_searches)
-    if _cube_bound(trace, orders):
-        return _elim(trace)
-    bound = orders.order_h0_bound
-    threshold = bound * (orders.order_out * bound) ** 2
-    if trace.add(
-        "order-bound-screen",
-        [("x", orders.order_x), ("h0-bound", bound), ("threshold", threshold)],
-        eliminated=orders.order_x >= threshold,
-    ):
-        return _elim(trace)
-    return Final("NeedsSearch", None, (), "only an order bound is available")
-
-
-def _linear_c8_sp(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    orders = case_orders(spec, case)
-    if spec.n == 4 and spec.q == 2:
-        action = pair_action(builtin_action("psl4_2"))
-        subs = tuple(s for s in action.suborbit_lengths(0) if s > 1)
-        if _subdegree_step(trace, orders.v, subs, name="computed-subdegrees"):
-            return _elim(trace)
-        return _tail(spec, case, trace, orders, run_searches)
-    if spec.n >= 6:
-        order_n = sp_order(spec.n - 4, spec.q)
-        num = orders.order_out * orders.order_h0
-        if num % order_n == 0:
-            d = num // order_n
-            trace.add(
-                "two-point-divisor",
-                [("n-order", order_n), ("divisor", d)],
-                info=True,
-            )
-            return _tail(spec, case, trace, orders, run_searches, divisor=d)
-    if _order_inequality(trace, orders, spec.p):
-        return _elim(trace)
-    return _tail(spec, case, trace, orders, run_searches)
-
-
-# ---------------------------------------------------------------------------
-# per-class routes, unitary family
-# ---------------------------------------------------------------------------
-
-
-def _unitary_c1_pi(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    orders = case_orders(spec, case)
-    if spec.n == 3:
-        trace.add("survivor-family", [("v", orders.v)], info=True)
-        return Final("Survives", None, (), "isotropic-point stabilizer family")
-    subs = known_subdegrees(spec, case)
-    if subs is not None:
-        if _subdegree_step(trace, orders.v, subs):
-            return _elim(trace)
-        return _tail(spec, case, trace, orders, run_searches)
-    if _order_inequality(trace, orders, spec.p):
-        return _elim(trace)
-    return _tail(spec, case, trace, orders, run_searches)
-
-
-def _unitary_c2_gu1(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    orders = case_orders(spec, case)
-    subs = known_subdegrees(spec, case)
-    if subs is not None:
-        if _subdegree_step(trace, orders.v, subs):
-            return _elim(trace)
-        return _tail(spec, case, trace, orders, run_searches)
-    if _order_inequality(trace, orders, spec.p):
-        return _elim(trace)
-    return _tail(spec, case, trace, orders, run_searches)
-
-
-def _imported(
-    spec: GroupSpec, case: SubgroupCase, trace: _Trace, run_searches: bool
-) -> Final:
-    case_orders(spec, case)  # validates the cell
-    trace.add(
-        "imported-exclusion", [("class", case_label(case))], eliminated=True
+        [("v", v), ("divisor", d), ("gcd", big_r)],
+        v >= big_r * big_r,
     )
-    return _elim(trace)
-
-
-_LINEAR_HANDLERS = {
-    "C1_Pi": _linear_c1_pi,
-    "C1_Pij": _subdegree_then_tail,
-    "C1_GLiGLni": _subdegree_then_tail,
-    "C2_GLwr": _linear_c2,
-    "C3": _linear_c3,
-    "C4": _cube_then_tail,
-    "C5_subfield": _order_ineq_then_tail,
-    "C6": _bounded_order_route,
-    "C7": _bounded_order_route,
-    "C8_Sp": _linear_c8_sp,
-    "C8_O": _order_ineq_then_tail,
-    "C8_U": _order_ineq_then_tail,
-    "S": _cube_then_tail,
-}
-
-_UNITARY_HANDLERS = {
-    "C1_Pi": _unitary_c1_pi,
-    "C1_Ni": _subdegree_then_tail,
-    "C2_GU1wr": _unitary_c2_gu1,
-    "C2_GLwr": _order_ineq_then_tail,
-    "C2_GLhalf": _order_ineq_then_tail,
-    "C5_Sp": _order_ineq_then_tail,
-    "C5_O": _order_ineq_then_tail,
-    "C3": _imported,
-    "C4": _imported,
-    "C5_subfield": _imported,
-    "C6": _imported,
-    "C7": _imported,
-    "S": _cube_then_tail,
-}
+    if final is not None:
+        return final
+    try:
+        found, rejected = admissible_tuples_explained(v, d, rstar_divisor=big_r)
+    except ValueError as exc:
+        cell.info("admissible-tuples", [("budget", str(exc))])
+        return Final("NeedsSearch", None, (), "tuple budget exceeded")
+    codes = Counter(rej.code for rej in rejected)
+    wit: List[Witness] = [("tuples", len(found))]
+    wit += sorted(codes.items())
+    final = cell.check("admissible-tuples", wit, not found)
+    if final is not None:
+        return final
+    return _search_step(cell, found, run_searches)
 
 
 def eliminate(
     spec: GroupSpec, case: SubgroupCase, run_searches: bool = True
 ) -> CellReport:
-    """Run the elimination pipeline on one grid cell."""
-    handlers = _LINEAR_HANDLERS if spec.family == "linear" else _UNITARY_HANDLERS
-    handler = handlers.get(case.kind)
-    if handler is None:
+    """Run the route of one grid cell, then the tail if no screen decided."""
+    screens = _ROUTES[spec.family].get(case.kind)
+    if screens is None:
         raise ValueError(f"no {spec.family} route for case kind {case.kind}")
-    trace = _Trace()
-    final = handler(spec, case, trace, run_searches)
-    return CellReport(spec.family, spec.n, spec.q, case, tuple(trace.steps), final)
+    cell = _Cell(spec, case, case_orders(spec, case))
+    for screen in screens:
+        final = screen(cell)
+        if final is not None:
+            break
+    else:
+        final = _tail(cell, run_searches)
+    return CellReport(spec.family, spec.n, spec.q, case, tuple(cell.steps), final)
 
 
 # ---------------------------------------------------------------------------
@@ -567,27 +508,13 @@ def grid_q_values(q_max: int) -> Tuple[int, ...]:
 
 
 def sweep(
-    family: str,
-    n_min: int,
-    n_max: int,
-    q_max: int,
-    run_searches: bool = True,
-    shard: Optional[Tuple[int, int]] = None,
+    family: str, n_min: int, n_max: int, q_max: int, run_searches: bool = True
 ) -> Tuple[CellReport, ...]:
-    """Eliminate every cell of the (n, q) grid for one family.
-
-    shard=(index, total) keeps only cells whose running position is
-    congruent to index mod total, for splitting across workers; the cell
-    order is deterministic, so shards partition the grid exactly.
-    """
+    """Eliminate every cell of the (n, q) grid for one family, in a fixed
+    order."""
     if n_min < 3 or n_max < n_min or q_max < 2:
         raise ValueError("need 3 <= n_min <= n_max and q_max >= 2")
-    if shard is not None:
-        index, total = shard
-        if not 0 <= index < total:
-            raise ValueError(f"bad shard {shard}")
     reports: List[CellReport] = []
-    position = 0
     for n in range(n_min, n_max + 1):
         for q in grid_q_values(q_max):
             try:
@@ -595,10 +522,7 @@ def sweep(
             except ValueError:
                 continue  # the one solvable (n, q) hole
             for case in enumerate_cases(spec):
-                keep = shard is None or position % shard[1] == shard[0]
-                position += 1
-                if keep:
-                    reports.append(eliminate(spec, case, run_searches))
+                reports.append(eliminate(spec, case, run_searches))
     return tuple(reports)
 
 

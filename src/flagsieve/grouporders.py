@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .exactmath import gcd, prime_power, q_product
+from .exactmath import factorize, gcd, is_prime, prime_power, q_product
 
 __all__ = [
     "GroupSpec",
@@ -135,8 +135,7 @@ def so_order(n: int, q: int, eps: str = "o") -> int:
 def order_x(spec: GroupSpec) -> int:
     """Order of the simple socle."""
     raw = spec.q ** (spec.n * (spec.n - 1) // 2) * q_product(spec.q, spec.eps_terms)
-    assert raw % spec.d == 0
-    return raw // spec.d
+    return _exact_div(raw, spec.d, "the socle")
 
 
 def order_out(spec: GroupSpec) -> int:
@@ -155,16 +154,14 @@ def gaussian_binomial(n: int, i: int, q: int) -> int:
         return 0
     num = q_product(q, tuple((n - j, 1) for j in range(i)))
     den = q_product(q, tuple((j, 1) for j in range(1, i + 1)))
-    assert num % den == 0
-    return num // den
+    return _exact_div(num, den, "a Gaussian binomial")
 
 
 def isotropic_point_count(n: int, q: int) -> int:
     """Isotropic projective points of a nondegenerate unitary n-space."""
     num = (q**n - (-1) ** n) * (q ** (n - 1) - (-1) ** (n - 1))
     den = q * q - 1
-    assert num % den == 0
-    return num // den
+    return _exact_div(num, den, "the isotropic point count")
 
 
 def totally_singular_count(n: int, i: int, q: int) -> int:
@@ -178,8 +175,7 @@ def totally_singular_count(n: int, i: int, q: int) -> int:
     for j in range(1, i + 1):
         term = (q ** (2 * j) - 1) // (q * q - 1)
         den *= term
-    assert num % den == 0
-    return num // den
+    return _exact_div(num, den, "the totally singular count")
 
 
 @dataclass(frozen=True)
@@ -358,16 +354,16 @@ def _validate_case(spec: GroupSpec, case: SubgroupCase) -> None:
         ok = m >= 1 and t >= 2 and m * t == n
     elif kind == "C3":
         m, t = params
-        ok = m * t == n and len(_prime_divisors(t)) == 1 and t in _prime_divisors(t)
+        ok = m * t == n and is_prime(t)
     elif kind == "C4":
         (i,) = params
         ok = n % i == 0 and 1 < i and i * i < n
     elif kind == "C5_subfield":
         q0, t = params
-        ok = q0**t == q and t in _prime_divisors(t)
+        ok = q0**t == q and is_prime(t)
     elif kind == "C6":
         t, m = params
-        ok = t**m == n and t in _prime_divisors(t) and t != spec.p
+        ok = t**m == n and is_prime(t) and t != spec.p
     elif kind == "C7":
         m, t = params
         ok = m**t == n and m >= 3 and t >= 2
@@ -546,29 +542,6 @@ def case_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
 # ---------------------------------------------------------------------------
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            out.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
-def _root_of(q: int, t: int) -> Optional[int]:
-    """q0 with q0^t = q, if one exists."""
-    q0 = round(q ** (1.0 / t))
-    for cand in (q0 - 1, q0, q0 + 1):
-        if cand >= 2 and cand**t == q:
-            return cand
-    return None
-
-
 def _extraspecial_cells(spec: GroupSpec) -> list[SubgroupCase]:
     """C6 cells: n = t^m, t prime, t != p, with the field condition on q.
 
@@ -578,7 +551,7 @@ def _extraspecial_cells(spec: GroupSpec) -> list[SubgroupCase]:
     """
     out = []
     target = spec.q - 1 if spec.family == "linear" else spec.q + 1
-    for t in _prime_divisors(spec.n):
+    for t, _ in factorize(spec.n).pairs:
         m = 0
         k = spec.n
         while k % t == 0:
@@ -610,15 +583,13 @@ def enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
         for t in range(2, n + 1):
             if n % t == 0:
                 cases.append(SubgroupCase("C2_GLwr", (n // t, t)))
-        for t in _prime_divisors(n):
+        for t, _ in factorize(n).pairs:
             cases.append(SubgroupCase("C3", (n // t, t)))
         for i in range(2, n):
             if n % i == 0 and i * i < n:
                 cases.append(SubgroupCase("C4", (i,)))
-        for t in _prime_divisors(spec.f):
-            q0 = _root_of(q, t)
-            if q0 is not None:
-                cases.append(SubgroupCase("C5_subfield", (q0, t)))
+        for t, _ in factorize(spec.f).pairs:
+            cases.append(SubgroupCase("C5_subfield", (spec.p ** (spec.f // t), t)))
         cases.extend(_extraspecial_cells(spec))
         for m in range(3, n):
             for t in range(2, 5):
@@ -632,9 +603,8 @@ def enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
             else:
                 cases.append(SubgroupCase("C8_O", ("+",)))
                 cases.append(SubgroupCase("C8_O", ("-",)))
-        q0 = _root_of(q, 2)
-        if q0 is not None:
-            cases.append(SubgroupCase("C8_U", (q0,)))
+        if spec.f % 2 == 0:
+            cases.append(SubgroupCase("C8_U", (spec.p ** (spec.f // 2),)))
         for row in LINEAR_S_TABLE:
             if row["n"] == n and s_line_admits("linear", row["line"], q):
                 cases.append(SubgroupCase("S", (row["line"],)))
@@ -649,17 +619,15 @@ def enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
             cases.append(SubgroupCase("C2_GLwr", (n // t, t)))
     if n % 2 == 0:
         cases.append(SubgroupCase("C2_GLhalf", ()))
-    for t in _prime_divisors(n):
+    for t, _ in factorize(n).pairs:
         if t % 2 == 1:
             cases.append(SubgroupCase("C3", (n // t, t)))
     for i in range(2, n):
         if n % i == 0 and i * i < n:
             cases.append(SubgroupCase("C4", (i,)))
-    for t in _prime_divisors(spec.f):
+    for t, _ in factorize(spec.f).pairs:
         if t % 2 == 1:
-            q0 = _root_of(q, t)
-            if q0 is not None:
-                cases.append(SubgroupCase("C5_subfield", (q0, t)))
+            cases.append(SubgroupCase("C5_subfield", (spec.p ** (spec.f // t), t)))
     if n % 2 == 0:
         cases.append(SubgroupCase("C5_Sp", ()))
     if q % 2 == 1:

@@ -3,7 +3,8 @@
 Everything here is exact integer arithmetic.  The screens encode the standard
 counting identities, the Fisher inequality, the coprime reduction
 r* = r/(r,lambda), the divisor consequences of flag-transitivity, the
-subdegree gcd filter, and the two order inequalities used by the eliminator.
+subdegree gcd filter, and the order inequality and two-point divisor that
+the eliminator runs.
 
 The working hypothesis throughout is lambda >= (r,lambda)^2 > 1, which forces
 g = (r,lambda) >= 2, lambda >= 4, and v < (r*)^2.
@@ -21,29 +22,21 @@ __all__ = [
     "REASON_CODES",
     "DesignParams",
     "Rejection",
-    "reduce_pair",
     "check_basic",
-    "failure_codes",
     "admissible_tuples",
     "admissible_tuples_explained",
-    "divisibility_filter",
     "subdegree_filter",
     "order_inequality_check",
     "two_point_divisor",
 ]
 
-# every rejection or elimination carries one of these tags
+# every Rejection of admissible_tuples_explained carries one of these tags
 REASON_CODES = (
-    "identity-violation",
-    "fisher",
-    "lambda-bound",
-    "rstar-gcd",
-    "cube-bound",
-    "order-inequality",
-    "subdegree",
-    "b-nonintegral",
-    "completeness",
     "divisor-conflict",
+    "completeness",
+    "lambda-bound",
+    "b-nonintegral",
+    "fisher",
 )
 
 
@@ -77,14 +70,6 @@ class DesignParams:
         return (self.v, self.b, self.r, self.k, self.lam)
 
 
-def reduce_pair(r: int, lam: int) -> Tuple[int, int, int]:
-    """(g, r*, lambda*) with g = gcd(r, lambda) and coprime quotients."""
-    if r < 1 or lam < 1:
-        raise ValueError("replication and lambda must be positive")
-    g = gcd(r, lam)
-    return g, r // g, lam // g
-
-
 def check_basic(params: DesignParams) -> Tuple[Tuple[str, bool], ...]:
     """Pass/fail entry per defining clause plus the working hypothesis."""
     v, b, r, k, lam = params.as_tuple()
@@ -97,26 +82,6 @@ def check_basic(params: DesignParams) -> Tuple[Tuple[str, bool], ...]:
         ("nontrivial-incomplete", 2 < k < v - 1 and binomial_exceeds(v, k, b)),
         ("hypothesis", g >= 2 and lam >= g * g),
     )
-
-
-_CLAUSE_TO_CODE = {
-    "replication-identity": "identity-violation",
-    "flag-count-identity": "identity-violation",
-    "fisher": "fisher",
-    "lambda-v-bound": "lambda-bound",
-    "nontrivial-incomplete": "completeness",
-    "hypothesis": "lambda-bound",
-}
-
-
-def failure_codes(params: DesignParams) -> Tuple[str, ...]:
-    """Reason codes of the failed check_basic clauses, deduplicated."""
-    seen: List[str] = []
-    for name, ok in check_basic(params):
-        code = _CLAUSE_TO_CODE[name]
-        if not ok and code not in seen:
-            seen.append(code)
-    return tuple(seen)
 
 
 @dataclass(frozen=True)
@@ -216,37 +181,10 @@ def admissible_tuples_explained(
                     continue
                 params = DesignParams(v, b, r, k, g * lamstar)
                 bad = [name for name, ok in check_basic(params) if not ok]
-                assert not bad, (params, bad)
+                if bad:
+                    raise ArithmeticError(f"sieve kept {params}, failing {bad}")
                 found.append(params)
     return tuple(sorted(found)), tuple(rejected)
-
-
-def divisibility_filter(
-    params: DesignParams, orders: CaseOrders, p: int
-) -> Tuple[Tuple[str, bool, Tuple[int, ...]], ...]:
-    """Divisor and cube-order screens for one tuple against one case.
-
-    Entries are (name, passed, witnesses).  The coprimality/p'-part clauses
-    appear only when p divides v.  The cube bound is evaluated at the largest
-    admissible group, |G| = |Out(X)|*|X| with |H| = |Out(X)|*|H0|, which is
-    the weakest (hence sound) form of lambda*|G| < |H|^3.
-    """
-    if orders.order_h0 is None:
-        raise ValueError("divisibility_filter needs an exact subgroup order")
-    big = orders.order_out * orders.order_h0
-    out: List[Tuple[str, bool, Tuple[int, ...]]] = []
-    out.append(("r-divides-out-h0", big % params.r == 0, (params.r, big)))
-    if params.v % p == 0:
-        rstar = params.rstar
-        out.append(("rstar-coprime-p", gcd(rstar, p) == 1, (rstar, p)))
-        stripped = p_prime_part(big, p)
-        out.append(
-            ("rstar-divides-pprime-part", stripped % rstar == 0, (rstar, stripped))
-        )
-    lhs = params.lam * orders.order_x
-    rhs = orders.order_out**2 * orders.order_h0**3
-    out.append(("cube-bound", lhs < rhs, (lhs, rhs)))
-    return tuple(out)
 
 
 def subdegree_filter(v: int, s: int) -> Tuple[int, bool]:
@@ -261,8 +199,9 @@ def subdegree_filter(v: int, s: int) -> Tuple[int, bool]:
     return big_r, v < big_r * big_r
 
 
-def order_inequality_check(orders: CaseOrders, p: int) -> bool:
-    """|X| < (|Out(X)|_{p'})^2 * |H0| * (|H0|_{p'})^2; True = survives.
+def order_inequality_check(orders: CaseOrders, p: int) -> Tuple[int, bool]:
+    """(bound, survives): the case survives iff |X| < bound, where
+    bound = (|Out(X)|_{p'})^2 * |H0| * (|H0|_{p'})^2.
 
     This is the master inequality combining lambda*v < r^2 with the divisor
     bound on r when p divides v; failing it eliminates the case.
@@ -271,8 +210,8 @@ def order_inequality_check(orders: CaseOrders, p: int) -> bool:
         raise ValueError("order_inequality_check needs an exact subgroup order")
     out_stripped = p_prime_part(orders.order_out, p)
     h0_stripped = p_prime_part(orders.order_h0, p)
-    rhs = out_stripped**2 * orders.order_h0 * h0_stripped**2
-    return orders.order_x < rhs
+    bound = out_stripped**2 * orders.order_h0 * h0_stripped**2
+    return bound, orders.order_x < bound
 
 
 def two_point_divisor(order_out: int, order_h0: int, order_n: int) -> int:

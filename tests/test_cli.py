@@ -195,18 +195,6 @@ def test_sweep_survivors_and_determinism(capsys, tmp_path):
     ]
 
 
-def test_sweep_workers_match_serial(capsys, tmp_path):
-    argv = "sweep --family psl --n-min 3 --n-max 4 --q-max 5 --no-search".split()
-    path_1 = tmp_path / "w1.json"
-    path_2 = tmp_path / "w2.json"
-    code, lines_1 = run_cli(capsys, *argv, "--output", str(path_1))
-    assert code == EXIT_OK
-    code, lines_2 = run_cli(capsys, *argv, "--workers", "2", "--output", str(path_2))
-    assert code == EXIT_OK
-    assert lines_1 == lines_2
-    assert path_1.read_bytes() == path_2.read_bytes()
-
-
 def test_sweep_expect_survivors(capsys, tmp_path):
     good = tmp_path / "good.txt"
     good.write_text(
@@ -377,8 +365,6 @@ def test_outdir_environment_variable(capsys, tmp_path, monkeypatch):
 def test_runconfig_validates_budgets():
     with pytest.raises(ValueError):
         RunConfig(subcommand="sieve", element_cap=0)
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="sweep", workers=0)
 
 
 def test_element_cap_edges(capsys, tmp_path):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from flagsieve import eliminator
+from flagsieve import cli, eliminator
 from flagsieve.eliminator import (
     FINAL_KINDS,
     SEARCH_REGISTRY,
@@ -192,6 +192,24 @@ def test_unknown_kind_rejected():
         eliminate(GroupSpec("linear", 4, 2), SubgroupCase("C1_Ni", (1,)))
     with pytest.raises(ValueError):
         eliminate(GroupSpec("unitary", 4, 2), SubgroupCase("C8_Sp", ()))
+    with pytest.raises(ValueError, match="no linear route"):
+        eliminate(GroupSpec("linear", 4, 2), SubgroupCase("C9", ()))
+
+
+def test_route_table_covers_the_grid():
+    """Every class the tier-1 grid enumerates has a route, and every routed
+    class can be named on the command line."""
+    for family, n_max, q_max in (("linear", 12, 32), ("unitary", 8, 8)):
+        kinds = set()
+        for n in range(3, n_max + 1):
+            for q in grid_q_values(q_max):
+                if (family, n, q) == ("unitary", 3, 2):
+                    continue
+                kinds.update(c.kind for c in enumerate_cases(GroupSpec(family, n, q)))
+        assert kinds <= set(eliminator._ROUTES[family]), family
+    for family, routes in eliminator._ROUTES.items():
+        for kind in routes:
+            assert kind in cli._PARAM_FLAGS, (family, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -360,24 +378,9 @@ def test_every_unitary_s_row_settles():
                 assert rep.final.kind == "Eliminated", (row["line"], q)
 
 
-def test_sweep_shards_partition():
-    whole = sweep("linear", 3, 4, 5, run_searches=False)
-    pieces = [
-        sweep("linear", 3, 4, 5, run_searches=False, shard=(i, 3)) for i in range(3)
-    ]
-    assert sum(len(p) for p in pieces) == len(whole)
-    merged = [rep for piece in pieces for rep in piece]
-    assert {r.label for r in merged} == {r.label for r in whole}
-    # deterministic: the same shard twice is byte-identical
-    again = sweep("linear", 3, 4, 5, run_searches=False, shard=(1, 3))
-    assert again == pieces[1]
-
-
 def test_sweep_input_validation():
     with pytest.raises(ValueError):
         sweep("linear", 2, 4, 5)
-    with pytest.raises(ValueError):
-        sweep("linear", 3, 4, 5, shard=(3, 3))
 
 
 def test_report_structure_invariants():

@@ -239,6 +239,14 @@ def test_enumerate_membership_spot_checks():
     assert SubgroupCase("C3", (1, 3)) in enumerate_cases(U(3, 3))
     assert SubgroupCase("C3", (2, 3)) in enumerate_cases(U(6, 2))
     assert SubgroupCase("C6", (2, 2)) in enumerate_cases(U(4, 3))
+    # far beyond the grid, subfields q0 = p^(f/t) are still exact
+    cases = enumerate_cases(L(3, 2**60))
+    subfields = [c.params for c in cases if c.kind == "C5_subfield"]
+    assert subfields == [(2**30, 2), (2**20, 3), (2**12, 5)]
+    assert SubgroupCase("C8_U", (2**30,)) in cases
+    assert not [c for c in enumerate_cases(L(3, 2**15)) if c.kind == "C8_U"]
+    cases = enumerate_cases(U(3, 3**9))
+    assert [c.params for c in cases if c.kind == "C5_subfield"] == [(27, 3)]
 
 
 def test_every_enumerated_case_has_consistent_orders():

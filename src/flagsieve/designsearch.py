@@ -11,7 +11,11 @@ flag-transitive design the stabilizer of a flag (point, block) has order
 |G| / (v*r), so every block through a fixed point is a union of orbits of
 such a subgroup; enumerating the subgroups completely (see
 permgroup.subgroups_of_order) and testing every orbit union of size k makes
-the search exhaustive.  When the flag stabilizer is trivial that route
+the search exhaustive.  A union first has to meet the subdegree identity
+r * |B & Delta| = lambda * |Delta| on every orbit Delta of the point
+stabilizer, as every block through the point of a flag-transitive design
+does; only the unions that meet it get the full check.  When the flag
+stabilizer is trivial that route
 degenerates, and the search switches to block stabilizers of order |G| / b.
 Either way the result carries a certificate describing why the enumeration
 was complete, or the subgroup enumeration raises and no claim is made.
@@ -24,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .permgroup import (
     PermAction,
@@ -271,6 +275,40 @@ def _candidate_design(
     )
 
 
+def _suborbit_screen(
+    action: PermAction, params: DesignParams, alpha: int
+) -> Callable[[FrozenSet[int]], bool]:
+    """The subdegree identity as a test on candidate blocks through alpha.
+
+    Let a flag-transitive design with these parameters admit the group, and
+    let B be a block through alpha.  Flag-transitivity makes the stabilizer
+    G_alpha transitive on the r blocks through alpha.  For an orbit Delta
+    of G_alpha other than {alpha}, count the pairs (beta, C) with beta in
+    Delta and C a block through alpha and beta: each beta lies with alpha
+    in lambda blocks, and each block C through alpha meets Delta in
+    |C & Delta| = |B & Delta| points, since some element of G_alpha maps B
+    to C and fixes Delta.  So r * |B & Delta| = lambda * |Delta|.
+
+    `_candidate_design` returns only flag-transitive designs with these
+    parameters, whose blocks through alpha therefore all pass this test;
+    a union that fails it can be skipped without calling it.  If r does
+    not divide lambda * |Delta| for some Delta, no union passes.
+    """
+    targets = []
+    for orb in action.point_stabilizer(alpha).orbits():
+        if orb == (alpha,):
+            continue
+        share, rest = divmod(params.lam * len(orb), params.r)
+        if rest:
+            return lambda union: False
+        targets.append((frozenset(orb), share))
+
+    def passes(union: FrozenSet[int]) -> bool:
+        return all(len(union & orb) == share for orb, share in targets)
+
+    return passes
+
+
 def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     """Exhaustive search for flag-transitive designs with fixed parameters.
 
@@ -308,12 +346,15 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
                 "orbits of one of them",
             )
         )
+        screen = _suborbit_screen(action, params, alpha)
         for cls in classes:
             for gens in cls.members:
                 orbits = PermAction(v, gens).orbits()
                 forced = [orb for orb in orbits if alpha in orb]
                 for union in _orbit_unions(orbits, forced, k):
                     checked += 1
+                    if not screen(union):
+                        continue
                     rec = _candidate_design(action, params, union)
                     if rec is not None:
                         found[rec.blocks] = rec

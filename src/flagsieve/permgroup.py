@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 Perm = Tuple[int, ...]
+# element positions and multiplication table of a listed group
+_Tables = Tuple[Dict[Perm, int], List[Tuple[int, ...]]]
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +539,11 @@ class PermAction:
         self.generators: Tuple[Perm, ...] = tuple(gens)
         self.label = label
         self._elements: Optional[Tuple[Perm, ...]] = None
+        # built by _index_tables for the lattice route
+        self._tables: Optional[_Tables] = None
         # stabilizer chains by first base point; None is the default base
         self._chains: Dict[Optional[int], StabChain] = {}
+        self._stabilizers: Dict[int, "PermAction"] = {}
 
     def __repr__(self) -> str:
         return f"PermAction({self.label or 'unnamed'}, degree={self.degree})"
@@ -624,17 +629,20 @@ class PermAction:
         return tuple(e for e in self.elements() if e[point] == point)
 
     def point_stabilizer(self, point: int) -> "PermAction":
-        """Stabilizer as its own action: the strong generators of the second
-        level of a chain whose base starts at point, which also serve as
-        the stabilizer's own chain."""
-        chain = self.chain(point)
-        tail = chain.tail()
-        gens = tail.gens[0] if tail.base else []
-        stab = PermAction(
-            self.degree, gens or [chain.identity], label=f"{self.label}_stab{point}"
-        )
-        if stab.generators == tuple(gens):
-            stab._chains[None] = tail
+        """Stabilizer as its own action, built once per point: the strong
+        generators of the second level of a chain whose base starts at
+        point, which also serve as the stabilizer's own chain."""
+        stab = self._stabilizers.get(point)
+        if stab is None:
+            chain = self.chain(point)
+            tail = chain.tail()
+            gens = tail.gens[0] if tail.base else []
+            stab = PermAction(
+                self.degree, gens or [chain.identity], label=f"{self.label}_stab{point}"
+            )
+            if stab.generators == tuple(gens):
+                stab._chains[None] = tail
+            self._stabilizers[point] = stab
         return stab
 
     def suborbit_lengths(self, point: int) -> Tuple[int, ...]:
@@ -924,12 +932,34 @@ def subgroup_conjugation_action(
     return PermAction(len(queue), perms, label=f"{action.label}_conj")
 
 
-def _index_tables(elements: Sequence[Perm]):
-    index = {e: i for i, e in enumerate(elements)}
-    mult = [
-        [index[compose(a, b)] for b in elements] for a in elements
-    ]
-    return index, mult
+def _index_tables(action: PermAction) -> _Tables:
+    """Positions in the sorted element list, and the table mult[a][b] of
+    the position of a-then-b; built once per action.
+
+    Column b of the table is right multiplication by element b, as a map on
+    positions.  The column of u-then-g is the column of u followed by that
+    of the generator g, so a breadth-first walk from the identity gets every
+    column from the generators' columns without composing permutations.
+    """
+    if action._tables is None:
+        elements = action.elements()
+        index = {e: i for i, e in enumerate(elements)}
+        ident = index[identity_perm(action.degree)]
+        steps = [
+            tuple(index[compose(e, g)] for e in elements) for g in action.generators
+        ]
+        columns = {ident: tuple(range(len(elements)))}
+        queue = [ident]
+        for u in queue:
+            for step in steps:
+                t = step[u]
+                if t not in columns:
+                    # a new column means order >= 2: itemgetter returns a tuple
+                    columns[t] = itemgetter(*columns[u])(step)
+                    queue.append(t)
+        mult = list(zip(*(columns[b] for b in range(len(elements)))))
+        action._tables = index, mult
+    return action._tables
 
 
 def _close_indices(
@@ -971,11 +1001,18 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     Any order-m subgroup K admits a chain of subgroups 1 < ... < K in which
     each term adds a single element of K, and all terms have order dividing
     m; breadth-first search over such chains is therefore complete.  Each
-    subgroup keeps the elements that grew it as its generators.  Classes are
-    listed by their first member in sorted order, and members sorted.
+    subgroup keeps the elements that grew it as its generators.
+
+    Growing sub by y or by any y' = s*y*t with s, t in sub gives the same
+    subgroup, so only the first candidate of each double coset sub*y*sub is
+    tried.  Every subgroup is still first reached by the same y, so the
+    generators, and with them the classes, are those of trying every
+    candidate.  The closure of <sub, y> starts from sub's generators and y.
+    Classes are listed by their first member in sorted order, and members
+    sorted.
     """
     elements = action.elements()
-    index, mult = _index_tables(elements)
+    index, mult = _index_tables(action)
     id_idx = index[identity_perm(action.degree)]
     candidates = [
         i for i, e in enumerate(elements) if m % perm_order(e) == 0
@@ -991,10 +1028,12 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
         if len(sub) == m:
             found.append(sub)
             continue
+        tried = set(sub)
         for y in candidates:
-            if y in sub:
+            if y in tried:
                 continue
-            grown = _close_indices(mult, id_idx, list(sub) + [y], m + 1)
+            tried.update(mult[mult[s][y]][t] for s in sub for t in sub)
+            grown = _close_indices(mult, id_idx, grown_by[sub] + (y,), m + 1)
             if grown is None or m % len(grown) != 0:
                 continue
             if grown not in grown_by:

@@ -379,9 +379,8 @@ def test_element_cap_edges(capsys, tmp_path):
     assert "group order 336 exceeds element budget 335" in captured.err
 
 
-def test_eliminate_searched_cell_under_optimize(capsys, tmp_path):
-    """Correctness checks are explicit raises, so python -O changes nothing."""
-    argv = "eliminate --family psl --n 3 --q 3 --class c3 --m 1 --t 3".split()
+def _same_under_optimize(capsys, tmp_path, argv):
+    """Run eliminate in-process and under python -O; return the cell of each."""
     normal = tmp_path / "normal.json"
     optimized = tmp_path / "optimized.json"
     code, _ = run_cli(capsys, *argv, "--output", str(normal))
@@ -402,3 +401,19 @@ def test_eliminate_searched_cell_under_optimize(capsys, tmp_path):
     assert got["final"] == want["final"]
     assert want["steps"][-1]["name"] == "design-search"
     assert got["steps"] == want["steps"]
+    return want
+
+
+def test_eliminate_searched_cell_under_optimize(capsys, tmp_path):
+    """Correctness checks are explicit raises, so python -O changes nothing."""
+    argv = "eliminate --family psl --n 3 --q 3 --class c3 --m 1 --t 3".split()
+    _same_under_optimize(capsys, tmp_path, argv)
+
+
+def test_eliminate_unitary_searched_cell_under_optimize(capsys, tmp_path):
+    """The flag-stabilizer route, with its suborbit screen and its subgroup
+    lattice, is plain control flow: under python -O the cell still survives
+    with the same design-search witnesses."""
+    argv = "eliminate --family psu --n 3 --q 3 --class S --line 1".split()
+    cell = _same_under_optimize(capsys, tmp_path, argv)
+    assert cell["final"]["kind"] == "Survives"

@@ -4,8 +4,12 @@ import math
 
 import pytest
 
+from flagsieve import designsearch, permgroup
 from flagsieve.designsearch import (
     DesignRecord,
+    _candidate_design,
+    _orbit_unions,
+    _suborbit_screen,
     hypothesis_filter,
     korbit_designs,
     load_design,
@@ -16,7 +20,7 @@ from flagsieve.designsearch import (
 )
 from flagsieve.eliminator import SEARCH_REGISTRY, eliminate
 from flagsieve.grouporders import GroupSpec, SubgroupCase
-from flagsieve.permgroup import PermAction, builtin_action
+from flagsieve.permgroup import PermAction, builtin_action, subgroups_of_order
 from flagsieve.sieve import DesignParams
 
 PARAMS_36_SYM = DesignParams(36, 36, 21, 21, 12)
@@ -181,6 +185,82 @@ def test_unitary_36_symmetric_design_is_suborbit_neighborhoods():
         orb for orb in ext_act.point_stabilizer(0).orbits() if len(orb) == 21
     )
     assert frozenset(ext_suborbit) in set(ext.designs[0].blocks)
+
+
+# the flag-stabilizer searches on pgl2_7 (|G| / (v*r) > 1)
+PGL2_7_FLAG_ROUTE = [
+    DesignParams(8, 28, 7, 2, 1),
+    DesignParams(8, 56, 14, 2, 2),
+    DesignParams(8, 56, 21, 3, 6),
+    DesignParams(8, 14, 7, 4, 3),
+    DesignParams(8, 28, 14, 4, 6),
+    DesignParams(8, 42, 21, 4, 9),
+    DesignParams(8, 28, 21, 6, 15),
+]
+
+
+@pytest.mark.parametrize(
+    "group,params",
+    [("psu3_3_2_36", PARAMS_36_SYM), ("psu3_3_2_36", PARAMS_36_QUASI)]
+    + [("pgl2_7", params) for params in PGL2_7_FLAG_ROUTE],
+)
+def test_suborbit_screen_keeps_every_design(group, params):
+    """Oracle for the screen: every orbit union that the full candidate check
+    accepts passes the subdegree identity, over every union the search
+    enumerates (all members of all classes, not only the screened ones)."""
+    act = builtin_action(group)
+    m = act.order() // (params.v * params.r)
+    assert m > 1
+    screen = _suborbit_screen(act, params, 0)
+    accepted = rejected = 0
+    for cls in subgroups_of_order(act.point_stabilizer(0), m):
+        for gens in cls.members:
+            orbits = PermAction(params.v, gens).orbits()
+            forced = [orb for orb in orbits if 0 in orb]
+            for union in _orbit_unions(orbits, forced, params.k):
+                passes = screen(union)
+                rejected += not passes
+                if _candidate_design(act, params, union) is not None:
+                    accepted += 1
+                    assert passes, sorted(union)
+    result = stabilizer_search(act, params)
+    assert (accepted > 0) == bool(result.designs)
+    if group == "psu3_3_2_36":
+        assert rejected  # the screen is not vacuous here
+
+
+@pytest.mark.parametrize(
+    "group,params,reached,closures,tested",
+    [
+        # without the suborbit screen and the double-coset skip, every union
+        # (4914, 5880, 126, 336) reached the check, and the lattices ran
+        # 3465, 3773, 32529 and 47761 closures
+        ("psu3_3_36", PARAMS_36_SYM, 84, 987, 4914),
+        ("psu3_3_36", PARAMS_36_QUASI, 1680, 1183, 5880),
+        ("psu3_3_2_36", PARAMS_36_SYM, 42, 5698, 126),
+        ("psu3_3_2_36", PARAMS_36_QUASI, 182, 7616, 336),
+    ],
+)
+def test_unitary_36_work_counts(monkeypatch, group, params, reached, closures, tested):
+    """Deterministic work gate: unions that reach the full candidate check,
+    and closures run by the point stabilizer's subgroup lattice."""
+    counts = {"reached": 0, "closures": 0}
+    check, close = designsearch._candidate_design, permgroup._close_indices
+
+    def counted_check(*args):
+        counts["reached"] += 1
+        return check(*args)
+
+    def counted_close(*args):
+        counts["closures"] += 1
+        return close(*args)
+
+    monkeypatch.setattr(designsearch, "_candidate_design", counted_check)
+    monkeypatch.setattr(permgroup, "_close_indices", counted_close)
+    result = stabilizer_search(builtin_action(group), params)
+    assert counts == {"reached": reached, "closures": closures}
+    detail = dict(result.certificate)
+    assert detail["candidate-blocks"] == f"tested {tested} orbit unions of size 21"
 
 
 # -- stabilizer search, 144-point eliminations

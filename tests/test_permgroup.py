@@ -260,6 +260,41 @@ def test_subgroups_of_order_pgl():
     assert sorted(_sizes(twelves)) == [14, 28]
 
 
+# conjugacy classes of subgroups of PSL(2,7) = GL(3,2) by order, from the
+# ATLAS subgroup lattice: class sizes, and no subgroup of order 14, 28, 42, 56
+PSL2_7_SUBGROUP_CLASSES = {
+    1: [1], 2: [21], 3: [28], 4: [7, 7, 21], 6: [28], 7: [8], 8: [21],
+    12: [7, 7], 14: [], 21: [8], 24: [7, 7], 28: [], 42: [], 56: [],
+}
+
+
+@pytest.mark.parametrize("name", ["psu3_3_36", "psl2_7"])
+def test_lattice_route_matches_atlas_psl2_7(name):
+    """The lattice route on two actions of PSL(2,7): the 36-point unitary
+    action's point stabilizer, and PSL(2,7) on the projective line."""
+    act = builtin_action(name)
+    group = act.point_stabilizer(0) if name == "psu3_3_36" else act
+    assert group.order() == 168
+    divisors = [m for m in range(1, 65) if 168 % m == 0]
+    assert sorted(PSL2_7_SUBGROUP_CLASSES) == divisors
+    for m in divisors:
+        classes = subgroups_of_order(group, m)
+        assert sorted(_sizes(classes)) == PSL2_7_SUBGROUP_CLASSES[m], m
+        for cls in classes:
+            assert len(cls.members) == cls.size
+            assert PermAction(group.degree, cls.representative).order() == m
+
+
+def test_point_stabilizer_is_built_once_per_point():
+    act = builtin_action("psu3_3_36")
+    stab = act.point_stabilizer(0)
+    assert act.point_stabilizer(0) is stab
+    other = act.point_stabilizer(1)
+    assert other is not stab and other.label.endswith("_stab1")
+    assert act.point_stabilizer(1) is other
+    assert other.order() == stab.order() == 168
+
+
 def test_subgroups_closed_under_multiplication():
     act = builtin_action("psl2_7")
     (sixes,) = subgroups_of_order(act, 6)

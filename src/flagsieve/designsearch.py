@@ -10,13 +10,14 @@ The stabilizer search works from the parameter tuple instead.  For a
 flag-transitive design the stabilizer of a flag (point, block) has order
 |G| / (v*r), so every block through a fixed point is a union of orbits of
 such a subgroup; enumerating the subgroups completely (see
-permgroup.subgroups_of_order) and testing every orbit union of size k makes
-the search exhaustive.  A union first has to meet the subdegree identity
-r * |B & Delta| = lambda * |Delta| on every orbit Delta of the point
-stabilizer, as every block through the point of a flag-transitive design
-does; only the unions that meet it get the full check.  When the flag
-stabilizer is trivial that route
-degenerates, and the search switches to block stabilizers of order |G| / b.
+permgroup.subgroups_of_order) and testing every orbit union of size k of
+one subgroup per conjugacy class makes the search exhaustive, since
+conjugate subgroups give the same block sets.  A union first has to meet
+the subdegree identity r * |B & Delta| = lambda * |Delta| on every orbit
+Delta of the point stabilizer, as every block through the point of a
+flag-transitive design does; only the unions that meet it get the full
+check.  When the flag stabilizer is trivial that route degenerates, and
+the search switches to block stabilizers of order |G| / b.
 Either way the result carries a certificate describing why the enumeration
 was complete, or the subgroup enumeration raises and no claim is made.
 """
@@ -31,6 +32,7 @@ from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .permgroup import (
+    Perm,
     PermAction,
     compose,
     identity_perm,
@@ -116,22 +118,22 @@ def set_stabilizer(action: PermAction, block: Iterable[int]) -> Tuple[PermAction
     """Setwise stabilizer (via Schreier generators) and the set-orbit length."""
     start = frozenset(block)
     ident = identity_perm(action.degree)
-    transversal: Dict[FrozenSet[int], Tuple[int, ...]] = {start: ident}
+    # set -> (transversal element, its inverse)
+    transversal: Dict[FrozenSet[int], Tuple[Perm, Perm]] = {start: (ident, ident)}
     queue = [start]
-    head = 0
     sgens = set()
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
+    for cur in queue:
         images = _images_of(cur)
+        u = transversal[cur][0]
         for g in action.generators:
             img = frozenset(images(g))
-            word = compose(transversal[cur], g)
-            if img not in transversal:
-                transversal[img] = word
+            word = compose(u, g)
+            known = transversal.get(img)
+            if known is None:
+                transversal[img] = word, inverse_perm(word)
                 queue.append(img)
             else:
-                schreier = compose(word, inverse_perm(transversal[img]))
+                schreier = compose(word, known[1])
                 if schreier != ident:
                     sgens.add(schreier)
     stab = PermAction(
@@ -238,10 +240,7 @@ def _bounded_set_orbit(
     """Set orbit, or None as soon as it grows past cap."""
     seen = {start}
     queue = [start]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
+    for cur in queue:
         images = _images_of(cur)
         for g in action.generators:
             img = frozenset(images(g))
@@ -314,6 +313,18 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
 
     Either returns with a completeness certificate or raises when the
     subgroup enumeration cannot be certified.
+
+    Both routes test one subgroup per conjugacy class.  On the flag route,
+    let K' = K^n be a conjugate of K by n in G_alpha.  The K'-orbits are
+    the n-images of the K-orbits, and n fixes alpha, so the K'-orbit unions
+    through alpha are the n-images U^n of the K-orbit unions U through
+    alpha.  U^n spans the same G-orbit, hence the same block set, as U, and
+    n fixes every orbit of G_alpha, so U^n meets the suborbit screen exactly
+    when U does.  Every member of a class therefore yields the same designs
+    and the same number of unions; the certificate counts the unions of
+    every member, and says which were enumerated.  On the block route,
+    conjugate block stabilizers have translated orbits, whose unions again
+    span the same block sets.
     """
     v, b, r, k = params.v, params.b, params.r, params.k
     if action.degree != v:
@@ -332,8 +343,6 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
         return SearchResult(action.label, params, (), True, tuple(cert))
     m = order // flags
     cert.append(("flag-stabilizer-order", f"|G| / (v*r) = {m}"))
-    found: Dict[BlockSet, DesignRecord] = {}
-    checked = 0
     if m > 1:
         alpha = 0
         classes = subgroups_of_order(action.point_stabilizer(alpha), m)
@@ -347,17 +356,6 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
             )
         )
         screen = _suborbit_screen(action, params, alpha)
-        for cls in classes:
-            for gens in cls.members:
-                orbits = PermAction(v, gens).orbits()
-                forced = [orb for orb in orbits if alpha in orb]
-                for union in _orbit_unions(orbits, forced, k):
-                    checked += 1
-                    if not screen(union):
-                        continue
-                    rec = _candidate_design(action, params, union)
-                    if rec is not None:
-                        found[rec.blocks] = rec
     else:
         if order % b != 0:
             cert.append(
@@ -380,16 +378,29 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
                 "give translated designs",
             )
         )
-        for cls in classes:
-            orbits = PermAction(v, cls.representative).orbits()
-            for union in _orbit_unions(orbits, [], k):
-                checked += 1
-                rec = _candidate_design(action, params, union)
-                if rec is not None:
-                    found[rec.blocks] = rec
-    cert.append(
-        ("candidate-blocks", f"tested {checked} orbit unions of size {k}")
-    )
+        alpha, screen = None, lambda union: True
+    found: Dict[BlockSet, DesignRecord] = {}
+    counts = []  # (unions of the representative, class size) per class
+    for cls in classes:
+        orbits = PermAction(v, cls.representative).orbits()
+        forced = [orb for orb in orbits if alpha in orb]
+        unions = _orbit_unions(orbits, forced, k)
+        counts.append((len(unions), cls.size))
+        for union in filter(screen, unions):
+            rec = _candidate_design(action, params, union)
+            if rec is not None:
+                found[rec.blocks] = rec
+    if m > 1:
+        tested = (
+            f"tested {sum(n * size for n, size in counts)} orbit unions of size "
+            f"{k} ({' + '.join(f'{n} x {size}' for n, size in counts)}: unions "
+            "of one representative per class times the class size; conjugate "
+            "members give the same block sets, so only the representatives' "
+            "unions were enumerated)"
+        )
+    else:
+        tested = f"tested {sum(n for n, _ in counts)} orbit unions of size {k}"
+    cert.append(("candidate-blocks", tested))
     designs = tuple(found[key] for key in sorted(found, key=_block_key))
     cert.append(
         (

@@ -14,11 +14,15 @@ a failed check raises instead of propagating a wrong table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .exactmath import factorize, gcd, is_prime, prime_power, q_product
+
+# q -> (p, f), decomposed once per q; a sweep asks for few distinct q
+_prime_power = functools.lru_cache(maxsize=None)(prime_power)
 
 __all__ = [
     "GroupSpec",
@@ -63,18 +67,18 @@ class GroupSpec:
             raise ValueError(f"unknown family: {self.family}")
         if self.n < 3:
             raise ValueError(f"dimension must be at least 3: {self.n}")
-        prime_power(self.q)
+        _prime_power(self.q)
         if self.family == "unitary" and (self.n, self.q) == (3, 2):
             # PSU_3(2) is solvable, not a simple socle
             raise ValueError("PSU_3(2) is excluded")
 
     @property
     def p(self) -> int:
-        return prime_power(self.q).p
+        return _prime_power(self.q).p
 
     @property
     def f(self) -> int:
-        return prime_power(self.q).f
+        return _prime_power(self.q).f
 
     @property
     def d(self) -> int:
@@ -230,8 +234,8 @@ class CaseOrders:
     order_h0_bound: Optional[int] = None
 
 
-def _exact(spec: GroupSpec, h0: int) -> CaseOrders:
-    ox = order_x(spec)
+def _exact(spec: GroupSpec, ox: int, h0: int) -> CaseOrders:
+    """Exact orders, given ox = order_x(spec)."""
     if h0 <= 0 or ox % h0 != 0:
         raise ArithmeticError(
             f"subgroup order {h0} does not divide |X| = {ox} for {spec}"
@@ -242,9 +246,9 @@ def _exact(spec: GroupSpec, h0: int) -> CaseOrders:
     return CaseOrders(order_x=ox, order_out=order_out(spec), order_h0=h0, v=v)
 
 
-def _bounded(spec: GroupSpec, bound: Optional[int]) -> CaseOrders:
+def _bounded(spec: GroupSpec, ox: int, bound: Optional[int]) -> CaseOrders:
     return CaseOrders(
-        order_x=order_x(spec),
+        order_x=ox,
         order_out=order_out(spec),
         order_h0=None,
         v=None,
@@ -304,7 +308,7 @@ def s_line_admits(family: str, line: int, q: int) -> bool:
         row = _s_row("unitary", line)
         return q in row["possible_q"]
     row = _s_row("linear", line)
-    pp = prime_power(q)
+    pp = _prime_power(q)
     if "fixed_q" in row:
         return q in row["fixed_q"]
     if row.get("q_odd"):
@@ -390,30 +394,30 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
     if kind == "C1_Pi":
         (i,) = params
         v = gaussian_binomial(n, i, q)
-        return _exact(spec, _exact_div(ox, v, case_label(case)))
+        return _exact(spec, ox, _exact_div(ox, v, case_label(case)))
     if kind == "C1_Pij":
         (i,) = params
         v = gaussian_binomial(n, i, q) * gaussian_binomial(n - i, i, q)
-        return _exact(spec, _exact_div(ox, v, case_label(case)))
+        return _exact(spec, ox, _exact_div(ox, v, case_label(case)))
     if kind == "C1_GLiGLni":
         (i,) = params
         h0 = _exact_div(
             gl_order(i, q) * gl_order(n - i, q), (q - 1) * d, case_label(case)
         )
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "C2_GLwr":
         m, t = params
         h0 = _exact_div(
             math.factorial(t) * gl_order(m, q) ** t, (q - 1) * d, case_label(case)
         )
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "C3":
         m, t = params
         ext = q_product(q, tuple((t * j, 1) for j in range(1, m + 1)))
         h0 = _exact_div(
             t * q ** (n * (m - 1) // 2) * ext, (q - 1) * d, case_label(case)
         )
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "C4":
         (i,) = params
         j = n // i
@@ -425,7 +429,7 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
             d,
             case_label(case),
         )
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "C5_subfield":
         q0, t = params
         c = gcd(n, (q - 1) // (q0 - 1))
@@ -435,25 +439,25 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
             d,
             case_label(case),
         )
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "C6":
         t, m = params
         if n == 3:
             # extraspecial normalizer: the symplectic top drops to Q8
             # unless 9 divides q - 1
-            return _exact(spec, 216 if (q - 1) % 9 == 0 else 72)
+            return _exact(spec, ox, 216 if (q - 1) % 9 == 0 else 72)
         if n == 4:
-            return _exact(spec, 11520 if q % 8 == 1 else 5760)
-        return _bounded(spec, t ** (2 * m) * sp_order(2 * m, t))
+            return _exact(spec, ox, 11520 if q % 8 == 1 else 5760)
+        return _bounded(spec, ox, t ** (2 * m) * sp_order(2 * m, t))
     if kind == "C7":
         m, t = params
-        return _bounded(spec, q ** (t * (m * m - 1)) * math.factorial(t))
+        return _bounded(spec, ox, q ** (t * (m * m - 1)) * math.factorial(t))
     if kind == "C8_Sp":
         h0 = _exact_div(gcd(n // 2, q - 1) * sp_order(n, q), d, case_label(case))
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "C8_O":
         (eps,) = params
-        return _exact(spec, so_order(n, q, eps))
+        return _exact(spec, ox, so_order(n, q, eps))
     if kind == "C8_U":
         (q0,) = params
         c = gcd(n, q0 - 1)
@@ -463,10 +467,10 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
             d,
             case_label(case),
         )
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "S":
         (line,) = params
-        return _exact(spec, s_line_order(spec, line))
+        return _exact(spec, ox, s_line_order(spec, line))
     raise UnsupportedCaseError(f"unsupported linear case kind: {kind}")
 
 
@@ -478,39 +482,39 @@ def _unitary_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
     if kind == "C1_Pi":
         (i,) = params
         v = totally_singular_count(n, i, q)
-        return _exact(spec, _exact_div(ox, v, case_label(case)))
+        return _exact(spec, ox, _exact_div(ox, v, case_label(case)))
     if kind == "C1_Ni":
         (i,) = params
         h0 = _exact_div(
             gu_order(i, q) * gu_order(n - i, q), (q + 1) * d, case_label(case)
         )
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "C2_GU1wr":
         h0 = _exact_div(
             math.factorial(n) * (q + 1) ** (n - 1), d, case_label(case)
         )
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "C2_GLwr":
         m, t = params
         h0 = _exact_div(
             math.factorial(t) * gu_order(m, q) ** t, (q + 1) * d, case_label(case)
         )
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "C2_GLhalf":
         h0 = _exact_div(2 * gl_order(n // 2, q * q), (q + 1) * d, case_label(case))
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind in ("C3", "C4", "C5_subfield", "C6", "C7"):
         # excluded wholesale by the prior classifications; no orders needed
-        return _bounded(spec, None)
+        return _bounded(spec, ox, None)
     if kind == "C5_Sp":
         h0 = _exact_div(sp_order(n, q), gcd(2, q - 1), case_label(case))
-        return _exact(spec, h0)
+        return _exact(spec, ox, h0)
     if kind == "C5_O":
         (eps,) = params
-        return _exact(spec, so_order(n, q, eps))
+        return _exact(spec, ox, so_order(n, q, eps))
     if kind == "S":
         (line,) = params
-        return _exact(spec, s_line_order(spec, line))
+        return _exact(spec, ox, s_line_order(spec, line))
     raise UnsupportedCaseError(f"unsupported unitary case kind: {kind}")
 
 

@@ -9,10 +9,11 @@ generating set (Sims 1970; Seress, *Permutation Group Algorithms*, ch. 4-5),
 built once per action by deterministic Schreier-Sims, so no element of a
 large group is ever listed for them.  Breadth-first closure (`elements`)
 remains for groups of order at most 1000, where the lattice search for
-subgroups works on the element list, as the independent oracle of the tests,
-and inside the builtin constructions, whose generators it fixes.  Subgroups
-of larger groups come from the Sylow-normalizer argument and are handled as
-generator sets.
+subgroups works on the element list, and as the independent oracle of the
+tests.  Subgroups of larger groups come from the Sylow-normalizer argument
+and are handled as generator sets.  The builtin constructions pick their
+generators and subgroups from fixed walks over generator words, each choice
+certified by its chain order.
 """
 
 from __future__ import annotations
@@ -21,9 +22,11 @@ import functools
 import os
 from operator import itemgetter
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
+    Iterator,
     List,
     NamedTuple,
     Optional,
@@ -50,7 +53,6 @@ __all__ = [
     "subgroups_of_order",
     "SubgroupClass",
     "StabChain",
-    "find_two_generated_subgroup",
     "builtin_action",
     "BUILTIN_NAMES",
     "load_action",
@@ -367,6 +369,12 @@ def conjugate_perm(x: Perm, g: Perm) -> Perm:
     return compose(compose(inverse_perm(g), x), g)
 
 
+def _conjugator(g: Perm) -> Callable[[Perm], Perm]:
+    """The map x -> conjugate_perm(x, g), with g inverted once."""
+    g_inv = inverse_perm(g)
+    return lambda x: compose(compose(g_inv, x), g)
+
+
 def _gcd2(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
@@ -481,10 +489,7 @@ class StabChain:
                 trans[image] = compose(trans[beta], new)
                 inv[image] = inverse_perm(trans[image])
                 fresh.append(image)
-        head = 0
-        while head < len(fresh):
-            beta = fresh[head]
-            head += 1
+        for beta in fresh:
             for g in gens:
                 image = g[beta]
                 if image not in trans:
@@ -578,19 +583,7 @@ class PermAction:
         if order > limit:
             raise RuntimeError(f"group order {order} exceeds element budget {limit}")
         if self._elements is None:
-            ident = identity_perm(self.degree)
-            seen = {ident}
-            queue = [ident]
-            head = 0
-            while head < len(queue):
-                cur = queue[head]
-                head += 1
-                for g in self.generators:
-                    nxt = compose(cur, g)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        queue.append(nxt)
-            self._elements = tuple(sorted(seen))
+            self._elements = tuple(sorted([identity_perm(self.degree), *_words(self)]))
         return self._elements
 
     def order(self) -> int:
@@ -603,10 +596,7 @@ class PermAction:
     def orbit(self, point: int) -> Tuple[int, ...]:
         seen = {point}
         queue = [point]
-        head = 0
-        while head < len(queue):
-            cur = queue[head]
-            head += 1
+        for cur in queue:
             for g in self.generators:
                 if g[cur] not in seen:
                     seen.add(g[cur])
@@ -649,21 +639,6 @@ class PermAction:
         """Sorted orbit lengths of the stabilizer of point."""
         return tuple(sorted(len(orb) for orb in self.point_stabilizer(point).orbits()))
 
-    def reduced(self) -> "PermAction":
-        """Same group with a greedily chosen small generating set: each
-        element, in sorted order, that the earlier choices do not generate."""
-        elements = self.elements()
-        chain = StabChain(self.degree)
-        gens: List[Perm] = []
-        for e in elements:
-            if chain.order() == len(elements):
-                break
-            if chain.extend(e):
-                gens.append(e)
-        act = PermAction(self.degree, gens or [chain.identity], label=self.label)
-        act._elements = elements
-        return act
-
     def set_orbit(self, points: Iterable[int]) -> Tuple[FrozenSet[int], ...]:
         """Orbit of a point set under the group, sorted canonically."""
         start = frozenset(points)
@@ -671,36 +646,13 @@ class PermAction:
             raise ValueError("set contains points outside the domain")
         seen = {start}
         queue = [start]
-        head = 0
-        while head < len(queue):
-            cur = queue[head]
-            head += 1
+        for cur in queue:
             for g in self.generators:
                 nxt = frozenset(g[i] for i in cur)
                 if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
         return tuple(sorted(seen, key=sorted))
-
-
-def _closure_perms(
-    gens: Sequence[Perm], ident: Perm, cap: Optional[int] = None
-) -> Optional[Tuple[Perm, ...]]:
-    """Group closure of gens; None if a cap is given and exceeded."""
-    seen = {ident}
-    queue = [ident]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for g in gens:
-            nxt = compose(cur, g)
-            if nxt not in seen:
-                if cap is not None and len(seen) >= cap:
-                    return None
-                seen.add(nxt)
-                queue.append(nxt)
-    return tuple(sorted(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +762,39 @@ def _unitary_matrix_ok(F: FieldTable, q0: int, A: Matrix) -> bool:
     return _mat_det3(F, A) == 1
 
 
-def _unitary_action(q0: int, variant: str) -> PermAction:
+def _generating_pair(generators: Sequence[Perm]) -> Tuple[Perm, Perm]:
+    """Two elements generating the same group as the given generators.
+
+    The walk runs over the prefix products x_1, x_2, ... of the periodic
+    word g_0 g_1 ... g_(n-1) g_0 g_1 ..., skipping repeats; the pair is the
+    first (x_i, x_j), i < j, ordered by j then i, whose orbit of point 0 is
+    the whole group's and whose stabilizer chain has the whole group's
+    order.  Every x_t lies in the group, so equal orders make the two
+    groups equal.  The walk repeats itself after n times the order of
+    g_0 ... g_(n-1) steps, where it stops.
+    """
+    whole = PermAction(len(generators[0]), generators)
+    order, span = whole.order(), len(whole.orbit(0))
+    ident = identity_perm(whole.degree)
+    period = functools.reduce(compose, generators)
+    cur, seen, walked = ident, {ident}, []
+    for t in range(len(generators) * perm_order(period)):
+        cur = compose(cur, generators[t % len(generators)])
+        if cur in seen:
+            continue
+        seen.add(cur)
+        for earlier in walked:
+            pair = PermAction(whole.degree, (earlier, cur))
+            if len(pair.orbit(0)) == span and pair.order() == order:
+                return earlier, cur
+        walked.append(cur)
+    raise RuntimeError("no generating pair on the walk over generator words")
+
+
+def _unitary_matrix_perms(q0: int, variant: str) -> List[Perm]:
+    """Root subgroup, diagonal torus and a monomial Weyl element of the
+    special unitary group, on the isotropic points; for socle.2 the field
+    automorphism follows."""
     if q0 > 5:
         raise ValueError("hermitian action supported for q <= 5 only")
     if q0 == 2:
@@ -862,8 +846,15 @@ def _unitary_action(q0: int, variant: str) -> PermAction:
             scale = F.inv(lead)
             frob.append(index[tuple(F.mul(scale, e) for e in y)])
         perms.append(tuple(frob))
-        return PermAction(len(points), perms, label=f"psu3_{q0}_2")
-    return PermAction(len(points), perms, label=f"psu3_{q0}")
+    return perms
+
+
+def _unitary_action(q0: int, variant: str) -> PermAction:
+    """The unitary group on isotropic points, by two generators taken from
+    words in the matrix generators."""
+    perms = _unitary_matrix_perms(q0, variant)
+    label = f"psu3_{q0}_2" if variant == "socle.2" else f"psu3_{q0}"
+    return PermAction(len(perms[0]), _generating_pair(perms), label=label)
 
 
 def classical_action(family: str, n: int, q: int, variant: str = "socle") -> PermAction:
@@ -912,24 +903,16 @@ def subgroup_conjugation_action(
     start = frozenset(subgroup)
     seen = {start: 0}
     queue = [start]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for g in action.generators:
-            nxt = frozenset(conjugate_perm(x, g) for x in cur)
+    conjugators = [_conjugator(g) for g in action.generators]
+    images: List[List[int]] = [[] for _ in conjugators]
+    for cur in queue:
+        for conj, column in zip(conjugators, images):
+            nxt = frozenset(map(conj, cur))
             if nxt not in seen:
                 seen[nxt] = len(queue)
                 queue.append(nxt)
-    perms = []
-    for g in action.generators:
-        perms.append(
-            tuple(
-                seen[frozenset(conjugate_perm(x, g) for x in queue[i])]
-                for i in range(len(queue))
-            )
-        )
-    return PermAction(len(queue), perms, label=f"{action.label}_conj")
+            column.append(seen[nxt])
+    return PermAction(len(queue), images, label=f"{action.label}_conj")
 
 
 def _index_tables(action: PermAction) -> _Tables:
@@ -968,11 +951,8 @@ def _close_indices(
     seen = set(base)
     seen.add(id_idx)
     queue = list(seen)
-    head = 0
     base = list(base)
-    while head < len(queue):
-        a = queue[head]
-        head += 1
+    for a in queue:
         row = mult[a]
         for b in base:
             c = row[b]
@@ -1020,11 +1000,8 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     trivial = frozenset({id_idx})
     grown_by: Dict[FrozenSet[int], Tuple[int, ...]] = {trivial: ()}
     queue = [trivial]
-    head = 0
     found = []
-    while head < len(queue):
-        sub = queue[head]
-        head += 1
+    for sub in queue:
         if len(sub) == m:
             found.append(sub)
             continue
@@ -1041,7 +1018,7 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
                 queue.append(grown)
     found.sort(key=lambda sub: sorted(elements[i] for i in sub))
     conj = [
-        [index[conjugate_perm(e, g)] for e in elements] for g in action.generators
+        [index[c(e)] for e in elements] for c in map(_conjugator, action.generators)
     ]
     unclassed = set(found)
     classes = []
@@ -1050,10 +1027,7 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
             continue
         orbit = {sub}
         queue = [sub]
-        head = 0
-        while head < len(queue):
-            cur = queue[head]
-            head += 1
+        for cur in queue:
             for table in conj:
                 nxt = frozenset(table[i] for i in cur)
                 if nxt not in orbit:
@@ -1069,27 +1043,61 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     return tuple(classes)
 
 
+def _words(action: PermAction) -> Iterator[Perm]:
+    """Every non-identity element once, breadth-first over generator words."""
+    ident = identity_perm(action.degree)
+    seen = {ident}
+    queue = [ident]
+    for cur in queue:
+        for g in action.generators:
+            nxt = compose(cur, g)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+                yield nxt
+
+
 def _element_of_order(action: PermAction, ell: int) -> Perm:
     """An element of prime order ell dividing the group order, from the
     first element of the breadth-first walk over generator words whose
     order ell divides (one exists by Cauchy's theorem)."""
-    ident = identity_perm(action.degree)
-    seen = {ident}
-    queue = [ident]
-    head = 0
-    while head < len(queue):
-        cur = queue[head]
-        head += 1
-        for g in action.generators:
-            nxt = compose(cur, g)
-            if nxt in seen:
-                continue
-            order = perm_order(nxt)
-            if order % ell == 0:
-                return _perm_power(nxt, order // ell)
-            seen.add(nxt)
-            queue.append(nxt)
+    for word in _words(action):
+        order = perm_order(word)
+        if order % ell == 0:
+            return _perm_power(word, order // ell)
     raise RuntimeError(f"no element of order {ell} in {action.label or 'the group'}")
+
+
+def _two_three_seven_subgroup(action: PermAction, order: int) -> PermAction:
+    """The subgroup of the given order generated by the first (2,3,7) pair.
+
+    Involutions and elements of order 3 are taken, as powers, from the
+    breadth-first walk over generator words, each once in the order found;
+    every new one is paired with those of the other kind found before it.
+    The first pair (a, b) with a*b of order 7 and <a, b> of chain order
+    order wins.
+    """
+    found: Dict[int, List[Perm]] = {2: [], 3: []}
+    for word in _words(action):
+        word_order = perm_order(word)
+        for ell, other in ((2, 3), (3, 2)):
+            if word_order % ell:
+                continue
+            x = _perm_power(word, word_order // ell)
+            if x in found[ell]:
+                continue
+            for y in found[other]:
+                a, b = (x, y) if ell == 2 else (y, x)
+                if perm_order(compose(a, b)) != 7:
+                    continue
+                sub = PermAction(action.degree, (a, b), label=f"{action.label}_237")
+                if sub.order() == order:
+                    return sub
+            found[ell].append(x)
+    raise RuntimeError(
+        f"no order-{order} subgroup with a (2,3,7) generating pair "
+        f"in {action.label or 'the group'}"
+    )
 
 
 def _cyclic_key(y: Perm) -> Perm:
@@ -1134,23 +1142,22 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
             continue
         x = _element_of_order(action, ell)
         ident = identity_perm(action.degree)
-        transversal = {_cyclic_key(x): ident}
+        # conjugate's key -> (transversal element, its inverse)
+        transversal = {_cyclic_key(x): (ident, ident)}
         queue = [(x, ident)]
+        steps = [(g, _conjugator(g)) for g in action.generators]
         schreier: List[Perm] = []
-        head = 0
-        while head < len(queue):
-            y, t = queue[head]
-            head += 1
-            for g in action.generators:
-                z = conjugate_perm(y, g)
+        for y, t in queue:
+            for g, conj in steps:
+                z = conj(y)
                 word = compose(t, g)
                 conjugate = _cyclic_key(z)
                 known = transversal.get(conjugate)
                 if known is None:
-                    transversal[conjugate] = word
+                    transversal[conjugate] = word, inverse_perm(word)
                     queue.append((z, word))
                 else:
-                    s = compose(word, inverse_perm(known))
+                    s = compose(word, known[1])
                     if s != ident:
                         schreier.append(s)
         if n // len(transversal) != m:
@@ -1161,9 +1168,7 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
             raise RuntimeError(
                 f"Sylow normalizer has order {normalizer.order()}, expected {m}"
             )
-        members = tuple(
-            tuple(conjugate_perm(h, t) for h in gens) for _, t in queue
-        )
+        members = tuple(tuple(map(_conjugator(t), gens)) for _, t in queue)
         return (SubgroupClass(members[0], len(members), members),)
     return None
 
@@ -1188,28 +1193,6 @@ def subgroups_of_order(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     raise RuntimeError(
         f"cannot certify a complete order-{m} subgroup enumeration "
         f"in a group of order {order}"
-    )
-
-
-def find_two_generated_subgroup(
-    action: PermAction, order: int, order_a: int, order_b: int, order_ab: int
-) -> FrozenSet[Perm]:
-    """First subgroup of the given order generated by an (order_a, order_b)
-    pair whose product has order order_ab, scanning elements in sorted order."""
-    ident = identity_perm(action.degree)
-    elements = action.elements()
-    firsts = [e for e in elements if perm_order(e) == order_a]
-    seconds = [e for e in elements if perm_order(e) == order_b]
-    for a in firsts:
-        for b in seconds:
-            if perm_order(compose(a, b)) != order_ab:
-                continue
-            closed = _closure_perms([a, b], ident, cap=order + 1)
-            if closed is not None and len(closed) == order:
-                return frozenset(closed)
-    raise RuntimeError(
-        f"no order-{order} subgroup with a ({order_a},{order_b},{order_ab}) "
-        "generating pair"
     )
 
 
@@ -1240,10 +1223,10 @@ def _projective_line_7(with_scalar: bool) -> PermAction:
 
 
 def _unitary_cosets_36(extended: bool) -> PermAction:
-    base = builtin_action("psu3_3_2" if extended else "psu3_3").reduced()
-    socle = builtin_action("psu3_3")
-    sub = find_two_generated_subgroup(socle, 168, 2, 3, 7)
-    act = subgroup_conjugation_action(base, sub)
+    """PSU_3(3), or PSU_3(3):2, on the 36 conjugates of PSL(2,7)."""
+    base = builtin_action("psu3_3_2" if extended else "psu3_3")
+    sub = _two_three_seven_subgroup(builtin_action("psu3_3"), 168)
+    act = subgroup_conjugation_action(base, sub.elements())
     act.label = "psu3_3_2_36" if extended else "psu3_3_36"
     if act.degree != 36:
         raise RuntimeError(f"{act.label} has degree {act.degree}, expected 36")
@@ -1252,19 +1235,13 @@ def _unitary_cosets_36(extended: bool) -> PermAction:
 
 def _sylow13_action_144(extended: bool) -> PermAction:
     base = builtin_action("psl3_3_2")
-    gen = next(e for e in base.elements() if perm_order(e) == 13)
-    sylow = set()
-    cur = identity_perm(base.degree)
-    for _ in range(13):
-        sylow.add(cur)
-        cur = compose(cur, gen)
-    source = base.reduced()
+    gen = _element_of_order(base, 13)
+    sylow = [_perm_power(gen, i) for i in range(13)]
+    source = base
     if not extended:
         # restrict to the matrix generators: the swap is the last one listed
-        source = PermAction(
-            base.degree, base.generators[:-1], label="psl3_3_doubled"
-        ).reduced()
-    act = subgroup_conjugation_action(source, frozenset(sylow))
+        source = PermAction(base.degree, base.generators[:-1], label="psl3_3_doubled")
+    act = subgroup_conjugation_action(source, sylow)
     act.label = "psl3_3_2_144" if extended else "psl3_3_144"
     if act.degree != 144:
         raise RuntimeError(f"{act.label} has degree {act.degree}, expected 144")

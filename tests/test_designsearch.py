@@ -1,5 +1,6 @@
 """Design search oracles on the eight-, 36-, and 144-point actions."""
 
+import functools
 import math
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from flagsieve import designsearch, permgroup
 from flagsieve.designsearch import (
     DesignRecord,
+    _block_key,
     _candidate_design,
     _orbit_unions,
     _suborbit_screen,
@@ -199,49 +201,64 @@ PGL2_7_FLAG_ROUTE = [
 ]
 
 
-@pytest.mark.parametrize(
-    "group,params",
+# every flag-route search of the tier-1 suite (|G| / (v*r) > 1)
+FLAG_ROUTE_SEARCHES = (
     [("psu3_3_2_36", PARAMS_36_SYM), ("psu3_3_2_36", PARAMS_36_QUASI)]
-    + [("pgl2_7", params) for params in PGL2_7_FLAG_ROUTE],
+    + [("pgl2_7", params) for params in PGL2_7_FLAG_ROUTE]
+    + [("psu3_3_36", PARAMS_36_SYM), ("psu3_3_36", PARAMS_36_QUASI)]
 )
+
+
+@pytest.mark.parametrize("group,params", FLAG_ROUTE_SEARCHES)
 def test_suborbit_screen_keeps_every_design(group, params):
-    """Oracle for the screen: every orbit union that the full candidate check
-    accepts passes the subdegree identity, over every union the search
-    enumerates (all members of all classes, not only the screened ones)."""
+    """Oracle for the flag route, walking every member of every class, not
+    only the class representatives the search enumerates: every orbit union
+    that the full candidate check accepts passes the subdegree identity,
+    the accepted unions give the search's designs, and their number is the
+    certificate's count."""
     act = builtin_action(group)
     m = act.order() // (params.v * params.r)
     assert m > 1
     screen = _suborbit_screen(act, params, 0)
-    accepted = rejected = 0
+    found, unions, rejected = {}, 0, 0
     for cls in subgroups_of_order(act.point_stabilizer(0), m):
+        assert len(cls.members) == cls.size
         for gens in cls.members:
             orbits = PermAction(params.v, gens).orbits()
             forced = [orb for orb in orbits if 0 in orb]
             for union in _orbit_unions(orbits, forced, params.k):
+                unions += 1
                 passes = screen(union)
                 rejected += not passes
-                if _candidate_design(act, params, union) is not None:
-                    accepted += 1
+                rec = _candidate_design(act, params, union)
+                if rec is not None:
                     assert passes, sorted(union)
+                    found[rec.blocks] = rec
     result = stabilizer_search(act, params)
-    assert (accepted > 0) == bool(result.designs)
-    if group == "psu3_3_2_36":
+    assert result.designs == tuple(found[key] for key in sorted(found, key=_block_key))
+    detail = dict(result.certificate)["candidate-blocks"]
+    assert detail.startswith(f"tested {unions} orbit unions of size {params.k} (")
+    if group != "pgl2_7":
         assert rejected  # the screen is not vacuous here
 
 
 @pytest.mark.parametrize(
-    "group,params,reached,closures,tested",
+    "group,params,reached,closures,tested,breakdown",
     [
-        # without the suborbit screen and the double-coset skip, every union
-        # (4914, 5880, 126, 336) reached the check, and the lattices ran
-        # 3465, 3773, 32529 and 47761 closures
-        ("psu3_3_36", PARAMS_36_SYM, 84, 987, 4914),
-        ("psu3_3_36", PARAMS_36_QUASI, 1680, 1183, 5880),
-        ("psu3_3_2_36", PARAMS_36_SYM, 42, 5698, 126),
-        ("psu3_3_2_36", PARAMS_36_QUASI, 182, 7616, 336),
+        # with every member of every class walked, 84, 1680, 42 and 182
+        # unions reached the check; without the suborbit screen and the
+        # double-coset skip, every union (4914, 5880, 126, 336) did, and the
+        # lattices ran 3465, 3773, 32529 and 47761 closures
+        ("psu3_3_36", PARAMS_36_SYM, 4, 987, 4914, "234 x 21"),
+        ("psu3_3_36", PARAMS_36_QUASI, 60, 1183, 5880, "210 x 28"),
+        ("psu3_3_2_36", PARAMS_36_SYM, 2, 5698, 126, "6 x 21"),
+        ("psu3_3_2_36", PARAMS_36_QUASI, 7, 7616, 336, "4 x 14 + 10 x 28"),
     ],
+    ids=["psu3_3_36-sym", "psu3_3_36-quasi", "psu3_3_2_36-sym", "psu3_3_2_36-quasi"],
 )
-def test_unitary_36_work_counts(monkeypatch, group, params, reached, closures, tested):
+def test_unitary_36_work_counts(
+    monkeypatch, group, params, reached, closures, tested, breakdown
+):
     """Deterministic work gate: unions that reach the full candidate check,
     and closures run by the point stabilizer's subgroup lattice."""
     counts = {"reached": 0, "closures": 0}
@@ -259,8 +276,8 @@ def test_unitary_36_work_counts(monkeypatch, group, params, reached, closures, t
     monkeypatch.setattr(permgroup, "_close_indices", counted_close)
     result = stabilizer_search(builtin_action(group), params)
     assert counts == {"reached": reached, "closures": closures}
-    detail = dict(result.certificate)
-    assert detail["candidate-blocks"] == f"tested {tested} orbit unions of size 21"
+    detail = dict(result.certificate)["candidate-blocks"]
+    assert detail.startswith(f"tested {tested} orbit unions of size 21 ({breakdown}: ")
 
 
 # -- stabilizer search, 144-point eliminations
@@ -288,9 +305,10 @@ def test_extension_144_search_empty():
 def test_certified_144_cell_lists_no_large_group(monkeypatch):
     """Certifying linear n=3 q=3 C3(1,3) never lists a group of order > 1000.
 
-    The built-in constructions may enumerate; they are built first.  The
-    searches then run on fresh copies, so every chain is built under the
-    guard, which turns any full listing of a large group into a failure.
+    The built-in actions are built first (their construction has its own
+    gate below).  The searches then run on fresh copies, so every chain is
+    built under the guard, which turns any full listing of a large group
+    into a failure.
     """
     cell = ("linear", 3, 3, "C3", (1, 3))
     actions = []
@@ -314,6 +332,32 @@ def test_certified_144_cell_lists_no_large_group(monkeypatch):
     assert dict(results[0].certificate)["flag-count"]
     detail = dict(results[1].certificate)["block-stabilizer-candidates"]
     assert "144 subgroups of order 78 (1 conjugacy classes)" in detail
+
+
+@pytest.mark.parametrize(
+    "name,degree,order",
+    [
+        ("psu3_3_36", 36, 6048),
+        ("psu3_3_2_36", 36, 12096),
+        ("psl3_3_144", 144, 5616),
+        ("psl3_3_2_144", 144, 11232),
+    ],
+)
+def test_builtin_constructions_list_no_large_group(monkeypatch, name, degree, order):
+    """Building the conjugation actions from a cold cache, the classical
+    groups they start from included, lists no group of order > 1000."""
+    cold = functools.lru_cache(maxsize=None)(permgroup.builtin_action.__wrapped__)
+    monkeypatch.setattr(permgroup, "builtin_action", cold)
+    listing = PermAction.elements
+
+    def guarded(self, limit=10**6):
+        if self.order() > 1000:
+            raise AssertionError(f"listed the {self.order()} elements of {self.label}")
+        return listing(self, limit)
+
+    monkeypatch.setattr(PermAction, "elements", guarded)
+    act = cold(name)
+    assert (act.degree, act.order()) == (degree, order)
 
 
 # -- verification

@@ -16,7 +16,6 @@ from flagsieve.permgroup import (
     classical_action,
     compose,
     conjugate_perm,
-    find_two_generated_subgroup,
     hermitian_isotropic_points,
     identity_perm,
     inverse_perm,
@@ -28,6 +27,8 @@ from flagsieve.permgroup import (
     SubgroupClass,
     subgroup_conjugation_action,
     subgroups_of_order,
+    _two_three_seven_subgroup,
+    _unitary_matrix_perms,
 )
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)
@@ -191,12 +192,24 @@ def test_classical_action_guards():
         classical_action("unitary", 3, 3, "pgl")
 
 
-def test_reduced_keeps_group():
-    act = builtin_action("psu3_3")
-    small = act.reduced()
-    assert small.order() == act.order()
-    assert len(small.generators) < len(act.generators)
-    assert len(small.generators) <= 8
+@pytest.mark.parametrize(
+    "name,variant,count,order",
+    [("psu3_3", "socle", 34, 6048), ("psu3_3_2", "socle.2", 35, 12096)],
+)
+def test_unitary_actions_have_two_chain_certified_generators(
+    name, variant, count, order
+):
+    act = builtin_action(name)
+    assert len(act.generators) == 2
+    assert PermAction(act.degree, act.generators).order() == order
+    # the matrix-built permutations (the identity among them) all lie in it,
+    # and generate the same group
+    matrix_perms = _unitary_matrix_perms(3, variant)
+    assert len(set(matrix_perms) - {identity_perm(28)}) == count
+    assert all(act.contains(g) for g in matrix_perms)
+    whole = PermAction(28, matrix_perms)
+    assert whole.order() == order
+    assert all(whole.contains(g) for g in act.generators)
 
 
 def test_four_subset_orbit_partition():
@@ -330,14 +343,18 @@ def test_subgroups_of_order_edge_cases():
     assert PermAction(8, ones[0].representative).order() == 1
 
 
-def test_find_two_generated_subgroup():
+def test_two_three_seven_subgroup():
     socle = builtin_action("psu3_3")
-    sub = find_two_generated_subgroup(socle, 168, 2, 3, 7)
-    assert len(sub) == 168
-    act = subgroup_conjugation_action(socle.reduced(), sub)
-    assert act.degree == 36
+    sub = _two_three_seven_subgroup(socle, 168)
+    a, b = sub.generators
+    assert (perm_order(a), perm_order(b), perm_order(compose(a, b))) == (2, 3, 7)
+    assert sub.order() == 168 and all(socle.contains(g) for g in sub.generators)
+    assert len(sub.elements()) == 168
+    act = subgroup_conjugation_action(socle, sub.elements())
+    assert act.degree == 36 and act.order() == 6048
+    # every (2,3,7) pair of PSL(2,7) generates all of it, none a group of order 21
     with pytest.raises(RuntimeError):
-        find_two_generated_subgroup(builtin_action("psl2_7"), 60, 2, 5, 5)
+        _two_three_seven_subgroup(builtin_action("psl2_7"), 21)
 
 
 def test_set_orbit_rejects_foreign_points():

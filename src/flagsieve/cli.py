@@ -8,7 +8,6 @@ status: 0 = completed, 1 = result differs from an expected claim,
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -109,11 +108,10 @@ class RunConfig:
     expect_designs: Optional[int] = None
     element_cap: int = 10**6
     orbit_cap: int = 10**7
-    subgroup_budget: int = 10**5
     tuple_budget: int = 10**7
 
     def __post_init__(self) -> None:
-        for name in ("element_cap", "orbit_cap", "subgroup_budget", "tuple_budget"):
+        for name in ("element_cap", "orbit_cap", "tuple_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"budget {name.replace('_', '-')} must be positive")
 
@@ -246,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-designs", type=int, default=None)
     p.add_argument("--element-cap", type=int, default=10**6)
     p.add_argument("--orbit-cap", type=int, default=10**7)
-    p.add_argument("--subgroup-budget", type=int, default=10**5)
     add_output(p)
 
     p = sub.add_parser("verify", help="re-check a design file from scratch")
@@ -319,7 +316,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             expect_designs=args.expect_designs,
             element_cap=args.element_cap,
             orbit_cap=args.orbit_cap,
-            subgroup_budget=args.subgroup_budget,
             output=args.output,
             format=args.format,
         )
@@ -574,13 +570,6 @@ def _run_search(config: RunConfig) -> int:
     if config.tuple_params is not None:
         params = config.tuple_params
         print(f"strategy stabilizer {_fmt_tuple(params)}")
-        flags = params.v * params.r
-        if flags > 0 and action.order() % flags == 0:
-            if action.order() // flags > config.subgroup_budget:
-                raise ValueError(
-                    f"flag stabilizer order {action.order() // flags} exceeds "
-                    f"the subgroup budget {config.subgroup_budget}"
-                )
         result = stabilizer_search(action, params)
         for name, text in result.certificate:
             print(f"certificate {name}: {text}")
@@ -588,12 +577,7 @@ def _run_search(config: RunConfig) -> int:
         exhaustive = result.exhaustive
     else:
         print(f"strategy korbit k={config.k}")
-        if math.comb(action.degree, config.k) > config.orbit_cap:
-            raise ValueError(
-                f"C({action.degree},{config.k}) exceeds the orbit budget "
-                f"{config.orbit_cap}"
-            )
-        records = korbit_designs(action, config.k)
+        records = korbit_designs(action, config.k, config.orbit_cap)
         if config.filter_records:
             records = hypothesis_filter(records)
     out_dir = _resolve_path(config.out_dir) or os.environ.get(OUTDIR_ENV, "") or "."

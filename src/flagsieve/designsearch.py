@@ -151,13 +151,19 @@ def _flag_transitive_on(action: PermAction, block: FrozenSet[int]) -> bool:
     return len(reachable) == len(block) and action.order() == orbit_len * stab.order()
 
 
-def korbit_designs(action: PermAction, k: int) -> Tuple[DesignRecord, ...]:
-    """All 2-designs whose block set is a single orbit on k-subsets."""
+def korbit_designs(
+    action: PermAction, k: int, cap: int = _KORBIT_LIMIT
+) -> Tuple[DesignRecord, ...]:
+    """All 2-designs whose block set is a single orbit on k-subsets.
+
+    Refuses, before enumerating anything, when C(v, k) exceeds cap.
+    """
     v = action.degree
     if not 2 <= k <= v:
         raise ValueError(f"block size {k} out of range for degree {v}")
-    if math.comb(v, k) > _KORBIT_LIMIT:
-        raise ValueError(f"C({v},{k}) exceeds the enumeration budget")
+    count = math.comb(v, k)
+    if count > cap:
+        raise ValueError(f"C({v},{k}) = {count} exceeds the orbit budget {cap}")
     seen: set = set()
     records: List[DesignRecord] = []
     for combo in combinations(range(v), k):

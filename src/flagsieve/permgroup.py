@@ -8,10 +8,12 @@ Group order, membership and point stabilizers are read off a base and strong
 generating set (Sims 1970; Seress, *Permutation Group Algorithms*, ch. 4-5),
 built once per action by deterministic Schreier-Sims, so no element of a
 large group is ever listed for them.  Breadth-first closure (`elements`)
-remains for groups of order at most 1000, where the lattice search for
-subgroups works on the element list, and as the independent oracle of the
-tests.  Subgroups of larger groups come from the Sylow-normalizer argument
-and are handled as generator sets.  The builtin constructions pick their
+remains for groups of order at most 1000, where it supplies the lattice
+search's extension candidates, and as the independent oracle of the tests.
+Subgroups are handled as generator sets, one conjugacy class at a time:
+grown from class representatives by cyclic extension on permutations in
+small groups, and from the Sylow-normalizer argument in larger ones.  No
+multiplication table is kept.  The builtin constructions pick their
 generators and subgroups from fixed walks over generator words, each choice
 certified by its chain order.
 """
@@ -19,6 +21,7 @@ certified by its chain order.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 from operator import itemgetter
 from typing import (
@@ -60,8 +63,6 @@ __all__ = [
 ]
 
 Perm = Tuple[int, ...]
-# element positions and multiplication table of a listed group
-_Tables = Tuple[Dict[Perm, int], List[Tuple[int, ...]]]
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +545,6 @@ class PermAction:
         self.generators: Tuple[Perm, ...] = tuple(gens)
         self.label = label
         self._elements: Optional[Tuple[Perm, ...]] = None
-        # built by _index_tables for the lattice route
-        self._tables: Optional[_Tables] = None
         # stabilizer chains by first base point; None is the default base
         self._chains: Dict[Optional[int], StabChain] = {}
         self._stabilizers: Dict[int, "PermAction"] = {}
@@ -915,55 +914,6 @@ def subgroup_conjugation_action(
     return PermAction(len(queue), images, label=f"{action.label}_conj")
 
 
-def _index_tables(action: PermAction) -> _Tables:
-    """Positions in the sorted element list, and the table mult[a][b] of
-    the position of a-then-b; built once per action.
-
-    Column b of the table is right multiplication by element b, as a map on
-    positions.  The column of u-then-g is the column of u followed by that
-    of the generator g, so a breadth-first walk from the identity gets every
-    column from the generators' columns without composing permutations.
-    """
-    if action._tables is None:
-        elements = action.elements()
-        index = {e: i for i, e in enumerate(elements)}
-        ident = index[identity_perm(action.degree)]
-        steps = [
-            tuple(index[compose(e, g)] for e in elements) for g in action.generators
-        ]
-        columns = {ident: tuple(range(len(elements)))}
-        queue = [ident]
-        for u in queue:
-            for step in steps:
-                t = step[u]
-                if t not in columns:
-                    # a new column means order >= 2: itemgetter returns a tuple
-                    columns[t] = itemgetter(*columns[u])(step)
-                    queue.append(t)
-        mult = list(zip(*(columns[b] for b in range(len(elements)))))
-        action._tables = index, mult
-    return action._tables
-
-
-def _close_indices(
-    mult: Sequence[Sequence[int]], id_idx: int, base: Sequence[int], cap: int
-) -> Optional[FrozenSet[int]]:
-    seen = set(base)
-    seen.add(id_idx)
-    queue = list(seen)
-    base = list(base)
-    for a in queue:
-        row = mult[a]
-        for b in base:
-            c = row[b]
-            if c not in seen:
-                if len(seen) >= cap:
-                    return None
-                seen.add(c)
-                queue.append(c)
-    return frozenset(seen)
-
-
 class SubgroupClass(NamedTuple):
     """One conjugacy class of subgroups, each member given by generators.
 
@@ -975,72 +925,101 @@ class SubgroupClass(NamedTuple):
     members: Tuple[Tuple[Perm, ...], ...]
 
 
-def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
-    """Every subgroup of order m, grown one generator at a time, in classes.
+def _closure(
+    subgroup: FrozenSet[Perm], gens: Sequence[Perm], cap: int
+) -> Optional[FrozenSet[Perm]]:
+    """The group generated by gens, which include the subgroup's own
+    generators; None as soon as it has more than cap elements.
 
-    Any order-m subgroup K admits a chain of subgroups 1 < ... < K in which
-    each term adds a single element of K, and all terms have order dividing
-    m; breadth-first search over such chains is therefore complete.  Each
-    subgroup keeps the elements that grew it as its generators.
-
-    Growing sub by y or by any y' = s*y*t with s, t in sub gives the same
-    subgroup, so only the first candidate of each double coset sub*y*sub is
-    tried.  Every subgroup is still first reached by the same y, so the
-    generators, and with them the classes, are those of trying every
-    candidate.  The closure of <sub, y> starts from sub's generators and y.
-    Classes are listed by their first member in sorted order, and members
-    sorted.
+    The walk runs over right cosets of the subgroup U (Dimino's method; G.
+    Butler, *Fundamental Algorithms for Permutation Groups*, 1991).
+    The elements found are always a union of cosets U*r, so U*r*s lies
+    among them exactly when r*s does: only one representative per coset is
+    multiplied by the generators, and a new product brings its whole coset.
     """
-    elements = action.elements()
-    index, mult = _index_tables(action)
-    id_idx = index[identity_perm(action.degree)]
-    candidates = [
-        i for i, e in enumerate(elements) if m % perm_order(e) == 0
-    ]
-    trivial = frozenset({id_idx})
-    grown_by: Dict[FrozenSet[int], Tuple[int, ...]] = {trivial: ()}
-    queue = [trivial]
-    found = []
-    for sub in queue:
+    elements = set(subgroup)
+    reps = [identity_perm(len(gens[0]))]
+    for r in reps:
+        for s in gens:
+            x = compose(r, s)
+            if x not in elements:
+                if len(elements) + len(subgroup) > cap:
+                    return None
+                elements.update(compose(u, x) for u in subgroup)
+                reps.append(x)
+    return frozenset(elements)
+
+
+def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
+    """The classes of order-m subgroups, grown up to conjugacy by cyclic
+    extension (Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, ch. 10).
+
+    The classes of subgroups of order dividing m are found from their
+    representatives: each representative U of order below m is extended by
+    every element y of order dividing m, and <U, y> is closed on
+    permutations.  An element y' = u*y^j with u in U and j prime to the
+    order of y gives <U, y'> = <U, y>, so it is skipped.  A subgroup not
+    met before opens a class, its orbit under conjugation by the group's
+    generators, in which each member carries its conjugated generators; only
+    the representative is extended further.
+
+    This is complete.  Every subgroup K > 1 of order dividing m is <K', y>
+    for some K' < K and y in K, both of order dividing m.  By induction K'
+    = U^g for a representative U, and then K^(g^-1) = <U, y^(g^-1)> is met
+    when U is extended (if y^(g^-1) is skipped, through the element it was
+    skipped for), so K's class is opened.
+
+    Classes are listed by their least member in sorted element order, and
+    the members of a class likewise.  A class of subgroups K whose size does
+    not divide |G : K| cannot be a conjugacy class, and raises.
+    """
+    order = action.order()
+    # each candidate y with the generators y^j, j prime to its order, of <y>
+    candidates = []
+    for y in action.elements():
+        d = perm_order(y)
+        if m % d == 0:
+            walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
+            candidates.append((y, [z for j, z in walk if _gcd2(j, d) == 1]))
+    conjugators = [_conjugator(g) for g in action.generators]
+    known = set()  # every member of every class opened so far
+    trivial = frozenset({identity_perm(action.degree)})
+    reps: List[Tuple[FrozenSet[Perm], Tuple[Perm, ...]]] = [(trivial, ())]
+    classes = []
+    for sub, gens in reps:
         if len(sub) == m:
-            found.append(sub)
             continue
         tried = set(sub)
-        for y in candidates:
+        for y, powers in candidates:
             if y in tried:
                 continue
-            tried.update(mult[mult[s][y]][t] for s in sub for t in sub)
-            grown = _close_indices(mult, id_idx, grown_by[sub] + (y,), m + 1)
-            if grown is None or m % len(grown) != 0:
+            tried.update(compose(u, z) for u in sub for z in powers)
+            grown = _closure(sub, gens + (y,), m)
+            if grown is None or m % len(grown) or grown in known:
                 continue
-            if grown not in grown_by:
-                grown_by[grown] = grown_by[sub] + (y,)
-                queue.append(grown)
-    found.sort(key=lambda sub: sorted(elements[i] for i in sub))
-    conj = [
-        [index[c(e)] for e in elements] for c in map(_conjugator, action.generators)
-    ]
-    unclassed = set(found)
-    classes = []
-    for sub in found:
-        if sub not in unclassed:
-            continue
-        orbit = {sub}
-        queue = [sub]
-        for cur in queue:
-            for table in conj:
-                nxt = frozenset(table[i] for i in cur)
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    queue.append(nxt)
-        if not orbit <= unclassed:
-            raise RuntimeError("a conjugate subgroup escaped the lattice search")
-        unclassed -= orbit
-        members = tuple(
-            tuple(elements[i] for i in grown_by[s]) for s in found if s in orbit
-        )
-        classes.append(SubgroupClass(members[0], len(members), members))
-    return tuple(classes)
+            orbit = {grown: gens + (y,)}
+            queue = [grown]
+            for cur in queue:
+                for conj in conjugators:
+                    nxt = frozenset(map(conj, cur))
+                    if nxt not in orbit:
+                        orbit[nxt] = tuple(map(conj, orbit[cur]))
+                        queue.append(nxt)
+            if (order // len(grown)) % len(orbit):
+                raise RuntimeError(
+                    f"a class of {len(orbit)} subgroups of order {len(grown)} "
+                    f"in a group of order {order}: the size must divide the index"
+                )
+            known.update(orbit)
+            reps.append((grown, gens + (y,)))
+            if len(grown) == m:
+                classes.append(sorted((sorted(k), g) for k, g in orbit.items()))
+    classes.sort()
+    return tuple(
+        SubgroupClass(members[0][1], len(members), tuple(g for _, g in members))
+        for members in classes
+    )
 
 
 def _words(action: PermAction) -> Iterator[Perm]:
@@ -1176,7 +1155,7 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
 def subgroups_of_order(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     """Complete list of the conjugacy classes of order-m subgroups, or an error.
 
-    Uses the exhaustive one-generator-at-a-time lattice search for small
+    Uses the cyclic-extension lattice search up to conjugacy for small
     groups and the Sylow-normalizer argument for larger ones; raises when
     neither method can certify completeness.
     """
@@ -1248,50 +1227,31 @@ def _sylow13_action_144(extended: bool) -> PermAction:
     return act
 
 
+_BUILTINS: Dict[str, Callable[[], PermAction]] = {
+    "psl3_2": functools.partial(classical_action, "linear", 3, 2, "socle"),
+    "psl3_3": functools.partial(classical_action, "linear", 3, 3, "socle"),
+    "psl3_3_2": functools.partial(classical_action, "linear", 3, 3, "socle.2"),
+    "psl4_2": _a8_action,
+    "psl2_7": functools.partial(_projective_line_7, False),
+    "pgl2_7": functools.partial(_projective_line_7, True),
+    "psu3_3": functools.partial(classical_action, "unitary", 3, 3, "socle"),
+    "psu3_3_2": functools.partial(classical_action, "unitary", 3, 3, "socle.2"),
+    "psu3_3_36": functools.partial(_unitary_cosets_36, False),
+    "psu3_3_2_36": functools.partial(_unitary_cosets_36, True),
+    "psl3_3_144": functools.partial(_sylow13_action_144, False),
+    "psl3_3_2_144": functools.partial(_sylow13_action_144, True),
+}
+
+BUILTIN_NAMES = tuple(_BUILTINS)
+
+
 @functools.lru_cache(maxsize=None)
 def builtin_action(name: str) -> PermAction:
     """Named ready-made actions used by the command line and the searches."""
-    if name == "psl3_2":
-        return classical_action("linear", 3, 2, "socle")
-    if name == "psl3_3":
-        return classical_action("linear", 3, 3, "socle")
-    if name == "psl3_3_2":
-        return classical_action("linear", 3, 3, "socle.2")
-    if name == "psl4_2":
-        return _a8_action()
-    if name == "psl2_7":
-        return _projective_line_7(False)
-    if name == "pgl2_7":
-        return _projective_line_7(True)
-    if name == "psu3_3":
-        return classical_action("unitary", 3, 3, "socle")
-    if name == "psu3_3_2":
-        return classical_action("unitary", 3, 3, "socle.2")
-    if name == "psu3_3_36":
-        return _unitary_cosets_36(False)
-    if name == "psu3_3_2_36":
-        return _unitary_cosets_36(True)
-    if name == "psl3_3_144":
-        return _sylow13_action_144(False)
-    if name == "psl3_3_2_144":
-        return _sylow13_action_144(True)
-    raise ValueError(f"unknown builtin action {name!r}")
-
-
-BUILTIN_NAMES = (
-    "psl3_2",
-    "psl3_3",
-    "psl3_3_2",
-    "psl4_2",
-    "psl2_7",
-    "pgl2_7",
-    "psu3_3",
-    "psu3_3_2",
-    "psu3_3_36",
-    "psu3_3_2_36",
-    "psl3_3_144",
-    "psl3_3_2_144",
-)
+    build = _BUILTINS.get(name)
+    if build is None:
+        raise ValueError(f"unknown builtin action {name!r}")
+    return build()
 
 
 # ---------------------------------------------------------------------------

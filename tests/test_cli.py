@@ -379,6 +379,28 @@ def test_element_cap_edges(capsys, tmp_path):
     assert "group order 336 exceeds element budget 335" in captured.err
 
 
+def test_orbit_cap_edges(capsys, tmp_path):
+    # psl2_7 on 8 points has C(8,4) = 70 four-subsets; korbit_designs
+    # itself enforces the cap it is given
+    argv = ["search", "--group", "psl2_7", "--k", "4", "--out-dir", str(tmp_path)]
+    code, lines = run_cli(capsys, *argv, "--orbit-cap", "70")
+    assert code == EXIT_OK
+    assert "strategy korbit k=4" in lines
+    code = main(argv + ["--orbit-cap", "69"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "C(8,4) = 70 exceeds the orbit budget 69" in captured.err
+
+
+def test_search_has_no_subgroup_budget(capsys, tmp_path):
+    """The flag-stabilizer order is not a count of subgroups, so no flag
+    pretends to limit the subgroup enumeration."""
+    argv = "search --group psl2_7 --k 4 --v 8 --b 42 --r 21 --lambda 9".split()
+    code = main(argv + ["--out-dir", str(tmp_path), "--subgroup-budget", "1"])
+    assert code == EXIT_USAGE
+    assert "--subgroup-budget" in capsys.readouterr().err
+
+
 def _same_under_optimize(capsys, tmp_path, argv):
     """Run eliminate in-process and under python -O; return the cell of each."""
     normal = tmp_path / "normal.json"

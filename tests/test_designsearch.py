@@ -78,8 +78,11 @@ def test_korbit_block_sets_are_disjoint_partitions():
 
 def test_korbit_budget_and_range_guards():
     wheel = PermAction(40, [tuple((i + 1) % 40 for i in range(40))], label="c40")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the orbit budget 10000000$"):
         korbit_designs(wheel, 20)
+    assert len(korbit_designs(builtin_action("psl2_7"), 4, cap=70)) == 3
+    with pytest.raises(ValueError, match=r"C\(8,4\) = 70 exceeds the orbit budget 69"):
+        korbit_designs(builtin_action("psl2_7"), 4, cap=69)
     with pytest.raises(ValueError):
         korbit_designs(builtin_action("psl2_7"), 1)
     with pytest.raises(ValueError):
@@ -248,11 +251,13 @@ def test_suborbit_screen_keeps_every_design(group, params):
         # with every member of every class walked, 84, 1680, 42 and 182
         # unions reached the check; without the suborbit screen and the
         # double-coset skip, every union (4914, 5880, 126, 336) did, and the
-        # lattices ran 3465, 3773, 32529 and 47761 closures
-        ("psu3_3_36", PARAMS_36_SYM, 4, 987, 4914, "234 x 21"),
-        ("psu3_3_36", PARAMS_36_QUASI, 60, 1183, 5880, "210 x 28"),
-        ("psu3_3_2_36", PARAMS_36_SYM, 2, 5698, 126, "6 x 21"),
-        ("psu3_3_2_36", PARAMS_36_QUASI, 7, 7616, 336, "4 x 14 + 10 x 28"),
+        # lattices ran 3465, 3773, 32529 and 47761 closures.  The lattice
+        # that listed every subgroup, not only class representatives, ran
+        # 987, 1183, 5698 and 7616 closures.
+        ("psu3_3_36", PARAMS_36_SYM, 4, 153, 4914, "234 x 21"),
+        ("psu3_3_36", PARAMS_36_QUASI, 60, 122, 5880, "210 x 28"),
+        ("psu3_3_2_36", PARAMS_36_SYM, 2, 460, 126, "6 x 21"),
+        ("psu3_3_2_36", PARAMS_36_QUASI, 7, 716, 336, "4 x 14 + 10 x 28"),
     ],
     ids=["psu3_3_36-sym", "psu3_3_36-quasi", "psu3_3_2_36-sym", "psu3_3_2_36-quasi"],
 )
@@ -262,7 +267,7 @@ def test_unitary_36_work_counts(
     """Deterministic work gate: unions that reach the full candidate check,
     and closures run by the point stabilizer's subgroup lattice."""
     counts = {"reached": 0, "closures": 0}
-    check, close = designsearch._candidate_design, permgroup._close_indices
+    check, close = designsearch._candidate_design, permgroup._closure
 
     def counted_check(*args):
         counts["reached"] += 1
@@ -273,7 +278,7 @@ def test_unitary_36_work_counts(
         return close(*args)
 
     monkeypatch.setattr(designsearch, "_candidate_design", counted_check)
-    monkeypatch.setattr(permgroup, "_close_indices", counted_close)
+    monkeypatch.setattr(permgroup, "_closure", counted_close)
     result = stabilizer_search(builtin_action(group), params)
     assert counts == {"reached": reached, "closures": closures}
     detail = dict(result.certificate)["candidate-blocks"]

@@ -4,6 +4,7 @@ Group orders and suborbit shapes are asserted against independently known
 values for the small classical groups involved.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -135,6 +136,33 @@ def test_builtin_degrees_and_orders():
         assert act.degree == degree, name
         assert act.order() == order, name
         assert act.is_transitive() or name == "psl3_3_144" or name == "psl3_3_2_144"
+
+
+# SHA-256 of repr((name, degree, generators)) for every built-in action
+BUILTIN_DIGESTS = {
+    "psl3_2": "677e628640d1c538281709522d855ed8b529a78677adc262dcf5540beb564599",
+    "psl3_3": "d1d17f0773f0944d77d81acb1b4f503a841ba1376e4e0abab9bbcd8c22183cc9",
+    "psl3_3_2": "e83967bf4054c0382c7a5af600880fe31564ad06535f74087f6853aa2abd43d7",
+    "psl4_2": "d6199c0ddde0a25d51aac6009595c1c39e4b2e865208b541fcf4776e7ec16ba5",
+    "psl2_7": "ff3868ff1d6ad8aa4ba64c5ffd913e00f900ddd5cba0b71d3879387a4890d2eb",
+    "pgl2_7": "9dbfe5e75b4c16c03750032def35e7397d68b340d8455e5752ca87b0cd5b5250",
+    "psu3_3": "1773349f50632d27d201b13a423df1d038eb741408436064c4d97041bc85f170",
+    "psu3_3_2": "a66a4af36733ae41539708f073a64f81fe33e20e5e68725c860d56d3cfd3ecb6",
+    "psu3_3_36": "2d86d20cf00626c920c17e912197085a411d4e3a72a676dbad884ab87ae3cffd",
+    "psu3_3_2_36": "a5af0ab1a91d72a74f2dedea5dde109a88976d3069be7b202bef53c7fce1efc2",
+    "psl3_3_144": "998cfdc3d84ef75a87e2a725e19abb333081aa61c94696a745f69b34fc2971a7",
+    "psl3_3_2_144": "4e734d53c575063df205b6af9d67aee1a9cdd0f37da52f2f4217b3dcda1b4b54",
+}
+
+
+def test_builtin_generators_are_pinned():
+    """The built-in generators, and with them the point labels of every
+    design file written for them, stay exactly as they are."""
+    assert BUILTIN_NAMES == tuple(BUILTIN_DIGESTS)
+    for name in BUILTIN_NAMES:
+        act = builtin_action(name)
+        text = repr((name, act.degree, act.generators)).encode()
+        assert hashlib.sha256(text).hexdigest() == BUILTIN_DIGESTS[name], name
 
 
 def test_builtin_unknown_name():
@@ -296,6 +324,40 @@ def test_lattice_route_matches_atlas_psl2_7(name):
         for cls in classes:
             assert len(cls.members) == cls.size
             assert PermAction(group.degree, cls.representative).order() == m
+
+
+# conjugacy classes of subgroups of PGL(2,7) = PSL(2,7):2 by order, for every
+# m <= 64 dividing 336: class sizes as the lattice that listed every
+# subgroup found them, and no subgroup of order 28, 48 or 56
+PGL2_7_SUBGROUP_CLASSES = {
+    1: [1], 2: [21, 28], 3: [28], 4: [14, 21, 42], 6: [28, 28, 28], 7: [8],
+    8: [21, 21, 21], 12: [14, 28], 14: [8], 16: [21], 21: [8], 24: [14],
+    28: [], 42: [8], 48: [], 56: [],
+}
+
+
+@pytest.mark.parametrize("name", ["psu3_3_2_36", "pgl2_7"])
+def test_lattice_route_pgl2_7_classes(name):
+    """The lattice route on two actions of PGL(2,7): the 36-point action's
+    point stabilizer under PSU_3(3):2, and PGL(2,7) on the projective line.
+    Every member of every class generates a group of order m, and the
+    members of all classes are distinct subgroups."""
+    act = builtin_action(name)
+    group = act.point_stabilizer(0) if name == "psu3_3_2_36" else act
+    assert group.order() == 336
+    divisors = [m for m in range(1, 65) if 336 % m == 0]
+    assert sorted(PGL2_7_SUBGROUP_CLASSES) == divisors
+    for m in divisors:
+        classes = subgroups_of_order(group, m)
+        assert sorted(_sizes(classes)) == PGL2_7_SUBGROUP_CLASSES[m], m
+        subgroups = set()
+        for cls in classes:
+            assert len(cls.members) == cls.size
+            for gens in cls.members:
+                sub = PermAction(group.degree, gens)
+                assert sub.order() == m
+                subgroups.add(frozenset(sub.elements()))
+        assert len(subgroups) == sum(_sizes(classes))
 
 
 def test_point_stabilizer_is_built_once_per_point():

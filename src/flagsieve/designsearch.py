@@ -18,6 +18,9 @@ Delta of the point stabilizer, as every block through the point of a
 flag-transitive design does; only the unions that meet it get the full
 check.  When the flag stabilizer is trivial that route degenerates, and
 the search switches to block stabilizers of order |G| / b.
+A candidate's lambda is read from the blocks of its orbit through one
+point, which decides it on a point-transitive group; verify_design and
+korbit_designs keep the full count over every pair of every block.
 Either way the result carries a certificate describing why the enumeration
 was complete, or the subgroup enumeration raises and no claim is made.
 """
@@ -101,6 +104,29 @@ def _pair_coverage(blocks: Sequence[FrozenSet[int]], v: int) -> Optional[int]:
     for block in blocks:
         counts.update(combinations(sorted(block), 2))
     if len(counts) != v * (v - 1) // 2:
+        return None  # some pair uncovered
+    values = set(counts.values())
+    return values.pop() if len(values) == 1 else None
+
+
+def _lambda_through(
+    blocks: Iterable[FrozenSet[int]], alpha: int, v: int
+) -> Optional[int]:
+    """Pair multiplicity of a G-invariant block set, read from the blocks
+    through alpha, when G is transitive on the v points; None if it is not
+    constant.
+
+    For points gamma != delta some g in G maps gamma to alpha, and B -> B^g
+    permutes the blocks, so gamma and delta lie together in as many blocks
+    as alpha and delta^g.  Every pair is therefore covered lambda times
+    exactly when every beta != alpha lies with alpha in lambda blocks.
+    """
+    counts: Counter = Counter()
+    for block in blocks:
+        if alpha in block:
+            counts.update(block)
+    del counts[alpha]
+    if len(counts) != v - 1:
         return None  # some pair uncovered
     values = set(counts.values())
     return values.pop() if len(values) == 1 else None
@@ -227,7 +253,10 @@ def _orbit_unions(
         if remaining == 0:
             found.append(frozenset(base + [p for orb in chosen for p in orb]))
             if len(found) > _UNION_LIMIT:
-                raise RuntimeError("orbit union enumeration exceeds budget")
+                raise RuntimeError(
+                    f"orbit unions of size {target} exceed the union budget "
+                    f"{_UNION_LIMIT}"
+                )
             return
         if idx == len(free) or remaining < 0:
             return
@@ -243,7 +272,7 @@ def _orbit_unions(
 def _bounded_set_orbit(
     action: PermAction, start: FrozenSet[int], cap: int
 ) -> Optional[Tuple[FrozenSet[int], ...]]:
-    """Set orbit, or None as soon as it grows past cap."""
+    """Set orbit in the order found, or None as soon as it grows past cap."""
     seen = {start}
     queue = [start]
     for cur in queue:
@@ -255,16 +284,17 @@ def _bounded_set_orbit(
                     return None
                 seen.add(img)
                 queue.append(img)
-    return tuple(sorted(seen, key=sorted))
+    return tuple(queue)
 
 
 def _candidate_design(
     action: PermAction, params: DesignParams, union: FrozenSet[int]
 ) -> Optional[DesignRecord]:
+    """The design spanned by a candidate block, on a point-transitive action."""
     orbit = _bounded_set_orbit(action, union, params.b)
     if orbit is None or len(orbit) != params.b:
         return None
-    lam = _pair_coverage(orbit, params.v)
+    lam = _lambda_through(orbit, min(union), params.v)
     if lam != params.lam:
         return None
     if not _flag_transitive_on(action, union):
@@ -331,6 +361,12 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     every member, and says which were enumerated.  On the block route,
     conjugate block stabilizers have translated orbits, whose unions again
     span the same block sets.
+
+    On an action that is not transitive on points, no candidate is checked,
+    and the unions are still counted.  A design with lambda > 0 has every
+    point on a block, so a group transitive on its flags is transitive on
+    points; the candidate check accepts only flag-transitive designs, so
+    here it would accept none.
     """
     v, b, r, k = params.v, params.b, params.r, params.k
     if action.degree != v:
@@ -385,6 +421,8 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
             )
         )
         alpha, screen = None, lambda union: True
+    if not action.is_transitive():
+        screen = lambda union: False  # no flag-transitive design: see above
     found: Dict[BlockSet, DesignRecord] = {}
     counts = []  # (unions of the representative, class size) per class
     for cls in classes:

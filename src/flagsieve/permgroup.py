@@ -1155,16 +1155,16 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
 def subgroups_of_order(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     """Complete list of the conjugacy classes of order-m subgroups, or an error.
 
-    Uses the cyclic-extension lattice search up to conjugacy for small
-    groups and the Sylow-normalizer argument for larger ones; raises when
-    neither method can certify completeness.
+    Uses the cyclic-extension lattice search up to conjugacy for groups of
+    order at most 1000, whatever m, and the Sylow-normalizer argument for
+    larger ones; raises when neither method can certify completeness.
     """
     order = action.order()
     if m < 1 or order % m != 0:
         return ()
     if m == 1:
         return (SubgroupClass((), 1, ((),)),)
-    if order <= 1000 and m <= 64:
+    if order <= 1000:
         return _lattice_route(action, m)
     sylow = _sylow_route(action, m)
     if sylow is not None:

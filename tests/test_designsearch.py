@@ -2,15 +2,19 @@
 
 import functools
 import math
+import sys
 
 import pytest
 
 from flagsieve import designsearch, permgroup
 from flagsieve.designsearch import (
     DesignRecord,
+    SearchResult,
     _block_key,
     _candidate_design,
+    _lambda_through,
     _orbit_unions,
+    _pair_coverage,
     _suborbit_screen,
     hypothesis_filter,
     korbit_designs,
@@ -363,6 +367,147 @@ def test_builtin_constructions_list_no_large_group(monkeypatch, name, degree, or
     monkeypatch.setattr(PermAction, "elements", guarded)
     act = cold(name)
     assert (act.degree, act.order()) == (degree, order)
+
+
+# -- lambda through one point
+
+
+def _unions_reaching_check(monkeypatch, act, params):
+    """The orbit unions that reach the full candidate check in a search."""
+    reached = []
+    check = designsearch._candidate_design
+
+    def spy(action, p, union):
+        reached.append(union)
+        return check(action, p, union)
+
+    monkeypatch.setattr(designsearch, "_candidate_design", spy)
+    stabilizer_search(act, params)
+    monkeypatch.undo()
+    return reached
+
+
+def test_lambda_through_one_point_matches_pair_coverage(monkeypatch):
+    """Oracle for the candidate check's lambda: on every union that reaches
+    it in the flag-route searches and in the block-route search on
+    psl3_3_2_144, the count over the blocks of the union's full orbit
+    through one point equals the count over every pair of every block."""
+    seen = []
+    for group, params in FLAG_ROUTE_SEARCHES + [("psl3_3_2_144", PARAMS_144)]:
+        act = builtin_action(group)
+        assert act.is_transitive()
+        for union in _unions_reaching_check(monkeypatch, act, params):
+            orbit = act.set_orbit(union)
+            full = _pair_coverage(orbit, params.v)
+            for alpha in (0, min(union)):
+                assert _lambda_through(orbit, alpha, params.v) == full, (group, params)
+            seen.append(full)
+    assert None in seen and 12 in seen and 336 in seen
+    assert len(seen) == 86 + 5  # flag route, block route
+    # a block system of the 8-cycle: alpha meets one point once, and the
+    # other pairs are never covered
+    wheel = PermAction(8, [tuple((i + 1) % 8 for i in range(8))], label="c8")
+    blocks = wheel.set_orbit({0, 4})
+    assert _lambda_through(blocks, 0, 8) is None is _pair_coverage(blocks, 8)
+
+
+def test_certified_144_cell_counts_no_pairs(monkeypatch):
+    """Gate: certifying linear n=3 q=3 C3(1,3) counts no pair of any block;
+    the five candidate unions on psl3_3_2_144 are decided through one
+    point.  Where a design is found, verify_design is the only caller."""
+    callers = []
+    count = designsearch._pair_coverage
+
+    def spy(blocks, v):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return count(blocks, v)
+
+    monkeypatch.setattr(designsearch, "_pair_coverage", spy)
+    for name in SEARCH_REGISTRY[("linear", 3, 3, "C3", (1, 3))]:
+        stabilizer_search(builtin_action(name), PARAMS_144)
+    assert callers == []
+    result = stabilizer_search(builtin_action("pgl2_7"), DesignParams(8, 28, 14, 4, 6))
+    assert len(result.designs) == 1
+    assert callers == ["verify_design"] * 2  # two unions span the design
+
+
+def _fano_plus_fixed_point():
+    """PSL(3,2) on the 7 points of the Fano plane and one fixed point 7."""
+    fano = builtin_action("psl3_2")
+    gens = [tuple(g) + (7,) for g in fano.generators]
+    return PermAction(8, gens, label="psl3_2_plus_fixed")
+
+
+_NO_DESIGN = (
+    "outcome",
+    "no flag-transitive design with these parameters admits this group",
+)
+
+
+# the intransitive searches' results from when their candidates were still
+# checked: the block route sent 10 unions to the check, the flag route's
+# screen rejected every union
+INTRANSITIVE_SEARCHES = [
+    (
+        DesignParams(8, 42, 21, 4, 9),
+        (
+            ("flag-stabilizer-order", "|G| / (v*r) = 1"),
+            (
+                "block-stabilizer-candidates",
+                "trivial flag stabilizer: searching block stabilizers instead; "
+                "complete enumeration: 35 subgroups of order 4 (3 conjugacy "
+                "classes), one representative tested per class since conjugate "
+                "stabilizers give translated designs",
+            ),
+            ("candidate-blocks", "tested 10 orbit unions of size 4"),
+            _NO_DESIGN,
+        ),
+    ),
+    (
+        DesignParams(8, 14, 7, 4, 3),
+        (
+            ("flag-stabilizer-order", "|G| / (v*r) = 3"),
+            (
+                "flag-stabilizer-candidates",
+                "complete enumeration: 4 subgroups of order 3 in the point "
+                "stabilizer (1 conjugacy classes); every block through the base "
+                "point is a union of orbits of one of them",
+            ),
+            (
+                "candidate-blocks",
+                "tested 8 orbit unions of size 4 (2 x 4: unions of one "
+                "representative per class times the class size; conjugate members "
+                "give the same block sets, so only the representatives' unions "
+                "were enumerated)",
+            ),
+            _NO_DESIGN,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("params,certificate", INTRANSITIVE_SEARCHES)
+def test_intransitive_action_checks_no_candidate(monkeypatch, params, certificate):
+    """No flag-transitive design lives on an intransitive action: the search
+    checks no candidate there, and returns the same result, union counts
+    and certificate text included, as when it checked them."""
+    act = _fano_plus_fixed_point()
+    assert not act.is_transitive()
+    assert _unions_reaching_check(monkeypatch, act, params) == []
+    result = stabilizer_search(act, params)
+    assert result == SearchResult("psl3_2_plus_fixed", params, (), True, certificate)
+
+
+def test_union_budget_edges(monkeypatch):
+    """The orbit-union budget is checked per class representative; the
+    symmetric search on psu3_3_36 enumerates 234 unions of one."""
+    act, params = builtin_action("psu3_3_36"), PARAMS_36_SYM
+    expected = stabilizer_search(act, params)
+    monkeypatch.setattr(designsearch, "_UNION_LIMIT", 234)
+    assert stabilizer_search(act, params) == expected
+    monkeypatch.setattr(designsearch, "_UNION_LIMIT", 233)
+    with pytest.raises(RuntimeError, match="size 21 exceed the union budget 233$"):
+        stabilizer_search(act, params)
 
 
 # -- verification

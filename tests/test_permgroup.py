@@ -302,10 +302,12 @@ def test_subgroups_of_order_pgl():
 
 
 # conjugacy classes of subgroups of PSL(2,7) = GL(3,2) by order, from the
-# ATLAS subgroup lattice: class sizes, and no subgroup of order 14, 28, 42, 56
+# ATLAS subgroup lattice: class sizes, and no subgroup of order 14, 28, 42,
+# 56, 84
 PSL2_7_SUBGROUP_CLASSES = {
     1: [1], 2: [21], 3: [28], 4: [7, 7, 21], 6: [28], 7: [8], 8: [21],
     12: [7, 7], 14: [], 21: [8], 24: [7, 7], 28: [], 42: [], 56: [],
+    84: [], 168: [1],
 }
 
 
@@ -316,7 +318,7 @@ def test_lattice_route_matches_atlas_psl2_7(name):
     act = builtin_action(name)
     group = act.point_stabilizer(0) if name == "psu3_3_36" else act
     assert group.order() == 168
-    divisors = [m for m in range(1, 65) if 168 % m == 0]
+    divisors = [m for m in range(1, 169) if 168 % m == 0]
     assert sorted(PSL2_7_SUBGROUP_CLASSES) == divisors
     for m in divisors:
         classes = subgroups_of_order(group, m)
@@ -327,12 +329,13 @@ def test_lattice_route_matches_atlas_psl2_7(name):
 
 
 # conjugacy classes of subgroups of PGL(2,7) = PSL(2,7):2 by order, for every
-# m <= 64 dividing 336: class sizes as the lattice that listed every
-# subgroup found them, and no subgroup of order 28, 48 or 56
+# m dividing 336: class sizes as the lattice that listed every subgroup
+# found them for m <= 64, and no subgroup of order 28, 48, 56, 84 or 112;
+# above that, PSL(2,7) and the whole group
 PGL2_7_SUBGROUP_CLASSES = {
     1: [1], 2: [21, 28], 3: [28], 4: [14, 21, 42], 6: [28, 28, 28], 7: [8],
     8: [21, 21, 21], 12: [14, 28], 14: [8], 16: [21], 21: [8], 24: [14],
-    28: [], 42: [8], 48: [], 56: [],
+    28: [], 42: [8], 48: [], 56: [], 84: [], 112: [], 168: [1], 336: [1],
 }
 
 
@@ -345,7 +348,7 @@ def test_lattice_route_pgl2_7_classes(name):
     act = builtin_action(name)
     group = act.point_stabilizer(0) if name == "psu3_3_2_36" else act
     assert group.order() == 336
-    divisors = [m for m in range(1, 65) if 336 % m == 0]
+    divisors = [m for m in range(1, 337) if 336 % m == 0]
     assert sorted(PGL2_7_SUBGROUP_CLASSES) == divisors
     for m in divisors:
         classes = subgroups_of_order(group, m)

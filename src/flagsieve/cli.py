@@ -338,34 +338,107 @@ def _fmt_tuple(p: DesignParams) -> str:
     return f"2-({p.v},{p.k},{p.lam}) r={p.r} b={p.b}"
 
 
-def report_document(reports: Sequence[CellReport], grid: Optional[Dict]) -> Dict:
-    """JSON document for a list of cell reports; field order is fixed."""
+_str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+
+
+def _wrap(items: List[str], pad: str, brackets: str = "[]") -> str:
+    """Items, each already indented, one a line, closed on a line at pad."""
+    if not items:
+        return brackets
+    return brackets[0] + "\n" + ",\n".join(items) + "\n" + pad + brackets[1]
+
+
+def _json(value: object, pad: str) -> str:
+    """value as json.dumps(value, indent=2) writes it, on a line indented by
+    pad.  Dict keys must be str.  Values other than str, int, bool, None,
+    list, tuple and dict go to json.dumps: floats read the same and sets
+    raise TypeError."""
+    if isinstance(value, str):
+        return _str(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        return _wrap([inner + _json(x, inner) for x in value], pad)
+    if isinstance(value, dict):
+        items = [f"{inner}{_str(k)}: {_json(x, inner)}" for k, x in value.items()]
+        return _wrap(items, pad, "{}")
+    return json.dumps(value)
+
+
+# json.dumps(document, indent=2)'s layout of a witness, a step and a cell
+_WITNESS = """\
+            [
+              %s,
+              %s
+            ]"""
+_STEP = """\
+        {
+          "name": %s,
+          "citation": %s,
+          "witnesses": %s,
+          "verdict": %s
+        }"""
+_CELL = """\
+    {
+      "spec": {
+        "family": %s,
+        "n": %s,
+        "q": %s
+      },
+      "case": {
+        "kind": %s,
+        "params": %s,
+        "label": %s
+      },
+      "steps": %s,
+      "final": {
+        "kind": %s,
+        "stepIndex": %s,
+        "tuples": %s,
+        "note": %s
+      }
+    }"""
+
+
+def _report_json(reports: Sequence[CellReport], grid: Optional[Dict]) -> str:
+    """The JSON report {schemaVersion, grid, cells, summary}, byte for byte
+    as json.dumps(..., indent=2) writes it, with a final newline."""
     cells = []
     for rep in reports:
+        steps = []
+        for s in rep.steps:
+            witnesses = [
+                _WITNESS % (_str(key), _json(value, " " * 14))
+                for key, value in s.witnesses
+            ]
+            steps.append(
+                _STEP
+                % (
+                    _str(s.name),
+                    _str(s.citation),
+                    _wrap(witnesses, " " * 10),
+                    _str(s.verdict),
+                )
+            )
+        final = rep.final
         cells.append(
-            {
-                "spec": {"family": rep.family, "n": rep.n, "q": rep.q},
-                "case": {
-                    "kind": rep.case.kind,
-                    "params": list(rep.case.params),
-                    "label": case_label(rep.case),
-                },
-                "steps": [
-                    {
-                        "name": s.name,
-                        "citation": s.citation,
-                        "witnesses": [[key, value] for key, value in s.witnesses],
-                        "verdict": s.verdict,
-                    }
-                    for s in rep.steps
-                ],
-                "final": {
-                    "kind": rep.final.kind,
-                    "stepIndex": rep.final.step_index,
-                    "tuples": [list(t.as_tuple()) for t in rep.final.tuples],
-                    "note": rep.final.note,
-                },
-            }
+            _CELL
+            % (
+                _str(rep.family),
+                int.__repr__(rep.n),
+                int.__repr__(rep.q),
+                _str(rep.case.kind),
+                _json(rep.case.params, " " * 8),
+                _str(case_label(rep.case)),
+                _wrap(steps, " " * 6),
+                _str(final.kind),
+                _json(final.step_index, ""),
+                _json([t.as_tuple() for t in final.tuples], " " * 8),
+                _str(final.note),
+            )
         )
     kinds: Dict[str, int] = {}
     for rep in reports:
@@ -375,12 +448,10 @@ def report_document(reports: Sequence[CellReport], grid: Optional[Dict]) -> Dict
         "kinds": {k: kinds[k] for k in sorted(kinds)},
         "survivors": [r.label for r in reports if r.final.kind != "Eliminated"],
     }
-    return {
-        "schemaVersion": SCHEMA_VERSION,
-        "grid": grid,
-        "cells": cells,
-        "summary": summary,
-    }
+    return (
+        f'{{\n  "schemaVersion": {SCHEMA_VERSION},\n  "grid": {_json(grid, "  ")},'
+        f'\n  "cells": {_wrap(cells, "  ")},\n  "summary": {_json(summary, "  ")}\n}}\n'
+    )
 
 
 def _tsv_cell_rows(reports: Sequence[CellReport]) -> str:
@@ -416,11 +487,13 @@ def emit_report(
     format: str = "json",
     grid: Optional[Dict] = None,
 ) -> None:
-    """Write cell reports to path; identical inputs give identical bytes."""
+    """Write cell reports to path; identical inputs give identical bytes.
+    The text is complete before the file is opened, so a failure leaves
+    no file."""
     if format == "tsv":
         text = _tsv_cell_rows(reports)
     elif format == "json":
-        text = json.dumps(report_document(reports, grid), indent=2) + "\n"
+        text = _report_json(reports, grid)
     else:
         raise ValueError(f"unknown report format {format!r}")
     with open(path, "w", encoding="utf-8") as handle:
@@ -462,7 +535,7 @@ def _run_sieve(config: RunConfig) -> int:
                 "tuples": [list(t.as_tuple()) for t in tuples],
                 "rejections": {k: codes[k] for k in sorted(codes)},
             }
-            text = json.dumps(doc, indent=2) + "\n"
+            text = _json(doc, "") + "\n"
         path = _resolve_path(config.output)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -20,7 +20,9 @@ check.  When the flag stabilizer is trivial that route degenerates, and
 the search switches to block stabilizers of order |G| / b.
 A candidate's lambda is read from the blocks of its orbit through one
 point, which decides it on a point-transitive group; verify_design and
-korbit_designs keep the full count over every pair of every block.
+korbit_designs keep the full count over every pair of every block.  Each
+design found is verified once: a later union spanning it is recognized by
+its canonical block set.
 Either way the result carries a certificate describing why the enumeration
 was complete, or the subgroup enumeration raises and no claim is made.
 """
@@ -32,7 +34,17 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from .permgroup import (
     Perm,
@@ -288,25 +300,31 @@ def _bounded_set_orbit(
 
 
 def _candidate_design(
-    action: PermAction, params: DesignParams, union: FrozenSet[int]
+    action: PermAction,
+    params: DesignParams,
+    union: FrozenSet[int],
+    known: Mapping[BlockSet, DesignRecord],
 ) -> Optional[DesignRecord]:
-    """The design spanned by a candidate block, on a point-transitive action."""
+    """The design spanned by a candidate block, on a point-transitive action.
+
+    A design in known, keyed by its canonical block set, was checked when
+    it was first found; a union spanning it again returns it unchecked."""
     orbit = _bounded_set_orbit(action, union, params.b)
     if orbit is None or len(orbit) != params.b:
         return None
     lam = _lambda_through(orbit, min(union), params.v)
     if lam != params.lam:
         return None
+    blocks = _canonical_blocks(orbit)
+    if blocks in known:
+        return known[blocks]
     if not _flag_transitive_on(action, union):
         return None
     report = verify_design(action, orbit, expect=params)
     if not (report.ok and report.flag_transitive):
         raise RuntimeError(f"candidate design fails verification: {report.problems}")
     return DesignRecord(
-        group=action.label,
-        params=params,
-        blocks=_canonical_blocks(orbit),
-        flag_transitive=True,
+        group=action.label, params=params, blocks=blocks, flag_transitive=True
     )
 
 
@@ -431,7 +449,7 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
         unions = _orbit_unions(orbits, forced, k)
         counts.append((len(unions), cls.size))
         for union in filter(screen, unions):
-            rec = _candidate_design(action, params, union)
+            rec = _candidate_design(action, params, union, found)
             if rec is not None:
                 found[rec.blocks] = rec
     if m > 1:

@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
-from flagsieve.cli import emit_report, main, report_document
+from flagsieve.cli import emit_report, main
 from flagsieve.designsearch import (
     _block_key,
     hypothesis_filter,

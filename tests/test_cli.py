@@ -17,8 +17,9 @@ from flagsieve.cli import (
     main,
 )
 from flagsieve.designsearch import load_design
-from flagsieve.eliminator import eliminate
-from flagsieve.grouporders import GroupSpec, SubgroupCase
+from flagsieve.eliminator import CellReport, Final, Step, eliminate, sweep
+from flagsieve.grouporders import GroupSpec, SubgroupCase, case_label
+from flagsieve.sieve import DesignParams
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +53,18 @@ def test_sieve_json_report(capsys, tmp_path):
     assert doc["query"] == {"v": 144, "rDivisor": 78, "gMax": None, "rstarDivisor": None}
     assert doc["tuples"] == [[144, 144, 78, 78, 42]]
     assert doc["rejections"]["divisor-conflict"] == 10
+
+
+def test_sieve_json_report_layout(capsys, tmp_path):
+    """The sieve report's bytes are json.dumps(..., indent=2)'s."""
+    path = tmp_path / "s.json"
+    code, _ = run_cli(
+        capsys, "sieve", "--v", "8", "--r-divisor", "42", "--output", str(path)
+    )
+    assert code == EXIT_OK
+    doc = json.loads(path.read_text())
+    assert doc["tuples"] == [[8, 28, 14, 4, 6], [8, 42, 21, 4, 9]]
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_sieve_budget_error(capsys):
@@ -340,6 +353,133 @@ def test_emit_report_empty_is_valid(tmp_path):
     path_tsv = tmp_path / "empty.tsv"
     emit_report([], str(path_tsv), "tsv")
     assert path_tsv.read_text().splitlines()[0].startswith("family\t")
+
+
+def report_document(reports, grid):
+    """Reference for the JSON report: the document whose
+    json.dumps(..., indent=2) emit_report's bytes must equal."""
+    cells = []
+    for rep in reports:
+        cells.append(
+            {
+                "spec": {"family": rep.family, "n": rep.n, "q": rep.q},
+                "case": {
+                    "kind": rep.case.kind,
+                    "params": list(rep.case.params),
+                    "label": case_label(rep.case),
+                },
+                "steps": [
+                    {
+                        "name": s.name,
+                        "citation": s.citation,
+                        "witnesses": [[key, value] for key, value in s.witnesses],
+                        "verdict": s.verdict,
+                    }
+                    for s in rep.steps
+                ],
+                "final": {
+                    "kind": rep.final.kind,
+                    "stepIndex": rep.final.step_index,
+                    "tuples": [list(t.as_tuple()) for t in rep.final.tuples],
+                    "note": rep.final.note,
+                },
+            }
+        )
+    kinds = {}
+    for rep in reports:
+        kinds[rep.final.kind] = kinds.get(rep.final.kind, 0) + 1
+    summary = {
+        "cells": len(reports),
+        "kinds": {k: kinds[k] for k in sorted(kinds)},
+        "survivors": [r.label for r in reports if r.final.kind != "Eliminated"],
+    }
+    return {"schemaVersion": 1, "grid": grid, "cells": cells, "summary": summary}
+
+
+def assert_report_matches_reference(tmp_path, reports, grid):
+    path = tmp_path / "report.json"
+    emit_report(reports, str(path), "json", grid)
+    expected = json.dumps(report_document(reports, grid), indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("family,n_max,q_max", [("linear", 12, 32), ("unitary", 8, 8)])
+def test_emit_report_matches_reference_on_tier1_sweeps(tmp_path, family, n_max, q_max):
+    reports = sweep(family, 3, n_max, q_max)
+    grid = {"family": family, "nMin": 3, "nMax": n_max, "qMax": q_max}
+    assert_report_matches_reference(tmp_path, reports, grid)
+
+
+ODD_TEXT = 'caf\u00e9 "q" back\\slash \t tab \x01 \u2028 \U0001d53d'
+
+
+def _hand_built_reports(witness_value):
+    step = Step(
+        ODD_TEXT,
+        "cites \u201cquotes\u201d\n" + ODD_TEXT,
+        ((ODD_TEXT, witness_value), ("plain", ODD_TEXT), ("zero", 0)),
+        "info",
+    )
+    bare = Step("no-witnesses", "", (), "pass")
+    tuples = (DesignParams(8, 28, 14, 4, 6), DesignParams(8, 42, 21, 4, 9))
+    return [
+        CellReport(
+            ODD_TEXT,
+            3,
+            -2,
+            SubgroupCase("C8_O", ("+", 2)),
+            (step, bare),
+            Final("Survives", None, tuples, ODD_TEXT),
+        ),
+        CellReport(
+            "unitary",
+            10**30,
+            4,
+            SubgroupCase("C2_GU1wr", ()),
+            (),
+            Final("NeedsSearch", None, (), ""),
+        ),
+        CellReport(
+            "linear",
+            4,
+            3,
+            SubgroupCase("C1_Pi", (2,)),
+            (bare, step),
+            Final("Eliminated", 1, tuples[:1], "note"),
+        ),
+    ]
+
+
+WITNESS_VALUES = [
+    True,
+    False,
+    None,
+    -12,
+    2**70,
+    1.5,
+    "",
+    [],
+    {},
+    [1, [2, [True, None, "x"]], []],
+    (3, ("a", {})),
+    {"k": [1, 2], ODD_TEXT: {"inner": None}},
+]
+
+
+@pytest.mark.parametrize("witness_value", WITNESS_VALUES)
+def test_emit_report_matches_reference_on_odd_cells(tmp_path, witness_value):
+    reports = _hand_built_reports(witness_value)
+    for grid in (None, {"family": ODD_TEXT, "n": [3, 4], "nested": {}}):
+        assert_report_matches_reference(tmp_path, reports, grid)
+        assert_report_matches_reference(tmp_path, reports[1:2], grid)
+        assert_report_matches_reference(tmp_path, [], grid)
+
+
+def test_emit_report_unserializable_witness_writes_nothing(tmp_path):
+    path = tmp_path / "bad.json"
+    with pytest.raises(TypeError):
+        emit_report(_hand_built_reports({1, 2}), str(path))
+    assert not path.exists()
 
 
 def test_emit_report_rejects_unknown_format(tmp_path):

@@ -237,7 +237,7 @@ def test_suborbit_screen_keeps_every_design(group, params):
                 unions += 1
                 passes = screen(union)
                 rejected += not passes
-                rec = _candidate_design(act, params, union)
+                rec = _candidate_design(act, params, union, {})
                 if rec is not None:
                     assert passes, sorted(union)
                     found[rec.blocks] = rec
@@ -287,6 +287,24 @@ def test_unitary_36_work_counts(
     assert counts == {"reached": reached, "closures": closures}
     detail = dict(result.certificate)["candidate-blocks"]
     assert detail.startswith(f"tested {tested} orbit unions of size 21 ({breakdown}: ")
+
+
+@pytest.mark.parametrize("group,params", FLAG_ROUTE_SEARCHES)
+def test_each_design_verified_once(monkeypatch, group, params):
+    """Work gate: a union spanning a design already found is not verified
+    again.  Unchecked, pgl2_7's (8,56,21,3,6), (8,42,21,4,9) and
+    (8,28,21,6,15) each verified their one design three times."""
+    calls = []
+    check = designsearch.verify_design
+
+    def counted_verify(action, blocks, expect=None):
+        calls.append(frozenset(blocks))
+        return check(action, blocks, expect=expect)
+
+    monkeypatch.setattr(designsearch, "verify_design", counted_verify)
+    result = stabilizer_search(builtin_action(group), params)
+    assert len(calls) == len(result.designs)
+    assert set(calls) == {frozenset(rec.blocks) for rec in result.designs}
 
 
 # -- stabilizer search, 144-point eliminations
@@ -377,9 +395,9 @@ def _unions_reaching_check(monkeypatch, act, params):
     reached = []
     check = designsearch._candidate_design
 
-    def spy(action, p, union):
+    def spy(action, p, union, known):
         reached.append(union)
-        return check(action, p, union)
+        return check(action, p, union, known)
 
     monkeypatch.setattr(designsearch, "_candidate_design", spy)
     stabilizer_search(act, params)
@@ -428,7 +446,7 @@ def test_certified_144_cell_counts_no_pairs(monkeypatch):
     assert callers == []
     result = stabilizer_search(builtin_action("pgl2_7"), DesignParams(8, 28, 14, 4, 6))
     assert len(result.designs) == 1
-    assert callers == ["verify_design"] * 2  # two unions span the design
+    assert callers == ["verify_design"]  # two unions span it, one checks it
 
 
 def _fano_plus_fixed_point():

@@ -25,6 +25,9 @@ design found is verified once: a later union spanning it is recognized by
 its canonical block set.
 Either way the result carries a certificate describing why the enumeration
 was complete, or the subgroup enumeration raises and no claim is made.
+
+Block orbits and setwise stabilizers come from permgroup's one orbit walk
+(`orbit`, `schreier_generators`) on point sets.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -47,11 +49,10 @@ from typing import (
 )
 
 from .permgroup import (
-    Perm,
     PermAction,
-    compose,
     identity_perm,
-    inverse_perm,
+    orbit,
+    schreier_generators,
     subgroups_of_order,
 )
 from .sieve import DesignParams, check_basic
@@ -144,40 +145,16 @@ def _lambda_through(
     return values.pop() if len(values) == 1 else None
 
 
-def _images_of(points: Iterable[int]):
-    """A function taking a permutation to the tuple of images of points."""
-    points = tuple(points)
-    if len(points) < 2:  # itemgetter of one index returns a bare item
-        return lambda g: tuple(g[i] for i in points)
-    return itemgetter(*points)
-
-
 def set_stabilizer(action: PermAction, block: Iterable[int]) -> Tuple[PermAction, int]:
     """Setwise stabilizer (via Schreier generators) and the set-orbit length."""
-    start = frozenset(block)
-    ident = identity_perm(action.degree)
-    # set -> (transversal element, its inverse)
-    transversal: Dict[FrozenSet[int], Tuple[Perm, Perm]] = {start: (ident, ident)}
-    queue = [start]
-    sgens = set()
-    for cur in queue:
-        images = _images_of(cur)
-        u = transversal[cur][0]
-        for g in action.generators:
-            img = frozenset(images(g))
-            word = compose(u, g)
-            known = transversal.get(img)
-            if known is None:
-                transversal[img] = word, inverse_perm(word)
-                queue.append(img)
-            else:
-                schreier = compose(word, known[1])
-                if schreier != ident:
-                    sgens.add(schreier)
+    blocks, targets = orbit(frozenset(block), action.set_images)
+    sgens = set(schreier_generators(action.generators, targets))
     stab = PermAction(
-        action.degree, sorted(sgens) or [ident], label=f"{action.label}_setstab"
+        action.degree,
+        sorted(sgens) or [identity_perm(action.degree)],
+        label=f"{action.label}_setstab",
     )
-    return stab, len(transversal)
+    return stab, len(blocks)
 
 
 def _flag_transitive_on(action: PermAction, block: FrozenSet[int]) -> bool:
@@ -208,12 +185,12 @@ def korbit_designs(
         key = frozenset(combo)
         if key in seen:
             continue
-        orbit = action.set_orbit(key)
-        seen.update(orbit)
-        b = len(orbit)
+        blocks = action.set_orbit(key)
+        seen.update(blocks)
+        b = len(blocks)
         if (b * k) % v != 0:
             continue
-        lam = _pair_coverage(orbit, v)
+        lam = _pair_coverage(blocks, v)
         if lam is None:
             continue
         r = b * k // v
@@ -224,7 +201,7 @@ def korbit_designs(
             DesignRecord(
                 group=action.label,
                 params=params,
-                blocks=_canonical_blocks(orbit),
+                blocks=_canonical_blocks(blocks),
                 flag_transitive=_flag_transitive_on(action, key),
             )
         )
@@ -281,24 +258,6 @@ def _orbit_unions(
     return found
 
 
-def _bounded_set_orbit(
-    action: PermAction, start: FrozenSet[int], cap: int
-) -> Optional[Tuple[FrozenSet[int], ...]]:
-    """Set orbit in the order found, or None as soon as it grows past cap."""
-    seen = {start}
-    queue = [start]
-    for cur in queue:
-        images = _images_of(cur)
-        for g in action.generators:
-            img = frozenset(images(g))
-            if img not in seen:
-                if len(seen) >= cap:
-                    return None
-                seen.add(img)
-                queue.append(img)
-    return tuple(queue)
-
-
 def _candidate_design(
     action: PermAction,
     params: DesignParams,
@@ -309,18 +268,19 @@ def _candidate_design(
 
     A design in known, keyed by its canonical block set, was checked when
     it was first found; a union spanning it again returns it unchecked."""
-    orbit = _bounded_set_orbit(action, union, params.b)
-    if orbit is None or len(orbit) != params.b:
+    walk = orbit(union, action.set_images, params.b)
+    if walk is None or len(walk[0]) != params.b:
         return None
-    lam = _lambda_through(orbit, min(union), params.v)
+    spanned = walk[0]
+    lam = _lambda_through(spanned, min(union), params.v)
     if lam != params.lam:
         return None
-    blocks = _canonical_blocks(orbit)
+    blocks = _canonical_blocks(spanned)
     if blocks in known:
         return known[blocks]
     if not _flag_transitive_on(action, union):
         return None
-    report = verify_design(action, orbit, expect=params)
+    report = verify_design(action, spanned, expect=params)
     if not (report.ok and report.flag_transitive):
         raise RuntimeError(f"candidate design fails verification: {report.problems}")
     return DesignRecord(
@@ -523,8 +483,8 @@ def verify_design(
             if frozenset(g[i] for i in block) not in block_lookup:
                 problems.append("block set is not invariant under the group")
                 return VerifyReport(False, params, False, tuple(problems))
-    orbit = _bounded_set_orbit(action, bset[0], b + 1)
-    block_transitive = orbit is not None and set(orbit) == block_lookup
+    walk = orbit(bset[0], action.set_images, b + 1)
+    block_transitive = walk is not None and set(walk[0]) == block_lookup
     if not block_transitive:
         problems.append("group is not transitive on blocks")
     flag = block_transitive and _flag_transitive_on(action, bset[0])

@@ -4,18 +4,24 @@ Everything is deterministic: element lists are sorted, orbit enumerations run
 breadth-first over sorted generator lists, and the builtin actions are
 constructed the same way in every process.  Elements are plain tuples.
 
+Outside the stabilizer chain, which grows its orbits incrementally, every
+orbit (of points, of point sets, of subgroups under conjugation) is found by
+one breadth-first walk, `orbit`.  The Schreier generators of that walk
+(`schreier_generators`) generate the stabilizer of its start: a setwise
+stabilizer, or the normalizer of a subgroup.
+
 Group order, membership and point stabilizers are read off a base and strong
 generating set (Sims 1970; Seress, *Permutation Group Algorithms*, ch. 4-5),
 built once per action by deterministic Schreier-Sims, so no element of a
 large group is ever listed for them.  Breadth-first closure (`elements`)
 remains for groups of order at most 1000, where it supplies the lattice
 search's extension candidates, and as the independent oracle of the tests.
-Subgroups are handled as generator sets, one conjugacy class at a time:
-grown from class representatives by cyclic extension on permutations in
-small groups, and from the Sylow-normalizer argument in larger ones.  No
-multiplication table is kept.  The builtin constructions pick their
-generators and subgroups from fixed walks over generator words, each choice
-certified by its chain order.
+Subgroups are handled as generator sets, one conjugacy class at a time, each
+class given by one representative and its size: grown from class
+representatives by cyclic extension on permutations in small groups, and
+from the Sylow-normalizer argument in larger ones.  No multiplication table
+is kept.  The builtin constructions pick their generators and subgroups from
+fixed walks over generator words, each choice certified by its chain order.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Hashable,
     Iterable,
     Iterator,
     List,
@@ -56,6 +63,8 @@ __all__ = [
     "subgroups_of_order",
     "SubgroupClass",
     "StabChain",
+    "orbit",
+    "schreier_generators",
     "builtin_action",
     "BUILTIN_NAMES",
     "load_action",
@@ -222,20 +231,6 @@ def _mat_identity(F: FieldTable, n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _mat_mul(F: FieldTable, A: Matrix, B: Matrix) -> Matrix:
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = 0
-            for k in range(n):
-                acc = F.add(acc, F.mul(A[i][k], B[k][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def _vec_mat(F: FieldTable, x: Sequence[int], A: Matrix) -> Tuple[int, ...]:
     n = len(A)
     return tuple(
@@ -395,6 +390,64 @@ def _perm_power(p: Perm, e: int) -> Perm:
 
 def _first_moved(p: Perm) -> int:
     return next(i for i, image in enumerate(p) if image != i)
+
+
+def orbit(
+    start: Hashable,
+    moves: Callable[[Hashable], Iterable[Hashable]],
+    cap: Optional[int] = None,
+) -> Optional[Tuple[List[Hashable], List[int]]]:
+    """Breadth-first orbit of start, where moves(x) lists x's images, one
+    per generator in a fixed order.
+
+    Returns the points in discovery order and, for every point in that
+    order and every generator, the discovery index of the image: the
+    targets of the walk's edges, generator-major within each point.  None
+    as soon as the orbit grows past cap points.
+    """
+    index = {start: 0}
+    points = [start]
+    targets: List[int] = []
+    for cur in points:
+        for image in moves(cur):
+            at = index.get(image)
+            if at is None:
+                if cap is not None and len(points) >= cap:
+                    return None
+                at = index[image] = len(points)
+                points.append(image)
+            targets.append(at)
+    return points, targets
+
+
+def schreier_generators(
+    generators: Sequence[Perm], targets: Sequence[int]
+) -> List[Perm]:
+    """Generators of the stabilizer of an orbit walk's start point.
+
+    targets is what `orbit` returned for a walk whose moves apply these
+    generators in order.  Each point's transversal element u is the word
+    along the edge that discovered it, so u maps the start to it; every
+    other edge, from p by g to t, gives the Schreier generator
+    u_p * g * u_t^-1 (Schreier's lemma; Seress, *Permutation Group
+    Algorithms*, ch. 4).  Listed in edge order, identities left out.
+    """
+    ident = identity_perm(len(generators[0]))
+    trans, inv = [ident], [ident]
+    out = []
+    edges = iter(targets)
+    for u in trans:  # grows while the walk's edges are replayed
+        for g in generators:
+            word = compose(u, g)
+            t = next(edges)
+            if t == len(trans):
+                trans.append(word)
+                inv.append(inverse_perm(word))
+            else:
+                s = compose(word, inv[t])
+                if s != ident:
+                    out.append(s)
+    return out
 
 
 class StabChain:
@@ -593,14 +646,8 @@ class PermAction:
         return len(perm) == self.degree and self.chain().contains(perm)
 
     def orbit(self, point: int) -> Tuple[int, ...]:
-        seen = {point}
-        queue = [point]
-        for cur in queue:
-            for g in self.generators:
-                if g[cur] not in seen:
-                    seen.add(g[cur])
-                    queue.append(g[cur])
-        return tuple(sorted(seen))
+        gens = self.generators
+        return tuple(sorted(orbit(point, lambda x: [g[x] for g in gens])[0]))
 
     def orbits(self) -> Tuple[Tuple[int, ...], ...]:
         left = set(range(self.degree))
@@ -638,20 +685,19 @@ class PermAction:
         """Sorted orbit lengths of the stabilizer of point."""
         return tuple(sorted(len(orb) for orb in self.point_stabilizer(point).orbits()))
 
+    def set_images(self, points: FrozenSet[int]) -> List[FrozenSet[int]]:
+        """The image of a point set under each generator, in order."""
+        if len(points) < 2:  # itemgetter of one index returns a bare item
+            return [frozenset(g[i] for i in points) for g in self.generators]
+        images = itemgetter(*points)
+        return [frozenset(images(g)) for g in self.generators]
+
     def set_orbit(self, points: Iterable[int]) -> Tuple[FrozenSet[int], ...]:
         """Orbit of a point set under the group, sorted canonically."""
         start = frozenset(points)
         if not all(0 <= i < self.degree for i in start):
             raise ValueError("set contains points outside the domain")
-        seen = {start}
-        queue = [start]
-        for cur in queue:
-            for g in self.generators:
-                nxt = frozenset(g[i] for i in cur)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return tuple(sorted(seen, key=sorted))
+        return tuple(sorted(orbit(start, self.set_images)[0], key=sorted))
 
 
 # ---------------------------------------------------------------------------
@@ -899,30 +945,25 @@ def subgroup_conjugation_action(
     action: PermAction, subgroup: Iterable[Perm]
 ) -> PermAction:
     """Action on the conjugates of a subgroup, in discovery order."""
-    start = frozenset(subgroup)
-    seen = {start: 0}
-    queue = [start]
+    conjugates, targets = orbit(frozenset(subgroup), _conjugation_moves(action))
+    n = len(action.generators)
+    images = [targets[j::n] for j in range(n)]
+    return PermAction(len(conjugates), images, label=f"{action.label}_conj")
+
+
+def _conjugation_moves(action: PermAction) -> Callable[[FrozenSet[Perm]], List]:
+    """moves for `orbit` on subgroups given by their element sets: the
+    conjugates by each generator of the action."""
     conjugators = [_conjugator(g) for g in action.generators]
-    images: List[List[int]] = [[] for _ in conjugators]
-    for cur in queue:
-        for conj, column in zip(conjugators, images):
-            nxt = frozenset(map(conj, cur))
-            if nxt not in seen:
-                seen[nxt] = len(queue)
-                queue.append(nxt)
-            column.append(seen[nxt])
-    return PermAction(len(queue), images, label=f"{action.label}_conj")
+    return lambda sub: [frozenset(map(conj, sub)) for conj in conjugators]
 
 
 class SubgroupClass(NamedTuple):
-    """One conjugacy class of subgroups, each member given by generators.
-
-    The representative is the first member; size is the number of members.
-    """
+    """One conjugacy class of subgroups: generators of one member, the
+    representative, and the number of members."""
 
     representative: Tuple[Perm, ...]
     size: int
-    members: Tuple[Tuple[Perm, ...], ...]
 
 
 def _closure(
@@ -961,8 +1002,9 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     permutations.  An element y' = u*y^j with u in U and j prime to the
     order of y gives <U, y'> = <U, y>, so it is skipped.  A subgroup not
     met before opens a class, its orbit under conjugation by the group's
-    generators, in which each member carries its conjugated generators; only
-    the representative is extended further.
+    generators, and becomes the class representative, given by the
+    generators it was grown from; only representatives are extended
+    further.
 
     This is complete.  Every subgroup K > 1 of order dividing m is <K', y>
     for some K' < K and y in K, both of order dividing m.  By induction K'
@@ -970,9 +1012,9 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     when U is extended (if y^(g^-1) is skipped, through the element it was
     skipped for), so K's class is opened.
 
-    Classes are listed by their least member in sorted element order, and
-    the members of a class likewise.  A class of subgroups K whose size does
-    not divide |G : K| cannot be a conjugacy class, and raises.
+    Classes are listed by their least member in sorted element order.  A
+    class of subgroups K whose size does not divide |G : K| cannot be a
+    conjugacy class, and raises.
     """
     order = action.order()
     # each candidate y with the generators y^j, j prime to its order, of <y>
@@ -982,7 +1024,7 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
         if m % d == 0:
             walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
             candidates.append((y, [z for j, z in walk if _gcd2(j, d) == 1]))
-    conjugators = [_conjugator(g) for g in action.generators]
+    moves = _conjugation_moves(action)
     known = set()  # every member of every class opened so far
     trivial = frozenset({identity_perm(action.degree)})
     reps: List[Tuple[FrozenSet[Perm], Tuple[Perm, ...]]] = [(trivial, ())]
@@ -998,28 +1040,19 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
             grown = _closure(sub, gens + (y,), m)
             if grown is None or m % len(grown) or grown in known:
                 continue
-            orbit = {grown: gens + (y,)}
-            queue = [grown]
-            for cur in queue:
-                for conj in conjugators:
-                    nxt = frozenset(map(conj, cur))
-                    if nxt not in orbit:
-                        orbit[nxt] = tuple(map(conj, orbit[cur]))
-                        queue.append(nxt)
-            if (order // len(grown)) % len(orbit):
+            members = orbit(grown, moves)[0]
+            if (order // len(grown)) % len(members):
                 raise RuntimeError(
-                    f"a class of {len(orbit)} subgroups of order {len(grown)} "
+                    f"a class of {len(members)} subgroups of order {len(grown)} "
                     f"in a group of order {order}: the size must divide the index"
                 )
-            known.update(orbit)
+            known.update(members)
             reps.append((grown, gens + (y,)))
             if len(grown) == m:
-                classes.append(sorted((sorted(k), g) for k, g in orbit.items()))
-    classes.sort()
-    return tuple(
-        SubgroupClass(members[0][1], len(members), tuple(g for _, g in members))
-        for members in classes
-    )
+                least = min(sorted(k) for k in members)
+                classes.append((least, SubgroupClass(gens + (y,), len(members))))
+    classes.sort(key=itemgetter(0))
+    return tuple(cls for _, cls in classes)
 
 
 def _words(action: PermAction) -> Iterator[Perm]:
@@ -1101,9 +1134,9 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
     the enumeration complete, and the normalizers form one class.
 
     No element list is needed: P is generated by one element x, its
-    conjugates come from conjugating x by the generators with a transversal,
+    conjugates are the orbit of P under conjugation by the generators,
     |N(P)| = |G| / (number of conjugates) decides conclusiveness, and the
-    Schreier generators of that orbit generate N(P).
+    Schreier generators of that orbit generate N(P), the representative.
     """
     n = action.order()
     for ell, e in factorize(m).pairs:
@@ -1119,36 +1152,25 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
         )
         if not forced:
             continue
-        x = _element_of_order(action, ell)
-        ident = identity_perm(action.degree)
-        # conjugate's key -> (transversal element, its inverse)
-        transversal = {_cyclic_key(x): (ident, ident)}
-        queue = [(x, ident)]
-        steps = [(g, _conjugator(g)) for g in action.generators]
-        schreier: List[Perm] = []
-        for y, t in queue:
-            for g, conj in steps:
-                z = conj(y)
-                word = compose(t, g)
-                conjugate = _cyclic_key(z)
-                known = transversal.get(conjugate)
-                if known is None:
-                    transversal[conjugate] = word, inverse_perm(word)
-                    queue.append((z, word))
-                else:
-                    s = compose(word, known[1])
-                    if s != ident:
-                        schreier.append(s)
-        if n // len(transversal) != m:
+        conjugators = [_conjugator(g) for g in action.generators]
+        # each conjugate of P is keyed by its generator _cyclic_key picks
+        conjugates, targets = orbit(
+            _cyclic_key(_element_of_order(action, ell)),
+            lambda y: [_cyclic_key(conj(y)) for conj in conjugators],
+        )
+        if n // len(conjugates) != m:
             return None  # normalizer bigger than m: route not conclusive
         normalizer = StabChain(action.degree)
-        gens = tuple(s for s in schreier if normalizer.extend(s))
+        gens = tuple(
+            s
+            for s in schreier_generators(action.generators, targets)
+            if normalizer.extend(s)
+        )
         if normalizer.order() != m:
             raise RuntimeError(
                 f"Sylow normalizer has order {normalizer.order()}, expected {m}"
             )
-        members = tuple(tuple(map(_conjugator(t), gens)) for _, t in queue)
-        return (SubgroupClass(members[0], len(members), members),)
+        return (SubgroupClass(gens, len(conjugates)),)
     return None
 
 
@@ -1163,7 +1185,7 @@ def subgroups_of_order(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     if m < 1 or order % m != 0:
         return ()
     if m == 1:
-        return (SubgroupClass((), 1, ((),)),)
+        return (SubgroupClass((), 1),)
     if order <= 1000:
         return _lattice_route(action, m)
     sylow = _sylow_route(action, m)
@@ -1282,6 +1304,8 @@ def load_action(path: str, label: str = "") -> PermAction:
             gens.append(images)
     if degree is None:
         raise ValueError(f"no 'degree N' header in {path}")
+    if not gens:
+        raise ValueError(f"no generator lines after the header in {path}")
     return PermAction(
         degree, gens, label=label or os.path.splitext(os.path.basename(path))[0]
     )

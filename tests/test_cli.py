@@ -296,6 +296,15 @@ def test_search_incomplete_tuple_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_search_rejects_header_only_action_file(capsys, tmp_path):
+    path = tmp_path / "empty.gens"
+    path.write_text("degree 5\n")
+    code = main(["search", "--action-file", str(path), "--k", "2"])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE == 2
+    assert f"no generator lines after the header in {path}" in err
+
+
 def test_verify_round_trip(capsys, tmp_path):
     run_cli(capsys, *"search --group pgl2_7 --k 4 --out-dir".split(), str(tmp_path))
     for path in sorted(tmp_path.glob("*.design")):

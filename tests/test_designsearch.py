@@ -2,6 +2,7 @@
 
 import functools
 import math
+import random
 import sys
 
 import pytest
@@ -106,6 +107,24 @@ def test_set_stabilizer_orders():
     # Lagrange on an arbitrary 4-set
     stab2, orbit2 = set_stabilizer(act, {0, 1, 2, 3})
     assert stab2.order() * orbit2 == act.order()
+
+
+@pytest.mark.parametrize("name", ["pgl2_7", "psu3_3_36"])
+def test_set_stabilizer_matches_element_count(name):
+    """Order and orbit length against a count over every element, on seeded
+    random subsets; on psu3_3_36 in its order-168 point stabilizer."""
+    act = builtin_action(name)
+    group = act.point_stabilizer(0) if name == "psu3_3_36" else act
+    elements = group.elements()
+    rng = random.Random(f"setstab/{name}")
+    for _ in range(8):
+        size = rng.randrange(1, group.degree)
+        block = frozenset(rng.sample(range(group.degree), size))
+        images = [frozenset(g[i] for i in block) for g in elements]
+        stab, orbit_len = set_stabilizer(group, block)
+        assert stab.order() == images.count(block)
+        assert orbit_len == len(set(images))
+        assert all(frozenset(g[i] for i in block) == block for g in stab.generators)
 
 
 # -- stabilizer search, positive controls
@@ -217,7 +236,7 @@ FLAG_ROUTE_SEARCHES = (
 
 
 @pytest.mark.parametrize("group,params", FLAG_ROUTE_SEARCHES)
-def test_suborbit_screen_keeps_every_design(group, params):
+def test_suborbit_screen_keeps_every_design(group, params, class_members):
     """Oracle for the flag route, walking every member of every class, not
     only the class representatives the search enumerates: every orbit union
     that the full candidate check accepts passes the subdegree identity,
@@ -228,10 +247,12 @@ def test_suborbit_screen_keeps_every_design(group, params):
     assert m > 1
     screen = _suborbit_screen(act, params, 0)
     found, unions, rejected = {}, 0, 0
-    for cls in subgroups_of_order(act.point_stabilizer(0), m):
-        assert len(cls.members) == cls.size
-        for gens in cls.members:
-            orbits = PermAction(params.v, gens).orbits()
+    stab = act.point_stabilizer(0)
+    for cls in subgroups_of_order(stab, m):
+        members = class_members(stab, cls)
+        assert len(members) == cls.size
+        for sub in members:
+            orbits = PermAction(params.v, sub).orbits()
             forced = [orb for orb in orbits if 0 in orb]
             for union in _orbit_unions(orbits, forced, params.k):
                 unions += 1

@@ -21,6 +21,7 @@ from flagsieve.permgroup import (
     identity_perm,
     inverse_perm,
     load_action,
+    orbit,
     pair_action,
     perm_order,
     projective_points,
@@ -276,13 +277,11 @@ def _sizes(classes):
     return [cls.size for cls in classes]
 
 
-def test_subgroups_of_order_projective_line():
+def test_subgroups_of_order_projective_line(class_members):
     act = builtin_action("psl2_7")
     eights = subgroups_of_order(act, 8)
     assert sum(_sizes(eights)) == 21
-    assert all(
-        PermAction(8, gens).order() == 8 for cls in eights for gens in cls.members
-    )
+    assert all(len(sub) == 8 for cls in eights for sub in class_members(act, cls))
     assert _sizes(eights) == [21]
     sixes = subgroups_of_order(act, 6)
     assert sum(_sizes(sixes)) == 28
@@ -312,7 +311,7 @@ PSL2_7_SUBGROUP_CLASSES = {
 
 
 @pytest.mark.parametrize("name", ["psu3_3_36", "psl2_7"])
-def test_lattice_route_matches_atlas_psl2_7(name):
+def test_lattice_route_matches_atlas_psl2_7(name, class_members):
     """The lattice route on two actions of PSL(2,7): the 36-point unitary
     action's point stabilizer, and PSL(2,7) on the projective line."""
     act = builtin_action(name)
@@ -324,7 +323,7 @@ def test_lattice_route_matches_atlas_psl2_7(name):
         classes = subgroups_of_order(group, m)
         assert sorted(_sizes(classes)) == PSL2_7_SUBGROUP_CLASSES[m], m
         for cls in classes:
-            assert len(cls.members) == cls.size
+            assert len(class_members(group, cls)) == cls.size
             assert PermAction(group.degree, cls.representative).order() == m
 
 
@@ -340,7 +339,7 @@ PGL2_7_SUBGROUP_CLASSES = {
 
 
 @pytest.mark.parametrize("name", ["psu3_3_2_36", "pgl2_7"])
-def test_lattice_route_pgl2_7_classes(name):
+def test_lattice_route_pgl2_7_classes(name, class_members):
     """The lattice route on two actions of PGL(2,7): the 36-point action's
     point stabilizer under PSU_3(3):2, and PGL(2,7) on the projective line.
     Every member of every class generates a group of order m, and the
@@ -355,11 +354,11 @@ def test_lattice_route_pgl2_7_classes(name):
         assert sorted(_sizes(classes)) == PGL2_7_SUBGROUP_CLASSES[m], m
         subgroups = set()
         for cls in classes:
-            assert len(cls.members) == cls.size
-            for gens in cls.members:
-                sub = PermAction(group.degree, gens)
-                assert sub.order() == m
-                subgroups.add(frozenset(sub.elements()))
+            members = class_members(group, cls)
+            assert len(members) == cls.size
+            for sub in members:
+                assert len(sub) == m
+                subgroups.add(sub)
         assert len(subgroups) == sum(_sizes(classes))
 
 
@@ -373,22 +372,21 @@ def test_point_stabilizer_is_built_once_per_point():
     assert other.order() == stab.order() == 168
 
 
-def test_subgroups_closed_under_multiplication():
+def test_subgroups_closed_under_multiplication(class_members):
     act = builtin_action("psl2_7")
     (sixes,) = subgroups_of_order(act, 6)
-    for gens in sixes.members[:5]:
-        sub = set(PermAction(8, gens).elements())
+    for sub in class_members(act, sixes)[:5]:
         assert len(sub) == 6 and sub <= set(act.elements())
         for a in sub:
             for b in sub:
                 assert compose(a, b) in sub
 
 
-def test_subgroups_of_order_sylow_route():
+def test_subgroups_of_order_sylow_route(class_members):
     act = builtin_action("psl3_3_2_144")
     subs = subgroups_of_order(act, 78)
     assert sum(_sizes(subs)) == 144
-    assert all(PermAction(144, gens).order() == 78 for gens in subs[0].members)
+    assert all(len(sub) == 78 for sub in class_members(act, subs[0]))
     assert _sizes(subs) == [144]
 
 
@@ -404,7 +402,7 @@ def test_subgroups_of_order_edge_cases():
     act = builtin_action("psl2_7")
     assert subgroups_of_order(act, 5) == ()
     ones = subgroups_of_order(act, 1)
-    assert ones == (SubgroupClass(representative=(), size=1, members=((),)),)
+    assert ones == (SubgroupClass(representative=(), size=1),)
     assert PermAction(8, ones[0].representative).order() == 1
 
 
@@ -420,6 +418,20 @@ def test_two_three_seven_subgroup():
     # every (2,3,7) pair of PSL(2,7) generates all of it, none a group of order 21
     with pytest.raises(RuntimeError):
         _two_three_seven_subgroup(builtin_action("psl2_7"), 21)
+
+
+def test_orbit_walk_cap_edges():
+    """The walk returns an orbit of exactly cap points, and None once the
+    orbit grows past cap."""
+    act = builtin_action("pgl2_7")
+    start = frozenset({0, 1, 2, 3})
+    full = orbit(start, act.set_images)
+    assert full is not None
+    points, targets = full
+    assert sorted(points, key=sorted) == list(act.set_orbit(start))
+    assert len(targets) == len(points) * len(act.generators)
+    assert orbit(start, act.set_images, len(points)) == full
+    assert orbit(start, act.set_images, len(points) - 1) is None
 
 
 def test_set_orbit_rejects_foreign_points():
@@ -455,6 +467,10 @@ def test_load_action_rejects_malformed(tmp_path):
     empty.write_text("# nothing\n")
     with pytest.raises(ValueError):
         load_action(str(empty))
+    header_only = tmp_path / "e.gens"
+    header_only.write_text("degree 5\n")
+    with pytest.raises(ValueError, match="no generator lines .*e.gens"):
+        load_action(str(header_only))
 
 
 # -- stabilizer chain against breadth-first enumeration
@@ -511,20 +527,23 @@ def test_chain_matches_enumeration(name):
 
 
 @pytest.mark.parametrize("name,m", [("psl3_3_144", 39), ("psl3_3_2_144", 78)])
-def test_sylow_route_matches_element_list(name, m):
+def test_sylow_route_matches_element_list(name, m, class_members):
     act = builtin_action(name)
     group = _bfs_closure(act.degree, act.generators)
     sylow_count = sum(1 for g in group if perm_order(g) == 13) // 12
     assert sylow_count == 144
     (cls,) = subgroups_of_order(act, m)
-    assert cls.size == len(cls.members) == sylow_count
-    assert cls.representative == cls.members[0]
-    members = set()
-    for gens in cls.members:
-        sub = frozenset(_bfs_closure(act.degree, gens))
+    # the representative has order m and normalizes a Sylow 13-subgroup
+    rep = _bfs_closure(act.degree, cls.representative)
+    assert len(rep) == m and rep <= group
+    sylow = {g for g in rep if perm_order(g) in (1, 13)}
+    assert len(sylow) == 13
+    for s in cls.representative:
+        assert {conjugate_perm(x, s) for x in sylow} == sylow
+    members = class_members(act, cls)
+    assert cls.size == len(members) == sylow_count
+    for sub in members:
         assert len(sub) == m and sub <= group
-        members.add(sub)
-    assert len(members) == sylow_count
 
 
 # -- element budget

@@ -1,11 +1,13 @@
-"""Source checks: the package's verdicts do not depend on `assert`.
+"""Source checks on the package.
 
 `python -O` strips assert statements, so a correctness check written as one
 would silently vanish there.  Every check in the package is an explicit
-raise instead, and this test keeps it that way.
+raise instead, and this test keeps it that way.  The package also carries
+no private function that nothing calls, and exports only names it defines.
 """
 
 import ast
+import importlib
 import os
 
 import flagsieve
@@ -13,16 +15,58 @@ import flagsieve
 SRC = os.path.dirname(flagsieve.__file__)
 
 
+def _modules():
+    """(module name, parsed tree) for every source file of the package."""
+    out = []
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            path = os.path.join(SRC, name)
+            with open(path, encoding="utf-8") as handle:
+                out.append((name[:-3], ast.parse(handle.read(), filename=path)))
+    return out
+
+
+def test_every_private_function_is_referenced():
+    defined = set()  # (module, name) of module-level private functions
+    used = set()  # (name, module and top-level statement it occurs in)
+    for module, tree in _modules():
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            if isinstance(stmt, ast.FunctionDef) and owner.startswith("_"):
+                defined.add((module, owner))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    used.add((node.id, module, owner))
+                elif isinstance(node, ast.Attribute):
+                    used.add((node.attr, module, owner))
+                elif isinstance(node, ast.alias):
+                    used.add((node.name, module, owner))
+    unreferenced = [
+        f"{module}.{name}"
+        for module, name in sorted(defined)
+        if not any(
+            ref == name and (where, owner) != (module, name)
+            for ref, where, owner in used
+        )
+    ]
+    assert unreferenced == []
+
+
+def test_every_exported_name_exists():
+    missing = []
+    for module, tree in _modules():
+        loaded = importlib.import_module(f"flagsieve.{module}")
+        for name in getattr(loaded, "__all__", ()):
+            if not hasattr(loaded, name):
+                missing.append(f"{module}.{name}")
+    assert missing == []
+
+
 def test_package_has_no_assert_statements():
     found = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(SRC, name)
-        with open(path, encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), filename=path)
+    for module, tree in _modules():
         found += [
-            f"{name}:{node.lineno}"
+            f"{module}.py:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Assert)
         ]

@@ -199,14 +199,28 @@ def divisors_upto(n: int, cap: int) -> list[int]:
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of the prime p dividing n."""
+    """Largest power of the prime p dividing n.
+
+    Divides out p, p^2, p^4, ... in turn while they divide.  The exponent
+    left is then below the one that failed, so one pass back down through
+    the same powers, each dividing at most once, removes it: a part p^e
+    costs O(log e) divisions, not e.  For p = 2 it is the lowest set bit.
+    """
     if n == 0:
         raise ValueError("p_part of zero")
     n = abs(n)
-    out = 1
-    while n % p == 0:
-        n //= p
-        out *= p
+    if p == 2:
+        return n & -n
+    out, powers, q = 1, [], p
+    while n % q == 0:
+        n //= q
+        out *= q
+        powers.append(q)
+        q *= q
+    for q in reversed(powers):
+        if n % q == 0:
+            n //= q
+            out *= q
     return out
 
 

@@ -93,6 +93,14 @@ class GroupSpec:
             return tuple((j, 1) for j in range(2, self.n + 1))
         return tuple((j, (-1) ** j) for j in range(2, self.n + 1))
 
+    @functools.cached_property
+    def socle_order(self) -> int:
+        """Order of the simple socle, computed once per spec: every cell
+        of a sweep over this socle reads it through `order_x`."""
+        q, n = self.q, self.n
+        raw = q ** (n * (n - 1) // 2) * q_product(q, self.eps_terms)
+        return _exact_div(raw, self.d, "the socle")
+
 
 def gl_order(a: int, q: int) -> int:
     """|GL_a(q)|."""
@@ -138,8 +146,7 @@ def so_order(n: int, q: int, eps: str = "o") -> int:
 
 def order_x(spec: GroupSpec) -> int:
     """Order of the simple socle."""
-    raw = spec.q ** (spec.n * (spec.n - 1) // 2) * q_product(spec.q, spec.eps_terms)
-    return _exact_div(raw, spec.d, "the socle")
+    return spec.socle_order
 
 
 def order_out(spec: GroupSpec) -> int:
@@ -256,7 +263,9 @@ def _bounded(spec: GroupSpec, ox: int, bound: Optional[int]) -> CaseOrders:
     )
 
 
-def _exact_div(num: int, den: int, what: str) -> int:
+def _exact_div(num: int, den: int, what: object) -> int:
+    """num / den, or an error naming what: a string, or a case, whose label
+    is formatted only when the division fails."""
     if num % den != 0:
         raise ArithmeticError(f"non-integral order for {what}: {num}/{den}")
     return num // den
@@ -394,29 +403,23 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
     if kind == "C1_Pi":
         (i,) = params
         v = gaussian_binomial(n, i, q)
-        return _exact(spec, ox, _exact_div(ox, v, case_label(case)))
+        return _exact(spec, ox, _exact_div(ox, v, case))
     if kind == "C1_Pij":
         (i,) = params
         v = gaussian_binomial(n, i, q) * gaussian_binomial(n - i, i, q)
-        return _exact(spec, ox, _exact_div(ox, v, case_label(case)))
+        return _exact(spec, ox, _exact_div(ox, v, case))
     if kind == "C1_GLiGLni":
         (i,) = params
-        h0 = _exact_div(
-            gl_order(i, q) * gl_order(n - i, q), (q - 1) * d, case_label(case)
-        )
+        h0 = _exact_div(gl_order(i, q) * gl_order(n - i, q), (q - 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "C2_GLwr":
         m, t = params
-        h0 = _exact_div(
-            math.factorial(t) * gl_order(m, q) ** t, (q - 1) * d, case_label(case)
-        )
+        h0 = _exact_div(math.factorial(t) * gl_order(m, q) ** t, (q - 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "C3":
         m, t = params
         ext = q_product(q, tuple((t * j, 1) for j in range(1, m + 1)))
-        h0 = _exact_div(
-            t * q ** (n * (m - 1) // 2) * ext, (q - 1) * d, case_label(case)
-        )
+        h0 = _exact_div(t * q ** (n * (m - 1) // 2) * ext, (q - 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "C4":
         (i,) = params
@@ -427,7 +430,7 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
         h0 = _exact_div(
             gcd(i, j, q - 1) * q ** ((i * i + j * j - i - j) // 2) * tail,
             d,
-            case_label(case),
+            case,
         )
         return _exact(spec, ox, h0)
     if kind == "C5_subfield":
@@ -437,7 +440,7 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
             c * q0 ** (n * (n - 1) // 2)
             * q_product(q0, tuple((j, 1) for j in range(2, n + 1))),
             d,
-            case_label(case),
+            case,
         )
         return _exact(spec, ox, h0)
     if kind == "C6":
@@ -453,7 +456,7 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
         m, t = params
         return _bounded(spec, ox, q ** (t * (m * m - 1)) * math.factorial(t))
     if kind == "C8_Sp":
-        h0 = _exact_div(gcd(n // 2, q - 1) * sp_order(n, q), d, case_label(case))
+        h0 = _exact_div(gcd(n // 2, q - 1) * sp_order(n, q), d, case)
         return _exact(spec, ox, h0)
     if kind == "C8_O":
         (eps,) = params
@@ -465,7 +468,7 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
             c * q0 ** (n * (n - 1) // 2)
             * q_product(q0, tuple((j, (-1) ** j) for j in range(2, n + 1))),
             d,
-            case_label(case),
+            case,
         )
         return _exact(spec, ox, h0)
     if kind == "S":
@@ -482,32 +485,26 @@ def _unitary_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
     if kind == "C1_Pi":
         (i,) = params
         v = totally_singular_count(n, i, q)
-        return _exact(spec, ox, _exact_div(ox, v, case_label(case)))
+        return _exact(spec, ox, _exact_div(ox, v, case))
     if kind == "C1_Ni":
         (i,) = params
-        h0 = _exact_div(
-            gu_order(i, q) * gu_order(n - i, q), (q + 1) * d, case_label(case)
-        )
+        h0 = _exact_div(gu_order(i, q) * gu_order(n - i, q), (q + 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "C2_GU1wr":
-        h0 = _exact_div(
-            math.factorial(n) * (q + 1) ** (n - 1), d, case_label(case)
-        )
+        h0 = _exact_div(math.factorial(n) * (q + 1) ** (n - 1), d, case)
         return _exact(spec, ox, h0)
     if kind == "C2_GLwr":
         m, t = params
-        h0 = _exact_div(
-            math.factorial(t) * gu_order(m, q) ** t, (q + 1) * d, case_label(case)
-        )
+        h0 = _exact_div(math.factorial(t) * gu_order(m, q) ** t, (q + 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "C2_GLhalf":
-        h0 = _exact_div(2 * gl_order(n // 2, q * q), (q + 1) * d, case_label(case))
+        h0 = _exact_div(2 * gl_order(n // 2, q * q), (q + 1) * d, case)
         return _exact(spec, ox, h0)
     if kind in ("C3", "C4", "C5_subfield", "C6", "C7"):
         # excluded wholesale by the prior classifications; no orders needed
         return _bounded(spec, ox, None)
     if kind == "C5_Sp":
-        h0 = _exact_div(sp_order(n, q), gcd(2, q - 1), case_label(case))
+        h0 = _exact_div(sp_order(n, q), gcd(2, q - 1), case)
         return _exact(spec, ox, h0)
     if kind == "C5_O":
         (eps,) = params

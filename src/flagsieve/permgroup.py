@@ -991,6 +991,14 @@ def _closure(
     return frozenset(elements)
 
 
+def _all_solvable(m: int) -> bool:
+    """True when a theorem makes every group of order dividing m solvable:
+    m odd (Feit and Thompson 1963) or m with at most two prime factors
+    (Burnside's p^a q^b theorem).  The test is sufficient, not necessary:
+    every group of order 42 or 84 is solvable too, yet both answer False."""
+    return m % 2 == 1 or len(factorize(m).pairs) <= 2
+
+
 def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     """The classes of order-m subgroups, grown up to conjugacy by cyclic
     extension (Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
@@ -1012,6 +1020,13 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     when U is extended (if y^(g^-1) is skipped, through the element it was
     skipped for), so K's class is opened.
 
+    When `_all_solvable(m)`, only elements y that normalize U extend it:
+    y^-1*u*y lies in U for each generator u of U.  This stays complete.  A
+    solvable K > 1 has a normal subgroup K' of prime index, so K = <K', y>
+    for any y in K outside K', and y normalizes K'.  With K' = U^g as
+    above, y^(g^-1) normalizes U, so K's class is still opened.  The skip
+    of u*y^j stays sound, since u*y^j normalizes U exactly when y does.
+
     Classes are listed by their least member in sorted element order.  A
     class of subgroups K whose size does not divide |G : K| cannot be a
     conjugacy class, and raises.
@@ -1024,6 +1039,7 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
         if m % d == 0:
             walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
             candidates.append((y, [z for j, z in walk if _gcd2(j, d) == 1]))
+    normalizers_only = _all_solvable(m)
     moves = _conjugation_moves(action)
     known = set()  # every member of every class opened so far
     trivial = frozenset({identity_perm(action.degree)})
@@ -1035,6 +1051,11 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
         tried = set(sub)
         for y, powers in candidates:
             if y in tried:
+                continue
+            # powers ends with y^(d-1), the inverse of y
+            if normalizers_only and any(
+                compose(compose(powers[-1], u), y) not in sub for u in gens
+            ):
                 continue
             tried.update(compose(u, z) for u in sub for z in powers)
             grown = _closure(sub, gens + (y,), m)

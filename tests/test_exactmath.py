@@ -1,5 +1,6 @@
 """Frozen oracles for the exact arithmetic layer."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,28 @@ def test_p_parts():
     assert p_prime_part(1296, 2) == 81
     with pytest.raises(ValueError):
         p_part(0, 2)
+
+
+def _p_part_by_division(n, p):
+    """The largest power of p dividing n, one division at a time."""
+    n, out = abs(n), 1
+    while n % p == 0:
+        n //= p
+        out *= p
+    return out
+
+
+def test_p_part_matches_division_loop():
+    """Seeded oracle: every exponent 0..400 of six primes, times a random
+    cofactor, of either sign."""
+    rng = random.Random(11)
+    for p in (2, 3, 5, 7, 13, 101):
+        for e in range(401):
+            n = p**e * rng.randrange(1, 10**6) * rng.choice((1, -1))
+            assert p_part(n, p) == _p_part_by_division(n, p), (p, e)
+            assert p_prime_part(n, p) * p_part(n, p) == abs(n)
+    with pytest.raises(ValueError):
+        p_part(0, 3)
 
 
 def test_prime_power_decomposition():

@@ -6,9 +6,12 @@ values for the small classical groups involved.
 
 import hashlib
 import random
+import re
 
 import pytest
 
+from flagsieve import permgroup
+from flagsieve.designsearch import stabilizer_search
 from flagsieve.permgroup import (
     BUILTIN_NAMES,
     FieldTable,
@@ -29,9 +32,11 @@ from flagsieve.permgroup import (
     SubgroupClass,
     subgroup_conjugation_action,
     subgroups_of_order,
+    _all_solvable,
     _two_three_seven_subgroup,
     _unitary_matrix_perms,
 )
+from flagsieve.sieve import DesignParams
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)
 
@@ -360,6 +365,78 @@ def test_lattice_route_pgl2_7_classes(name, class_members):
                 assert len(sub) == m
                 subgroups.add(sub)
         assert len(subgroups) == sum(_sizes(classes))
+
+
+def test_all_solvable_predicate():
+    """Odd orders and orders with two prime factors are certified; 42 and
+    84 are not, although every group of those orders is solvable."""
+    assert all(_all_solvable(m) for m in (1, 2, 6, 8, 12, 16, 27, 105))
+    assert not any(_all_solvable(m) for m in (42, 60, 84, 168))
+
+
+@pytest.mark.parametrize("name", ["psl3_3", "psu3_3"])
+def test_normalizer_extension_matches_full_extension(
+    name, monkeypatch, class_members
+):
+    """Oracle for the normalizer-only extension: the lattice route that
+    extends each representative by every candidate gives the same classes,
+    in the same order, with the same members, for every m <= 64 dividing
+    the order of the point stabilizer (432 and 216)."""
+    group = builtin_action(name).point_stabilizer(0)
+    divisors = [m for m in range(2, 65) if group.order() % m == 0]
+    restricted = {m: subgroups_of_order(group, m) for m in divisors}
+    assert any(_all_solvable(m) for m in divisors)
+    monkeypatch.setattr(permgroup, "_all_solvable", lambda m: False)
+    for m in divisors:
+        full = subgroups_of_order(group, m)
+        assert _sizes(full) == _sizes(restricted[m]), m
+        for a, b in zip(full, restricted[m]):
+            assert set(class_members(group, a)) == set(class_members(group, b))
+
+
+def _relabelled(action, seed):
+    """The action with its points renamed by a seeded permutation pi:
+    pi[i] goes to pi[g[i]]."""
+    pi = list(range(action.degree))
+    random.Random(seed).shuffle(pi)
+    generators = []
+    for g in action.generators:
+        out = [0] * len(g)
+        for i, image in enumerate(g):
+            out[pi[i]] = pi[image]
+        generators.append(tuple(out))
+    return PermAction(action.degree, generators, label=action.label)
+
+
+def _unordered(certificate):
+    """The certificate with the per-class terms "n x size" of its
+    candidate-blocks entry sorted: they follow the order of the classes,
+    which are listed by their least member, a choice of the labels."""
+    return [
+        (key, sorted(re.findall(r"\d+ x \d+", text)), re.sub(r"\d+ x \d+", "", text))
+        if key == "candidate-blocks"
+        else (key, text)
+        for key, text in certificate
+    ]
+
+
+def test_lattice_route_invariant_under_relabelling():
+    """Renaming the points of psu3_3_2_36 changes which elements the
+    lattice route meets first, and the order of its classes, not their
+    sizes or the searches' certificates."""
+    base = builtin_action("psu3_3_2_36")
+    tuples = [DesignParams(36, 36, 21, 21, 12), DesignParams(36, 48, 28, 21, 16)]
+
+    def profile(action):
+        stab = action.point_stabilizer(0)
+        sizes = [sorted(_sizes(subgroups_of_order(stab, m))) for m in (12, 16)]
+        certs = [_unordered(stabilizer_search(action, p).certificate) for p in tuples]
+        return sizes, certs
+
+    expected = profile(base)
+    assert expected[0] == [[14, 28], [21]]
+    for seed in (1, 2, 3):
+        assert profile(_relabelled(base, seed)) == expected, seed
 
 
 def test_point_stabilizer_is_built_once_per_point():

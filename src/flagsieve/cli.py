@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .designsearch import (
@@ -64,7 +63,7 @@ _PARAM_FLAGS = {
     "C2_GLwr": ("m", "t"),
     "C3": ("m", "t"),
     "C5_subfield": ("m", "t"),
-    "C6": ("m", "t"),
+    "C6": ("t", "m"),  # n = t^m
     "C7": ("m", "t"),
     "C8_O": ("sign",),
     "C5_O": ("sign",),
@@ -74,46 +73,6 @@ _PARAM_FLAGS = {
     "C2_GLhalf": (),
     "S": ("line",),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one subcommand plus its inputs and budgets."""
-
-    subcommand: str
-    family: str = ""
-    n: int = 0
-    q: int = 0
-    n_min: int = 0
-    n_max: int = 0
-    q_max: int = 0
-    case: Optional[SubgroupCase] = None
-    kind_filter: str = ""
-    group: str = ""
-    action_file: str = ""
-    v: int = 0
-    r_divisor: int = 0
-    g_max: Optional[int] = None
-    rstar_divisor: Optional[int] = None
-    k: int = 0
-    tuple_params: Optional[DesignParams] = None
-    design_file: str = ""
-    out_dir: str = ""
-    output: str = ""
-    format: str = "json"
-    run_searches: bool = True
-    filter_records: bool = True
-    expect: str = ""
-    expect_survivors: str = ""
-    expect_designs: Optional[int] = None
-    element_cap: int = 10**6
-    orbit_cap: int = 10**7
-    tuple_budget: int = 10**7
-
-    def __post_init__(self) -> None:
-        for name in ("element_cap", "orbit_cap", "tuple_budget"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"budget {name.replace('_', '-')} must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +98,8 @@ def _resolve_kind(family: str, token: str) -> str:
     return kind
 
 
-def _resolve_case(family: str, token: str, args: argparse.Namespace) -> SubgroupCase:
-    kind = _resolve_kind(family, token)
+def _resolve_case(family: str, args: argparse.Namespace) -> SubgroupCase:
+    kind = _resolve_kind(family, args.klass)
     if args.params is not None:
         params = tuple(
             int(p) if p.lstrip("+-").isdigit() else p
@@ -165,18 +124,17 @@ def _resolve_path(path: str) -> str:
     return path
 
 
-def _load_source(config: RunConfig) -> PermAction:
-    if config.group:
-        action = builtin_action(config.group)
-    else:
-        action = load_action(config.action_file)
-    # fail early, under the configured budget, instead of deep in a search
-    order = action.order()
-    if order > config.element_cap:
-        raise RuntimeError(
-            f"group order {order} exceeds element budget {config.element_cap}"
-        )
-    return action
+def _load_source(args: argparse.Namespace) -> PermAction:
+    if args.group:
+        return builtin_action(args.group)
+    return load_action(args.action_file)
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-divisor", type=int, required=True)
     p.add_argument("--g-max", type=int, default=None)
     p.add_argument("--rstar-divisor", type=int, default=None)
-    p.add_argument("--tuple-budget", type=int, default=10**7)
+    p.add_argument("--tuple-budget", type=_positive, default=10**7)
     add_output(p)
 
     p = sub.add_parser("eliminate", help="run one socle/class cell")
@@ -242,8 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default="", help="where design files are written")
     p.add_argument("--no-filter", action="store_true")
     p.add_argument("--expect-designs", type=int, default=None)
-    p.add_argument("--element-cap", type=int, default=10**6)
-    p.add_argument("--orbit-cap", type=int, default=10**7)
+    p.add_argument("--orbit-cap", type=_positive, default=10**7)
     add_output(p)
 
     p = sub.add_parser("verify", help="re-check a design file from scratch")
@@ -251,83 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group()
     src.add_argument("--group", choices=BUILTIN_NAMES)
     src.add_argument("--action-file")
-    p.add_argument("--element-cap", type=int, default=10**6)
     return top
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    sc = args.subcommand
-    if sc == "sieve":
-        return RunConfig(
-            subcommand=sc,
-            v=args.v,
-            r_divisor=args.r_divisor,
-            g_max=args.g_max,
-            rstar_divisor=args.rstar_divisor,
-            tuple_budget=args.tuple_budget,
-            output=args.output,
-            format=args.format,
-        )
-    if sc == "eliminate":
-        family = _family(args.family)
-        return RunConfig(
-            subcommand=sc,
-            family=family,
-            n=args.n,
-            q=args.q,
-            case=_resolve_case(family, args.klass, args),
-            run_searches=not args.no_search,
-            expect=args.expect or "",
-            output=args.output,
-            format=args.format,
-        )
-    if sc == "sweep":
-        family = _family(args.family)
-        return RunConfig(
-            subcommand=sc,
-            family=family,
-            n_min=args.n_min,
-            n_max=args.n_max,
-            q_max=args.q_max,
-            kind_filter=_resolve_kind(family, args.klass) if args.klass else "",
-            run_searches=not args.no_search,
-            expect_survivors=args.expect_survivors,
-            output=args.output,
-            format=args.format,
-        )
-    if sc == "search":
-        tuple_params = None
-        given = [x is not None for x in (args.b, args.r, args.lam)]
-        if any(given):
-            if not all(given):
-                raise ValueError("a fixed tuple needs --b, --r, and --lambda together")
-            v = args.v
-            if v is None:
-                raise ValueError("a fixed tuple needs --v as well")
-            tuple_params = DesignParams(v, args.b, args.r, args.k, args.lam)
-        return RunConfig(
-            subcommand=sc,
-            group=args.group or "",
-            action_file=args.action_file or "",
-            k=args.k,
-            tuple_params=tuple_params,
-            out_dir=args.out_dir,
-            filter_records=not args.no_filter,
-            expect_designs=args.expect_designs,
-            element_cap=args.element_cap,
-            orbit_cap=args.orbit_cap,
-            output=args.output,
-            format=args.format,
-        )
-    if sc == "verify":
-        return RunConfig(
-            subcommand=sc,
-            design_file=args.design,
-            group=args.group or "",
-            action_file=args.action_file or "",
-            element_cap=args.element_cap,
-        )
-    raise ValueError(f"unknown subcommand {sc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -504,22 +385,22 @@ def emit_report(
 # subcommands
 
 
-def _run_sieve(config: RunConfig) -> int:
+def _run_sieve(args: argparse.Namespace) -> int:
     tuples, rejections = admissible_tuples_explained(
-        config.v,
-        config.r_divisor,
-        g_max=config.g_max,
-        rstar_divisor=config.rstar_divisor,
-        max_work=config.tuple_budget,
+        args.v,
+        args.r_divisor,
+        g_max=args.g_max,
+        rstar_divisor=args.rstar_divisor,
+        max_work=args.tuple_budget,
     )
     for t in tuples:
         print(_fmt_tuple(t))
     print(f"tuples {len(tuples)}")
-    if config.output:
+    if args.output:
         codes: Dict[str, int] = {}
         for rej in rejections:
             codes[rej.code] = codes.get(rej.code, 0) + 1
-        if config.format == "tsv":
+        if args.format == "tsv":
             lines = ["v\tb\tr\tk\tlambda"]
             lines.extend("\t".join(str(x) for x in t.as_tuple()) for t in tuples)
             text = "\n".join(lines) + "\n"
@@ -527,16 +408,16 @@ def _run_sieve(config: RunConfig) -> int:
             doc = {
                 "schemaVersion": SCHEMA_VERSION,
                 "query": {
-                    "v": config.v,
-                    "rDivisor": config.r_divisor,
-                    "gMax": config.g_max,
-                    "rstarDivisor": config.rstar_divisor,
+                    "v": args.v,
+                    "rDivisor": args.r_divisor,
+                    "gMax": args.g_max,
+                    "rstarDivisor": args.rstar_divisor,
                 },
                 "tuples": [list(t.as_tuple()) for t in tuples],
                 "rejections": {k: codes[k] for k in sorted(codes)},
             }
             text = _json(doc, "") + "\n"
-        path = _resolve_path(config.output)
+        path = _resolve_path(args.output)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     return EXIT_OK
@@ -557,35 +438,33 @@ def _print_report(rep: CellReport) -> None:
         print(f"  tuple {_fmt_tuple(t)}")
 
 
-def _run_eliminate(config: RunConfig) -> int:
+def _run_eliminate(args: argparse.Namespace) -> int:
+    family = _family(args.family)
+    case = _resolve_case(family, args)
     rep = eliminate(
-        GroupSpec(config.family, config.n, config.q),
-        config.case,
-        run_searches=config.run_searches,
+        GroupSpec(family, args.n, args.q), case, run_searches=not args.no_search
     )
     _print_report(rep)
-    if config.output:
-        grid = {"family": config.family, "n": config.n, "q": config.q}
-        emit_report([rep], _resolve_path(config.output), config.format, grid)
-    if config.expect and rep.final.kind != config.expect:
-        print(f"expected {config.expect}, got {rep.final.kind}")
+    if args.output:
+        grid = {"family": family, "n": args.n, "q": args.q}
+        emit_report([rep], _resolve_path(args.output), args.format, grid)
+    if args.expect and rep.final.kind != args.expect:
+        print(f"expected {args.expect}, got {rep.final.kind}")
         return EXIT_DISCREPANCY
     return EXIT_OK
 
 
-def _run_sweep(config: RunConfig) -> int:
+def _run_sweep(args: argparse.Namespace) -> int:
+    family = _family(args.family)
+    kind = _resolve_kind(family, args.klass) if args.klass else ""
     reports = sweep(
-        config.family,
-        config.n_min,
-        config.n_max,
-        config.q_max,
-        run_searches=config.run_searches,
+        family, args.n_min, args.n_max, args.q_max, run_searches=not args.no_search
     )
-    if config.kind_filter:
-        reports = tuple(r for r in reports if r.case.kind == config.kind_filter)
+    if kind:
+        reports = tuple(r for r in reports if r.case.kind == kind)
     print(
-        f"sweep {config.family} n={config.n_min}..{config.n_max} "
-        f"q<={config.q_max} cells {len(reports)}"
+        f"sweep {family} n={args.n_min}..{args.n_max} "
+        f"q<={args.q_max} cells {len(reports)}"
     )
     kinds: Dict[str, int] = {}
     for rep in reports:
@@ -595,16 +474,16 @@ def _run_sweep(config: RunConfig) -> int:
     alive = survivors(reports)
     for rep in alive:
         print(f"survivor {rep.label} {rep.final.kind}")
-    if config.output:
+    if args.output:
         grid = {
-            "family": config.family,
-            "nMin": config.n_min,
-            "nMax": config.n_max,
-            "qMax": config.q_max,
+            "family": family,
+            "nMin": args.n_min,
+            "nMax": args.n_max,
+            "qMax": args.q_max,
         }
-        emit_report(reports, _resolve_path(config.output), config.format, grid)
-    if config.expect_survivors:
-        with open(config.expect_survivors, "r", encoding="utf-8") as handle:
+        emit_report(reports, _resolve_path(args.output), args.format, grid)
+    if args.expect_survivors:
+        with open(args.expect_survivors, "r", encoding="utf-8") as handle:
             expected = {
                 line.strip()
                 for line in handle
@@ -636,12 +515,17 @@ def _design_paths(records: Sequence[DesignRecord], out_dir: str) -> List[str]:
     return paths
 
 
-def _run_search(config: RunConfig) -> int:
-    action = _load_source(config)
+def _run_search(args: argparse.Namespace) -> int:
+    fixed = [x is not None for x in (args.b, args.r, args.lam)]
+    if any(fixed) and not all(fixed):
+        raise ValueError("a fixed tuple needs --b, --r, and --lambda together")
+    if any(fixed) and args.v is None:
+        raise ValueError("a fixed tuple needs --v as well")
+    action = _load_source(args)
     print(f"group {action.label} degree {action.degree} order {action.order()}")
     exhaustive = True
-    if config.tuple_params is not None:
-        params = config.tuple_params
+    if any(fixed):
+        params = DesignParams(args.v, args.b, args.r, args.k, args.lam)
         print(f"strategy stabilizer {_fmt_tuple(params)}")
         result = stabilizer_search(action, params)
         for name, text in result.certificate:
@@ -649,11 +533,11 @@ def _run_search(config: RunConfig) -> int:
         records = result.designs
         exhaustive = result.exhaustive
     else:
-        print(f"strategy korbit k={config.k}")
-        records = korbit_designs(action, config.k, config.orbit_cap)
-        if config.filter_records:
+        print(f"strategy korbit k={args.k}")
+        records = korbit_designs(action, args.k, args.orbit_cap)
+        if not args.no_filter:
             records = hypothesis_filter(records)
-    out_dir = _resolve_path(config.out_dir) or os.environ.get(OUTDIR_ENV, "") or "."
+    out_dir = _resolve_path(args.out_dir) or os.environ.get(OUTDIR_ENV, "") or "."
     os.makedirs(out_dir, exist_ok=True)
     for rec, path in zip(records, _design_paths(records, out_dir)):
         save_design(path, rec)
@@ -661,25 +545,23 @@ def _run_search(config: RunConfig) -> int:
         print(f"design {_fmt_tuple(rec.params)} {ft} -> {path}")
     print(f"designs {len(records)}")
     print(f"exhaustive {'yes' if exhaustive else 'no'}")
-    if config.expect_designs is not None and len(records) != config.expect_designs:
-        print(f"expected {config.expect_designs} designs, found {len(records)}")
+    if args.expect_designs is not None and len(records) != args.expect_designs:
+        print(f"expected {args.expect_designs} designs, found {len(records)}")
         return EXIT_DISCREPANCY
     return EXIT_OK
 
 
-def _run_verify(config: RunConfig) -> int:
-    group, params, blocks = load_design(config.design_file)
-    source = config
-    if not config.group and not config.action_file:
-        if group not in BUILTIN_NAMES:
-            raise ValueError(
-                f"design file names group {group!r}, which is not built in; "
-                "give --group or --action-file"
-            )
-        source = RunConfig(
-            subcommand="verify", group=group, element_cap=config.element_cap
+def _run_verify(args: argparse.Namespace) -> int:
+    group, params, blocks = load_design(args.design)
+    if args.group or args.action_file:
+        action = _load_source(args)
+    elif group in BUILTIN_NAMES:
+        action = builtin_action(group)
+    else:
+        raise ValueError(
+            f"design file names group {group!r}, which is not built in; "
+            "give --group or --action-file"
         )
-    action = _load_source(source)
     print(f"group {action.label} degree {action.degree}")
     if params is not None:
         print(f"declared {_fmt_tuple(params)}")
@@ -698,15 +580,13 @@ def _run_verify(config: RunConfig) -> int:
 # entry point
 
 
-def run(config: RunConfig) -> int:
-    handlers = {
-        "sieve": _run_sieve,
-        "eliminate": _run_eliminate,
-        "sweep": _run_sweep,
-        "search": _run_search,
-        "verify": _run_verify,
-    }
-    return handlers[config.subcommand](config)
+_HANDLERS = {
+    "sieve": _run_sieve,
+    "eliminate": _run_eliminate,
+    "sweep": _run_sweep,
+    "search": _run_search,
+    "verify": _run_verify,
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -716,8 +596,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        config = _config_from_args(args)
-        return run(config)
+        return _HANDLERS[args.subcommand](args)
     except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

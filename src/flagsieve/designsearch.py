@@ -413,9 +413,11 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
             if rec is not None:
                 found[rec.blocks] = rec
     if m > 1:
+        # by (class size, unions): the order of the classes follows the labels
+        terms = sorted((size, n) for n, size in counts)
         tested = (
             f"tested {sum(n * size for n, size in counts)} orbit unions of size "
-            f"{k} ({' + '.join(f'{n} x {size}' for n, size in counts)}: unions "
+            f"{k} ({' + '.join(f'{n} x {size}' for size, n in terms)}: unions "
             "of one representative per class times the class size; conjugate "
             "members give the same block sets, so only the representatives' "
             "unions were enumerated)"

@@ -31,7 +31,6 @@ __all__ = [
     "UnsupportedCaseError",
     "order_x",
     "order_out",
-    "order_h0",
     "gl_order",
     "gu_order",
     "sp_order",
@@ -152,11 +151,6 @@ def order_x(spec: GroupSpec) -> int:
 def order_out(spec: GroupSpec) -> int:
     """|Out(X)| = 2 d f for both families."""
     return 2 * spec.d * spec.f
-
-
-def order_h0(spec: GroupSpec, case: SubgroupCase) -> Optional[int]:
-    """Exact |H ∩ X| for the case, or None when only a bound is known."""
-    return case_orders(spec, case).order_h0
 
 
 def gaussian_binomial(n: int, i: int, q: int) -> int:

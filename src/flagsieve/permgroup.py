@@ -83,11 +83,12 @@ class FieldTable:
 
     An element's base-p digits are the coefficients of its polynomial
     representative, so 0 and 1 are the additive and multiplicative
-    identities.  For f > 1 the modulus is x^f = x + c with the smallest c
-    making x a generator of the multiplicative group; if no such c exists
-    (e.g. GF(32)) the lexicographically first working right-hand side is
-    used.  Multiplication runs off discrete-log tables, so the element p,
-    the class of x, is always a primitive element.
+    identities.  The modulus is x^f = x + c with the smallest c making x a
+    generator of the multiplicative group (for f = 1, x = c is the smallest
+    primitive root mod p); if no such c exists (e.g. GF(32)) the
+    lexicographically first working right-hand side is used.
+    Multiplication runs off discrete-log tables, so the class of x is
+    always a primitive element.
     """
 
     def __init__(self, q: int):
@@ -101,10 +102,7 @@ class FieldTable:
         self.f = pp.f
         self._exp: List[int] = []
         self._log: Dict[int, int] = {}
-        if self.f > 1:
-            self._modulus_rhs = self._pick_modulus()
-        else:
-            self._modulus_rhs = 0
+        self._modulus_rhs = self._pick_modulus()
 
     # -- construction helpers
 
@@ -164,21 +162,15 @@ class FieldTable:
     # -- arithmetic
 
     def add(self, a: int, b: int) -> int:
-        if self.f == 1:
-            return (a + b) % self.p
         return self._digit_add(a, b)
 
     def neg(self, a: int) -> int:
-        if self.f == 1:
-            return (-a) % self.p
         return self._scalar_mul(self.p - 1, a)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.f == 1:
-            return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
         return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
@@ -186,8 +178,6 @@ class FieldTable:
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("field inverse of zero")
-        if self.f == 1:
-            return pow(a, self.p - 2, self.p)
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
     def power(self, a: int, e: int) -> int:
@@ -197,25 +187,14 @@ class FieldTable:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return 0
-        if self.f == 1:
-            return pow(a, e % (self.p - 1) if e else 0, self.p)
         return self._exp[(self._log[a] * e) % (self.q - 1)]
 
     def frobenius(self, a: int) -> int:
         return self.power(a, self.p)
 
     def generator(self) -> int:
-        """A fixed generator of the multiplicative group."""
-        if self.f > 1:
-            return self.p  # the class of x, primitive by construction
-        for g in range(2, self.p):
-            seen, cur = 1, g
-            while cur != 1:
-                cur = cur * g % self.p
-                seen += 1
-            if seen == self.p - 1:
-                return g
-        return 1  # p == 2
+        """A fixed generator of the multiplicative group: the class of x."""
+        return self._exp[1 % (self.q - 1)]
 
     def elements(self) -> range:
         return range(self.q)
@@ -285,6 +264,12 @@ def _mat_det3(F: FieldTable, A: Matrix) -> int:
 # projective and hermitian point sets
 
 
+def _normalized(F: FieldTable, vec: Sequence[int]) -> Tuple[int, ...]:
+    """The nonzero vector vec scaled to leading coefficient 1."""
+    scale = F.inv(next(e for e in vec if e != 0))
+    return tuple(F.mul(scale, e) for e in vec)
+
+
 def projective_points(F: FieldTable, n: int) -> Tuple[Tuple[int, ...], ...]:
     """Projective space points, scaled to leading coefficient 1, sorted."""
     pts = set()
@@ -294,10 +279,7 @@ def projective_points(F: FieldTable, n: int) -> Tuple[Tuple[int, ...], ...]:
         for _ in range(n):
             vec.append(c % F.q)
             c //= F.q
-        vec = tuple(vec)
-        lead = next(e for e in vec if e != 0)
-        scale = F.inv(lead)
-        pts.add(tuple(F.mul(scale, e) for e in vec))
+        pts.add(_normalized(F, vec))
     return tuple(sorted(pts))
 
 
@@ -709,7 +691,7 @@ def _linear_matrix_generators(F: FieldTable, n: int) -> List[Matrix]:
     gens: List[Matrix] = []
     gamma = F.generator()
     for j in range(F.f):
-        c = F.power(gamma, j) if F.f > 1 else 1
+        c = F.power(gamma, j)
         t = [list(row) for row in _mat_identity(F, n)]
         t[0][1] = c
         gens.append(tuple(tuple(row) for row in t))
@@ -725,13 +707,7 @@ def _linear_matrix_generators(F: FieldTable, n: int) -> List[Matrix]:
 def _matrix_point_perm(
     F: FieldTable, A: Matrix, points: Sequence[Tuple[int, ...]], index: Dict
 ) -> Perm:
-    out = []
-    for x in points:
-        y = _vec_mat(F, x, A)
-        lead = next(e for e in y if e != 0)
-        scale = F.inv(lead)
-        out.append(index[tuple(F.mul(scale, e) for e in y)])
-    return tuple(out)
+    return tuple(index[_normalized(F, _vec_mat(F, x, A))] for x in points)
 
 
 def _linear_action(n: int, q: int, variant: str) -> PermAction:
@@ -751,12 +727,7 @@ def _linear_action(n: int, q: int, variant: str) -> PermAction:
         mats.append(tuple(tuple(row) for row in diag))
     perms = [_matrix_point_perm(F, A, points, index) for A in mats]
     if variant == "pgammal" and F.f > 1:
-        frob = []
-        for x in points:
-            y = tuple(F.frobenius(e) for e in x)
-            lead = next(e for e in y if e != 0)
-            scale = F.inv(lead)
-            frob.append(index[tuple(F.mul(scale, e) for e in y)])
+        frob = (index[_normalized(F, [F.frobenius(e) for e in x])] for x in points)
         perms.append(tuple(frob))
     label = {"socle": f"psl{n}_{q}", "pgl": f"pgl{n}_{q}", "pgammal": f"pgammal{n}_{q}"}[
         variant
@@ -884,12 +855,7 @@ def _unitary_matrix_perms(q0: int, variant: str) -> List[Perm]:
         raise ArithmeticError("no monomial Weyl element in the unitary group")
     perms = [_matrix_point_perm(F, A, points, index) for A in mats]
     if variant == "socle.2":
-        frob = []
-        for x in points:
-            y = tuple(F.frobenius(e) for e in x)
-            lead = next(e for e in y if e != 0)
-            scale = F.inv(lead)
-            frob.append(index[tuple(F.mul(scale, e) for e in y)])
+        frob = (index[_normalized(F, [F.frobenius(e) for e in x])] for x in points)
         perms.append(tuple(frob))
     return perms
 

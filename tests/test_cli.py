@@ -12,7 +12,6 @@ from flagsieve.cli import (
     EXIT_DISCREPANCY,
     EXIT_OK,
     EXIT_USAGE,
-    RunConfig,
     emit_report,
     main,
 )
@@ -97,6 +96,17 @@ def test_eliminate_params_escape_hatch(capsys):
     code_b, lines_b = run_cli(capsys, *base, "--class", "C2_GLwr", "--params", "2,3")
     assert code_a == code_b == EXIT_OK
     assert lines_a == lines_b
+
+
+def test_eliminate_c6_takes_t_then_m(capsys):
+    """A C6 case is (t, m) with n = t^m; the flags name the same two values."""
+    base = "eliminate --family psl --n 3 --q 7 --no-search".split()
+    code_a, lines_a = run_cli(capsys, *base, "--class", "c6", "--t", "3", "--m", "1")
+    code_b, lines_b = run_cli(capsys, *base, "--class", "C6", "--params", "3,1")
+    assert code_a == code_b == EXIT_OK
+    assert lines_a == lines_b
+    assert lines_a[0] == "linear n=3 q=7 C6(3,1)"
+    assert lines_a[-1] == "final Eliminated at rstar-square-vs-gcd"
 
 
 def test_eliminate_needs_search_tuples(capsys):
@@ -511,21 +521,21 @@ def test_outdir_environment_variable(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*.design"))
 
 
-def test_runconfig_validates_budgets():
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="sieve", element_cap=0)
-
-
-def test_element_cap_edges(capsys, tmp_path):
-    # pgl2_7 has order 336: the cap refuses from the group order alone
-    argv = ["search", "--group", "pgl2_7", "--k", "4", "--out-dir", str(tmp_path)]
-    code, lines = run_cli(capsys, *argv, "--element-cap", "336")
-    assert code == EXIT_OK
-    assert "group pgl2_7 degree 8 order 336" in lines
-    code = main(argv + ["--element-cap", "335"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "search --group psl2_7 --k 4 --orbit-cap 0",
+        "sieve --v 8 --r-divisor 42 --tuple-budget 0",
+    ],
+    ids=["orbit-cap", "tuple-budget"],
+)
+def test_budgets_must_be_positive(capsys, argv):
+    code = main(argv.split())
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
-    assert "group order 336 exceeds element budget 335" in captured.err
+    assert captured.out == ""
+    flag = argv.split()[-2]
+    assert f"argument {flag}: must be positive, got 0" in captured.err
 
 
 def test_orbit_cap_edges(capsys, tmp_path):

@@ -1,7 +1,8 @@
 """Command line front end: sieve, eliminate, sweep, search, and verify.
 
-Every subcommand prints a deterministic plain-text account to stdout and
-can additionally write a machine-readable report (JSON or TSV).  Exit
+Every subcommand prints a deterministic plain-text account to stdout;
+sieve, eliminate and sweep can additionally write a machine-readable report
+(JSON or TSV), and search writes design files.  Exit
 status: 0 = completed, 1 = result differs from an expected claim,
 2 = usage or budget error.
 """
@@ -201,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-filter", action="store_true")
     p.add_argument("--expect-designs", type=int, default=None)
     p.add_argument("--orbit-cap", type=_positive, default=10**7)
-    add_output(p)
 
     p = sub.add_parser("verify", help="re-check a design file from scratch")
     p.add_argument("--design", required=True)
@@ -522,6 +522,8 @@ def _run_search(args: argparse.Namespace) -> int:
     if any(fixed) and args.v is None:
         raise ValueError("a fixed tuple needs --v as well")
     action = _load_source(args)
+    if args.v is not None and args.v != action.degree:
+        raise ValueError(f"action degree {action.degree} differs from v = {args.v}")
     print(f"group {action.label} degree {action.degree} order {action.order()}")
     exhaustive = True
     if any(fixed):

@@ -16,11 +16,14 @@ built once per action by deterministic Schreier-Sims, so no element of a
 large group is ever listed for them.  Breadth-first closure (`elements`)
 remains for groups of order at most 1000, where it supplies the lattice
 search's extension candidates, and as the independent oracle of the tests.
-Subgroups are handled as generator sets, one conjugacy class at a time, each
-class given by one representative and its size: grown from class
-representatives by cyclic extension on permutations in small groups, and
-from the Sylow-normalizer argument in larger ones.  No multiplication table
-is kept.  The builtin constructions pick their generators and subgroups from
+A listed group is indexed once (`PermAction.element_index`): each element's
+position in the sorted list, its order, and one conjugation table per
+generator.  Subgroups are handled as generator sets, one conjugacy class at
+a time, each class given by one representative and its size: grown from
+class representatives by cyclic extension on permutations in small groups,
+with class members keyed by their element index sets, and from the
+Sylow-normalizer argument in larger ones.  No multiplication table is
+kept.  The builtin constructions pick their generators and subgroups from
 fixed walks over generator words, each choice certified by its chain order.
 """
 
@@ -49,6 +52,7 @@ from .exactmath import factorize, prime_power
 __all__ = [
     "FieldTable",
     "PermAction",
+    "ElementIndex",
     "Perm",
     "compose",
     "inverse_perm",
@@ -563,6 +567,19 @@ class StabChain:
         return i - 1
 
 
+class ElementIndex(NamedTuple):
+    """A listed group's elements by their positions in the sorted list.
+
+    position maps each element to its index; conj[j][i] is the index of
+    g^-1 * e_i * g for the j-th generator g of the action; orders[i] is the
+    order of e_i.  Each table holds one int per element.
+    """
+
+    position: Dict[Perm, int]
+    conj: Tuple[List[int], ...]
+    orders: Tuple[int, ...]
+
+
 class PermAction:
     """A permutation group given by generators on {0, ..., degree-1}."""
 
@@ -580,6 +597,7 @@ class PermAction:
         self.generators: Tuple[Perm, ...] = tuple(gens)
         self.label = label
         self._elements: Optional[Tuple[Perm, ...]] = None
+        self._index: Optional[ElementIndex] = None
         # stabilizer chains by first base point; None is the default base
         self._chains: Dict[Optional[int], StabChain] = {}
         self._stabilizers: Dict[int, "PermAction"] = {}
@@ -619,6 +637,20 @@ class PermAction:
         if self._elements is None:
             self._elements = tuple(sorted([identity_perm(self.degree), *_words(self)]))
         return self._elements
+
+    def element_index(self) -> ElementIndex:
+        """The sorted element list indexed once: positions, conjugation by
+        each generator as a table of positions, and element orders."""
+        if self._index is None:
+            elements = self.elements()
+            position = {e: i for i, e in enumerate(elements)}
+            conj = tuple(
+                [position[conj(e)] for e in elements]
+                for conj in map(_conjugator, self.generators)
+            )
+            orders = tuple(map(perm_order, elements))
+            self._index = ElementIndex(position, conj, orders)
+        return self._index
 
     def order(self) -> int:
         return self.chain().order()
@@ -978,7 +1010,9 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     met before opens a class, its orbit under conjugation by the group's
     generators, and becomes the class representative, given by the
     generators it was grown from; only representatives are extended
-    further.
+    further.  Class members are keyed by the sets of their elements'
+    positions in `element_index`, and the orbit walk conjugates those
+    positions through the index's tables.
 
     This is complete.  Every subgroup K > 1 of order dividing m is <K', y>
     for some K' < K and y in K, both of order dividing m.  By induction K'
@@ -993,21 +1027,27 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     above, y^(g^-1) normalizes U, so K's class is still opened.  The skip
     of u*y^j stays sound, since u*y^j normalizes U exactly when y does.
 
-    Classes are listed by their least member in sorted element order.  A
-    class of subgroups K whose size does not divide |G : K| cannot be a
-    conjugacy class, and raises.
+    Classes are listed by their least member in sorted element order; the
+    positions follow that order, so sorted position lists compare as the
+    sorted members do.  A class of subgroups K whose size does not divide
+    |G : K| cannot be a conjugacy class, and raises.
     """
     order = action.order()
+    index = action.element_index()
     # each candidate y with the generators y^j, j prime to its order, of <y>
     candidates = []
-    for y in action.elements():
-        d = perm_order(y)
+    for y, d in zip(action.elements(), index.orders):
         if m % d == 0:
             walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
             candidates.append((y, [z for j, z in walk if _gcd2(j, d) == 1]))
     normalizers_only = _all_solvable(m)
-    moves = _conjugation_moves(action)
-    known = set()  # every member of every class opened so far
+    position = index.position.__getitem__
+    conjugates = [table.__getitem__ for table in index.conj]
+
+    def moves(key: FrozenSet[int]) -> List[FrozenSet[int]]:
+        return [frozenset(map(conj, key)) for conj in conjugates]
+
+    known = set()  # every member of every class opened so far, as positions
     trivial = frozenset({identity_perm(action.degree)})
     reps: List[Tuple[FrozenSet[Perm], Tuple[Perm, ...]]] = [(trivial, ())]
     classes = []
@@ -1025,9 +1065,12 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
                 continue
             tried.update(compose(u, z) for u in sub for z in powers)
             grown = _closure(sub, gens + (y,), m)
-            if grown is None or m % len(grown) or grown in known:
+            if grown is None or m % len(grown):
                 continue
-            members = orbit(grown, moves)[0]
+            key = frozenset(map(position, grown))
+            if key in known:
+                continue
+            members = orbit(key, moves)[0]
             if (order // len(grown)) % len(members):
                 raise RuntimeError(
                     f"a class of {len(members)} subgroups of order {len(grown)} "

@@ -315,6 +315,35 @@ def test_search_rejects_header_only_action_file(capsys, tmp_path):
     assert f"no generator lines after the header in {path}" in err
 
 
+def test_search_takes_no_report_flags(capsys, tmp_path):
+    """search writes design files only: --output and --format are refused
+    by argparse, not accepted and ignored."""
+    argv = ["search", "--group", "psl2_7", "--k", "4", "--out-dir", str(tmp_path)]
+    report = tmp_path / "x.json"
+    for extra in (["--output", str(report)], ["--format", "tsv"]):
+        code = main(argv + extra)
+        assert code == EXIT_USAGE
+        assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
+    assert not report.exists()
+    assert list(tmp_path.glob("*.design")) == []
+
+
+def test_search_korbit_checks_v(capsys, tmp_path):
+    """The k-orbit strategy refuses a --v other than the action's degree,
+    as the fixed-tuple strategy does."""
+    argv = ["search", "--group", "psl2_7", "--k", "4", "--out-dir", str(tmp_path)]
+    code = main(argv + ["--v", "99"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert "action degree 8 differs from v = 99" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.glob("*.design")) == []
+    code, lines = run_cli(capsys, *argv, "--v", "8")
+    assert code == EXIT_OK
+    assert "strategy korbit k=4" in lines
+    assert "designs 1" in lines
+
+
 def test_verify_round_trip(capsys, tmp_path):
     run_cli(capsys, *"search --group pgl2_7 --k 4 --out-dir".split(), str(tmp_path))
     for path in sorted(tmp_path.glob("*.design")):

@@ -436,6 +436,80 @@ def test_point_stabilizer_is_built_once_per_point():
     assert other.order() == stab.order() == 168
 
 
+# the four 36-point flag-route searches: the point stabilizer and both m
+LATTICE_36 = {"psu3_3_36": (8, 6), "psu3_3_2_36": (16, 12)}
+
+
+@pytest.mark.parametrize(
+    "name,composed",
+    [
+        # listing members as permutation sets and conjugating them by
+        # compose took 5,459 and 25,905
+        ("psu3_3_36", 2603),
+        ("psu3_3_2_36", 11457),
+    ],
+)
+def test_lattice_36_compose_counts(monkeypatch, name, composed):
+    """Work gate: compose calls of the two lattice searches on one 36-point
+    point stabilizer, on a fresh action whose elements are listed already,
+    so that the element index is built by the first search and shared."""
+    base = builtin_action(name).point_stabilizer(0)
+    group = PermAction(base.degree, base.generators)
+    group.elements()
+    calls = [0]
+
+    def counted(p, q):
+        calls[0] += 1
+        return compose(p, q)
+
+    monkeypatch.setattr(permgroup, "compose", counted)
+    for m in LATTICE_36[name]:
+        subgroups_of_order(group, m)
+    assert calls[0] == composed
+
+
+def _lattice_groups():
+    """psl2_7, pgl2_7 and the point stabilizers of both 36-point actions."""
+    out = [builtin_action("psl2_7"), builtin_action("pgl2_7")]
+    return out + [builtin_action(name).point_stabilizer(0) for name in LATTICE_36]
+
+
+def test_element_index_conjugation_tables():
+    for group in _lattice_groups():
+        elements = group.elements()
+        index = group.element_index()
+        assert [index.position[e] for e in elements] == list(range(len(elements)))
+        assert list(index.orders) == [perm_order(e) for e in elements]
+        assert len(index.conj) == len(group.generators)
+        for g, table in zip(group.generators, index.conj):
+            assert [elements[i] for i in table] == [
+                conjugate_perm(e, g) for e in elements
+            ]
+
+
+def test_element_index_is_shared_by_searches():
+    base = builtin_action("psu3_3_36").point_stabilizer(0)
+    group = PermAction(base.degree, base.generators)
+    subgroups_of_order(group, 8)
+    index = group.element_index()
+    subgroups_of_order(group, 6)
+    assert group.element_index() is index
+
+
+def test_lattice_classes_ascend_by_least_member(class_members):
+    """Ordering oracle: for every m, classes come out by their least member
+    in sorted element order, the order the element index keeps."""
+    for group in _lattice_groups():
+        for m in range(2, group.order() + 1):
+            if group.order() % m:
+                continue
+            least = [
+                min(sorted(sub) for sub in class_members(group, cls))
+                for cls in subgroups_of_order(group, m)
+            ]
+            assert all(a < b for a, b in zip(least, least[1:])), (group, m)
+
+
 def test_subgroups_closed_under_multiplication(class_members):
     act = builtin_action("psl2_7")
     (sixes,) = subgroups_of_order(act, 6)

@@ -456,12 +456,15 @@ def _run_eliminate(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     family = _family(args.family)
-    kind = _resolve_kind(family, args.klass) if args.klass else ""
+    kind = _resolve_kind(family, args.klass) if args.klass else None
     reports = sweep(
-        family, args.n_min, args.n_max, args.q_max, run_searches=not args.no_search
+        family,
+        args.n_min,
+        args.n_max,
+        args.q_max,
+        run_searches=not args.no_search,
+        kind=kind,
     )
-    if kind:
-        reports = tuple(r for r in reports if r.case.kind == kind)
     print(
         f"sweep {family} n={args.n_min}..{args.n_max} "
         f"q<={args.q_max} cells {len(reports)}"

@@ -142,7 +142,7 @@ SEARCH_REGISTRY: Dict[
 Witness = Tuple[str, object]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One applied screen with its witnesses and verdict."""
 
@@ -152,7 +152,7 @@ class Step:
     verdict: str  # "pass" | "eliminated" | "info"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Final:
     """Outcome of a cell; step_index points at the eliminating step."""
 
@@ -166,7 +166,7 @@ class Final:
             raise ValueError(f"unknown outcome kind: {self.kind}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellReport:
     family: str
     n: int
@@ -227,7 +227,7 @@ def _cube_bound(cell: _Cell) -> Optional[Final]:
 
 
 def _order_inequality(cell: _Cell) -> Optional[Final]:
-    bound, ok = order_inequality_check(cell.orders, cell.spec.p)
+    bound, ok = order_inequality_check(cell.orders, cell.spec)
     return cell.check(
         "order-inequality", [("x", cell.orders.order_x), ("bound", bound)], not ok
     )
@@ -508,21 +508,28 @@ def grid_q_values(q_max: int) -> Tuple[int, ...]:
 
 
 def sweep(
-    family: str, n_min: int, n_max: int, q_max: int, run_searches: bool = True
+    family: str,
+    n_min: int,
+    n_max: int,
+    q_max: int,
+    run_searches: bool = True,
+    kind: Optional[str] = None,
 ) -> Tuple[CellReport, ...]:
     """Eliminate every cell of the (n, q) grid for one family, in a fixed
-    order."""
+    order; with `kind`, only the cells of that case kind."""
     if n_min < 3 or n_max < n_min or q_max < 2:
         raise ValueError("need 3 <= n_min <= n_max and q_max >= 2")
+    qs = grid_q_values(q_max)
     reports: List[CellReport] = []
     for n in range(n_min, n_max + 1):
-        for q in grid_q_values(q_max):
+        for q in qs:
             try:
                 spec = GroupSpec(family, n, q)
             except ValueError:
                 continue  # the one solvable (n, q) hole
             for case in enumerate_cases(spec):
-                reports.append(eliminate(spec, case, run_searches))
+                if kind is None or case.kind == kind:
+                    reports.append(eliminate(spec, case, run_searches))
     return tuple(reports)
 
 

@@ -259,15 +259,24 @@ def prime_power(q: int) -> PrimePower:
 
 
 def prime_powers_upto(limit: int) -> list[int]:
-    """All prime powers q with 2 <= q <= limit, ascending."""
+    """All prime powers q with 2 <= q <= limit, ascending.
+
+    Sieve of Eratosthenes: every prime p <= limit, then p, p^2, ... up to
+    the limit; nothing is factorized.
+    """
+    if limit < 2:
+        return []
+    composite = bytearray(limit + 1)
     out = []
-    for q in range(2, limit + 1):
-        try:
-            prime_power(q)
-        except ValueError:
+    for p in range(2, limit + 1):
+        if composite[p]:
             continue
-        out.append(q)
-    return out
+        composite[p * p :: p] = b"\x01" * len(range(p * p, limit + 1, p))
+        q = p
+        while q <= limit:
+            out.append(q)
+            q *= p
+    return sorted(out)
 
 
 def q_product(q: int, terms: Sequence[Tuple[int, int]]) -> int:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .exactmath import factorize, gcd, is_prime, prime_power, q_product
+from .exactmath import factorize, gcd, is_prime, p_prime_part, prime_power
 
 # q -> (p, f), decomposed once per q; a sweep asks for few distinct q
 _prime_power = functools.lru_cache(maxsize=None)(prime_power)
@@ -29,6 +29,8 @@ __all__ = [
     "SubgroupCase",
     "CaseOrders",
     "UnsupportedCaseError",
+    "FactorTable",
+    "factor_table",
     "order_x",
     "order_out",
     "gl_order",
@@ -79,42 +81,122 @@ class GroupSpec:
     def f(self) -> int:
         return _prime_power(self.q).f
 
-    @property
+    @functools.cached_property
     def d(self) -> int:
+        """gcd(n, q - 1), or gcd(n, q + 1) for the unitary family."""
         if self.family == "linear":
             return gcd(self.n, self.q - 1)
         return gcd(self.n, self.q + 1)
 
-    @property
-    def eps_terms(self) -> Tuple[Tuple[int, int], ...]:
-        """(j, eps) pairs for the socle order product over j = 2..n."""
-        if self.family == "linear":
-            return tuple((j, 1) for j in range(2, self.n + 1))
-        return tuple((j, (-1) ** j) for j in range(2, self.n + 1))
+    @functools.cached_property
+    def out_order(self) -> int:
+        """|Out(X)| = 2 d f for both families."""
+        return 2 * self.d * self.f
+
+    @functools.cached_property
+    def out_order_p_prime(self) -> int:
+        """The p'-part of |Out(X)|, which the order inequality squares."""
+        return p_prime_part(self.out_order, self.p)
 
     @functools.cached_property
     def socle_order(self) -> int:
-        """Order of the simple socle, computed once per spec: every cell
-        of a sweep over this socle reads it through `order_x`."""
-        q, n = self.q, self.n
-        raw = q ** (n * (n - 1) // 2) * q_product(q, self.eps_terms)
-        return _exact_div(raw, self.d, "the socle")
+        """Order of the simple socle, |GL_n(q)| / ((q - 1) d) or
+        |GU_n(q)| / ((q + 1) d), computed once per spec: every cell of a
+        sweep over this socle reads it through `order_x`."""
+        if self.family == "linear":
+            full, scalars = gl_order(self.n, self.q), self.q - 1
+        else:
+            full, scalars = gu_order(self.n, self.q), self.q + 1
+        return _exact_div(full, scalars * self.d, "the socle")
+
+
+class FactorTable:
+    """The factors q^j - 1 and q^j + 1 of the classical order formulas for
+    one prime power q, and their running products, extended on demand:
+
+        gl(a) = prod_{j=1..a} (q^j - 1)          |GL_a(q)| = q^(a(a-1)/2) gl(a)
+        gu(a) = prod_{j=1..a} (q^j - (-1)^j)     |GU_a(q)| = q^(a(a-1)/2) gu(a)
+        sp(m) = prod_{i=1..m} (q^(2i) - 1)       |Sp_2m(q)| = q^(m^2) sp(m)
+
+    Every order formula of this module reads its products here, through
+    `factor_table(q)`, so a sweep builds each product once per q instead
+    of once per cell.  A negative index raises ValueError.
+    """
+
+    __slots__ = ("q", "_minus", "_plus", "_gl", "_gu", "_sp")
+
+    def __init__(self, q: int) -> None:
+        if q < 2:
+            raise ValueError(f"q must be at least 2: {q}")
+        self.q = q
+        self._minus = [0]  # q^j - 1
+        self._plus = [2]  # q^j + 1
+        self._gl = [1]
+        self._gu = [1]
+        self._sp = [1]
+
+    def _extend(self, top: int) -> None:
+        """Every list up to index j = top (sp up to top // 2)."""
+        if top < 0:
+            raise ValueError(f"negative index {top} into the factor table of {self.q}")
+        q, minus, plus, gl, gu, sp = (
+            self.q, self._minus, self._plus, self._gl, self._gu, self._sp
+        )
+        power = minus[-1] + 1
+        for j in range(len(minus), top + 1):
+            power *= q
+            minus.append(power - 1)
+            plus.append(power + 1)
+            gl.append(gl[-1] * (power - 1))
+            gu.append(gu[-1] * (power + 1 if j % 2 else power - 1))
+            if j % 2 == 0:
+                sp.append(sp[-1] * (power - 1))
+
+    def minus(self, j: int) -> int:
+        """q^j - 1."""
+        if not 0 <= j < len(self._minus):
+            self._extend(j)
+        return self._minus[j]
+
+    def plus(self, j: int) -> int:
+        """q^j + 1."""
+        if not 0 <= j < len(self._plus):
+            self._extend(j)
+        return self._plus[j]
+
+    def gl(self, a: int) -> int:
+        """prod_{j=1..a} (q^j - 1)."""
+        if not 0 <= a < len(self._gl):
+            self._extend(a)
+        return self._gl[a]
+
+    def gu(self, a: int) -> int:
+        """prod_{j=1..a} (q^j - (-1)^j)."""
+        if not 0 <= a < len(self._gu):
+            self._extend(a)
+        return self._gu[a]
+
+    def sp(self, m: int) -> int:
+        """prod_{i=1..m} (q^(2i) - 1)."""
+        if not 0 <= m < len(self._sp):
+            self._extend(2 * m)
+        return self._sp[m]
+
+
+@functools.lru_cache(maxsize=None)
+def factor_table(q: int) -> FactorTable:
+    """The one factor table of q, shared by every formula and every cell."""
+    return FactorTable(q)
 
 
 def gl_order(a: int, q: int) -> int:
     """|GL_a(q)|."""
-    if a == 0:
-        return 1
-    return q ** (a * (a - 1) // 2) * q_product(q, tuple((j, 1) for j in range(1, a + 1)))
+    return q ** (a * (a - 1) // 2) * factor_table(q).gl(a)
 
 
 def gu_order(a: int, q: int) -> int:
     """|GU_a(q)| (unitary group over F_{q^2})."""
-    if a == 0:
-        return 1
-    return q ** (a * (a - 1) // 2) * q_product(
-        q, tuple((j, (-1) ** j) for j in range(1, a + 1))
-    )
+    return q ** (a * (a - 1) // 2) * factor_table(q).gu(a)
 
 
 def sp_order(n: int, q: int) -> int:
@@ -122,25 +204,22 @@ def sp_order(n: int, q: int) -> int:
     if n % 2:
         raise ValueError(f"symplectic dimension must be even: {n}")
     m = n // 2
-    return q ** (m * m) * q_product(q, tuple((2 * i, 1) for i in range(1, m + 1)))
+    return q ** (m * m) * factor_table(q).sp(m)
 
 
 def so_order(n: int, q: int, eps: str = "o") -> int:
     """|SO^eps_n(q)|; eps is "o" for odd n, "+" or "-" for even n."""
+    table = factor_table(q)
     if n % 2:
         if eps != "o":
             raise ValueError(f"odd orthogonal dimension takes eps='o', got {eps}")
         m = (n - 1) // 2
-        return q ** (m * m) * q_product(q, tuple((2 * i, 1) for i in range(1, m + 1)))
+        return q ** (m * m) * table.sp(m)
     if eps not in ("+", "-"):
         raise ValueError(f"even orthogonal dimension needs eps '+'/'-', got {eps}")
     m = n // 2
-    sign = 1 if eps == "+" else -1
-    return (
-        q ** (m * (m - 1))
-        * (q**m - sign)
-        * q_product(q, tuple((2 * i, 1) for i in range(1, m)))
-    )
+    middle = table.minus(m) if eps == "+" else table.plus(m)
+    return q ** (m * (m - 1)) * middle * table.sp(m - 1)
 
 
 def order_x(spec: GroupSpec) -> int:
@@ -150,37 +229,34 @@ def order_x(spec: GroupSpec) -> int:
 
 def order_out(spec: GroupSpec) -> int:
     """|Out(X)| = 2 d f for both families."""
-    return 2 * spec.d * spec.f
+    return spec.out_order
 
 
 def gaussian_binomial(n: int, i: int, q: int) -> int:
     """Number of i-dimensional subspaces of an n-dimensional space over F_q."""
     if not 0 <= i <= n:
         return 0
-    num = q_product(q, tuple((n - j, 1) for j in range(i)))
-    den = q_product(q, tuple((j, 1) for j in range(1, i + 1)))
-    return _exact_div(num, den, "a Gaussian binomial")
+    table = factor_table(q)
+    return _exact_div(
+        table.gl(n), table.gl(i) * table.gl(n - i), "a Gaussian binomial"
+    )
 
 
 def isotropic_point_count(n: int, q: int) -> int:
-    """Isotropic projective points of a nondegenerate unitary n-space."""
-    num = (q**n - (-1) ** n) * (q ** (n - 1) - (-1) ** (n - 1))
-    den = q * q - 1
-    return _exact_div(num, den, "the isotropic point count")
+    """Isotropic projective points of a nondegenerate unitary n-space
+    (n >= 2)."""
+    return totally_singular_count(n, 1, q)
 
 
 def totally_singular_count(n: int, i: int, q: int) -> int:
-    """Totally singular i-subspaces of a unitary n-space (1 <= i <= n/2)."""
+    """Totally singular i-subspaces of a unitary n-space (1 <= i <= n/2):
+    prod_{j=n-2i+1..n} (q^j - (-1)^j) / prod_{j=1..i} (q^(2j) - 1)."""
     if not 1 <= i <= n // 2:
         raise ValueError(f"no totally singular {i}-spaces in dimension {n}")
-    num = 1
-    for j in range(i):
-        num *= isotropic_point_count(n - 2 * j, q)
-    den = 1
-    for j in range(1, i + 1):
-        term = (q ** (2 * j) - 1) // (q * q - 1)
-        den *= term
-    return _exact_div(num, den, "the totally singular count")
+    table = factor_table(q)
+    return _exact_div(
+        table.gu(n), table.gu(n - 2 * i) * table.sp(i), "the totally singular count"
+    )
 
 
 @dataclass(frozen=True)
@@ -218,7 +294,7 @@ def case_label(case: SubgroupCase) -> str:
     return case.kind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CaseOrders:
     """Order data for one (socle, point-stabilizer case) cell.
 
@@ -236,21 +312,22 @@ class CaseOrders:
 
 
 def _exact(spec: GroupSpec, ox: int, h0: int) -> CaseOrders:
-    """Exact orders, given ox = order_x(spec)."""
-    if h0 <= 0 or ox % h0 != 0:
+    """Exact orders, given ox = order_x(spec); one divmod gives v and
+    checks v * h0 == ox."""
+    v, rest = divmod(ox, max(h0, 1))
+    if h0 <= 0 or rest:
         raise ArithmeticError(
             f"subgroup order {h0} does not divide |X| = {ox} for {spec}"
         )
-    v = ox // h0
     if v < 2:
         raise ArithmeticError(f"degenerate index v = {v} for {spec}")
-    return CaseOrders(order_x=ox, order_out=order_out(spec), order_h0=h0, v=v)
+    return CaseOrders(order_x=ox, order_out=spec.out_order, order_h0=h0, v=v)
 
 
 def _bounded(spec: GroupSpec, ox: int, bound: Optional[int]) -> CaseOrders:
     return CaseOrders(
         order_x=ox,
-        order_out=order_out(spec),
+        order_out=spec.out_order,
         order_h0=None,
         v=None,
         order_h0_bound=bound,
@@ -411,31 +488,26 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
         h0 = _exact_div(math.factorial(t) * gl_order(m, q) ** t, (q - 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "C3":
+        # GL_m(q^t): the factors q^(tj) - 1 for j = 1..m
         m, t = params
-        ext = q_product(q, tuple((t * j, 1) for j in range(1, m + 1)))
+        ext = math.prod(map(factor_table(q).minus, range(t, n + 1, t)))
         h0 = _exact_div(t * q ** (n * (m - 1) // 2) * ext, (q - 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "C4":
+        # SL_i(q) x SL_j(q), extended by gcd(i, j, q - 1) scalars
         (i,) = params
         j = n // i
-        tail = q_product(q, tuple((k, 1) for k in range(2, i + 1))) * q_product(
-            q, tuple((k, 1) for k in range(2, j + 1))
-        )
         h0 = _exact_div(
-            gcd(i, j, q - 1) * q ** ((i * i + j * j - i - j) // 2) * tail,
-            d,
+            gcd(i, j, q - 1) * gl_order(i, q) * gl_order(j, q),
+            (q - 1) ** 2 * d,
             case,
         )
         return _exact(spec, ox, h0)
     if kind == "C5_subfield":
+        # SL_n(q0), extended by c scalars
         q0, t = params
         c = gcd(n, (q - 1) // (q0 - 1))
-        h0 = _exact_div(
-            c * q0 ** (n * (n - 1) // 2)
-            * q_product(q0, tuple((j, 1) for j in range(2, n + 1))),
-            d,
-            case,
-        )
+        h0 = _exact_div(c * gl_order(n, q0), (q0 - 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "C6":
         t, m = params
@@ -456,14 +528,10 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
         (eps,) = params
         return _exact(spec, ox, so_order(n, q, eps))
     if kind == "C8_U":
+        # SU_n(q0), extended by c scalars
         (q0,) = params
         c = gcd(n, q0 - 1)
-        h0 = _exact_div(
-            c * q0 ** (n * (n - 1) // 2)
-            * q_product(q0, tuple((j, (-1) ** j) for j in range(2, n + 1))),
-            d,
-            case,
-        )
+        h0 = _exact_div(c * gu_order(n, q0), (q0 + 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "S":
         (line,) = params

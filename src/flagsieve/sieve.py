@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .exactmath import binomial_exceeds, divisors, divisors_upto, gcd, p_prime_part
-from .grouporders import CaseOrders
+from .grouporders import CaseOrders, GroupSpec
 
 __all__ = [
     "REASON_CODES",
@@ -199,17 +199,18 @@ def subdegree_filter(v: int, s: int) -> Tuple[int, bool]:
     return big_r, v < big_r * big_r
 
 
-def order_inequality_check(orders: CaseOrders, p: int) -> Tuple[int, bool]:
+def order_inequality_check(orders: CaseOrders, spec: GroupSpec) -> Tuple[int, bool]:
     """(bound, survives): the case survives iff |X| < bound, where
-    bound = (|Out(X)|_{p'})^2 * |H0| * (|H0|_{p'})^2.
+    bound = (|Out(X)|_{p'})^2 * |H0| * (|H0|_{p'})^2 and p is the
+    characteristic of the socle `spec`, whose orders `orders` holds.
 
     This is the master inequality combining lambda*v < r^2 with the divisor
     bound on r when p divides v; failing it eliminates the case.
     """
     if orders.order_h0 is None:
         raise ValueError("order_inequality_check needs an exact subgroup order")
-    out_stripped = p_prime_part(orders.order_out, p)
-    h0_stripped = p_prime_part(orders.order_h0, p)
+    out_stripped = spec.out_order_p_prime
+    h0_stripped = p_prime_part(orders.order_h0, spec.p)
     bound = out_stripped**2 * orders.order_h0 * h0_stripped**2
     return bound, orders.order_x < bound
 

@@ -1,5 +1,6 @@
 """Command line contract: output text, report files, exit codes."""
 
+import functools
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import flagsieve
+from flagsieve import eliminator
 from flagsieve.cli import (
     EXIT_DISCREPANCY,
     EXIT_OK,
@@ -15,7 +17,7 @@ from flagsieve.cli import (
     emit_report,
     main,
 )
-from flagsieve.designsearch import load_design
+from flagsieve.designsearch import load_design, stabilizer_search
 from flagsieve.eliminator import CellReport, Final, Step, eliminate, sweep
 from flagsieve.grouporders import GroupSpec, SubgroupCase, case_label
 from flagsieve.sieve import DesignParams
@@ -241,6 +243,34 @@ def test_sweep_class_filter(capsys):
     assert code == EXIT_OK
     assert lines[0].endswith("cells 1")
     assert lines[-1] == "survivor unitary n=3 q=3 C1_Pi(1) Survives"
+
+
+def test_sweep_class_filter_runs_no_other_cell(capsys, tmp_path, monkeypatch):
+    """--class picks the cases before elimination: the S(1) cell of the
+    same grid, whose stored searches are four stabilizer_search calls, is
+    never run, and the kept cell's report is the unfiltered one's."""
+    calls = []
+
+    def counted(action, params):
+        calls.append((action.label, params))
+        return stabilizer_search(action, params)
+
+    monkeypatch.setattr(eliminator, "stabilizer_search", counted)
+    # a fresh search cache, so that searches run by earlier tests still count
+    fresh = functools.lru_cache(maxsize=None)(eliminator._registry_search.__wrapped__)
+    monkeypatch.setattr(eliminator, "_registry_search", fresh)
+    argv = "sweep --family psu --n-min 3 --n-max 3 --q-max 3".split()
+    picked, full = tmp_path / "picked.json", tmp_path / "full.json"
+    code, _ = run_cli(capsys, *argv, "--class", "c1", "--output", str(picked))
+    assert code == EXIT_OK
+    assert calls == []
+    code, _ = run_cli(capsys, *argv, "--no-search", "--output", str(full))
+    assert code == EXIT_OK
+    kept = json.loads(picked.read_text())["cells"]
+    assert [c["case"]["label"] for c in kept] == ["C1_Pi(1)"]
+    assert kept == [
+        c for c in json.loads(full.read_text())["cells"] if c["case"]["kind"] == "C1_Pi"
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from flagsieve import exactmath
 from flagsieve.exactmath import (
     Factorization,
     PrimePower,
@@ -133,6 +134,23 @@ def test_prime_powers_upto():
     grid = prime_powers_upto(32)
     assert grid[-5:] == [25, 27, 29, 31, 32]
     assert 24 not in grid and 28 not in grid
+
+
+def test_prime_powers_upto_sieves_without_factorizing(monkeypatch):
+    """The sieve agrees with prime_power on every q <= 1000 and makes no
+    factorize call: a sweep row asks for its q axis once per call."""
+    reference = []
+    for q in range(2, 1001):
+        try:
+            prime_power(q)
+        except ValueError:
+            continue
+        reference.append(q)
+    calls = []
+    monkeypatch.setattr(exactmath, "factorize", lambda n: calls.append(n))
+    for limit in (-1, 0, 1, 2, 3, 4, 127, 128, 1000):
+        assert prime_powers_upto(limit) == [q for q in reference if q <= limit]
+    assert calls == []
 
 
 def test_q_product_anchors():

@@ -1,16 +1,24 @@
-"""Order formulas and case tables, pinned against hand-checked values."""
+"""Order formulas and case tables, pinned against hand-checked values,
+reference products and the stabilizer chains of the permutation actions."""
+
+import functools
+import math
 
 import pytest
 
-from flagsieve.exactmath import prime_power, prime_powers_upto
+from flagsieve import grouporders
+from flagsieve.eliminator import grid_q_values, sweep
+from flagsieve.exactmath import prime_power, prime_powers_upto, q_product
 from flagsieve.grouporders import (
     LINEAR_S_TABLE,
     UNITARY_S_TABLE,
+    FactorTable,
     GroupSpec,
     SubgroupCase,
     UnsupportedCaseError,
     case_orders,
     enumerate_cases,
+    factor_table,
     gaussian_binomial,
     gl_order,
     gu_order,
@@ -24,6 +32,7 @@ from flagsieve.grouporders import (
     sp_order,
     totally_singular_count,
 )
+from flagsieve.permgroup import builtin_action, classical_action, pair_action
 
 L = lambda n, q: GroupSpec("linear", n, q)
 U = lambda n, q: GroupSpec("unitary", n, q)
@@ -320,3 +329,266 @@ def test_known_subdegrees():
     assert known_subdegrees(U(6, 2), SubgroupCase("C2_GU1wr", ())) == (540,)
     assert known_subdegrees(U(4, 5), SubgroupCase("C2_GU1wr", ())) == (216,)
     assert known_subdegrees(U(3, 5), SubgroupCase("C2_GU1wr", ())) is None
+
+
+# ---------------------------------------------------------------------------
+# The factor table against the definitions.  These are the order formulas
+# as products of q^j - eps built term by term with q_product, kept as the
+# reference the table-based formulas must reproduce.
+
+
+def _ref_gl(a, q):
+    if a == 0:
+        return 1
+    return q ** (a * (a - 1) // 2) * q_product(q, tuple((j, 1) for j in range(1, a + 1)))
+
+
+def _ref_gu(a, q):
+    if a == 0:
+        return 1
+    return q ** (a * (a - 1) // 2) * q_product(
+        q, tuple((j, (-1) ** j) for j in range(1, a + 1))
+    )
+
+
+def _ref_sp(n, q):
+    m = n // 2
+    return q ** (m * m) * q_product(q, tuple((2 * i, 1) for i in range(1, m + 1)))
+
+
+def _ref_so(n, q, eps):
+    if n % 2:
+        m = (n - 1) // 2
+        return q ** (m * m) * q_product(q, tuple((2 * i, 1) for i in range(1, m + 1)))
+    m = n // 2
+    sign = 1 if eps == "+" else -1
+    return (
+        q ** (m * (m - 1))
+        * (q**m - sign)
+        * q_product(q, tuple((2 * i, 1) for i in range(1, m)))
+    )
+
+
+def _ref_gaussian(n, i, q):
+    num = q_product(q, tuple((n - j, 1) for j in range(i)))
+    den = q_product(q, tuple((j, 1) for j in range(1, i + 1)))
+    assert num % den == 0
+    return num // den
+
+
+def _ref_isotropic(n, q):
+    num = (q**n - (-1) ** n) * (q ** (n - 1) - (-1) ** (n - 1))
+    assert num % (q * q - 1) == 0
+    return num // (q * q - 1)
+
+
+def _ref_totally_singular(n, i, q):
+    num = 1
+    for j in range(i):
+        num *= _ref_isotropic(n - 2 * j, q)
+    den = 1
+    for j in range(1, i + 1):
+        den *= (q ** (2 * j) - 1) // (q * q - 1)
+    assert num % den == 0
+    return num // den
+
+
+def _ref_div(num, den):
+    assert num % den == 0, (num, den)
+    return num // den
+
+
+def _ref_socle(family, n, q):
+    if family == "linear":
+        d = math.gcd(n, q - 1)
+        terms = tuple((j, 1) for j in range(2, n + 1))
+    else:
+        d = math.gcd(n, q + 1)
+        terms = tuple((j, (-1) ** j) for j in range(2, n + 1))
+    return _ref_div(q ** (n * (n - 1) // 2) * q_product(q, terms), d)
+
+
+def _ref_h0(spec, case, ox):
+    """|H0| from the reference formulas, for every kind whose order is a
+    product of q^j - eps; None for the kinds given by constants or bounds."""
+    n, q, kind, params = spec.n, spec.q, case.kind, case.params
+    if spec.family == "linear":
+        d = math.gcd(n, q - 1)
+        if kind == "C1_Pi":
+            return _ref_div(ox, _ref_gaussian(n, params[0], q))
+        if kind == "C1_Pij":
+            (i,) = params
+            return _ref_div(ox, _ref_gaussian(n, i, q) * _ref_gaussian(n - i, i, q))
+        if kind == "C1_GLiGLni":
+            (i,) = params
+            return _ref_div(_ref_gl(i, q) * _ref_gl(n - i, q), (q - 1) * d)
+        if kind == "C2_GLwr":
+            m, t = params
+            return _ref_div(math.factorial(t) * _ref_gl(m, q) ** t, (q - 1) * d)
+        if kind == "C3":
+            m, t = params
+            ext = q_product(q, tuple((t * j, 1) for j in range(1, m + 1)))
+            return _ref_div(t * q ** (n * (m - 1) // 2) * ext, (q - 1) * d)
+        if kind == "C4":
+            (i,) = params
+            j = n // i
+            tail = q_product(q, tuple((k, 1) for k in range(2, i + 1))) * q_product(
+                q, tuple((k, 1) for k in range(2, j + 1))
+            )
+            return _ref_div(
+                math.gcd(i, j, q - 1) * q ** ((i * i + j * j - i - j) // 2) * tail, d
+            )
+        if kind == "C5_subfield":
+            q0, _ = params
+            c = math.gcd(n, (q - 1) // (q0 - 1))
+            terms = tuple((j, 1) for j in range(2, n + 1))
+            return _ref_div(c * q0 ** (n * (n - 1) // 2) * q_product(q0, terms), d)
+        if kind == "C8_Sp":
+            return _ref_div(math.gcd(n // 2, q - 1) * _ref_sp(n, q), d)
+        if kind == "C8_O":
+            return _ref_so(n, q, params[0])
+        if kind == "C8_U":
+            (q0,) = params
+            c = math.gcd(n, q0 - 1)
+            terms = tuple((j, (-1) ** j) for j in range(2, n + 1))
+            return _ref_div(c * q0 ** (n * (n - 1) // 2) * q_product(q0, terms), d)
+        if kind == "S" and params == (8,):
+            return _ref_div(_ref_gl(3, q), (q - 1) * math.gcd(3, q - 1))
+        return None
+    d = math.gcd(n, q + 1)
+    if kind == "C1_Pi":
+        return _ref_div(ox, _ref_totally_singular(n, params[0], q))
+    if kind == "C1_Ni":
+        (i,) = params
+        return _ref_div(_ref_gu(i, q) * _ref_gu(n - i, q), (q + 1) * d)
+    if kind == "C2_GU1wr":
+        return _ref_div(math.factorial(n) * (q + 1) ** (n - 1), d)
+    if kind == "C2_GLwr":
+        m, t = params
+        return _ref_div(math.factorial(t) * _ref_gu(m, q) ** t, (q + 1) * d)
+    if kind == "C2_GLhalf":
+        return _ref_div(2 * _ref_gl(n // 2, q * q), (q + 1) * d)
+    if kind == "C5_Sp":
+        return _ref_div(_ref_sp(n, q), math.gcd(2, q - 1))
+    if kind == "C5_O":
+        return _ref_so(n, q, params[0])
+    return None
+
+
+def test_order_formulas_match_reference_products():
+    """Every formula that reads the factor table, for every prime power
+    q <= 128 at dimension <= 20 (unitary <= 16)."""
+    for q in prime_powers_upto(128):
+        for a in range(21):
+            assert gl_order(a, q) == _ref_gl(a, q), (a, q)
+            for i in range(a + 1):
+                assert gaussian_binomial(a, i, q) == _ref_gaussian(a, i, q), (a, i, q)
+        for a in range(17):
+            assert gu_order(a, q) == _ref_gu(a, q), (a, q)
+            for i in range(1, a // 2 + 1):
+                got = totally_singular_count(a, i, q)
+                assert got == _ref_totally_singular(a, i, q), (a, i, q)
+            if a >= 2:
+                assert isotropic_point_count(a, q) == _ref_isotropic(a, q), (a, q)
+        for n in range(1, 21):
+            if n % 2:
+                assert so_order(n, q) == _ref_so(n, q, "o"), (n, q)
+            else:
+                assert sp_order(n, q) == _ref_sp(n, q), (n, q)
+                for eps in "+-":
+                    assert so_order(n, q, eps) == _ref_so(n, q, eps), (n, q, eps)
+
+
+@pytest.mark.parametrize("family, n_max", [("linear", 20), ("unitary", 16)])
+def test_case_orders_match_reference_products(family, n_max):
+    """The socle order and every product-formula |H0| of every enumerated
+    case, for every prime power q <= 128."""
+    checked = 0
+    for q in prime_powers_upto(128):
+        for n in range(3, n_max + 1):
+            if (family, n, q) == ("unitary", 3, 2):
+                continue
+            spec = GroupSpec(family, n, q)
+            ox = _ref_socle(family, n, q)
+            assert order_x(spec) == ox, spec
+            for case in enumerate_cases(spec):
+                want = _ref_h0(spec, case, ox)
+                if want is None:
+                    continue
+                got = case_orders(spec, case)
+                assert (got.order_h0, got.v) == (want, ox // want), (spec, case)
+                checked += 1
+    assert checked > 5_000
+
+
+def test_factor_table_extends_on_demand_and_rejects_bad_input():
+    table = FactorTable(3)
+    assert table.gl(3) == 2 * 8 * 26
+    assert table.gu(3) == 4 * 8 * 28
+    assert table.sp(2) == 8 * 80
+    assert (table.minus(4), table.plus(4)) == (80, 82)
+    assert table.gl(0) == table.gu(0) == table.sp(0) == 1
+    for read in (table.minus, table.plus, table.gl, table.gu, table.sp):
+        with pytest.raises(ValueError):
+            read(-1)
+    with pytest.raises(ValueError):
+        FactorTable(1)
+    assert factor_table(3) is factor_table(3)
+
+
+def test_tier1_linear_sweep_builds_one_table_per_q(monkeypatch):
+    """Every formula of a sweep reads one table per distinct q of its grid,
+    built once: no table for q^t, for a subfield or for a repeated q."""
+    built = []
+
+    class Recorded(FactorTable):
+        __slots__ = ()
+
+        def __init__(self, q):
+            built.append(q)
+            super().__init__(q)
+
+    monkeypatch.setattr(grouporders, "FactorTable", Recorded)
+    factor_table.cache_clear()
+    try:
+        sweep("linear", 3, 12, 32, run_searches=False)
+    finally:
+        factor_table.cache_clear()
+    assert built == sorted(set(built))
+    assert built == list(grid_q_values(32))
+
+
+# ---------------------------------------------------------------------------
+# case_orders against the stabilizer chains of the permutation actions
+
+
+CHAIN_ANCHORS = [
+    *[
+        (functools.partial(classical_action, "linear", n, q), L(n, q), ("C1_Pi", (1,)))
+        for n, q in [(3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (4, 2), (4, 3), (5, 2), (6, 2)]
+    ],
+    *[
+        (functools.partial(classical_action, "unitary", 3, q), U(3, q), ("C1_Pi", (1,)))
+        for q in (3, 4)
+    ],
+    (functools.partial(builtin_action, "psl2_7"), L(3, 2), ("C3", (1, 3))),
+    (functools.partial(builtin_action, "psl4_2"), L(4, 2), ("S", (4,))),
+    (lambda: pair_action(builtin_action("psl4_2")), L(4, 2), ("C8_Sp", ())),
+    (functools.partial(builtin_action, "psl3_3_144"), L(3, 3), ("C3", (1, 3))),
+    (functools.partial(builtin_action, "psu3_3_36"), U(3, 3), ("S", (1,))),
+]
+
+
+@pytest.mark.parametrize(
+    "build, spec, case",
+    CHAIN_ANCHORS,
+    ids=[f"{s.family}-{s.n}-{s.q}-{k}" for _, s, (k, _) in CHAIN_ANCHORS],
+)
+def test_case_orders_match_the_chain(build, spec, case):
+    """v is the degree of the action, |X| its order and |H0| the order of
+    a point stabilizer, each read off the action's stabilizer chain."""
+    action = build()
+    got = case_orders(spec, SubgroupCase(*case))
+    assert action.degree == got.v
+    assert action.order() == got.order_x
+    assert action.point_stabilizer(0).order() == got.order_h0

@@ -127,7 +127,7 @@ def test_admissible_tuples_recheck_is_an_explicit_raise(monkeypatch):
 
 
 def test_admissible_tuples_matches_brute_force():
-    for v in range(5, 51):
+    for v in range(5, 301):
         for r_divisor in (60, 84, 132, 2 * (v - 1), 5 * (v - 1)):
             got = {d.as_tuple() for d in admissible_tuples(v, r_divisor)}
             assert got == _brute_force_tuples(v, r_divisor), (v, r_divisor)
@@ -164,15 +164,15 @@ def test_subdegree_filter_divisor_monotone():
 
 
 def test_order_inequality_check():
-    wreath = case_orders(
-        GroupSpec("linear", 6, 2), SubgroupCase("C2_GLwr", (2, 3))
-    )
+    l62 = GroupSpec("linear", 6, 2)
+    wreath = case_orders(l62, SubgroupCase("C2_GLwr", (2, 3)))
     # 20158709760 >= 1296 * 81^2 = 8503056: eliminated
-    assert order_inequality_check(wreath, 2) == (8503056, False)
-    torus = case_orders(GroupSpec("linear", 3, 2), SubgroupCase("C3", (1, 3)))
+    assert order_inequality_check(wreath, l62) == (8503056, False)
+    l32 = GroupSpec("linear", 3, 2)
+    torus = case_orders(l32, SubgroupCase("C3", (1, 3)))
     assert torus.order_h0 == 21
     # 168 < 21^3 (all orders odd after stripping 2): survives
-    assert order_inequality_check(torus, 2) == (21**3, True)
+    assert order_inequality_check(torus, l32) == (21**3, True)
 
 
 def test_two_point_divisor():

@@ -284,43 +284,81 @@ _CELL = """\
     }"""
 
 
-def _report_json(reports: Sequence[CellReport], grid: Optional[Dict]) -> str:
-    """The JSON report {schemaVersion, grid, cells, summary}, byte for byte
-    as json.dumps(..., indent=2) writes it, with a final newline."""
-    cells = []
-    for rep in reports:
-        steps = []
-        for s in rep.steps:
-            witnesses = [
-                _WITNESS % (_str(key), _json(value, " " * 14))
-                for key, value in s.witnesses
-            ]
-            steps.append(
-                _STEP
-                % (
-                    _str(s.name),
-                    _str(s.citation),
-                    _wrap(witnesses, " " * 10),
-                    _str(s.verdict),
-                )
-            )
-        final = rep.final
-        cells.append(
-            _CELL
+def _literal(text: str) -> str:
+    """text as a literal part of a %-template."""
+    return text.replace("%", "%%")
+
+
+def _cell_template(rep: CellReport) -> str:
+    """rep's cell in _CELL's layout, as a %-template whose slots are n, q,
+    each witness value in order and the final tuples.  Every other part
+    is fixed by the cell's shape (see _report_json)."""
+    steps = []
+    for s in rep.steps:
+        witnesses = [_WITNESS % (_literal(_str(key)), "%s") for key, _ in s.witnesses]
+        steps.append(
+            _STEP
             % (
-                _str(rep.family),
-                int.__repr__(rep.n),
-                int.__repr__(rep.q),
-                _str(rep.case.kind),
-                _json(rep.case.params, " " * 8),
-                _str(case_label(rep.case)),
-                _wrap(steps, " " * 6),
-                _str(final.kind),
-                _json(final.step_index, ""),
-                _json([t.as_tuple() for t in final.tuples], " " * 8),
-                _str(final.note),
+                _literal(_str(s.name)),
+                _literal(_str(s.citation)),
+                _wrap(witnesses, " " * 10),
+                _literal(_str(s.verdict)),
             )
         )
+    final = rep.final
+    return _CELL % (
+        _literal(_str(rep.family)),
+        "%s",
+        "%s",
+        _literal(_str(rep.case.kind)),
+        _literal(_json(rep.case.params, " " * 8)),
+        _literal(_str(case_label(rep.case))),
+        _wrap(steps, " " * 6),
+        _literal(_str(final.kind)),
+        _literal(_json(final.step_index, "")),
+        "%s",
+        _literal(_str(final.note)),
+    )
+
+
+def _report_json(reports: Sequence[CellReport], grid: Optional[Dict]) -> str:
+    """The JSON report {schemaVersion, grid, cells, summary}, byte for byte
+    as json.dumps(..., indent=2) writes it, with a final newline.
+
+    Cells of one shape (family, case, each step's name, citation, verdict
+    and witness keys, and the final's kind, stepIndex and note) share one
+    template, built on the first such cell.  1 == True == 1.0 in Python,
+    so the shape holds the params' repr and the step index's type."""
+    templates: Dict[tuple, str] = {}
+    cells = []
+    pad = " " * 14
+    for rep in reports:
+        final = rep.final
+        shape = [
+            rep.family,
+            rep.case.kind,
+            repr(rep.case.params),
+            final.kind,
+            final.step_index,
+            type(final.step_index),
+            final.note,
+        ]
+        slots = [int.__repr__(rep.n), int.__repr__(rep.q)]
+        for s in rep.steps:
+            step = [s.name, s.citation, s.verdict]
+            for key, value in s.witnesses:
+                step.append(key)
+                slots.append(
+                    int.__repr__(value) if type(value) is int else _json(value, pad)
+                )
+            shape.append(tuple(step))
+        tuples = [t.as_tuple() for t in final.tuples]
+        slots.append(_json(tuples, " " * 8) if tuples else "[]")
+        shape = tuple(shape)
+        template = templates.get(shape)
+        if template is None:
+            template = templates[shape] = _cell_template(rep)
+        cells.append(template % tuple(slots))
     kinds: Dict[str, int] = {}
     for rep in reports:
         kinds[rep.final.kind] = kinds.get(rep.final.kind, 0) + 1

@@ -29,8 +29,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .designsearch import SearchResult, stabilizer_search
 from .exactmath import gcd, prime_powers_upto
@@ -142,8 +141,7 @@ SEARCH_REGISTRY: Dict[
 Witness = Tuple[str, object]
 
 
-@dataclass(frozen=True, slots=True)
-class Step:
+class Step(NamedTuple):
     """One applied screen with its witnesses and verdict."""
 
     name: str
@@ -152,22 +150,32 @@ class Step:
     verdict: str  # "pass" | "eliminated" | "info"
 
 
-@dataclass(frozen=True, slots=True)
-class Final:
-    """Outcome of a cell; step_index points at the eliminating step."""
-
+class _FinalFields(NamedTuple):
     kind: str
     step_index: Optional[int] = None
     tuples: Tuple[DesignParams, ...] = ()
     note: str = ""
 
-    def __post_init__(self) -> None:
-        if self.kind not in FINAL_KINDS:
-            raise ValueError(f"unknown outcome kind: {self.kind}")
+
+class Final(_FinalFields):
+    """Outcome of a cell; step_index points at the eliminating step."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        kind: str,
+        step_index: Optional[int] = None,
+        tuples: Tuple[DesignParams, ...] = (),
+        note: str = "",
+    ) -> Final:
+        if kind not in FINAL_KINDS:
+            raise ValueError(f"unknown outcome kind: {kind}")
+        # what the generated _FinalFields.__new__ does, without super()'s cost
+        return tuple.__new__(cls, (kind, step_index, tuples, note))
 
 
-@dataclass(frozen=True, slots=True)
-class CellReport:
+class CellReport(NamedTuple):
     family: str
     n: int
     q: int

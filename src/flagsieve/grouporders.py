@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .exactmath import factorize, gcd, is_prime, p_prime_part, prime_power
 
@@ -605,8 +605,11 @@ def case_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
 # ---------------------------------------------------------------------------
 
 
-def _extraspecial_cells(spec: GroupSpec) -> list[SubgroupCase]:
+def _extraspecial_cells(
+    spec: GroupSpec, n_primes: Sequence[int]
+) -> list[SubgroupCase]:
     """C6 cells: n = t^m, t prime, t != p, with the field condition on q.
+    n_primes are the primes dividing n.
 
     The defining condition is that f is odd and minimal with t(2,t) | q - 1
     (q + 1 for the unitary family).  For t odd that forces q = p = 1 mod t;
@@ -614,7 +617,7 @@ def _extraspecial_cells(spec: GroupSpec) -> list[SubgroupCase]:
     """
     out = []
     target = spec.q - 1 if spec.family == "linear" else spec.q + 1
-    for t, _ in factorize(spec.n).pairs:
+    for t in n_primes:
         m = 0
         k = spec.n
         while k % t == 0:
@@ -634,6 +637,7 @@ def _extraspecial_cells(spec: GroupSpec) -> list[SubgroupCase]:
 def enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
     """Every subgroup case attached to this socle on the survey grid."""
     n, q = spec.n, spec.q
+    n_primes = [t for t, _ in factorize(n).pairs]
     cases: list[SubgroupCase] = []
 
     for i in range(1, n // 2 + 1):
@@ -646,14 +650,14 @@ def enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
         for t in range(2, n + 1):
             if n % t == 0:
                 cases.append(SubgroupCase("C2_GLwr", (n // t, t)))
-        for t, _ in factorize(n).pairs:
+        for t in n_primes:
             cases.append(SubgroupCase("C3", (n // t, t)))
         for i in range(2, n):
             if n % i == 0 and i * i < n:
                 cases.append(SubgroupCase("C4", (i,)))
         for t, _ in factorize(spec.f).pairs:
             cases.append(SubgroupCase("C5_subfield", (spec.p ** (spec.f // t), t)))
-        cases.extend(_extraspecial_cells(spec))
+        cases.extend(_extraspecial_cells(spec, n_primes))
         for m in range(3, n):
             for t in range(2, 5):
                 if m**t == n:
@@ -682,7 +686,7 @@ def enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
             cases.append(SubgroupCase("C2_GLwr", (n // t, t)))
     if n % 2 == 0:
         cases.append(SubgroupCase("C2_GLhalf", ()))
-    for t, _ in factorize(n).pairs:
+    for t in n_primes:
         if t % 2 == 1:
             cases.append(SubgroupCase("C3", (n // t, t)))
     for i in range(2, n):
@@ -699,7 +703,7 @@ def enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
         else:
             cases.append(SubgroupCase("C5_O", ("+",)))
             cases.append(SubgroupCase("C5_O", ("-",)))
-    cases.extend(_extraspecial_cells(spec))
+    cases.extend(_extraspecial_cells(spec, n_primes))
     for m in range(3, n):
         for t in range(2, 5):
             if m**t == n:

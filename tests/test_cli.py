@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import flagsieve
-from flagsieve import eliminator
+from flagsieve import cli, eliminator
 from flagsieve.cli import (
     EXIT_DISCREPANCY,
     EXIT_OK,
@@ -481,11 +481,34 @@ def assert_report_matches_reference(tmp_path, reports, grid):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
-@pytest.mark.parametrize("family,n_max,q_max", [("linear", 12, 32), ("unitary", 8, 8)])
-def test_emit_report_matches_reference_on_tier1_sweeps(tmp_path, family, n_max, q_max):
+def count_templates(monkeypatch):
+    """The cells _report_json builds a template for, from now on."""
+    built = []
+    original = cli._cell_template
+
+    def counted(rep):
+        built.append(rep)
+        return original(rep)
+
+    monkeypatch.setattr(cli, "_cell_template", counted)
+    return built
+
+
+@pytest.mark.parametrize(
+    "family,n_max,q_max,shapes",
+    [("linear", 12, 32, 102), ("unitary", 8, 8, 45)],
+    ids=["linear-12-32", "unitary-8-8"],
+)
+def test_emit_report_matches_reference_on_tier1_sweeps(
+    tmp_path, monkeypatch, family, n_max, q_max, shapes
+):
+    """Byte for byte, with one template per cell shape: a shape that took
+    in n, q or a witness value would build more."""
     reports = sweep(family, 3, n_max, q_max)
     grid = {"family": family, "nMin": 3, "nMax": n_max, "qMax": q_max}
+    built = count_templates(monkeypatch)
     assert_report_matches_reference(tmp_path, reports, grid)
+    assert len(built) == shapes
 
 
 ODD_TEXT = 'caf\u00e9 "q" back\\slash \t tab \x01 \u2028 \U0001d53d'
@@ -551,6 +574,57 @@ def test_emit_report_matches_reference_on_odd_cells(tmp_path, witness_value):
         assert_report_matches_reference(tmp_path, reports, grid)
         assert_report_matches_reference(tmp_path, reports[1:2], grid)
         assert_report_matches_reference(tmp_path, [], grid)
+
+
+PERCENT_TEXT = "100% %s %% %(x)s %"
+
+
+def test_emit_report_shares_a_template_and_keeps_percent_signs(tmp_path, monkeypatch):
+    """Six cells of one shape: one template, whose fixed texts keep their %
+    signs, and whose slots take each cell's n and witness values, of a
+    different type in each cell, and its tuples."""
+    tuples = (DesignParams(8, 28, 14, 4, 6),)
+    values = [5, True, None, [1, "%s", [None]], "%% %s", -(10**40)]
+    reports = [
+        CellReport(
+            PERCENT_TEXT,
+            n,
+            2,
+            SubgroupCase("C8_O", (PERCENT_TEXT, 1)),
+            (
+                Step(
+                    PERCENT_TEXT,
+                    "cites " + PERCENT_TEXT,
+                    ((PERCENT_TEXT, value), ("k", n)),
+                    "info",
+                ),
+            ),
+            Final("Survives", None, tuples if n == 3 else (), PERCENT_TEXT),
+        )
+        for n, value in enumerate(values, start=3)
+    ]
+    built = count_templates(monkeypatch)
+    assert_report_matches_reference(tmp_path, reports, {"family": PERCENT_TEXT})
+    assert len(built) == 1
+
+
+def test_emit_report_tells_equal_values_of_other_types_apart(tmp_path):
+    """1 == True == 1.0 in Python, but JSON writes each differently, so
+    they are different shapes."""
+    bare = Step("bare", "", (), "eliminated")
+    reports = [
+        CellReport(
+            "linear",
+            3,
+            2,
+            SubgroupCase("C1_Pi", (param,)),
+            (bare, bare),
+            Final("Eliminated", index),
+        )
+        for param in (1, True, 1.0, "1")
+        for index in (1, True)
+    ]
+    assert_report_matches_reference(tmp_path, reports, None)
 
 
 def test_emit_report_unserializable_witness_writes_nothing(tmp_path):

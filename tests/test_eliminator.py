@@ -7,6 +7,7 @@ from flagsieve.eliminator import (
     FINAL_KINDS,
     SEARCH_REGISTRY,
     STEP_NAMES,
+    Final,
     eliminate,
     grid_q_values,
     survivors,
@@ -395,6 +396,24 @@ def test_report_structure_invariants():
             assert rep.final.tuples == ()
         else:
             assert all(s.verdict != "eliminated" for s in rep.steps)
+
+
+def test_records_are_immutable_and_compare_by_value():
+    spec, case = GroupSpec("linear", 3, 3), SubgroupCase("C3", (1, 3))
+    first = eliminate(spec, case, run_searches=False)
+    second = eliminate(spec, case, run_searches=False)
+    assert first.final.tuples and first.steps
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    for record, field in (
+        (first, "final"),
+        (first.steps[0], "verdict"),
+        (first.final, "kind"),
+    ):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(ValueError):
+        Final("Bogus")
 
 
 def test_registry_cells_are_on_grid():

@@ -6,9 +6,9 @@ import math
 
 import pytest
 
-from flagsieve import grouporders
+from flagsieve import eliminator, grouporders
 from flagsieve.eliminator import grid_q_values, sweep
-from flagsieve.exactmath import prime_power, prime_powers_upto, q_product
+from flagsieve.exactmath import factorize, prime_power, prime_powers_upto, q_product
 from flagsieve.grouporders import (
     LINEAR_S_TABLE,
     UNITARY_S_TABLE,
@@ -558,37 +558,92 @@ def test_tier1_linear_sweep_builds_one_table_per_q(monkeypatch):
     assert built == list(grid_q_values(32))
 
 
+def test_tier1_linear_sweep_factorizes_n_and_f_once_per_socle(monkeypatch):
+    """enumerate_cases factorizes n once, for C3 and C6 alike, and f once."""
+    calls = []
+    socles = []
+
+    def counted_factorize(n):
+        calls.append(n)
+        return factorize(n)
+
+    def counted_enumerate(spec):
+        socles.append(spec)
+        return enumerate_cases(spec)
+
+    monkeypatch.setattr(grouporders, "factorize", counted_factorize)
+    monkeypatch.setattr(eliminator, "enumerate_cases", counted_enumerate)
+    sweep("linear", 3, 12, 32, run_searches=False)
+    assert len(socles) == 180
+    assert sorted(calls) == sorted([s.n for s in socles] + [s.f for s in socles])
+
+
 # ---------------------------------------------------------------------------
 # case_orders against the stabilizer chains of the permutation actions
 
 
+SOCLE = (1, 1, 1)  # (degree / v, order / |X|, point stabilizer / |H0|)
+DOT_TWO = (1, 2, 2)  # X.2 on the same points
+
 CHAIN_ANCHORS = [
     *[
-        (functools.partial(classical_action, "linear", n, q), L(n, q), ("C1_Pi", (1,)))
+        (
+            functools.partial(classical_action, "linear", n, q),
+            L(n, q),
+            ("C1_Pi", (1,)),
+            SOCLE,
+        )
         for n, q in [(3, 2), (3, 3), (3, 4), (3, 5), (3, 7), (4, 2), (4, 3), (5, 2), (6, 2)]
     ],
     *[
-        (functools.partial(classical_action, "unitary", 3, q), U(3, q), ("C1_Pi", (1,)))
+        (
+            functools.partial(classical_action, "unitary", 3, q),
+            U(3, q),
+            ("C1_Pi", (1,)),
+            SOCLE,
+        )
         for q in (3, 4)
     ],
-    (functools.partial(builtin_action, "psl2_7"), L(3, 2), ("C3", (1, 3))),
-    (functools.partial(builtin_action, "psl4_2"), L(4, 2), ("S", (4,))),
-    (lambda: pair_action(builtin_action("psl4_2")), L(4, 2), ("C8_Sp", ())),
-    (functools.partial(builtin_action, "psl3_3_144"), L(3, 3), ("C3", (1, 3))),
-    (functools.partial(builtin_action, "psu3_3_36"), U(3, 3), ("S", (1,))),
+    (functools.partial(builtin_action, "psl2_7"), L(3, 2), ("C3", (1, 3)), SOCLE),
+    (functools.partial(builtin_action, "psl4_2"), L(4, 2), ("S", (4,)), SOCLE),
+    (lambda: pair_action(builtin_action("psl4_2")), L(4, 2), ("C8_Sp", ()), SOCLE),
+    (functools.partial(builtin_action, "psl3_3_144"), L(3, 3), ("C3", (1, 3)), SOCLE),
+    (functools.partial(builtin_action, "psu3_3_36"), U(3, 3), ("S", (1,)), SOCLE),
+    (functools.partial(builtin_action, "pgl2_7"), L(3, 2), ("C3", (1, 3)), DOT_TWO),
+    (functools.partial(builtin_action, "psu3_3_2"), U(3, 3), ("C1_Pi", (1,)), DOT_TWO),
+    (functools.partial(builtin_action, "psu3_3_2_36"), U(3, 3), ("S", (1,)), DOT_TWO),
+    (
+        functools.partial(builtin_action, "psl3_3_2_144"),
+        L(3, 3),
+        ("C3", (1, 3)),
+        DOT_TWO,
+    ),
+    # the graph automorphism swaps points and lines: 2v points, and the
+    # stabilizer of a point lies in X
+    (
+        functools.partial(builtin_action, "psl3_3_2"),
+        L(3, 3),
+        ("C1_Pi", (1,)),
+        (2, 2, 1),
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "build, spec, case",
+    "build, spec, case, scale",
     CHAIN_ANCHORS,
-    ids=[f"{s.family}-{s.n}-{s.q}-{k}" for _, s, (k, _) in CHAIN_ANCHORS],
+    ids=[
+        f"{s.family}-{s.n}-{s.q}-{k}" + ("" if scale == SOCLE else ".2")
+        for _, s, (k, _), scale in CHAIN_ANCHORS
+    ],
 )
-def test_case_orders_match_the_chain(build, spec, case):
-    """v is the degree of the action, |X| its order and |H0| the order of
-    a point stabilizer, each read off the action's stabilizer chain."""
+def test_case_orders_match_the_chain(build, spec, case, scale):
+    """v, |X| and |H0| against the degree of the action, its order and the
+    order of a point stabilizer, each read off the action's stabilizer
+    chain; an action of X.2 has twice the order."""
     action = build()
     got = case_orders(spec, SubgroupCase(*case))
-    assert action.degree == got.v
-    assert action.order() == got.order_x
-    assert action.point_stabilizer(0).order() == got.order_h0
+    degree, order, stabilizer = scale
+    assert action.degree == degree * got.v
+    assert action.order() == order * got.order_x
+    assert action.point_stabilizer(0).order() == stabilizer * got.order_h0

@@ -20,8 +20,13 @@ exhaustive searches.  A cell ends as
 * ``Eliminated``  - a screen failed, the tuple sieve came back empty, or
                     the stored exhaustive searches found nothing.
 
-Adding a class is a new row of ``_ROUTES``.  Everything is deterministic,
-so a rerun reproduces reports byte for byte.
+A cell exists exactly when ``grouporders.enumerate_cases`` lists it;
+``eliminate`` refuses any other cell through ``case_orders``.  Adding a
+class therefore takes four things: a branch of ``enumerate_cases``, its
+order formula in ``grouporders``, a row of ``_ROUTES`` and a
+``cli._PARAM_FLAGS`` entry; the tests fail while any of them is
+missing.  Everything is deterministic, so a rerun reproduces
+reports byte for byte.
 """
 
 from __future__ import annotations
@@ -491,12 +496,11 @@ def _tail(cell: _Cell, run_searches: bool) -> Final:
 def eliminate(
     spec: GroupSpec, case: SubgroupCase, run_searches: bool = True
 ) -> CellReport:
-    """Run the route of one grid cell, then the tail if no screen decided."""
-    screens = _ROUTES[spec.family].get(case.kind)
-    if screens is None:
-        raise ValueError(f"no {spec.family} route for case kind {case.kind}")
+    """Run the route of one grid cell, then the tail if no screen decided.
+    A cell that enumerate_cases(spec) does not list raises
+    UnsupportedCaseError."""
     cell = _Cell(spec, case, case_orders(spec, case))
-    for screen in screens:
+    for screen in _ROUTES[spec.family][case.kind]:
         final = screen(cell)
         if final is not None:
             break

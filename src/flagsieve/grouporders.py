@@ -3,10 +3,12 @@
 A `GroupSpec` names a simple socle (projective special linear or unitary).
 A `SubgroupCase` names one conjugacy type of large subgroup: the geometric
 classes C1..C8 in the usual decomposition, plus the finitely many
-almost-simple S-types that clear the cube-order admission bound.  The
-`case_orders` function turns a case into exact integer data (|H ∩ X| and
-the index v); when only an upper bound for the order is available the bound
-is returned instead and the exact slots stay None.
+almost-simple S-types that clear the cube-order admission bound.
+`enumerate_cases` is the one catalogue of cells: `case_orders` accepts a
+case exactly when the socle's enumeration lists it, and turns it into
+exact integer data (|H ∩ X| and the index v); when only an upper bound for
+the order is available the bound is returned instead and the exact slots
+stay None.
 
 Every exact order is cross-checked by divisibility against the socle order;
 a failed check raises instead of propagating a wrong table.
@@ -17,9 +19,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
-from .exactmath import factorize, gcd, is_prime, p_prime_part, prime_power
+from .exactmath import factorize, gcd, p_prime_part, prime_power
 
 # q -> (p, f), decomposed once per q; a sweep asks for few distinct q
 _prime_power = functools.lru_cache(maxsize=None)(prime_power)
@@ -31,14 +33,11 @@ __all__ = [
     "UnsupportedCaseError",
     "FactorTable",
     "factor_table",
-    "order_x",
-    "order_out",
     "gl_order",
     "gu_order",
     "sp_order",
     "so_order",
     "gaussian_binomial",
-    "isotropic_point_count",
     "totally_singular_count",
     "case_orders",
     "case_label",
@@ -52,7 +51,8 @@ __all__ = [
 
 
 class UnsupportedCaseError(ValueError):
-    """Raised when a subgroup case is outside the implemented catalogue."""
+    """Raised for a subgroup case that the socle's enumeration does not
+    list."""
 
 
 @dataclass(frozen=True)
@@ -101,13 +101,24 @@ class GroupSpec:
     @functools.cached_property
     def socle_order(self) -> int:
         """Order of the simple socle, |GL_n(q)| / ((q - 1) d) or
-        |GU_n(q)| / ((q + 1) d), computed once per spec: every cell of a
-        sweep over this socle reads it through `order_x`."""
+        |GU_n(q)| / ((q + 1) d), computed once per spec and read by every
+        cell of a sweep over this socle."""
         if self.family == "linear":
             full, scalars = gl_order(self.n, self.q), self.q - 1
         else:
             full, scalars = gu_order(self.n, self.q), self.q + 1
         return _exact_div(full, scalars * self.d, "the socle")
+
+    @functools.cached_property
+    def _cases(self) -> Tuple[SubgroupCase, ...]:
+        """Every subgroup case of this socle, enumerated once per spec; see
+        `enumerate_cases`."""
+        return _enumerate_cases(self)
+
+    @functools.cached_property
+    def _case_set(self) -> FrozenSet[SubgroupCase]:
+        """The cases as a set: the cells `case_orders` accepts."""
+        return frozenset(self._cases)
 
 
 class FactorTable:
@@ -222,16 +233,6 @@ def so_order(n: int, q: int, eps: str = "o") -> int:
     return q ** (m * (m - 1)) * middle * table.sp(m - 1)
 
 
-def order_x(spec: GroupSpec) -> int:
-    """Order of the simple socle."""
-    return spec.socle_order
-
-
-def order_out(spec: GroupSpec) -> int:
-    """|Out(X)| = 2 d f for both families."""
-    return spec.out_order
-
-
 def gaussian_binomial(n: int, i: int, q: int) -> int:
     """Number of i-dimensional subspaces of an n-dimensional space over F_q."""
     if not 0 <= i <= n:
@@ -240,12 +241,6 @@ def gaussian_binomial(n: int, i: int, q: int) -> int:
     return _exact_div(
         table.gl(n), table.gl(i) * table.gl(n - i), "a Gaussian binomial"
     )
-
-
-def isotropic_point_count(n: int, q: int) -> int:
-    """Isotropic projective points of a nondegenerate unitary n-space
-    (n >= 2)."""
-    return totally_singular_count(n, 1, q)
 
 
 def totally_singular_count(n: int, i: int, q: int) -> int:
@@ -312,7 +307,7 @@ class CaseOrders:
 
 
 def _exact(spec: GroupSpec, ox: int, h0: int) -> CaseOrders:
-    """Exact orders, given ox = order_x(spec); one divmod gives v and
+    """Exact orders, given ox = spec.socle_order; one divmod gives v and
     checks v * h0 == ox."""
     v, rest = divmod(ox, max(h0, 1))
     if h0 <= 0 or rest:
@@ -426,50 +421,10 @@ def s_line_order(spec: GroupSpec, line: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _validate_case(spec: GroupSpec, case: SubgroupCase) -> None:
-    n, q = spec.n, spec.q
-    kind, params = case.kind, case.params
-    ok = True
-    if kind in ("C1_Pi", "C1_Pij", "C1_Ni", "C1_GLiGLni"):
-        (i,) = params
-        ok = 1 <= i <= (n // 2 if kind == "C1_Pi" else (n - 1) // 2)
-    elif kind == "C2_GLwr":
-        m, t = params
-        ok = m >= 1 and t >= 2 and m * t == n
-    elif kind == "C3":
-        m, t = params
-        ok = m * t == n and is_prime(t)
-    elif kind == "C4":
-        (i,) = params
-        ok = n % i == 0 and 1 < i and i * i < n
-    elif kind == "C5_subfield":
-        q0, t = params
-        ok = q0**t == q and is_prime(t)
-    elif kind == "C6":
-        t, m = params
-        ok = t**m == n and is_prime(t) and t != spec.p
-    elif kind == "C7":
-        m, t = params
-        ok = m**t == n and m >= 3 and t >= 2
-    elif kind in ("C8_Sp", "C5_Sp", "C2_GLhalf"):
-        ok = n % 2 == 0
-    elif kind in ("C8_O", "C5_O"):
-        (eps,) = params
-        ok = q % 2 == 1 and (eps == "o") == (n % 2 == 1)
-    elif kind == "C8_U":
-        (q0,) = params
-        ok = q0 * q0 == q
-    elif kind == "S":
-        (line,) = params
-        ok = _s_row(spec.family, line)["n"] == n
-    if not ok:
-        raise UnsupportedCaseError(f"case {case_label(case)} incompatible with {spec}")
-
-
 def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
     n, q, d = spec.n, spec.q, spec.d
     kind, params = case.kind, case.params
-    ox = order_x(spec)
+    ox = spec.socle_order
 
     if kind == "C1_Pi":
         (i,) = params
@@ -542,7 +497,7 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
 def _unitary_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
     n, q, d = spec.n, spec.q, spec.d
     kind, params = case.kind, case.params
-    ox = order_x(spec)
+    ox = spec.socle_order
 
     if kind == "C1_Pi":
         (i,) = params
@@ -577,24 +532,15 @@ def _unitary_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
     raise UnsupportedCaseError(f"unsupported unitary case kind: {kind}")
 
 
-_LINEAR_KINDS = frozenset(
-    ["C1_Pi", "C1_Pij", "C1_GLiGLni", "C2_GLwr", "C3", "C4", "C5_subfield",
-     "C6", "C7", "C8_Sp", "C8_O", "C8_U", "S"]
-)
-_UNITARY_KINDS = frozenset(
-    ["C1_Pi", "C1_Ni", "C2_GU1wr", "C2_GLwr", "C2_GLhalf", "C3", "C4",
-     "C5_subfield", "C5_Sp", "C5_O", "C6", "C7", "S"]
-)
-
-
 def case_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
-    """Exact (or bounded) order data for the point stabilizer H ∩ X."""
-    allowed = _LINEAR_KINDS if spec.family == "linear" else _UNITARY_KINDS
-    if case.kind not in allowed:
+    """Exact (or bounded) order data for the point stabilizer H ∩ X.
+
+    A case is valid exactly when `enumerate_cases(spec)` lists it; any other
+    case, parameters included, raises UnsupportedCaseError."""
+    if case not in spec._case_set:
         raise UnsupportedCaseError(
-            f"unsupported {spec.family} case kind: {case.kind}"
+            f"{spec.family} n={spec.n} q={spec.q} has no case {case_label(case)}"
         )
-    _validate_case(spec, case)
     if spec.family == "linear":
         return _linear_orders(spec, case)
     return _unitary_orders(spec, case)
@@ -635,7 +581,12 @@ def _extraspecial_cells(
 
 
 def enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
-    """Every subgroup case attached to this socle on the survey grid."""
+    """Every subgroup case attached to this socle on the survey grid, in
+    sweep order: the one list of which cells exist."""
+    return spec._cases
+
+
+def _enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
     n, q = spec.n, spec.q
     n_primes = [t for t, _ in factorize(n).pairs]
     cases: list[SubgroupCase] = []

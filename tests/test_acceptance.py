@@ -29,7 +29,7 @@ from flagsieve.exactmath import (
     prod_one_minus_inv_powers,
     prod_one_minus_neg_inv_powers,
 )
-from flagsieve.grouporders import GroupSpec, SubgroupCase, case_label, order_x
+from flagsieve.grouporders import GroupSpec, SubgroupCase, case_label
 from flagsieve.permgroup import BUILTIN_NAMES, builtin_action, pair_action
 from flagsieve.sieve import (
     DesignParams,
@@ -49,7 +49,7 @@ def test_criterion_01_formula_orders_match_enumeration():
         ("psu3_3", GroupSpec("unitary", 3, 3), 6048),
     )
     for name, spec, expected in anchors:
-        assert order_x(spec) == expected
+        assert spec.socle_order == expected
         assert builtin_action(name).order() == expected
     q = 7
     assert q * (q * q - 1) == 336

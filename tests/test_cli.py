@@ -3,6 +3,7 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -19,7 +20,7 @@ from flagsieve.cli import (
 )
 from flagsieve.designsearch import load_design, stabilizer_search
 from flagsieve.eliminator import CellReport, Final, Step, eliminate, sweep
-from flagsieve.grouporders import GroupSpec, SubgroupCase, case_label
+from flagsieve.grouporders import GroupSpec, SubgroupCase, case_label, enumerate_cases
 from flagsieve.sieve import DesignParams
 
 
@@ -140,6 +141,69 @@ def test_eliminate_usage_errors(capsys):
     assert run_cli(capsys, *argv)[0] == EXIT_USAGE
     argv = "eliminate --family psl --n 3 --q 2 --class c3".split()
     assert run_cli(capsys, *argv)[0] == EXIT_USAGE
+
+
+_FUZZ_CLASSES = ("c1", "c2", "c3", "c4", "c5", "c6", "c7", *sorted(cli._PARAM_FLAGS))
+_FUZZ_TOKENS = ("0", "1", "2", "3", "4", "x", "o", "+", "-", "1.5")
+
+
+def _fuzz_eliminate_argv(rng):
+    """One eliminate command line: a small socle, any class name, and
+    parameters from flags or --params, valid or not."""
+    argv = [
+        "eliminate",
+        "--family", rng.choice(("psl", "psu")),
+        "--n", str(rng.randint(3, 9)),
+        "--q", str(rng.choice((2, 3, 4, 5, 7, 8, 9))),
+        "--class", rng.choice(_FUZZ_CLASSES),
+        "--no-search",
+    ]
+    if rng.random() < 0.5:
+        tokens = [rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(0, 3))]
+        return argv + ["--params", ",".join(tokens)]
+    for flag in ("--i", "--m", "--t", "--line"):
+        if rng.random() < 0.5:
+            argv += [flag, str(rng.randint(0, 4))]
+    if rng.random() < 0.5:
+        argv += ["--sign", rng.choice(("o", "+", "-", "x"))]
+    return argv
+
+
+def test_eliminate_fuzz_refuses_every_cell_off_the_enumeration(capsys):
+    """Seeded hostile command lines: each run exits 0 or 2 and raises
+    nothing, and every cell that exits 0 is one its socle enumerates."""
+    rng = random.Random(1)
+    codes = {EXIT_OK: 0, EXIT_USAGE: 0}
+    for _ in range(600):
+        argv = _fuzz_eliminate_argv(rng)
+        code, lines = run_cli(capsys, *argv)
+        assert code in codes, argv
+        codes[code] += 1
+        if code == EXIT_OK:
+            spec = GroupSpec(cli._family(argv[2]), int(argv[4]), int(argv[6]))
+            cell = f"{spec.family} n={spec.n} q={spec.q}"
+            labels = [f"{cell} {case_label(c)}" for c in enumerate_cases(spec)]
+            assert lines[0] in labels, argv
+    assert min(codes.values()) >= 20, codes
+
+
+def test_eliminate_refuses_an_off_grid_cell_under_optimize(tmp_path):
+    """The refusal is a membership test, not an assert: python -O still
+    exits 2, names the cell and writes no report."""
+    src = os.path.dirname(os.path.dirname(flagsieve.__file__))
+    out = tmp_path / "cell.json"
+    argv = "eliminate --family psu --n 4 --q 3 --class C3 --params 2,2".split()
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "flagsieve.cli", *argv, "--output", str(out)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == EXIT_USAGE, proc.stderr
+    assert proc.stderr == "error: unitary n=4 q=3 has no case C3(2,2)\n"
+    assert proc.stdout == ""
+    assert not out.exists()
 
 
 def test_unknown_flag_and_missing_subcommand(capsys):

@@ -22,10 +22,7 @@ from flagsieve.grouporders import (
     gaussian_binomial,
     gl_order,
     gu_order,
-    isotropic_point_count,
     known_subdegrees,
-    order_out,
-    order_x,
     s_line_admits,
     s_line_order,
     so_order,
@@ -55,17 +52,17 @@ GROUP_ORDER_ORACLES = {
 
 def test_group_orders():
     for (fam, n, q), order in GROUP_ORDER_ORACLES.items():
-        assert order_x(GroupSpec(fam, n, q)) == order
+        assert GroupSpec(fam, n, q).socle_order == order
 
 
 def test_order_out():
-    assert order_out(L(3, 2)) == 2
-    assert order_out(L(3, 4)) == 12
-    assert order_out(L(4, 2)) == 2
-    assert order_out(L(4, 3)) == 4
-    assert order_out(U(3, 3)) == 2
-    assert order_out(U(4, 2)) == 2
-    assert order_out(U(4, 3)) == 8
+    assert L(3, 2).out_order == 2
+    assert L(3, 4).out_order == 12
+    assert L(4, 2).out_order == 2
+    assert L(4, 3).out_order == 4
+    assert U(3, 3).out_order == 2
+    assert U(4, 2).out_order == 2
+    assert U(4, 3).out_order == 8
 
 
 def test_spec_validation():
@@ -104,8 +101,7 @@ def test_subspace_counts():
     assert gaussian_binomial(4, 2, 2) == 35
     assert gaussian_binomial(4, 2, 3) == 130
     assert gaussian_binomial(6, 3, 2) == 1395
-    assert isotropic_point_count(3, 3) == 28
-    assert isotropic_point_count(4, 2) == 45
+    assert totally_singular_count(3, 1, 3) == 28
     assert totally_singular_count(4, 1, 2) == 45
     assert totally_singular_count(4, 2, 2) == 27
     assert totally_singular_count(4, 2, 3) == 112
@@ -163,7 +159,7 @@ def test_case_order_oracles():
         got = case_orders(spec, case)
         assert got.order_h0 == h0, (spec, case, got)
         assert got.v == v, (spec, case, got)
-        assert got.order_h0 * got.v == order_x(spec) == got.order_x
+        assert got.order_h0 * got.v == spec.socle_order == got.order_x
 
 
 def test_bounded_cases():
@@ -173,7 +169,7 @@ def test_bounded_cases():
     assert (got.order_h0, got.order_h0_bound) == (None, 81 * sp_order(4, 3))
     got = case_orders(L(9, 2), SubgroupCase("C7", (3, 2)))
     assert (got.order_h0, got.order_h0_bound) == (None, 2**16 * 2)
-    assert got.order_x == order_x(L(9, 2)) and got.order_out == 2
+    assert got.order_x == L(9, 2).socle_order and got.order_out == 2
 
 
 def test_unitary_imported_classes_have_no_orders():
@@ -186,7 +182,7 @@ def test_unitary_imported_classes_have_no_orders():
     for spec, case in pairs:
         got = case_orders(spec, case)
         assert (got.order_h0, got.v, got.order_h0_bound) == (None, None, None)
-        assert got.order_x == order_x(spec)
+        assert got.order_x == spec.socle_order
 
 
 def test_unknown_kind_raises():
@@ -194,6 +190,26 @@ def test_unknown_kind_raises():
         case_orders(L(4, 3), SubgroupCase("C9_Mystery", ()))
     with pytest.raises(UnsupportedCaseError):
         case_orders(U(4, 3), SubgroupCase("C8_Sp", ()))
+
+
+@pytest.mark.parametrize(
+    "spec, case",
+    [
+        (U(4, 3), SubgroupCase("C3", (2, 2))),  # unitary C3 needs t odd
+        (L(3, 4), SubgroupCase("C6", (3, 1))),  # C6 needs f = 1
+        (L(6, 2), SubgroupCase("C8_Sp", ("x",))),  # C8_Sp takes no parameter
+        (U(4, 4), SubgroupCase("C5_subfield", (2, 2))),  # unitary C5 needs t odd
+        (U(4, 3), SubgroupCase("C2_GLwr", (1, 4))),  # unitary blocks of size 1 are C2_GU1wr
+    ],
+    ids=str,
+)
+def test_case_orders_refuses_cells_the_enumeration_omits(spec, case):
+    """A kind the family has, with parameters no enumeration lists, is
+    refused by name like CellReport.label, not computed."""
+    assert case not in enumerate_cases(spec)
+    label = f"{spec.family} n={spec.n} q={spec.q}"
+    with pytest.raises(UnsupportedCaseError, match=rf"^{label} has no case "):
+        case_orders(spec, case)
 
 
 def test_enumerate_linear_6_2():
@@ -265,7 +281,7 @@ def test_every_enumerated_case_has_consistent_orders():
         for case in enumerate_cases(spec):
             got = case_orders(spec, case)
             if got.order_h0 is not None:
-                assert got.order_h0 * got.v == order_x(spec) == got.order_x
+                assert got.order_h0 * got.v == spec.socle_order == got.order_x
                 assert got.v > 2
 
 
@@ -489,7 +505,7 @@ def test_order_formulas_match_reference_products():
                 got = totally_singular_count(a, i, q)
                 assert got == _ref_totally_singular(a, i, q), (a, i, q)
             if a >= 2:
-                assert isotropic_point_count(a, q) == _ref_isotropic(a, q), (a, q)
+                assert totally_singular_count(a, 1, q) == _ref_isotropic(a, q), (a, q)
         for n in range(1, 21):
             if n % 2:
                 assert so_order(n, q) == _ref_so(n, q, "o"), (n, q)
@@ -510,7 +526,7 @@ def test_case_orders_match_reference_products(family, n_max):
                 continue
             spec = GroupSpec(family, n, q)
             ox = _ref_socle(family, n, q)
-            assert order_x(spec) == ox, spec
+            assert spec.socle_order == ox, spec
             for case in enumerate_cases(spec):
                 want = _ref_h0(spec, case, ox)
                 if want is None:

@@ -327,8 +327,9 @@ def _report_json(reports: Sequence[CellReport], grid: Optional[Dict]) -> str:
 
     Cells of one shape (family, case, each step's name, citation, verdict
     and witness keys, and the final's kind, stepIndex and note) share one
-    template, built on the first such cell.  1 == True == 1.0 in Python,
-    so the shape holds the params' repr and the step index's type."""
+    template, built on the first such cell.  1 == True in Python, so the
+    shape holds the step index's type; a case's params are exact ints and
+    strs, which SubgroupCase checks, so the shape holds them as they are."""
     templates: Dict[tuple, str] = {}
     cells = []
     pad = " " * 14
@@ -337,7 +338,7 @@ def _report_json(reports: Sequence[CellReport], grid: Optional[Dict]) -> str:
         shape = [
             rep.family,
             rep.case.kind,
-            repr(rep.case.params),
+            rep.case.params,
             final.kind,
             final.step_index,
             type(final.step_index),

@@ -26,8 +26,9 @@ its canonical block set.
 Either way the result carries a certificate describing why the enumeration
 was complete, or the subgroup enumeration raises and no claim is made.
 
-Block orbits and setwise stabilizers come from permgroup's one orbit walk
-(`orbit`, `schreier_generators`) on point sets.
+Block orbits come from permgroup's one orbit walk (`orbit`) on point
+sets, and so does every flag-transitivity check: one walk of the point
+stabilizer G_0 over the blocks through the point 0.
 """
 
 from __future__ import annotations
@@ -48,13 +49,7 @@ from typing import (
     Tuple,
 )
 
-from .permgroup import (
-    PermAction,
-    identity_perm,
-    orbit,
-    schreier_generators,
-    subgroups_of_order,
-)
+from .permgroup import PermAction, orbit, subgroups_of_order
 from .sieve import DesignParams, check_basic
 
 __all__ = [
@@ -64,7 +59,6 @@ __all__ = [
     "korbit_designs",
     "hypothesis_filter",
     "stabilizer_search",
-    "set_stabilizer",
     "verify_design",
     "save_design",
     "load_design",
@@ -145,25 +139,25 @@ def _lambda_through(
     return values.pop() if len(values) == 1 else None
 
 
-def set_stabilizer(action: PermAction, block: Iterable[int]) -> Tuple[PermAction, int]:
-    """Setwise stabilizer (via Schreier generators) and the set-orbit length."""
-    blocks, targets = orbit(frozenset(block), action.set_images)
-    sgens = set(schreier_generators(action.generators, targets))
-    stab = PermAction(
-        action.degree,
-        sorted(sgens) or [identity_perm(action.degree)],
-        label=f"{action.label}_setstab",
-    )
-    return stab, len(blocks)
+def _flag_transitive(
+    action: PermAction, blocks: Iterable[FrozenSet[int]], r: int
+) -> bool:
+    """Is the group transitive on the flags of a G-invariant block set in
+    which every point lies on r >= 1 blocks?
 
-
-def _flag_transitive_on(action: PermAction, block: FrozenSet[int]) -> bool:
-    """Does the setwise stabilizer move the block's points transitively?"""
-    stab, orbit_len = set_stabilizer(action, block)
-    reachable = set(stab.orbit(min(block)))
-    if not reachable <= set(block):
-        raise RuntimeError("set stabilizer moves a point out of its block")
-    return len(reachable) == len(block) and action.order() == orbit_len * stab.order()
+    A group transitive on the flags is transitive on the points, since
+    every point lies on a block.  A point-transitive group is
+    flag-transitive exactly when G_0 is transitive on the blocks through
+    0: flags (x, B) and (y, C) go by elements g, h with x^g = y^h = 0 to
+    the flags (0, B^g) and (0, C^h), and an element of G_0 maps B^g to
+    C^h.  So one walk of G_0 from one block through 0, capped at the r
+    blocks through 0, decides it.
+    """
+    if not action.is_transitive():
+        return False
+    start = next(block for block in blocks if 0 in block)
+    walk = orbit(start, action.point_stabilizer(0).set_images, r)
+    return walk is not None and len(walk[0]) == r
 
 
 def korbit_designs(
@@ -202,7 +196,7 @@ def korbit_designs(
                 group=action.label,
                 params=params,
                 blocks=_canonical_blocks(blocks),
-                flag_transitive=_flag_transitive_on(action, key),
+                flag_transitive=_flag_transitive(action, blocks, r),
             )
         )
     return tuple(
@@ -278,7 +272,7 @@ def _candidate_design(
     blocks = _canonical_blocks(spanned)
     if blocks in known:
         return known[blocks]
-    if not _flag_transitive_on(action, union):
+    if not _flag_transitive(action, spanned, params.r):
         return None
     report = verify_design(action, spanned, expect=params)
     if not (report.ok and report.flag_transitive):
@@ -489,7 +483,7 @@ def verify_design(
     block_transitive = walk is not None and set(walk[0]) == block_lookup
     if not block_transitive:
         problems.append("group is not transitive on blocks")
-    flag = block_transitive and _flag_transitive_on(action, bset[0])
+    flag = block_transitive and _flag_transitive(action, bset, r)
     if block_transitive and not flag:
         problems.append("block stabilizer is intransitive on its block")
     return VerifyReport(not problems, params, flag, tuple(problems))

@@ -4,7 +4,9 @@ A cell is (family, n, q, subgroup class).  Its route is a row of
 ``_ROUTES[family][kind]``: a short tuple of screens.  Every screen is a
 necessary condition for a flag-transitive 2-design with
 lambda >= (r,lambda)^2 > 1 whose point stabilizer lies in the given class,
-so one failed screen eliminates the whole cell.
+so one failed screen eliminates the whole cell.  Each screen is stated
+here and nowhere else: it reads |X| and |Out| off the ``GroupSpec`` and
+what the case adds (|H0|, v) off its ``CaseOrders``.
 
 ``eliminate`` is the one interpreter.  It computes the cell's orders once,
 runs the screens of the route in order on a per-cell record, and stops at
@@ -37,7 +39,7 @@ from collections import Counter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .designsearch import SearchResult, stabilizer_search
-from .exactmath import gcd, prime_powers_upto
+from .exactmath import gcd, p_prime_part, prime_powers_upto
 from .grouporders import (
     CaseOrders,
     GroupSpec,
@@ -49,13 +51,7 @@ from .grouporders import (
     sp_order,
 )
 from .permgroup import builtin_action, pair_action
-from .sieve import (
-    DesignParams,
-    admissible_tuples_explained,
-    best_subdegree_verdict,
-    order_inequality_check,
-    two_point_divisor,
-)
+from .sieve import DesignParams, admissible_tuples_explained
 
 __all__ = [
     "STEP_NAMES",
@@ -231,8 +227,8 @@ Screen = Callable[[_Cell], Optional[Final]]
 def _cube_bound(cell: _Cell) -> Optional[Final]:
     orders = cell.orders
     cap = orders.order_h0 if orders.order_h0 is not None else orders.order_h0_bound
-    lhs = 4 * orders.order_x
-    rhs = orders.order_out**2 * cap**3
+    lhs = 4 * cell.spec.socle_order
+    rhs = cell.spec.out_order**2 * cap**3
     wit: List[Witness] = [("four-x", lhs), ("out2-h0cap3", rhs)]
     if orders.order_h0 is None:
         wit.append(("h0-bound", cap))
@@ -240,21 +236,28 @@ def _cube_bound(cell: _Cell) -> Optional[Final]:
 
 
 def _order_inequality(cell: _Cell) -> Optional[Final]:
-    bound, ok = order_inequality_check(cell.orders, cell.spec)
-    return cell.check(
-        "order-inequality", [("x", cell.orders.order_x), ("bound", bound)], not ok
-    )
+    """The order inequality as its citation states it; p is the
+    characteristic of X."""
+    spec, h0 = cell.spec, cell.orders.order_h0
+    if h0 is None:
+        raise ValueError("the order inequality needs an exact subgroup order")
+    bound = spec.out_order_p_prime**2 * h0 * p_prime_part(h0, spec.p) ** 2
+    x = spec.socle_order
+    return cell.check("order-inequality", [("x", x), ("bound", bound)], x >= bound)
 
 
 def _subdegree_step(
     cell: _Cell, subs: Sequence[int], name: str = "subdegree"
 ) -> Optional[Final]:
+    """The subdegree gcd of the citation, over every subdegree given."""
+    if not subs:
+        raise ValueError("the subdegree screen needs at least one subdegree")
     v = cell.orders.v
-    big_r, ok = best_subdegree_verdict(v, list(subs))
+    big_r = gcd(v - 1, *subs)
     wit: List[Witness] = [("v", v)]
     wit += [(f"s{i + 1}", s) for i, s in enumerate(subs)]
     wit.append(("gcd", big_r))
-    return cell.check(name, wit, not ok)
+    return cell.check(name, wit, v >= big_r * big_r)
 
 
 def _subdegree(cell: _Cell) -> Optional[Final]:
@@ -279,18 +282,17 @@ def _imported(cell: _Cell) -> Optional[Final]:
 
 def _bounded_order_route(cell: _Cell) -> Optional[Final]:
     """Classes where only an upper bound for |H0| may be available."""
-    orders = cell.orders
-    if orders.order_h0 is not None:
+    if cell.orders.order_h0 is not None:
         return _order_inequality(cell)
     final = _cube_bound(cell)
     if final is not None:
         return final
-    bound = orders.order_h0_bound
-    threshold = bound * (orders.order_out * bound) ** 2
+    x, bound = cell.spec.socle_order, cell.orders.order_h0_bound
+    threshold = bound * (cell.spec.out_order * bound) ** 2
     final = cell.check(
         "order-bound-screen",
-        [("x", orders.order_x), ("h0-bound", bound), ("threshold", threshold)],
-        orders.order_x >= threshold,
+        [("x", x), ("h0-bound", bound), ("threshold", threshold)],
+        x >= threshold,
     )
     if final is not None:
         return final
@@ -332,7 +334,7 @@ def _linear_c2(cell: _Cell) -> Optional[Final]:
     )
     if final is not None:
         return final
-    d = orders.order_out * orders.order_h0
+    d = spec.out_order * orders.order_h0
     return cell.check(
         "rstar-square-vs-divisor", [("divisor", d), ("v", orders.v)], orders.v >= d * d
     )
@@ -360,12 +362,10 @@ def _linear_c8_sp(cell: _Cell) -> Optional[Final]:
         subs = tuple(s for s in action.suborbit_lengths(0) if s > 1)
         return _subdegree_step(cell, subs, name="computed-subdegrees")
     if spec.n >= 6:
+        # N = Sp_{n-4}(q) fixes two points; an inexact quotient refines nothing
         order_n = sp_order(spec.n - 4, spec.q)
-        try:
-            d = two_point_divisor(orders.order_out, orders.order_h0, order_n)
-        except ArithmeticError:
-            pass
-        else:
+        d, rest = divmod(spec.out_order * orders.order_h0, order_n)
+        if not rest:
             cell.info("two-point-divisor", [("n-order", order_n), ("divisor", d)])
             cell.divisor = d
             return None
@@ -470,7 +470,7 @@ def _tail(cell: _Cell, run_searches: bool) -> Final:
     v = orders.v
     d = cell.divisor
     if d is None:
-        d = orders.order_out * orders.order_h0
+        d = cell.spec.out_order * orders.order_h0
     big_r = gcd(v - 1, d)
     final = cell.check(
         "rstar-square-vs-gcd",

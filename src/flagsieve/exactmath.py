@@ -1,15 +1,14 @@
-"""Exact integer and rational helpers used by every other module.
+"""Exact integer helpers used by every other module.
 
-Everything here is exact: Python ints, `fractions.Fraction`, and explicit
-error raising instead of silent truncation.  No floats anywhere.
+Everything here is exact: Python ints and explicit error raising instead
+of silent truncation.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, Tuple
 
 __all__ = [
     "gcd",
@@ -24,10 +23,7 @@ __all__ = [
     "PrimePower",
     "prime_power",
     "prime_powers_upto",
-    "q_product",
     "binomial_exceeds",
-    "prod_one_minus_inv_powers",
-    "prod_one_minus_neg_inv_powers",
 ]
 
 
@@ -279,23 +275,6 @@ def prime_powers_upto(limit: int) -> list[int]:
     return sorted(out)
 
 
-def q_product(q: int, terms: Sequence[Tuple[int, int]]) -> int:
-    """Product of (q^j - eps) over the given (j, eps) pairs.
-
-    Every factor must come out positive; eps is normally +1 or -1 (the
-    unitary order formulas use eps = (-1)^j).  Rejects q < 2.
-    """
-    if q < 2:
-        raise ValueError(f"q must be at least 2: {q}")
-    out = 1
-    for j, eps in terms:
-        term = q**j - eps
-        if term <= 0:
-            raise ValueError(f"nonpositive factor q^{j} - {eps} for q={q}")
-        out *= term
-    return out
-
-
 def binomial_exceeds(n: int, k: int, bound: int) -> bool:
     """Exact test C(n, k) > bound with early exit.
 
@@ -313,19 +292,3 @@ def binomial_exceeds(n: int, k: int, bound: int) -> bool:
         if num // den > bound:
             return True
     return num // den > bound
-
-
-def prod_one_minus_inv_powers(q: int, a: int) -> Fraction:
-    """prod_{j=1..a} (1 - q^-j) as an exact Fraction."""
-    out = Fraction(1)
-    for j in range(1, a + 1):
-        out *= 1 - Fraction(1, q**j)
-    return out
-
-
-def prod_one_minus_neg_inv_powers(q: int, a: int) -> Fraction:
-    """prod_{j=1..a} (1 - (-q)^-j) as an exact Fraction."""
-    out = Fraction(1)
-    for j in range(1, a + 1):
-        out *= 1 - Fraction(1, (-q) ** j)
-    return out

@@ -256,7 +256,8 @@ def totally_singular_count(n: int, i: int, q: int) -> int:
 
 @dataclass(frozen=True)
 class SubgroupCase:
-    """One point-stabilizer type; params depend on the kind.
+    """One point-stabilizer type; params, a tuple of ints and strs (no
+    bools), depend on the kind, and anything else raises ValueError.
 
     C1_Pi(i)           stabilizer of a (totally singular) i-subspace
     C1_Pij(i)          stabilizer of an incident (i, n-i) subspace pair
@@ -278,6 +279,19 @@ class SubgroupCase:
     kind: str
     params: Tuple = ()
 
+    def __post_init__(self) -> None:
+        params = self.params
+        if type(params) is tuple:
+            for x in params:
+                if type(x) is not int and type(x) is not str:
+                    break
+            else:
+                return
+        raise ValueError(
+            f"case {self.kind} takes a tuple of ints and strs as parameters, "
+            f"not {params!r}"
+        )
+
     def __str__(self) -> str:
         return case_label(self)
 
@@ -291,18 +305,16 @@ def case_label(case: SubgroupCase) -> str:
 
 @dataclass(frozen=True, slots=True)
 class CaseOrders:
-    """Order data for one (socle, point-stabilizer case) cell.
+    """What a point-stabilizer case adds to its socle's orders, which the
+    `GroupSpec` holds (`socle_order`, `out_order`).
 
-    order_x and order_out are always exact.  order_h0 and v are exact when
-    the case has a closed-form order (then v * order_h0 == order_x, checked);
-    otherwise they are None and order_h0_bound, if set, is a proven upper
-    bound for |H ∩ X|.
+    order_h0 and v are exact when the case has a closed-form order (then
+    v * order_h0 == |X|, checked); otherwise they are None and
+    order_h0_bound, if set, is a proven upper bound for |H ∩ X|.
     """
 
-    order_x: int
-    order_out: int
-    order_h0: Optional[int]
-    v: Optional[int]
+    order_h0: Optional[int] = None
+    v: Optional[int] = None
     order_h0_bound: Optional[int] = None
 
 
@@ -316,17 +328,7 @@ def _exact(spec: GroupSpec, ox: int, h0: int) -> CaseOrders:
         )
     if v < 2:
         raise ArithmeticError(f"degenerate index v = {v} for {spec}")
-    return CaseOrders(order_x=ox, order_out=spec.out_order, order_h0=h0, v=v)
-
-
-def _bounded(spec: GroupSpec, ox: int, bound: Optional[int]) -> CaseOrders:
-    return CaseOrders(
-        order_x=ox,
-        order_out=spec.out_order,
-        order_h0=None,
-        v=None,
-        order_h0_bound=bound,
-    )
+    return CaseOrders(order_h0=h0, v=v)
 
 
 def _exact_div(num: int, den: int, what: object) -> int:
@@ -412,8 +414,7 @@ def s_line_order(spec: GroupSpec, line: int) -> int:
     if row["order"] is not None:
         return row["order"]
     # line 8 of the linear table: H0 is PSL_3(q) for the ambient q
-    q = spec.q
-    return _exact_div(gl_order(3, q), (q - 1) * gcd(3, q - 1), "PSL_3(q)")
+    return GroupSpec("linear", 3, spec.q).socle_order
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +473,10 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
             return _exact(spec, ox, 216 if (q - 1) % 9 == 0 else 72)
         if n == 4:
             return _exact(spec, ox, 11520 if q % 8 == 1 else 5760)
-        return _bounded(spec, ox, t ** (2 * m) * sp_order(2 * m, t))
+        return CaseOrders(order_h0_bound=t ** (2 * m) * sp_order(2 * m, t))
     if kind == "C7":
         m, t = params
-        return _bounded(spec, ox, q ** (t * (m * m - 1)) * math.factorial(t))
+        return CaseOrders(order_h0_bound=q ** (t * (m * m - 1)) * math.factorial(t))
     if kind == "C8_Sp":
         h0 = _exact_div(gcd(n // 2, q - 1) * sp_order(n, q), d, case)
         return _exact(spec, ox, h0)
@@ -519,7 +520,7 @@ def _unitary_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
         return _exact(spec, ox, h0)
     if kind in ("C3", "C4", "C5_subfield", "C6", "C7"):
         # excluded wholesale by the prior classifications; no orders needed
-        return _bounded(spec, ox, None)
+        return CaseOrders()
     if kind == "C5_Sp":
         h0 = _exact_div(sp_order(n, q), gcd(2, q - 1), case)
         return _exact(spec, ox, h0)

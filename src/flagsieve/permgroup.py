@@ -7,8 +7,8 @@ constructed the same way in every process.  Elements are plain tuples.
 Outside the stabilizer chain, which grows its orbits incrementally, every
 orbit (of points, of point sets, of subgroups under conjugation) is found by
 one breadth-first walk, `orbit`.  The Schreier generators of that walk
-(`schreier_generators`) generate the stabilizer of its start: a setwise
-stabilizer, or the normalizer of a subgroup.
+(`schreier_generators`) generate the stabilizer of its start; the Sylow
+route reads a Sylow subgroup's normalizer off them.
 
 Group order, membership and point stabilizers are read off a base and strong
 generating set (Sims 1970; Seress, *Permutation Group Algorithms*, ch. 4-5),
@@ -674,9 +674,6 @@ class PermAction:
 
     def is_transitive(self) -> bool:
         return len(self.orbit(0)) == self.degree
-
-    def stabilizer_elements(self, point: int) -> Tuple[Perm, ...]:
-        return tuple(e for e in self.elements() if e[point] == point)
 
     def point_stabilizer(self, point: int) -> "PermAction":
         """Stabilizer as its own action, built once per point: the strong

@@ -1,10 +1,9 @@
-"""Arithmetic feasibility screens for flag-transitive 2-design parameters.
+"""The tuple sieve for flag-transitive 2-design parameters.
 
-Everything here is exact integer arithmetic.  The screens encode the standard
+Everything here is exact integer arithmetic.  The sieve encodes the standard
 counting identities, the Fisher inequality, the coprime reduction
-r* = r/(r,lambda), the divisor consequences of flag-transitivity, the
-subdegree gcd filter, and the order inequality and two-point divisor that
-the eliminator runs.
+r* = r/(r,lambda) and the divisor consequences of flag-transitivity; the
+group-theoretic screens live with the eliminator, which runs them.
 
 The working hypothesis throughout is lambda >= (r,lambda)^2 > 1, which forces
 g = (r,lambda) >= 2, lambda >= 4, and v < (r*)^2.
@@ -13,21 +12,16 @@ g = (r,lambda) >= 2, lambda >= 4, and v < (r*)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-from .exactmath import binomial_exceeds, divisors, divisors_upto, gcd, p_prime_part
-from .grouporders import CaseOrders, GroupSpec
+from .exactmath import binomial_exceeds, divisors, divisors_upto, gcd
 
 __all__ = [
     "REASON_CODES",
     "DesignParams",
     "Rejection",
     "check_basic",
-    "admissible_tuples",
     "admissible_tuples_explained",
-    "subdegree_filter",
-    "order_inequality_check",
-    "two_point_divisor",
 ]
 
 # every Rejection of admissible_tuples_explained carries one of these tags
@@ -99,24 +93,6 @@ class Rejection:
     code: str
 
 
-def admissible_tuples(
-    v: int,
-    r_divisor: int,
-    g_max: Optional[int] = None,
-    rstar_divisor: Optional[int] = None,
-    max_work: int = 10**7,
-) -> Tuple[DesignParams, ...]:
-    """All parameter tuples surviving every arithmetic screen.
-
-    r must divide r_divisor; r* must additionally divide rstar_divisor when
-    one is given (a refinement, e.g. a p'-part).  g can be capped by g_max.
-    """
-    tuples, _ = admissible_tuples_explained(
-        v, r_divisor, g_max=g_max, rstar_divisor=rstar_divisor, max_work=max_work
-    )
-    return tuples
-
-
 def admissible_tuples_explained(
     v: int,
     r_divisor: int,
@@ -124,7 +100,12 @@ def admissible_tuples_explained(
     rstar_divisor: Optional[int] = None,
     max_work: int = 10**7,
 ) -> Tuple[Tuple[DesignParams, ...], Tuple[Rejection, ...]]:
-    """admissible_tuples plus the per-branch rejection trace."""
+    """All parameter tuples surviving every arithmetic screen, and the
+    per-branch rejection trace.
+
+    r must divide r_divisor; r* must additionally divide rstar_divisor when
+    one is given (a refinement, e.g. a p'-part).  g can be capped by g_max.
+    """
     if v < 4 or r_divisor < 1:
         raise ValueError("need v >= 4 and a positive r divisor")
     cap = gcd(v - 1, rstar_divisor if rstar_divisor is not None else r_divisor)
@@ -185,55 +166,3 @@ def admissible_tuples_explained(
                     raise ArithmeticError(f"sieve kept {params}, failing {bad}")
                 found.append(params)
     return tuple(sorted(found)), tuple(rejected)
-
-
-def subdegree_filter(v: int, s: int) -> Tuple[int, bool]:
-    """R = gcd(v-1, s); a surviving case needs v < R^2.
-
-    r* divides every subdegree and r* divides v-1, hence r* | R, and the
-    hypothesis forces v < (r*)^2 <= R^2.
-    """
-    if v < 2 or s < 1:
-        raise ValueError("need v >= 2 and s >= 1")
-    big_r = gcd(v - 1, s)
-    return big_r, v < big_r * big_r
-
-
-def order_inequality_check(orders: CaseOrders, spec: GroupSpec) -> Tuple[int, bool]:
-    """(bound, survives): the case survives iff |X| < bound, where
-    bound = (|Out(X)|_{p'})^2 * |H0| * (|H0|_{p'})^2 and p is the
-    characteristic of the socle `spec`, whose orders `orders` holds.
-
-    This is the master inequality combining lambda*v < r^2 with the divisor
-    bound on r when p divides v; failing it eliminates the case.
-    """
-    if orders.order_h0 is None:
-        raise ValueError("order_inequality_check needs an exact subgroup order")
-    out_stripped = spec.out_order_p_prime
-    h0_stripped = p_prime_part(orders.order_h0, spec.p)
-    bound = out_stripped**2 * orders.order_h0 * h0_stripped**2
-    return bound, orders.order_x < bound
-
-
-def two_point_divisor(order_out: int, order_h0: int, order_n: int) -> int:
-    """Divisor bound for r* when N <= H is in every two-point stabilizer.
-
-    r* divides |Out(X)|*|H0| / |N|; the division must be exact.
-    """
-    num = order_out * order_h0
-    if order_n < 1 or num % order_n != 0:
-        raise ArithmeticError(f"{order_n} does not divide {num}")
-    return num // order_n
-
-
-def best_subdegree_verdict(
-    v: int, subdegrees: Sequence[int]
-) -> Tuple[int, bool]:
-    """Apply subdegree_filter with the gcd of several known subdegrees.
-
-    r* divides each subdegree, hence their gcd; smaller R can only help
-    eliminate.
-    """
-    if not subdegrees:
-        raise ValueError("need at least one subdegree")
-    return subdegree_filter(v, gcd(*subdegrees))

@@ -24,18 +24,14 @@ from flagsieve.designsearch import (
     stabilizer_search,
 )
 from flagsieve.eliminator import eliminate, survivors, sweep
-from flagsieve.exactmath import (
-    gcd,
-    prod_one_minus_inv_powers,
-    prod_one_minus_neg_inv_powers,
-)
+from flagsieve.exactmath import gcd
 from flagsieve.grouporders import GroupSpec, SubgroupCase, case_label
 from flagsieve.permgroup import BUILTIN_NAMES, builtin_action, pair_action
-from flagsieve.sieve import (
-    DesignParams,
-    admissible_tuples,
-    admissible_tuples_explained,
-    best_subdegree_verdict,
+from flagsieve.sieve import DesignParams, admissible_tuples_explained
+from reference import (
+    prod_one_minus_inv_powers,
+    prod_one_minus_neg_inv_powers,
+    stabilizer_elements,
 )
 
 
@@ -80,7 +76,7 @@ def test_criterion_03_sieve_exact_tuple_sets():
     )
     assert any(r.k == 6 and r.code == "b-nonintegral" for r in rejections)
     assert any(r.k == 5 and r.code == "divisor-conflict" for r in rejections)
-    tuples_144 = admissible_tuples(144, 78)
+    tuples_144, _ = admissible_tuples_explained(144, 78)
     assert tuple(t.as_tuple() for t in tuples_144) == ((144, 144, 78, 78, 42),)
     assert time.monotonic() - t0 < 1
 
@@ -182,13 +178,16 @@ def test_criterion_07_degree144_searches_empty():
 
 def test_criterion_08_pair_action_subdegrees():
     """Suborbits of the degree-8 group on 2-subsets are {1,12,15}, and
-    the pair {12,15} eliminates v=28 through the subdegree filter."""
+    the pair {12,15} eliminates v=28 through the subdegree filter: the
+    linear n=4 q=2 C8_Sp cell dies at its computed-subdegrees step."""
     pairs = pair_action(builtin_action("psl4_2"))
     assert pairs.degree == 28
     assert pairs.suborbit_lengths(0) == (1, 12, 15)
-    big_r, survives = best_subdegree_verdict(28, (12, 15))
-    assert big_r == 3
-    assert not survives
+    rep = eliminate(GroupSpec("linear", 4, 2), SubgroupCase("C8_Sp", ()))
+    assert rep.final.kind == "Eliminated"
+    kill = rep.steps[rep.final.step_index]
+    assert kill.name == "computed-subdegrees"
+    assert dict(kill.witnesses) == {"v": 28, "s1": 12, "s2": 15, "gcd": 3}
 
 
 def test_criterion_09_full_sweep_survivors():
@@ -260,7 +259,7 @@ def test_criterion_10_property_suites(tmp_path):
         action = builtin_action(name)
         subs = action.suborbit_lengths(0)
         assert sum(subs) == action.degree
-        stab = len(action.stabilizer_elements(0))
+        stab = len(stabilizer_elements(action, 0))
         assert len(action.orbit(0)) * stab == action.order()
 
     # korbit vs stabilizer-search agreement on the degree <= 12 actions

@@ -673,22 +673,27 @@ def test_emit_report_shares_a_template_and_keeps_percent_signs(tmp_path, monkeyp
 
 
 def test_emit_report_tells_equal_values_of_other_types_apart(tmp_path):
-    """1 == True == 1.0 in Python, but JSON writes each differently, so
-    they are different shapes."""
-    bare = Step("bare", "", (), "eliminated")
+    """1 == True == 1.0 in Python, but JSON writes each differently.  A
+    case's parameters are exact ints and strs, so 1 and True reach the
+    writer as step indices, which make different shapes, and all four of
+    1, True, 1.0 and "1" as witness values."""
     reports = [
         CellReport(
             "linear",
             3,
             2,
             SubgroupCase("C1_Pi", (param,)),
-            (bare, bare),
+            (Step("bare", "", (("w", value),), "eliminated"),) * 2,
             Final("Eliminated", index),
         )
-        for param in (1, True, 1.0, "1")
+        for param in (1, "1")
+        for value in (1, True, 1.0, "1")
         for index in (1, True)
     ]
     assert_report_matches_reference(tmp_path, reports, None)
+    for param in (True, 1.0):
+        with pytest.raises(ValueError, match="^case C1_Pi takes"):
+            SubgroupCase("C1_Pi", (param,))
 
 
 def test_emit_report_unserializable_witness_writes_nothing(tmp_path):

@@ -21,7 +21,6 @@ from flagsieve.designsearch import (
     korbit_designs,
     load_design,
     save_design,
-    set_stabilizer,
     stabilizer_search,
     verify_design,
 )
@@ -94,37 +93,42 @@ def test_korbit_budget_and_range_guards():
         korbit_designs(builtin_action("psl2_7"), 9)
 
 
-# -- setwise stabilizers
+# -- flag-transitivity against the flag orbit
 
 
-def test_set_stabilizer_orders():
-    act = builtin_action("psl2_7")
-    records = korbit_designs(act, 4)
-    big = records[-1]
-    stab, orbit_len = set_stabilizer(act, big.blocks[0])
-    assert orbit_len == 42
-    assert stab.order() == 4
-    # Lagrange on an arbitrary 4-set
-    stab2, orbit2 = set_stabilizer(act, {0, 1, 2, 3})
-    assert stab2.order() * orbit2 == act.order()
+def _flag_orbit_size(action, block):
+    """The orbit of the flag (min(block), block) over every element."""
+    x = min(block)
+    return len({(g[x], frozenset(g[i] for i in block)) for g in action.elements()})
 
 
-@pytest.mark.parametrize("name", ["pgl2_7", "psu3_3_36"])
-def test_set_stabilizer_matches_element_count(name):
-    """Order and orbit length against a count over every element, on seeded
-    random subsets; on psu3_3_36 in its order-168 point stabilizer."""
+@pytest.mark.parametrize("name", ["psl2_7", "pgl2_7", "psl3_2", "psl4_2"])
+def test_flag_transitive_matches_flag_orbit(name):
+    """Every k-orbit design, k = 2..6: flag_transitive holds exactly when
+    one flag's orbit over the listed elements has all b*k flags."""
     act = builtin_action(name)
-    group = act.point_stabilizer(0) if name == "psu3_3_36" else act
-    elements = group.elements()
-    rng = random.Random(f"setstab/{name}")
-    for _ in range(8):
-        size = rng.randrange(1, group.degree)
-        block = frozenset(rng.sample(range(group.degree), size))
-        images = [frozenset(g[i] for i in block) for g in elements]
-        stab, orbit_len = set_stabilizer(group, block)
-        assert stab.order() == images.count(block)
-        assert orbit_len == len(set(images))
-        assert all(frozenset(g[i] for i in block) == block for g in stab.generators)
+    seen = set()
+    for k in range(2, 7):
+        for rec in korbit_designs(act, k):
+            oracle = _flag_orbit_size(act, rec.blocks[0]) == rec.params.b * k
+            assert rec.flag_transitive == oracle, (name, rec.params)
+            seen.add(oracle)
+    # A_8 is 6-transitive, so every one of its k-orbit designs is
+    assert seen == ({True} if name == "psl4_2" else {True, False})
+
+
+def test_flag_transitive_registry_design_matches_flag_orbit():
+    """The 2-(36,21,12) design the registry search finds on psu3_3_36 is
+    flag-transitive by the flag-orbit count too; the orbit of the 21-set
+    {0..20}, whose stabilizer is too small, is not, by either count."""
+    act = builtin_action("psu3_3_36")
+    (rec,) = stabilizer_search(act, PARAMS_36_SYM).designs
+    assert _flag_orbit_size(act, rec.blocks[0]) == rec.params.b * rec.params.k
+    assert designsearch._flag_transitive(act, rec.blocks, rec.params.r)
+    blocks = act.set_orbit(range(21))
+    r = len(blocks) * 21 // 36
+    assert _flag_orbit_size(act, blocks[0]) < len(blocks) * 21
+    assert not designsearch._flag_transitive(act, blocks, r)
 
 
 # -- stabilizer search, positive controls

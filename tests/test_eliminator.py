@@ -14,6 +14,7 @@ from flagsieve.eliminator import (
     sweep,
 )
 from flagsieve.grouporders import (
+    CaseOrders,
     GroupSpec,
     SubgroupCase,
     UNITARY_S_TABLE,
@@ -22,6 +23,7 @@ from flagsieve.grouporders import (
     enumerate_cases,
     known_subdegrees,
 )
+from flagsieve.exactmath import divisors
 from flagsieve.permgroup import FieldTable, PermAction, classical_action, projective_points
 from flagsieve.sieve import DesignParams
 
@@ -121,6 +123,85 @@ def test_symplectic_cell_uses_computed_subdegrees():
     assert last.name == "computed-subdegrees"
     wit = witness_map(last)
     assert wit == {"v": 28, "s1": 12, "s2": 15, "gcd": 3}
+
+
+# ---------------------------------------------------------------------------
+# the screens' pins and refusals
+# ---------------------------------------------------------------------------
+
+
+def test_order_inequality_screen_pins():
+    # 168 < 21^3 = 9261 (all orders odd after stripping 2): passes
+    spec, case = GroupSpec("linear", 3, 2), SubgroupCase("C3", (1, 3))
+    assert case_orders(spec, case).order_h0 == 21
+    rep = eliminate(spec, case)
+    step = rep.steps[step_names(rep).index("order-inequality")]
+    assert step.verdict == "pass"
+    assert witness_map(step) == {"x": 168, "bound": 21**3}
+    # 20158709760 >= 1296 * 81^2 = 8503056: eliminated, where the route
+    # would run the screen (the cell dies at an earlier one)
+    spec, case = GroupSpec("linear", 6, 2), SubgroupCase("C2_GLwr", (2, 3))
+    cell = eliminator._Cell(spec, case, case_orders(spec, case))
+    assert eliminator._order_inequality(cell) == Final("Eliminated", 0)
+    assert witness_map(cell.steps[0]) == {"x": 20158709760, "bound": 8503056}
+
+
+def test_order_inequality_screen_needs_an_exact_order():
+    spec, case = GroupSpec("linear", 9, 2), SubgroupCase("C7", (3, 2))
+    orders = case_orders(spec, case)
+    assert orders.order_h0 is None
+    with pytest.raises(ValueError, match="needs an exact subgroup order"):
+        eliminator._order_inequality(eliminator._Cell(spec, case, orders))
+
+
+def _subdegree_verdict(v, subdegrees):
+    """(gcd witness, passed) of the subdegree screen on a cell of index v."""
+    spec, case = GroupSpec("linear", 4, 2), SubgroupCase("C8_Sp", ())
+    cell = eliminator._Cell(spec, case, CaseOrders(v=v))
+    final = eliminator._subdegree_step(cell, subdegrees)
+    return witness_map(cell.steps[0])["gcd"], final is None
+
+
+def test_subdegree_screen_pins():
+    # the wreath stabilizer on 157696 hermitian points
+    rep = eliminate(GroupSpec("unitary", 6, 2), SubgroupCase("C2_GU1wr", ()))
+    assert rep.final.kind == "Eliminated"
+    last = rep.steps[rep.final.step_index]
+    assert last.name == "subdegree"
+    assert witness_map(last) == {"v": 157696, "s1": 540, "gcd": 15}
+    assert _subdegree_verdict(157696, (540,)) == (15, False)
+    assert _subdegree_verdict(28, (12,)) == (3, False)
+    assert _subdegree_verdict(8, (7,)) == (7, True)
+    assert _subdegree_verdict(36, (21,)) == (7, True)
+    # pair-action subdegrees of the 8-point alternating group
+    assert _subdegree_verdict(28, (12, 15)) == (3, False)
+    with pytest.raises(ValueError, match="at least one subdegree"):
+        _subdegree_verdict(28, ())
+
+
+def test_subdegree_screen_divisor_monotone():
+    # if s' | s then gcd(v-1, s') | gcd(v-1, s): refining never hurts
+    for v in (28, 36, 120, 176):
+        for s in (12, 54, 540, 1680):
+            big, _ = _subdegree_verdict(v, (s,))
+            for sp in divisors(s):
+                small, _ = _subdegree_verdict(v, (sp,))
+                assert big % small == 0
+
+
+def test_two_point_divisor_screen(monkeypatch):
+    # |Out| * |H0| / |Sp_2(2)| = 2 * 1451520 / 6 refines the r-divisor
+    spec, case = GroupSpec("linear", 6, 2), SubgroupCase("C8_Sp", ())
+    rep = eliminate(spec, case)
+    assert rep.steps[0].name == "two-point-divisor"
+    assert witness_map(rep.steps[0]) == {"n-order": 6, "divisor": 483840}
+    assert witness_map(rep.steps[1])["divisor"] == 483840
+    # an inexact quotient refines nothing: the order inequality runs instead
+    monkeypatch.setattr(eliminator, "sp_order", lambda n, q: 11)
+    rep = eliminate(spec, case)
+    assert step_names(rep)[0] == "order-inequality"
+    assert "two-point-divisor" not in step_names(rep)
+    assert witness_map(rep.steps[1])["divisor"] == 2 * 1451520
 
 
 def test_unitary_line_one_survives_with_design():
@@ -270,7 +351,7 @@ def test_decomposition_subdegree_matches_brute_force(q):
     action = antiflag_action(q)
     orders = case_orders(spec, case)
     assert action.degree == orders.v
-    assert action.order() == orders.order_x
+    assert action.order() == spec.socle_order
     assert s in action.suborbit_lengths(0)
 
 

@@ -20,6 +20,8 @@ from flagsieve.exactmath import (
     p_prime_part,
     prime_power,
     prime_powers_upto,
+)
+from reference import (
     prod_one_minus_inv_powers,
     prod_one_minus_neg_inv_powers,
     q_product,

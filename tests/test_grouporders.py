@@ -1,6 +1,7 @@
 """Order formulas and case tables, pinned against hand-checked values,
 reference products and the stabilizer chains of the permutation actions."""
 
+import dataclasses
 import functools
 import math
 
@@ -8,7 +9,7 @@ import pytest
 
 from flagsieve import eliminator, grouporders
 from flagsieve.eliminator import grid_q_values, sweep
-from flagsieve.exactmath import factorize, prime_power, prime_powers_upto, q_product
+from flagsieve.exactmath import factorize, prime_power, prime_powers_upto
 from flagsieve.grouporders import (
     LINEAR_S_TABLE,
     UNITARY_S_TABLE,
@@ -30,6 +31,7 @@ from flagsieve.grouporders import (
     totally_singular_count,
 )
 from flagsieve.permgroup import builtin_action, classical_action, pair_action
+from reference import q_product
 
 L = lambda n, q: GroupSpec("linear", n, q)
 U = lambda n, q: GroupSpec("unitary", n, q)
@@ -159,7 +161,7 @@ def test_case_order_oracles():
         got = case_orders(spec, case)
         assert got.order_h0 == h0, (spec, case, got)
         assert got.v == v, (spec, case, got)
-        assert got.order_h0 * got.v == spec.socle_order == got.order_x
+        assert got.order_h0 * got.v == spec.socle_order
 
 
 def test_bounded_cases():
@@ -169,7 +171,8 @@ def test_bounded_cases():
     assert (got.order_h0, got.order_h0_bound) == (None, 81 * sp_order(4, 3))
     got = case_orders(L(9, 2), SubgroupCase("C7", (3, 2)))
     assert (got.order_h0, got.order_h0_bound) == (None, 2**16 * 2)
-    assert got.order_x == L(9, 2).socle_order and got.order_out == 2
+    # |X| and |Out| are the socle's, read off the spec, not copied per case
+    assert [f.name for f in dataclasses.fields(got)] == ["order_h0", "v", "order_h0_bound"]
 
 
 def test_unitary_imported_classes_have_no_orders():
@@ -182,7 +185,6 @@ def test_unitary_imported_classes_have_no_orders():
     for spec, case in pairs:
         got = case_orders(spec, case)
         assert (got.order_h0, got.v, got.order_h0_bound) == (None, None, None)
-        assert got.order_x == spec.socle_order
 
 
 def test_unknown_kind_raises():
@@ -210,6 +212,19 @@ def test_case_orders_refuses_cells_the_enumeration_omits(spec, case):
     label = f"{spec.family} n={spec.n} q={spec.q}"
     with pytest.raises(UnsupportedCaseError, match=rf"^{label} has no case "):
         case_orders(spec, case)
+
+
+@pytest.mark.parametrize(
+    "params", [(True,), (1.0,), ([1],), [1]], ids=["bool", "float", "list-item", "list"]
+)
+def test_subgroup_case_refuses_parameters_other_than_ints_and_strs(params):
+    """A bool equals an int and a float may too, so either would pass the
+    enumeration's membership test; a list is unhashable.  Each is refused
+    when the case is built, naming the case."""
+    with pytest.raises(ValueError, match=r"^case C1_Pi takes a tuple of ints and strs"):
+        SubgroupCase("C1_Pi", params)
+    assert SubgroupCase("C1_Pi", (1,)) in enumerate_cases(L(4, 3))
+    assert SubgroupCase("C8_O", ("+",)) in enumerate_cases(L(4, 3))
 
 
 def test_enumerate_linear_6_2():
@@ -281,7 +296,7 @@ def test_every_enumerated_case_has_consistent_orders():
         for case in enumerate_cases(spec):
             got = case_orders(spec, case)
             if got.order_h0 is not None:
-                assert got.order_h0 * got.v == spec.socle_order == got.order_x
+                assert got.order_h0 * got.v == spec.socle_order
                 assert got.v > 2
 
 
@@ -661,5 +676,5 @@ def test_case_orders_match_the_chain(build, spec, case, scale):
     got = case_orders(spec, SubgroupCase(*case))
     degree, order, stabilizer = scale
     assert action.degree == degree * got.v
-    assert action.order() == order * got.order_x
+    assert action.order() == order * spec.socle_order
     assert action.point_stabilizer(0).order() == stabilizer * got.order_h0

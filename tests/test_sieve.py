@@ -1,4 +1,4 @@
-"""Arithmetic screen tests with independently computed oracles."""
+"""Tuple sieve tests with independently computed oracles."""
 
 import math
 
@@ -6,19 +6,18 @@ import pytest
 
 from flagsieve import sieve
 from flagsieve.exactmath import divisors, gcd
-from flagsieve.grouporders import GroupSpec, SubgroupCase, case_orders
 from flagsieve.sieve import (
     REASON_CODES,
     DesignParams,
     Rejection,
-    admissible_tuples,
     admissible_tuples_explained,
-    best_subdegree_verdict,
     check_basic,
-    order_inequality_check,
-    subdegree_filter,
-    two_point_divisor,
 )
+
+
+def admissible_tuples(v, r_divisor, **kwargs):
+    """The kept tuples of the sieve, without its rejection trace."""
+    return admissible_tuples_explained(v, r_divisor, **kwargs)[0]
 
 
 def test_design_params_derived():
@@ -139,45 +138,3 @@ def test_admissible_tuples_outputs_satisfy_check_basic():
             assert all(ok for _, ok in check_basic(d))
             assert d.r % d.g == 0 and r_divisor % d.r == 0
             assert (v - 1) % d.rstar == 0
-
-
-def test_subdegree_filter():
-    assert subdegree_filter(28, 12) == (3, False)
-    assert subdegree_filter(8, 7) == (7, True)
-    assert subdegree_filter(36, 21) == (7, True)
-    # pair-action subdegrees of the 8-point alternating group
-    assert best_subdegree_verdict(28, [12, 15]) == (3, False)
-    # wreath stabilizer on 157696 hermitian points
-    assert best_subdegree_verdict(157696, [540]) == (15, False)
-    with pytest.raises(ValueError):
-        best_subdegree_verdict(28, [])
-
-
-def test_subdegree_filter_divisor_monotone():
-    # if s' | s then gcd(v-1, s') | gcd(v-1, s): refining never hurts
-    for v in (28, 36, 120, 176):
-        for s in (12, 54, 540, 1680):
-            big, _ = subdegree_filter(v, s)
-            for sp in divisors(s):
-                small, _ = subdegree_filter(v, sp)
-                assert big % small == 0
-
-
-def test_order_inequality_check():
-    l62 = GroupSpec("linear", 6, 2)
-    wreath = case_orders(l62, SubgroupCase("C2_GLwr", (2, 3)))
-    # 20158709760 >= 1296 * 81^2 = 8503056: eliminated
-    assert order_inequality_check(wreath, l62) == (8503056, False)
-    l32 = GroupSpec("linear", 3, 2)
-    torus = case_orders(l32, SubgroupCase("C3", (1, 3)))
-    assert torus.order_h0 == 21
-    # 168 < 21^3 (all orders odd after stripping 2): survives
-    assert order_inequality_check(torus, l32) == (21**3, True)
-
-
-def test_two_point_divisor():
-    # subfield pair over GF(2) inside GF(4): N = SL_1(2) = 1
-    assert two_point_divisor(12, 168, 1) == 2016
-    assert two_point_divisor(2, 5616, 48) == 234
-    with pytest.raises(ArithmeticError):
-        two_point_divisor(2, 21, 5)

@@ -3,7 +3,8 @@
 `python -O` strips assert statements, so a correctness check written as one
 would silently vanish there.  Every check in the package is an explicit
 raise instead, and this test keeps it that way.  The package also carries
-no private function that nothing calls, and exports only names it defines.
+no private function that nothing calls, exports only names it defines, and
+imports only from the layers below its own.
 """
 
 import ast
@@ -71,3 +72,52 @@ def test_package_has_no_assert_statements():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+# the package's layers, lowest first; a module imports only from lower ones
+LAYERS = (
+    ("exactmath",),
+    ("grouporders", "sieve", "permgroup"),
+    ("designsearch",),
+    ("eliminator",),
+    ("cli",),
+)
+
+
+def _package_imports(tree):
+    """The package modules a parsed module imports from."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                if node.module:
+                    found.add(node.module.split(".")[0])
+                else:  # from . import module
+                    found.update(alias.name for alias in node.names)
+            elif (node.module or "").startswith("flagsieve."):
+                found.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("flagsieve.")
+            )
+    return found
+
+
+def test_modules_import_only_from_lower_layers():
+    layer = {name: i for i, names in enumerate(LAYERS) for name in names}
+    imports = {
+        module: _package_imports(tree)
+        for module, tree in _modules()
+        if module != "__init__"
+    }
+    assert sorted(imports) == sorted(layer)
+    upward = [
+        f"{module} imports {dep}"
+        for module, deps in sorted(imports.items())
+        for dep in sorted(deps)
+        if layer[dep] >= layer[module]
+    ]
+    assert upward == []
+    assert imports["sieve"] == {"exactmath"}

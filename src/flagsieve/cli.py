@@ -221,6 +221,10 @@ def _fmt_tuple(p: DesignParams) -> str:
 
 _str = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
 
+# marks a slot of a template; _json writes it as a raw NUL, which _str
+# escapes everywhere else, so no other text of a rendering contains one
+_SLOT = object()
+
 
 def _wrap(items: List[str], pad: str, brackets: str = "[]") -> str:
     """Items, each already indented, one a line, closed on a line at pad."""
@@ -231,15 +235,17 @@ def _wrap(items: List[str], pad: str, brackets: str = "[]") -> str:
 
 def _json(value: object, pad: str) -> str:
     """value as json.dumps(value, indent=2) writes it, on a line indented by
-    pad.  Dict keys must be str.  Values other than str, int, bool, None,
-    list, tuple and dict go to json.dumps: floats read the same and sets
-    raise TypeError."""
+    pad, with a NUL for each _SLOT.  Dict keys must be str.  Values other
+    than str, int, bool, None, _SLOT, list, tuple and dict go to
+    json.dumps: floats read the same and sets raise TypeError."""
     if isinstance(value, str):
         return _str(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if value is _SLOT:
+        return "\0"
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         return _wrap([inner + _json(x, inner) for x in value], pad)
@@ -249,76 +255,49 @@ def _json(value: object, pad: str) -> str:
     return json.dumps(value)
 
 
-# json.dumps(document, indent=2)'s layout of a witness, a step and a cell
-_WITNESS = """\
-            [
-              %s,
-              %s
-            ]"""
-_STEP = """\
-        {
-          "name": %s,
-          "citation": %s,
-          "witnesses": %s,
-          "verdict": %s
-        }"""
-_CELL = """\
-    {
-      "spec": {
-        "family": %s,
-        "n": %s,
-        "q": %s
-      },
-      "case": {
-        "kind": %s,
-        "params": %s,
-        "label": %s
-      },
-      "steps": %s,
-      "final": {
-        "kind": %s,
-        "stepIndex": %s,
-        "tuples": %s,
-        "note": %s
-      }
-    }"""
+def _template(value: object, pad: str) -> List[str]:
+    """The pieces of _json(value, pad) between its slots."""
+    return _json(value, pad).split("\0")
 
 
-def _literal(text: str) -> str:
-    """text as a literal part of a %-template."""
-    return text.replace("%", "%%")
+def _fill(pieces: List[str], slots: Sequence[str]) -> str:
+    """pieces with slots[i] between pieces i and i + 1.  The extended-slice
+    assignment raises ValueError unless there is one slot per joint."""
+    out = [""] * (2 * len(pieces) - 1)
+    out[::2] = pieces
+    out[1::2] = slots
+    return "".join(out)
 
 
-def _cell_template(rep: CellReport) -> str:
-    """rep's cell in _CELL's layout, as a %-template whose slots are n, q,
-    each witness value in order and the final tuples.  Every other part
-    is fixed by the cell's shape (see _report_json)."""
-    steps = []
-    for s in rep.steps:
-        witnesses = [_WITNESS % (_literal(_str(key)), "%s") for key, _ in s.witnesses]
-        steps.append(
-            _STEP
-            % (
-                _literal(_str(s.name)),
-                _literal(_str(s.citation)),
-                _wrap(witnesses, " " * 10),
-                _literal(_str(s.verdict)),
-            )
-        )
+def _cell_template(rep: CellReport) -> List[str]:
+    """rep's cell, at a cell's depth in the report, as a template whose
+    slots are n, q, each witness value in order and the final tuples.
+    Every other part is fixed by the cell's shape (see _report_json)."""
     final = rep.final
-    return _CELL % (
-        _literal(_str(rep.family)),
-        "%s",
-        "%s",
-        _literal(_str(rep.case.kind)),
-        _literal(_json(rep.case.params, " " * 8)),
-        _literal(_str(case_label(rep.case))),
-        _wrap(steps, " " * 6),
-        _literal(_str(final.kind)),
-        _literal(_json(final.step_index, "")),
-        "%s",
-        _literal(_str(final.note)),
-    )
+    cell = {
+        "spec": {"family": rep.family, "n": _SLOT, "q": _SLOT},
+        "case": {
+            "kind": rep.case.kind,
+            "params": rep.case.params,
+            "label": case_label(rep.case),
+        },
+        "steps": [
+            {
+                "name": s.name,
+                "citation": s.citation,
+                "witnesses": [[key, _SLOT] for key, _ in s.witnesses],
+                "verdict": s.verdict,
+            }
+            for s in rep.steps
+        ],
+        "final": {
+            "kind": final.kind,
+            "stepIndex": final.step_index,
+            "tuples": _SLOT,
+            "note": final.note,
+        },
+    }
+    return _template(cell, " " * 4)
 
 
 def _report_json(reports: Sequence[CellReport], grid: Optional[Dict]) -> str:
@@ -329,8 +308,10 @@ def _report_json(reports: Sequence[CellReport], grid: Optional[Dict]) -> str:
     and witness keys, and the final's kind, stepIndex and note) share one
     template, built on the first such cell.  1 == True in Python, so the
     shape holds the step index's type; a case's params are exact ints and
-    strs, which SubgroupCase checks, so the shape holds them as they are."""
-    templates: Dict[tuple, str] = {}
+    strs, which SubgroupCase checks, so the shape holds them as they are.
+    A slot's value is rendered at the depth of its slot: 14 spaces for a
+    witness value, 8 for the tuples."""
+    templates: Dict[tuple, List[str]] = {}
     cells = []
     pad = " " * 14
     for rep in reports:
@@ -359,19 +340,21 @@ def _report_json(reports: Sequence[CellReport], grid: Optional[Dict]) -> str:
         template = templates.get(shape)
         if template is None:
             template = templates[shape] = _cell_template(rep)
-        cells.append(template % tuple(slots))
+        cells.append(_fill(template, slots))
     kinds: Dict[str, int] = {}
     for rep in reports:
         kinds[rep.final.kind] = kinds.get(rep.final.kind, 0) + 1
-    summary = {
-        "cells": len(reports),
-        "kinds": {k: kinds[k] for k in sorted(kinds)},
-        "survivors": [r.label for r in reports if r.final.kind != "Eliminated"],
+    document = {
+        "schemaVersion": SCHEMA_VERSION,
+        "grid": grid,
+        "cells": [_SLOT] * len(cells),
+        "summary": {
+            "cells": len(reports),
+            "kinds": {k: kinds[k] for k in sorted(kinds)},
+            "survivors": [r.label for r in survivors(reports)],
+        },
     }
-    return (
-        f'{{\n  "schemaVersion": {SCHEMA_VERSION},\n  "grid": {_json(grid, "  ")},'
-        f'\n  "cells": {_wrap(cells, "  ")},\n  "summary": {_json(summary, "  ")}\n}}\n'
-    )
+    return _fill(_template(document, ""), cells) + "\n"
 
 
 def _tsv_cell_rows(reports: Sequence[CellReport]) -> str:

@@ -51,7 +51,7 @@ from .grouporders import (
     sp_order,
 )
 from .permgroup import builtin_action, pair_action
-from .sieve import DesignParams, admissible_tuples_explained
+from .sieve import DesignParams, TupleBudgetError, admissible_tuples_explained
 
 __all__ = [
     "STEP_NAMES",
@@ -89,10 +89,6 @@ _CITATIONS = {
     "order-inequality": (
         "|X| < (|Out|_p')^2 * |H0| * (|H0|_p')^2 is necessary for a "
         "flag-transitive design on this coset space"
-    ),
-    "order-bound-screen": (
-        "v >= |X|/bound and r* <= |Out|*bound, so "
-        "|X|/bound >= (|Out|*bound)^2 excludes the cell"
     ),
     "two-point-divisor": (
         "r divides |Out|*|H0|/|N| when a subgroup of order |N| fixes two "
@@ -281,19 +277,12 @@ def _imported(cell: _Cell) -> Optional[Final]:
 
 
 def _bounded_order_route(cell: _Cell) -> Optional[Final]:
-    """Classes where only an upper bound for |H0| may be available."""
+    """Classes where only an upper bound b for |H0| may be available.  A
+    cell with only b that passes the cube bound, 4|X| < |Out|^2 b^3, also
+    meets |X| < |Out|^2 b^3, so it needs a search."""
     if cell.orders.order_h0 is not None:
         return _order_inequality(cell)
     final = _cube_bound(cell)
-    if final is not None:
-        return final
-    x, bound = cell.spec.socle_order, cell.orders.order_h0_bound
-    threshold = bound * (cell.spec.out_order * bound) ** 2
-    final = cell.check(
-        "order-bound-screen",
-        [("x", x), ("h0-bound", bound), ("threshold", threshold)],
-        x >= threshold,
-    )
     if final is not None:
         return final
     return Final("NeedsSearch", None, (), "only an order bound is available")
@@ -481,7 +470,7 @@ def _tail(cell: _Cell, run_searches: bool) -> Final:
         return final
     try:
         found, rejected = admissible_tuples_explained(v, d, rstar_divisor=big_r)
-    except ValueError as exc:
+    except TupleBudgetError as exc:
         cell.info("admissible-tuples", [("budget", str(exc))])
         return Final("NeedsSearch", None, (), "tuple budget exceeded")
     codes = Counter(rej.code for rej in rejected)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from operator import itemgetter
 from typing import (
@@ -341,7 +342,7 @@ def perm_order(p: Perm) -> int:
             cur = p[cur]
             length += 1
         if length > 1:
-            g = _gcd2(order, length)
+            g = math.gcd(order, length)
             order = order // g * length
     return order
 
@@ -355,12 +356,6 @@ def _conjugator(g: Perm) -> Callable[[Perm], Perm]:
     """The map x -> conjugate_perm(x, g), with g inverted once."""
     g_inv = inverse_perm(g)
     return lambda x: compose(compose(g_inv, x), g)
-
-
-def _gcd2(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _perm_power(p: Perm, e: int) -> Perm:
@@ -1036,7 +1031,7 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     for y, d in zip(action.elements(), index.orders):
         if m % d == 0:
             walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
-            candidates.append((y, [z for j, z in walk if _gcd2(j, d) == 1]))
+            candidates.append((y, [z for j, z in walk if math.gcd(j, d) == 1]))
     normalizers_only = _all_solvable(m)
     position = index.position.__getitem__
     conjugates = [table.__getitem__ for table in index.conj]

@@ -20,6 +20,7 @@ __all__ = [
     "REASON_CODES",
     "DesignParams",
     "Rejection",
+    "TupleBudgetError",
     "check_basic",
     "admissible_tuples_explained",
 ]
@@ -93,6 +94,10 @@ class Rejection:
     code: str
 
 
+class TupleBudgetError(ValueError):
+    """The tuple enumeration would exceed its work budget."""
+
+
 def admissible_tuples_explained(
     v: int,
     r_divisor: int,
@@ -105,13 +110,14 @@ def admissible_tuples_explained(
 
     r must divide r_divisor; r* must additionally divide rstar_divisor when
     one is given (a refinement, e.g. a p'-part).  g can be capped by g_max.
+    Raises TupleBudgetError when the candidate r* sum past max_work.
     """
     if v < 4 or r_divisor < 1:
         raise ValueError("need v >= 4 and a positive r divisor")
     cap = gcd(v - 1, rstar_divisor if rstar_divisor is not None else r_divisor)
     rstars = [e for e in divisors(cap) if e * e > v]
     if sum(rstars) > max_work:
-        raise ValueError(
+        raise TupleBudgetError(
             f"tuple enumeration over {len(rstars)} divisors exceeds budget"
         )
     found: List[DesignParams] = []

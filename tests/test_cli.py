@@ -575,7 +575,7 @@ def test_emit_report_matches_reference_on_tier1_sweeps(
     assert len(built) == shapes
 
 
-ODD_TEXT = 'caf\u00e9 "q" back\\slash \t tab \x01 \u2028 \U0001d53d'
+ODD_TEXT = 'caf\u00e9 "q" back\\slash \t tab \x01 \x00 \u2028 \U0001d53d'
 
 
 def _hand_built_reports(witness_value):

@@ -154,6 +154,38 @@ def test_order_inequality_screen_needs_an_exact_order():
         eliminator._order_inequality(eliminator._Cell(spec, case, orders))
 
 
+def test_order_bound_cell_passing_the_cube_bound_needs_search():
+    """With only a bound b for |H0|, passing the cube bound 4|X| <
+    |Out|^2 b^3 already gives |X| < |Out|^2 b^3, the most any later
+    order screen on b could ask: the cell stops after that one step."""
+    spec, case = GroupSpec("linear", 9, 2), SubgroupCase("C7", (3, 2))
+    cell = eliminator._Cell(spec, case, CaseOrders(order_h0_bound=2**40))
+    final = eliminator._bounded_order_route(cell)
+    assert final == Final("NeedsSearch", None, (), "only an order bound is available")
+    assert [(s.name, s.verdict) for s in cell.steps] == [("cube-bound", "pass")]
+    assert "order-bound-screen" not in STEP_NAMES
+
+
+def _tail_cell(order_h0, v):
+    spec, case = GroupSpec("linear", 3, 2), SubgroupCase("C1_Pi", (1,))
+    return eliminator._Cell(spec, case, CaseOrders(order_h0=order_h0, v=v))
+
+
+def test_tail_reports_only_the_tuple_budget_as_a_budget():
+    # the r* divisors of 10^8 above 10^4 sum past the sieve's budget
+    cell = _tail_cell(10**8, 10**8 + 1)
+    final = eliminator._tail(cell, run_searches=False)
+    assert final == Final("NeedsSearch", None, (), "tuple budget exceeded")
+    assert cell.steps[-1].name == "admissible-tuples"
+    assert cell.steps[-1].verdict == "info"
+    assert "exceeds budget" in witness_map(cell.steps[-1])["budget"]
+    # factoring the Mersenne prime 2^89 - 1 is refused for another reason
+    cell = _tail_cell(2**89 - 1, 2**89)
+    message = "primality test out of certified range: 618970019642690137449562111$"
+    with pytest.raises(ValueError, match=message):
+        eliminator._tail(cell, run_searches=False)
+
+
 def _subdegree_verdict(v, subdegrees):
     """(gcd witness, passed) of the subdegree screen on a cell of index v."""
     spec, case = GroupSpec("linear", 4, 2), SubgroupCase("C8_Sp", ())

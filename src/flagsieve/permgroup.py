@@ -93,7 +93,9 @@ class FieldTable:
     primitive root mod p); if no such c exists (e.g. GF(32)) the
     lexicographically first working right-hand side is used.
     Multiplication runs off discrete-log tables, so the class of x is
-    always a primitive element.
+    always a primitive element.  Addition runs off Zech logarithms
+    (Lidl and Niederreiter, *Finite Fields*): a + b = a(1 + b/a), with
+    zech[k] the log of 1 + x^k, or None where 1 + x^k = 0.
     """
 
     def __init__(self, q: int):
@@ -128,20 +130,21 @@ class FieldTable:
             shift *= p
         return out
 
-    def _times_x(self, a: int, rhs: int) -> int:
+    def _times_x(self, a: int, rhs_multiples: List[int]) -> int:
         lead, low = divmod(a * self.p, self.q)
-        return self._digit_add(low, self._scalar_mul(lead, rhs)) if lead else low
+        return self._digit_add(low, rhs_multiples[lead]) if lead else low
 
     def _walk(self, rhs: int) -> Optional[List[int]]:
         """Powers of x mod (x^f - rhs); None unless x has full order q-1."""
+        multiples = [self._scalar_mul(c, rhs) for c in range(self.p)]
         exp = [1]
         cur = 1
         for _ in range(self.q - 2):
-            cur = self._times_x(cur, rhs)
+            cur = self._times_x(cur, multiples)
             if cur == 1 or cur == 0:
                 return None
             exp.append(cur)
-        if self._times_x(cur, rhs) != 1:
+        if self._times_x(cur, multiples) != 1:
             return None
         return exp
 
@@ -162,15 +165,22 @@ class FieldTable:
 
     def _install(self, exp: List[int]) -> None:
         self._exp = exp
-        self._log = {e: i for i, e in enumerate(exp)}
+        self._log = log = {e: i for i, e in enumerate(exp)}
+        # adding 1 changes only the constant base-p digit
+        p = self.p
+        self._zech = [log.get(e - e % p + (e + 1) % p) for e in exp]
 
     # -- arithmetic
 
     def add(self, a: int, b: int) -> int:
-        return self._digit_add(a, b)
+        if a == 0 or b == 0:
+            return a or b
+        log_a = self._log[a]
+        z = self._zech[(self._log[b] - log_a) % (self.q - 1)]
+        return 0 if z is None else self._exp[(log_a + z) % (self.q - 1)]
 
     def neg(self, a: int) -> int:
-        return self._scalar_mul(self.p - 1, a)
+        return self.mul(self.p - 1, a)  # the integer p - 1 is the element -1
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -216,13 +226,13 @@ def _mat_identity(F: FieldTable, n: int) -> Matrix:
 
 
 def _vec_mat(F: FieldTable, x: Sequence[int], A: Matrix) -> Tuple[int, ...]:
-    n = len(A)
-    return tuple(
-        functools.reduce(
-            lambda acc, i: F.add(acc, F.mul(x[i], A[i][j])), range(n), 0
-        )
-        for j in range(n)
-    )
+    out = []
+    for j in range(len(A)):
+        acc = 0
+        for i, row in enumerate(A):
+            acc = F.add(acc, F.mul(x[i], row[j]))
+        out.append(acc)
+    return tuple(out)
 
 
 def _mat_inv(F: FieldTable, A: Matrix) -> Matrix:
@@ -735,10 +745,11 @@ def _matrix_point_perm(
 
 
 def _linear_action(n: int, q: int, variant: str) -> PermAction:
+    size = (q**n - 1) // (q - 1) if q > 1 else 0  # checked before listing
+    if size > 10000:
+        raise ValueError(f"projective domain of size {size} too large")
     F = FieldTable(q)
     points = projective_points(F, n)
-    if len(points) > 10000:
-        raise ValueError(f"projective domain of size {len(points)} too large")
     index = {x: i for i, x in enumerate(points)}
     mats = _linear_matrix_generators(F, n)
     if variant == "socle.2":
@@ -831,10 +842,11 @@ def _generating_pair(generators: Sequence[Perm]) -> Tuple[Perm, Perm]:
     raise RuntimeError("no generating pair on the walk over generator words")
 
 
-def _unitary_matrix_perms(q0: int, variant: str) -> List[Perm]:
+@functools.lru_cache(maxsize=None)
+def _unitary_matrix_perms(q0: int) -> Tuple[Perm, ...]:
     """Root subgroup, diagonal torus and a monomial Weyl element of the
-    special unitary group, on the isotropic points; for socle.2 the field
-    automorphism follows."""
+    special unitary group, on the isotropic points, then the field
+    involution x -> x^q0 that socle.2 adjoins; built once per q0."""
     if q0 > 5:
         raise ValueError("hermitian action supported for q <= 5 only")
     if q0 == 2:
@@ -878,16 +890,16 @@ def _unitary_matrix_perms(q0: int, variant: str) -> List[Perm]:
     if not found_weyl:
         raise ArithmeticError("no monomial Weyl element in the unitary group")
     perms = [_matrix_point_perm(F, A, points, index) for A in mats]
-    if variant == "socle.2":
-        frob = (index[_normalized(F, [F.frobenius(e) for e in x])] for x in points)
-        perms.append(tuple(frob))
-    return perms
+    conj = (index[_normalized(F, [F.power(e, q0) for e in x])] for x in points)
+    return (*perms, tuple(conj))
 
 
 def _unitary_action(q0: int, variant: str) -> PermAction:
     """The unitary group on isotropic points, by two generators taken from
     words in the matrix generators."""
-    perms = _unitary_matrix_perms(q0, variant)
+    perms = _unitary_matrix_perms(q0)
+    if variant == "socle":
+        perms = perms[:-1]
     label = f"psu3_{q0}_2" if variant == "socle.2" else f"psu3_{q0}"
     return PermAction(len(perms[0]), _generating_pair(perms), label=label)
 
@@ -932,20 +944,44 @@ def pair_action(action: PermAction) -> PermAction:
 
 
 def subgroup_conjugation_action(
-    action: PermAction, subgroup: Iterable[Perm]
+    action: PermAction, subgroup: PermAction
 ) -> PermAction:
-    """Action on the conjugates of a subgroup, in discovery order."""
-    conjugates, targets = orbit(frozenset(subgroup), _conjugation_moves(action))
+    """Action on the conjugates of a subgroup, in discovery order.
+
+    The walk lists each conjugate's elements once, when it first meets it,
+    and gives every element a bit mask of the listed conjugates holding it.
+    A move conjugates only the generators; its image is the listed
+    conjugate whose bit all of them carry.  They generate a group of the
+    subgroup's order, so a conjugate holding them is that group.
+    """
+    conjugators = [_conjugator(g) for g in action.generators]
+    listed: List[Tuple[Tuple[Perm, ...], List[Perm]]] = []
+    holders: Dict[Perm, int] = {}
+
+    def new_conjugate(elements: Iterable[Perm], gens: List[Perm]) -> int:
+        bit, elements = 1 << len(listed), tuple(elements)
+        listed.append((elements, gens))
+        for e in elements:
+            holders[e] = holders.get(e, 0) | bit
+        return len(listed) - 1
+
+    def moves(at: int) -> List[int]:
+        elements, gens = listed[at]
+        out = []
+        for conj in conjugators:
+            images, mask = list(map(conj, gens)), -1
+            for y in images:
+                mask &= holders.get(y, 0)
+            if not mask:
+                mask = 1 << new_conjugate(map(conj, elements), images)
+            out.append(mask.bit_length() - 1)
+        return out
+
+    start = new_conjugate(subgroup.elements(), list(subgroup.generators))
+    conjugates, targets = orbit(start, moves)
     n = len(action.generators)
     images = [targets[j::n] for j in range(n)]
     return PermAction(len(conjugates), images, label=f"{action.label}_conj")
-
-
-def _conjugation_moves(action: PermAction) -> Callable[[FrozenSet[Perm]], List]:
-    """moves for `orbit` on subgroups given by their element sets: the
-    conjugates by each generator of the action."""
-    conjugators = [_conjugator(g) for g in action.generators]
-    return lambda sub: [frozenset(map(conj, sub)) for conj in conjugators]
 
 
 class SubgroupClass(NamedTuple):
@@ -1249,7 +1285,7 @@ def _unitary_cosets_36(extended: bool) -> PermAction:
     """PSU_3(3), or PSU_3(3):2, on the 36 conjugates of PSL(2,7)."""
     base = builtin_action("psu3_3_2" if extended else "psu3_3")
     sub = _two_three_seven_subgroup(builtin_action("psu3_3"), 168)
-    act = subgroup_conjugation_action(base, sub.elements())
+    act = subgroup_conjugation_action(base, sub)
     act.label = "psu3_3_2_36" if extended else "psu3_3_36"
     if act.degree != 36:
         raise RuntimeError(f"{act.label} has degree {act.degree}, expected 36")
@@ -1258,8 +1294,7 @@ def _unitary_cosets_36(extended: bool) -> PermAction:
 
 def _sylow13_action_144(extended: bool) -> PermAction:
     base = builtin_action("psl3_3_2")
-    gen = _element_of_order(base, 13)
-    sylow = [_perm_power(gen, i) for i in range(13)]
+    sylow = PermAction(base.degree, [_element_of_order(base, 13)])
     source = base
     if not extended:
         # restrict to the matrix generators: the swap is the last one listed

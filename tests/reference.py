@@ -1,7 +1,9 @@
 """Reference helpers that only the tests use: the order formulas and
-product bounds written out term by term, and a point stabilizer listed
-element by element.  The package computes the same quantities another
-way, so these stay independent oracles for it."""
+product bounds written out term by term, a point stabilizer listed
+element by element, field addition digit by digit, and the action on a
+subgroup's conjugates by conjugating every element.  The package
+computes the same quantities another way, so these stay independent
+oracles for it."""
 
 from fractions import Fraction
 
@@ -42,3 +44,39 @@ def prod_one_minus_neg_inv_powers(q, a):
 def stabilizer_elements(action, point):
     """The elements of the action that fix point, from its element list."""
     return tuple(e for e in action.elements() if e[point] == point)
+
+
+def digit_add(p, a, b):
+    """a + b in GF(p^f), each element read as its base-p digits."""
+    out, shift = 0, 1
+    while a or b:
+        out += (a % p + b % p) % p * shift
+        a, b, shift = a // p, b // p, shift * p
+    return out
+
+
+def digit_neg(p, a):
+    """-a in GF(p^f), digit by digit."""
+    out, shift = 0, 1
+    while a:
+        out += (-a) % p * shift
+        a, shift = a // p, shift * p
+    return out
+
+
+def conjugation_images(action, elements):
+    """The generators' images on the conjugates of the subgroup with these
+    elements, in breadth-first discovery order: each move conjugates every
+    element of a conjugate by one generator g, i -> g[x[g^-1[i]]]."""
+    start = frozenset(elements)
+    index, walk = {start: 0}, [start]
+    images = [[] for _ in action.generators]
+    for sub in walk:
+        for g, image in zip(action.generators, images):
+            g_inv = sorted(range(len(g)), key=g.__getitem__)
+            conj = frozenset(tuple(g[x[j]] for j in g_inv) for x in sub)
+            if conj not in index:
+                index[conj] = len(walk)
+                walk.append(conj)
+            image.append(index[conj])
+    return [tuple(image) for image in images]

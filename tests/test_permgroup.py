@@ -6,6 +6,7 @@ values for the small classical groups involved.
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -32,10 +33,12 @@ from flagsieve.permgroup import (
     subgroup_conjugation_action,
     subgroups_of_order,
     _all_solvable,
+    _element_of_order,
     _two_three_seven_subgroup,
     _unitary_matrix_perms,
 )
 from flagsieve.sieve import DesignParams
+from reference import conjugation_images, digit_add, digit_neg
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)
 
@@ -70,6 +73,18 @@ def test_field_generator_order(q):
         steps += 1
         assert steps < q
     assert steps == q - 1 or q == 2
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES + (49, 81, 125, 243, 256))
+def test_field_addition_matches_digit_oracle(q):
+    """Zech-log addition, negation and subtraction against digit-wise
+    arithmetic, on every pair."""
+    F = FieldTable(q)
+    for a in F.elements():
+        assert F.neg(a) == digit_neg(F.p, a)
+        for b in F.elements():
+            assert F.add(a, b) == digit_add(F.p, a, b)
+            assert F.sub(a, b) == digit_add(F.p, a, digit_neg(F.p, b))
 
 
 def test_field_chosen_moduli():
@@ -225,6 +240,23 @@ def test_classical_action_guards():
         classical_action("unitary", 3, 3, "pgl")
 
 
+def test_linear_domain_budget_refuses_before_listing():
+    # 5,380,840 projective points; listing the 43M vectors took over 30 s
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="too large"):
+        classical_action("linear", 8, 9)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("q0", [3, 4, 5])
+def test_unitary_socle_2_doubles_the_socle(q0):
+    # the field involution x -> x^q0 has order 2; for q0 = 4, x -> x^2 has 4
+    socle = classical_action("unitary", 3, q0)
+    doubled = classical_action("unitary", 3, q0, "socle.2")
+    assert doubled.order() == 2 * socle.order()
+    assert doubled.label == f"psu3_{q0}_2"
+
+
 @pytest.mark.parametrize(
     "name,variant,count,order",
     [("psu3_3", "socle", 34, 6048), ("psu3_3_2", "socle.2", 35, 12096)],
@@ -236,8 +268,8 @@ def test_unitary_actions_have_two_chain_certified_generators(
     assert len(act.generators) == 2
     assert PermAction(act.degree, act.generators).order() == order
     # the matrix-built permutations (the identity among them) all lie in it,
-    # and generate the same group
-    matrix_perms = _unitary_matrix_perms(3, variant)
+    # and generate the same group; the last one is the field involution
+    matrix_perms = _unitary_matrix_perms(3)[: None if variant == "socle.2" else -1]
     assert len(set(matrix_perms) - {identity_perm(28)}) == count
     assert all(act.contains(g) for g in matrix_perms)
     whole = PermAction(28, matrix_perms)
@@ -551,11 +583,47 @@ def test_two_three_seven_subgroup():
     assert (perm_order(a), perm_order(b), perm_order(compose(a, b))) == (2, 3, 7)
     assert sub.order() == 168 and all(socle.contains(g) for g in sub.generators)
     assert len(sub.elements()) == 168
-    act = subgroup_conjugation_action(socle, sub.elements())
+    act = subgroup_conjugation_action(socle, sub)
     assert act.degree == 36 and act.order() == 6048
     # every (2,3,7) pair of PSL(2,7) generates all of it, none a group of order 21
     with pytest.raises(RuntimeError):
         _two_three_seven_subgroup(builtin_action("psl2_7"), 21)
+
+
+def _psl2_7_in_psu3_3():
+    return _two_three_seven_subgroup(builtin_action("psu3_3"), 168)
+
+
+def _sylow(name, ell):
+    act = builtin_action(name)
+    return PermAction(act.degree, [_element_of_order(act, ell)])
+
+
+def _matrix_part(name):
+    act = builtin_action(name)  # the point-hyperplane swap is listed last
+    return PermAction(act.degree, act.generators[:-1])
+
+
+@pytest.mark.parametrize(
+    "action,subgroup",
+    [
+        (lambda: builtin_action("psu3_3"), _psl2_7_in_psu3_3),
+        (lambda: builtin_action("psu3_3_2"), _psl2_7_in_psu3_3),
+        (lambda: builtin_action("psl3_3_2"), lambda: _sylow("psl3_3_2", 13)),
+        (lambda: _matrix_part("psl3_3_2"), lambda: _sylow("psl3_3_2", 13)),
+        (lambda: builtin_action("pgl2_7"), lambda: _sylow("pgl2_7", 7)),
+        (lambda: builtin_action("pgl2_7"), lambda: PermAction(8, [])),
+    ],
+    ids=["psl2_7-psu3_3", "psl2_7-psu3_3_2", "syl13-psl3_3_2", "syl13-matrix",
+         "syl7-pgl2_7", "trivial-pgl2_7"],
+)
+def test_conjugation_action_matches_element_set_orbit(action, subgroup):
+    """Generator-only moves give the action that conjugating whole element
+    sets gives, generator for generator."""
+    act, sub = action(), subgroup()
+    images = conjugation_images(act, sub.elements())
+    expected = PermAction(len(images[0]), images)
+    assert subgroup_conjugation_action(act, sub).generators == expected.generators
 
 
 def test_orbit_walk_cap_edges():

@@ -286,16 +286,15 @@ def _normalized(F: FieldTable, vec: Sequence[int]) -> Tuple[int, ...]:
 
 
 def projective_points(F: FieldTable, n: int) -> Tuple[Tuple[int, ...], ...]:
-    """Projective space points, scaled to leading coefficient 1, sorted."""
-    pts = set()
-    for code in range(1, F.q**n):
-        vec = []
-        c = code
-        for _ in range(n):
-            vec.append(c % F.q)
-            c //= F.q
-        pts.add(_normalized(F, vec))
-    return tuple(sorted(pts))
+    """Projective space points, scaled to leading coefficient 1, sorted.
+
+    Listed directly in sorted order: (0, ..., 0, 1), then (0, ..., 1, *),
+    and so on, each block's free entries in lexicographic order."""
+    return tuple(
+        (0,) * zeros + (1,) + tail
+        for zeros in range(n - 1, -1, -1)
+        for tail in itertools.product(F.elements(), repeat=n - 1 - zeros)
+    )
 
 
 def _hermitian_form(F: FieldTable, q0: int, x: Sequence[int], y: Sequence[int]) -> int:
@@ -820,9 +819,10 @@ def _generating_pair(generators: Sequence[Perm]) -> Tuple[Perm, Perm]:
     word g_0 g_1 ... g_(n-1) g_0 g_1 ..., skipping repeats; the pair is the
     first (x_i, x_j), i < j, ordered by j then i, whose orbit of point 0 is
     the whole group's and whose stabilizer chain has the whole group's
-    order.  Every x_t lies in the group, so equal orders make the two
-    groups equal.  The walk repeats itself after n times the order of
-    g_0 ... g_(n-1) steps, where it stops.
+    order; a pair's chain is built only once its orbit passes.  Every x_t
+    lies in the group, so equal orders make the two groups equal.  The
+    walk repeats itself after n times the order of g_0 ... g_(n-1) steps,
+    where it stops.
     """
     whole = PermAction(len(generators[0]), generators)
     order, span = whole.order(), len(whole.orbit(0))
@@ -835,9 +835,11 @@ def _generating_pair(generators: Sequence[Perm]) -> Tuple[Perm, Perm]:
             continue
         seen.add(cur)
         for earlier in walked:
-            pair = PermAction(whole.degree, (earlier, cur))
-            if len(pair.orbit(0)) == span and pair.order() == order:
-                return earlier, cur
+            pair = (earlier, cur)
+            if len(orbit(0, lambda x: [g[x] for g in pair])[0]) != span:
+                continue
+            if PermAction(whole.degree, pair).order() == order:
+                return pair
         walked.append(cur)
     raise RuntimeError("no generating pair on the walk over generator words")
 
@@ -855,13 +857,14 @@ def _unitary_matrix_perms(q0: int) -> Tuple[Perm, ...]:
     points = hermitian_isotropic_points(q0)
     index = {x: i for i, x in enumerate(points)}
     mats: List[Matrix] = []
-    # full upper unitriangular root subgroup, found by direct search
+    # full upper unitriangular root subgroup: preserving the form forces
+    # c = -a^q0, and the form test settles b
     for a in F.elements():
+        c = F.neg(F.power(a, q0))
         for b in F.elements():
-            for c in F.elements():
-                A = ((1, a, b), (0, 1, c), (0, 0, 1))
-                if _unitary_matrix_ok(F, q0, A):
-                    mats.append(A)
+            A = ((1, a, b), (0, 1, c), (0, 0, 1))
+            if _unitary_matrix_ok(F, q0, A):
+                mats.append(A)
     if len(mats) != q0**3:
         raise ArithmeticError(f"{len(mats)} root elements, expected {q0**3}")
     for a in F.elements():
@@ -943,17 +946,46 @@ def pair_action(action: PermAction) -> PermAction:
 # subgroup machinery
 
 
+def _generating_class(subgroup: PermAction) -> Tuple[List[Perm], List[Perm]]:
+    """The smallest class of the subgroup's elements of one order that
+    generates it, and the generators a stabilizer chain keeps from it.
+
+    Classes are tried by size, then by order; a chain of the class whose
+    order is the subgroup's proves that the class generates it.  Only the
+    identity class keeps no generator, so it keeps itself.
+    """
+    by_order: Dict[int, List[Perm]] = {}
+    for e in subgroup.elements():
+        by_order.setdefault(perm_order(e), []).append(e)
+    order = subgroup.order()
+    for d in sorted(by_order, key=lambda d: (len(by_order[d]), d)):
+        chain = StabChain(subgroup.degree)
+        kept = [e for e in by_order[d] if chain.extend(e)]
+        if chain.order() == order:
+            return by_order[d], kept or by_order[d]
+    raise RuntimeError("the subgroup's elements do not generate it")
+
+
 def subgroup_conjugation_action(
     action: PermAction, subgroup: PermAction
 ) -> PermAction:
     """Action on the conjugates of a subgroup, in discovery order.
 
-    The walk lists each conjugate's elements once, when it first meets it,
-    and gives every element a bit mask of the listed conjugates holding it.
-    A move conjugates only the generators; its image is the listed
-    conjugate whose bit all of them carry.  They generate a group of the
-    subgroup's order, so a conjugate holding them is that group.
+    Each conjugate is keyed by its elements of one order d, those of
+    `_generating_class` (Holt, Eick and O'Brien, *Handbook of Computational
+    Group Theory*, 2005, on actions on conjugates).  The walk lists a
+    conjugate's order-d elements once, when it first meets it, and gives
+    every listed element a bit mask of the conjugates holding it.  A move
+    conjugates only the kept generators; its image is the listed conjugate
+    whose bit all of them carry.  That is sound: K^g's order-d elements are
+    the conjugates of K's, and the images generate a group of order |K|, so
+    a conjugate holding them is that group.
     """
+    if subgroup.degree != action.degree:
+        raise ValueError(
+            f"subgroup of degree {subgroup.degree} in an action of degree "
+            f"{action.degree}"
+        )
     conjugators = [_conjugator(g) for g in action.generators]
     listed: List[Tuple[Tuple[Perm, ...], List[Perm]]] = []
     holders: Dict[Perm, int] = {}
@@ -977,7 +1009,7 @@ def subgroup_conjugation_action(
             out.append(mask.bit_length() - 1)
         return out
 
-    start = new_conjugate(subgroup.elements(), list(subgroup.generators))
+    start = new_conjugate(*_generating_class(subgroup))
     conjugates, targets = orbit(start, moves)
     n = len(action.generators)
     images = [targets[j::n] for j in range(n)]

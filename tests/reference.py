@@ -1,10 +1,12 @@
 """Reference helpers that only the tests use: the order formulas and
 product bounds written out term by term, a point stabilizer listed
-element by element, field addition digit by digit, and the action on a
-subgroup's conjugates by conjugating every element.  The package
-computes the same quantities another way, so these stay independent
-oracles for it."""
+element by element, field addition digit by digit, the action on a
+subgroup's conjugates by conjugating every element, projective points
+by normalizing every vector, and the unitary root subgroup by trying
+every matrix.  The package computes the same quantities another way, so
+these stay independent oracles for it."""
 
+import itertools
 from fractions import Fraction
 
 
@@ -80,3 +82,25 @@ def conjugation_images(action, elements):
                 walk.append(conj)
             image.append(index[conj])
     return [tuple(image) for image in images]
+
+
+def normalized_projective_points(F, n):
+    """Every nonzero vector of GF(q)^n scaled to leading coefficient 1,
+    collected into a set and sorted."""
+    points = set()
+    for vec in itertools.product(range(F.q), repeat=n):
+        if any(vec):
+            scale = F.inv(next(e for e in vec if e))
+            points.add(tuple(F.mul(scale, e) for e in vec))
+    return tuple(sorted(points))
+
+
+def root_subgroup_by_search(F, is_unitary):
+    """Every upper unitriangular ((1, a, b), (0, 1, c), (0, 0, 1)) that
+    is_unitary accepts, trying all q^3 choices of (a, b, c) in order."""
+    return [
+        A
+        for a, b, c in itertools.product(range(F.q), repeat=3)
+        for A in [((1, a, b), (0, 1, c), (0, 0, 1))]
+        if is_unitary(A)
+    ]

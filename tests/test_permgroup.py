@@ -34,11 +34,20 @@ from flagsieve.permgroup import (
     subgroups_of_order,
     _all_solvable,
     _element_of_order,
+    _generating_class,
+    _matrix_point_perm,
     _two_three_seven_subgroup,
+    _unitary_matrix_ok,
     _unitary_matrix_perms,
 )
 from flagsieve.sieve import DesignParams
-from reference import conjugation_images, digit_add, digit_neg
+from reference import (
+    conjugation_images,
+    digit_add,
+    digit_neg,
+    normalized_projective_points,
+    root_subgroup_by_search,
+)
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)
 
@@ -115,6 +124,13 @@ def test_projective_points():
         for x in pts:
             lead = next(e for e in x if e != 0)
             assert lead == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_projective_points_match_normalize_and_sort(n, q):
+    F = FieldTable(q)
+    assert projective_points(F, n) == normalized_projective_points(F, n)
 
 
 def test_hermitian_isotropic_points():
@@ -275,6 +291,31 @@ def test_unitary_actions_have_two_chain_certified_generators(
     whole = PermAction(28, matrix_perms)
     assert whole.order() == order
     assert all(whole.contains(g) for g in act.generators)
+
+
+UNITARY_MATRIX_PERM_DIGESTS = {
+    3: "eb2bf4a5eaa5b3bf2a612419ee85d0af1ce96544f2f1ff4518295324cb54ff8f",
+    4: "6a146dec36549aea3b51bdb95b809e126522ff4536d1248c7e743251f714b086",
+    5: "479193bed5aceb407c049f635200ba18bc387b060b9c612c9048fc9c7a296723",
+}
+
+
+@pytest.mark.parametrize("q0", [3, 4, 5])
+def test_unitary_root_subgroup_matches_search(q0):
+    """The solved root subgroup is the one a search over all q^3
+    unitriangular matrices finds, in the same order, and the matrix-built
+    permutations stay exactly as they are."""
+    F = FieldTable(q0 * q0)
+    roots = root_subgroup_by_search(F, lambda A: _unitary_matrix_ok(F, q0, A))
+    assert len(roots) == q0**3
+    points = hermitian_isotropic_points(q0)
+    index = {x: i for i, x in enumerate(points)}
+    perms = _unitary_matrix_perms(q0)
+    assert [_matrix_point_perm(F, A, points, index) for A in roots] == list(
+        perms[: q0**3]
+    )
+    digest = hashlib.sha256(repr(perms).encode()).hexdigest()
+    assert digest == UNITARY_MATRIX_PERM_DIGESTS[q0]
 
 
 def test_four_subset_orbit_partition():
@@ -599,6 +640,11 @@ def _sylow(name, ell):
     return PermAction(act.degree, [_element_of_order(act, ell)])
 
 
+def _d8_in_psl2_7():
+    (cls,) = subgroups_of_order(builtin_action("psl2_7"), 8)
+    return PermAction(8, cls.representative)
+
+
 def _matrix_part(name):
     act = builtin_action(name)  # the point-hyperplane swap is listed last
     return PermAction(act.degree, act.generators[:-1])
@@ -613,9 +659,10 @@ def _matrix_part(name):
         (lambda: _matrix_part("psl3_3_2"), lambda: _sylow("psl3_3_2", 13)),
         (lambda: builtin_action("pgl2_7"), lambda: _sylow("pgl2_7", 7)),
         (lambda: builtin_action("pgl2_7"), lambda: PermAction(8, [])),
+        (lambda: builtin_action("psl2_7"), _d8_in_psl2_7),
     ],
     ids=["psl2_7-psu3_3", "psl2_7-psu3_3_2", "syl13-psl3_3_2", "syl13-matrix",
-         "syl7-pgl2_7", "trivial-pgl2_7"],
+         "syl7-pgl2_7", "trivial-pgl2_7", "d8-psl2_7"],
 )
 def test_conjugation_action_matches_element_set_orbit(action, subgroup):
     """Generator-only moves give the action that conjugating whole element
@@ -624,6 +671,57 @@ def test_conjugation_action_matches_element_set_orbit(action, subgroup):
     images = conjugation_images(act, sub.elements())
     expected = PermAction(len(images[0]), images)
     assert subgroup_conjugation_action(act, sub).generators == expected.generators
+
+
+@pytest.mark.parametrize(
+    "subgroup,size,order",
+    [
+        (_psl2_7_in_psu3_3, 21, 2),
+        # the 2 elements of order 4 generate only C4
+        (_d8_in_psl2_7, 5, 2),
+        (lambda: _sylow("psl3_3_2", 13), 12, 13),
+        (lambda: PermAction(8, []), 1, 1),
+    ],
+    ids=["psl2_7", "d8", "syl13", "trivial"],
+)
+def test_generating_class_is_the_smallest_that_generates(subgroup, size, order):
+    sub = subgroup()
+    cls, kept = _generating_class(sub)
+    assert len(cls) == size and {perm_order(e) for e in cls} == {order}
+    assert set(kept) <= set(cls)
+    assert PermAction(sub.degree, kept).order() == sub.order()
+
+
+def test_conjugation_action_refuses_a_subgroup_of_another_degree():
+    with pytest.raises(ValueError, match="degree 8 in an action of degree 28"):
+        subgroup_conjugation_action(builtin_action("psu3_3"), builtin_action("psl2_7"))
+
+
+@pytest.mark.parametrize("extended", [False, True], ids=["psu3_3_36", "psu3_3_2_36"])
+def test_unitary_36_conjugation_counts(monkeypatch, extended):
+    """Work gate: building a degree-36 action conjugates 35 new conjugates'
+    21 involutions (with the subgroup's own 21, 36 x 21 = 756 listed), plus
+    4 kept involutions under 2 generators at each of the 36 conjugates.
+    Listing all 168 elements of each conjugate and moving the 2 (2,3,7)
+    generators made 35 x 168 + 36 x 2 x 2 = 6024 conjugations."""
+    for name in ("psu3_3", "psu3_3_2"):
+        builtin_action(name)
+    calls = []
+    conjugator = permgroup._conjugator
+
+    def counted_conjugator(g):
+        conj = conjugator(g)
+
+        def counted(x):
+            calls.append(x)
+            return conj(x)
+
+        return counted
+
+    monkeypatch.setattr(permgroup, "_conjugator", counted_conjugator)
+    act = permgroup._unitary_cosets_36(extended)
+    assert act.degree == 36
+    assert len(calls) == 35 * 21 + 36 * 2 * 4 == 1023
 
 
 def test_orbit_walk_cap_edges():

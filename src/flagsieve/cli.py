@@ -8,6 +8,7 @@ status: 0 = completed, 1 = result differs from an expected claim,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -138,7 +139,10 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it
+    unchanged."""
     top = argparse.ArgumentParser(
         prog="flagsieve",
         description="Arithmetic sieve and exhaustive searches for "

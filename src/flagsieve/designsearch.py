@@ -12,12 +12,13 @@ flag-transitive design the stabilizer of a flag (point, block) has order
 such a subgroup; enumerating the subgroups completely (see
 permgroup.subgroups_of_order) and testing every orbit union of size k of
 one subgroup per conjugacy class makes the search exhaustive, since
-conjugate subgroups give the same block sets.  A union first has to meet
-the subdegree identity r * |B & Delta| = lambda * |Delta| on every orbit
-Delta of the point stabilizer, as every block through the point of a
-flag-transitive design does; only the unions that meet it get the full
-check.  When the flag stabilizer is trivial that route degenerates, and
-the search switches to block stabilizers of order |G| / b.
+conjugate subgroups give the same block sets.  When the flag stabilizer
+is trivial that route degenerates, and the search switches to block
+stabilizers of order |G| / b.  On both routes a union first has to meet
+the subdegree identity r * |B & Delta| = lambda * |Delta| at each of its
+points beta, on every orbit Delta of G_0 after an element taking beta to
+0, as every block of a flag-transitive design does; only the unions that
+meet it get the full check, which walks their orbit.
 A candidate's lambda is read from the blocks of its orbit through one
 point, which decides it on a point-transitive group; verify_design and
 korbit_designs keep the full count over every pair of every block.  Each
@@ -283,35 +284,58 @@ def _candidate_design(
 
 
 def _suborbit_screen(
-    action: PermAction, params: DesignParams, alpha: int
+    action: PermAction, params: DesignParams
 ) -> Callable[[FrozenSet[int]], bool]:
-    """The subdegree identity as a test on candidate blocks through alpha.
+    """The subdegree identity as a test on candidate blocks, at each of
+    their points.
 
     Let a flag-transitive design with these parameters admit the group, and
-    let B be a block through alpha.  Flag-transitivity makes the stabilizer
-    G_alpha transitive on the r blocks through alpha.  For an orbit Delta
-    of G_alpha other than {alpha}, count the pairs (beta, C) with beta in
-    Delta and C a block through alpha and beta: each beta lies with alpha
-    in lambda blocks, and each block C through alpha meets Delta in
-    |C & Delta| = |B & Delta| points, since some element of G_alpha maps B
-    to C and fixes Delta.  So r * |B & Delta| = lambda * |Delta|.
+    let B be a block through 0.  Flag-transitivity makes the stabilizer G_0
+    transitive on the r blocks through 0.  For an orbit Delta of G_0 other
+    than {0}, count the pairs (beta, C) with beta in Delta and C a block
+    through 0 and beta: each beta lies with 0 in lambda blocks, and each
+    block C through 0 meets Delta in |C & Delta| = |B & Delta| points, since
+    some element of G_0 maps B to C and fixes Delta.  So
+    r * |B & Delta| = lambda * |Delta|.
+
+    A block B through any point beta is mapped by an element g with
+    beta^g = 0 to B^g, a block of the same G-invariant block set through 0,
+    so B^g meets the identity.  The union itself need not contain 0 (on the
+    block route it often does not), and G_beta has other orbits than G_0,
+    so each beta is taken to 0 first, by the inverse transversal element of
+    the chain based at 0.  Another g' with beta^g' = 0 is g followed by an
+    element of G_0, which fixes every Delta; so the test does not depend on
+    g, and a union passes exactly when each of its G-images does.
 
     `_candidate_design` returns only flag-transitive designs with these
-    parameters, whose blocks through alpha therefore all pass this test;
-    a union that fails it can be skipped without calling it.  If r does
-    not divide lambda * |Delta| for some Delta, no union passes.
+    parameters, whose blocks therefore all pass this test at every point; a
+    union that fails it can be skipped without calling it.  If r does not
+    divide lambda * |Delta| for some Delta, or the group is not transitive
+    on points (a group transitive on the flags of a design with lambda > 0
+    is), no union passes.
     """
-    targets = []
-    for orb in action.point_stabilizer(alpha).orbits():
-        if orb == (alpha,):
-            continue
-        share, rest = divmod(params.lam * len(orb), params.r)
+    if not action.is_transitive():
+        return lambda union: False
+    label = [0] * action.degree
+    want = Counter()
+    for index, orb in enumerate(action.point_stabilizer(0).orbits()):
+        if orb == (0,):  # the image of beta
+            share, rest = 1, 0
+        else:
+            share, rest = divmod(params.lam * len(orb), params.r)
         if rest:
             return lambda union: False
-        targets.append((frozenset(orb), share))
+        for p in orb:
+            label[p] = index
+        if share:
+            want[index] = share
+    to_zero = action.chain(0).inv[0]
 
     def passes(union: FrozenSet[int]) -> bool:
-        return all(len(union & orb) == share for orb, share in targets)
+        return all(
+            Counter(label[g[p]] for p in union) == want
+            for g in map(to_zero.__getitem__, union)
+        )
 
     return passes
 
@@ -327,18 +351,17 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     the n-images of the K-orbits, and n fixes alpha, so the K'-orbit unions
     through alpha are the n-images U^n of the K-orbit unions U through
     alpha.  U^n spans the same G-orbit, hence the same block set, as U, and
-    n fixes every orbit of G_alpha, so U^n meets the suborbit screen exactly
-    when U does.  Every member of a class therefore yields the same designs
-    and the same number of unions; the certificate counts the unions of
-    every member, and says which were enumerated.  On the block route,
-    conjugate block stabilizers have translated orbits, whose unions again
-    span the same block sets.
+    meets the suborbit screen exactly when U does, as every G-image of U
+    does.  Every member of a class therefore yields the same designs and
+    the same number of unions; the certificate counts the unions of every
+    member, and says which were enumerated.  On the block route, conjugate
+    block stabilizers have translated orbits, whose unions again span the
+    same block sets and meet the screen alike.
 
-    On an action that is not transitive on points, no candidate is checked,
-    and the unions are still counted.  A design with lambda > 0 has every
-    point on a block, so a group transitive on its flags is transitive on
-    points; the candidate check accepts only flag-transitive designs, so
-    here it would accept none.
+    Each union is screened at each of its points before the full check
+    walks its orbit; the screen is the same on both routes.
+    On an action that is not transitive on points it passes no union, so
+    no candidate is checked there, and the unions are still counted.
     """
     v, b, r, k = params.v, params.b, params.r, params.k
     if action.degree != v:
@@ -369,7 +392,6 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
                 "orbits of one of them",
             )
         )
-        screen = _suborbit_screen(action, params, alpha)
     else:
         if order % b != 0:
             cert.append(
@@ -392,9 +414,8 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
                 "give translated designs",
             )
         )
-        alpha, screen = None, lambda union: True
-    if not action.is_transitive():
-        screen = lambda union: False  # no flag-transitive design: see above
+        alpha = None
+    screen = _suborbit_screen(action, params)
     found: Dict[BlockSet, DesignRecord] = {}
     counts = []  # (unions of the representative, class size) per class
     for cls in classes:

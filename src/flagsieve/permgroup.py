@@ -1214,14 +1214,17 @@ def _cyclic_key(y: Perm) -> Perm:
 
 
 def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ...]]:
-    """Order-m subgroups when they are exactly the normalizers of a Sylow.
+    """Order-m subgroups when they are exactly the normalizers of a Sylow,
+    or the Sylow subgroups themselves.
 
     Applies when some prime ell divides m and the group order exactly once,
     and the count restrictions force a normal Sylow ell-subgroup in every
     group of order m.  Then each order-m subgroup normalizes a Sylow
     ell-subgroup P of the whole group, hence equals the normalizer of P
     whenever that normalizer has order m; conjugacy of Sylow subgroups makes
-    the enumeration complete, and the normalizers form one class.
+    the enumeration complete, and the normalizers form one class.  When
+    m = ell, the order-m subgroups are the Sylow ell-subgroups, one class
+    of them, whatever the order of N(P).
 
     No element list is needed: P is generated by one element x, its
     conjugates are the orbit of P under conjugation by the generators,
@@ -1249,6 +1252,8 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
             lambda y: [_cyclic_key(conj(y)) for conj in conjugators],
         )
         if n // len(conjugates) != m:
+            if m == ell:
+                return (SubgroupClass((conjugates[0],), len(conjugates)),)
             return None  # normalizer bigger than m: route not conclusive
         normalizer = StabChain(action.degree)
         gens = tuple(

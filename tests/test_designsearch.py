@@ -239,26 +239,47 @@ FLAG_ROUTE_SEARCHES = (
 )
 
 
-@pytest.mark.parametrize("group,params", FLAG_ROUTE_SEARCHES)
-def test_suborbit_screen_keeps_every_design(group, params, class_members):
-    """Oracle for the flag route, walking every member of every class, not
-    only the class representatives the search enumerates: every orbit union
-    that the full candidate check accepts passes the subdegree identity,
-    the accepted unions give the search's designs, and their number is the
-    certificate's count."""
-    act = builtin_action(group)
+# the block-route searches (|G| / (v*r) = 1) of the tier-1 suite on
+# transitive actions
+BLOCK_ROUTE_SEARCHES = [
+    ("psl3_3_2_144", PARAMS_144),
+    ("psl2_7", DesignParams(8, 42, 21, 4, 9)),
+]
+
+
+def _candidate_subgroups(act, params):
+    """The group the search takes its subgroups from, their order, and the
+    base point every union must contain (None on the block route)."""
     m = act.order() // (params.v * params.r)
-    assert m > 1
-    screen = _suborbit_screen(act, params, 0)
-    found, unions, rejected = {}, 0, 0
-    stab = act.point_stabilizer(0)
-    for cls in subgroups_of_order(stab, m):
-        members = class_members(stab, cls)
+    if m > 1:
+        return act.point_stabilizer(0), m, 0
+    return act, act.order() // params.b, None
+
+
+def _orbit_unions_of(sub, params, alpha):
+    orbits = PermAction(params.v, sub).orbits()
+    forced = [orb for orb in orbits if alpha in orb]
+    return _orbit_unions(orbits, forced, params.k)
+
+
+@pytest.mark.parametrize("group,params", FLAG_ROUTE_SEARCHES + BLOCK_ROUTE_SEARCHES)
+def test_suborbit_screen_keeps_every_design(group, params, class_members):
+    """Oracle for both routes, walking every member of every class, not
+    only the class representatives the search enumerates: every orbit union
+    that the full candidate check accepts passes the subdegree identity at
+    each of its points, the accepted unions give the search's designs, and
+    their number is the certificate's count."""
+    act = builtin_action(group)
+    source, order, alpha = _candidate_subgroups(act, params)
+    screen = _suborbit_screen(act, params)
+    found, unions, rejected, counts = {}, 0, 0, []
+    classes = subgroups_of_order(source, order)
+    for cls in classes:
+        members = class_members(source, cls)
         assert len(members) == cls.size
+        counts.append(len(_orbit_unions_of(cls.representative, params, alpha)))
         for sub in members:
-            orbits = PermAction(params.v, sub).orbits()
-            forced = [orb for orb in orbits if 0 in orb]
-            for union in _orbit_unions(orbits, forced, params.k):
+            for union in _orbit_unions_of(sub, params, alpha):
                 unions += 1
                 passes = screen(union)
                 rejected += not passes
@@ -266,29 +287,35 @@ def test_suborbit_screen_keeps_every_design(group, params, class_members):
                 if rec is not None:
                     assert passes, sorted(union)
                     found[rec.blocks] = rec
+    # each member has as many unions as its class representative
+    assert unions == sum(n * cls.size for n, cls in zip(counts, classes))
     result = stabilizer_search(act, params)
     assert result.designs == tuple(found[key] for key in sorted(found, key=_block_key))
     detail = dict(result.certificate)["candidate-blocks"]
-    assert detail.startswith(f"tested {unions} orbit unions of size {params.k} (")
-    if group != "pgl2_7":
-        assert rejected  # the screen is not vacuous here
+    if alpha is None:  # the block route counts the representatives' unions
+        assert detail == f"tested {sum(counts)} orbit unions of size {params.k}"
+    else:
+        assert detail.startswith(f"tested {unions} orbit unions of size {params.k} (")
+    if len(act.point_stabilizer(0).orbits()) > 2:
+        assert rejected  # vacuous only on a 2-transitive action
 
 
 @pytest.mark.parametrize(
     "group,params,reached,closures,tested,breakdown",
     [
-        # with every member of every class walked, 84, 1680, 42 and 182
-        # unions reached the check; without the suborbit screen and the
-        # double-coset skip, every union (4914, 5880, 126, 336) did, and the
-        # lattices ran 3465, 3773, 32529 and 47761 closures.  The lattice
-        # that listed every subgroup, not only class representatives, ran
-        # 987, 1183, 5698 and 7616 closures.  Extending by every element,
-        # not only by those normalizing the representative, ran 153, 122,
-        # 460 and 716.
-        ("psu3_3_36", PARAMS_36_SYM, 4, 52, 4914, "234 x 21"),
-        ("psu3_3_36", PARAMS_36_QUASI, 60, 52, 5880, "210 x 28"),
-        ("psu3_3_2_36", PARAMS_36_SYM, 2, 110, 126, "6 x 21"),
-        ("psu3_3_2_36", PARAMS_36_QUASI, 7, 148, 336, "4 x 14 + 10 x 28"),
+        # with the suborbit screen at the base point only, 4, 60, 2 and 7
+        # unions reached the check; with every member of every class
+        # walked, 84, 1680, 42 and 182 did; without the suborbit screen and
+        # the double-coset skip, every union (4914, 5880, 126, 336) did, and
+        # the lattices ran 3465, 3773, 32529 and 47761 closures.  The
+        # lattice that listed every subgroup, not only class
+        # representatives, ran 987, 1183, 5698 and 7616 closures.
+        # Extending by every element, not only by those normalizing the
+        # representative, ran 153, 122, 460 and 716.
+        ("psu3_3_36", PARAMS_36_SYM, 1, 52, 4914, "234 x 21"),
+        ("psu3_3_36", PARAMS_36_QUASI, 0, 52, 5880, "210 x 28"),
+        ("psu3_3_2_36", PARAMS_36_SYM, 1, 110, 126, "6 x 21"),
+        ("psu3_3_2_36", PARAMS_36_QUASI, 0, 148, 336, "4 x 14 + 10 x 28"),
     ],
     ids=["psu3_3_36-sym", "psu3_3_36-quasi", "psu3_3_2_36-sym", "psu3_3_2_36-quasi"],
 )
@@ -432,21 +459,38 @@ def _unions_reaching_check(monkeypatch, act, params):
     return reached
 
 
-def test_lambda_through_one_point_matches_pair_coverage(monkeypatch):
-    """Oracle for the candidate check's lambda: on every union that reaches
-    it in the flag-route searches and in the block-route search on
-    psl3_3_2_144, the count over the blocks of the union's full orbit
+def _meets_subdegrees_at_0(act, params, union):
+    """The subdegree identity at the base point alone, for unions through
+    0: r * |union & Delta| = lambda * |Delta| on each orbit Delta != {0}
+    of the point stabilizer."""
+    return all(
+        params.r * len(union.intersection(orb)) == params.lam * len(orb)
+        for orb in act.point_stabilizer(0).orbits()
+        if orb != (0,)
+    )
+
+
+def test_lambda_through_one_point_matches_pair_coverage():
+    """Oracle for the candidate check's lambda on the class representatives'
+    unions of the flag-route searches that meet the subdegree identity at
+    the base point, and on every union of the block-route search on
+    psl3_3_2_144: the count over the blocks of the union's full orbit
     through one point equals the count over every pair of every block."""
     seen = []
     for group, params in FLAG_ROUTE_SEARCHES + [("psl3_3_2_144", PARAMS_144)]:
         act = builtin_action(group)
         assert act.is_transitive()
-        for union in _unions_reaching_check(monkeypatch, act, params):
-            orbit = act.set_orbit(union)
-            full = _pair_coverage(orbit, params.v)
-            for alpha in (0, min(union)):
-                assert _lambda_through(orbit, alpha, params.v) == full, (group, params)
-            seen.append(full)
+        source, order, alpha = _candidate_subgroups(act, params)
+        for cls in subgroups_of_order(source, order):
+            for union in _orbit_unions_of(cls.representative, params, alpha):
+                if alpha is not None and not _meets_subdegrees_at_0(act, params, union):
+                    continue
+                orbit = act.set_orbit(union)
+                full = _pair_coverage(orbit, params.v)
+                for point in (0, min(union)):
+                    lam = _lambda_through(orbit, point, params.v)
+                    assert lam == full, (group, params)
+                seen.append(full)
     assert None in seen and 12 in seen and 336 in seen
     assert len(seen) == 86 + 5  # flag route, block route
     # a block system of the 8-cycle: alpha meets one point once, and the
@@ -456,10 +500,18 @@ def test_lambda_through_one_point_matches_pair_coverage(monkeypatch):
     assert _lambda_through(blocks, 0, 8) is None is _pair_coverage(blocks, 8)
 
 
+def test_certified_144_cell_checks_no_candidate(monkeypatch):
+    """Gate: certifying linear n=3 q=3 C3(1,3) sends no union to the full
+    candidate check.  Screened at the base point only, or not at all on the
+    block route, the five unions on psl3_3_2_144 each walked their orbit."""
+    for name in SEARCH_REGISTRY[("linear", 3, 3, "C3", (1, 3))]:
+        act = builtin_action(name)
+        assert _unions_reaching_check(monkeypatch, act, PARAMS_144) == []
+
+
 def test_certified_144_cell_counts_no_pairs(monkeypatch):
-    """Gate: certifying linear n=3 q=3 C3(1,3) counts no pair of any block;
-    the five candidate unions on psl3_3_2_144 are decided through one
-    point.  Where a design is found, verify_design is the only caller."""
+    """Gate: certifying linear n=3 q=3 C3(1,3) counts no pair of any block.
+    Where a design is found, verify_design is the only caller."""
     callers = []
     count = designsearch._pair_coverage
 

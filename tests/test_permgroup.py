@@ -35,7 +35,9 @@ from flagsieve.permgroup import (
     _all_solvable,
     _element_of_order,
     _generating_class,
+    _lattice_route,
     _matrix_point_perm,
+    _sylow_route,
     _two_three_seven_subgroup,
     _unitary_matrix_ok,
     _unitary_matrix_perms,
@@ -601,6 +603,28 @@ def test_subgroups_of_order_sylow_route(class_members):
     assert _sizes(subs) == [144]
 
 
+@pytest.mark.parametrize(
+    "name,ell,count", [("psu3_3", 7, 288), ("psl3_3_2_144", 13, 144)]
+)
+def test_subgroups_of_order_prime_sylow(name, ell, count):
+    """A prime dividing |G| once: the order-ell subgroups are the Sylow
+    ell-subgroups, one class, though their normalizers are larger."""
+    act = builtin_action(name)
+    (cls,) = subgroups_of_order(act, ell)
+    assert act.order() > 1000 and cls.size == count
+    assert PermAction(act.degree, cls.representative).order() == ell
+
+
+def test_sylow_route_matches_lattice_route(class_members):
+    """PSL(2,7) at m = 7, where the normalizer has order 21: the Sylow
+    route and the lattice walk give the same eight subgroups."""
+    act = builtin_action("psl2_7")
+    (sylow,) = _sylow_route(act, 7)
+    (lattice,) = _lattice_route(act, 7)
+    assert sylow.size == lattice.size == 8
+    assert set(class_members(act, sylow)) == set(class_members(act, lattice))
+
+
 def test_subgroups_of_order_uncertifiable():
     act = builtin_action("psl3_3_2_144")
     # order 39 subgroups sit strictly inside the Sylow normalizers, and the
@@ -830,7 +854,9 @@ def test_chain_matches_enumeration(name):
     assert not act.contains(tuple(range(act.degree + 1)))
 
 
-@pytest.mark.parametrize("name,m", [("psl3_3_144", 39), ("psl3_3_2_144", 78)])
+@pytest.mark.parametrize(
+    "name,m", [("psl3_3_144", 39), ("psl3_3_2_144", 78), ("psl3_3_144", 13)]
+)
 def test_sylow_route_matches_element_list(name, m, class_members):
     act = builtin_action(name)
     group = _bfs_closure(act.degree, act.generators)

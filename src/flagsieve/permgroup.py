@@ -6,9 +6,9 @@ constructed the same way in every process.  Elements are plain tuples.
 
 Outside the stabilizer chain, which grows its orbits incrementally, every
 orbit (of points, of point sets, of subgroups under conjugation) is found by
-one breadth-first walk, `orbit`.  The Schreier generators of that walk
-(`schreier_generators`) generate the stabilizer of its start; the Sylow
-route reads a Sylow subgroup's normalizer off them.
+one breadth-first walk, `orbit`.  Stabilizers are read off walks: a Sylow
+normalizer off its Schreier generators (`schreier_generators`), and a
+lattice representative's normalizer off its class walk.
 
 Group order, membership and point stabilizers are read off a base and strong
 generating set (Sims 1970; Seress, *Permutation Group Algorithms*, ch. 4-5),
@@ -17,14 +17,15 @@ large group is ever listed for them.  Breadth-first closure (`elements`)
 remains for groups of order at most 1000, where it supplies the lattice
 search's extension candidates, and as the independent oracle of the tests.
 A listed group is indexed once (`PermAction.element_index`): each element's
-position in the sorted list, its order, and one conjugation table per
-generator.  Subgroups are handled as generator sets, one conjugacy class at
-a time, each class given by one representative and its size: grown from
-class representatives by cyclic extension on permutations in small groups,
-with class members keyed by their element index sets, and from the
-Sylow-normalizer argument in larger ones.  No multiplication table is
-kept.  The builtin constructions pick their generators and subgroups from
-fixed walks over generator words, each choice certified by its chain order.
+position in the sorted list, its order, one conjugation table per
+generator, and the breadth-first tree that listed the group.  Subgroups are
+handled as generator sets, one conjugacy class at a time, each class given
+by one representative and its size: grown from class representatives by
+cyclic extension on permutations in small groups, with class members keyed
+by their element index sets, and from the Sylow-normalizer argument in
+larger ones.  No multiplication table is kept.  The builtin constructions
+pick their generators and subgroups from fixed walks over generator words,
+each choice certified by its chain order.
 """
 
 from __future__ import annotations
@@ -412,7 +413,7 @@ def orbit(
 
 def schreier_generators(
     generators: Sequence[Perm], targets: Sequence[int]
-) -> List[Perm]:
+) -> Iterator[Perm]:
     """Generators of the stabilizer of an orbit walk's start point.
 
     targets is what `orbit` returned for a walk whose moves apply these
@@ -420,11 +421,11 @@ def schreier_generators(
     along the edge that discovered it, so u maps the start to it; every
     other edge, from p by g to t, gives the Schreier generator
     u_p * g * u_t^-1 (Schreier's lemma; Seress, *Permutation Group
-    Algorithms*, ch. 4).  Listed in edge order, identities left out.
+    Algorithms*, ch. 4).  Yielded lazily in edge order, identities left
+    out, so a reader that has what it needs stops the replay there.
     """
     ident = identity_perm(len(generators[0]))
     trans, inv = [ident], [ident]
-    out = []
     edges = iter(targets)
     for u in trans:  # grows while the walk's edges are replayed
         for g in generators:
@@ -436,8 +437,7 @@ def schreier_generators(
             else:
                 s = compose(word, inv[t])
                 if s != ident:
-                    out.append(s)
-    return out
+                    yield s
 
 
 class StabChain:
@@ -576,12 +576,23 @@ class ElementIndex(NamedTuple):
 
     position maps each element to its index; conj[j][i] is the index of
     g^-1 * e_i * g for the j-th generator g of the action; orders[i] is the
-    order of e_i.  Each table holds one int per element.
+    order of e_i; tree is the breadth-first walk that listed them, one
+    (i, parent, j) with e_i = e_parent * g_j per non-identity e_i, parents
+    first.
     """
 
     position: Dict[Perm, int]
     conj: Tuple[List[int], ...]
     orders: Tuple[int, ...]
+    tree: Tuple[Tuple[int, int, int], ...]
+
+    def conjugate_indices(self, targets: Sequence[int]) -> List[int]:
+        """For the targets of a subgroup U's walk under conjugation by the
+        generators (`orbit`, from U): the walk index of U^e_i at each i."""
+        n, out = len(self.conj), [0] * len(self.orders)
+        for i, parent, j in self.tree:
+            out[i] = targets[out[parent] * n + j]
+        return out
 
 
 class PermAction:
@@ -601,6 +612,7 @@ class PermAction:
         self.generators: Tuple[Perm, ...] = tuple(gens)
         self.label = label
         self._elements: Optional[Tuple[Perm, ...]] = None
+        self._walk: List[Tuple[Perm, Perm, int]] = []  # what listed _elements
         self._index: Optional[ElementIndex] = None
         # stabilizer chains by first base point; None is the default base
         self._chains: Dict[Optional[int], StabChain] = {}
@@ -639,12 +651,14 @@ class PermAction:
         if order > limit:
             raise RuntimeError(f"group order {order} exceeds element budget {limit}")
         if self._elements is None:
-            self._elements = tuple(sorted([identity_perm(self.degree), *_words(self)]))
+            self._walk = [(identity_perm(self.degree), (), 0), *_words(self)]
+            self._elements = tuple(sorted(e for e, _, _ in self._walk))
         return self._elements
 
     def element_index(self) -> ElementIndex:
         """The sorted element list indexed once: positions, conjugation by
-        each generator as a table of positions, and element orders."""
+        each generator as a table of positions, element orders, and the
+        listing walk's tree in positions."""
         if self._index is None:
             elements = self.elements()
             position = {e: i for i, e in enumerate(elements)}
@@ -653,7 +667,8 @@ class PermAction:
                 for conj in map(_conjugator, self.generators)
             )
             orders = tuple(map(perm_order, elements))
-            self._index = ElementIndex(position, conj, orders)
+            tree = tuple((position[e], position[p], j) for e, p, j in self._walk[1:])
+            self._index = ElementIndex(position, conj, orders, tree)
         return self._index
 
     def order(self) -> int:
@@ -1080,12 +1095,18 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     when U is extended (if y^(g^-1) is skipped, through the element it was
     skipped for), so K's class is opened.
 
-    When `_all_solvable(m)`, only elements y that normalize U extend it:
-    y^-1*u*y lies in U for each generator u of U.  This stays complete.  A
-    solvable K > 1 has a normal subgroup K' of prime index, so K = <K', y>
-    for any y in K outside K', and y normalizes K'.  With K' = U^g as
-    above, y^(g^-1) normalizes U, so K's class is still opened.  The skip
-    of u*y^j stays sound, since u*y^j normalizes U exactly when y does.
+    When `_all_solvable(m)`, only elements y that normalize U extend it.
+    This stays complete.  A solvable K > 1 has a normal subgroup K' of
+    prime index, so K = <K', y> for any y in K outside K', and y normalizes
+    K'.  With K' = U^g as above, y^(g^-1) normalizes U, so K's class is
+    still opened.  The skip of u*y^j stays sound, since u*y^j normalizes U
+    exactly when y does.  N(U) is read off the walk that opened U's class
+    (Holt, Eick and O'Brien, ch. 4), whose targets[c*n + j] is the member
+    that member c becomes under g_j; U is member 0 (the trivial U's walk
+    has no other).  As U^(x*g_j) = (U^x)^(g_j), the member that is U^e
+    is 0 at the identity and targets[member[parent]*n + j] at each edge
+    (e, parent, j) of `ElementIndex.tree` (`ElementIndex.conjugate_indices`),
+    so y normalizes U exactly when member[y] = 0.
 
     Classes are listed by their least member in sorted element order; the
     positions follow that order, so sorted position lists compare as the
@@ -1094,12 +1115,12 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     """
     order = action.order()
     index = action.element_index()
-    # each candidate y with the generators y^j, j prime to its order, of <y>
+    # each candidate's position, y, and the generators y^j, j prime to d, of <y>
     candidates = []
-    for y, d in zip(action.elements(), index.orders):
+    for i, (y, d) in enumerate(zip(action.elements(), index.orders)):
         if m % d == 0:
             walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
-            candidates.append((y, [z for j, z in walk if math.gcd(j, d) == 1]))
+            candidates.append((i, y, [z for j, z in walk if math.gcd(j, d) == 1]))
     normalizers_only = _all_solvable(m)
     position = index.position.__getitem__
     conjugates = [table.__getitem__ for table in index.conj]
@@ -1109,19 +1130,17 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
 
     known = set()  # every member of every class opened so far, as positions
     trivial = frozenset({identity_perm(action.degree)})
-    reps: List[Tuple[FrozenSet[Perm], Tuple[Perm, ...]]] = [(trivial, ())]
+    reps: List[Tuple[FrozenSet[Perm], Tuple[Perm, ...], List[int]]]
+    reps = [(trivial, (), [0] * len(conjugates))]  # with their class walks' targets
+    unrestricted = [0] * len(index.orders)  # member 0: y may extend sub
     classes = []
-    for sub, gens in reps:
+    for sub, gens, targets in reps:
         if len(sub) == m:
             continue
         tried = set(sub)
-        for y, powers in candidates:
-            if y in tried:
-                continue
-            # powers ends with y^(d-1), the inverse of y
-            if normalizers_only and any(
-                compose(compose(powers[-1], u), y) not in sub for u in gens
-            ):
+        member = index.conjugate_indices(targets) if normalizers_only else unrestricted
+        for i, y, powers in candidates:
+            if member[i] or y in tried:
                 continue
             tried.update(compose(u, z) for u in sub for z in powers)
             grown = _closure(sub, gens + (y,), m)
@@ -1130,14 +1149,14 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
             key = frozenset(map(position, grown))
             if key in known:
                 continue
-            members = orbit(key, moves)[0]
+            members, walked = orbit(key, moves)
             if (order // len(grown)) % len(members):
                 raise RuntimeError(
                     f"a class of {len(members)} subgroups of order {len(grown)} "
                     f"in a group of order {order}: the size must divide the index"
                 )
             known.update(members)
-            reps.append((grown, gens + (y,)))
+            reps.append((grown, gens + (y,), walked))
             if len(grown) == m:
                 least = min(sorted(k) for k in members)
                 classes.append((least, SubgroupClass(gens + (y,), len(members))))
@@ -1145,25 +1164,26 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     return tuple(cls for _, cls in classes)
 
 
-def _words(action: PermAction) -> Iterator[Perm]:
-    """Every non-identity element once, breadth-first over generator words."""
+def _words(action: PermAction) -> Iterator[Tuple[Perm, Perm, int]]:
+    """Every non-identity element once, breadth-first over generator words,
+    with the element it was reached from and the generator index applied."""
     ident = identity_perm(action.degree)
     seen = {ident}
     queue = [ident]
     for cur in queue:
-        for g in action.generators:
+        for j, g in enumerate(action.generators):
             nxt = compose(cur, g)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-                yield nxt
+                yield nxt, cur, j
 
 
 def _element_of_order(action: PermAction, ell: int) -> Perm:
     """An element of prime order ell dividing the group order, from the
     first element of the breadth-first walk over generator words whose
     order ell divides (one exists by Cauchy's theorem)."""
-    for word in _words(action):
+    for word, _, _ in _words(action):
         order = perm_order(word)
         if order % ell == 0:
             return _perm_power(word, order // ell)
@@ -1180,7 +1200,7 @@ def _two_three_seven_subgroup(action: PermAction, order: int) -> PermAction:
     order wins.
     """
     found: Dict[int, List[Perm]] = {2: [], 3: []}
-    for word in _words(action):
+    for word, _, _ in _words(action):
         word_order = perm_order(word)
         for ell, other in ((2, 3), (3, 2)):
             if word_order % ell:
@@ -1230,6 +1250,8 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
     conjugates are the orbit of P under conjugation by the generators,
     |N(P)| = |G| / (number of conjugates) decides conclusiveness, and the
     Schreier generators of that orbit generate N(P), the representative.
+    They are read only until the kept ones generate a group of order m,
+    which is then N(P), so no later one would be kept.
     """
     n = action.order()
     for ell, e in factorize(m).pairs:
@@ -1255,17 +1277,17 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
             if m == ell:
                 return (SubgroupClass((conjugates[0],), len(conjugates)),)
             return None  # normalizer bigger than m: route not conclusive
-        normalizer = StabChain(action.degree)
-        gens = tuple(
-            s
-            for s in schreier_generators(action.generators, targets)
-            if normalizer.extend(s)
-        )
+        normalizer, gens = StabChain(action.degree), []
+        for s in schreier_generators(action.generators, targets):
+            if normalizer.extend(s):
+                gens.append(s)
+                if normalizer.order() == m:
+                    break
         if normalizer.order() != m:
             raise RuntimeError(
                 f"Sylow normalizer has order {normalizer.order()}, expected {m}"
             )
-        return (SubgroupClass(gens, len(conjugates)),)
+        return (SubgroupClass(tuple(gens), len(conjugates)),)
     return None
 
 
@@ -1318,11 +1340,16 @@ def _projective_line_7(with_scalar: bool) -> PermAction:
     return PermAction(8, gens, label=label)
 
 
+@functools.lru_cache(maxsize=None)
+def _psl2_7_in_psu3_3() -> PermAction:
+    """The PSL(2,7) of both 36-point actions, found and listed once."""
+    return _two_three_seven_subgroup(builtin_action("psu3_3"), 168)
+
+
 def _unitary_cosets_36(extended: bool) -> PermAction:
     """PSU_3(3), or PSU_3(3):2, on the 36 conjugates of PSL(2,7)."""
     base = builtin_action("psu3_3_2" if extended else "psu3_3")
-    sub = _two_three_seven_subgroup(builtin_action("psu3_3"), 168)
-    act = subgroup_conjugation_action(base, sub)
+    act = subgroup_conjugation_action(base, _psl2_7_in_psu3_3())
     act.label = "psu3_3_2_36" if extended else "psu3_3_36"
     if act.degree != 36:
         raise RuntimeError(f"{act.label} has degree {act.degree}, expected 36")

@@ -29,6 +29,7 @@ from flagsieve.permgroup import (
     perm_order,
     projective_points,
     save_action,
+    StabChain,
     SubgroupClass,
     subgroup_conjugation_action,
     subgroups_of_order,
@@ -37,6 +38,7 @@ from flagsieve.permgroup import (
     _generating_class,
     _lattice_route,
     _matrix_point_perm,
+    _psl2_7_in_psu3_3,
     _sylow_route,
     _two_three_seven_subgroup,
     _unitary_matrix_ok,
@@ -519,15 +521,18 @@ LATTICE_36 = {"psu3_3_36": (8, 6), "psu3_3_2_36": (16, 12)}
     "name,composed",
     [
         # listing members as permutation sets and conjugating them by
-        # compose took 5,459 and 25,905
-        ("psu3_3_36", 2603),
-        ("psu3_3_2_36", 11457),
+        # compose took 5,459 and 25,905; testing each candidate y for
+        # y^-1*u*y in U, two composes per generator u, took 2,603 and 11,457
+        ("psu3_3_36", 1861),
+        ("psu3_3_2_36", 5237),
     ],
 )
 def test_lattice_36_compose_counts(monkeypatch, name, composed):
     """Work gate: compose calls of the two lattice searches on one 36-point
     point stabilizer, on a fresh action whose elements are listed already,
-    so that the element index is built by the first search and shared."""
+    so that the element index is built by the first search and shared.
+    Normalizers are read off the class walks, so no candidate is composed
+    to test whether it normalizes a representative."""
     base = builtin_action(name).point_stabilizer(0)
     group = PermAction(base.degree, base.generators)
     group.elements()
@@ -560,6 +565,49 @@ def test_element_index_conjugation_tables():
             assert [elements[i] for i in table] == [
                 conjugate_perm(e, g) for e in elements
             ]
+
+
+def test_element_index_tree_lists_each_element_once():
+    """Every tree edge is a generator step, each non-identity position is
+    reached once, and each parent is reached before its children."""
+    for group in _lattice_groups():
+        elements = group.elements()
+        tree = group.element_index().tree
+        assert sorted(i for i, _, _ in tree) == list(range(1, len(elements)))
+        reached = {0}
+        for i, parent, j in tree:
+            assert parent in reached
+            assert elements[i] == compose(elements[parent], group.generators[j])
+            reached.add(i)
+
+
+def test_conjugate_indices_give_brute_force_normalizers():
+    """Oracle for the normalizer read off a class walk: for every class
+    representative U that the lattice route may extend by normalizers only
+    (the classes of each order m with `_all_solvable(m)`), on the lattice
+    groups and a relabelled copy of each, the positions where
+    `conjugate_indices` is 0 are {y : U^y = U}, found by conjugating U's
+    generators by every y."""
+    groups = _lattice_groups()
+    for group in groups + [_relabelled(group, 5) for group in groups]:
+        elements, index = group.elements(), group.element_index()
+        tables = index.conj
+
+        def moves(key):
+            return [frozenset(table[i] for i in key) for table in tables]
+
+        orders = [m for m in range(1, group.order()) if group.order() % m == 0]
+        solvable = [m for m in orders if _all_solvable(m)]
+        for cls in (cls for m in solvable for cls in subgroups_of_order(group, m)):
+            sub = set(PermAction(group.degree, cls.representative).elements())
+            _, targets = orbit(frozenset(index.position[u] for u in sub), moves)
+            at = index.conjugate_indices(targets)
+            normalizer = [
+                i
+                for i, y in enumerate(elements)
+                if all(conjugate_perm(u, y) in sub for u in cls.representative)
+            ]
+            assert [i for i, c in enumerate(at) if c == 0] == normalizer
 
 
 def test_element_index_is_shared_by_searches():
@@ -655,10 +703,6 @@ def test_two_three_seven_subgroup():
         _two_three_seven_subgroup(builtin_action("psl2_7"), 21)
 
 
-def _psl2_7_in_psu3_3():
-    return _two_three_seven_subgroup(builtin_action("psu3_3"), 168)
-
-
 def _sylow(name, ell):
     act = builtin_action(name)
     return PermAction(act.degree, [_element_of_order(act, ell)])
@@ -719,6 +763,23 @@ def test_generating_class_is_the_smallest_that_generates(subgroup, size, order):
 def test_conjugation_action_refuses_a_subgroup_of_another_degree():
     with pytest.raises(ValueError, match="degree 8 in an action of degree 28"):
         subgroup_conjugation_action(builtin_action("psu3_3"), builtin_action("psl2_7"))
+
+
+def test_psl2_7_is_found_once_for_both_36_point_actions(monkeypatch):
+    """Both degree-36 actions conjugate the one PSL(2,7) found in psu3_3."""
+    calls = []
+    find = permgroup._two_three_seven_subgroup
+
+    def counted(*args):
+        calls.append(args)
+        return find(*args)
+
+    monkeypatch.setattr(permgroup, "_two_three_seven_subgroup", counted)
+    _psl2_7_in_psu3_3.cache_clear()
+    for extended in (False, True):
+        built = permgroup._unitary_cosets_36(extended)
+        assert built.generators == builtin_action(built.label).generators
+    assert len(calls) == 1 and _psl2_7_in_psu3_3() is _psl2_7_in_psu3_3()
 
 
 @pytest.mark.parametrize("extended", [False, True], ids=["psu3_3_36", "psu3_3_2_36"])
@@ -874,6 +935,27 @@ def test_sylow_route_matches_element_list(name, m, class_members):
     assert cls.size == len(members) == sylow_count
     for sub in members:
         assert len(sub) == m and sub <= group
+
+
+@pytest.mark.parametrize("name,m", [("psl3_3_144", 39), ("psl3_3_2_144", 78)])
+def test_sylow_route_reads_schreier_generators_until_order_m(monkeypatch, name, m):
+    """The Sylow route stops reading Schreier generators once the kept ones
+    reach order m, and keeps what a full read would keep."""
+    read, full = [], []
+    lazy = permgroup.schreier_generators
+
+    def counted(generators, targets):
+        full.extend(lazy(generators, targets))
+        for s in lazy(generators, targets):
+            read.append(s)
+            yield s
+
+    monkeypatch.setattr(permgroup, "schreier_generators", counted)
+    act = builtin_action(name)
+    (cls,) = _sylow_route(act, m)
+    chain = StabChain(act.degree)
+    assert cls.representative == tuple(s for s in full if chain.extend(s))
+    assert chain.order() == m and len(read) < len(full)
 
 
 # -- element budget

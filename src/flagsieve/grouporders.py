@@ -10,6 +10,13 @@ exact integer data (|H ∩ X| and the index v); when only an upper bound for
 the order is available the bound is returned instead and the exact slots
 stay None.
 
+The two families share their order formulas through the signed prime power
+Q = q (linear) or Q = -q (unitary), `GroupSpec.signed_q`.  By Ennola duality
+(Ennola, "On the characters of the finite unitary groups", Ann. Acad. Sci.
+Fenn. 1963), |GU_a(q)| = |GL_a(-q)| up to sign, so each product formula is
+written once, at Q, and every order is the absolute value of its order
+polynomial at Q: d = gcd(n, Q - 1) and |X| = |GL_n(Q)| / (|Q - 1| d).
+
 Every exact order is cross-checked by divisibility against the socle order;
 a failed check raises instead of propagating a wrong table.
 """
@@ -34,7 +41,6 @@ __all__ = [
     "FactorTable",
     "factor_table",
     "gl_order",
-    "gu_order",
     "sp_order",
     "so_order",
     "gaussian_binomial",
@@ -82,11 +88,14 @@ class GroupSpec:
         return _prime_power(self.q).f
 
     @functools.cached_property
+    def signed_q(self) -> int:
+        """Q = q for the linear family, -q for the unitary family."""
+        return self.q if self.family == "linear" else -self.q
+
+    @functools.cached_property
     def d(self) -> int:
-        """gcd(n, q - 1), or gcd(n, q + 1) for the unitary family."""
-        if self.family == "linear":
-            return gcd(self.n, self.q - 1)
-        return gcd(self.n, self.q + 1)
+        """gcd(n, Q - 1): gcd(n, q - 1) linear, gcd(n, q + 1) unitary."""
+        return gcd(self.n, self.signed_q - 1)
 
     @functools.cached_property
     def out_order(self) -> int:
@@ -100,14 +109,10 @@ class GroupSpec:
 
     @functools.cached_property
     def socle_order(self) -> int:
-        """Order of the simple socle, |GL_n(q)| / ((q - 1) d) or
-        |GU_n(q)| / ((q + 1) d), computed once per spec and read by every
-        cell of a sweep over this socle."""
-        if self.family == "linear":
-            full, scalars = gl_order(self.n, self.q), self.q - 1
-        else:
-            full, scalars = gu_order(self.n, self.q), self.q + 1
-        return _exact_div(full, scalars * self.d, "the socle")
+        """Order of the simple socle, |GL_n(Q)| / (|Q - 1| d), computed once
+        per spec and read by every cell of a sweep over this socle."""
+        Q = self.signed_q
+        return _exact_div(gl_order(self.n, Q), abs(Q - 1) * self.d, "the socle")
 
     @functools.cached_property
     def _cases(self) -> Tuple[SubgroupCase, ...]:
@@ -122,92 +127,72 @@ class GroupSpec:
 
 
 class FactorTable:
-    """The factors q^j - 1 and q^j + 1 of the classical order formulas for
-    one prime power q, and their running products, extended on demand:
+    """The factors |Q^j - 1| of the classical order formulas for one signed
+    prime power Q (q, or -q for the unitary formulas), and their running
+    products, extended on demand:
 
-        gl(a) = prod_{j=1..a} (q^j - 1)          |GL_a(q)| = q^(a(a-1)/2) gl(a)
-        gu(a) = prod_{j=1..a} (q^j - (-1)^j)     |GU_a(q)| = q^(a(a-1)/2) gu(a)
-        sp(m) = prod_{i=1..m} (q^(2i) - 1)       |Sp_2m(q)| = q^(m^2) sp(m)
+        gl(a) = prod_{j=1..a} |Q^j - 1|       |GL_a(Q)| = |Q|^(a(a-1)/2) gl(a)
+        sp(m) = prod_{i=1..m} (Q^(2i) - 1)    |Sp_2m(Q)| = |Q|^(m^2) sp(m)
+
+    At Q = -q, |Q^j - 1| = q^j - (-1)^j, so gl(a) is the product in
+    |GU_a(q)| (Ennola duality), and sp(m) is the same as at q.
 
     Every order formula of this module reads its products here, through
-    `factor_table(q)`, so a sweep builds each product once per q instead
-    of once per cell.  A negative index raises ValueError.
+    `factor_table(Q)`, so a sweep builds each product once per Q instead
+    of once per cell.  |Q| < 2 and a negative index raise ValueError.
     """
 
-    __slots__ = ("q", "_minus", "_plus", "_gl", "_gu", "_sp")
+    __slots__ = ("Q", "_minus", "_gl", "_sp")
 
-    def __init__(self, q: int) -> None:
-        if q < 2:
-            raise ValueError(f"q must be at least 2: {q}")
-        self.q = q
-        self._minus = [0]  # q^j - 1
-        self._plus = [2]  # q^j + 1
+    def __init__(self, Q: int) -> None:
+        if abs(Q) < 2:
+            raise ValueError(f"|Q| must be at least 2: {Q}")
+        self.Q = Q
+        self._minus = [0]  # |Q^j - 1|
         self._gl = [1]
-        self._gu = [1]
         self._sp = [1]
 
     def _extend(self, top: int) -> None:
         """Every list up to index j = top (sp up to top // 2)."""
         if top < 0:
-            raise ValueError(f"negative index {top} into the factor table of {self.q}")
-        q, minus, plus, gl, gu, sp = (
-            self.q, self._minus, self._plus, self._gl, self._gu, self._sp
-        )
-        power = minus[-1] + 1
+            raise ValueError(f"negative index {top} into the factor table of {self.Q}")
+        Q, minus, gl, sp = self.Q, self._minus, self._gl, self._sp
+        power = Q ** (len(minus) - 1)
         for j in range(len(minus), top + 1):
-            power *= q
-            minus.append(power - 1)
-            plus.append(power + 1)
-            gl.append(gl[-1] * (power - 1))
-            gu.append(gu[-1] * (power + 1 if j % 2 else power - 1))
+            power *= Q
+            minus.append(abs(power - 1))
+            gl.append(gl[-1] * minus[-1])
             if j % 2 == 0:
-                sp.append(sp[-1] * (power - 1))
+                sp.append(sp[-1] * minus[-1])
 
     def minus(self, j: int) -> int:
-        """q^j - 1."""
+        """|Q^j - 1|."""
         if not 0 <= j < len(self._minus):
             self._extend(j)
         return self._minus[j]
 
-    def plus(self, j: int) -> int:
-        """q^j + 1."""
-        if not 0 <= j < len(self._plus):
-            self._extend(j)
-        return self._plus[j]
-
     def gl(self, a: int) -> int:
-        """prod_{j=1..a} (q^j - 1)."""
+        """prod_{j=1..a} |Q^j - 1|."""
         if not 0 <= a < len(self._gl):
             self._extend(a)
         return self._gl[a]
 
-    def gu(self, a: int) -> int:
-        """prod_{j=1..a} (q^j - (-1)^j)."""
-        if not 0 <= a < len(self._gu):
-            self._extend(a)
-        return self._gu[a]
-
     def sp(self, m: int) -> int:
-        """prod_{i=1..m} (q^(2i) - 1)."""
+        """prod_{i=1..m} (Q^(2i) - 1)."""
         if not 0 <= m < len(self._sp):
             self._extend(2 * m)
         return self._sp[m]
 
 
 @functools.lru_cache(maxsize=None)
-def factor_table(q: int) -> FactorTable:
-    """The one factor table of q, shared by every formula and every cell."""
-    return FactorTable(q)
+def factor_table(Q: int) -> FactorTable:
+    """The one factor table of Q, shared by every formula and every cell."""
+    return FactorTable(Q)
 
 
-def gl_order(a: int, q: int) -> int:
-    """|GL_a(q)|."""
-    return q ** (a * (a - 1) // 2) * factor_table(q).gl(a)
-
-
-def gu_order(a: int, q: int) -> int:
-    """|GU_a(q)| (unitary group over F_{q^2})."""
-    return q ** (a * (a - 1) // 2) * factor_table(q).gu(a)
+def gl_order(a: int, Q: int) -> int:
+    """|GL_a(Q)| up to sign; gl_order(a, -q) is |GU_a(q)|."""
+    return abs(Q) ** (a * (a - 1) // 2) * factor_table(Q).gl(a)
 
 
 def sp_order(n: int, q: int) -> int:
@@ -229,7 +214,7 @@ def so_order(n: int, q: int, eps: str = "o") -> int:
     if eps not in ("+", "-"):
         raise ValueError(f"even orthogonal dimension needs eps '+'/'-', got {eps}")
     m = n // 2
-    middle = table.minus(m) if eps == "+" else table.plus(m)
+    middle = table.minus(m) if eps == "+" else q**m + 1
     return q ** (m * (m - 1)) * middle * table.sp(m - 1)
 
 
@@ -245,12 +230,12 @@ def gaussian_binomial(n: int, i: int, q: int) -> int:
 
 def totally_singular_count(n: int, i: int, q: int) -> int:
     """Totally singular i-subspaces of a unitary n-space (1 <= i <= n/2):
-    prod_{j=n-2i+1..n} (q^j - (-1)^j) / prod_{j=1..i} (q^(2j) - 1)."""
+    prod_{j=n-2i+1..n} |(-q)^j - 1| / prod_{j=1..i} (q^(2j) - 1)."""
     if not 1 <= i <= n // 2:
         raise ValueError(f"no totally singular {i}-spaces in dimension {n}")
-    table = factor_table(q)
+    table = factor_table(-q)
     return _exact_div(
-        table.gu(n), table.gu(n - 2 * i) * table.sp(i), "the totally singular count"
+        table.gl(n), table.gl(n - 2 * i) * table.sp(i), "the totally singular count"
     )
 
 
@@ -422,57 +407,81 @@ def s_line_order(spec: GroupSpec, line: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
-    n, q, d = spec.n, spec.q, spec.d
+def case_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
+    """Exact (or bounded) order data for the point stabilizer H ∩ X.
+
+    A case is valid exactly when `enumerate_cases(spec)` lists it; any other
+    case, parameters included, raises UnsupportedCaseError.  Each class has
+    one formula for both families, at Q = spec.signed_q; the paired names
+    (C1_GLiGLni and C1_Ni, C2_GLwr(1, n) and C2_GU1wr, C8_O and C5_O) are
+    one class type under the two socles."""
+    if case not in spec._case_set:
+        raise UnsupportedCaseError(
+            f"{spec.family} n={spec.n} q={spec.q} has no case {case_label(case)}"
+        )
+    n, q, Q, d = spec.n, spec.q, spec.signed_q, spec.d
     kind, params = case.kind, case.params
     ox = spec.socle_order
+    # |GL_n(Q)| / scalars_d = |X|: the determinant index times the centre
+    scalars_d = abs(Q - 1) * d
 
     if kind == "C1_Pi":
         (i,) = params
-        v = gaussian_binomial(n, i, q)
+        if spec.family == "linear":
+            v = gaussian_binomial(n, i, q)
+        else:
+            v = totally_singular_count(n, i, q)
         return _exact(spec, ox, _exact_div(ox, v, case))
     if kind == "C1_Pij":
         (i,) = params
         v = gaussian_binomial(n, i, q) * gaussian_binomial(n - i, i, q)
         return _exact(spec, ox, _exact_div(ox, v, case))
-    if kind == "C1_GLiGLni":
+    if kind in ("C1_GLiGLni", "C1_Ni"):
         (i,) = params
-        h0 = _exact_div(gl_order(i, q) * gl_order(n - i, q), (q - 1) * d, case)
+        h0 = _exact_div(gl_order(i, Q) * gl_order(n - i, Q), scalars_d, case)
         return _exact(spec, ox, h0)
-    if kind == "C2_GLwr":
-        m, t = params
-        h0 = _exact_div(math.factorial(t) * gl_order(m, q) ** t, (q - 1) * d, case)
+    if kind in ("C2_GLwr", "C2_GU1wr"):
+        # C2_GU1wr is the unitary GU_1(q) wr S_n
+        m, t = params or (1, n)
+        h0 = _exact_div(math.factorial(t) * gl_order(m, Q) ** t, scalars_d, case)
         return _exact(spec, ox, h0)
+    if kind == "C2_GLhalf":
+        h0 = _exact_div(2 * gl_order(n // 2, q * q), scalars_d, case)
+        return _exact(spec, ox, h0)
+    if kind in ("C3", "C4", "C5_subfield", "C6", "C7") and spec.family == "unitary":
+        # excluded wholesale by the prior classifications; no orders needed
+        return CaseOrders()
     if kind == "C3":
-        # GL_m(q^t): the factors q^(tj) - 1 for j = 1..m
+        # GL_m(Q^t): the factors |Q^(tj) - 1| for j = 1..m
         m, t = params
-        ext = math.prod(map(factor_table(q).minus, range(t, n + 1, t)))
-        h0 = _exact_div(t * q ** (n * (m - 1) // 2) * ext, (q - 1) * d, case)
+        ext = math.prod(map(factor_table(Q).minus, range(t, n + 1, t)))
+        h0 = _exact_div(t * abs(Q) ** (n * (m - 1) // 2) * ext, scalars_d, case)
         return _exact(spec, ox, h0)
     if kind == "C4":
-        # SL_i(q) x SL_j(q), extended by gcd(i, j, q - 1) scalars
+        # SL_i(Q) x SL_j(Q), extended by gcd(i, j, Q - 1) scalars
         (i,) = params
         j = n // i
         h0 = _exact_div(
-            gcd(i, j, q - 1) * gl_order(i, q) * gl_order(j, q),
-            (q - 1) ** 2 * d,
+            gcd(i, j, Q - 1) * gl_order(i, Q) * gl_order(j, Q),
+            abs(Q - 1) * scalars_d,
             case,
         )
         return _exact(spec, ox, h0)
     if kind == "C5_subfield":
-        # SL_n(q0), extended by c scalars
+        # SL_n(Q0), Q = Q0^t, extended by c scalars
         q0, t = params
-        c = gcd(n, (q - 1) // (q0 - 1))
-        h0 = _exact_div(c * gl_order(n, q0), (q0 - 1) * d, case)
+        Q0 = q0 if Q > 0 else -q0
+        c = gcd(n, (Q - 1) // (Q0 - 1))
+        h0 = _exact_div(c * gl_order(n, Q0), abs(Q0 - 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "C6":
         t, m = params
         if n == 3:
             # extraspecial normalizer: the symplectic top drops to Q8
-            # unless 9 divides q - 1
-            return _exact(spec, ox, 216 if (q - 1) % 9 == 0 else 72)
+            # unless 9 divides Q - 1
+            return _exact(spec, ox, 216 if (Q - 1) % 9 == 0 else 72)
         if n == 4:
-            return _exact(spec, ox, 11520 if q % 8 == 1 else 5760)
+            return _exact(spec, ox, 11520 if Q % 8 == 1 else 5760)
         return CaseOrders(order_h0_bound=t ** (2 * m) * sp_order(2 * m, t))
     if kind == "C7":
         m, t = params
@@ -480,71 +489,22 @@ def _linear_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
     if kind == "C8_Sp":
         h0 = _exact_div(gcd(n // 2, q - 1) * sp_order(n, q), d, case)
         return _exact(spec, ox, h0)
-    if kind == "C8_O":
-        (eps,) = params
-        return _exact(spec, ox, so_order(n, q, eps))
-    if kind == "C8_U":
-        # SU_n(q0), extended by c scalars
-        (q0,) = params
-        c = gcd(n, q0 - 1)
-        h0 = _exact_div(c * gu_order(n, q0), (q0 + 1) * d, case)
-        return _exact(spec, ox, h0)
-    if kind == "S":
-        (line,) = params
-        return _exact(spec, ox, s_line_order(spec, line))
-    raise UnsupportedCaseError(f"unsupported linear case kind: {kind}")
-
-
-def _unitary_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
-    n, q, d = spec.n, spec.q, spec.d
-    kind, params = case.kind, case.params
-    ox = spec.socle_order
-
-    if kind == "C1_Pi":
-        (i,) = params
-        v = totally_singular_count(n, i, q)
-        return _exact(spec, ox, _exact_div(ox, v, case))
-    if kind == "C1_Ni":
-        (i,) = params
-        h0 = _exact_div(gu_order(i, q) * gu_order(n - i, q), (q + 1) * d, case)
-        return _exact(spec, ox, h0)
-    if kind == "C2_GU1wr":
-        h0 = _exact_div(math.factorial(n) * (q + 1) ** (n - 1), d, case)
-        return _exact(spec, ox, h0)
-    if kind == "C2_GLwr":
-        m, t = params
-        h0 = _exact_div(math.factorial(t) * gu_order(m, q) ** t, (q + 1) * d, case)
-        return _exact(spec, ox, h0)
-    if kind == "C2_GLhalf":
-        h0 = _exact_div(2 * gl_order(n // 2, q * q), (q + 1) * d, case)
-        return _exact(spec, ox, h0)
-    if kind in ("C3", "C4", "C5_subfield", "C6", "C7"):
-        # excluded wholesale by the prior classifications; no orders needed
-        return CaseOrders()
     if kind == "C5_Sp":
         h0 = _exact_div(sp_order(n, q), gcd(2, q - 1), case)
         return _exact(spec, ox, h0)
-    if kind == "C5_O":
+    if kind in ("C8_O", "C5_O"):
         (eps,) = params
         return _exact(spec, ox, so_order(n, q, eps))
+    if kind == "C8_U":
+        # SU_n(q0), extended by c scalars; |GU_n(q0)| = |GL_n(-q0)|
+        (q0,) = params
+        c = gcd(n, q0 - 1)
+        h0 = _exact_div(c * gl_order(n, -q0), (q0 + 1) * d, case)
+        return _exact(spec, ox, h0)
     if kind == "S":
         (line,) = params
         return _exact(spec, ox, s_line_order(spec, line))
-    raise UnsupportedCaseError(f"unsupported unitary case kind: {kind}")
-
-
-def case_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
-    """Exact (or bounded) order data for the point stabilizer H ∩ X.
-
-    A case is valid exactly when `enumerate_cases(spec)` lists it; any other
-    case, parameters included, raises UnsupportedCaseError."""
-    if case not in spec._case_set:
-        raise UnsupportedCaseError(
-            f"{spec.family} n={spec.n} q={spec.q} has no case {case_label(case)}"
-        )
-    if spec.family == "linear":
-        return _linear_orders(spec, case)
-    return _unitary_orders(spec, case)
+    raise UnsupportedCaseError(f"unsupported case kind: {kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +518,12 @@ def _extraspecial_cells(
     """C6 cells: n = t^m, t prime, t != p, with the field condition on q.
     n_primes are the primes dividing n.
 
-    The defining condition is that f is odd and minimal with t(2,t) | q - 1
-    (q + 1 for the unitary family).  For t odd that forces q = p = 1 mod t;
-    for t = 2 it forces q = p = 1 mod 4 (3 mod 4 unitary).
+    The defining condition is that f is odd and minimal with t(2,t) | Q - 1
+    (q - 1 linear, q + 1 unitary).  For t odd that forces q = p = 1 mod t
+    (-1 unitary); for t = 2 it forces q = p = 1 mod 4 (3 mod 4 unitary).
     """
     out = []
-    target = spec.q - 1 if spec.family == "linear" else spec.q + 1
+    target = spec.signed_q - 1
     for t in n_primes:
         m = 0
         k = spec.n
@@ -588,80 +548,58 @@ def enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
 
 
 def _enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
-    n, q = spec.n, spec.q
+    n, q, f = spec.n, spec.q, spec.f
+    linear = spec.family == "linear"
     n_primes = [t for t, _ in factorize(n).pairs]
-    cases: list[SubgroupCase] = []
+    cases = [SubgroupCase("C1_Pi", (i,)) for i in range(1, n // 2 + 1)]
 
-    for i in range(1, n // 2 + 1):
-        cases.append(SubgroupCase("C1_Pi", (i,)))
-
-    if spec.family == "linear":
-        for i in range(1, (n + 1) // 2):
+    for i in range(1, (n + 1) // 2):
+        if linear:
             cases.append(SubgroupCase("C1_Pij", (i,)))
             cases.append(SubgroupCase("C1_GLiGLni", (i,)))
-        for t in range(2, n + 1):
-            if n % t == 0:
-                cases.append(SubgroupCase("C2_GLwr", (n // t, t)))
-        for t in n_primes:
-            cases.append(SubgroupCase("C3", (n // t, t)))
-        for i in range(2, n):
-            if n % i == 0 and i * i < n:
-                cases.append(SubgroupCase("C4", (i,)))
-        for t, _ in factorize(spec.f).pairs:
-            cases.append(SubgroupCase("C5_subfield", (spec.p ** (spec.f // t), t)))
-        cases.extend(_extraspecial_cells(spec, n_primes))
-        for m in range(3, n):
-            for t in range(2, 5):
-                if m**t == n:
-                    cases.append(SubgroupCase("C7", (m, t)))
-        if n % 2 == 0:
-            cases.append(SubgroupCase("C8_Sp", ()))
-        if q % 2 == 1:
-            if n % 2 == 1:
-                cases.append(SubgroupCase("C8_O", ("o",)))
-            else:
-                cases.append(SubgroupCase("C8_O", ("+",)))
-                cases.append(SubgroupCase("C8_O", ("-",)))
-        if spec.f % 2 == 0:
-            cases.append(SubgroupCase("C8_U", (spec.p ** (spec.f // 2),)))
-        for row in LINEAR_S_TABLE:
-            if row["n"] == n and s_line_admits("linear", row["line"], q):
-                cases.append(SubgroupCase("S", (row["line"],)))
-        return tuple(cases)
-
-    # unitary family
-    for i in range(1, (n + 1) // 2):
-        cases.append(SubgroupCase("C1_Ni", (i,)))
-    cases.append(SubgroupCase("C2_GU1wr", ()))
+        else:
+            cases.append(SubgroupCase("C1_Ni", (i,)))
+    if not linear:
+        # the unitary C2_GLwr(1, n)
+        cases.append(SubgroupCase("C2_GU1wr", ()))
     for t in range(2, n + 1):
-        if n % t == 0 and n // t >= 2:
+        if n % t == 0 and (linear or n // t >= 2):
             cases.append(SubgroupCase("C2_GLwr", (n // t, t)))
-    if n % 2 == 0:
+    if not linear and n % 2 == 0:
         cases.append(SubgroupCase("C2_GLhalf", ()))
+    # a unitary field extension or subfield has odd degree
     for t in n_primes:
-        if t % 2 == 1:
+        if linear or t % 2:
             cases.append(SubgroupCase("C3", (n // t, t)))
     for i in range(2, n):
         if n % i == 0 and i * i < n:
             cases.append(SubgroupCase("C4", (i,)))
-    for t, _ in factorize(spec.f).pairs:
-        if t % 2 == 1:
-            cases.append(SubgroupCase("C5_subfield", (spec.p ** (spec.f // t), t)))
+    for t, _ in factorize(f).pairs:
+        if linear or t % 2:
+            cases.append(SubgroupCase("C5_subfield", (spec.p ** (f // t), t)))
+
+    # the form classes: C8 in the linear family, C5 in the unitary one
+    form = "C8" if linear else "C5"
+    forms = []
     if n % 2 == 0:
-        cases.append(SubgroupCase("C5_Sp", ()))
+        forms.append(SubgroupCase(form + "_Sp", ()))
     if q % 2 == 1:
-        if n % 2 == 1:
-            cases.append(SubgroupCase("C5_O", ("o",)))
-        else:
-            cases.append(SubgroupCase("C5_O", ("+",)))
-            cases.append(SubgroupCase("C5_O", ("-",)))
+        for eps in ("o",) if n % 2 else ("+", "-"):
+            forms.append(SubgroupCase(form + "_O", (eps,)))
+    if linear and f % 2 == 0:
+        forms.append(SubgroupCase("C8_U", (spec.p ** (f // 2),)))
+    if not linear:
+        cases.extend(forms)
+
     cases.extend(_extraspecial_cells(spec, n_primes))
     for m in range(3, n):
         for t in range(2, 5):
             if m**t == n:
                 cases.append(SubgroupCase("C7", (m, t)))
-    for row in UNITARY_S_TABLE:
-        if row["n"] == n and s_line_admits("unitary", row["line"], q):
+    if linear:
+        cases.extend(forms)
+    for row in LINEAR_S_TABLE if linear else UNITARY_S_TABLE:
+        if row["n"] == n and s_line_admits(spec.family, row["line"], q):
             cases.append(SubgroupCase("S", (row["line"],)))
     return tuple(cases)
 

@@ -22,7 +22,6 @@ from flagsieve.grouporders import (
     factor_table,
     gaussian_binomial,
     gl_order,
-    gu_order,
     known_subdegrees,
     s_line_admits,
     s_line_order,
@@ -84,8 +83,8 @@ def test_spec_validation():
 def test_classical_building_blocks():
     assert gl_order(2, 4) == 180
     assert gl_order(3, 2) == 168
-    assert gu_order(2, 2) == 18
-    assert gu_order(3, 2) == 648
+    assert gl_order(2, -2) == 18  # |GU_2(2)|
+    assert gl_order(3, -2) == 648  # |GU_3(2)|
     assert sp_order(4, 2) == 720
     assert sp_order(6, 2) == 1451520
     assert so_order(3, 3) == 24
@@ -515,7 +514,7 @@ def test_order_formulas_match_reference_products():
             for i in range(a + 1):
                 assert gaussian_binomial(a, i, q) == _ref_gaussian(a, i, q), (a, i, q)
         for a in range(17):
-            assert gu_order(a, q) == _ref_gu(a, q), (a, q)
+            assert gl_order(a, -q) == _ref_gu(a, q), (a, q)
             for i in range(1, a // 2 + 1):
                 got = totally_singular_count(a, i, q)
                 assert got == _ref_totally_singular(a, i, q), (a, i, q)
@@ -553,40 +552,63 @@ def test_case_orders_match_reference_products(family, n_max):
 
 
 def test_factor_table_extends_on_demand_and_rejects_bad_input():
-    table = FactorTable(3)
-    assert table.gl(3) == 2 * 8 * 26
-    assert table.gu(3) == 4 * 8 * 28
-    assert table.sp(2) == 8 * 80
-    assert (table.minus(4), table.plus(4)) == (80, 82)
-    assert table.gl(0) == table.gu(0) == table.sp(0) == 1
-    for read in (table.minus, table.plus, table.gl, table.gu, table.sp):
+    """The table of Q holds |Q^j - 1|; at Q = -q these are the factors
+    q^j - (-1)^j of |GU_a(q)|."""
+    plus, minus = FactorTable(3), FactorTable(-3)
+    assert plus.gl(3) == 2 * 8 * 26
+    assert minus.gl(3) == 4 * 8 * 28
+    assert plus.sp(2) == minus.sp(2) == 8 * 80
+    assert (plus.minus(3), minus.minus(3)) == (26, 28)
+    assert plus.minus(4) == minus.minus(4) == 80
+    for table in (plus, minus):
+        assert table.minus(0) == 0
+        assert table.gl(0) == table.sp(0) == 1
+        for read in (table.minus, table.gl, table.sp):
+            with pytest.raises(ValueError):
+                read(-1)
+    for Q in (-1, 0, 1):
         with pytest.raises(ValueError):
-            read(-1)
-    with pytest.raises(ValueError):
-        FactorTable(1)
+            FactorTable(Q)
     assert factor_table(3) is factor_table(3)
+    assert factor_table(-3) is not factor_table(3)
 
 
-def test_tier1_linear_sweep_builds_one_table_per_q(monkeypatch):
-    """Every formula of a sweep reads one table per distinct q of its grid,
-    built once: no table for q^t, for a subfield or for a repeated q."""
+def _tables_built(monkeypatch, family, n_max, q_max):
+    """The signed Q of every factor table a sweep builds, in build order."""
     built = []
 
     class Recorded(FactorTable):
         __slots__ = ()
 
-        def __init__(self, q):
-            built.append(q)
-            super().__init__(q)
+        def __init__(self, Q):
+            built.append(Q)
+            super().__init__(Q)
 
     monkeypatch.setattr(grouporders, "FactorTable", Recorded)
     factor_table.cache_clear()
     try:
-        sweep("linear", 3, 12, 32, run_searches=False)
+        sweep(family, 3, n_max, q_max, run_searches=False)
     finally:
         factor_table.cache_clear()
-    assert built == sorted(set(built))
-    assert built == list(grid_q_values(32))
+    return built
+
+
+def test_tier1_linear_sweep_builds_one_table_per_q(monkeypatch):
+    """Every formula of a sweep reads one table per Q, built once: the q of
+    its grid, and -q0 for |GU_n(q0)| in C8_U(q0) at q = q0^2; no table for
+    q^t or for a repeated Q."""
+    built = _tables_built(monkeypatch, "linear", 12, 32)
+    assert len(built) == len(set(built))
+    assert set(built) == set(grid_q_values(32)) | {-2, -3, -4, -5}
+
+
+def test_tier1_unitary_sweep_builds_one_table_per_q(monkeypatch):
+    """The unitary formulas read the table of -q; C5_Sp and C5_O read the
+    table of q, and C2_GLhalf that of q^2; each is built once."""
+    built = _tables_built(monkeypatch, "unitary", 8, 8)
+    assert len(built) == len(set(built))
+    qs = grid_q_values(8)
+    assert set(built) == {-q for q in qs} | set(qs) | {q * q for q in qs}
 
 
 def test_tier1_linear_sweep_factorizes_n_and_f_once_per_socle(monkeypatch):

@@ -2,7 +2,11 @@
 
 Every subcommand prints a deterministic plain-text account to stdout;
 sieve, eliminate and sweep can additionally write a machine-readable report
-(JSON or TSV), and search writes design files.  Exit
+(JSON or TSV), and search writes design files.  The command line reads
+what it prints: ``eliminate --class`` takes a case label as the reports
+write it (``C2_GLwr(2,3)``, ``C8_Sp``, ``S(1)``), ``sweep --class`` a
+case kind (``C1_Pi``), and ``search --tuple`` a design tuple in the order
+v,b,r,k,lambda of the reports' tuples.  Exit
 status: 0 = completed, 1 = result differs from an expected claim,
 2 = usage or budget error.
 """
@@ -23,8 +27,8 @@ from .designsearch import (
     stabilizer_search,
     verify_design,
 )
-from .eliminator import _ROUTES, CellReport, eliminate, survivors, sweep
-from .grouporders import GroupSpec, SubgroupCase, case_label
+from .eliminator import CellReport, eliminate, survivors, sweep
+from .grouporders import GroupSpec, case_label, parse_case_label
 from .permgroup import BUILTIN_NAMES, PermAction, builtin_action, load_action
 from .sieve import DesignParams, admissible_tuples_explained
 
@@ -44,39 +48,6 @@ _FAMILIES = {
     "u": "unitary",
 }
 
-# short aliases for the common classes; exact kind names always work
-_SHORT_CLASSES = {
-    "c1": "C1_Pi",
-    "c2": "C2_GLwr",
-    "c3": "C3",
-    "c4": "C4",
-    "c5": "C5_subfield",
-    "c6": "C6",
-    "c7": "C7",
-}
-
-_PARAM_FLAGS = {
-    "C1_Pi": ("i",),
-    "C1_Pij": ("i",),
-    "C1_GLiGLni": ("i",),
-    "C1_Ni": ("i",),
-    "C4": ("i",),
-    "C8_U": ("i",),
-    "C2_GLwr": ("m", "t"),
-    "C3": ("m", "t"),
-    "C5_subfield": ("m", "t"),
-    "C6": ("t", "m"),  # n = t^m
-    "C7": ("m", "t"),
-    "C8_O": ("sign",),
-    "C5_O": ("sign",),
-    "C8_Sp": (),
-    "C5_Sp": (),
-    "C2_GU1wr": (),
-    "C2_GLhalf": (),
-    "S": ("line",),
-}
-
-
 # ---------------------------------------------------------------------------
 # argument handling
 
@@ -86,37 +57,6 @@ def _family(token: str) -> str:
     if key not in _FAMILIES:
         raise ValueError(f"unknown family {token!r} (use psl/linear or psu/unitary)")
     return _FAMILIES[key]
-
-
-def _resolve_kind(family: str, token: str) -> str:
-    """A class name or short alias as one of the family's routed kinds."""
-    key = token.lower()
-    kind = _SHORT_CLASSES.get(key)
-    if kind is None:
-        by_name = {k.lower(): k for k in _ROUTES[family]}
-        kind = by_name.get(key)
-    if kind is None or kind not in _ROUTES[family]:
-        raise ValueError(f"unknown {family} class {token!r}")
-    return kind
-
-
-def _resolve_case(family: str, args: argparse.Namespace) -> SubgroupCase:
-    kind = _resolve_kind(family, args.klass)
-    if args.params is not None:
-        params = tuple(
-            int(p) if p.lstrip("+-").isdigit() else p
-            for p in args.params.split(",")
-            if p != ""
-        )
-        return SubgroupCase(kind, params)
-    values = []
-    for flag in _PARAM_FLAGS[kind]:
-        value = getattr(args, flag)
-        if value is None:
-            wanted = " and ".join("--" + f for f in _PARAM_FLAGS[kind])
-            raise ValueError(f"class {kind} needs {wanted}")
-        values.append(value)
-    return SubgroupCase(kind, tuple(values))
 
 
 def _resolve_path(path: str) -> str:
@@ -137,6 +77,16 @@ def _positive(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
+
+
+def _design_tuple(text: str) -> DesignParams:
+    """v,b,r,k,lambda, in the order of DesignParams.as_tuple."""
+    try:
+        return DesignParams(*(int(x) for x in text.split(",")))
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"expected five positive ints v,b,r,k,lambda, got {text!r}"
+        ) from None
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,13 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--class", dest="klass", required=True)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--line", type=int, default=None)
-    p.add_argument("--sign", default=None)
-    p.add_argument("--params", default=None, help="comma-separated class parameters")
+    p.add_argument(
+        "--class",
+        dest="case",
+        type=parse_case_label,
+        required=True,
+        metavar="LABEL",
+        help="a case label as reports print it, e.g. 'C2_GLwr(2,3)'",
+    )
     p.add_argument("--no-search", action="store_true")
     p.add_argument("--expect", choices=("Eliminated", "Survives", "NeedsSearch"))
     add_output(p)
@@ -184,7 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--q-max", type=int, required=True)
-    p.add_argument("--class", dest="klass", default="", help="restrict to one class")
+    p.add_argument(
+        "--class", dest="kind", default=None, help="restrict to one case kind"
+    )
     p.add_argument("--no-search", action="store_true")
     p.add_argument(
         "--expect-survivors",
@@ -197,11 +150,15 @@ def build_parser() -> argparse.ArgumentParser:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--group", choices=BUILTIN_NAMES)
     src.add_argument("--action-file")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--v", type=int, default=None)
-    p.add_argument("--b", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=int, default=None)
+    strategy = p.add_mutually_exclusive_group(required=True)
+    strategy.add_argument("--k", type=int, help="all k-orbit designs")
+    strategy.add_argument(
+        "--tuple",
+        dest="params",
+        type=_design_tuple,
+        metavar="V,B,R,K,LAMBDA",
+        help="an exhaustive search for this tuple",
+    )
     p.add_argument("--out-dir", default="", help="where design files are written")
     p.add_argument("--no-filter", action="store_true")
     p.add_argument("--expect-designs", type=int, default=None)
@@ -466,9 +423,8 @@ def _print_report(rep: CellReport) -> None:
 
 def _run_eliminate(args: argparse.Namespace) -> int:
     family = _family(args.family)
-    case = _resolve_case(family, args)
     rep = eliminate(
-        GroupSpec(family, args.n, args.q), case, run_searches=not args.no_search
+        GroupSpec(family, args.n, args.q), args.case, run_searches=not args.no_search
     )
     _print_report(rep)
     if args.output:
@@ -482,14 +438,13 @@ def _run_eliminate(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     family = _family(args.family)
-    kind = _resolve_kind(family, args.klass) if args.klass else None
     reports = sweep(
         family,
         args.n_min,
         args.n_max,
         args.q_max,
         run_searches=not args.no_search,
-        kind=kind,
+        kind=args.kind,
     )
     print(
         f"sweep {family} n={args.n_min}..{args.n_max} "
@@ -545,18 +500,13 @@ def _design_paths(records: Sequence[DesignRecord], out_dir: str) -> List[str]:
 
 
 def _run_search(args: argparse.Namespace) -> int:
-    fixed = [x is not None for x in (args.b, args.r, args.lam)]
-    if any(fixed) and not all(fixed):
-        raise ValueError("a fixed tuple needs --b, --r, and --lambda together")
-    if any(fixed) and args.v is None:
-        raise ValueError("a fixed tuple needs --v as well")
     action = _load_source(args)
-    if args.v is not None and args.v != action.degree:
-        raise ValueError(f"action degree {action.degree} differs from v = {args.v}")
+    params = args.params
+    if params is not None and params.v != action.degree:
+        raise ValueError(f"action degree {action.degree} differs from v = {params.v}")
     print(f"group {action.label} degree {action.degree} order {action.order()}")
     exhaustive = True
-    if any(fixed):
-        params = DesignParams(args.v, args.b, args.r, args.k, args.lam)
+    if params is not None:
         print(f"strategy stabilizer {_fmt_tuple(params)}")
         result = stabilizer_search(action, params)
         for name, text in result.certificate:
@@ -594,8 +544,7 @@ def _run_verify(args: argparse.Namespace) -> int:
             "give --group or --action-file"
         )
     print(f"group {action.label} degree {action.degree}")
-    if params is not None:
-        print(f"declared {_fmt_tuple(params)}")
+    print(f"declared {_fmt_tuple(params)}")
     report = verify_design(action, blocks, expect=params)
     for problem in report.problems:
         print(f"problem {problem}")

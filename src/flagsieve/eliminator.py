@@ -24,11 +24,12 @@ exhaustive searches.  A cell ends as
 
 A cell exists exactly when ``grouporders.enumerate_cases`` lists it;
 ``eliminate`` refuses any other cell through ``case_orders``.  Adding a
-class therefore takes four things: a branch of ``enumerate_cases``, its
-order formula in ``grouporders``, a row of ``_ROUTES`` and a
-``cli._PARAM_FLAGS`` entry; the tests fail while any of them is
-missing.  Everything is deterministic, so a rerun reproduces
-reports byte for byte.
+class therefore takes three things: a branch of ``enumerate_cases``, its
+order formula in ``grouporders`` and a row of ``_ROUTES``; the tests
+fail while any of them is missing.  The command line names the class by
+its ``case_label``, which ``parse_case_label`` reads back, so it needs
+no entry.  Everything is deterministic, so a rerun reproduces reports
+byte for byte.
 """
 
 from __future__ import annotations
@@ -517,9 +518,12 @@ def sweep(
     kind: Optional[str] = None,
 ) -> Tuple[CellReport, ...]:
     """Eliminate every cell of the (n, q) grid for one family, in a fixed
-    order; with `kind`, only the cells of that case kind."""
+    order; with `kind`, only the cells of that case kind, which must be
+    one of the family's routed kinds."""
     if n_min < 3 or n_max < n_min or q_max < 2:
         raise ValueError("need 3 <= n_min <= n_max and q_max >= 2")
+    if kind is not None and kind not in _ROUTES.get(family, ()):
+        raise ValueError(f"unknown {family} class {kind!r}")
     qs = grid_q_values(q_max)
     reports: List[CellReport] = []
     for n in range(n_min, n_max + 1):

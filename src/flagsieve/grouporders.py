@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
@@ -47,6 +48,7 @@ __all__ = [
     "totally_singular_count",
     "case_orders",
     "case_label",
+    "parse_case_label",
     "enumerate_cases",
     "known_subdegrees",
     "LINEAR_S_TABLE",
@@ -286,6 +288,31 @@ def case_label(case: SubgroupCase) -> str:
         inner = ",".join(str(x) for x in case.params)
         return f"{case.kind}({inner})"
     return case.kind
+
+
+# KIND or KIND(P,...,P), the kind and each parameter nonempty and free of "(),"
+_LABEL = re.compile(r"[^(),]+(?:\([^(),]+(?:,[^(),]+)*\))?")
+
+
+def _label_token(token: str) -> object:
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def parse_case_label(text: str) -> SubgroupCase:
+    """The case that case_label writes as text, its exact inverse: a
+    parameter that reads as an int is one, any other a str.  Text of
+    another form, or that case_label would write otherwise (C3(01,3)),
+    raises ValueError naming it."""
+    if _LABEL.fullmatch(text):
+        kind, _, inner = text.partition("(")
+        tokens = inner[:-1].split(",") if inner else []
+        case = SubgroupCase(kind, tuple(_label_token(t) for t in tokens))
+        if case_label(case) == text:
+            return case
+    raise ValueError(f"not a case label: {text!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -83,7 +83,7 @@ def test_sieve_budget_error(capsys):
 def test_eliminate_wreath_trace(capsys):
     code, lines = run_cli(
         capsys,
-        *"eliminate --family psl --n 6 --q 2 --class c2 --m 2 --t 3".split(),
+        *"eliminate --family psl --n 6 --q 2 --class C2_GLwr(2,3)".split(),
     )
     assert code == EXIT_OK
     assert lines[0] == "linear n=6 q=2 C2_GLwr(2,3)"
@@ -93,29 +93,30 @@ def test_eliminate_wreath_trace(capsys):
     assert "v=15554560" in joined
 
 
-def test_eliminate_params_escape_hatch(capsys):
-    base = "eliminate --family linear --n 6 --q 2".split()
-    code_a, lines_a = run_cli(capsys, *base, "--class", "c2", "--m", "2", "--t", "3")
-    code_b, lines_b = run_cli(capsys, *base, "--class", "C2_GLwr", "--params", "2,3")
-    assert code_a == code_b == EXIT_OK
-    assert lines_a == lines_b
-
-
-def test_eliminate_c6_takes_t_then_m(capsys):
-    """A C6 case is (t, m) with n = t^m; the flags name the same two values."""
-    base = "eliminate --family psl --n 3 --q 7 --no-search".split()
-    code_a, lines_a = run_cli(capsys, *base, "--class", "c6", "--t", "3", "--m", "1")
-    code_b, lines_b = run_cli(capsys, *base, "--class", "C6", "--params", "3,1")
-    assert code_a == code_b == EXIT_OK
-    assert lines_a == lines_b
-    assert lines_a[0] == "linear n=3 q=7 C6(3,1)"
-    assert lines_a[-1] == "final Eliminated at rstar-square-vs-gcd"
+@pytest.mark.parametrize(
+    "socle,label,last",
+    [
+        ("psl --n 3 --q 7", "C6(3,1)", "final Eliminated at rstar-square-vs-gcd"),
+        ("psu --n 3 --q 3", "S(1)", "final NeedsSearch: searches skipped"),
+        ("psl --n 4 --q 3", "C8_Sp", "final Eliminated at rstar-square-vs-gcd"),
+        ("psu --n 4 --q 3", "C5_O(+)", "final Eliminated at rstar-square-vs-gcd"),
+    ],
+)
+def test_eliminate_reads_the_label_it_prints(capsys, socle, label, last):
+    """--class takes a case label as the trace prints it: C6 is (t, m)
+    with n = t^m, as its label writes it, and a str parameter needs no
+    flag of its own."""
+    argv = f"eliminate --family {socle} --no-search --class".split()
+    code, lines = run_cli(capsys, *argv, label)
+    assert code == EXIT_OK
+    assert lines[0].endswith(" " + label)
+    assert last in lines
 
 
 def test_eliminate_needs_search_tuples(capsys):
     code, lines = run_cli(
         capsys,
-        *"eliminate --family psl --n 3 --q 3 --class c3 --m 1 --t 3 --no-search".split(),
+        *"eliminate --family psl --n 3 --q 3 --class C3(1,3) --no-search".split(),
     )
     assert code == EXIT_OK
     assert "final NeedsSearch: searches skipped" in lines
@@ -125,7 +126,7 @@ def test_eliminate_needs_search_tuples(capsys):
 def test_eliminate_expect_mismatch(capsys):
     code, lines = run_cli(
         capsys,
-        *"eliminate --family psl --n 6 --q 2 --class c2 --m 2 --t 3".split(),
+        *"eliminate --family psl --n 6 --q 2 --class C2_GLwr(2,3)".split(),
         "--expect",
         "Survives",
     )
@@ -134,56 +135,87 @@ def test_eliminate_expect_mismatch(capsys):
 
 
 def test_eliminate_usage_errors(capsys):
-    # unknown family / unknown class / missing class parameters
-    argv = "eliminate --family psp --n 3 --q 2 --class c3 --m 1 --t 3".split()
-    assert run_cli(capsys, *argv)[0] == EXIT_USAGE
-    argv = "eliminate --family psl --n 3 --q 2 --class c9 --m 1 --t 3".split()
-    assert run_cli(capsys, *argv)[0] == EXIT_USAGE
-    argv = "eliminate --family psl --n 3 --q 2 --class c3".split()
-    assert run_cli(capsys, *argv)[0] == EXIT_USAGE
+    # unknown family / a kind no socle routes / a routed kind without its
+    # parameters: each parses, and the socle refuses the cell
+    for argv in (
+        "eliminate --family psp --n 3 --q 2 --class C3(1,3)",
+        "eliminate --family psl --n 3 --q 2 --class c3",
+        "eliminate --family psl --n 3 --q 2 --class C3",
+    ):
+        code = main(argv.split())
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE, argv
+        assert captured.out == ""
+    assert "linear n=3 q=2 has no case C3\n" in captured.err
 
 
-_FUZZ_CLASSES = ("c1", "c2", "c3", "c4", "c5", "c6", "c7", *sorted(cli._PARAM_FLAGS))
-_FUZZ_TOKENS = ("0", "1", "2", "3", "4", "x", "o", "+", "-", "1.5")
+@pytest.mark.parametrize("label", ["C3(01,3)", "C3(1,3"])
+def test_eliminate_refuses_text_that_is_not_a_label(capsys, label):
+    """A label case_label would not write is refused while parsing the
+    command line, and the refusal names it."""
+    argv = "eliminate --family psl --n 3 --q 2 --class".split()
+    code = main(argv + [label])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert f"argument --class: invalid parse_case_label value: {label!r}" in captured.err
 
 
-def _fuzz_eliminate_argv(rng):
-    """One eliminate command line: a small socle, any class name, and
-    parameters from flags or --params, valid or not."""
-    argv = [
-        "eliminate",
-        "--family", rng.choice(("psl", "psu")),
-        "--n", str(rng.randint(3, 9)),
-        "--q", str(rng.choice((2, 3, 4, 5, 7, 8, 9))),
-        "--class", rng.choice(_FUZZ_CLASSES),
-        "--no-search",
-    ]
-    if rng.random() < 0.5:
+_FUZZ_KINDS = sorted(set(eliminator._ROUTES["linear"]) | set(eliminator._ROUTES["unitary"]))
+_FUZZ_TOKENS = ("0", "1", "2", "3", "4", "x", "o", "+", "-", "1.5", "01", " 1", "")
+_FUZZ_JUNK = ("c1", "c3", "C9", "S", "", "(", ")", "()", ",", "C3)(", "C1_Pi((1))")
+
+
+def _fuzz_label(rng, cases):
+    """A hostile --class value: one of the socle's cases, a routed kind with
+    random parameters, or junk, each possibly cut or wrapped in extra
+    parentheses."""
+    pick = rng.random()
+    if pick < 0.2 and cases:
+        label = case_label(rng.choice(cases))
+    elif pick < 0.85:
+        kind = rng.choice(_FUZZ_KINDS)
         tokens = [rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(0, 3))]
-        return argv + ["--params", ",".join(tokens)]
-    for flag in ("--i", "--m", "--t", "--line"):
-        if rng.random() < 0.5:
-            argv += [flag, str(rng.randint(0, 4))]
-    if rng.random() < 0.5:
-        argv += ["--sign", rng.choice(("o", "+", "-", "x"))]
-    return argv
+        label = f"{kind}({','.join(tokens)})" if tokens else kind
+    else:
+        label = rng.choice(_FUZZ_JUNK)
+    damage = rng.random()
+    if damage < 0.05:
+        label = label[:-1]
+    elif damage < 0.1:
+        label = "(" + label + ")"
+    elif damage < 0.15:
+        label += ")"
+    return label
 
 
 def test_eliminate_fuzz_refuses_every_cell_off_the_enumeration(capsys):
-    """Seeded hostile command lines: each run exits 0 or 2 and raises
+    """Seeded hostile --class labels: each run exits 0 or 2 and raises
     nothing, and every cell that exits 0 is one its socle enumerates."""
     rng = random.Random(1)
     codes = {EXIT_OK: 0, EXIT_USAGE: 0}
     for _ in range(600):
-        argv = _fuzz_eliminate_argv(rng)
+        family = rng.choice(("psl", "psu"))
+        n, q = rng.randint(3, 9), rng.choice((2, 3, 4, 5, 7, 8, 9))
+        try:
+            spec = GroupSpec(cli._family(family), n, q)
+            cases = enumerate_cases(spec)
+        except ValueError:  # the one solvable (n, q) hole
+            spec, cases = None, ()
+        argv = [
+            "eliminate",
+            "--family", family,
+            "--n", str(n),
+            "--q", str(q),
+            "--class", _fuzz_label(rng, cases),
+            "--no-search",
+        ]
         code, lines = run_cli(capsys, *argv)
         assert code in codes, argv
         codes[code] += 1
         if code == EXIT_OK:
-            spec = GroupSpec(cli._family(argv[2]), int(argv[4]), int(argv[6]))
-            cell = f"{spec.family} n={spec.n} q={spec.q}"
-            labels = [f"{cell} {case_label(c)}" for c in enumerate_cases(spec)]
-            assert lines[0] in labels, argv
+            cell = f"{spec.family} n={n} q={q}"
+            assert lines[0] in [f"{cell} {case_label(c)}" for c in cases], argv
     assert min(codes.values()) >= 20, codes
 
 
@@ -192,7 +224,7 @@ def test_eliminate_refuses_an_off_grid_cell_under_optimize(tmp_path):
     exits 2, names the cell and writes no report."""
     src = os.path.dirname(os.path.dirname(flagsieve.__file__))
     out = tmp_path / "cell.json"
-    argv = "eliminate --family psu --n 4 --q 3 --class C3 --params 2,2".split()
+    argv = "eliminate --family psu --n 4 --q 3 --class C3(2,2)".split()
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "flagsieve.cli", *argv, "--output", str(out)],
         env=dict(os.environ, PYTHONPATH=src),
@@ -216,7 +248,7 @@ def test_eliminate_json_report(capsys, tmp_path):
     path = tmp_path / "cell.json"
     code, _ = run_cli(
         capsys,
-        *"eliminate --family psl --n 6 --q 2 --class c2 --m 2 --t 3".split(),
+        *"eliminate --family psl --n 6 --q 2 --class C2_GLwr(2,3)".split(),
         "--output",
         str(path),
     )
@@ -242,7 +274,7 @@ def test_eliminate_tsv_report(capsys, tmp_path):
     path = tmp_path / "cell.tsv"
     code, _ = run_cli(
         capsys,
-        *"eliminate --family psl --n 3 --q 2 --class c3 --m 1 --t 3 --no-search".split(),
+        *"eliminate --family psl --n 3 --q 2 --class C3(1,3) --no-search".split(),
         "--output",
         str(path),
         "--format",
@@ -302,11 +334,19 @@ def test_sweep_expect_survivors(capsys, tmp_path):
 
 
 def test_sweep_class_filter(capsys):
-    argv = "sweep --family psu --n-min 3 --n-max 3 --q-max 3 --class c1".split()
-    code, lines = run_cli(capsys, *argv)
+    argv = "sweep --family psu --n-min 3 --n-max 3 --q-max 3 --class".split()
+    code, lines = run_cli(capsys, *argv, "C1_Pi")
     assert code == EXIT_OK
     assert lines[0].endswith("cells 1")
     assert lines[-1] == "survivor unitary n=3 q=3 C1_Pi(1) Survives"
+    # the exact kind name only: an alias, a label or a kind of the other
+    # family is refused by sweep itself
+    for kind in ("c1", "C1_Pi(1)", "C1_Pij"):
+        code = main(argv + [kind])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert f"unknown unitary class {kind!r}" in captured.err
 
 
 def test_sweep_class_filter_runs_no_other_cell(capsys, tmp_path, monkeypatch):
@@ -325,7 +365,7 @@ def test_sweep_class_filter_runs_no_other_cell(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(eliminator, "_registry_search", fresh)
     argv = "sweep --family psu --n-min 3 --n-max 3 --q-max 3".split()
     picked, full = tmp_path / "picked.json", tmp_path / "full.json"
-    code, _ = run_cli(capsys, *argv, "--class", "c1", "--output", str(picked))
+    code, _ = run_cli(capsys, *argv, "--class", "C1_Pi", "--output", str(picked))
     assert code == EXIT_OK
     assert calls == []
     code, _ = run_cli(capsys, *argv, "--no-search", "--output", str(full))
@@ -372,8 +412,7 @@ def test_search_hypothesis_filter_on_socle(capsys, tmp_path):
 
 def test_search_stabilizer_strategy(capsys, tmp_path):
     argv = [
-        "search", "--group", "psu3_3_36",
-        "--k", "21", "--v", "36", "--b", "36", "--r", "21", "--lambda", "12",
+        "search", "--group", "psu3_3_36", "--tuple", "36,36,21,21,12",
         "--out-dir", str(tmp_path),
     ]
     code, lines = run_cli(capsys, *argv)
@@ -382,8 +421,7 @@ def test_search_stabilizer_strategy(capsys, tmp_path):
     assert "designs 1" in lines
     assert "exhaustive yes" in lines
     argv_quasi = [
-        "search", "--group", "psu3_3_36",
-        "--k", "21", "--v", "36", "--b", "48", "--r", "28", "--lambda", "16",
+        "search", "--group", "psu3_3_36", "--tuple", "36,48,28,21,16",
         "--out-dir", str(tmp_path),
     ]
     code, lines = run_cli(capsys, *argv_quasi)
@@ -393,11 +431,26 @@ def test_search_stabilizer_strategy(capsys, tmp_path):
     assert code == EXIT_DISCREPANCY
 
 
-def test_search_incomplete_tuple_is_usage_error(capsys):
-    code, _ = run_cli(
-        capsys, *"search --group psu3_3_36 --k 21 --b 36 --r 21".split()
-    )
+@pytest.mark.parametrize(
+    "extra,refusal",
+    [
+        ("--tuple 8,42,21,4", "argument --tuple: expected five positive ints"),
+        ("--tuple 8,42,21,4,x", "argument --tuple: expected five positive ints"),
+        ("--tuple 8,42,0,4,9", "argument --tuple: expected five positive ints"),
+        ("--tuple 9,42,21,4,9", "action degree 8 differs from v = 9"),
+        ("--k 4 --tuple 8,42,21,4,9", "argument --tuple: not allowed with argument --k"),
+    ],
+    ids=["four-values", "non-int", "zero", "v-not-degree", "k-and-tuple"],
+)
+def test_search_tuple_is_refused(capsys, tmp_path, extra, refusal):
+    """A bad --tuple exits 2 before anything is printed or written."""
+    argv = ["search", "--group", "psl2_7", "--out-dir", str(tmp_path)]
+    code = main(argv + extra.split())
+    captured = capsys.readouterr()
     assert code == EXIT_USAGE
+    assert refusal in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.glob("*.design")) == []
 
 
 def test_search_rejects_header_only_action_file(capsys, tmp_path):
@@ -420,22 +473,6 @@ def test_search_takes_no_report_flags(capsys, tmp_path):
         assert f"unrecognized arguments: {extra[0]}" in capsys.readouterr().err
     assert not report.exists()
     assert list(tmp_path.glob("*.design")) == []
-
-
-def test_search_korbit_checks_v(capsys, tmp_path):
-    """The k-orbit strategy refuses a --v other than the action's degree,
-    as the fixed-tuple strategy does."""
-    argv = ["search", "--group", "psl2_7", "--k", "4", "--out-dir", str(tmp_path)]
-    code = main(argv + ["--v", "99"])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE
-    assert "action degree 8 differs from v = 99" in captured.err
-    assert captured.out == ""
-    assert list(tmp_path.glob("*.design")) == []
-    code, lines = run_cli(capsys, *argv, "--v", "8")
-    assert code == EXIT_OK
-    assert "strategy korbit k=4" in lines
-    assert "designs 1" in lines
 
 
 def test_verify_round_trip(capsys, tmp_path):
@@ -756,7 +793,7 @@ def test_orbit_cap_edges(capsys, tmp_path):
 def test_search_has_no_subgroup_budget(capsys, tmp_path):
     """The flag-stabilizer order is not a count of subgroups, so no flag
     pretends to limit the subgroup enumeration."""
-    argv = "search --group psl2_7 --k 4 --v 8 --b 42 --r 21 --lambda 9".split()
+    argv = "search --group psl2_7 --tuple 8,42,21,4,9".split()
     code = main(argv + ["--out-dir", str(tmp_path), "--subgroup-budget", "1"])
     assert code == EXIT_USAGE
     assert "--subgroup-budget" in capsys.readouterr().err
@@ -789,7 +826,7 @@ def _same_under_optimize(capsys, tmp_path, argv):
 
 def test_eliminate_searched_cell_under_optimize(capsys, tmp_path):
     """Correctness checks are explicit raises, so python -O changes nothing."""
-    argv = "eliminate --family psl --n 3 --q 3 --class c3 --m 1 --t 3".split()
+    argv = "eliminate --family psl --n 3 --q 3 --class C3(1,3)".split()
     _same_under_optimize(capsys, tmp_path, argv)
 
 
@@ -797,6 +834,6 @@ def test_eliminate_unitary_searched_cell_under_optimize(capsys, tmp_path):
     """The flag-stabilizer route, with its suborbit screen and its subgroup
     lattice, is plain control flow: under python -O the cell still survives
     with the same design-search witnesses."""
-    argv = "eliminate --family psu --n 3 --q 3 --class S --line 1".split()
+    argv = "eliminate --family psu --n 3 --q 3 --class S(1)".split()
     cell = _same_under_optimize(capsys, tmp_path, argv)
     assert cell["final"]["kind"] == "Survives"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from flagsieve import cli, eliminator
+from flagsieve import eliminator
 from flagsieve.eliminator import (
     FINAL_KINDS,
     SEARCH_REGISTRY,
@@ -312,10 +312,9 @@ def test_unknown_kind_rejected():
 
 def test_route_table_covers_the_grid():
     """The kinds the grid-arith grid enumerates are exactly the routed kinds
-    of each family, and exactly the kinds the command line can name: a kind
-    added to one of the three tables alone fails here.  The tier-1 grid
-    (unitary n <= 8) never reaches unitary C7, which first appears at n = 9."""
-    every = set()
+    of each family: a kind added to one of the two tables alone fails here.
+    The tier-1 grid (unitary n <= 8) never reaches unitary C7, which first
+    appears at n = 9."""
     for family, n_max, q_max in (("linear", 20, 128), ("unitary", 16, 64)):
         kinds = set()
         for n in range(3, n_max + 1):
@@ -324,8 +323,6 @@ def test_route_table_covers_the_grid():
                     continue
                 kinds.update(c.kind for c in enumerate_cases(GroupSpec(family, n, q)))
         assert kinds == set(eliminator._ROUTES[family]), family
-        every |= kinds
-    assert every == set(cli._PARAM_FLAGS)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +494,10 @@ def test_every_unitary_s_row_settles():
 def test_sweep_input_validation():
     with pytest.raises(ValueError):
         sweep("linear", 2, 4, 5)
+    # a kind is filtered by its exact name among the family's routed kinds
+    for family, kind in (("unitary", "C8_Sp"), ("linear", "c1"), ("nope", "C1_Pi")):
+        with pytest.raises(ValueError, match=rf"^unknown {family} class '{kind}'$"):
+            sweep(family, 3, 3, 3, kind=kind)
 
 
 def test_report_structure_invariants():

@@ -4,6 +4,7 @@ reference products and the stabilizer chains of the permutation actions."""
 import dataclasses
 import functools
 import math
+import re
 
 import pytest
 
@@ -23,6 +24,7 @@ from flagsieve.grouporders import (
     gaussian_binomial,
     gl_order,
     known_subdegrees,
+    parse_case_label,
     s_line_admits,
     s_line_order,
     so_order,
@@ -224,6 +226,32 @@ def test_subgroup_case_refuses_parameters_other_than_ints_and_strs(params):
         SubgroupCase("C1_Pi", params)
     assert SubgroupCase("C1_Pi", (1,)) in enumerate_cases(L(4, 3))
     assert SubgroupCase("C8_O", ("+",)) in enumerate_cases(L(4, 3))
+
+
+def test_case_labels_read_back_on_the_grid():
+    """parse_case_label inverts case_label on every case of the grid-arith
+    grid, str parameters (C8_O(+), C5_O(-)) included."""
+    seen = set()
+    for family, n_max, q_max in (("linear", 20, 128), ("unitary", 16, 64)):
+        for n in range(3, n_max + 1):
+            for q in grid_q_values(q_max):
+                if (family, n, q) == ("unitary", 3, 2):
+                    continue
+                for case in enumerate_cases(GroupSpec(family, n, q)):
+                    label = grouporders.case_label(case)
+                    assert parse_case_label(label) == case, label
+                    seen.add(case.kind)
+    assert {"C8_O", "C5_O", "C8_Sp", "S"} <= seen
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["C3(01,3)", "C3(+1,3)", "C3(1, 3)", "C3()", "C3(1,,3)", "C3(1,3", "", "(1)",
+     "C3)", "C3(1)(2)", "C3((1),3)", "C3(-0)", "C3(1,3))"],
+)
+def test_parse_case_label_refuses_text_case_label_would_not_write(text):
+    with pytest.raises(ValueError, match=rf"^not a case label: {re.escape(repr(text))}$"):
+        parse_case_label(text)
 
 
 def test_enumerate_linear_6_2():

@@ -3,8 +3,9 @@
 `python -O` strips assert statements, so a correctness check written as one
 would silently vanish there.  Every check in the package is an explicit
 raise instead, and this test keeps it that way.  The package also carries
-no private function that nothing calls, exports only names it defines, and
-imports only from the layers below its own.
+no private function that nothing calls, exports only names it defines,
+imports only from the layers below its own, and imports no private name
+from another of its modules.
 """
 
 import ast
@@ -121,3 +122,20 @@ def test_modules_import_only_from_lower_layers():
     ]
     assert upward == []
     assert imports["sieve"] == {"exactmath"}
+
+
+def test_modules_import_no_private_name():
+    """A module's underscore names are its own: another package module
+    that needs one needs a public name instead."""
+    found = []
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("flagsieve.")
+            ):
+                found += [
+                    f"{module} imports {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert found == []

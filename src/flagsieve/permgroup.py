@@ -26,6 +26,12 @@ by their element index sets, and from the Sylow-normalizer argument in
 larger ones.  No multiplication table is kept.  The builtin constructions
 pick their generators and subgroups from fixed walks over generator words,
 each choice certified by its chain order.
+
+The classical actions are written down from their defining equations:
+projective and isotropic points are listed in sorted order, the unitary
+root subgroup, torus and Weyl element are given in closed form, and a
+hyperplane's image is read off the images of its points.  No matrix is
+searched for or inverted.
 """
 
 from __future__ import annotations
@@ -100,9 +106,7 @@ class FieldTable:
     """
 
     def __init__(self, q: int):
-        pp = prime_power(q)
-        if pp is None:
-            raise ValueError(f"{q} is not a prime power")
+        pp = prime_power(q)  # raises ValueError unless q is a prime power
         if q > 2**16:
             raise ValueError(f"field GF({q}) too large for table arithmetic")
         self.q = q
@@ -183,9 +187,6 @@ class FieldTable:
     def neg(self, a: int) -> int:
         return self.mul(self.p - 1, a)  # the integer p - 1 is the element -1
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -222,8 +223,9 @@ class FieldTable:
 Matrix = Tuple[Tuple[int, ...], ...]
 
 
-def _mat_identity(F: FieldTable, n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _matrix(n: int, entries: Dict[Tuple[int, int], int]) -> Matrix:
+    """The n x n matrix with these (row, column) entries, zero elsewhere."""
+    return tuple(tuple(entries.get((i, j), 0) for j in range(n)) for i in range(n))
 
 
 def _vec_mat(F: FieldTable, x: Sequence[int], A: Matrix) -> Tuple[int, ...]:
@@ -234,46 +236,6 @@ def _vec_mat(F: FieldTable, x: Sequence[int], A: Matrix) -> Tuple[int, ...]:
             acc = F.add(acc, F.mul(x[i], row[j]))
         out.append(acc)
     return tuple(out)
-
-
-def _mat_inv(F: FieldTable, A: Matrix) -> Matrix:
-    n = len(A)
-    work = [list(A[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col] != 0)
-        work[col], work[pivot] = work[pivot], work[col]
-        scale = F.inv(work[col][col])
-        work[col] = [F.mul(scale, e) for e in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                c = work[r][col]
-                work[r] = [
-                    F.sub(work[r][j], F.mul(c, work[col][j])) for j in range(2 * n)
-                ]
-    return tuple(tuple(row[n:]) for row in work)
-
-
-def _mat_transpose(A: Matrix) -> Matrix:
-    n = len(A)
-    return tuple(tuple(A[j][i] for j in range(n)) for i in range(n))
-
-
-def _mat_det3(F: FieldTable, A: Matrix) -> int:
-    pos = F.add(
-        F.add(
-            F.mul(A[0][0], F.mul(A[1][1], A[2][2])),
-            F.mul(A[0][1], F.mul(A[1][2], A[2][0])),
-        ),
-        F.mul(A[0][2], F.mul(A[1][0], A[2][1])),
-    )
-    neg = F.add(
-        F.add(
-            F.mul(A[0][2], F.mul(A[1][1], A[2][0])),
-            F.mul(A[0][0], F.mul(A[1][2], A[2][1])),
-        ),
-        F.mul(A[0][1], F.mul(A[1][0], A[2][2])),
-    )
-    return F.sub(pos, neg)
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +260,22 @@ def projective_points(F: FieldTable, n: int) -> Tuple[Tuple[int, ...], ...]:
     )
 
 
-def _hermitian_form(F: FieldTable, q0: int, x: Sequence[int], y: Sequence[int]) -> int:
-    # antidiagonal form: <x, y> = x0*conj(y2) + x1*conj(y1) + x2*conj(y0)
-    acc = 0
-    for i in range(3):
-        acc = F.add(acc, F.mul(x[i], F.power(y[2 - i], q0)))
-    return acc
-
-
 def hermitian_isotropic_points(q0: int) -> Tuple[Tuple[int, ...], ...]:
-    """Isotropic projective points of the 3-dimensional hermitian form."""
+    """Isotropic projective points of the 3-dimensional hermitian form
+    <x, y> = x0 y2^q0 + x1 y1^q0 + x2 y0^q0 over GF(q0^2), sorted.
+
+    Written down, not filtered (Dembowski, *Finite Geometries*, 1968, on
+    the unital).  Of the sorted projective points, (0, 0, 1) is isotropic;
+    no (0, 1, c) is, as its form value is 1; and (1, a, b) is exactly when
+    b + b^q0 + a^(q0+1) = 0.  For each a, the trace b -> b + b^q0 maps
+    GF(q0^2) onto GF(q0) q0-to-one, and a^(q0+1) lies in GF(q0), so q0^3
+    pairs (a, b) qualify.
+    """
     F = FieldTable(q0 * q0)
-    pts = [
-        x for x in projective_points(F, 3) if _hermitian_form(F, q0, x, x) == 0
+    pts = [(0, 0, 1)] + [
+        (1, a, b)
+        for a, b in itertools.product(F.elements(), repeat=2)
+        if F.add(F.add(b, F.power(b, q0)), F.power(a, q0 + 1)) == 0
     ]
     if len(pts) != q0**3 + 1:
         raise ArithmeticError(f"{len(pts)} isotropic points, expected {q0**3 + 1}")
@@ -735,20 +700,13 @@ class PermAction:
 
 
 def _linear_matrix_generators(F: FieldTable, n: int) -> List[Matrix]:
-    """Transvection plus signed cycle: generators of the special linear group."""
-    gens: List[Matrix] = []
+    """Transvections and a signed cycle: generators of the special linear group."""
+    ones = {(i, i): 1 for i in range(n)}
     gamma = F.generator()
-    for j in range(F.f):
-        c = F.power(gamma, j)
-        t = [list(row) for row in _mat_identity(F, n)]
-        t[0][1] = c
-        gens.append(tuple(tuple(row) for row in t))
-    sign = 1 if n % 2 == 1 else F.neg(1)
-    cyc = [[0] * n for _ in range(n)]
-    for i in range(n - 1):
-        cyc[i][i + 1] = 1
-    cyc[n - 1][0] = sign
-    gens.append(tuple(tuple(row) for row in cyc))
+    gens = [_matrix(n, {**ones, (0, 1): F.power(gamma, j)}) for j in range(F.f)]
+    cycle = {(i, i + 1): 1 for i in range(n - 1)}
+    cycle[n - 1, 0] = 1 if n % 2 == 1 else F.neg(1)
+    gens.append(_matrix(n, cycle))
     return gens
 
 
@@ -762,69 +720,59 @@ def _linear_action(n: int, q: int, variant: str) -> PermAction:
     size = (q**n - 1) // (q - 1) if q > 1 else 0  # checked before listing
     if size > 10000:
         raise ValueError(f"projective domain of size {size} too large")
+    if variant == "socle.2" and n != 3:
+        raise ValueError("point-hyperplane doubling implemented for n = 3 only")
     F = FieldTable(q)
     points = projective_points(F, n)
     index = {x: i for i, x in enumerate(points)}
     mats = _linear_matrix_generators(F, n)
-    if variant == "socle.2":
-        if n != 3:
-            raise ValueError("point-hyperplane doubling implemented for n = 3 only")
-        return _linear_doubled_action(F, n, q, points, index, mats)
     if variant in ("pgl", "pgammal"):
-        diag = [list(row) for row in _mat_identity(F, n)]
-        diag[0][0] = F.generator()
-        mats.append(tuple(tuple(row) for row in diag))
+        mats.append(_matrix(n, {(i, i): 1 for i in range(n)} | {(0, 0): F.generator()}))
     perms = [_matrix_point_perm(F, A, points, index) for A in mats]
     if variant == "pgammal" and F.f > 1:
         frob = (index[_normalized(F, [F.frobenius(e) for e in x])] for x in points)
         perms.append(tuple(frob))
-    label = {"socle": f"psl{n}_{q}", "pgl": f"pgl{n}_{q}", "pgammal": f"pgammal{n}_{q}"}[
-        variant
-    ]
-    return PermAction(len(points), perms, label=label)
+    if variant == "socle.2":
+        perms = _point_hyperplane_doubling(F, points, index, perms)
+    prefix = {"pgl": "pgl", "pgammal": "pgammal"}.get(variant, "psl")
+    suffix = "_2" if variant == "socle.2" else ""
+    return PermAction(len(perms[0]), perms, label=f"{prefix}{n}_{q}{suffix}")
 
 
-def _linear_doubled_action(
-    F: FieldTable,
-    n: int,
-    q: int,
-    points: Sequence[Tuple[int, ...]],
-    index: Dict,
-    mats: Sequence[Matrix],
-) -> PermAction:
-    """Socle extended by the point-hyperplane correspondence, degree 2N.
+def _points_on(F: FieldTable, h: Sequence[int], index: Dict) -> FrozenSet[int]:
+    """Indices of the points x with x.h = 0, for h scaled to leading 1.
 
-    A hyperplane with coefficient vector h is the point set {x : x.h = 0};
-    indices N..2N-1 store hyperplanes by their normalized coefficient
-    vectors.  Matrices act on coefficients through the inverse transpose,
-    and the swap delta conjugates each matrix to its inverse transpose.
+    With h[k] the leading 1, x.h = x_k + sum over j > k of h_j x_j, so each
+    such x is fixed by its other entries y through x_k = -(sum of h_j x_j).
+    y is nonzero, or x_k would be zero too, and scaling x scales y, so the
+    projective points y of one dimension less give each point once.
+    """
+    k = h.index(1)
+    out = []
+    for y in projective_points(F, len(h) - 1):
+        dot = functools.reduce(F.add, map(F.mul, h[k + 1 :], y[k:]), 0)
+        out.append(index[_normalized(F, (*y[:k], F.neg(dot), *y[k:]))])
+    return frozenset(out)
+
+
+def _point_hyperplane_doubling(
+    F: FieldTable, points: Sequence[Tuple[int, ...]], index: Dict, perms: Sequence[Perm]
+) -> List[Perm]:
+    """The point permutations extended to the hyperplanes, then the swap.
+
+    Index N + i stands for the hyperplane {x : x.h = 0} with h = points[i].
+    Each permutation sends it to the hyperplane holding the images of its
+    points, so no matrix is inverted.  For the permutation of x -> xA this
+    is h -> h A^-T, as x -> xA maps {x : x.h = 0} onto {y : y A^-1 h^T = 0};
+    the swap delta conjugates each matrix to its inverse transpose.
     """
     N = len(points)
-    perms = []
-    for A in mats:
-        point_part = _matrix_point_perm(F, A, points, index)
-        dual_mat = _mat_transpose(_mat_inv(F, A))
-        dual_part = _matrix_point_perm(F, dual_mat, points, index)
-        perms.append(tuple(list(point_part) + [N + i for i in dual_part]))
-    delta = tuple(list(range(N, 2 * N)) + list(range(N)))
-    perms.append(delta)
-    return PermAction(2 * N, perms, label=f"psl{n}_{q}_2")
-
-
-def _unitary_matrix_ok(F: FieldTable, q0: int, A: Matrix) -> bool:
-    # invariance of the antidiagonal hermitian form plus determinant one
-    n = 3
-    for i in range(n):
-        for j in range(n):
-            acc = 0
-            for a in range(n):
-                for b in range(n):
-                    if a + b == 2:
-                        acc = F.add(acc, F.mul(A[i][a], F.power(A[j][b], q0)))
-            want = 1 if i + j == 2 else 0
-            if acc != want:
-                return False
-    return _mat_det3(F, A) == 1
+    on = [_points_on(F, h, index) for h in points]
+    hyperplane = {s: i for i, s in enumerate(on)}
+    doubled = [
+        (*g, *(N + hyperplane[frozenset(g[x] for x in s)] for s in on)) for g in perms
+    ]
+    return doubled + [(*range(N, 2 * N), *range(N))]
 
 
 def _generating_pair(generators: Sequence[Perm]) -> Tuple[Perm, Perm]:
@@ -862,8 +810,32 @@ def _generating_pair(generators: Sequence[Perm]) -> Tuple[Perm, Perm]:
 @functools.lru_cache(maxsize=None)
 def _unitary_matrix_perms(q0: int) -> Tuple[Perm, ...]:
     """Root subgroup, diagonal torus and a monomial Weyl element of the
-    special unitary group, on the isotropic points, then the field
-    involution x -> x^q0 that socle.2 adjoins; built once per q0."""
+    special unitary group SU_3(q0), on the isotropic points, then the field
+    involution x -> x^q0 that socle.2 adjoins; built once per q0.
+
+    Each matrix is written down (Taylor, *The Geometry of the Classical
+    Groups*, 1992).  A matrix with rows r_i lies in SU_3(q0) when
+    <r_i, r_j> is 1 for i + j = 2 and 0 otherwise, and its determinant is 1:
+
+    - root elements ((1, a, b), (0, 1, -a^q0), (0, 0, 1)), one for each
+      isotropic point (1, a, b), in the order of the points.
+      <r_0, r_0> = b^q0 + a^(q0+1) + b is 0 as (1, a, b) is isotropic,
+      <r_0, r_1> = a - a^(q0^2) = 0, and the other entries are immediate.
+      A unitriangular matrix preserves the form only if its entry in row
+      1, column 2 (counting from 0) is -a^q0, by <r_0, r_1> = 0, and then
+      exactly when <r_0, r_0> = 0, so these are all q0^3 root elements,
+      in the order of a search over a, then b.
+    - torus elements diag(a, a^(q0-1), a^(-q0)) for a = 1, ..., q0^2 - 1.
+      diag(a, b, c) lies in SU_3(q0) when a c^q0 = 1, b^(q0+1) = 1 and
+      abc = 1.  The first forces c = a^(-q0), as x -> x^q0 is a bijection,
+      and then the last forces b = a^(q0-1), whose (q0+1)-th power is
+      a^(q0^2-1) = 1: one diagonal element for each a, in the order of a
+      search over a.
+    - the Weyl element antidiag(1, -1, 1).  antidiag(a, b, c) lies in
+      SU_3(q0) when a c^q0 = 1, b^(q0+1) = 1 and -abc = 1.  A search over
+      nonzero (a, b, c) in order meets a = 1 first, which forces c = 1 and
+      b = -1; and (-1)^(q0+1) = 1, as q0 + 1 is even or -1 = 1.
+    """
     if q0 > 5:
         raise ValueError("hermitian action supported for q <= 5 only")
     if q0 == 2:
@@ -871,43 +843,15 @@ def _unitary_matrix_perms(q0: int) -> Tuple[Perm, ...]:
     F = FieldTable(q0 * q0)
     points = hermitian_isotropic_points(q0)
     index = {x: i for i, x in enumerate(points)}
-    mats: List[Matrix] = []
-    # full upper unitriangular root subgroup: preserving the form forces
-    # c = -a^q0, and the form test settles b
-    for a in F.elements():
-        c = F.neg(F.power(a, q0))
-        for b in F.elements():
-            A = ((1, a, b), (0, 1, c), (0, 0, 1))
-            if _unitary_matrix_ok(F, q0, A):
-                mats.append(A)
-    if len(mats) != q0**3:
-        raise ArithmeticError(f"{len(mats)} root elements, expected {q0**3}")
-    for a in F.elements():
-        if a == 0:
-            continue
-        for b in F.elements():
-            if b == 0:
-                continue
-            c_inv = F.inv(F.power(a, q0))
-            A = ((a, 0, 0), (0, b, 0), (0, 0, c_inv))
-            if _unitary_matrix_ok(F, q0, A):
-                mats.append(A)
-    found_weyl = False
-    for a in F.elements():
-        if found_weyl:
-            break
-        for b in F.elements():
-            for c in F.elements():
-                A = ((0, 0, a), (0, b, 0), (c, 0, 0))
-                if a and b and c and _unitary_matrix_ok(F, q0, A):
-                    mats.append(A)
-                    found_weyl = True
-                    break
-            if found_weyl:
-                break
-    if not found_weyl:
-        raise ArithmeticError("no monomial Weyl element in the unitary group")
-    perms = [_matrix_point_perm(F, A, points, index) for A in mats]
+    roots = [
+        ((1, a, b), (0, 1, F.neg(F.power(a, q0))), (0, 0, 1)) for _, a, b in points[1:]
+    ]
+    torus = [
+        ((a, 0, 0), (0, F.power(a, q0 - 1), 0), (0, 0, F.power(a, -q0)))
+        for a in range(1, F.q)
+    ]
+    weyl = ((0, 0, 1), (0, F.neg(1), 0), (1, 0, 0))
+    perms = [_matrix_point_perm(F, A, points, index) for A in (*roots, *torus, weyl)]
     conj = (index[_normalized(F, [F.power(e, q0) for e in x])] for x in points)
     return (*perms, tuple(conj))
 

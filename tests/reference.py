@@ -2,10 +2,12 @@
 product bounds written out term by term, a point stabilizer listed
 element by element, field addition digit by digit, the action on a
 subgroup's conjugates by conjugating every element, projective points
-by normalizing every vector, and the unitary root subgroup by trying
-every matrix.  The package computes the same quantities another way, so
-these stay independent oracles for it."""
+by normalizing every vector, the hermitian form and the special unitary
+test entry by entry, unitary matrices by trying every matrix of a shape,
+and hyperplane images by the inverse transpose.  The package computes the
+same quantities another way, so these stay independent oracles for it."""
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -104,3 +106,65 @@ def root_subgroup_by_search(F, is_unitary):
         for A in [((1, a, b), (0, 1, c), (0, 0, 1))]
         if is_unitary(A)
     ]
+
+
+def hermitian_form(F, q0, x, y):
+    """<x, y> = x0 y2^q0 + x1 y1^q0 + x2 y0^q0 on GF(q0^2)^3."""
+    terms = (F.mul(x[i], F.power(y[2 - i], q0)) for i in range(3))
+    return functools.reduce(F.add, terms, 0)
+
+
+def determinant(F, A):
+    """Determinant of a square matrix, summed over all permutations."""
+    n, det = len(A), 0
+    for perm in itertools.permutations(range(n)):
+        term = functools.reduce(F.mul, (A[i][perm[i]] for i in range(n)), 1)
+        odd = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        det = F.add(det, F.neg(term) if odd % 2 else term)
+    return det
+
+
+def is_special_unitary(F, q0, A):
+    """Whether the 3 x 3 matrix A preserves the hermitian form, row i
+    against row j giving 1 when i + j = 2 and 0 otherwise, and has
+    determinant one."""
+    return all(
+        hermitian_form(F, q0, A[i], A[j]) == (1 if i + j == 2 else 0)
+        for i, j in itertools.product(range(3), repeat=2)
+    ) and determinant(F, A) == 1
+
+
+def monomial_by_search(F, shape, is_unitary):
+    """Every matrix shape(a, b, c) that is_unitary accepts, trying all
+    (q - 1)^3 choices of nonzero (a, b, c) in order."""
+    return [
+        A
+        for a, b, c in itertools.product(range(1, F.q), repeat=3)
+        for A in [shape(a, b, c)]
+        if is_unitary(A)
+    ]
+
+
+def hyperplane_images(F, points, A):
+    """For each coefficient vector h in points, the index of h A^-T scaled
+    to leading coefficient 1: where x -> xA sends the hyperplane
+    {x : x.h = 0}.  A is 3 x 3; A^-T is its cofactor matrix over det(A)."""
+    scale = F.inv(determinant(F, A))
+
+    def cofactor(i, j):
+        a, b = (i + 1) % 3, (i + 2) % 3
+        c, d = (j + 1) % 3, (j + 2) % 3
+        minor = F.add(F.mul(A[a][c], A[b][d]), F.neg(F.mul(A[a][d], A[b][c])))
+        return F.mul(scale, minor)
+
+    inv_t = [[cofactor(i, j) for j in range(3)] for i in range(3)]
+    index = {x: i for i, x in enumerate(points)}
+    out = []
+    for h in points:
+        image = [
+            functools.reduce(F.add, (F.mul(h[i], inv_t[i][j]) for i in range(3)), 0)
+            for j in range(3)
+        ]
+        lead = F.inv(next(e for e in image if e))
+        out.append(index[tuple(F.mul(lead, e) for e in image)])
+    return out

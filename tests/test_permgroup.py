@@ -37,11 +37,11 @@ from flagsieve.permgroup import (
     _element_of_order,
     _generating_class,
     _lattice_route,
+    _linear_matrix_generators,
     _matrix_point_perm,
     _psl2_7_in_psu3_3,
     _sylow_route,
     _two_three_seven_subgroup,
-    _unitary_matrix_ok,
     _unitary_matrix_perms,
 )
 from flagsieve.sieve import DesignParams
@@ -49,6 +49,10 @@ from reference import (
     conjugation_images,
     digit_add,
     digit_neg,
+    hermitian_form,
+    hyperplane_images,
+    is_special_unitary,
+    monomial_by_search,
     normalized_projective_points,
     root_subgroup_by_search,
 )
@@ -90,14 +94,13 @@ def test_field_generator_order(q):
 
 @pytest.mark.parametrize("q", FIELD_SIZES + (49, 81, 125, 243, 256))
 def test_field_addition_matches_digit_oracle(q):
-    """Zech-log addition, negation and subtraction against digit-wise
-    arithmetic, on every pair."""
+    """Zech-log addition and negation against digit-wise arithmetic, on
+    every pair."""
     F = FieldTable(q)
     for a in F.elements():
         assert F.neg(a) == digit_neg(F.p, a)
         for b in F.elements():
             assert F.add(a, b) == digit_add(F.p, a, b)
-            assert F.sub(a, b) == digit_add(F.p, a, digit_neg(F.p, b))
 
 
 def test_field_chosen_moduli():
@@ -137,10 +140,15 @@ def test_projective_points_match_normalize_and_sort(n, q):
     assert projective_points(F, n) == normalized_projective_points(F, n)
 
 
-def test_hermitian_isotropic_points():
-    pts = hermitian_isotropic_points(3)
-    assert len(pts) == 28
-    assert len(set(pts)) == 28
+@pytest.mark.parametrize("q0", [3, 4, 5])
+def test_hermitian_isotropic_points_match_form_filter(q0):
+    """The written-down isotropic points are the projective points the
+    form filter keeps, in the same order."""
+    F = FieldTable(q0 * q0)
+    pts = normalized_projective_points(F, 3)
+    found = tuple(x for x in pts if hermitian_form(F, q0, x, x) == 0)
+    assert len(found) == q0**3 + 1
+    assert hermitian_isotropic_points(q0) == found
 
 
 def test_perm_helpers():
@@ -310,7 +318,7 @@ def test_unitary_root_subgroup_matches_search(q0):
     unitriangular matrices finds, in the same order, and the matrix-built
     permutations stay exactly as they are."""
     F = FieldTable(q0 * q0)
-    roots = root_subgroup_by_search(F, lambda A: _unitary_matrix_ok(F, q0, A))
+    roots = root_subgroup_by_search(F, lambda A: is_special_unitary(F, q0, A))
     assert len(roots) == q0**3
     points = hermitian_isotropic_points(q0)
     index = {x: i for i, x in enumerate(points)}
@@ -320,6 +328,41 @@ def test_unitary_root_subgroup_matches_search(q0):
     )
     digest = hashlib.sha256(repr(perms).encode()).hexdigest()
     assert digest == UNITARY_MATRIX_PERM_DIGESTS[q0]
+
+
+@pytest.mark.parametrize("q0", [3, 4, 5])
+def test_unitary_torus_and_weyl_match_search(q0):
+    """The written-down torus is every special unitary diagonal matrix,
+    and the Weyl element the first special unitary antidiagonal one, that
+    a search over nonzero entries in order finds."""
+    F = FieldTable(q0 * q0)
+
+    def search(shape):
+        return monomial_by_search(F, shape, lambda A: is_special_unitary(F, q0, A))
+
+    torus = search(lambda a, b, c: ((a, 0, 0), (0, b, 0), (0, 0, c)))
+    weyls = search(lambda a, b, c: ((0, 0, a), (0, b, 0), (c, 0, 0)))
+    assert len(torus) == q0 * q0 - 1
+    points = hermitian_isotropic_points(q0)
+    index = {x: i for i, x in enumerate(points)}
+    found = [_matrix_point_perm(F, A, points, index) for A in (*torus, weyls[0])]
+    # the root elements come first, the field involution last
+    assert found == list(_unitary_matrix_perms(q0)[q0**3 : -1])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_hyperplane_half_is_the_inverse_transpose(q):
+    """Each matrix generator of the point-hyperplane doubling moves the
+    hyperplane with coefficient vector h to the one with h A^-T."""
+    F = FieldTable(q)
+    points = projective_points(F, 3)
+    N = len(points)
+    doubled = classical_action("linear", 3, q, "socle.2")
+    mats = _linear_matrix_generators(F, 3)
+    assert len(doubled.generators) == len(mats) + 1
+    for A, g in zip(mats, doubled.generators):
+        assert list(g[N:]) == [N + i for i in hyperplane_images(F, points, A)]
+    assert doubled.generators[-1] == (*range(N, 2 * N), *range(N))
 
 
 def test_four_subset_orbit_partition():

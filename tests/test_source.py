@@ -3,9 +3,9 @@
 `python -O` strips assert statements, so a correctness check written as one
 would silently vanish there.  Every check in the package is an explicit
 raise instead, and this test keeps it that way.  The package also carries
-no private function that nothing calls, exports only names it defines,
-imports only from the layers below its own, and imports no private name
-from another of its modules.
+no private function or method that nothing calls, exports only names it
+defines, imports only from the layers below its own, and imports no
+private name from another of its modules.
 """
 
 import ast
@@ -28,15 +28,32 @@ def _modules():
     return out
 
 
+def _units(tree):
+    """(name, node) for each top-level statement of a module, except that
+    a class gives one unit per statement of its body, a method named
+    Class.method, and one more for its bases, keywords and decorators."""
+    for stmt in tree.body:
+        if not isinstance(stmt, ast.ClassDef):
+            yield getattr(stmt, "name", None), stmt
+            continue
+        for item in stmt.body:
+            yield f"{stmt.name}.{getattr(item, 'name', '')}", item
+        for node in stmt.bases + stmt.keywords + stmt.decorator_list:
+            yield stmt.name, node
+
+
 def test_every_private_function_is_referenced():
-    defined = set()  # (module, name) of module-level private functions
-    used = set()  # (name, module and top-level statement it occurs in)
+    """Every private module-level function, and every private method that
+    is not a dunder method, is named outside its own body."""
+    defined = set()  # (module, unit, name) of private functions and methods
+    used = set()  # (name, module and unit it occurs in)
     for module, tree in _modules():
-        for stmt in tree.body:
-            owner = getattr(stmt, "name", None)
-            if isinstance(stmt, ast.FunctionDef) and owner.startswith("_"):
-                defined.add((module, owner))
-            for node in ast.walk(stmt):
+        for owner, unit in _units(tree):
+            name = getattr(unit, "name", "")
+            if isinstance(unit, ast.FunctionDef) and name.startswith("_"):
+                if not name.endswith("__"):
+                    defined.add((module, owner, name))
+            for node in ast.walk(unit):
                 if isinstance(node, ast.Name):
                     used.add((node.id, module, owner))
                 elif isinstance(node, ast.Attribute):
@@ -44,11 +61,11 @@ def test_every_private_function_is_referenced():
                 elif isinstance(node, ast.alias):
                     used.add((node.name, module, owner))
     unreferenced = [
-        f"{module}.{name}"
-        for module, name in sorted(defined)
+        f"{module}.{owner}"
+        for module, owner, name in sorted(defined)
         if not any(
-            ref == name and (where, owner) != (module, name)
-            for ref, where, owner in used
+            ref == name and (where, unit) != (module, owner)
+            for ref, where, unit in used
         )
     ]
     assert unreferenced == []

@@ -196,7 +196,7 @@ def korbit_designs(
             DesignRecord(
                 group=action.label,
                 params=params,
-                blocks=_canonical_blocks(blocks),
+                blocks=blocks,  # set_orbit sorts canonically
                 flag_transitive=_flag_transitive(action, blocks, r),
             )
         )

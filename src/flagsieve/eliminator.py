@@ -470,7 +470,7 @@ def _tail(cell: _Cell, run_searches: bool) -> Final:
     if final is not None:
         return final
     try:
-        found, rejected = admissible_tuples_explained(v, d, rstar_divisor=big_r)
+        found, rejected = admissible_tuples_explained(v, d)
     except TupleBudgetError as exc:
         cell.info("admissible-tuples", [("budget", str(exc))])
         return Final("NeedsSearch", None, (), "tuple budget exceeded")

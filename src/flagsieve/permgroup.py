@@ -25,7 +25,10 @@ cyclic extension on permutations in small groups, with class members keyed
 by their element index sets, and from the Sylow-normalizer argument in
 larger ones.  No multiplication table is kept.  The builtin constructions
 pick their generators and subgroups from fixed walks over generator words,
-each choice certified by its chain order.
+each choice certified by its chain order.  The four of degree 36 and 144
+come from one recipe, a base builtin on the conjugates of one of its
+subgroups, and every action induced on a list of point sets (point pairs,
+hyperplanes) is read off by one helper.
 
 The classical actions are written down from their defining equations:
 projective and isotropic points are listed in sorted order, the unitary
@@ -95,10 +98,12 @@ class FieldTable:
 
     An element's base-p digits are the coefficients of its polynomial
     representative, so 0 and 1 are the additive and multiplicative
-    identities.  The modulus is x^f = x + c with the smallest c making x a
-    generator of the multiplicative group (for f = 1, x = c is the smallest
-    primitive root mod p); if no such c exists (e.g. GF(32)) the
-    lexicographically first working right-hand side is used.
+    identities.  The modulus is x^f = r with r the smallest element, read
+    as an integer, making x a generator of the multiplicative group.  For
+    f = 1, x = r is the smallest primitive root mod p.  For f >= 2 no
+    constant r works, as x^f = r gives x order at most f(p-1) < q-1, and
+    r = p is x itself, so r is x + c with the smallest such c, when one
+    exists; GF(32) has none and takes x^2 + 1.
     Multiplication runs off discrete-log tables, so the class of x is
     always a primitive element.  Addition runs off Zech logarithms
     (Lidl and Niederreiter, *Finite Fields*): a + b = a(1 + b/a), with
@@ -154,11 +159,6 @@ class FieldTable:
         return exp
 
     def _pick_modulus(self) -> int:
-        for c in range(1, self.p):
-            exp = self._walk(self._digit_add(self.p, c))  # rhs = x + c
-            if exp is not None:
-                self._install(exp)
-                return self._digit_add(self.p, c)
         for rhs in range(1, self.q):
             if rhs % self.p == 0:
                 continue  # x would divide the modulus
@@ -767,12 +767,16 @@ def _point_hyperplane_doubling(
     the swap delta conjugates each matrix to its inverse transpose.
     """
     N = len(points)
-    on = [_points_on(F, h, index) for h in points]
-    hyperplane = {s: i for i, s in enumerate(on)}
-    doubled = [
-        (*g, *(N + hyperplane[frozenset(g[x] for x in s)] for s in on)) for g in perms
-    ]
+    hyperplanes = _set_perms(perms, [_points_on(F, h, index) for h in points])
+    doubled = [(*g, *(N + i for i in h)) for g, h in zip(perms, hyperplanes)]
     return doubled + [(*range(N, 2 * N), *range(N))]
+
+
+def _set_perms(perms: Iterable[Perm], sets: Sequence[FrozenSet[int]]) -> List[Perm]:
+    """The permutation each of perms induces on a list of point sets that it
+    permutes, as positions in that list."""
+    index = {s: i for i, s in enumerate(sets)}
+    return [tuple(index[frozenset(map(g.__getitem__, s))] for s in sets) for g in perms]
 
 
 def _generating_pair(generators: Sequence[Perm]) -> Tuple[Perm, Perm]:
@@ -891,13 +895,8 @@ def classical_action(family: str, n: int, q: int, variant: str = "socle") -> Per
 
 def pair_action(action: PermAction) -> PermAction:
     """Induced action on unordered point pairs, in lexicographic order."""
-    pairs = [(i, j) for i in range(action.degree) for j in range(i + 1, action.degree)]
-    index = {p: c for c, p in enumerate(pairs)}
-    perms = []
-    for g in action.generators:
-        perms.append(
-            tuple(index[tuple(sorted((g[i], g[j])))] for i, j in pairs)
-        )
+    pairs = list(map(frozenset, itertools.combinations(range(action.degree), 2)))
+    perms = _set_perms(action.generators, pairs)
     return PermAction(len(pairs), perms, label=f"{action.label}_pairs")
 
 
@@ -1290,27 +1289,22 @@ def _psl2_7_in_psu3_3() -> PermAction:
     return _two_three_seven_subgroup(builtin_action("psu3_3"), 168)
 
 
-def _unitary_cosets_36(extended: bool) -> PermAction:
-    """PSU_3(3), or PSU_3(3):2, on the 36 conjugates of PSL(2,7)."""
-    base = builtin_action("psu3_3_2" if extended else "psu3_3")
-    act = subgroup_conjugation_action(base, _psl2_7_in_psu3_3())
-    act.label = "psu3_3_2_36" if extended else "psu3_3_36"
-    if act.degree != 36:
-        raise RuntimeError(f"{act.label} has degree {act.degree}, expected 36")
-    return act
+def _sylow_13(base: PermAction) -> PermAction:
+    """The subgroup of order 13 that `_element_of_order` gives: a Sylow
+    subgroup of PSL_3(3) and PSL_3(3):2, whose orders 13 divides once."""
+    return PermAction(base.degree, [_element_of_order(base, 13)])
 
 
-def _sylow13_action_144(extended: bool) -> PermAction:
-    base = builtin_action("psl3_3_2")
-    sylow = PermAction(base.degree, [_element_of_order(base, 13)])
-    source = base
-    if not extended:
-        # restrict to the matrix generators: the swap is the last one listed
-        source = PermAction(base.degree, base.generators[:-1], label="psl3_3_doubled")
-    act = subgroup_conjugation_action(source, sylow)
-    act.label = "psl3_3_2_144" if extended else "psl3_3_144"
-    if act.degree != 144:
-        raise RuntimeError(f"{act.label} has degree {act.degree}, expected 144")
+def _conjugation_builtin(
+    base: str, subgroup: Callable[[PermAction], PermAction], degree: int
+) -> PermAction:
+    """The builtin named base on the conjugates of subgroup(base),
+    labelled base_degree; raises unless there are degree of them."""
+    group = builtin_action(base)
+    act = subgroup_conjugation_action(group, subgroup(group))
+    act.label = f"{base}_{degree}"
+    if act.degree != degree:
+        raise RuntimeError(f"{act.label} has degree {act.degree}, expected {degree}")
     return act
 
 
@@ -1323,10 +1317,14 @@ _BUILTINS: Dict[str, Callable[[], PermAction]] = {
     "pgl2_7": functools.partial(_projective_line_7, True),
     "psu3_3": functools.partial(classical_action, "unitary", 3, 3, "socle"),
     "psu3_3_2": functools.partial(classical_action, "unitary", 3, 3, "socle.2"),
-    "psu3_3_36": functools.partial(_unitary_cosets_36, False),
-    "psu3_3_2_36": functools.partial(_unitary_cosets_36, True),
-    "psl3_3_144": functools.partial(_sylow13_action_144, False),
-    "psl3_3_2_144": functools.partial(_sylow13_action_144, True),
+    "psu3_3_36": functools.partial(
+        _conjugation_builtin, "psu3_3", lambda _: _psl2_7_in_psu3_3(), 36
+    ),
+    "psu3_3_2_36": functools.partial(
+        _conjugation_builtin, "psu3_3_2", lambda _: _psl2_7_in_psu3_3(), 36
+    ),
+    "psl3_3_144": functools.partial(_conjugation_builtin, "psl3_3", _sylow_13, 144),
+    "psl3_3_2_144": functools.partial(_conjugation_builtin, "psl3_3_2", _sylow_13, 144),
 }
 
 BUILTIN_NAMES = tuple(_BUILTINS)

@@ -12,6 +12,7 @@ import pytest
 
 from flagsieve import permgroup
 from flagsieve.designsearch import stabilizer_search
+from flagsieve.exactmath import factorize
 from flagsieve.permgroup import (
     BUILTIN_NAMES,
     FieldTable,
@@ -117,6 +118,28 @@ def test_field_chosen_moduli():
     assert all(F.frobenius(a) == a for a in range(3))
 
 
+# x^f = rhs for every prime power q <= 256, rhs read through its base-p
+# digits: the smallest primitive root for f = 1, x + c otherwise, and
+# x^2 + 1 for GF(32), where no x + c is primitive
+MODULUS_RHS = {
+    2: 1, 3: 2, 4: 3, 5: 2, 7: 3, 8: 3, 9: 4, 11: 2, 13: 2, 16: 3, 17: 3, 19: 2, 23: 5,
+    25: 8, 27: 5, 29: 2, 31: 3, 32: 5, 37: 2, 41: 6, 43: 3, 47: 5, 49: 11, 53: 2, 59: 2,
+    61: 2, 64: 3, 67: 2, 71: 7, 73: 5, 79: 3, 81: 4, 83: 2, 89: 3, 97: 5, 101: 2,
+    103: 5, 107: 2, 109: 6, 113: 3, 121: 14, 125: 7, 127: 3, 128: 3, 131: 2, 137: 3,
+    139: 2, 149: 2, 151: 6, 157: 5, 163: 2, 167: 5, 169: 24, 173: 2, 179: 2, 181: 2,
+    191: 19, 193: 5, 197: 2, 199: 3, 211: 2, 223: 3, 227: 2, 229: 6, 233: 3, 239: 7,
+    241: 7, 243: 5, 251: 6, 256: 29,
+}
+
+
+def test_field_modulus_right_hand_sides_are_pinned():
+    """Every field element's digits, and so every classical action's point
+    labels, rest on the chosen modulus."""
+    prime_powers = [q for q in range(2, 257) if len(factorize(q).pairs) == 1]
+    assert prime_powers == list(MODULUS_RHS)
+    assert {q: FieldTable(q)._modulus_rhs for q in prime_powers} == MODULUS_RHS
+
+
 def test_field_rejects_non_prime_powers():
     for bad in (0, 1, 6, 12, 100):
         with pytest.raises(ValueError):
@@ -181,6 +204,9 @@ def test_builtin_degrees_and_orders():
     for name in BUILTIN_NAMES:
         act = builtin_action(name)
         degree, order = EXPECTED_ORDERS[name]
+        # design files record the label, `verify` reopens a design's group
+        # by it, and search results are keyed by it
+        assert act.label == name
         assert act.degree == degree, name
         assert act.order() == order, name
         assert act.is_transitive() or name == "psl3_3_144" or name == "psl3_3_2_144"
@@ -768,12 +794,13 @@ def _matrix_part(name):
         (lambda: builtin_action("psu3_3_2"), _psl2_7_in_psu3_3),
         (lambda: builtin_action("psl3_3_2"), lambda: _sylow("psl3_3_2", 13)),
         (lambda: _matrix_part("psl3_3_2"), lambda: _sylow("psl3_3_2", 13)),
+        (lambda: builtin_action("psl3_3"), lambda: _sylow("psl3_3", 13)),
         (lambda: builtin_action("pgl2_7"), lambda: _sylow("pgl2_7", 7)),
         (lambda: builtin_action("pgl2_7"), lambda: PermAction(8, [])),
         (lambda: builtin_action("psl2_7"), _d8_in_psl2_7),
     ],
     ids=["psl2_7-psu3_3", "psl2_7-psu3_3_2", "syl13-psl3_3_2", "syl13-matrix",
-         "syl7-pgl2_7", "trivial-pgl2_7", "d8-psl2_7"],
+         "syl13-psl3_3", "syl7-pgl2_7", "trivial-pgl2_7", "d8-psl2_7"],
 )
 def test_conjugation_action_matches_element_set_orbit(action, subgroup):
     """Generator-only moves give the action that conjugating whole element
@@ -819,21 +846,22 @@ def test_psl2_7_is_found_once_for_both_36_point_actions(monkeypatch):
 
     monkeypatch.setattr(permgroup, "_two_three_seven_subgroup", counted)
     _psl2_7_in_psu3_3.cache_clear()
-    for extended in (False, True):
-        built = permgroup._unitary_cosets_36(extended)
-        assert built.generators == builtin_action(built.label).generators
+    for name in ("psu3_3_36", "psu3_3_2_36"):
+        build = permgroup._BUILTINS[name]
+        assert build.func is permgroup._conjugation_builtin
+        assert build().generators == builtin_action(name).generators
     assert len(calls) == 1 and _psl2_7_in_psu3_3() is _psl2_7_in_psu3_3()
 
 
-@pytest.mark.parametrize("extended", [False, True], ids=["psu3_3_36", "psu3_3_2_36"])
-def test_unitary_36_conjugation_counts(monkeypatch, extended):
+@pytest.mark.parametrize("name", ["psu3_3_36", "psu3_3_2_36"])
+def test_unitary_36_conjugation_counts(monkeypatch, name):
     """Work gate: building a degree-36 action conjugates 35 new conjugates'
     21 involutions (with the subgroup's own 21, 36 x 21 = 756 listed), plus
     4 kept involutions under 2 generators at each of the 36 conjugates.
     Listing all 168 elements of each conjugate and moving the 2 (2,3,7)
     generators made 35 x 168 + 36 x 2 x 2 = 6024 conjugations."""
-    for name in ("psu3_3", "psu3_3_2"):
-        builtin_action(name)
+    for base in ("psu3_3", "psu3_3_2"):
+        builtin_action(base)
     calls = []
     conjugator = permgroup._conjugator
 
@@ -847,9 +875,32 @@ def test_unitary_36_conjugation_counts(monkeypatch, extended):
         return counted
 
     monkeypatch.setattr(permgroup, "_conjugator", counted_conjugator)
-    act = permgroup._unitary_cosets_36(extended)
+    act = permgroup._BUILTINS[name]()
     assert act.degree == 36
     assert len(calls) == 35 * 21 + 36 * 2 * 4 == 1023
+
+
+def test_psl3_3_144_is_built_on_the_13_points(monkeypatch):
+    """Work gate: the 144-point action of PSL_3(3) conjugates a Sylow
+    13-subgroup of the 13-point action, so it builds psl3_3 and not the
+    26-point psl3_3_2."""
+    built = []
+
+    def counting(name, build):
+        def counted():
+            built.append(name)
+            return build()
+
+        return counted
+
+    for name, build in list(permgroup._BUILTINS.items()):
+        monkeypatch.setitem(permgroup._BUILTINS, name, counting(name, build))
+    builtin_action.cache_clear()
+    try:
+        assert builtin_action("psl3_3_144").degree == 144
+    finally:
+        builtin_action.cache_clear()
+    assert built == ["psl3_3_144", "psl3_3"]
 
 
 def test_orbit_walk_cap_edges():

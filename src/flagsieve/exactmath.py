@@ -12,7 +12,6 @@ from typing import Iterator, Tuple
 
 __all__ = [
     "gcd",
-    "lcm",
     "is_prime",
     "Factorization",
     "factorize",
@@ -30,10 +29,6 @@ __all__ = [
 def gcd(*values: int) -> int:
     """Greatest common divisor of any number of integers (gcd() == 0)."""
     return math.gcd(*values)
-
-
-def lcm(*values: int) -> int:
-    return math.lcm(*values)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

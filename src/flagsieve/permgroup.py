@@ -23,18 +23,19 @@ handled as generator sets, one conjugacy class at a time, each class given
 by one representative and its size: grown from class representatives by
 cyclic extension on permutations in small groups, with class members keyed
 by their element index sets, and from the Sylow-normalizer argument in
-larger ones.  No multiplication table is kept.  The builtin constructions
-pick their generators and subgroups from fixed walks over generator words,
-each choice certified by its chain order.  The four of degree 36 and 144
-come from one recipe, a base builtin on the conjugates of one of its
-subgroups, and every action induced on a list of point sets (point pairs,
-hyperplanes) is read off by one helper.
+larger ones.  No multiplication table is kept.  The builtin subgroups
+(PSL(2,7) in PSU_3(3), a Sylow 13-subgroup) are picked from fixed walks
+over generator words, and the unitary groups' two generators are written
+down; each choice is certified by its chain order.  The four builtins of
+degree 36 and 144 come from one recipe, a base builtin on the conjugates
+of one of its subgroups, and every action induced on a list of point sets
+(point pairs, hyperplanes) is read off by one helper.
 
 The classical actions are written down from their defining equations:
-projective and isotropic points are listed in sorted order, the unitary
-root subgroup, torus and Weyl element are given in closed form, and a
-hyperplane's image is read off the images of its points.  No matrix is
-searched for or inverted.
+projective and isotropic points are listed in sorted order, a unitary
+root element, torus generator and Weyl element are given in closed form,
+and a hyperplane's image is read off the images of its points.  No matrix
+is searched for or inverted.
 """
 
 from __future__ import annotations
@@ -779,41 +780,9 @@ def _set_perms(perms: Iterable[Perm], sets: Sequence[FrozenSet[int]]) -> List[Pe
     return [tuple(index[frozenset(map(g.__getitem__, s))] for s in sets) for g in perms]
 
 
-def _generating_pair(generators: Sequence[Perm]) -> Tuple[Perm, Perm]:
-    """Two elements generating the same group as the given generators.
-
-    The walk runs over the prefix products x_1, x_2, ... of the periodic
-    word g_0 g_1 ... g_(n-1) g_0 g_1 ..., skipping repeats; the pair is the
-    first (x_i, x_j), i < j, ordered by j then i, whose orbit of point 0 is
-    the whole group's and whose stabilizer chain has the whole group's
-    order; a pair's chain is built only once its orbit passes.  Every x_t
-    lies in the group, so equal orders make the two groups equal.  The
-    walk repeats itself after n times the order of g_0 ... g_(n-1) steps,
-    where it stops.
-    """
-    whole = PermAction(len(generators[0]), generators)
-    order, span = whole.order(), len(whole.orbit(0))
-    ident = identity_perm(whole.degree)
-    period = functools.reduce(compose, generators)
-    cur, seen, walked = ident, {ident}, []
-    for t in range(len(generators) * perm_order(period)):
-        cur = compose(cur, generators[t % len(generators)])
-        if cur in seen:
-            continue
-        seen.add(cur)
-        for earlier in walked:
-            pair = (earlier, cur)
-            if len(orbit(0, lambda x: [g[x] for g in pair])[0]) != span:
-                continue
-            if PermAction(whole.degree, pair).order() == order:
-                return pair
-        walked.append(cur)
-    raise RuntimeError("no generating pair on the walk over generator words")
-
-
 @functools.lru_cache(maxsize=None)
-def _unitary_matrix_perms(q0: int) -> Tuple[Perm, ...]:
-    """Root subgroup, diagonal torus and a monomial Weyl element of the
+def _unitary_matrix_perms(q0: int) -> Tuple[Perm, Perm, Perm, Perm]:
+    """A root element x, a torus generator t and the Weyl element w of the
     special unitary group SU_3(q0), on the isotropic points, then the field
     involution x -> x^q0 that socle.2 adjoins; built once per q0.
 
@@ -821,24 +790,15 @@ def _unitary_matrix_perms(q0: int) -> Tuple[Perm, ...]:
     Groups*, 1992).  A matrix with rows r_i lies in SU_3(q0) when
     <r_i, r_j> is 1 for i + j = 2 and 0 otherwise, and its determinant is 1:
 
-    - root elements ((1, a, b), (0, 1, -a^q0), (0, 0, 1)), one for each
-      isotropic point (1, a, b), in the order of the points.
-      <r_0, r_0> = b^q0 + a^(q0+1) + b is 0 as (1, a, b) is isotropic,
-      <r_0, r_1> = a - a^(q0^2) = 0, and the other entries are immediate.
-      A unitriangular matrix preserves the form only if its entry in row
-      1, column 2 (counting from 0) is -a^q0, by <r_0, r_1> = 0, and then
-      exactly when <r_0, r_0> = 0, so these are all q0^3 root elements,
-      in the order of a search over a, then b.
-    - torus elements diag(a, a^(q0-1), a^(-q0)) for a = 1, ..., q0^2 - 1.
-      diag(a, b, c) lies in SU_3(q0) when a c^q0 = 1, b^(q0+1) = 1 and
-      abc = 1.  The first forces c = a^(-q0), as x -> x^q0 is a bijection,
-      and then the last forces b = a^(q0-1), whose (q0+1)-th power is
-      a^(q0^2-1) = 1: one diagonal element for each a, in the order of a
-      search over a.
-    - the Weyl element antidiag(1, -1, 1).  antidiag(a, b, c) lies in
-      SU_3(q0) when a c^q0 = 1, b^(q0+1) = 1 and -abc = 1.  A search over
-      nonzero (a, b, c) in order meets a = 1 first, which forces c = 1 and
-      b = -1; and (-1)^(q0+1) = 1, as q0 + 1 is even or -1 = 1.
+    - x = ((1, 1, b), (0, 1, -1), (0, 0, 1)) at the first isotropic point
+      (1, 1, b).  <r_0, r_0> = b^q0 + 1 + b is 0 as (1, 1, b) is isotropic,
+      <r_0, r_1> = (-1)^q0 + 1 is 0 as q0 is odd or -1 = 1, and the other
+      entries and the determinant are immediate.
+    - t = diag(g, g^(q0-1), g^(-q0)) for the field generator g:
+      <r_0, r_2> = g (g^(-q0))^q0 = g^(1-q0^2) = 1, <r_1, r_1> =
+      g^((q0-1)(q0+1)) = 1, and the determinant is g^0 = 1.
+    - w = antidiag(1, -1, 1): (-1)^(q0+1) = 1, as q0 + 1 is even or
+      -1 = 1, and the determinant is -(1)(-1)(1) = 1.
     """
     if q0 > 5:
         raise ValueError("hermitian action supported for q <= 5 only")
@@ -847,27 +807,33 @@ def _unitary_matrix_perms(q0: int) -> Tuple[Perm, ...]:
     F = FieldTable(q0 * q0)
     points = hermitian_isotropic_points(q0)
     index = {x: i for i, x in enumerate(points)}
-    roots = [
-        ((1, a, b), (0, 1, F.neg(F.power(a, q0))), (0, 0, 1)) for _, a, b in points[1:]
-    ]
-    torus = [
-        ((a, 0, 0), (0, F.power(a, q0 - 1), 0), (0, 0, F.power(a, -q0)))
-        for a in range(1, F.q)
-    ]
-    weyl = ((0, 0, 1), (0, F.neg(1), 0), (1, 0, 0))
-    perms = [_matrix_point_perm(F, A, points, index) for A in (*roots, *torus, weyl)]
-    conj = (index[_normalized(F, [F.power(e, q0) for e in x])] for x in points)
-    return (*perms, tuple(conj))
+    b = next(x[2] for x in points if x[:2] == (1, 1))
+    gamma, minus = F.generator(), F.neg(1)
+    root = ((1, 1, b), (0, 1, minus), (0, 0, 1))
+    torus = _matrix(
+        3, {(0, 0): gamma, (1, 1): F.power(gamma, q0 - 1), (2, 2): F.power(gamma, -q0)}
+    )
+    weyl = ((0, 0, 1), (0, minus, 0), (1, 0, 0))
+    x, t, w = (_matrix_point_perm(F, A, points, index) for A in (root, torus, weyl))
+    conj = (index[_normalized(F, [F.power(e, q0) for e in p])] for p in points)
+    return x, t, w, tuple(conj)
 
 
 def _unitary_action(q0: int, variant: str) -> PermAction:
-    """The unitary group on isotropic points, by two generators taken from
-    words in the matrix generators."""
-    perms = _unitary_matrix_perms(q0)
-    if variant == "socle":
-        perms = perms[:-1]
+    """The unitary group on isotropic points, generated by t and x w, with
+    the field involution f appended to x w for socle.2 (x first, then w).
+    These lie in the group, so the chain order certifies that they
+    generate it; raises otherwise."""
+    x, t, w, f = _unitary_matrix_perms(q0)
+    xw = compose(x, w)
+    order = q0**3 * (q0**2 - 1) * (q0**3 + 1) // math.gcd(3, q0 + 1)  # |PSU_3(q0)|
+    if variant == "socle.2":
+        xw, order = compose(xw, f), 2 * order
     label = f"psu3_{q0}_2" if variant == "socle.2" else f"psu3_{q0}"
-    return PermAction(len(perms[0]), _generating_pair(perms), label=label)
+    act = PermAction(len(t), (t, xw), label=label)
+    if act.order() != order:
+        raise RuntimeError(f"{label} generators give order {act.order()}, not {order}")
+    return act
 
 
 def classical_action(family: str, n: int, q: int, variant: str = "socle") -> PermAction:

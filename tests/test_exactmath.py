@@ -15,7 +15,6 @@ from flagsieve.exactmath import (
     factorize,
     gcd,
     is_prime,
-    lcm,
     p_part,
     p_prime_part,
     prime_power,
@@ -35,7 +34,6 @@ def test_gcd_lcm_basics():
     assert gcd(143, 78) == 13
     assert gcd(7, 5040) == 7
     assert gcd(27, 12, 15) == 3
-    assert lcm(4, 6) == 12
 
 
 def test_is_prime_small_and_large():

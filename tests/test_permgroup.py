@@ -13,6 +13,7 @@ import pytest
 from flagsieve import permgroup
 from flagsieve.designsearch import stabilizer_search
 from flagsieve.exactmath import factorize
+from flagsieve.grouporders import GroupSpec
 from flagsieve.permgroup import (
     BUILTIN_NAMES,
     FieldTable,
@@ -220,10 +221,10 @@ BUILTIN_DIGESTS = {
     "psl4_2": "d6199c0ddde0a25d51aac6009595c1c39e4b2e865208b541fcf4776e7ec16ba5",
     "psl2_7": "ff3868ff1d6ad8aa4ba64c5ffd913e00f900ddd5cba0b71d3879387a4890d2eb",
     "pgl2_7": "9dbfe5e75b4c16c03750032def35e7397d68b340d8455e5752ca87b0cd5b5250",
-    "psu3_3": "1773349f50632d27d201b13a423df1d038eb741408436064c4d97041bc85f170",
-    "psu3_3_2": "a66a4af36733ae41539708f073a64f81fe33e20e5e68725c860d56d3cfd3ecb6",
-    "psu3_3_36": "2d86d20cf00626c920c17e912197085a411d4e3a72a676dbad884ab87ae3cffd",
-    "psu3_3_2_36": "a5af0ab1a91d72a74f2dedea5dde109a88976d3069be7b202bef53c7fce1efc2",
+    "psu3_3": "5265a486616f2799b127eb537808506f0bd17716c3f2b2c89e104e5f8114a8d9",
+    "psu3_3_2": "e47d691f59a5935279a7c62aa00a0b74b3b14ee73179abb530b9b7a4911fa857",
+    "psu3_3_36": "bc8346778619579ef7fbc9450476d591134f85d44cf5bfc43b5036be2a19f68a",
+    "psu3_3_2_36": "579ce7f554f175cb54ca711f1534a3f30eac7fa0a6a64b22ef681d1553be4d93",
     "psl3_3_144": "998cfdc3d84ef75a87e2a725e19abb333081aa61c94696a745f69b34fc2971a7",
     "psl3_3_2_144": "4e734d53c575063df205b6af9d67aee1a9cdd0f37da52f2f4217b3dcda1b4b54",
 }
@@ -311,69 +312,84 @@ def test_unitary_socle_2_doubles_the_socle(q0):
     assert doubled.label == f"psu3_{q0}_2"
 
 
-@pytest.mark.parametrize(
-    "name,variant,count,order",
-    [("psu3_3", "socle", 34, 6048), ("psu3_3_2", "socle.2", 35, 12096)],
-)
-def test_unitary_actions_have_two_chain_certified_generators(
-    name, variant, count, order
-):
-    act = builtin_action(name)
-    assert len(act.generators) == 2
-    assert PermAction(act.degree, act.generators).order() == order
-    # the matrix-built permutations (the identity among them) all lie in it,
-    # and generate the same group; the last one is the field involution
-    matrix_perms = _unitary_matrix_perms(3)[: None if variant == "socle.2" else -1]
-    assert len(set(matrix_perms) - {identity_perm(28)}) == count
-    assert all(act.contains(g) for g in matrix_perms)
-    whole = PermAction(28, matrix_perms)
-    assert whole.order() == order
-    assert all(whole.contains(g) for g in act.generators)
+@pytest.mark.parametrize("q0", [3, 4, 5])
+def test_unitary_actions_have_two_chain_certified_generators(q0):
+    """t and x w generate the socle, and t and x w f the socle with the
+    field involution f adjoined: two generators each, of chain order the
+    socle order and twice it, holding the written-down elements."""
+    order = GroupSpec("unitary", 3, q0).socle_order
+    x, t, w, f = _unitary_matrix_perms(q0)
+    for variant, expected, kept in (
+        ("socle", order, (x, t, w)),
+        ("socle.2", 2 * order, (x, t, w, f)),
+    ):
+        act = classical_action("unitary", 3, q0, variant)
+        assert len(act.generators) == 2
+        assert PermAction(act.degree, act.generators).order() == expected
+        assert all(act.contains(g) for g in kept)
+
+
+def test_unitary_builder_refuses_a_pair_of_the_wrong_order(monkeypatch):
+    x, t, w, f = _unitary_matrix_perms(3)
+    fake = (identity_perm(len(x)), t, w, f)
+    monkeypatch.setattr(permgroup, "_unitary_matrix_perms", lambda q0: fake)
+    for variant, order in (("socle", 6048), ("socle.2", 12096)):
+        with pytest.raises(RuntimeError, match=f"not {order}"):
+            classical_action("unitary", 3, 3, variant)
 
 
 UNITARY_MATRIX_PERM_DIGESTS = {
-    3: "eb2bf4a5eaa5b3bf2a612419ee85d0af1ce96544f2f1ff4518295324cb54ff8f",
-    4: "6a146dec36549aea3b51bdb95b809e126522ff4536d1248c7e743251f714b086",
-    5: "479193bed5aceb407c049f635200ba18bc387b060b9c612c9048fc9c7a296723",
+    3: "9c1b585c83490b1eb21ca69aea7edd7bef8c492f3f87f61e31052097cdf26b44",
+    4: "5366b8a593e9a35fc375e56a6f98f1d90ce02e8c56a6db745350f91acdd92602",
+    5: "026ff8b70470091e3ad730d28c7de705275e24fb012c47cdd3a4c9c1887f2f72",
 }
+
+
+def _written_unitary_matrices(q0):
+    """The field, the point permutation map, and the root element x, the
+    torus generator t and the Weyl element w, written out again."""
+    F = FieldTable(q0 * q0)
+    points = hermitian_isotropic_points(q0)
+    index = {x: i for i, x in enumerate(points)}
+    b = next(x[2] for x in points if x[:2] == (1, 1))
+    minus, gamma = digit_neg(F.p, 1), F.generator()
+    x = ((1, 1, b), (0, 1, minus), (0, 0, 1))
+    d = [F.power(gamma, e) for e in (1, q0 - 1, -q0)]
+    t = ((d[0], 0, 0), (0, d[1], 0), (0, 0, d[2]))
+    w = ((0, 0, 1), (0, minus, 0), (1, 0, 0))
+    return F, lambda A: _matrix_point_perm(F, A, points, index), (x, t, w)
 
 
 @pytest.mark.parametrize("q0", [3, 4, 5])
 def test_unitary_root_subgroup_matches_search(q0):
-    """The solved root subgroup is the one a search over all q^3
-    unitriangular matrices finds, in the same order, and the matrix-built
-    permutations stay exactly as they are."""
-    F = FieldTable(q0 * q0)
-    roots = root_subgroup_by_search(F, lambda A: is_special_unitary(F, q0, A))
-    assert len(roots) == q0**3
-    points = hermitian_isotropic_points(q0)
-    index = {x: i for i, x in enumerate(points)}
+    """The root element x is special unitary and among the unitriangular
+    matrices a search over entries finds; with t, w and the field
+    involution it gives four distinct non-identity permutations, which
+    stay exactly as they are."""
+    F, perm, (x, _, _) = _written_unitary_matrices(q0)
+    assert is_special_unitary(F, q0, x)
+    assert x in root_subgroup_by_search(F, lambda A: is_special_unitary(F, q0, A))
     perms = _unitary_matrix_perms(q0)
-    assert [_matrix_point_perm(F, A, points, index) for A in roots] == list(
-        perms[: q0**3]
-    )
+    assert perm(x) == perms[0]
+    assert len(set(perms)) == 4 and identity_perm(q0**3 + 1) not in perms
     digest = hashlib.sha256(repr(perms).encode()).hexdigest()
     assert digest == UNITARY_MATRIX_PERM_DIGESTS[q0]
 
 
 @pytest.mark.parametrize("q0", [3, 4, 5])
 def test_unitary_torus_and_weyl_match_search(q0):
-    """The written-down torus is every special unitary diagonal matrix,
-    and the Weyl element the first special unitary antidiagonal one, that
-    a search over nonzero entries in order finds."""
-    F = FieldTable(q0 * q0)
+    """The torus generator t and the Weyl element w are special unitary,
+    and among the diagonal and antidiagonal matrices that a search over
+    nonzero entries finds."""
+    F, perm, (_, t, w) = _written_unitary_matrices(q0)
 
     def search(shape):
         return monomial_by_search(F, shape, lambda A: is_special_unitary(F, q0, A))
 
-    torus = search(lambda a, b, c: ((a, 0, 0), (0, b, 0), (0, 0, c)))
-    weyls = search(lambda a, b, c: ((0, 0, a), (0, b, 0), (c, 0, 0)))
-    assert len(torus) == q0 * q0 - 1
-    points = hermitian_isotropic_points(q0)
-    index = {x: i for i, x in enumerate(points)}
-    found = [_matrix_point_perm(F, A, points, index) for A in (*torus, weyls[0])]
-    # the root elements come first, the field involution last
-    assert found == list(_unitary_matrix_perms(q0)[q0**3 : -1])
+    assert is_special_unitary(F, q0, t) and is_special_unitary(F, q0, w)
+    assert t in search(lambda a, b, c: ((a, 0, 0), (0, b, 0), (0, 0, c)))
+    assert w in search(lambda a, b, c: ((0, 0, a), (0, b, 0), (c, 0, 0)))
+    assert [perm(t), perm(w)] == list(_unitary_matrix_perms(q0)[1:3])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
@@ -592,8 +608,8 @@ LATTICE_36 = {"psu3_3_36": (8, 6), "psu3_3_2_36": (16, 12)}
         # listing members as permutation sets and conjugating them by
         # compose took 5,459 and 25,905; testing each candidate y for
         # y^-1*u*y in U, two composes per generator u, took 2,603 and 11,457
-        ("psu3_3_36", 1861),
-        ("psu3_3_2_36", 5237),
+        ("psu3_3_36", 1853),
+        ("psu3_3_2_36", 5231),
     ],
 )
 def test_lattice_36_compose_counts(monkeypatch, name, composed):
@@ -901,6 +917,36 @@ def test_psl3_3_144_is_built_on_the_13_points(monkeypatch):
     finally:
         builtin_action.cache_clear()
     assert built == ["psl3_3_144", "psl3_3"]
+
+
+def test_psu3_3_maps_three_matrices_and_builds_one_chain(monkeypatch):
+    """Work gate: building psu3_3 from cleared caches maps the three
+    matrices x, t and w over the points and builds one stabilizer chain,
+    that of its two generators, which the order check and every later
+    use share.  The walk over generator words mapped 36 matrices and
+    built 7 chains."""
+    mapped, chains = [], []
+    map_matrix, chain_class = permgroup._matrix_point_perm, permgroup.StabChain
+
+    def counted_map(*args):
+        mapped.append(args)
+        return map_matrix(*args)
+
+    class CountedChain(chain_class):
+        def __init__(self, *args, **kwargs):
+            chains.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(permgroup, "_matrix_point_perm", counted_map)
+    monkeypatch.setattr(permgroup, "StabChain", CountedChain)
+    builtin_action.cache_clear()
+    _unitary_matrix_perms.cache_clear()
+    try:
+        assert builtin_action("psu3_3").order() == 6048
+    finally:
+        builtin_action.cache_clear()
+        _unitary_matrix_perms.cache_clear()
+    assert (len(mapped), len(chains)) == (3, 1)
 
 
 def test_orbit_walk_cap_edges():

@@ -313,7 +313,7 @@ def test_unitary_socle_2_doubles_the_socle(q0):
 
 
 @pytest.mark.parametrize("q0", [3, 4, 5])
-def test_unitary_actions_have_two_chain_certified_generators(q0):
+def test_unitary_pairs_hold_the_written_elements(q0):
     """t and x w generate the socle, and t and x w f the socle with the
     field involution f adjoined: two generators each, of chain order the
     socle order and twice it, holding the written-down elements."""
@@ -327,6 +327,41 @@ def test_unitary_actions_have_two_chain_certified_generators(q0):
         assert len(act.generators) == 2
         assert PermAction(act.degree, act.generators).order() == expected
         assert all(act.contains(g) for g in kept)
+
+
+@pytest.mark.parametrize(
+    "name,variant,count,order",
+    [("psu3_3", "socle", 34, 6048), ("psu3_3_2", "socle.2", 35, 12096)],
+)
+def test_unitary_actions_have_two_chain_certified_generators(
+    name, variant, count, order
+):
+    """The searched root subgroup, diagonal torus and first antidiagonal
+    Weyl element (with the field involution for socle.2) lie in the
+    built-in and generate the same group as its two generators."""
+    act = builtin_action(name)
+    assert len(act.generators) == 2
+    assert PermAction(act.degree, act.generators).order() == order
+    F, perm, _ = _written_unitary_matrices(3)
+
+    def unitary(A):
+        return is_special_unitary(F, 3, A)
+
+    diagonal = monomial_by_search(
+        F, lambda a, b, c: ((a, 0, 0), (0, b, 0), (0, 0, c)), unitary
+    )
+    weyl = monomial_by_search(
+        F, lambda a, b, c: ((0, 0, a), (0, b, 0), (c, 0, 0)), unitary
+    )[0]
+    matrices = [*root_subgroup_by_search(F, unitary), *diagonal, weyl]
+    matrix_perms = [perm(A) for A in matrices]
+    if variant == "socle.2":
+        matrix_perms.append(_unitary_matrix_perms(3)[3])
+    assert len(set(matrix_perms) - {identity_perm(28)}) == count
+    assert all(act.contains(g) for g in matrix_perms)
+    whole = PermAction(28, matrix_perms)
+    assert whole.order() == order
+    assert all(whole.contains(g) for g in act.generators)
 
 
 def test_unitary_builder_refuses_a_pair_of_the_wrong_order(monkeypatch):

@@ -14,11 +14,12 @@ permgroup.subgroups_of_order) and testing every orbit union of size k of
 one subgroup per conjugacy class makes the search exhaustive, since
 conjugate subgroups give the same block sets.  When the flag stabilizer
 is trivial that route degenerates, and the search switches to block
-stabilizers of order |G| / b.  On both routes a union first has to meet
-the subdegree identity r * |B & Delta| = lambda * |Delta| at each of its
-points beta, on every orbit Delta of G_0 after an element taking beta to
-0, as every block of a flag-transitive design does; only the unions that
-meet it get the full check, which walks their orbit.
+stabilizers of order |G| / b.  Every block of a flag-transitive design
+meets the subdegree identity r * |B & Delta| = lambda * |Delta| at each
+of its points beta, on each orbit Delta of G_0 after taking beta to 0.
+At 0 that is a quota on each Delta: only unions meeting the quotas are
+built, all are counted by a subset sum, and a built union that meets the
+identity at every point gets the full check, which walks its orbit.
 A candidate's lambda is read from the blocks of its orbit through one
 point, which decides it on a point-transitive group; verify_design and
 korbit_designs keep the full count over every pair of every block.  Each
@@ -218,38 +219,50 @@ def hypothesis_filter(records: Iterable[DesignRecord]) -> Tuple[DesignRecord, ..
     return tuple(kept)
 
 
+def _union_count(sizes: Sequence[int], target: int) -> int:
+    """How many sets of orbits of these sizes hold target points in all."""
+    ways = [1] + [0] * target
+    for n in sizes:
+        for t in range(target, n - 1, -1):
+            ways[t] += ways[t - n]
+    return ways[target]
+
+
 def _orbit_unions(
-    orbits: Sequence[Tuple[int, ...]],
-    forced: Sequence[Tuple[int, ...]],
-    target: int,
+    orbits: Sequence[Tuple[int, ...]], group: Sequence[int], quota: Mapping[int, int]
 ) -> List[FrozenSet[int]]:
-    """All unions of orbits of the given total size containing the forced ones."""
-    base = [p for orb in forced for p in orb]
-    room = target - len(base)
-    if room < 0:
+    """The unions of the orbits that take quota[g] points from the orbits in
+    each group g (an orbit's points p share one group[p]) and none from
+    others: orbits are taken or left out largest first, and a branch ends
+    once a group's untried orbits cannot fill what it lacks."""
+    free = [orb for orb in orbits if quota.get(group[orb[0]])]
+    free.sort(key=lambda o: (-len(o), o))
+    lack, room = dict(quota), Counter(group[p] for orb in free for p in orb)
+    if any(room[g] < n for g, n in quota.items()):
         return []
-    free = sorted(
-        (orb for orb in orbits if orb not in forced), key=lambda o: (-len(o), o)
-    )
     found: List[FrozenSet[int]] = []
 
     def descend(idx: int, remaining: int, chosen: List[Tuple[int, ...]]) -> None:
         if remaining == 0:
-            found.append(frozenset(base + [p for orb in chosen for p in orb]))
+            found.append(frozenset(p for orb in chosen for p in orb))
             if len(found) > _UNION_LIMIT:
                 raise RuntimeError(
-                    f"orbit unions of size {target} exceed the union budget "
-                    f"{_UNION_LIMIT}"
+                    f"orbit unions of size {sum(quota.values())} within the "
+                    f"base-point quotas exceed the union budget {_UNION_LIMIT}"
                 )
             return
-        if idx == len(free) or remaining < 0:
-            return
-        if sum(len(o) for o in free[idx:]) < remaining:
-            return
-        descend(idx + 1, remaining - len(free[idx]), chosen + [free[idx]])
-        descend(idx + 1, remaining, chosen)
+        orb = free[idx]  # some group lacks points, and its room holds them
+        g, n = group[orb[0]], len(orb)
+        room[g] -= n
+        if n <= lack[g]:
+            lack[g] -= n
+            descend(idx + 1, remaining - n, chosen + [orb])
+            lack[g] += n
+        if lack[g] <= room[g]:
+            descend(idx + 1, remaining, chosen)
+        room[g] += n
 
-    descend(0, room, [])
+    descend(0, sum(quota.values()), [])
     return found
 
 
@@ -285,9 +298,9 @@ def _candidate_design(
 
 def _suborbit_screen(
     action: PermAction, params: DesignParams
-) -> Callable[[FrozenSet[int]], bool]:
-    """The subdegree identity as a test on candidate blocks, at each of
-    their points.
+) -> Optional[Tuple[List[int], Counter, Callable[[FrozenSet[int]], bool]]]:
+    """The subdegree identity as quotas on the orbits of G_0, and as a test
+    on candidate blocks at each of their points.
 
     Let a flag-transitive design with these parameters admit the group, and
     let B be a block through 0.  Flag-transitivity makes the stabilizer G_0
@@ -309,13 +322,14 @@ def _suborbit_screen(
 
     `_candidate_design` returns only flag-transitive designs with these
     parameters, whose blocks therefore all pass this test at every point; a
-    union that fails it can be skipped without calling it.  If r does not
-    divide lambda * |Delta| for some Delta, or the group is not transitive
-    on points (a group transitive on the flags of a design with lambda > 0
-    is), no union passes.
+    union that fails it can be skipped without calling it.  Returned are
+    each point's G_0-orbit number, each orbit's quota |B & Delta| (orbits
+    B misses left out) and the test; None where no union passes: if r does
+    not divide some lambda * |Delta|, the quotas miss k, or the group is
+    not transitive on points, as a flag-transitive one with lambda > 0 is.
     """
     if not action.is_transitive():
-        return lambda union: False
+        return None
     label = [0] * action.degree
     want = Counter()
     for index, orb in enumerate(action.point_stabilizer(0).orbits()):
@@ -324,11 +338,13 @@ def _suborbit_screen(
         else:
             share, rest = divmod(params.lam * len(orb), params.r)
         if rest:
-            return lambda union: False
+            return None
         for p in orb:
             label[p] = index
         if share:
             want[index] = share
+    if sum(want.values()) != params.k:
+        return None
     to_zero = action.chain(0).inv[0]
 
     def passes(union: FrozenSet[int]) -> bool:
@@ -337,7 +353,7 @@ def _suborbit_screen(
             for g in map(to_zero.__getitem__, union)
         )
 
-    return passes
+    return label, want, passes
 
 
 def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
@@ -358,10 +374,9 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     block stabilizers have translated orbits, whose unions again span the
     same block sets and meet the screen alike.
 
-    Each union is screened at each of its points before the full check
-    walks its orbit; the screen is the same on both routes.
-    On an action that is not transitive on points it passes no union, so
-    no candidate is checked there, and the unions are still counted.
+    Unions are built by quota (`_orbit_unions`), one per orbit of G_alpha
+    on the flag route and one for all orbits on the block route, and none
+    where the screen passes nothing, as on an intransitive action.
     """
     v, b, r, k = params.v, params.b, params.r, params.k
     if action.degree != v:
@@ -420,10 +435,13 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     counts = []  # (unions of the representative, class size) per class
     for cls in classes:
         orbits = PermAction(v, cls.representative).orbits()
-        forced = [orb for orb in orbits if alpha in orb]
-        unions = _orbit_unions(orbits, forced, k)
-        counts.append((len(unions), cls.size))
-        for union in filter(screen, unions):
+        free = [len(orb) for orb in orbits if alpha not in orb]
+        counts.append((_union_count(free, k - (alpha is not None)), cls.size))
+        if screen is None:
+            continue
+        label, want, passes = screen
+        group, quota = (label, want) if m > 1 else ([0] * v, {0: k})
+        for union in filter(passes, _orbit_unions(orbits, group, quota)):
             rec = _candidate_design(action, params, union, found)
             if rec is not None:
                 found[rec.blocks] = rec

@@ -17,8 +17,8 @@ large group is ever listed for them.  Breadth-first closure (`elements`)
 remains for groups of order at most 1000, where it supplies the lattice
 search's extension candidates, and as the independent oracle of the tests.
 A listed group is indexed once (`PermAction.element_index`): each element's
-position in the sorted list, its order, one conjugation table per
-generator, and the breadth-first tree that listed the group.  Subgroups are
+position in the sorted list, its class and order, one conjugation table
+per generator, and the breadth-first tree that listed the group.  Subgroups are
 handled as generator sets, one conjugacy class at a time, each class given
 by one representative and its size: grown from class representatives by
 cyclic extension on permutations in small groups, with class members keyed
@@ -541,16 +541,19 @@ class ElementIndex(NamedTuple):
     """A listed group's elements by their positions in the sorted list.
 
     position maps each element to its index; conj[j][i] is the index of
-    g^-1 * e_i * g for the j-th generator g of the action; orders[i] is the
-    order of e_i; tree is the breadth-first walk that listed them, one
-    (i, parent, j) with e_i = e_parent * g_j per non-identity e_i, parents
-    first.
+    g^-1 * e_i * g for the j-th generator g of the action; classes[i] is the
+    index of the least member of e_i's class; orders[i] is the order of e_i;
+    tree is the breadth-first walk that listed them, one (i, parent, j)
+    with e_i = e_parent * g_j per non-identity e_i, parents first; powers
+    keeps the lattice's lists of generators of <e_i>, filled on demand.
     """
 
     position: Dict[Perm, int]
     conj: Tuple[List[int], ...]
+    classes: Tuple[int, ...]
     orders: Tuple[int, ...]
     tree: Tuple[Tuple[int, int, int], ...]
+    powers: Dict[int, List[Perm]]
 
     def conjugate_indices(self, targets: Sequence[int]) -> List[int]:
         """For the targets of a subgroup U's walk under conjugation by the
@@ -622,9 +625,8 @@ class PermAction:
         return self._elements
 
     def element_index(self) -> ElementIndex:
-        """The sorted element list indexed once: positions, conjugation by
-        each generator as a table of positions, element orders, and the
-        listing walk's tree in positions."""
+        """The sorted element list indexed once (`ElementIndex`); classes
+        are orbits of the conjugation tables."""
         if self._index is None:
             elements = self.elements()
             position = {e: i for i, e in enumerate(elements)}
@@ -632,9 +634,15 @@ class PermAction:
                 [position[conj(e)] for e in elements]
                 for conj in map(_conjugator, self.generators)
             )
-            orders = tuple(map(perm_order, elements))
+            classes, orders = [-1] * len(elements), [0] * len(elements)
+            for i, e in enumerate(elements):
+                if classes[i] < 0:  # e is the least member of its class
+                    d = perm_order(e)
+                    for x in orbit(i, lambda x: [table[x] for table in conj])[0]:
+                        classes[x], orders[x] = i, d
             tree = tuple((position[e], position[p], j) for e, p, j in self._walk[1:])
-            self._index = ElementIndex(position, conj, orders, tree)
+            classes, orders = tuple(classes), tuple(orders)
+            self._index = ElementIndex(position, conj, classes, orders, tree, {})
         return self._index
 
     def order(self) -> int:
@@ -998,6 +1006,14 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     positions in `element_index`, and the orbit walk conjugates those
     positions through the index's tables.
 
+    The trivial U is extended once per class of elements: y, in sorted
+    order, opens <y> unless its class is covered, and <y> covers the
+    classes of its generators.  Extending by each y in turn opens the same
+    classes from the same y, as there y is skipped (it generates an <x>
+    closed before) or <y> is known exactly when <y> = <x>^g for an <x>
+    opened before, that is when y = (x^j)^g with j prime to |x|, in a class
+    that opening <x> covered.
+
     This is complete.  Every subgroup K > 1 of order dividing m is <K', y>
     for some K' < K and y in K, both of order dividing m.  By induction K'
     = U^g for a representative U, and then K^(g^-1) = <U, y^(g^-1)> is met
@@ -1011,11 +1027,11 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     still opened.  The skip of u*y^j stays sound, since u*y^j normalizes U
     exactly when y does.  N(U) is read off the walk that opened U's class
     (Holt, Eick and O'Brien, ch. 4), whose targets[c*n + j] is the member
-    that member c becomes under g_j; U is member 0 (the trivial U's walk
-    has no other).  As U^(x*g_j) = (U^x)^(g_j), the member that is U^e
-    is 0 at the identity and targets[member[parent]*n + j] at each edge
-    (e, parent, j) of `ElementIndex.tree` (`ElementIndex.conjugate_indices`),
-    so y normalizes U exactly when member[y] = 0.
+    that member c becomes under g_j; U is member 0.  As
+    U^(x*g_j) = (U^x)^(g_j), the member that is U^e is 0 at the identity
+    and targets[member[parent]*n + j] at each edge (e, parent, j) of
+    `ElementIndex.tree` (`ElementIndex.conjugate_indices`), so y
+    normalizes U exactly when member[y] = 0.
 
     Classes are listed by their least member in sorted element order; the
     positions follow that order, so sorted position lists compare as the
@@ -1023,13 +1039,8 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     |G : K| cannot be a conjugacy class, and raises.
     """
     order = action.order()
-    index = action.element_index()
-    # each candidate's position, y, and the generators y^j, j prime to d, of <y>
-    candidates = []
-    for i, (y, d) in enumerate(zip(action.elements(), index.orders)):
-        if m % d == 0:
-            walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
-            candidates.append((i, y, [z for j, z in walk if math.gcd(j, d) == 1]))
+    elements, index = action.elements(), action.element_index()
+    candidates = [i for i, d in enumerate(index.orders) if m % d == 0]
     normalizers_only = _all_solvable(m)
     position = index.position.__getitem__
     conjugates = [table.__getitem__ for table in index.conj]
@@ -1038,26 +1049,12 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
         return [frozenset(map(conj, key)) for conj in conjugates]
 
     known = set()  # every member of every class opened so far, as positions
-    trivial = frozenset({identity_perm(action.degree)})
-    reps: List[Tuple[FrozenSet[Perm], Tuple[Perm, ...], List[int]]]
-    reps = [(trivial, (), [0] * len(conjugates))]  # with their class walks' targets
-    unrestricted = [0] * len(index.orders)  # member 0: y may extend sub
+    reps: List[Tuple[FrozenSet[Perm], Tuple[Perm, ...], List[int]]] = []
     classes = []
-    for sub, gens, targets in reps:
-        if len(sub) == m:
-            continue
-        tried = set(sub)
-        member = index.conjugate_indices(targets) if normalizers_only else unrestricted
-        for i, y, powers in candidates:
-            if member[i] or y in tried:
-                continue
-            tried.update(compose(u, z) for u in sub for z in powers)
-            grown = _closure(sub, gens + (y,), m)
-            if grown is None or m % len(grown):
-                continue
-            key = frozenset(map(position, grown))
-            if key in known:
-                continue
+
+    def open_class(grown: FrozenSet[Perm], gens: Tuple[Perm, ...]) -> FrozenSet[int]:
+        key = frozenset(map(position, grown))
+        if key not in known:
             members, walked = orbit(key, moves)
             if (order // len(grown)) % len(members):
                 raise RuntimeError(
@@ -1065,10 +1062,35 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
                     f"in a group of order {order}: the size must divide the index"
                 )
             known.update(members)
-            reps.append((grown, gens + (y,), walked))
+            reps.append((grown, gens, walked))  # with its class walk's targets
             if len(grown) == m:
                 least = min(sorted(k) for k in members)
-                classes.append((least, SubgroupClass(gens + (y,), len(members))))
+                classes.append((least, SubgroupClass(gens, len(members))))
+        return key
+
+    covered = {index.classes[0]}  # the identity's: it sorts first
+    for i in candidates:
+        if index.classes[i] not in covered:
+            y, d = elements[i], index.orders[i]
+            key = open_class(frozenset(itertools.accumulate([y] * d, compose)), (y,))
+            covered.update(index.classes[p] for p in key if index.orders[p] == d)
+    unrestricted = [0] * len(elements)  # member 0: y may extend sub
+    for sub, gens, targets in reps:
+        if len(sub) == m:
+            continue
+        tried = set(sub)
+        member = index.conjugate_indices(targets) if normalizers_only else unrestricted
+        for i in candidates:
+            y, d = elements[i], index.orders[i]
+            if member[i] or y in tried:
+                continue
+            if i not in index.powers:  # the generators y^j of <y>, kept for every m
+                walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
+                index.powers[i] = [z for j, z in walk if math.gcd(j, d) == 1]
+            tried.update(compose(u, z) for u in sub for z in index.powers[i])
+            grown = _closure(sub, gens + (y,), m)
+            if grown is not None and m % len(grown) == 0:
+                open_class(grown, gens + (y,))
     classes.sort(key=itemgetter(0))
     return tuple(cls for _, cls in classes)
 

@@ -4,8 +4,9 @@ element by element, field addition digit by digit, the action on a
 subgroup's conjugates by conjugating every element, projective points
 by normalizing every vector, the hermitian form and the special unitary
 test entry by entry, unitary matrices by trying every matrix of a shape,
-and hyperplane images by the inverse transpose.  The package computes the
-same quantities another way, so these stay independent oracles for it."""
+hyperplane images by the inverse transpose, and the orbit unions of a
+size by a full descent.  The package computes the same quantities another
+way, so these stay independent oracles for it."""
 
 import functools
 import itertools
@@ -168,3 +169,22 @@ def hyperplane_images(F, points, A):
         lead = F.inv(next(e for e in image if e))
         out.append(index[tuple(F.mul(lead, e) for e in image)])
     return out
+
+
+def orbit_unions(orbits, forced, target):
+    """Every union of the orbits with target points that contains the forced
+    ones: a descent that takes or leaves out each other orbit, largest
+    first, and stops once the orbits left cannot make up the rest."""
+    base = [p for orb in forced for p in orb]
+    free = sorted((o for o in orbits if o not in forced), key=lambda o: (-len(o), o))
+    found = []
+
+    def descend(idx, remaining, chosen):
+        if remaining == 0:
+            found.append(frozenset(base + [p for orb in chosen for p in orb]))
+        elif remaining > 0 and sum(len(o) for o in free[idx:]) >= remaining:
+            descend(idx + 1, remaining - len(free[idx]), chosen + [free[idx]])
+            descend(idx + 1, remaining, chosen)
+
+    descend(0, target - len(base), [])
+    return found

@@ -1,6 +1,7 @@
 """Design search oracles on the eight-, 36-, and 144-point actions."""
 
 import functools
+import itertools
 import math
 import random
 import sys
@@ -17,6 +18,7 @@ from flagsieve.designsearch import (
     _orbit_unions,
     _pair_coverage,
     _suborbit_screen,
+    _union_count,
     hypothesis_filter,
     korbit_designs,
     load_design,
@@ -28,6 +30,7 @@ from flagsieve.eliminator import SEARCH_REGISTRY, eliminate
 from flagsieve.grouporders import GroupSpec, SubgroupCase
 from flagsieve.permgroup import PermAction, builtin_action, subgroups_of_order
 from flagsieve.sieve import DesignParams
+from reference import orbit_unions
 
 PARAMS_36_SYM = DesignParams(36, 36, 21, 21, 12)
 PARAMS_36_QUASI = DesignParams(36, 48, 28, 21, 16)
@@ -256,10 +259,11 @@ def _candidate_subgroups(act, params):
     return act, act.order() // params.b, None
 
 
-def _orbit_unions_of(sub, params, alpha):
+def _reference_unions(sub, params, alpha):
+    """Every orbit union of size k through alpha, by the reference descent."""
     orbits = PermAction(params.v, sub).orbits()
     forced = [orb for orb in orbits if alpha in orb]
-    return _orbit_unions(orbits, forced, params.k)
+    return orbit_unions(orbits, forced, params.k)
 
 
 @pytest.mark.parametrize("group,params", FLAG_ROUTE_SEARCHES + BLOCK_ROUTE_SEARCHES)
@@ -271,15 +275,15 @@ def test_suborbit_screen_keeps_every_design(group, params, class_members):
     their number is the certificate's count."""
     act = builtin_action(group)
     source, order, alpha = _candidate_subgroups(act, params)
-    screen = _suborbit_screen(act, params)
+    _, _, screen = _suborbit_screen(act, params)
     found, unions, rejected, counts = {}, 0, 0, []
     classes = subgroups_of_order(source, order)
     for cls in classes:
         members = class_members(source, cls)
         assert len(members) == cls.size
-        counts.append(len(_orbit_unions_of(cls.representative, params, alpha)))
+        counts.append(len(_reference_unions(cls.representative, params, alpha)))
         for sub in members:
-            for union in _orbit_unions_of(sub, params, alpha):
+            for union in _reference_unions(sub, params, alpha):
                 unions += 1
                 passes = screen(union)
                 rejected += not passes
@@ -311,11 +315,13 @@ def test_suborbit_screen_keeps_every_design(group, params, class_members):
         # lattice that listed every subgroup, not only class
         # representatives, ran 987, 1183, 5698 and 7616 closures.
         # Extending by every element, not only by those normalizing the
-        # representative, ran 153, 122, 460 and 716.
-        ("psu3_3_36", PARAMS_36_SYM, 1, 52, 4914, "234 x 21"),
-        ("psu3_3_36", PARAMS_36_QUASI, 0, 52, 5880, "210 x 28"),
-        ("psu3_3_2_36", PARAMS_36_SYM, 1, 110, 126, "6 x 21"),
-        ("psu3_3_2_36", PARAMS_36_QUASI, 0, 148, 336, "4 x 14 + 10 x 28"),
+        # representative, ran 153, 122, 460 and 716.  Extending the trivial
+        # group by every element, not once per class of elements, and
+        # closing each <y> coset by coset, ran 52, 52, 110 and 148.
+        ("psu3_3_36", PARAMS_36_SYM, 1, 10, 4914, "234 x 21"),
+        ("psu3_3_36", PARAMS_36_QUASI, 0, 3, 5880, "210 x 28"),
+        ("psu3_3_2_36", PARAMS_36_SYM, 1, 19, 126, "6 x 21"),
+        ("psu3_3_2_36", PARAMS_36_QUASI, 0, 22, 336, "4 x 14 + 10 x 28"),
     ],
     ids=["psu3_3_36-sym", "psu3_3_36-quasi", "psu3_3_2_36-sym", "psu3_3_2_36-quasi"],
 )
@@ -482,7 +488,7 @@ def test_lambda_through_one_point_matches_pair_coverage():
         assert act.is_transitive()
         source, order, alpha = _candidate_subgroups(act, params)
         for cls in subgroups_of_order(source, order):
-            for union in _orbit_unions_of(cls.representative, params, alpha):
+            for union in _reference_unions(cls.representative, params, alpha):
                 if alpha is not None and not _meets_subdegrees_at_0(act, params, union):
                     continue
                 orbit = act.set_orbit(union)
@@ -595,15 +601,128 @@ def test_intransitive_action_checks_no_candidate(monkeypatch, params, certificat
     assert result == SearchResult("psl3_2_plus_fixed", params, (), True, certificate)
 
 
+def _built_unions(monkeypatch, act, params):
+    """The unions a search builds, one list per `_orbit_unions` call."""
+    built = []
+    build = designsearch._orbit_unions
+
+    def spy(orbits, group, quota):
+        built.append(build(orbits, group, quota))
+        return built[-1]
+
+    monkeypatch.setattr(designsearch, "_orbit_unions", spy)
+    result = stabilizer_search(act, params)
+    monkeypatch.undo()
+    return built, result
+
+
+@pytest.mark.parametrize(
+    "group,params",
+    FLAG_ROUTE_SEARCHES
+    + BLOCK_ROUTE_SEARCHES
+    + [("psl3_2_plus_fixed", params) for params, _ in INTRANSITIVE_SEARCHES],
+)
+def test_orbit_unions_match_reference(monkeypatch, group, params):
+    """Oracle for the quota enumerator and the subset-sum count, on every
+    class representative of the tier-1 searches: the unions built are, in
+    order, the reference descent's unions of size k that meet the subdegree
+    identity at the base point (on the block route, all of them; on an
+    intransitive action, none), and the count is the reference's."""
+    if group == "psl3_2_plus_fixed":
+        act = _fano_plus_fixed_point()
+    else:
+        act = builtin_action(group)
+    source, order, alpha = _candidate_subgroups(act, params)
+    built, result = _built_unions(monkeypatch, act, params)
+    classes = subgroups_of_order(source, order)
+    expected, counted = [], []
+    for cls in classes:
+        orbits = PermAction(params.v, cls.representative).orbits()
+        unions = _reference_unions(cls.representative, params, alpha)
+        free = [len(orb) for orb in orbits if alpha not in orb]
+        assert _union_count(free, params.k - (alpha is not None)) == len(unions)
+        counted.append(len(unions))
+        if alpha is not None:
+            unions = [u for u in unions if _meets_subdegrees_at_0(act, params, u)]
+        expected.append(unions)
+    if not act.is_transitive():
+        expected = []
+    assert built == expected
+    if alpha is not None:  # the flag route counts every member's unions
+        counted = [n * cls.size for n, cls in zip(counted, classes)]
+    detail = dict(result.certificate)["candidate-blocks"]
+    assert detail.startswith(f"tested {sum(counted)} orbit unions of size {params.k}")
+
+
+def test_orbit_unions_unmet_quota():
+    """A quota that the orbits of its group cannot fill, or a group with a
+    quota and no orbits, gives no union; a quota they can fill gives every
+    way to fill it, with nothing from the groups without a quota."""
+    orbits = [(0,), (1, 2), (3, 4), (5,)]
+    group = [0, 1, 1, 1, 1, 2]
+    assert _orbit_unions(orbits, group, {0: 1, 1: 3}) == []
+    assert _orbit_unions(orbits, group, {0: 1, 3: 1}) == []
+    assert _orbit_unions(orbits, group, {0: 1, 1: 2}) == [
+        frozenset({0, 1, 2}),
+        frozenset({0, 3, 4}),
+    ]
+    assert _union_count([1, 2, 2, 1], 3) == 4 == len(orbit_unions(orbits, [], 3))
+
+
+def test_orbit_unions_match_brute_force():
+    """Property check on random partitions into orbits and groups: the
+    quota enumerator builds exactly the sets of orbits whose sizes meet
+    every quota, and the subset-sum count is the number of sets of orbits
+    of each total size."""
+    rng = random.Random(28)
+    for _ in range(200):
+        points = list(range(rng.randint(1, 12)))
+        rng.shuffle(points)
+        cuts = sorted(rng.sample(range(1, len(points)), rng.randint(0, len(points) - 1)))
+        orbits = [
+            tuple(sorted(points[a:b]))
+            for a, b in zip([0] + cuts, cuts + [len(points)])
+        ]
+        group = [0] * len(points)
+        for orb in orbits:
+            g = rng.randint(0, 2)
+            for p in orb:
+                group[p] = g
+        quota = {g: rng.randint(1, 4) for g in rng.sample(range(4), rng.randint(1, 3))}
+        subsets = [
+            chosen
+            for size in range(len(orbits) + 1)
+            for chosen in itertools.combinations(orbits, size)
+        ]
+        brute = {
+            frozenset(p for orb in chosen for p in orb)
+            for chosen in subsets
+            if all(
+                sum(len(orb) for orb in chosen if group[orb[0]] == g) == quota.get(g, 0)
+                for g in range(4)
+            )
+        }
+        built = _orbit_unions(orbits, group, quota)
+        assert len(built) == len(brute) and set(built) == brute
+        sizes = [len(orb) for orb in orbits]
+        for target in range(len(points) + 1):
+            assert _union_count(sizes, target) == sum(
+                sum(map(len, chosen)) == target for chosen in subsets
+            )
+
+
 def test_union_budget_edges(monkeypatch):
-    """The orbit-union budget is checked per class representative; the
-    symmetric search on psu3_3_36 enumerates 234 unions of one."""
+    """The orbit-union budget counts the unions built for one class
+    representative, those that meet the base-point quotas: the symmetric
+    search on psu3_3_36 builds 4 of its 234 unions of size 21."""
     act, params = builtin_action("psu3_3_36"), PARAMS_36_SYM
     expected = stabilizer_search(act, params)
-    monkeypatch.setattr(designsearch, "_UNION_LIMIT", 234)
+    monkeypatch.setattr(designsearch, "_UNION_LIMIT", 4)
     assert stabilizer_search(act, params) == expected
-    monkeypatch.setattr(designsearch, "_UNION_LIMIT", 233)
-    with pytest.raises(RuntimeError, match="size 21 exceed the union budget 233$"):
+    monkeypatch.setattr(designsearch, "_UNION_LIMIT", 3)
+    with pytest.raises(
+        RuntimeError, match="size 21 within the base-point quotas exceed the union budget 3$"
+    ):
         stabilizer_search(act, params)
 
 

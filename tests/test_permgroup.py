@@ -642,9 +642,11 @@ LATTICE_36 = {"psu3_3_36": (8, 6), "psu3_3_2_36": (16, 12)}
     [
         # listing members as permutation sets and conjugating them by
         # compose took 5,459 and 25,905; testing each candidate y for
-        # y^-1*u*y in U, two composes per generator u, took 2,603 and 11,457
-        ("psu3_3_36", 1853),
-        ("psu3_3_2_36", 5231),
+        # y^-1*u*y in U, two composes per generator u, took 2,603 and
+        # 11,457; extending the trivial group by every element, each with
+        # its powers built for each m, took 1,853 and 5,231
+        ("psu3_3_36", 1171),
+        ("psu3_3_2_36", 2594),
     ],
 )
 def test_lattice_36_compose_counts(monkeypatch, name, composed):
@@ -652,7 +654,9 @@ def test_lattice_36_compose_counts(monkeypatch, name, composed):
     point stabilizer, on a fresh action whose elements are listed already,
     so that the element index is built by the first search and shared.
     Normalizers are read off the class walks, so no candidate is composed
-    to test whether it normalizes a representative."""
+    to test whether it normalizes a representative; a candidate's powers
+    are built once, for both searches, and only for the candidates that a
+    representative other than the trivial group tries."""
     base = builtin_action(name).point_stabilizer(0)
     group = PermAction(base.degree, base.generators)
     group.elements()
@@ -674,6 +678,37 @@ def _lattice_groups():
     return out + [builtin_action(name).point_stabilizer(0) for name in LATTICE_36]
 
 
+# SHA-256 of every class of `subgroups_of_order` (representative generators
+# and class size, in order) for every m <= 200 dividing |G| on the groups of
+# `_lattice_output`, taken before the cyclic layer was opened per element class
+LATTICE_OUTPUT_DIGEST = (
+    "0ca9d157ea0ab6f0672ef2a23c0e84a27db3db0ef9054c67bbda2ed0c1ea35e1"
+)
+
+
+def _lattice_output():
+    """One line per class of order-m subgroups, m <= 200 dividing |G|, on
+    psl2_7, pgl2_7 and the point stabilizers of psu3_3_36, psu3_3_2_36,
+    psl3_3 and psu3_3."""
+    groups = [("psl2_7", builtin_action("psl2_7")), ("pgl2_7", builtin_action("pgl2_7"))]
+    for name in ("psu3_3_36", "psu3_3_2_36", "psl3_3", "psu3_3"):
+        groups.append((f"{name}_stab0", builtin_action(name).point_stabilizer(0)))
+    for name, group in groups:
+        for m in range(1, 201):
+            if group.order() % m == 0:
+                for cls in subgroups_of_order(group, m):
+                    yield f"{name} {m} {cls.size} {cls.representative}\n"
+
+
+def test_lattice_output_digest():
+    """The lattice's representatives, class sizes and class order are pinned
+    on 6 groups of order 168 to 432, every m <= 200 dividing the order."""
+    digest = hashlib.sha256()
+    for line in _lattice_output():
+        digest.update(line.encode())
+    assert digest.hexdigest() == LATTICE_OUTPUT_DIGEST
+
+
 def test_element_index_conjugation_tables():
     for group in _lattice_groups():
         elements = group.elements()
@@ -685,6 +720,26 @@ def test_element_index_conjugation_tables():
             assert [elements[i] for i in table] == [
                 conjugate_perm(e, g) for e in elements
             ]
+
+
+def test_element_index_classes_match_brute_force():
+    """Oracle for the conjugacy classes on the element index: each is
+    {g^-1*e*g : g in G}, found by conjugating by every element, and numbered
+    by the position of its least member.  PSL(2,7) has 6 classes and
+    PGL(2,7) has 9."""
+    counts = []
+    for group in _lattice_groups():
+        elements, index = group.elements(), group.element_index()
+        position = index.position
+        expected = [None] * len(elements)
+        for i, e in enumerate(elements):
+            if expected[i] is None:
+                for x in {conjugate_perm(e, g) for g in elements}:
+                    expected[position[x]] = i
+        assert list(index.classes) == expected
+        assert list(index.orders) == [perm_order(e) for e in elements]
+        counts.append(len(set(expected)))
+    assert counts[:2] == [6, 9]
 
 
 def test_element_index_tree_lists_each_element_once():

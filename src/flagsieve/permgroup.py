@@ -23,13 +23,15 @@ handled as generator sets, one conjugacy class at a time, each class given
 by one representative and its size: grown from class representatives by
 cyclic extension on permutations in small groups, with class members keyed
 by their element index sets, and from the Sylow-normalizer argument in
-larger ones.  No multiplication table is kept.  The builtin subgroups
-(PSL(2,7) in PSU_3(3), a Sylow 13-subgroup) are picked from fixed walks
-over generator words, and the unitary groups' two generators are written
-down; each choice is certified by its chain order.  The four builtins of
-degree 36 and 144 come from one recipe, a base builtin on the conjugates
-of one of its subgroups, and every action induced on a list of point sets
-(point pairs, hyperplanes) is read off by one helper.
+larger ones, where each conjugate of a Sylow subgroup of prime order is
+keyed by the base images of one canonical generator.  No multiplication
+table is kept.  The builtin subgroups (PSL(2,7) in PSU_3(3), a Sylow
+13-subgroup) are picked from fixed walks over generator words, and the
+unitary groups' two generators are written down; each choice is
+certified by its chain order.  The four builtins of degree 36 and 144
+come from one recipe, a base builtin on the conjugates of one of its
+subgroups, and every action induced on a list of point sets (point
+pairs, hyperplanes) is read off by one helper.
 
 The classical actions are written down from their defining equations:
 projective and isotropic points are listed in sorted order, a unitary
@@ -353,6 +355,7 @@ def orbit(
     start: Hashable,
     moves: Callable[[Hashable], Iterable[Hashable]],
     cap: Optional[int] = None,
+    key: Optional[Callable[[Hashable], Hashable]] = None,
 ) -> Optional[Tuple[List[Hashable], List[int]]]:
     """Breadth-first orbit of start, where moves(x) lists x's images, one
     per generator in a fixed order.
@@ -360,18 +363,21 @@ def orbit(
     Returns the points in discovery order and, for every point in that
     order and every generator, the discovery index of the image: the
     targets of the walk's edges, generator-major within each point.  None
-    as soon as the orbit grows past cap points.
+    as soon as the orbit grows past cap points.  When several values stand
+    for one orbit point, key(x) names x's point, and the point is kept as
+    the value that first reached it.
     """
-    index = {start: 0}
+    index = {start if key is None else key(start): 0}
     points = [start]
     targets: List[int] = []
     for cur in points:
         for image in moves(cur):
-            at = index.get(image)
+            name = image if key is None else key(image)
+            at = index.get(name)
             if at is None:
                 if cap is not None and len(points) >= cap:
                     return None
-                at = index[image] = len(points)
+                at = index[name] = len(points)
                 points.append(image)
             targets.append(at)
     return points, targets
@@ -1164,6 +1170,44 @@ def _cyclic_key(y: Perm) -> Perm:
     return _perm_power(y, cycle.index(min(cycle[1:])))
 
 
+def _base_key(z: Perm, base: Sequence[int]) -> Tuple[int, ...]:
+    """For z of prime order in a group with this complete base: the base
+    images of the generator of <z> that takes the first base point z moves
+    to the least other point of its z-cycle.  Two subgroups of prime order
+    with the same key are equal (the proof is in `_sylow_route`)."""
+    start = next(b for b in base if z[b] != b)
+    point = least = z[start]
+    e = j = 1
+    while True:
+        point = z[point]
+        j += 1
+        if point == start:
+            break
+        if point < least:
+            least, e = point, j
+    images = []
+    for point in base:
+        for _ in range(e):
+            point = z[point]
+        images.append(point)
+    return tuple(images)
+
+
+def _sylow_walk(action: PermAction, ell: int) -> Tuple[List[Perm], List[int]]:
+    """The orbit walk of a Sylow ell-subgroup, for a prime ell dividing the
+    group order once, under conjugation by the generators: one generator
+    of each conjugate, the first one a `_cyclic_key`, and the walk's
+    targets.  Conjugates are keyed by `_base_key` (see `_sylow_route`)."""
+    conjugators = [_conjugator(g) for g in action.generators]
+    base = action.chain().base
+    conjugates, targets = orbit(
+        _cyclic_key(_element_of_order(action, ell)),
+        lambda z: [conj(z) for conj in conjugators],
+        key=lambda z: _base_key(z, base),
+    )
+    return conjugates, targets
+
+
 def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ...]]:
     """Order-m subgroups when they are exactly the normalizers of a Sylow,
     or the Sylow subgroups themselves.
@@ -1183,6 +1227,22 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
     Schreier generators of that orbit generate N(P), the representative.
     They are read only until the kept ones generate a group of order m,
     which is then N(P), so no later one would be kept.
+
+    Each node of the walk is the conjugate z = y^g, of a node y by a
+    generator g, that first reached it, and <z> is named by `_base_key` on
+    the complete base of `action.chain()` (Sims 1970; Seress, ch. 4), so
+    no power of z is built.  The key is exact.  Every nontrivial power of
+    z moves the first base point b that z moves, and fixes the base points
+    before b: a nontrivial power that fixed b would generate <z>, ell being
+    prime, and then z would fix b.  So the ell points z^j(b) are distinct,
+    exactly one power z^e takes b to the least other point of that cycle,
+    and z^e depends only on <z>.  It lies in G, whose pointwise stabilizer
+    of a complete base is trivial, so its base images determine it, and
+    <z> = <z^e>.  Which conjugate stands for a node does not change which
+    subgroups its images are, so the walk meets the subgroups in the same
+    order, with the same targets, as one keyed by `_cyclic_key`.  The start
+    node, conjugates[0], is still x's `_cyclic_key`, and the Schreier
+    generators, N(P) and every certificate built on them are unchanged.
     """
     n = action.order()
     for ell, e in factorize(m).pairs:
@@ -1198,12 +1258,7 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
         )
         if not forced:
             continue
-        conjugators = [_conjugator(g) for g in action.generators]
-        # each conjugate of P is keyed by its generator _cyclic_key picks
-        conjugates, targets = orbit(
-            _cyclic_key(_element_of_order(action, ell)),
-            lambda y: [_cyclic_key(conj(y)) for conj in conjugators],
-        )
+        conjugates, targets = _sylow_walk(action, ell)
         if n // len(conjugates) != m:
             if m == ell:
                 return (SubgroupClass((conjugates[0],), len(conjugates)),)

@@ -1,12 +1,14 @@
 """Reference helpers that only the tests use: the order formulas and
 product bounds written out term by term, a point stabilizer listed
 element by element, field addition digit by digit, the action on a
-subgroup's conjugates by conjugating every element, projective points
-by normalizing every vector, the hermitian form and the special unitary
-test entry by entry, unitary matrices by trying every matrix of a shape,
-hyperplane images by the inverse transpose, and the orbit unions of a
-size by a full descent.  The package computes the same quantities another
-way, so these stay independent oracles for it."""
+subgroup's conjugates by conjugating every element, the conjugates of a
+subgroup of prime order each kept as a whole canonical generator,
+projective points by normalizing every vector, the hermitian form and
+the special unitary test entry by entry, unitary matrices by trying
+every matrix of a shape, hyperplane images by the inverse transpose,
+and the orbit unions of a size by a full descent.  The package computes
+the same quantities another way, so these stay independent oracles for
+it."""
 
 import functools
 import itertools
@@ -85,6 +87,38 @@ def conjugation_images(action, elements):
                 walk.append(conj)
             image.append(index[conj])
     return [tuple(image) for image in images]
+
+
+def cyclic_key(y):
+    """For y of prime order: the generator of <y> that takes the smallest
+    point y moves to the next smallest point of that cycle, as a power of
+    y built one factor at a time."""
+    start = next(i for i, image in enumerate(y) if image != i)
+    cycle = [start]
+    while y[cycle[-1]] != start:
+        cycle.append(y[cycle[-1]])
+    out = tuple(range(len(y)))
+    for _ in range(cycle.index(min(cycle[1:]))):
+        out = tuple(y[i] for i in out)
+    return out
+
+
+def cyclic_key_walk(action, x):
+    """The conjugates of <x>, for x of prime order, breadth-first under
+    conjugation by the generators, each kept as its `cyclic_key`.  Returns
+    those keys in discovery order and the walk's targets, generator-major
+    within each conjugate."""
+    inverses = [sorted(range(len(g)), key=g.__getitem__) for g in action.generators]
+    start = cyclic_key(x)
+    index, walk, targets = {start: 0}, [start], []
+    for y in walk:
+        for g, g_inv in zip(action.generators, inverses):
+            key = cyclic_key(tuple(g[y[j]] for j in g_inv))
+            if key not in index:
+                index[key] = len(walk)
+                walk.append(key)
+            targets.append(index[key])
+    return walk, targets
 
 
 def normalized_projective_points(F, n):

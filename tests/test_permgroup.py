@@ -43,12 +43,15 @@ from flagsieve.permgroup import (
     _matrix_point_perm,
     _psl2_7_in_psu3_3,
     _sylow_route,
+    _sylow_walk,
     _two_three_seven_subgroup,
     _unitary_matrix_perms,
 )
 from flagsieve.sieve import DesignParams
 from reference import (
     conjugation_images,
+    cyclic_key,
+    cyclic_key_walk,
     digit_add,
     digit_neg,
     hermitian_form,
@@ -604,6 +607,14 @@ def _relabelled(action, seed):
     return PermAction(action.degree, generators, label=action.label)
 
 
+def _named_action(name):
+    """A built-in by name, or by "name@seed": that built-in relabelled by
+    `_relabelled` with the seed."""
+    base, _, seed = name.partition("@")
+    action = builtin_action(base)
+    return _relabelled(action, int(seed)) if seed else action
+
+
 def test_lattice_route_invariant_under_relabelling():
     """Renaming the points of psu3_3_2_36 changes which elements the
     lattice route meets first, and the order of its classes, not their
@@ -827,12 +838,18 @@ def test_subgroups_of_order_sylow_route(class_members):
 
 
 @pytest.mark.parametrize(
-    "name,ell,count", [("psu3_3", 7, 288), ("psl3_3_2_144", 13, 144)]
+    "name,ell,count",
+    [
+        ("psu3_3", 7, 288),
+        ("psl3_3_2_144", 13, 144),
+        ("psu3_3@1", 7, 288),
+        ("psl3_3_2_144@2", 13, 144),
+    ],
 )
 def test_subgroups_of_order_prime_sylow(name, ell, count):
     """A prime dividing |G| once: the order-ell subgroups are the Sylow
     ell-subgroups, one class, though their normalizers are larger."""
-    act = builtin_action(name)
+    act = _named_action(name)
     (cls,) = subgroups_of_order(act, ell)
     assert act.order() > 1000 and cls.size == count
     assert PermAction(act.degree, cls.representative).order() == ell
@@ -1146,10 +1163,18 @@ def test_chain_matches_enumeration(name):
 
 
 @pytest.mark.parametrize(
-    "name,m", [("psl3_3_144", 39), ("psl3_3_2_144", 78), ("psl3_3_144", 13)]
+    "name,m",
+    [
+        ("psl3_3_144", 39),
+        ("psl3_3_2_144", 78),
+        ("psl3_3_144", 13),
+        ("psl3_3_144@1", 39),
+        ("psl3_3_2_144@2", 78),
+        ("psl3_3_144@3", 13),
+    ],
 )
 def test_sylow_route_matches_element_list(name, m, class_members):
-    act = builtin_action(name)
+    act = _named_action(name)
     group = _bfs_closure(act.degree, act.generators)
     sylow_count = sum(1 for g in group if perm_order(g) == 13) // 12
     assert sylow_count == 144
@@ -1165,6 +1190,49 @@ def test_sylow_route_matches_element_list(name, m, class_members):
     assert cls.size == len(members) == sylow_count
     for sub in members:
         assert len(sub) == m and sub <= group
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+@pytest.mark.parametrize(
+    "name,ell",
+    [
+        ("psl2_7", 7),
+        ("pgl2_7", 7),
+        ("psu3_3", 7),
+        ("psl3_3_144", 13),
+        ("psl3_3_2_144", 13),
+    ],
+)
+def test_sylow_walk_matches_cyclic_key_walk(name, ell, seed):
+    """Conjugates keyed by the base images of a canonical generator walk
+    as conjugates keyed by a whole canonical generator: the same targets,
+    the same number of conjugates, and the same first generator.  Each
+    node generates the subgroup the oracle found at its place.  The base,
+    and so the key, moves with the labels."""
+    act = builtin_action(name)
+    if seed is not None:
+        act = _relabelled(act, seed)
+    conjugates, targets = _sylow_walk(act, ell)
+    expected, expected_targets = cyclic_key_walk(act, _element_of_order(act, ell))
+    assert targets == expected_targets
+    assert len(conjugates) == len(expected)
+    assert conjugates[0] == expected[0]
+    assert [cyclic_key(z) for z in conjugates] == expected
+
+
+def test_sylow_route_builds_one_canonical_generator(monkeypatch):
+    """On psl3_3_2_144 at m = 78 only the start of the walk is keyed by a
+    whole canonical generator; the other 432 edges read base images."""
+    calls = []
+    whole = permgroup._cyclic_key
+
+    def counted(y):
+        calls.append(y)
+        return whole(y)
+
+    monkeypatch.setattr(permgroup, "_cyclic_key", counted)
+    (cls,) = _sylow_route(builtin_action("psl3_3_2_144"), 78)
+    assert cls.size == 144 and len(calls) == 1
 
 
 @pytest.mark.parametrize("name,m", [("psl3_3_144", 39), ("psl3_3_2_144", 78)])

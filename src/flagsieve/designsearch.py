@@ -108,14 +108,21 @@ def _canonical_blocks(blocks: Iterable[FrozenSet[int]]) -> BlockSet:
 
 
 def _pair_coverage(blocks: Sequence[FrozenSet[int]], v: int) -> Optional[int]:
-    """Common pair multiplicity, or None if it is not constant."""
-    counts: Counter = Counter()
-    for block in blocks:
-        counts.update(combinations(sorted(block), 2))
-    if len(counts) != v * (v - 1) // 2:
-        return None  # some pair uncovered
-    values = set(counts.values())
-    return values.pop() if len(values) == 1 else None
+    """Common pair multiplicity, or None if it is not constant or some pair
+    is uncovered.
+
+    Each point gets the bit set of the blocks that hold it, bit t for the
+    t-th block, so a pair lies in as many blocks as the two points' sets
+    share bits.
+    """
+    through = [0] * v
+    for t, block in enumerate(blocks):
+        for p in block:
+            through[p] |= 1 << t
+    counts = {
+        (x & y).bit_count() for i, x in enumerate(through) for y in through[i + 1 :]
+    }
+    return counts.pop() if len(counts) == 1 and 0 not in counts else None
 
 
 def _lambda_through(

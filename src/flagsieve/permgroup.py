@@ -18,7 +18,8 @@ remains for groups of order at most 1000, where it supplies the lattice
 search's extension candidates, and as the independent oracle of the tests.
 A listed group is indexed once (`PermAction.element_index`): each element's
 position in the sorted list, its class and order, one conjugation table
-per generator, and the breadth-first tree that listed the group.  Subgroups are
+per generator, and the breadth-first tree that listed the group, all read
+off the listing walk's targets with no further product.  Subgroups are
 handled as generator sets, one conjugacy class at a time, each class given
 by one representative and its size: grown from class representatives by
 cyclic extension on permutations in small groups, with class members keyed
@@ -300,6 +301,11 @@ def compose(p: Perm, q: Perm) -> Perm:
     return itemgetter(*p)(q)
 
 
+def _multiplier(p: Perm) -> Callable[[Perm], Perm]:
+    """The map q -> compose(p, q), with p read once."""
+    return itemgetter(*p) if len(p) > 1 else functools.partial(compose, p)
+
+
 def inverse_perm(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, image in enumerate(p):
@@ -393,19 +399,22 @@ def schreier_generators(
     along the edge that discovered it, so u maps the start to it; every
     other edge, from p by g to t, gives the Schreier generator
     u_p * g * u_t^-1 (Schreier's lemma; Seress, *Permutation Group
-    Algorithms*, ch. 4).  Yielded lazily in edge order, identities left
-    out, so a reader that has what it needs stops the replay there.
+    Algorithms*, ch. 4).  The inverse of a new word u_p * g is
+    g^-1 * u_p^-1, one product, with each generator inverted once.
+    Yielded lazily in edge order, identities left out, so a reader that
+    has what it needs stops the replay there.
     """
     ident = identity_perm(len(generators[0]))
     trans, inv = [ident], [ident]
     edges = iter(targets)
-    for u in trans:  # grows while the walk's edges are replayed
-        for g in generators:
+    inverses = [inverse_perm(g) for g in generators]
+    for u, u_inv in zip(trans, inv):  # both grow while the edges are replayed
+        for g, g_inv in zip(generators, inverses):
             word = compose(u, g)
             t = next(edges)
             if t == len(trans):
                 trans.append(word)
-                inv.append(inverse_perm(word))
+                inv.append(compose(g_inv, u_inv))
             else:
                 s = compose(word, inv[t])
                 if s != ident:
@@ -418,9 +427,12 @@ class StabChain:
     Level i holds the base point base[i], the strong generators fixing
     base[0..i-1], and a transversal of their orbit of base[i]: for each
     orbit point beta an element u with u[base[i]] == beta, and its inverse.
-    The group order is the product of the orbit lengths.  Generators are
-    added one at a time; one that already sifts to the identity is dropped,
-    so a chain also picks a small generating set out of a long list.
+    A strong generator is inverted once, when it is installed, so the
+    inverse of each new transversal element u * g is g^-1 * u^-1, one
+    product.  The group order is the product of the orbit lengths.
+    Generators are added one at a time; one that already sifts to the
+    identity is dropped, so a chain also picks a small generating set out
+    of a long list.
     """
 
     def __init__(
@@ -430,6 +442,7 @@ class StabChain:
         self.identity = identity_perm(degree)
         self.base: List[int] = []
         self.gens: List[List[Perm]] = []
+        self.gens_inv: List[List[Perm]] = []  # the inverses of gens
         self.trans: List[Dict[int, Perm]] = []
         self.inv: List[Dict[int, Perm]] = []
         # Schreier generators (orbit point, generator index) known to sift
@@ -442,6 +455,7 @@ class StabChain:
     def _add_level(self, point: int) -> None:
         self.base.append(point)
         self.gens.append([])
+        self.gens_inv.append([])
         self.trans.append({point: self.identity})
         self.inv.append({point: self.identity})
         self._checked.append(set())
@@ -451,6 +465,7 @@ class StabChain:
         out = StabChain(self.degree)
         out.base = self.base[1:]
         out.gens = [list(g) for g in self.gens[1:]]
+        out.gens_inv = [list(g) for g in self.gens_inv[1:]]
         out.trans = [dict(t) for t in self.trans[1:]]
         out.inv = [dict(t) for t in self.inv[1:]]
         out._checked = [set(c) for c in self._checked[1:]]
@@ -492,25 +507,28 @@ class StabChain:
         low..high, adding a base point if high is past the base."""
         if high == len(self.base):
             self._add_level(_first_moved(h))
+        h_inv = inverse_perm(h)
         for level in range(low, high + 1):
             self.gens[level].append(h)
-            self._grow_orbit(level, h)
+            self.gens_inv[level].append(h_inv)
+            self._grow_orbit(level, h, h_inv)
 
-    def _grow_orbit(self, level: int, new: Perm) -> None:
-        trans, inv, gens = self.trans[level], self.inv[level], self.gens[level]
+    def _grow_orbit(self, level: int, new: Perm, new_inv: Perm) -> None:
+        trans, inv = self.trans[level], self.inv[level]
+        gens = list(zip(self.gens[level], self.gens_inv[level]))
         fresh = []
         for beta in list(trans):
             image = new[beta]
             if image not in trans:
                 trans[image] = compose(trans[beta], new)
-                inv[image] = inverse_perm(trans[image])
+                inv[image] = compose(new_inv, inv[beta])
                 fresh.append(image)
         for beta in fresh:
-            for g in gens:
+            for g, g_inv in gens:
                 image = g[beta]
                 if image not in trans:
                     trans[image] = compose(trans[beta], g)
-                    inv[image] = inverse_perm(trans[image])
+                    inv[image] = compose(g_inv, inv[beta])
                     fresh.append(image)
 
     def _complete(self, level: int) -> None:
@@ -552,6 +570,9 @@ class ElementIndex(NamedTuple):
     tree is the breadth-first walk that listed them, one (i, parent, j)
     with e_i = e_parent * g_j per non-identity e_i, parents first; powers
     keeps the lattice's lists of generators of <e_i>, filled on demand.
+    The tree edges are the walk's edges that discover their targets, and
+    conj is read down them by integers alone, as
+    g^-1 * e_parent * g_j = (g^-1 * e_parent) * g_j (`element_index`).
     """
 
     position: Dict[Perm, int]
@@ -587,7 +608,8 @@ class PermAction:
         self.generators: Tuple[Perm, ...] = tuple(gens)
         self.label = label
         self._elements: Optional[Tuple[Perm, ...]] = None
-        self._walk: List[Tuple[Perm, Perm, int]] = []  # what listed _elements
+        # what listed _elements: discovery indices by value, and edge targets
+        self._walk: Tuple[List[int], List[int]] = ([], [])
         self._index: Optional[ElementIndex] = None
         # stabilizer chains by first base point; None is the default base
         self._chains: Dict[Optional[int], StabChain] = {}
@@ -618,37 +640,75 @@ class PermAction:
         return self._chains[point]
 
     def elements(self, limit: int = 10**6) -> Tuple[Perm, ...]:
-        """All group elements, sorted; BFS closure over the generators.
+        """All group elements, sorted.
 
-        Refuses, before listing anything, when the group order exceeds limit.
+        They are listed by the `orbit` walk from the identity under the
+        right multiplications x -> x * g_j, and the walk's edge targets are
+        kept for `element_index`: the edge from e_p by g_j reaches e_p * g_j,
+        and left multiplication follows the walk's tree, as
+        g^-1 * e_p * g_j = (g^-1 * e_p) * g_j.  Refuses, before listing
+        anything, when the group order exceeds limit.
         """
         order = self.order()
         if order > limit:
             raise RuntimeError(f"group order {order} exceeds element budget {limit}")
         if self._elements is None:
-            self._walk = [(identity_perm(self.degree), (), 0), *_words(self)]
-            self._elements = tuple(sorted(e for e, _, _ in self._walk))
+            gens = self.generators
+            ident = identity_perm(self.degree)
+            listed, targets = orbit(ident, lambda x: map(_multiplier(x), gens))
+            by_value = sorted(range(len(listed)), key=listed.__getitem__)
+            self._elements = tuple(map(listed.__getitem__, by_value))
+            self._walk = (by_value, targets)
         return self._elements
 
     def element_index(self) -> ElementIndex:
-        """The sorted element list indexed once (`ElementIndex`); classes
-        are orbits of the conjugation tables."""
+        """The sorted element list indexed once (`ElementIndex`), from the
+        targets of the walk that listed it, with no permutation product.
+
+        The right-multiplication tables right[j][i] = pos(e_i * g_j) are the
+        targets renumbered by position.  An edge is a tree edge exactly when
+        its target is the next element the walk discovers, as `orbit` numbers
+        points in discovery order.  Left multiplication by g^-1 then follows
+        the tree: g^-1 * e_p * g_k = (g^-1 * e_p) * g_k, so from
+        pos(g^-1) at the identity each tree edge e_i = e_p * g_k gives
+        left[i] = right[k][left[p]], and conj[j][i] = right[j][left[i]] is
+        pos(g_j^-1 * e_i * g_j) (the regular representation; Holt, Eick and
+        O'Brien, *Handbook of Computational Group Theory*, 2005).  Classes
+        are orbits of the conjugation tables.
+        """
         if self._index is None:
             elements = self.elements()
+            by_value, targets = self._walk
             position = {e: i for i, e in enumerate(elements)}
-            conj = tuple(
-                [position[conj(e)] for e in elements]
-                for conj in map(_conjugator, self.generators)
-            )
+            rank = [0] * len(elements)  # discovery index -> position
+            for i, d in enumerate(by_value):
+                rank[d] = i
+            n = len(self.generators)
+            columns = [targets[j::n] for j in range(n)]  # by discovery index
+            right = [[rank[col[d]] for d in by_value] for col in columns]
+            tree, found = [], 1
+            for edge, t in enumerate(targets):
+                if t == found:
+                    found += 1
+                    tree.append((rank[t], rank[edge // n], edge % n))
+            conj = []
+            for g, table in zip(self.generators, right):
+                # left[i] = pos(g^-1 * e_i): pos(g^-1) at the identity, and
+                # every other entry is written down the tree
+                left = [position[inverse_perm(g)]] * len(elements)
+                for i, parent, k in tree:
+                    left[i] = right[k][left[parent]]
+                conj.append(list(map(table.__getitem__, left)))
             classes, orders = [-1] * len(elements), [0] * len(elements)
             for i, e in enumerate(elements):
                 if classes[i] < 0:  # e is the least member of its class
                     d = perm_order(e)
                     for x in orbit(i, lambda x: [table[x] for table in conj])[0]:
                         classes[x], orders[x] = i, d
-            tree = tuple((position[e], position[p], j) for e, p, j in self._walk[1:])
             classes, orders = tuple(classes), tuple(orders)
-            self._index = ElementIndex(position, conj, classes, orders, tree, {})
+            self._index = ElementIndex(
+                position, tuple(conj), classes, orders, tuple(tree), {}
+            )
         return self._index
 
     def order(self) -> int:

@@ -6,12 +6,15 @@ subgroup of prime order each kept as a whole canonical generator,
 projective points by normalizing every vector, the hermitian form and
 the special unitary test entry by entry, unitary matrices by trying
 every matrix of a shape, hyperplane images by the inverse transpose,
-and the orbit unions of a size by a full descent.  The package computes
-the same quantities another way, so these stay independent oracles for
-it."""
+the orbit unions of a size by a full descent, Schreier generators with
+every transversal word inverted on its own, and a block set's pair
+multiplicity by counting every pair of every block.  The package
+computes the same quantities another way, so these stay independent
+oracles for it."""
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 
@@ -222,3 +225,37 @@ def orbit_unions(orbits, forced, target):
 
     descend(0, target - len(base), [])
     return found
+
+
+def schreier_generators_inverting_words(generators, targets):
+    """The Schreier generators u_p * g * u_t^-1 of an orbit walk, in edge
+    order, identities left out, as a list: each transversal word u is built
+    along the edge that discovered its point and inverted on its own."""
+    ident = tuple(range(len(generators[0])))
+    trans, inv, out = [ident], [ident], []
+    edges = iter(targets)
+    for u in trans:
+        for g in generators:
+            word = tuple(g[i] for i in u)
+            t = next(edges)
+            if t == len(trans):
+                trans.append(word)
+                inv.append(tuple(sorted(range(len(word)), key=word.__getitem__)))
+            else:
+                s = tuple(inv[t][i] for i in word)
+                if s != ident:
+                    out.append(s)
+    return out
+
+
+def pair_coverage_by_counting(blocks, v):
+    """The number of blocks holding each pair of the v points, by counting
+    every pair of every block; None unless it is one number for all pairs,
+    some pair being uncovered included."""
+    counts = Counter()
+    for block in blocks:
+        counts.update(itertools.combinations(sorted(block), 2))
+    if len(counts) != v * (v - 1) // 2:
+        return None
+    values = set(counts.values())
+    return values.pop() if len(values) == 1 else None

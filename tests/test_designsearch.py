@@ -30,7 +30,7 @@ from flagsieve.eliminator import SEARCH_REGISTRY, eliminate
 from flagsieve.grouporders import GroupSpec, SubgroupCase
 from flagsieve.permgroup import PermAction, builtin_action, subgroups_of_order
 from flagsieve.sieve import DesignParams
-from reference import orbit_unions
+from reference import orbit_unions, pair_coverage_by_counting
 
 PARAMS_36_SYM = DesignParams(36, 36, 21, 21, 12)
 PARAMS_36_QUASI = DesignParams(36, 48, 28, 21, 16)
@@ -506,6 +506,63 @@ def test_lambda_through_one_point_matches_pair_coverage():
     assert _lambda_through(blocks, 0, 8) is None is _pair_coverage(blocks, 8)
 
 
+def _k_orbits(act, k):
+    """Every orbit of k-subsets that korbit_designs walks."""
+    seen = set()
+    for combo in itertools.combinations(range(act.degree), k):
+        if frozenset(combo) not in seen:
+            blocks = act.set_orbit(combo)
+            seen.update(blocks)
+            yield blocks
+
+
+def _mutations(blocks, v):
+    """The block list with its first block dropped, with it repeated, and
+    with its least point swapped for the least point outside it."""
+    first = blocks[0]
+    yield blocks[1:]
+    yield blocks + blocks[:1]
+    if len(first) < v:
+        outside = min(set(range(v)) - first)
+        yield (first - {min(first)} | {outside},) + blocks[1:]
+
+
+def test_pair_coverage_matches_counting_every_pair():
+    """Oracle for the bitset pair count: the same multiplicity, or None, as
+    counting every pair of every block, on every orbit korbit_designs walks
+    on psl3_2, psl2_7 and pgl2_7 for k = 3, 4, on the designs of the four
+    36-point searches, on three mutations of each, and on blocks that
+    cover no pair."""
+    cases = [
+        (blocks, act.degree)
+        for act in map(builtin_action, ("psl3_2", "psl2_7", "pgl2_7"))
+        for k in (3, 4)
+        for blocks in _k_orbits(act, k)
+    ]
+    for group, params in FLAG_ROUTE_SEARCHES:
+        if params.v == 36:
+            result = stabilizer_search(builtin_action(group), params)
+            cases += [(rec.blocks, 36) for rec in result.designs]
+    assert len(cases) == 4 + 4 + 3 + 2  # psl3_2, psl2_7, pgl2_7, degree 36
+    seen = []
+    for blocks, v in cases:
+        for variant in (blocks, *_mutations(blocks, v)):
+            lam = _pair_coverage(variant, v)
+            assert lam == pair_coverage_by_counting(variant, v), (blocks, variant)
+            seen.append(lam)
+    assert {None, 1, 2, 3, 12} <= set(seen)
+    degenerate = [
+        ((frozenset({0}), frozenset({1})), 2),
+        ((frozenset({0, 1}),), 2),
+        ((frozenset({0, 1}), frozenset({0, 1})), 2),
+        ((frozenset({0}),), 1),
+        ((frozenset({0}), frozenset({1}), frozenset({2})), 3),
+    ]
+    assert [_pair_coverage(blocks, v) for blocks, v in degenerate] == [
+        pair_coverage_by_counting(blocks, v) for blocks, v in degenerate
+    ] == [None, 1, 2, None, None]
+
+
 def test_certified_144_cell_checks_no_candidate(monkeypatch):
     """Gate: certifying linear n=3 q=3 C3(1,3) sends no union to the full
     candidate check.  Screened at the base point only, or not at all on the
@@ -761,6 +818,19 @@ def test_verify_design_degenerate_inputs():
     act = builtin_action("psl2_7")
     assert not verify_design(act, []).ok
     assert not verify_design(act, [{0, 1, 2}, {0, 1}]).ok
+
+
+def test_verify_design_rejects_uneven_pair_coverage():
+    """Uniform blocks and constant replication, but a pair covered twice as
+    often as another, or never: rejected at the pair count."""
+    act = PermAction(4, [(1, 0, 3, 2)])
+    blocks = [{0, 1}, {2, 3}, {0, 1}, {2, 3}, {0, 2}, {1, 3}, {0, 3}, {1, 2}]
+    report = verify_design(act, blocks)
+    assert not report.ok and report.params is None
+    assert report.problems == ("repeated blocks", "pair coverage is not constant")
+    halves = [{0, 1, 2, 3}, {4, 5, 6, 7}]
+    report = verify_design(builtin_action("psl2_7"), halves)
+    assert report.problems == ("pair coverage is not constant",)
 
 
 def test_verify_design_rejects_non_invariant_set():

@@ -31,6 +31,7 @@ from flagsieve.permgroup import (
     perm_order,
     projective_points,
     save_action,
+    schreier_generators,
     StabChain,
     SubgroupClass,
     subgroup_conjugation_action,
@@ -60,6 +61,7 @@ from reference import (
     monomial_by_search,
     normalized_projective_points,
     root_subgroup_by_search,
+    schreier_generators_inverting_words,
 )
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)
@@ -655,19 +657,22 @@ LATTICE_36 = {"psu3_3_36": (8, 6), "psu3_3_2_36": (16, 12)}
         # compose took 5,459 and 25,905; testing each candidate y for
         # y^-1*u*y in U, two composes per generator u, took 2,603 and
         # 11,457; extending the trivial group by every element, each with
-        # its powers built for each m, took 1,853 and 5,231
-        ("psu3_3_36", 1171),
-        ("psu3_3_2_36", 2594),
+        # its powers built for each m, took 1,853 and 5,231; conjugating
+        # every element by each generator for the element index, two
+        # composes each, took 1,171 and 2,594
+        ("psu3_3_36", 163),
+        ("psu3_3_2_36", 578),
     ],
 )
 def test_lattice_36_compose_counts(monkeypatch, name, composed):
     """Work gate: compose calls of the two lattice searches on one 36-point
     point stabilizer, on a fresh action whose elements are listed already,
-    so that the element index is built by the first search and shared.
-    Normalizers are read off the class walks, so no candidate is composed
-    to test whether it normalizes a representative; a candidate's powers
-    are built once, for both searches, and only for the candidates that a
-    representative other than the trivial group tries."""
+    so that the element index is built by the first search and shared,
+    from the listing walk's targets with no product.  Normalizers are read
+    off the class walks, so no candidate is composed to test whether it
+    normalizes a representative; a candidate's powers are built once, for
+    both searches, and only for the candidates that a representative other
+    than the trivial group tries."""
     base = builtin_action(name).point_stabilizer(0)
     group = PermAction(base.degree, base.generators)
     group.elements()
@@ -720,8 +725,16 @@ def test_lattice_output_digest():
     assert digest.hexdigest() == LATTICE_OUTPUT_DIGEST
 
 
+def _indexed_groups():
+    """The lattice groups, a relabelled copy of each, the trivial group of
+    degree 5, and a cyclic group of order 7 on one generator."""
+    groups = _lattice_groups()
+    seven = PermAction(7, [(1, 2, 3, 4, 5, 6, 0)])
+    return groups + [_relabelled(g, 5) for g in groups] + [PermAction(5, []), seven]
+
+
 def test_element_index_conjugation_tables():
-    for group in _lattice_groups():
+    for group in _indexed_groups():
         elements = group.elements()
         index = group.element_index()
         assert [index.position[e] for e in elements] == list(range(len(elements)))
@@ -736,10 +749,10 @@ def test_element_index_conjugation_tables():
 def test_element_index_classes_match_brute_force():
     """Oracle for the conjugacy classes on the element index: each is
     {g^-1*e*g : g in G}, found by conjugating by every element, and numbered
-    by the position of its least member.  PSL(2,7) has 6 classes and
-    PGL(2,7) has 9."""
+    by the position of its least member.  PSL(2,7) has 6 classes,
+    PGL(2,7) 9, the trivial group 1 and the cyclic group of order 7 has 7."""
     counts = []
-    for group in _lattice_groups():
+    for group in _indexed_groups():
         elements, index = group.elements(), group.element_index()
         position = index.position
         expected = [None] * len(elements)
@@ -750,13 +763,13 @@ def test_element_index_classes_match_brute_force():
         assert list(index.classes) == expected
         assert list(index.orders) == [perm_order(e) for e in elements]
         counts.append(len(set(expected)))
-    assert counts[:2] == [6, 9]
+    assert counts[:2] == [6, 9] and counts[-2:] == [1, 7]
 
 
 def test_element_index_tree_lists_each_element_once():
     """Every tree edge is a generator step, each non-identity position is
     reached once, and each parent is reached before its children."""
-    for group in _lattice_groups():
+    for group in _indexed_groups():
         elements = group.elements()
         tree = group.element_index().tree
         assert sorted(i for i, _, _ in tree) == list(range(1, len(elements)))
@@ -794,6 +807,23 @@ def test_conjugate_indices_give_brute_force_normalizers():
                 if all(conjugate_perm(u, y) in sub for u in cls.representative)
             ]
             assert [i for i, c in enumerate(at) if c == 0] == normalizer
+
+
+def test_element_index_composes_nothing_once_listed(monkeypatch):
+    """Work gate: once `elements` has listed a group, `element_index` reads
+    its tables off the listing walk's targets and makes no product."""
+
+    def refused(*args):
+        raise AssertionError("element_index formed a permutation product")
+
+    for group in _indexed_groups():
+        fresh = PermAction(group.degree, group.generators)
+        fresh.elements()
+        with monkeypatch.context() as patch:
+            patch.setattr(permgroup, "compose", refused)
+            patch.setattr(permgroup, "_conjugator", refused)
+            index = fresh.element_index()
+        assert index.conj == group.element_index().conj
 
 
 def test_element_index_is_shared_by_searches():
@@ -1254,6 +1284,54 @@ def test_sylow_route_reads_schreier_generators_until_order_m(monkeypatch, name, 
     chain = StabChain(act.degree)
     assert cls.representative == tuple(s for s in full if chain.extend(s))
     assert chain.order() == m and len(read) < len(full)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_chain_inverses_invert_each_element(name):
+    """Oracle for the inverses a chain forms by one product: on every
+    built-in, as built and relabelled, every level's inverse of a
+    transversal element, and of a strong generator, is its inverse_perm."""
+    act = builtin_action(name)
+    for group in (act, _relabelled(act, 7)):
+        for chain in (group.chain(), group.chain(group.degree - 1)):
+            for trans, inv in zip(chain.trans, chain.inv):
+                assert trans.keys() == inv.keys()
+                assert all(inv[beta] == inverse_perm(u) for beta, u in trans.items())
+            for gens, gens_inv in zip(chain.gens, chain.gens_inv):
+                assert gens_inv == [inverse_perm(g) for g in gens]
+
+
+@pytest.mark.parametrize(
+    "name,ell", [("psl2_7", 7), ("psu3_3", 7), ("psl3_3_2_144", 13)]
+)
+def test_schreier_generators_match_inverted_words(name, ell):
+    """On a Sylow walk, the Schreier generators come out as the reference
+    that inverts every transversal word on its own gives them."""
+    act = builtin_action(name)
+    _, targets = _sylow_walk(act, ell)
+    expected = schreier_generators_inverting_words(act.generators, targets)
+    assert list(schreier_generators(act.generators, targets)) == expected
+    assert expected
+
+
+def test_sylow_route_inversions(monkeypatch):
+    """Work gate: on a fresh psl3_3_2_144 whose chain is built, the Sylow
+    route at m = 78 calls inverse_perm 9 times: once per generator for the
+    walk and for the Schreier replay, and once per strong generator the
+    normalizer's chain installs.  Inverting every transversal word, in the
+    replay and in the chain, took 70."""
+    act = builtin_action("psl3_3_2_144")
+    group = PermAction(act.degree, act.generators)
+    group.order()
+    calls = [0]
+
+    def counted(p):
+        calls[0] += 1
+        return inverse_perm(p)
+
+    monkeypatch.setattr(permgroup, "inverse_perm", counted)
+    (cls,) = subgroups_of_order(group, 78)
+    assert cls.size == 144 and calls[0] == 9
 
 
 # -- element budget

@@ -2,7 +2,11 @@
 
 Everything is deterministic: element lists are sorted, orbit enumerations run
 breadth-first over sorted generator lists, and the builtin actions are
-constructed the same way in every process.  Elements are plain tuples.
+constructed the same way in every process.  A permutation of degree at
+most 256 is a bytes object, one byte per point, and a larger one a tuple
+(`Perm`): one byte holds any point of the smaller domains, so a product is
+one `bytes.translate`, an inverse one `bytes.maketrans`, and a hash is
+computed once per permutation and cached.
 
 Outside the stabilizer chain, which grows its orbits incrementally, every
 orbit (of points, of point sets, of subgroups under conjugation) is found by
@@ -60,6 +64,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
 from .exactmath import factorize, prime_power
@@ -69,6 +74,7 @@ __all__ = [
     "PermAction",
     "ElementIndex",
     "Perm",
+    "as_perm",
     "compose",
     "inverse_perm",
     "identity_perm",
@@ -90,7 +96,16 @@ __all__ = [
     "save_action",
 ]
 
-Perm = Tuple[int, ...]
+# p[i] is the image of point i: bytes up to degree 256, a tuple above, where
+# one byte cannot hold a point.  Bytes of one length compare and sort as the
+# tuples of their values do, so element lists, positions, classes and
+# representatives come out the same in either type.
+Perm = Union[bytes, Tuple[int, ...]]
+
+_BYTE_DEGREE = 256  # the largest degree whose permutations are bytes
+_BYTES = bytes(range(_BYTE_DEGREE))
+# _PADS[n] completes a permutation of degree n to a bytes.translate table
+_PADS = tuple(_BYTES[n:] for n in range(_BYTE_DEGREE + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -290,27 +305,38 @@ def hermitian_isotropic_points(q0: int) -> Tuple[Tuple[int, ...], ...]:
 # permutations
 
 
+def as_perm(images: Sequence[int]) -> Perm:
+    """The permutation with these images, in its degree's type (`Perm`).
+    Raises ValueError at degree <= 256 on an image no byte holds."""
+    return bytes(images) if len(images) <= _BYTE_DEGREE else tuple(images)
+
+
 def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
+    return _BYTES[:n] if n <= _BYTE_DEGREE else tuple(range(n))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
     """Apply p first, then q."""
-    if len(p) < 2:  # itemgetter of one index returns a bare item
-        return tuple(q[i] for i in p)
-    return itemgetter(*p)(q)
+    if len(p) > _BYTE_DEGREE:
+        return itemgetter(*p)(q)
+    return p.translate(q + _PADS[len(q)])
 
 
-def _multiplier(p: Perm) -> Callable[[Perm], Perm]:
-    """The map q -> compose(p, q), with p read once."""
-    return itemgetter(*p) if len(p) > 1 else functools.partial(compose, p)
+def _multiplier(gens: Sequence[Perm]) -> Callable[[Perm], List[Perm]]:
+    """The map x -> [compose(x, g) for g in gens], with each g read once."""
+    if len(gens[0]) > _BYTE_DEGREE:
+        return lambda x: list(map(itemgetter(*x), gens))
+    tables = [g + _PADS[len(g)] for g in gens]
+    return lambda x: [x.translate(table) for table in tables]
 
 
 def inverse_perm(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, image in enumerate(p):
-        out[image] = i
-    return tuple(out)
+    if len(p) > _BYTE_DEGREE:
+        out = [0] * len(p)
+        for i, image in enumerate(p):
+            out[image] = i
+        return tuple(out)
+    return bytes.maketrans(p, _BYTES[: len(p)])[: len(p)]
 
 
 def perm_order(p: Perm) -> int:
@@ -339,7 +365,11 @@ def conjugate_perm(x: Perm, g: Perm) -> Perm:
 def _conjugator(g: Perm) -> Callable[[Perm], Perm]:
     """The map x -> conjugate_perm(x, g), with g inverted once."""
     g_inv = inverse_perm(g)
-    return lambda x: compose(compose(g_inv, x), g)
+    if len(g) > _BYTE_DEGREE:
+        return lambda x: compose(compose(g_inv, x), g)
+    pad = _PADS[len(g)]
+    table = g + pad
+    return lambda x: g_inv.translate(x + pad).translate(table)
 
 
 def _perm_power(p: Perm, e: int) -> Perm:
@@ -490,12 +520,12 @@ class StabChain:
             g = compose(g, inv)
         return g, len(self.base)
 
-    def contains(self, g: Perm) -> bool:
-        return self.sift(tuple(g))[0] == self.identity
+    def contains(self, g: Sequence[int]) -> bool:
+        return self.sift(as_perm(g))[0] == self.identity
 
-    def extend(self, g: Perm) -> bool:
+    def extend(self, g: Sequence[int]) -> bool:
         """Add g to the group; False if it was a member already."""
-        residue, level = self.sift(tuple(g))
+        residue, level = self.sift(as_perm(g))
         if residue == self.identity:
             return False
         self._install(residue, 0, level)
@@ -594,16 +624,19 @@ class ElementIndex(NamedTuple):
 class PermAction:
     """A permutation group given by generators on {0, ..., degree-1}."""
 
-    def __init__(self, degree: int, generators: Iterable[Perm], label: str = ""):
-        gens = []
+    def __init__(
+        self, degree: int, generators: Iterable[Sequence[int]], label: str = ""
+    ):
+        ident, gens = identity_perm(degree), []
         for g in generators:
             g = tuple(g)
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise ValueError(f"not a permutation of degree {degree}: {g!r}")
-            if g != identity_perm(degree) and g not in gens:
+            g = as_perm(g)
+            if g != ident and g not in gens:
                 gens.append(g)
         if not gens:
-            gens = [identity_perm(degree)]
+            gens = [ident]
         self.degree = degree
         self.generators: Tuple[Perm, ...] = tuple(gens)
         self.label = label
@@ -653,9 +686,8 @@ class PermAction:
         if order > limit:
             raise RuntimeError(f"group order {order} exceeds element budget {limit}")
         if self._elements is None:
-            gens = self.generators
             ident = identity_perm(self.degree)
-            listed, targets = orbit(ident, lambda x: map(_multiplier(x), gens))
+            listed, targets = orbit(ident, _multiplier(self.generators))
             by_value = sorted(range(len(listed)), key=listed.__getitem__)
             self._elements = tuple(map(listed.__getitem__, by_value))
             self._walk = (by_value, targets)
@@ -714,9 +746,12 @@ class PermAction:
     def order(self) -> int:
         return self.chain().order()
 
-    def contains(self, perm: Perm) -> bool:
-        """Membership by sifting through the stabilizer chain."""
-        return len(perm) == self.degree and self.chain().contains(perm)
+    def contains(self, perm: Sequence[int]) -> bool:
+        """Membership by sifting through the stabilizer chain; False for a
+        sequence that is no permutation of the domain, checked before it is
+        converted to a `Perm`."""
+        points = list(range(self.degree))
+        return sorted(perm) == points and self.chain().contains(perm)
 
     def orbit(self, point: int) -> Tuple[int, ...]:
         gens = self.generators
@@ -898,7 +933,7 @@ def _unitary_action(q0: int, variant: str) -> PermAction:
     the field involution f appended to x w for socle.2 (x first, then w).
     These lie in the group, so the chain order certifies that they
     generate it; raises otherwise."""
-    x, t, w, f = _unitary_matrix_perms(q0)
+    x, t, w, f = map(as_perm, _unitary_matrix_perms(q0))
     xw = compose(x, w)
     order = q0**3 * (q0**2 - 1) * (q0**3 + 1) // math.gcd(3, q0 + 1)  # |PSU_3(q0)|
     if variant == "socle.2":

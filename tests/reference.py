@@ -7,13 +7,16 @@ projective points by normalizing every vector, the hermitian form and
 the special unitary test entry by entry, unitary matrices by trying
 every matrix of a shape, hyperplane images by the inverse transpose,
 the orbit unions of a size by a full descent, Schreier generators with
-every transversal word inverted on its own, and a block set's pair
-multiplicity by counting every pair of every block.  The package
-computes the same quantities another way, so these stay independent
-oracles for it."""
+every transversal word inverted on its own, a block set's pair
+multiplicity by counting every pair of every block, permutation
+products, inverses, conjugates, powers and orders on tuples one image at
+a time, and the orbits of point pairs by walking pairs of points.  The
+package computes the same quantities another way, so these stay
+independent oracles for it."""
 
 import functools
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -259,3 +262,61 @@ def pair_coverage_by_counting(blocks, v):
         return None
     values = set(counts.values())
     return values.pop() if len(values) == 1 else None
+
+
+def tuple_compose(p, q):
+    """p first, then q, on tuples: i -> q[p[i]]."""
+    return tuple(q[p[i]] for i in range(len(p)))
+
+
+def tuple_inverse(p):
+    """The inverse of p, as the points sorted by their images."""
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
+
+
+def tuple_conjugate(x, g):
+    """x conjugated by g, i -> g[x[g^-1[i]]]."""
+    g_inv = tuple_inverse(g)
+    return tuple(g[x[g_inv[i]]] for i in range(len(x)))
+
+
+def tuple_power(p, e):
+    """p applied e >= 0 times, one factor at a time."""
+    out = tuple(range(len(p)))
+    for _ in range(e):
+        out = tuple_compose(out, p)
+    return out
+
+
+def tuple_order(p):
+    """The least common multiple of the lengths of p's cycles, each cycle
+    collected as a set."""
+    left, lengths = set(range(len(p))), []
+    while left:
+        cycle, point = set(), min(left)
+        while point not in cycle:
+            cycle.add(point)
+            point = p[point]
+        lengths.append(len(cycle))
+        left -= cycle
+    return math.lcm(*lengths) if lengths else 1
+
+
+def pair_orbit_lengths(generators, degree):
+    """Sorted orbit lengths of the unordered point pairs under the
+    generators, each orbit walked pair by pair."""
+    seen, lengths = set(), []
+    for pair in itertools.combinations(range(degree), 2):
+        start = frozenset(pair)
+        if start in seen:
+            continue
+        seen.add(start)
+        walk = [start]
+        for cur in walk:
+            for g in generators:
+                image = frozenset(g[i] for i in cur)
+                if image not in seen:
+                    seen.add(image)
+                    walk.append(image)
+        lengths.append(len(walk))
+    return sorted(lengths)

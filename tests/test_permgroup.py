@@ -6,6 +6,7 @@ values for the small classical groups involved.
 
 import hashlib
 import random
+import re
 import time
 
 import pytest
@@ -18,6 +19,7 @@ from flagsieve.permgroup import (
     BUILTIN_NAMES,
     FieldTable,
     PermAction,
+    as_perm,
     builtin_action,
     classical_action,
     compose,
@@ -42,6 +44,7 @@ from flagsieve.permgroup import (
     _lattice_route,
     _linear_matrix_generators,
     _matrix_point_perm,
+    _perm_power,
     _psl2_7_in_psu3_3,
     _sylow_route,
     _sylow_walk,
@@ -60,8 +63,14 @@ from reference import (
     is_special_unitary,
     monomial_by_search,
     normalized_projective_points,
+    pair_orbit_lengths,
     root_subgroup_by_search,
     schreier_generators_inverting_words,
+    tuple_compose,
+    tuple_conjugate,
+    tuple_inverse,
+    tuple_order,
+    tuple_power,
 )
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)
@@ -181,12 +190,98 @@ def test_hermitian_isotropic_points_match_form_filter(q0):
 
 
 def test_perm_helpers():
-    p = (1, 2, 0, 4, 3)
+    p = as_perm((1, 2, 0, 4, 3))
     assert perm_order(p) == 6
     assert compose(p, inverse_perm(p)) == identity_perm(5)
-    q = (0, 2, 1, 3, 4)
-    assert compose(p, q) == tuple(q[i] for i in p)
+    q = as_perm((0, 2, 1, 3, 4))
+    assert tuple(compose(p, q)) == tuple(q[i] for i in p)
     assert perm_order(conjugate_perm(p, q)) == perm_order(p)
+
+
+def _near_permutations(rng, n, count):
+    """count seeded random permutations of degree n, each a copy of the
+    first with the points past a random cut shuffled, so that they share
+    prefixes and sorting compares them deep."""
+    first = list(range(n))
+    rng.shuffle(first)
+    out = [tuple(first)]
+    for _ in range(count - 1):
+        cut = rng.randrange(n)
+        tail = first[cut:]
+        rng.shuffle(tail)
+        out.append(tuple(first[:cut] + tail))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 36, 144, 255, 256, 257, 300])
+def test_kernel_matches_tuple_reference(n):
+    """Oracle for the permutation kernel on seeded random permutations:
+    bytes up to degree 256 and tuples above, each product, inverse,
+    conjugate, power and order as tuple-only reference code gives it, and
+    bytes permutations sorted as their tuples sort."""
+    rng = random.Random(f"kernel/{n}")
+    kind = bytes if n <= 256 else tuple
+    ident = identity_perm(n)
+    assert type(ident) is kind and tuple(ident) == tuple(range(n))
+    perms = [tuple(rng.sample(range(n), n)) for _ in range(4)]
+    perms += _near_permutations(rng, n, 4)
+    for p, q in zip(perms, perms[1:] + perms[:1]):
+        x, g = as_perm(p), as_perm(q)
+        e = rng.randrange(2 * n)
+        results = [
+            (compose(x, g), tuple_compose(p, q)),
+            (compose(ident, x), p),
+            (inverse_perm(x), tuple_inverse(p)),
+            (conjugate_perm(x, g), tuple_conjugate(p, q)),
+            (_perm_power(x, e), tuple_power(p, e)),
+            (_perm_power(x, 0), tuple(range(n))),
+        ]
+        for got, expected in results:
+            assert type(got) is kind and tuple(got) == expected
+        assert perm_order(x) == tuple_order(p)
+    assert [tuple(x) for x in sorted(map(as_perm, perms))] == sorted(perms)
+
+
+def test_pair_action_past_a_byte_runs_on_tuples():
+    """The tuple path end to end: psu3_3 on the 378 pairs of its 28
+    points has order 6048, the pair orbits that walking point pairs
+    gives, and point stabilizers of order 6048 / 378 = 16."""
+    base = builtin_action("psu3_3")
+    act = pair_action(base)
+    assert act.degree == 378 and all(type(g) is tuple for g in act.generators)
+    assert act.order() == 6048
+    assert sorted(map(len, act.orbits())) == pair_orbit_lengths(base.generators, 28)
+    stab = act.point_stabilizer(0)
+    assert stab.order() == 16 and all(type(g) is tuple for g in stab.generators)
+    a, b = act.generators
+    assert act.contains(compose(a, inverse_perm(b)))
+    assert not act.contains(tuple(range(1, 378)) + (0,))
+
+
+@pytest.mark.parametrize("degree", [3, 255, 256, 257])
+def test_hostile_generators_at_the_byte_boundary(degree, tmp_path):
+    """A generator with an image past the domain, past a byte or below 0
+    is refused with the same message on either side of degree 256, before
+    any conversion to bytes, from a list and from an action file, and is
+    no member of any action.  A bytes, tuple or list generator with the
+    same images gives the same action, holding each of them."""
+    for bad_image in (degree, 300, -1):
+        images = (*range(degree - 1), bad_image)
+        message = re.escape(f"not a permutation of degree {degree}: {images!r}")
+        with pytest.raises(ValueError, match=message):
+            PermAction(degree, [images])
+        path = tmp_path / f"bad{bad_image}.gens"
+        path.write_text(f"degree {degree}\n{' '.join(map(str, images))}\n")
+        with pytest.raises(ValueError, match=message):
+            load_action(str(path))
+    cycle = (*range(1, degree), 0)
+    forms = [cycle, list(cycle)] + ([bytes(cycle)] if degree <= 256 else [])
+    actions = [PermAction(degree, [g]) for g in forms]
+    assert all(act.generators == actions[0].generators for act in actions)
+    assert {act.order() for act in actions} == {degree}
+    for images in ((*cycle[:-1], 300), (*cycle[:-1], -1), (*cycle[:-1], cycle[0])):
+        assert not actions[0].contains(images)
+    assert all(act.contains(form) for act in actions for form in forms)
 
 
 EXPECTED_ORDERS = {
@@ -241,7 +336,8 @@ def test_builtin_generators_are_pinned():
     assert BUILTIN_NAMES == tuple(BUILTIN_DIGESTS)
     for name in BUILTIN_NAMES:
         act = builtin_action(name)
-        text = repr((name, act.degree, act.generators)).encode()
+        generators = tuple(map(tuple, act.generators))
+        text = repr((name, act.degree, generators)).encode()
         assert hashlib.sha256(text).hexdigest() == BUILTIN_DIGESTS[name], name
 
 
@@ -362,7 +458,7 @@ def test_unitary_actions_have_two_chain_certified_generators(
     matrix_perms = [perm(A) for A in matrices]
     if variant == "socle.2":
         matrix_perms.append(_unitary_matrix_perms(3)[3])
-    assert len(set(matrix_perms) - {identity_perm(28)}) == count
+    assert len(set(matrix_perms) - {tuple(identity_perm(28))}) == count
     assert all(act.contains(g) for g in matrix_perms)
     whole = PermAction(28, matrix_perms)
     assert whole.order() == order
@@ -444,7 +540,7 @@ def test_hyperplane_half_is_the_inverse_transpose(q):
     assert len(doubled.generators) == len(mats) + 1
     for A, g in zip(mats, doubled.generators):
         assert list(g[N:]) == [N + i for i in hyperplane_images(F, points, A)]
-    assert doubled.generators[-1] == (*range(N, 2 * N), *range(N))
+    assert tuple(doubled.generators[-1]) == (*range(N, 2 * N), *range(N))
 
 
 def test_four_subset_orbit_partition():
@@ -660,8 +756,8 @@ LATTICE_36 = {"psu3_3_36": (8, 6), "psu3_3_2_36": (16, 12)}
         # its powers built for each m, took 1,853 and 5,231; conjugating
         # every element by each generator for the element index, two
         # composes each, took 1,171 and 2,594
-        ("psu3_3_36", 163),
-        ("psu3_3_2_36", 578),
+        pytest.param("psu3_3_36", 163, id="psu3_3_36"),
+        pytest.param("psu3_3_2_36", 578, id="psu3_3_2_36"),
     ],
 )
 def test_lattice_36_compose_counts(monkeypatch, name, composed):
@@ -713,7 +809,8 @@ def _lattice_output():
         for m in range(1, 201):
             if group.order() % m == 0:
                 for cls in subgroups_of_order(group, m):
-                    yield f"{name} {m} {cls.size} {cls.representative}\n"
+                    representative = tuple(map(tuple, cls.representative))
+                    yield f"{name} {m} {cls.size} {representative}\n"
 
 
 def test_lattice_output_digest():
@@ -853,10 +950,10 @@ def test_subgroups_closed_under_multiplication(class_members):
     act = builtin_action("psl2_7")
     (sixes,) = subgroups_of_order(act, 6)
     for sub in class_members(act, sixes)[:5]:
-        assert len(sub) == 6 and sub <= set(act.elements())
+        assert len(sub) == 6 and sub <= set(map(tuple, act.elements()))
         for a in sub:
             for b in sub:
-                assert compose(a, b) in sub
+                assert tuple(compose(as_perm(a), as_perm(b))) in sub
 
 
 def test_subgroups_of_order_sylow_route(class_members):
@@ -959,7 +1056,7 @@ def test_conjugation_action_matches_element_set_orbit(action, subgroup):
     """Generator-only moves give the action that conjugating whole element
     sets gives, generator for generator."""
     act, sub = action(), subgroup()
-    images = conjugation_images(act, sub.elements())
+    images = conjugation_images(act, map(tuple, sub.elements()))
     expected = PermAction(len(images[0]), images)
     assert subgroup_conjugation_action(act, sub).generators == expected.generators
 
@@ -1170,7 +1267,7 @@ def test_chain_matches_enumeration(name):
         stab = act.point_stabilizer(point)
         fixing = {g for g in group if g[point] == point}
         assert stab.order() == len(fixing), point
-        assert all(g[point] == point and g in group for g in stab.generators)
+        assert all(g[point] == point and tuple(g) in group for g in stab.generators)
         # members and non-members of the stabilizer
         for g in rng.sample(listed, 20):
             assert stab.contains(g) == (g in fixing)
@@ -1215,7 +1312,7 @@ def test_sylow_route_matches_element_list(name, m, class_members):
     sylow = {g for g in rep if perm_order(g) in (1, 13)}
     assert len(sylow) == 13
     for s in cls.representative:
-        assert {conjugate_perm(x, s) for x in sylow} == sylow
+        assert {tuple(conjugate_perm(as_perm(x), s)) for x in sylow} == sylow
     members = class_members(act, cls)
     assert cls.size == len(members) == sylow_count
     for sub in members:
@@ -1246,7 +1343,7 @@ def test_sylow_walk_matches_cyclic_key_walk(name, ell, seed):
     expected, expected_targets = cyclic_key_walk(act, _element_of_order(act, ell))
     assert targets == expected_targets
     assert len(conjugates) == len(expected)
-    assert conjugates[0] == expected[0]
+    assert tuple(conjugates[0]) == expected[0]
     assert [cyclic_key(z) for z in conjugates] == expected
 
 
@@ -1310,7 +1407,7 @@ def test_schreier_generators_match_inverted_words(name, ell):
     act = builtin_action(name)
     _, targets = _sylow_walk(act, ell)
     expected = schreier_generators_inverting_words(act.generators, targets)
-    assert list(schreier_generators(act.generators, targets)) == expected
+    assert [tuple(s) for s in schreier_generators(act.generators, targets)] == expected
     assert expected
 
 

@@ -29,14 +29,16 @@ by one representative and its size: grown from class representatives by
 cyclic extension on permutations in small groups, with class members keyed
 by their element index sets, and from the Sylow-normalizer argument in
 larger ones, where each conjugate of a Sylow subgroup of prime order is
-keyed by the base images of one canonical generator.  No multiplication
-table is kept.  The builtin subgroups (PSL(2,7) in PSU_3(3), a Sylow
-13-subgroup) are picked from fixed walks over generator words, and the
-unitary groups' two generators are written down; each choice is
-certified by its chain order.  The four builtins of degree 36 and 144
-come from one recipe, a base builtin on the conjugates of one of its
-subgroups, and every action induced on a list of point sets (point
-pairs, hyperplanes) is read off by one helper.
+keyed by the base images of one canonical generator, and walked in the
+stabilizer of the first base point when the subgroup fixes exactly one
+point of that point's orbit.  No multiplication table is kept.  The
+builtin subgroups (PSL(2,7) in PSU_3(3), a Sylow 13-subgroup) are picked
+from fixed walks over generator words, and the unitary groups' two
+generators are written down; each choice is certified by its chain
+order.  The four builtins of degree 36 and 144 come from one recipe, a
+base builtin on the conjugates of one of its subgroups, and every action
+induced on a list of point sets (point pairs, hyperplanes) is read off
+by one helper.
 
 The classical actions are written down from their defining equations:
 projective and isotropic points are listed in sorted order, a unitary
@@ -1288,15 +1290,18 @@ def _base_key(z: Perm, base: Sequence[int]) -> Tuple[int, ...]:
     return tuple(images)
 
 
-def _sylow_walk(action: PermAction, ell: int) -> Tuple[List[Perm], List[int]]:
-    """The orbit walk of a Sylow ell-subgroup, for a prime ell dividing the
-    group order once, under conjugation by the generators: one generator
-    of each conjugate, the first one a `_cyclic_key`, and the walk's
-    targets.  Conjugates are keyed by `_base_key` (see `_sylow_route`)."""
+def _sylow_walk(
+    action: PermAction, ell: int, x: Optional[Perm] = None
+) -> Tuple[List[Perm], List[int]]:
+    """The orbit walk of the Sylow ell-subgroup <x> of the action, for a
+    prime ell dividing its order once, under conjugation by the generators:
+    one generator of each conjugate, the first one a `_cyclic_key`, and the
+    walk's targets.  x is `_element_of_order` by default.  Conjugates are
+    keyed by `_base_key` (see `_sylow_route`)."""
     conjugators = [_conjugator(g) for g in action.generators]
     base = action.chain().base
     conjugates, targets = orbit(
-        _cyclic_key(_element_of_order(action, ell)),
+        _cyclic_key(_element_of_order(action, ell) if x is None else x),
         lambda z: [conj(z) for conj in conjugators],
         key=lambda z: _base_key(z, base),
     )
@@ -1323,20 +1328,32 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
     They are read only until the kept ones generate a group of order m,
     which is then N(P), so no later one would be kept.
 
+    When x fixes exactly one point alpha of the G-orbit of the chain's
+    first base point b0, the walk runs in G_b0 instead, the chain's tail
+    (`point_stabilizer`), on x conjugated by the level-0 transversal
+    element for alpha so that it fixes b0.  N_G(P) permutes the fixed
+    points of P and maps every G-orbit to itself, so it fixes alpha, the
+    only fixed point of P in that orbit; hence N_G(P) = N_{G_alpha}(P),
+    and P is a Sylow subgroup of G_alpha as ell divides |G| once.  So
+    |N(P)| = |G_b0| / (number of conjugates in G_b0), the class has
+    |G| / |N(P)| members, and the Schreier generators of the walk in G_b0
+    generate N(P).  Otherwise the walk runs in G.
+
     Each node of the walk is the conjugate z = y^g, of a node y by a
     generator g, that first reached it, and <z> is named by `_base_key` on
-    the complete base of `action.chain()` (Sims 1970; Seress, ch. 4), so
-    no power of z is built.  The key is exact.  Every nontrivial power of
-    z moves the first base point b that z moves, and fixes the base points
-    before b: a nontrivial power that fixed b would generate <z>, ell being
-    prime, and then z would fix b.  So the ell points z^j(b) are distinct,
-    exactly one power z^e takes b to the least other point of that cycle,
-    and z^e depends only on <z>.  It lies in G, whose pointwise stabilizer
-    of a complete base is trivial, so its base images determine it, and
-    <z> = <z^e>.  Which conjugate stands for a node does not change which
-    subgroups its images are, so the walk meets the subgroups in the same
-    order, with the same targets, as one keyed by `_cyclic_key`.  The start
-    node, conjugates[0], is still x's `_cyclic_key`, and the Schreier
+    the complete base of the walked group's chain (Sims 1970; Seress,
+    ch. 4), so no power of z is built.  The key is exact.  Every
+    nontrivial power of z moves the first base point b that z moves, and
+    fixes the base points before b: a nontrivial power that fixed b would
+    generate <z>, ell being prime, and then z would fix b.  So the ell
+    points z^j(b) are distinct, exactly one power z^e takes b to the least
+    other point of that cycle, and z^e depends only on <z>.  It lies in the
+    walked group, whose pointwise stabilizer of a complete base is
+    trivial, so its base images determine it, and <z> = <z^e>.  Which
+    conjugate stands for a node does not change which subgroups its images
+    are, so the walk meets the subgroups in the same order, with the same
+    targets, as one keyed by `_cyclic_key`.  The start node,
+    conjugates[0], is still x's `_cyclic_key`, and the Schreier
     generators, N(P) and every certificate built on them are unchanged.
     """
     n = action.order()
@@ -1353,13 +1370,20 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
         )
         if not forced:
             continue
-        conjugates, targets = _sylow_walk(action, ell)
-        if n // len(conjugates) != m:
+        x, group, chain = _element_of_order(action, ell), action, action.chain()
+        fixed = [point for point in chain.trans[0] if x[point] == point]
+        if len(fixed) == 1:
+            (alpha,) = fixed
+            x = compose(compose(chain.trans[0][alpha], x), chain.inv[0][alpha])
+            group = action.point_stabilizer(chain.base[0])
+        conjugates, targets = _sylow_walk(group, ell, x)
+        size = n * len(conjugates) // group.order()  # |G : N(P)|
+        if n // size != m:
             if m == ell:
-                return (SubgroupClass((conjugates[0],), len(conjugates)),)
+                return (SubgroupClass((conjugates[0],), size),)
             return None  # normalizer bigger than m: route not conclusive
         normalizer, gens = StabChain(action.degree), []
-        for s in schreier_generators(action.generators, targets):
+        for s in schreier_generators(group.generators, targets):
             if normalizer.extend(s):
                 gens.append(s)
                 if normalizer.order() == m:
@@ -1368,7 +1392,7 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
             raise RuntimeError(
                 f"Sylow normalizer has order {normalizer.order()}, expected {m}"
             )
-        return (SubgroupClass(tuple(gens), len(conjugates)),)
+        return (SubgroupClass(tuple(gens), size),)
     return None
 
 

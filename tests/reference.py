@@ -2,17 +2,17 @@
 product bounds written out term by term, a point stabilizer listed
 element by element, field addition digit by digit, the action on a
 subgroup's conjugates by conjugating every element, the conjugates of a
-subgroup of prime order each kept as a whole canonical generator,
-projective points by normalizing every vector, the hermitian form and
-the special unitary test entry by entry, unitary matrices by trying
-every matrix of a shape, hyperplane images by the inverse transpose,
-the orbit unions of a size by a full descent, Schreier generators with
-every transversal word inverted on its own, a block set's pair
-multiplicity by counting every pair of every block, permutation
-products, inverses, conjugates, powers and orders on tuples one image at
-a time, and the orbits of point pairs by walking pairs of points.  The
-package computes the same quantities another way, so these stay
-independent oracles for it."""
+subgroup of prime order each kept as a whole canonical generator, the
+Sylow route with its walk in the whole group, projective points by
+normalizing every vector, the hermitian form and the special unitary
+test entry by entry, unitary matrices by trying every matrix of a shape,
+hyperplane images by the inverse transpose, the orbit unions of a size
+by a full descent, Schreier generators with every transversal word
+inverted on its own, a block set's pair multiplicity by counting every
+pair of every block, permutation products, inverses, conjugates, powers
+and orders on tuples one image at a time, and the orbits of point pairs
+by walking pairs of points.  The package computes the same quantities
+another way, so these stay independent oracles for it."""
 
 import functools
 import itertools
@@ -125,6 +125,85 @@ def cyclic_key_walk(action, x):
                 walk.append(key)
             targets.append(index[key])
     return walk, targets
+
+
+def element_of_order(action, ell):
+    """The first element, breadth-first over generator words, whose order
+    the prime ell divides, raised to its order over ell."""
+    ident = tuple(range(action.degree))
+    seen, queue = {ident}, [ident]
+    for cur in queue:
+        for g in action.generators:
+            word = tuple(g[i] for i in cur)
+            if word in seen:
+                continue
+            order = tuple_order(word)
+            if order % ell == 0:
+                return tuple_power(word, order // ell)
+            seen.add(word)
+            queue.append(word)
+    raise ValueError(f"no element of order {ell}")
+
+
+def whole_group_sylow_route(action, orders):
+    """The Sylow route with every walk made in the whole group: for each m
+    in orders, (representative, size, x) or None.
+
+    The route takes the first prime ell that divides m once and the group
+    order once, and for which every divisor t > 1 of m / ell has t % ell
+    != 1; it answers None when there is none.  x is `element_of_order` for
+    ell, and its conjugates are walked by `cyclic_key_walk`.  When the
+    normalizer has order m, the representative is the Schreier generators
+    of that walk, from `schreier_generators_inverting_words`, each kept if
+    the kept ones do not generate it yet, read until they generate m
+    elements; when m == ell, it is the start of the walk alone; otherwise
+    the answer is None.  The size is the number of conjugates.  Each
+    prime's walk is made once."""
+    n, walks, out = action.order(), {}, {}
+
+    def closure(gens):
+        ident = tuple(range(action.degree))
+        seen, queue = {ident}, [ident]
+        for cur in queue:
+            for g in gens:
+                nxt = tuple(g[i] for i in cur)
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        return seen
+
+    for m in orders:
+        out[m], rest, primes = None, m, []
+        for p in range(2, m + 1):
+            if rest % p == 0:
+                primes.append(p)
+                while rest % p == 0:
+                    rest //= p
+        for ell in primes:
+            cofactor = m // ell
+            if cofactor % ell == 0 or (n // ell) % ell == 0:
+                continue
+            if any(cofactor % t == 0 and t % ell == 1 for t in range(2, cofactor + 1)):
+                continue
+            if ell not in walks:
+                x = element_of_order(action, ell)
+                walks[ell] = (x,) + cyclic_key_walk(action, x)
+            x, conjugates, targets = walks[ell]
+            size = len(conjugates)
+            if n // size == m:
+                kept, group = [], {tuple(range(action.degree))}
+                for s in schreier_generators_inverting_words(action.generators, targets):
+                    if s not in group:
+                        kept.append(s)
+                        group = closure(kept)
+                        if len(group) == m:
+                            break
+                assert len(group) == m
+                out[m] = (tuple(kept), size, x)
+            elif m == ell:
+                out[m] = ((conjugates[0],), size, x)
+            break
+    return out
 
 
 def normalized_projective_points(F, n):

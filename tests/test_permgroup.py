@@ -71,6 +71,7 @@ from reference import (
     tuple_inverse,
     tuple_order,
     tuple_power,
+    whole_group_sylow_route,
 )
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)
@@ -1349,7 +1350,7 @@ def test_sylow_walk_matches_cyclic_key_walk(name, ell, seed):
 
 def test_sylow_route_builds_one_canonical_generator(monkeypatch):
     """On psl3_3_2_144 at m = 78 only the start of the walk is keyed by a
-    whole canonical generator; the other 432 edges read base images."""
+    whole canonical generator; the walk's 3 edges read base images."""
     calls = []
     whole = permgroup._cyclic_key
 
@@ -1362,14 +1363,28 @@ def test_sylow_route_builds_one_canonical_generator(monkeypatch):
     assert cls.size == 144 and len(calls) == 1
 
 
-@pytest.mark.parametrize("name,m", [("psl3_3_144", 39), ("psl3_3_2_144", 78)])
-def test_sylow_route_reads_schreier_generators_until_order_m(monkeypatch, name, m):
+@pytest.mark.parametrize(
+    "name,m,descends",
+    [
+        pytest.param("psu3_3", 21, False, id="psu3_3-21"),
+        pytest.param("psl3_3_144", 39, True, id="psl3_3_144-39"),
+        pytest.param("psl3_3_2_144", 78, True, id="psl3_3_2_144-78"),
+    ],
+)
+def test_sylow_route_reads_schreier_generators_until_order_m(
+    monkeypatch, name, m, descends
+):
     """The Sylow route stops reading Schreier generators once the kept ones
-    reach order m, and keeps what a full read would keep."""
-    read, full = [], []
+    reach order m, and keeps what a full read would keep.  On psu3_3, where
+    P_7 fixes none of the 28 points, the walk runs in G and the read stops
+    early.  On the 144-point groups it runs in the stabilizer of the
+    chain's first base point, whose walk yields 2 and 3 Schreier
+    generators, and the representative is all of them."""
+    read, full, walked = [], [], []
     lazy = permgroup.schreier_generators
 
     def counted(generators, targets):
+        walked.append(generators)
         full.extend(lazy(generators, targets))
         for s in lazy(generators, targets):
             read.append(s)
@@ -1378,9 +1393,167 @@ def test_sylow_route_reads_schreier_generators_until_order_m(monkeypatch, name, 
     monkeypatch.setattr(permgroup, "schreier_generators", counted)
     act = builtin_action(name)
     (cls,) = _sylow_route(act, m)
+    group = act.point_stabilizer(act.chain().base[0]) if descends else act
+    assert walked == [group.generators]
     chain = StabChain(act.degree)
     assert cls.representative == tuple(s for s in full if chain.extend(s))
-    assert chain.order() == m and len(read) < len(full)
+    assert chain.order() == m
+    if descends:
+        assert cls.representative == tuple(full)
+    else:
+        assert len(read) < len(full)
+
+
+def _oracle_action(name):
+    """A built-in by name, or the 15-point action of PSL(4,2)."""
+    if name == "linear_4_2":
+        return classical_action("linear", 4, 2)
+    return builtin_action(name)
+
+
+def _descends(act, x):
+    """Whether x fixes exactly one point of the orbit of the chain's first
+    base point, where the Sylow route walks in that point's stabilizer."""
+    return sum(x[p] == p for p in act.orbit(act.chain().base[0])) == 1
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("linear_4_2",))
+def test_sylow_route_matches_whole_group_walk(name, seed, class_members):
+    """Oracle: the Sylow route answers at exactly the orders m where the
+    route walking the whole group answers, with the same class size and a
+    representative of order m in the same class.  Where it does not
+    descend to a point stabilizer, its answer is the oracle's, generator
+    for generator."""
+    act = _oracle_action(name)
+    if seed is not None:
+        act = _relabelled(act, seed)
+    n = act.order()
+    orders = [m for m in range(2, n + 1) if n % m == 0]
+    expected = whole_group_sylow_route(act, orders)
+    for m in orders:
+        got = _sylow_route(act, m)
+        assert (got is None) == (expected[m] is None), m
+        if got is None:
+            continue
+        (cls,), (rep, size, x) = got, expected[m]
+        assert cls.size == size
+        if not _descends(act, x):
+            assert tuple(map(tuple, cls.representative)) == rep
+            continue
+        members = class_members(act, cls)
+        assert len(members) == size and len(members[0]) == m
+        assert frozenset(_bfs_closure(act.degree, rep)) in set(members)
+
+
+def _fresh(name):
+    act = builtin_action(name)
+    return PermAction(act.degree, act.generators)
+
+
+@pytest.mark.parametrize(
+    "make,m,calls",
+    [
+        pytest.param(lambda: _fresh("psl3_3_2_144"), 78, 4, id="psl3_3_2_144"),
+        pytest.param(lambda: classical_action("linear", 4, 2), 21, 257, id="linear_4_2"),
+        pytest.param(lambda: builtin_action("psu3_3"), 21, 577, id="psu3_3"),
+        pytest.param(lambda: builtin_action("psl4_2"), 5, 673, id="psl4_2"),
+    ],
+)
+def test_sylow_route_base_key_counts(monkeypatch, make, m, calls):
+    """Work gate: the Sylow route keys 4 conjugates on a fresh
+    psl3_3_2_144 at m = 78 and 257 on the 15-point PSL(4,2) at m = 21,
+    walking in the stabilizer of the chain's first base point, which
+    their P_13 and P_7 fix alone in its orbit.  Walking the whole group
+    keyed 433 and 1,921.  P_7 fixes none of psu3_3's 28 points and P_5
+    fixes 3 of psl4_2's 8, so those walks stay in G: 577 and 673.  No
+    chain is built for the descent."""
+    act = make()
+    act.order()
+    chains = dict(act._chains)
+    count = [0]
+    key = permgroup._base_key
+
+    def counted(z, base):
+        count[0] += 1
+        return key(z, base)
+
+    monkeypatch.setattr(permgroup, "_base_key", counted)
+    assert _sylow_route(act, m) is not None
+    assert count[0] == calls and act._chains == chains
+
+
+def _recording_walks(monkeypatch):
+    """Record the group and start element of every Sylow walk."""
+    walks = []
+    walk = permgroup._sylow_walk
+
+    def recorded(group, ell, x=None):
+        walks.append((group, x))
+        return walk(group, ell, x)
+
+    monkeypatch.setattr(permgroup, "_sylow_walk", recorded)
+    return walks
+
+
+@pytest.mark.parametrize(
+    "name,ell,m",
+    [
+        ("psl3_3_2_144@1", 13, 78),
+        ("psl3_3_144@2", 13, 39),
+        ("psu3_3_36", 7, 21),
+        ("psu3_3_2_36@3", 7, 42),
+        ("psl4_2@1", 7, 21),
+    ],
+)
+def test_sylow_route_descends_to_a_fixed_point_off_the_base(monkeypatch, name, ell, m):
+    """When P's one fixed point in the orbit of the first base point b0 is
+    not b0, the route conjugates P to fix b0 and walks in G_b0."""
+    act = _named_action(name)
+    b0, x = act.chain().base[0], _element_of_order(act, ell)
+    (alpha,) = [p for p in act.orbit(b0) if x[p] == p]
+    assert alpha != b0
+    walks = _recording_walks(monkeypatch)
+    (cls,) = _sylow_route(act, m)
+    ((group, start),) = walks
+    assert group is act.point_stabilizer(b0)
+    assert start[b0] == b0 and perm_order(start) == ell
+    assert act.contains(start) and group.contains(start)
+    assert len(_bfs_closure(act.degree, cls.representative)) == m
+
+
+def test_sylow_route_prime_order_on_the_descended_path(monkeypatch, class_members):
+    """m == ell after the descent: on psl3_3_2_144 at m = 13 the normalizer
+    has order 78, the class is the 144 Sylow 13-subgroups, and the
+    representative is the walk's start, which fixes b0."""
+    act = builtin_action("psl3_3_2_144")
+    walks = _recording_walks(monkeypatch)
+    (cls,) = _sylow_route(act, 13)
+    b0 = act.chain().base[0]
+    ((group, _),) = walks
+    assert group is act.point_stabilizer(b0)
+    assert cls.size == 144 and len(cls.representative) == 1
+    (z,) = cls.representative
+    assert perm_order(z) == 13 and z[b0] == b0
+    assert len(class_members(act, cls)) == 144
+
+
+def test_sylow_route_falls_back_on_an_intransitive_group(monkeypatch):
+    """The stabilizer of a point in the 15-point PSL(4,2), of order 1344,
+    has orbits of 1 and 14 points.  P_7 fixes only that point, none of the
+    orbit of the chain's first base point, so at m = 21 the route walks
+    the whole group and gives the oracle's answer."""
+    act = classical_action("linear", 4, 2).point_stabilizer(0)
+    assert act.order() == 1344
+    assert sorted(map(len, act.orbits())) == [1, 14]
+    walks = _recording_walks(monkeypatch)
+    (cls,) = _sylow_route(act, 21)
+    ((group, _),) = walks
+    assert group is act
+    rep, size, x = whole_group_sylow_route(act, [21])[21]
+    assert not _descends(act, x)
+    assert cls.size == size == 64
+    assert tuple(map(tuple, cls.representative)) == rep
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

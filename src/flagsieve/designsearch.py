@@ -19,12 +19,12 @@ meets the subdegree identity r * |B & Delta| = lambda * |Delta| at each
 of its points beta, on each orbit Delta of G_0 after taking beta to 0.
 At 0 that is a quota on each Delta: only unions meeting the quotas are
 built, all are counted by a subset sum, and a built union that meets the
-identity at every point gets the full check, which walks its orbit.
-A candidate's lambda is read from the blocks of its orbit through one
-point, which decides it on a point-transitive group; verify_design and
-korbit_designs keep the full count over every pair of every block.  Each
-design found is verified once: a later union spanning it is recognized by
-its canonical block set.
+identity at every point has its G-orbit walked.  An orbit of b blocks is
+then decided by verify_design alone, which counts every pair of every
+block and checks flag-transitivity; the screen already makes lambda
+constant on such an orbit (see `_candidate_design`).  Each design found is
+verified once: a later union spanning it is recognized by its canonical
+block set.
 Either way the result carries a certificate describing why the enumeration
 was complete, or the subgroup enumeration raises and no claim is made.
 
@@ -125,29 +125,6 @@ def _pair_coverage(blocks: Sequence[FrozenSet[int]], v: int) -> Optional[int]:
     return counts.pop() if len(counts) == 1 and 0 not in counts else None
 
 
-def _lambda_through(
-    blocks: Iterable[FrozenSet[int]], alpha: int, v: int
-) -> Optional[int]:
-    """Pair multiplicity of a G-invariant block set, read from the blocks
-    through alpha, when G is transitive on the v points; None if it is not
-    constant.
-
-    For points gamma != delta some g in G maps gamma to alpha, and B -> B^g
-    permutes the blocks, so gamma and delta lie together in as many blocks
-    as alpha and delta^g.  Every pair is therefore covered lambda times
-    exactly when every beta != alpha lies with alpha in lambda blocks.
-    """
-    counts: Counter = Counter()
-    for block in blocks:
-        if alpha in block:
-            counts.update(block)
-    del counts[alpha]
-    if len(counts) != v - 1:
-        return None  # some pair uncovered
-    values = set(counts.values())
-    return values.pop() if len(values) == 1 else None
-
-
 def _flag_transitive(
     action: PermAction, blocks: Iterable[FrozenSet[int]], r: int
 ) -> bool:
@@ -174,7 +151,11 @@ def korbit_designs(
 ) -> Tuple[DesignRecord, ...]:
     """All 2-designs whose block set is a single orbit on k-subsets.
 
-    Refuses, before enumerating anything, when C(v, k) exceeds cap.
+    Refuses, before enumerating anything, when C(v, k) exceeds cap.  An
+    orbit that covers every pair lambda > 0 times is a design: counting the
+    pairs (y, B) with x, y in B gives r_x * (k - 1) = lambda * (v - 1) at
+    each point x, so every point lies on r = b*k / v blocks.  An orbit with
+    b*k not a multiple of v is skipped before its pairs are counted.
     """
     v = action.degree
     if not 2 <= k <= v:
@@ -197,8 +178,6 @@ def korbit_designs(
         if lam is None:
             continue
         r = b * k // v
-        if r * (k - 1) != lam * (v - 1):
-            continue
         params = DesignParams(v, b, r, k, lam)
         records.append(
             DesignRecord(
@@ -279,25 +258,32 @@ def _candidate_design(
     union: FrozenSet[int],
     known: Mapping[BlockSet, DesignRecord],
 ) -> Optional[DesignRecord]:
-    """The design spanned by a candidate block, on a point-transitive action.
+    """The design spanned by a candidate block, or None.
 
-    A design in known, keyed by its canonical block set, was checked when
-    it was first found; a union spanning it again returns it unchecked."""
+    The union's G-orbit is walked, capped at b, and must have b blocks.  A
+    design in known, keyed by its canonical block set, was verified when it
+    was first found; a union spanning it again returns it unchecked.  Any
+    other orbit is accepted exactly when verify_design passes it with these
+    parameters, flag-transitivity included.
+
+    No lambda is counted before that, since the orbit of a union passing
+    `_suborbit_screen`'s test has it: the action is transitive, so every
+    point lies on b*k / v of the b blocks, which is r for admissible
+    parameters (verify_design compares them all), and each block C through 0
+    is an image of the union and so meets each orbit Delta != {0} of G_0 in
+    lambda * |Delta| / r points.  The pairs (beta, C) with beta in Delta and
+    C through 0 and beta number lambda * |Delta|, and G_0 permutes the
+    blocks through 0 and is transitive on Delta, so each beta in Delta lies
+    with 0 in lambda blocks; by transitivity every pair does.
+    """
     walk = orbit(union, action.set_images, params.b)
     if walk is None or len(walk[0]) != params.b:
         return None
-    spanned = walk[0]
-    lam = _lambda_through(spanned, min(union), params.v)
-    if lam != params.lam:
-        return None
-    blocks = _canonical_blocks(spanned)
+    blocks = _canonical_blocks(walk[0])
     if blocks in known:
         return known[blocks]
-    if not _flag_transitive(action, spanned, params.r):
+    if not verify_design(action, blocks, expect=params).ok:
         return None
-    report = verify_design(action, spanned, expect=params)
-    if not (report.ok and report.flag_transitive):
-        raise RuntimeError(f"candidate design fails verification: {report.problems}")
     return DesignRecord(
         group=action.label, params=params, blocks=blocks, flag_transitive=True
     )
@@ -327,13 +313,14 @@ def _suborbit_screen(
     element of G_0, which fixes every Delta; so the test does not depend on
     g, and a union passes exactly when each of its G-images does.
 
-    `_candidate_design` returns only flag-transitive designs with these
-    parameters, whose blocks therefore all pass this test at every point; a
-    union that fails it can be skipped without calling it.  Returned are
-    each point's G_0-orbit number, each orbit's quota |B & Delta| (orbits
-    B misses left out) and the test; None where no union passes: if r does
-    not divide some lambda * |Delta|, the quotas miss k, or the group is
-    not transitive on points, as a flag-transitive one with lambda > 0 is.
+    `_candidate_design` accepts only what verify_design passes as a
+    flag-transitive design with these parameters, whose blocks therefore
+    all pass this test at every point; a union that fails it can be skipped
+    without calling it.  Returned are each point's G_0-orbit number, each
+    orbit's quota |B & Delta| (orbits B misses left out) and the test; None
+    where no union passes: if r does not divide some lambda * |Delta|, the
+    quotas miss k, or the group is not transitive on points, as a
+    flag-transitive one with lambda > 0 is.
     """
     if not action.is_transitive():
         return None
@@ -569,7 +556,10 @@ def load_design(path: str) -> Tuple[str, DesignParams, BlockSet]:
             v, b, r, k, lam = (int(t) for t in tokens[1:])
             params = DesignParams(v, b, r, k, lam)
         elif tokens[0] == "block":
-            blocks.append(frozenset(int(t) for t in tokens[1:]))
+            points = frozenset(int(t) for t in tokens[1:])
+            if not points or len(points) != len(tokens) - 1:
+                raise ValueError(f"block line {line!r} must list distinct points")
+            blocks.append(points)
         else:
             raise ValueError(f"unrecognized line {line!r}")
     if params is None:

@@ -508,6 +508,38 @@ def test_verify_truncated_file_is_malformed(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
+FANO_LINES = [f"block {i} {(i + 1) % 7} {(i + 3) % 7}" for i in range(7)]
+
+
+def _fano_design(tmp_path, block_lines):
+    path = tmp_path / "fano.design"
+    header = ["version 1", "group c7", "params 7 7 3 3 1"]
+    path.write_text("\n".join(header + block_lines) + "\n")
+    return path
+
+
+def test_verify_reports_a_design_that_is_not_flag_transitive(capsys, tmp_path):
+    action = tmp_path / "c7.txt"
+    action.write_text("degree 7\n1 2 3 4 5 6 0\n")
+    path = _fano_design(tmp_path, FANO_LINES)
+    code, lines = run_cli(
+        capsys, "verify", "--design", str(path), "--action-file", str(action)
+    )
+    assert code == EXIT_DISCREPANCY
+    assert lines[-2:] == [
+        "problem block stabilizer is intransitive on its block",
+        "FAIL",
+    ]
+
+
+@pytest.mark.parametrize("bad", ["block 0 0 1", "block"])
+def test_verify_refuses_a_block_line_without_distinct_points(capsys, tmp_path, bad):
+    path = _fano_design(tmp_path, [bad] + FANO_LINES[1:])
+    code = main(["verify", "--design", str(path), "--group", "psl3_2"])
+    assert code == EXIT_USAGE
+    assert f"block line {bad!r} must list distinct points" in capsys.readouterr().err
+
+
 def test_verify_unknown_group_needs_source(capsys, tmp_path):
     path = tmp_path / "odd.design"
     path.write_text("version 1\ngroup mystery\nparams 8 28 14 4 6\nblock 0 1 2 3\n")

@@ -14,7 +14,6 @@ from flagsieve.designsearch import (
     SearchResult,
     _block_key,
     _candidate_design,
-    _lambda_through,
     _orbit_unions,
     _pair_coverage,
     _suborbit_screen,
@@ -447,7 +446,7 @@ def test_builtin_constructions_list_no_large_group(monkeypatch, name, degree, or
     assert (act.degree, act.order()) == (degree, order)
 
 
-# -- lambda through one point
+# -- the candidate check
 
 
 def _unions_reaching_check(monkeypatch, act, params):
@@ -476,34 +475,29 @@ def _meets_subdegrees_at_0(act, params, union):
     )
 
 
-def test_lambda_through_one_point_matches_pair_coverage():
-    """Oracle for the candidate check's lambda on the class representatives'
-    unions of the flag-route searches that meet the subdegree identity at
-    the base point, and on every union of the block-route search on
-    psl3_3_2_144: the count over the blocks of the union's full orbit
-    through one point equals the count over every pair of every block."""
-    seen = []
+def test_screened_orbit_of_b_blocks_has_the_searched_lambda():
+    """Oracle for the candidate check, which counts no pair before
+    verify_design: on the class representatives' unions of the flag-route
+    searches and of the block-route search on psl3_3_2_144, every union
+    that passes the subdegree screen at each of its points and has b
+    G-images covers every pair lambda times.  The argument in
+    `_candidate_design` does not use flag-transitivity, so every such union
+    is kept; all 14 are flag-transitive as well."""
+    cases = 0
     for group, params in FLAG_ROUTE_SEARCHES + [("psl3_3_2_144", PARAMS_144)]:
         act = builtin_action(group)
-        assert act.is_transitive()
+        screen = _suborbit_screen(act, params)
         source, order, alpha = _candidate_subgroups(act, params)
         for cls in subgroups_of_order(source, order):
             for union in _reference_unions(cls.representative, params, alpha):
-                if alpha is not None and not _meets_subdegrees_at_0(act, params, union):
+                if screen is None or not screen[2](union):
                     continue
                 orbit = act.set_orbit(union)
-                full = _pair_coverage(orbit, params.v)
-                for point in (0, min(union)):
-                    lam = _lambda_through(orbit, point, params.v)
-                    assert lam == full, (group, params)
-                seen.append(full)
-    assert None in seen and 12 in seen and 336 in seen
-    assert len(seen) == 86 + 5  # flag route, block route
-    # a block system of the 8-cycle: alpha meets one point once, and the
-    # other pairs are never covered
-    wheel = PermAction(8, [tuple((i + 1) % 8 for i in range(8))], label="c8")
-    blocks = wheel.set_orbit({0, 4})
-    assert _lambda_through(blocks, 0, 8) is None is _pair_coverage(blocks, 8)
+                if len(orbit) == params.b:
+                    assert _pair_coverage(orbit, params.v) == params.lam, group
+                    assert designsearch._flag_transitive(act, orbit, params.r)
+                    cases += 1
+    assert cases == 14  # 1 + 1 + 3 + 2 + 3 + 3 + 1 over the searches with a design
 
 
 def _k_orbits(act, k):
@@ -840,6 +834,46 @@ def test_verify_design_rejects_non_invariant_set():
     assert not report.ok
 
 
+FANO_LINES = [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
+PAIRS_OF_4 = [set(pair) for pair in itertools.combinations(range(4), 2)]
+
+
+@pytest.mark.parametrize(
+    "blocks,params,generator,problem",
+    [
+        pytest.param(
+            FANO_LINES,
+            DesignParams(7, 7, 3, 3, 1),
+            (1, 0, 2, 3, 4, 5, 6),
+            "block set is not invariant under the group",
+            id="swap-on-fano",
+        ),
+        pytest.param(
+            PAIRS_OF_4,
+            DesignParams(4, 6, 3, 2, 1),
+            (1, 2, 3, 0),
+            "group is not transitive on blocks",
+            id="4-cycle-on-pairs",
+        ),
+        pytest.param(
+            FANO_LINES,
+            DesignParams(7, 7, 3, 3, 1),
+            (1, 2, 3, 4, 5, 6, 0),
+            "block stabilizer is intransitive on its block",
+            id="c7-on-fano",
+        ),
+    ],
+)
+def test_verify_design_group_side_rejections(blocks, params, generator, problem):
+    """A 2-design whose group fails it: the checks after the pair count,
+    which are the search's only flag-transitivity gate."""
+    act = PermAction(len(generator), [generator])
+    report = verify_design(act, blocks, expect=params)
+    assert not report.ok and not report.flag_transitive
+    assert report.params == params
+    assert report.problems == (problem,)
+
+
 # -- design files
 
 
@@ -865,3 +899,7 @@ def test_design_file_malformed(tmp_path):
     path.write_text("version 1\ngroup g\nparams 8 14 7 4 3\nblock 0 1 2 3\n")
     with pytest.raises(ValueError):
         load_design(str(path))
+    for bad in ("block 0 0 1", "block"):
+        path.write_text(f"version 1\ngroup g\nparams 3 1 1 2 1\n{bad}\n")
+        with pytest.raises(ValueError, match=f"block line '{bad}'"):
+            load_design(str(path))

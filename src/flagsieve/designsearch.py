@@ -376,22 +376,27 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     if action.degree != v:
         raise ValueError(f"action degree {action.degree} differs from v = {v}")
     order = action.order()
-    cert: List[Tuple[str, str]] = []
     flags = v * r
     if order % flags != 0:
+        kill = (
+            "flag-count",
+            f"the flag count v*r = {flags} does not divide |G| = {order}: "
+            "no flag-transitive action is possible",
+        )
+        return SearchResult(action.label, params, (), True, (kill,))
+    m = order // flags
+    cert = [("flag-stabilizer-order", f"|G| / (v*r) = {m}")]
+    if m == 1 and order % b != 0:
         cert.append(
             (
-                "flag-count",
-                f"the flag count v*r = {flags} does not divide |G| = {order}: "
-                "no flag-transitive action is possible",
+                "block-count",
+                f"b = {b} does not divide |G| = {order}: "
+                "no block-transitive action is possible",
             )
         )
         return SearchResult(action.label, params, (), True, tuple(cert))
-    m = order // flags
-    cert.append(("flag-stabilizer-order", f"|G| / (v*r) = {m}"))
     if m > 1:
-        alpha = 0
-        classes = subgroups_of_order(action.point_stabilizer(alpha), m)
+        alpha, classes = 0, subgroups_of_order(action.point_stabilizer(0), m)
         cert.append(
             (
                 "flag-stabilizer-candidates",
@@ -402,35 +407,24 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
             )
         )
     else:
-        if order % b != 0:
-            cert.append(
-                (
-                    "block-count",
-                    f"b = {b} does not divide |G| = {order}: "
-                    "no block-transitive action is possible",
-                )
-            )
-            return SearchResult(action.label, params, (), True, tuple(cert))
-        mb = order // b
-        classes = subgroups_of_order(action, mb)
+        alpha, classes = None, subgroups_of_order(action, order // b)
         cert.append(
             (
                 "block-stabilizer-candidates",
                 f"trivial flag stabilizer: searching block stabilizers instead; "
                 f"complete enumeration: {sum(c.size for c in classes)} subgroups "
-                f"of order {mb} ({len(classes)} conjugacy classes), one "
+                f"of order {order // b} ({len(classes)} conjugacy classes), one "
                 "representative tested per class since conjugate stabilizers "
                 "give translated designs",
             )
         )
-        alpha = None
     screen = _suborbit_screen(action, params)
     found: Dict[BlockSet, DesignRecord] = {}
-    counts = []  # (unions of the representative, class size) per class
+    counts = []  # (class size, unions of the representative) per class
     for cls in classes:
         orbits = PermAction(v, cls.representative).orbits()
         free = [len(orb) for orb in orbits if alpha not in orb]
-        counts.append((_union_count(free, k - (alpha is not None)), cls.size))
+        counts.append((cls.size, _union_count(free, k - (alpha is not None))))
         if screen is None:
             continue
         label, want, passes = screen
@@ -439,18 +433,16 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
             rec = _candidate_design(action, params, union, found)
             if rec is not None:
                 found[rec.blocks] = rec
-    if m > 1:
-        # by (class size, unions): the order of the classes follows the labels
-        terms = sorted((size, n) for n, size in counts)
+    if m > 1:  # sorted, since the order of the classes follows the labels
         tested = (
-            f"tested {sum(n * size for n, size in counts)} orbit unions of size "
-            f"{k} ({' + '.join(f'{n} x {size}' for size, n in terms)}: unions "
-            "of one representative per class times the class size; conjugate "
-            "members give the same block sets, so only the representatives' "
-            "unions were enumerated)"
+            f"tested {sum(size * n for size, n in counts)} orbit unions of size "
+            f"{k} ({' + '.join(f'{n} x {size}' for size, n in sorted(counts))}: "
+            "unions of one representative per class times the class size; "
+            "conjugate members give the same block sets, so only the "
+            "representatives' unions were enumerated)"
         )
     else:
-        tested = f"tested {sum(n for n, _ in counts)} orbit unions of size {k}"
+        tested = f"tested {sum(n for _, n in counts)} orbit unions of size {k}"
     cert.append(("candidate-blocks", tested))
     designs = tuple(found[key] for key in sorted(found, key=_block_key))
     cert.append(

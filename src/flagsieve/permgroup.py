@@ -393,7 +393,6 @@ def orbit(
     start: Hashable,
     moves: Callable[[Hashable], Iterable[Hashable]],
     cap: Optional[int] = None,
-    key: Optional[Callable[[Hashable], Hashable]] = None,
 ) -> Optional[Tuple[List[Hashable], List[int]]]:
     """Breadth-first orbit of start, where moves(x) lists x's images, one
     per generator in a fixed order.
@@ -401,21 +400,18 @@ def orbit(
     Returns the points in discovery order and, for every point in that
     order and every generator, the discovery index of the image: the
     targets of the walk's edges, generator-major within each point.  None
-    as soon as the orbit grows past cap points.  When several values stand
-    for one orbit point, key(x) names x's point, and the point is kept as
-    the value that first reached it.
+    as soon as the orbit grows past cap points.
     """
-    index = {start if key is None else key(start): 0}
+    index = {start: 0}
     points = [start]
     targets: List[int] = []
     for cur in points:
         for image in moves(cur):
-            name = image if key is None else key(image)
-            at = index.get(name)
+            at = index.get(image)
             if at is None:
                 if cap is not None and len(points) >= cap:
                     return None
-                at = index[name] = len(points)
+                at = index[image] = len(points)
                 points.append(image)
             targets.append(at)
     return points, targets
@@ -769,7 +765,10 @@ class PermAction:
         return tuple(out)
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        """Exactly when one point's orbit is the whole domain: the default
+        chain's level 0, or with no base (a trivial group) the one point."""
+        trans = self.chain().trans
+        return len(trans[0]) == self.degree if trans else self.degree == 1
 
     def point_stabilizer(self, point: int) -> "PermAction":
         """Stabilizer as its own action, built once per point: the strong
@@ -1290,21 +1289,24 @@ def _base_key(z: Perm, base: Sequence[int]) -> Tuple[int, ...]:
     return tuple(images)
 
 
-def _sylow_walk(
-    action: PermAction, ell: int, x: Optional[Perm] = None
-) -> Tuple[List[Perm], List[int]]:
-    """The orbit walk of the Sylow ell-subgroup <x> of the action, for a
-    prime ell dividing its order once, under conjugation by the generators:
-    one generator of each conjugate, the first one a `_cyclic_key`, and the
-    walk's targets.  x is `_element_of_order` by default.  Conjugates are
-    keyed by `_base_key` (see `_sylow_route`)."""
+def _sylow_walk(action: PermAction, x: Perm) -> Tuple[List[Perm], List[int]]:
+    """The orbit walk of the Sylow subgroup <x> of the action, x of a prime
+    order dividing its order once, under conjugation by the generators: one
+    generator of each conjugate, the first x's `_cyclic_key`, and the
+    targets.  A conjugate is named by `_base_key`, and kept as the first
+    to reach its name (see `_sylow_route`)."""
     conjugators = [_conjugator(g) for g in action.generators]
     base = action.chain().base
-    conjugates, targets = orbit(
-        _cyclic_key(_element_of_order(action, ell) if x is None else x),
-        lambda z: [conj(z) for conj in conjugators],
-        key=lambda z: _base_key(z, base),
-    )
+    conjugates = [_cyclic_key(x)]
+    index = {_base_key(conjugates[0], base): 0}
+    targets: List[int] = []
+    for y in conjugates:
+        for conj in conjugators:
+            z = conj(y)
+            at = index.setdefault(_base_key(z, base), len(conjugates))
+            if at == len(conjugates):
+                conjugates.append(z)
+            targets.append(at)
     return conjugates, targets
 
 
@@ -1376,7 +1378,7 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
             (alpha,) = fixed
             x = compose(compose(chain.trans[0][alpha], x), chain.inv[0][alpha])
             group = action.point_stabilizer(chain.base[0])
-        conjugates, targets = _sylow_walk(group, ell, x)
+        conjugates, targets = _sylow_walk(group, x)
         size = n * len(conjugates) // group.order()  # |G : N(P)|
         if n // size != m:
             if m == ell:

@@ -69,6 +69,15 @@ def test_sieve_json_report_layout(capsys, tmp_path):
     assert path.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
+def test_sieve_tsv_report(capsys, tmp_path):
+    path = tmp_path / "s.tsv"
+    code, _ = run_cli(
+        capsys, *"sieve --v 8 --r-divisor 42 --format tsv --output".split(), str(path)
+    )
+    assert code == EXIT_OK
+    assert path.read_text() == "v\tb\tr\tk\tlambda\n8\t28\t14\t4\t6\n8\t42\t21\t4\t9\n"
+
+
 def test_sieve_budget_error(capsys):
     code, _ = run_cli(
         capsys, "sieve", "--v", "8", "--r-divisor", "42", "--tuple-budget", "0"
@@ -462,6 +471,14 @@ def test_search_rejects_header_only_action_file(capsys, tmp_path):
     assert f"no generator lines after the header in {path}" in err
 
 
+def test_search_rejects_an_action_file_of_degree_zero(capsys, tmp_path):
+    path = tmp_path / "zero.gens"
+    path.write_text("degree 0\n")
+    code = main(["search", "--action-file", str(path), "--k", "2"])
+    assert code == EXIT_USAGE
+    assert "error: degree must be positive" in capsys.readouterr().err
+
+
 def test_search_takes_no_report_flags(capsys, tmp_path):
     """search writes design files only: --output and --format are refused
     by argparse, not accepted and ignored."""
@@ -506,6 +523,26 @@ def test_verify_truncated_file_is_malformed(capsys, tmp_path):
     bad.write_text("\n".join(text[:-1]) + "\n")  # block count contradicts params
     code, _ = run_cli(capsys, "verify", "--design", str(bad))
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("bad,point", [("block 0 1 2 99", 99), ("block -1 1 2 3", -1)])
+def test_verify_reports_a_point_out_of_range(capsys, tmp_path, bad, point):
+    """A block point outside the group's domain is a reported problem."""
+    run_cli(capsys, *"search --group psl2_7 --k 4 --out-dir".split(), str(tmp_path))
+    (path,) = sorted(tmp_path.glob("*.design"))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [bad]) + "\n")
+    code, lines = run_cli(capsys, "verify", "--design", str(path))
+    assert code == EXIT_DISCREPANCY
+    assert lines[-2:] == [f"problem point {point} out of range", "FAIL"]
+
+
+def test_verify_refuses_a_design_without_params(capsys, tmp_path):
+    path = tmp_path / "noparams.design"
+    path.write_text("version 1\ngroup psl2_7\nblock 0 1 2 3\n")
+    code = main(["verify", "--design", str(path)])
+    assert code == EXIT_USAGE
+    assert "error: missing params line" in capsys.readouterr().err
 
 
 FANO_LINES = [f"block {i} {(i + 1) % 7} {(i + 3) % 7}" for i in range(7)]

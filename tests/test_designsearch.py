@@ -827,13 +827,6 @@ def test_verify_design_rejects_uneven_pair_coverage():
     assert report.problems == ("pair coverage is not constant",)
 
 
-def test_verify_design_rejects_non_invariant_set():
-    act = builtin_action("psl2_7")
-    blocks = [frozenset({0, 1, 2, 3}), frozenset({4, 5, 6, 7})]
-    report = verify_design(act, blocks)
-    assert not report.ok
-
-
 FANO_LINES = [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
 PAIRS_OF_4 = [set(pair) for pair in itertools.combinations(range(4), 2)]
 

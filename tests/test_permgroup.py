@@ -380,6 +380,9 @@ def test_sylow_counting_actions():
 def test_classical_action_pgl_variant():
     assert classical_action("linear", 3, 4, "pgl").order() == 60480
     assert classical_action("linear", 3, 2, "pgammal").order() == 168
+    # f > 1: the Frobenius permutation joins the generators
+    assert classical_action("linear", 3, 4, "pgammal").order() == 120960
+    assert classical_action("linear", 3, 8, "pgammal").order() == 49448448
 
 
 def test_classical_action_guards():
@@ -395,6 +398,10 @@ def test_classical_action_guards():
         classical_action("linear", 3, 2, "mystery")
     with pytest.raises(ValueError):
         classical_action("unitary", 3, 3, "pgl")
+    with pytest.raises(ValueError, match="doubling implemented for n = 3 only"):
+        classical_action("linear", 4, 2, "socle.2")
+    with pytest.raises(ValueError, match="supported for q <= 5 only"):
+        classical_action("unitary", 3, 7)
 
 
 def test_linear_domain_budget_refuses_before_listing():
@@ -1198,6 +1205,13 @@ def test_orbit_walk_cap_edges():
     assert orbit(start, act.set_images, len(points) - 1) is None
 
 
+def test_set_orbit_of_one_point():
+    """One-point sets take `set_images`' own branch: on the transitive
+    psl2_7 the orbit of {3} is the 8 singletons."""
+    singletons = tuple(frozenset({p}) for p in range(8))
+    assert builtin_action("psl2_7").set_orbit([3]) == singletons
+
+
 def test_set_orbit_rejects_foreign_points():
     with pytest.raises(ValueError):
         builtin_action("psl2_7").set_orbit({1, 99})
@@ -1340,7 +1354,7 @@ def test_sylow_walk_matches_cyclic_key_walk(name, ell, seed):
     act = builtin_action(name)
     if seed is not None:
         act = _relabelled(act, seed)
-    conjugates, targets = _sylow_walk(act, ell)
+    conjugates, targets = _sylow_walk(act, _element_of_order(act, ell))
     expected, expected_targets = cyclic_key_walk(act, _element_of_order(act, ell))
     assert targets == expected_targets
     assert len(conjugates) == len(expected)
@@ -1488,9 +1502,9 @@ def _recording_walks(monkeypatch):
     walks = []
     walk = permgroup._sylow_walk
 
-    def recorded(group, ell, x=None):
+    def recorded(group, x):
         walks.append((group, x))
-        return walk(group, ell, x)
+        return walk(group, x)
 
     monkeypatch.setattr(permgroup, "_sylow_walk", recorded)
     return walks
@@ -1578,7 +1592,7 @@ def test_schreier_generators_match_inverted_words(name, ell):
     """On a Sylow walk, the Schreier generators come out as the reference
     that inverts every transversal word on its own gives them."""
     act = builtin_action(name)
-    _, targets = _sylow_walk(act, ell)
+    _, targets = _sylow_walk(act, _element_of_order(act, ell))
     expected = schreier_generators_inverting_words(act.generators, targets)
     assert [tuple(s) for s in schreier_generators(act.generators, targets)] == expected
     assert expected

@@ -39,6 +39,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import (
     Callable,
     Dict,
@@ -317,7 +318,8 @@ def _suborbit_screen(
     flag-transitive design with these parameters, whose blocks therefore
     all pass this test at every point; a union that fails it can be skipped
     without calling it.  Returned are each point's G_0-orbit number, each
-    orbit's quota |B & Delta| (orbits B misses left out) and the test; None
+    orbit's quota |B & Delta| (orbits B misses left out) and the test, which
+    compares sorted orbit numbers with the sorted quotas at each point; None
     where no union passes: if r does not divide some lambda * |Delta|, the
     quotas miss k, or the group is not transitive on points, as a
     flag-transitive one with lambda > 0 is.
@@ -339,11 +341,12 @@ def _suborbit_screen(
             want[index] = share
     if sum(want.values()) != params.k:
         return None
-    to_zero = action.chain(0).inv[0]
+    to_zero, quota = action.chain(0).inv[0], sorted(want.elements())
 
     def passes(union: FrozenSet[int]) -> bool:
+        pick = itemgetter(*union) if len(union) > 1 else lambda g: [g[p] for p in union]
         return all(
-            Counter(label[g[p]] for p in union) == want
+            sorted(map(label.__getitem__, pick(g))) == quota
             for g in map(to_zero.__getitem__, union)
         )
 
@@ -353,8 +356,10 @@ def _suborbit_screen(
 def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     """Exhaustive search for flag-transitive designs with fixed parameters.
 
-    Either returns with a completeness certificate or raises when the
-    subgroup enumeration cannot be certified.
+    Either returns with a completeness certificate or raises: when the
+    subgroup enumeration cannot be certified, or when the tuple breaks
+    b*k = v*r or r*(k-1) = lambda*(v-1).  So b divides |G| on the block
+    route, where |G| = v*r = b*k.
 
     Both routes test one subgroup per conjugacy class.  On the flag route,
     let K' = K^n be a conjugate of K by n in G_alpha.  The K'-orbits are
@@ -372,7 +377,11 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     on the flag route and one for all orbits on the block route, and none
     where the screen passes nothing, as on an intransitive action.
     """
-    v, b, r, k = params.v, params.b, params.r, params.k
+    v, b, r, k, lam = params.as_tuple()
+    if b * k != v * r:
+        raise ValueError(f"b*k = {b * k} but v*r = {v * r}")
+    if r * (k - 1) != lam * (v - 1):
+        raise ValueError(f"r*(k-1) = {r * (k - 1)} but lambda*(v-1) = {lam * (v - 1)}")
     if action.degree != v:
         raise ValueError(f"action degree {action.degree} differs from v = {v}")
     order = action.order()
@@ -386,15 +395,6 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
         return SearchResult(action.label, params, (), True, (kill,))
     m = order // flags
     cert = [("flag-stabilizer-order", f"|G| / (v*r) = {m}")]
-    if m == 1 and order % b != 0:
-        cert.append(
-            (
-                "block-count",
-                f"b = {b} does not divide |G| = {order}: "
-                "no block-transitive action is possible",
-            )
-        )
-        return SearchResult(action.label, params, (), True, tuple(cert))
     if m > 1:
         alpha, classes = 0, subgroups_of_order(action.point_stabilizer(0), m)
         cert.append(

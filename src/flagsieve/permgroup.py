@@ -756,12 +756,18 @@ class PermAction:
         return tuple(sorted(orbit(point, lambda x: [g[x] for g in gens])[0]))
 
     def orbits(self) -> Tuple[Tuple[int, ...], ...]:
-        left = set(range(self.degree))
-        out = []
-        while left:
-            orb = self.orbit(min(left))
-            out.append(orb)
-            left -= set(orb)
+        """All orbits, each sorted, in order of their least points."""
+        gens, seen, out = self.generators, bytearray(self.degree), []
+        for start in range(self.degree):
+            if seen[start]:
+                continue
+            seen[start], orb = 1, [start]
+            for x in orb:
+                for g in gens:
+                    if not seen[g[x]]:
+                        seen[g[x]] = 1
+                        orb.append(g[x])
+            out.append(tuple(sorted(orb)))
         return tuple(out)
 
     def is_transitive(self) -> bool:
@@ -1328,7 +1334,10 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
     |N(P)| = |G| / (number of conjugates) decides conclusiveness, and the
     Schreier generators of that orbit generate N(P), the representative.
     They are read only until the kept ones generate a group of order m,
-    which is then N(P), so no later one would be kept.
+    which is then N(P), so no later one would be kept.  A walk of one node
+    means P is normal in the walked group, so that group is N(P) and its
+    own generators, which are the one node's Schreier generators, are the
+    representative: none is read and no chain is built.
 
     When x fixes exactly one point alpha of the G-orbit of the chain's
     first base point b0, the walk runs in G_b0 instead, the chain's tail
@@ -1384,6 +1393,8 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
             if m == ell:
                 return (SubgroupClass((conjugates[0],), size),)
             return None  # normalizer bigger than m: route not conclusive
+        if len(conjugates) == 1:  # P is normal in the walked group
+            return (SubgroupClass(group.generators, size),)
         normalizer, gens = StabChain(action.degree), []
         for s in schreier_generators(group.generators, targets):
             if normalizer.extend(s):

@@ -7,12 +7,14 @@ Sylow route with its walk in the whole group, projective points by
 normalizing every vector, the hermitian form and the special unitary
 test entry by entry, unitary matrices by trying every matrix of a shape,
 hyperplane images by the inverse transpose, the orbit unions of a size
-by a full descent, Schreier generators with every transversal word
-inverted on its own, a block set's pair multiplicity by counting every
-pair of every block, permutation products, inverses, conjugates, powers
-and orders on tuples one image at a time, and the orbits of point pairs
-by walking pairs of points.  The package computes the same quantities
-another way, so these stay independent oracles for it."""
+by a full descent, the orbits of a group by numbered breadth-first
+walks, the subdegree quotas of a union by counting orbit numbers,
+Schreier generators with every transversal word inverted on its own, a
+block set's pair multiplicity by counting every pair of every block,
+permutation products, inverses, conjugates, powers and orders on tuples
+one image at a time, and the orbits of point pairs by walking pairs of
+points.  The package computes the same quantities another way, so these
+stay independent oracles for it."""
 
 import functools
 import itertools
@@ -307,6 +309,34 @@ def orbit_unions(orbits, forced, target):
 
     descend(0, target - len(base), [])
     return found
+
+
+def orbits_by_walks(generators, degree):
+    """The orbits of the points 0..degree-1 under the generators, each a
+    sorted tuple, by breadth-first walks that number the points they
+    reach: one from the least point not yet in an orbit, until none is
+    left."""
+    left, out = set(range(degree)), []
+    while left:
+        start = min(left)
+        index, points = {start: 0}, [start]
+        for cur in points:
+            for g in generators:
+                if g[cur] not in index:
+                    index[g[cur]] = len(points)
+                    points.append(g[cur])
+        out.append(tuple(sorted(points)))
+        left -= set(points)
+    return tuple(out)
+
+
+def quotas_met_by_counting(label, want, to_zero, union):
+    """The subdegree test on a union: at each of its points p, the union's
+    image under to_zero[p] meets each orbit number as often as want says,
+    by counting the orbit numbers of the image."""
+    return all(
+        Counter(label[to_zero[p][q]] for q in union) == want for p in union
+    )
 
 
 def schreier_generators_inverting_words(generators, targets):

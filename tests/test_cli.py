@@ -462,6 +462,28 @@ def test_search_tuple_is_refused(capsys, tmp_path, extra, refusal):
     assert list(tmp_path.glob("*.design")) == []
 
 
+@pytest.mark.parametrize(
+    "params,identity",
+    [
+        ("8,5,21,4,9", "b*k = 20 but v*r = 168"),
+        ("8,42,21,4,8", "r*(k-1) = 63 but lambda*(v-1) = 56"),
+    ],
+    ids=["flag-count", "replication"],
+)
+def test_search_refuses_an_inconsistent_tuple(capsys, tmp_path, params, identity):
+    """A tuple that breaks b*k = v*r or r*(k-1) = lambda*(v-1) belongs to
+    no 2-design: the stabilizer search exits 2 naming the identity, with no
+    certificate and no design file.  (8,5,21,4,9) was certified exhaustive
+    by a block-count kill."""
+    argv = ["search", "--group", "psl2_7", "--tuple", params, "--out-dir", str(tmp_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert f"error: {identity}\n" in captured.err
+    assert "certificate" not in captured.out and "exhaustive" not in captured.out
+    assert list(tmp_path.glob("*.design")) == []
+
+
 def test_search_rejects_header_only_action_file(capsys, tmp_path):
     path = tmp_path / "empty.gens"
     path.write_text("degree 5\n")

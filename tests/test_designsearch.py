@@ -29,7 +29,7 @@ from flagsieve.eliminator import SEARCH_REGISTRY, eliminate
 from flagsieve.grouporders import GroupSpec, SubgroupCase
 from flagsieve.permgroup import PermAction, builtin_action, subgroups_of_order
 from flagsieve.sieve import DesignParams
-from reference import orbit_unions, pair_coverage_by_counting
+from reference import orbit_unions, pair_coverage_by_counting, quotas_met_by_counting
 
 PARAMS_36_SYM = DesignParams(36, 36, 21, 21, 12)
 PARAMS_36_QUASI = DesignParams(36, 48, 28, 21, 16)
@@ -703,6 +703,31 @@ def test_orbit_unions_match_reference(monkeypatch, group, params):
         counted = [n * cls.size for n, cls in zip(counted, classes)]
     detail = dict(result.certificate)["candidate-blocks"]
     assert detail.startswith(f"tested {sum(counted)} orbit unions of size {params.k}")
+
+
+def test_quota_test_matches_counting(monkeypatch):
+    """Oracle for the screen's test, which compares sorted orbit numbers
+    with the sorted quotas: it agrees with counting the orbit numbers of
+    the union's image at each point, on every union `_orbit_unions` builds
+    in the flag-route and block-route searches (psl3_3_2_144, degree 36,
+    psl2_7, pgl2_7) and on hand-built unions of one and two points, which
+    `itemgetter` would hand over as a bare point and a tuple."""
+    passed = {1: 0, 2: 0, "built": 0}
+    for group, params in FLAG_ROUTE_SEARCHES + BLOCK_ROUTE_SEARCHES:
+        act = builtin_action(group)
+        label, want, passes = _suborbit_screen(act, params)
+        to_zero = act.chain(0).inv[0]
+        built, _ = _built_unions(monkeypatch, act, params)
+        rng = random.Random(f"quota/{group}/{params.as_tuple()}")
+        hand = [frozenset({p}) for p in range(act.degree)]
+        hand += [frozenset(rng.sample(range(act.degree), 2)) for _ in range(20)]
+        cases = [("built", u) for us in built for u in us] + [(len(u), u) for u in hand]
+        for kind, union in cases:
+            got = passes(union)
+            assert got == quotas_met_by_counting(label, want, to_zero, union)
+            passed[kind] += got
+    # the hand-built pairs pass in pgl2_7's two searches at k = 2
+    assert passed == {1: 0, 2: 40, "built": 21}
 
 
 def test_orbit_unions_unmet_quota():

@@ -63,6 +63,7 @@ from reference import (
     is_special_unitary,
     monomial_by_search,
     normalized_projective_points,
+    orbits_by_walks,
     pair_orbit_lengths,
     root_subgroup_by_search,
     schreier_generators_inverting_words,
@@ -1205,6 +1206,30 @@ def test_orbit_walk_cap_edges():
     assert orbit(start, act.set_images, len(points) - 1) is None
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("linear_3_16",))
+def test_orbits_match_walks(name):
+    """Oracle for the flat orbit loop: the same sorted orbits, in the same
+    order, as numbered breadth-first walks, on each built-in and the
+    273-point action of PSL(3,16), whose permutations are tuples; on its
+    point stabilizer, the trivial group and seeded subsets of its
+    generators, a subset of one generator included."""
+    if name == "linear_3_16":
+        act = classical_action("linear", 3, 16)
+        assert act.degree == 273
+    else:
+        act = builtin_action(name)
+    rng = random.Random(f"orbits/{name}")
+    groups = [act, act.point_stabilizer(0), PermAction(act.degree, [])]
+    for size in range(1, len(act.generators) + 1):
+        groups.append(PermAction(act.degree, rng.sample(act.generators, size)))
+    seen = set()
+    for group in groups:
+        got = group.orbits()
+        assert got == orbits_by_walks(group.generators, group.degree)
+        seen.add(len(got))
+    assert {1, act.degree} <= seen and len(seen) > 2
+
+
 def test_set_orbit_of_one_point():
     """One-point sets take `set_images`' own branch: on the transitive
     psl2_7 the orbit of {3} is the 8 singletons."""
@@ -1388,33 +1413,39 @@ def test_sylow_route_builds_one_canonical_generator(monkeypatch):
 def test_sylow_route_reads_schreier_generators_until_order_m(
     monkeypatch, name, m, descends
 ):
-    """The Sylow route stops reading Schreier generators once the kept ones
-    reach order m, and keeps what a full read would keep.  On psu3_3, where
-    P_7 fixes none of the 28 points, the walk runs in G and the read stops
-    early.  On the 144-point groups it runs in the stabilizer of the
-    chain's first base point, whose walk yields 2 and 3 Schreier
-    generators, and the representative is all of them."""
-    read, full, walked = [], [], []
+    """Work gate: the Sylow route reads Schreier generators only until the
+    kept ones reach order m, and keeps what a full read would keep.  On
+    psu3_3, where P_7 fixes none of the 28 points, the walk runs in G and
+    the read stops early.  On the 144-point groups it runs in the
+    stabilizer of the chain's first base point, where P_13 is normal: the
+    walk has one node, no Schreier generator is read, and the
+    representative is the stabilizer's 2 and 3 generators, all of which a
+    full read of the walk's Schreier generators keeps."""
+    read, walked = [], []
     lazy = permgroup.schreier_generators
 
     def counted(generators, targets):
         walked.append(generators)
-        full.extend(lazy(generators, targets))
         for s in lazy(generators, targets):
             read.append(s)
             yield s
 
     monkeypatch.setattr(permgroup, "schreier_generators", counted)
+    walks = _recording_walks(monkeypatch)
     act = builtin_action(name)
     (cls,) = _sylow_route(act, m)
-    group = act.point_stabilizer(act.chain().base[0]) if descends else act
-    assert walked == [group.generators]
+    ((group, x),) = walks
+    assert group is (act.point_stabilizer(act.chain().base[0]) if descends else act)
+    conjugates, targets = _sylow_walk(group, x)
+    full = list(lazy(group.generators, targets))
     chain = StabChain(act.degree)
     assert cls.representative == tuple(s for s in full if chain.extend(s))
     assert chain.order() == m
     if descends:
-        assert cls.representative == tuple(full)
+        assert len(conjugates) == 1 and walked == read == []
+        assert cls.representative == group.generators == tuple(full)
     else:
+        assert walked == [group.generators]
         assert len(read) < len(full)
 
 
@@ -1536,6 +1567,36 @@ def test_sylow_route_descends_to_a_fixed_point_off_the_base(monkeypatch, name, e
     assert len(_bfs_closure(act.degree, cls.representative)) == m
 
 
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("linear_4_2",))
+def test_sylow_route_one_node_walk_gives_the_normalizer(monkeypatch, name, seed):
+    """Where the Sylow walk has one node, at any order m the route answers,
+    P = <x> is normal in the walked group, which the route returns as N(P):
+    its generators' chain has order m and each of them normalizes <x>.
+    The 144-point built-ins at m = 39 and 78 walk one node."""
+    act = _oracle_action(name)
+    if seed is not None:
+        act = _relabelled(act, seed)
+    n, one_node = act.order(), []
+    walks = _recording_walks(monkeypatch)
+    for m in (m for m in range(2, n + 1) if n % m == 0):
+        walks.clear()
+        answer = _sylow_route(act, m)
+        if answer is None or not walks or len(_sylow_walk(*walks[0])[0]) > 1:
+            continue
+        ((cls,), ((group, x),)) = answer, walks
+        if m == perm_order(x) and group.order() != m:
+            continue  # the class of P itself, whose normalizer is bigger
+        assert cls.representative == group.generators
+        assert StabChain(act.degree, cls.representative).order() == m
+        powers = {_perm_power(x, j) for j in range(perm_order(x))}
+        for s in cls.representative:
+            assert conjugate_perm(x, s) in powers
+        one_node.append(m)
+    if name in ("psl3_3_144", "psl3_3_2_144"):
+        assert one_node == [act.order() // 144]
+
+
 def test_sylow_route_prime_order_on_the_descended_path(monkeypatch, class_members):
     """m == ell after the descent: on psl3_3_2_144 at m = 13 the normalizer
     has order 78, the class is the 144 Sylow 13-subgroups, and the
@@ -1600,10 +1661,11 @@ def test_schreier_generators_match_inverted_words(name, ell):
 
 def test_sylow_route_inversions(monkeypatch):
     """Work gate: on a fresh psl3_3_2_144 whose chain is built, the Sylow
-    route at m = 78 calls inverse_perm 9 times: once per generator for the
-    walk and for the Schreier replay, and once per strong generator the
-    normalizer's chain installs.  Inverting every transversal word, in the
-    replay and in the chain, took 70."""
+    route at m = 78 calls inverse_perm 3 times, once per generator of the
+    walked stabilizer for the walk's conjugators.  P_13 is normal there, so
+    neither the Schreier replay nor a chain of the normalizer, which took 6
+    more, is run.  Inverting every transversal word, in the replay and in
+    the chain, took 70."""
     act = builtin_action("psl3_3_2_144")
     group = PermAction(act.degree, act.generators)
     group.order()
@@ -1615,7 +1677,7 @@ def test_sylow_route_inversions(monkeypatch):
 
     monkeypatch.setattr(permgroup, "inverse_perm", counted)
     (cls,) = subgroups_of_order(group, 78)
-    assert cls.size == 144 and calls[0] == 9
+    assert cls.size == 144 and calls[0] == 3
 
 
 # -- element budget

@@ -519,6 +519,9 @@ def verify_design(
 
 
 def save_design(path: str, record: DesignRecord) -> None:
+    label = record.group  # load_design cuts a line at '#' and strips it
+    if any(c in label for c in "#\r\n") or label != label.strip():
+        raise ValueError(f"design files cannot hold the group label {label!r}")
     p = record.params
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("version 1\n")
@@ -542,8 +545,8 @@ def load_design(path: str) -> Tuple[str, DesignParams, BlockSet]:
         raise ValueError("expected a 'version 1' header")
     for line in lines[1:]:
         tokens = line.split()
-        if tokens[0] == "group" and len(tokens) == 2:
-            group = tokens[1]
+        if tokens[0] == "group":
+            group = line[len("group") :].strip()
         elif tokens[0] == "params" and len(tokens) == 6:
             v, b, r, k, lam = (int(t) for t in tokens[1:])
             params = DesignParams(v, b, r, k, lam)

@@ -246,7 +246,9 @@ def _order_inequality(cell: _Cell) -> Optional[Final]:
 def _subdegree_step(
     cell: _Cell, subs: Sequence[int], name: str = "subdegree"
 ) -> Optional[Final]:
-    """The subdegree gcd of the citation, over every subdegree given."""
+    """The subdegree gcd of the citation over every size given: r* divides
+    v - 1 and the size of every G_alpha-invariant set of points other than
+    alpha, so v < gcd(v - 1, sizes)^2 is necessary."""
     if not subs:
         raise ValueError("the subdegree screen needs at least one subdegree")
     v = cell.orders.v

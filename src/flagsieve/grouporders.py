@@ -637,7 +637,9 @@ def _enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
 
 
 def known_subdegrees(spec: GroupSpec, case: SubgroupCase) -> Optional[Tuple[int, ...]]:
-    """Known nontrivial subdegrees of the primitive action, when tabulated."""
+    """Sizes of G_alpha-invariant sets of points other than alpha, when
+    tabulated: nontrivial subdegrees or sums of them, as 144 for
+    C2_GLwr(2,2) at n = 4, q = 2.  r* divides every such size."""
     n, q = spec.n, spec.q
     if spec.family == "linear":
         if case.kind == "C1_Pi":

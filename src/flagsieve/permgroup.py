@@ -10,7 +10,9 @@ computed once per permutation and cached.
 
 Outside the stabilizer chain, which grows its orbits incrementally, every
 orbit (of points, of point sets, of subgroups under conjugation) is found by
-one breadth-first walk, `orbit`.  Stabilizers are read off walks: a Sylow
+one breadth-first walk, `orbit`, and the conjugates of a subgroup of an
+unlisted group by one walk on it, `_conjugate_walk`, which keys each
+conjugate by its elements.  Stabilizers are read off walks: a Sylow
 normalizer off its Schreier generators (`schreier_generators`), and a
 lattice representative's normalizer off its class walk.
 
@@ -21,24 +23,23 @@ large group is ever listed for them.  Breadth-first closure (`elements`)
 remains for groups of order at most 1000, where it supplies the lattice
 search's extension candidates, and as the independent oracle of the tests.
 A listed group is indexed once (`PermAction.element_index`): each element's
-position in the sorted list, its class and order, one conjugation table
-per generator, and the breadth-first tree that listed the group, all read
-off the listing walk's targets with no further product.  Subgroups are
-handled as generator sets, one conjugacy class at a time, each class given
-by one representative and its size: grown from class representatives by
-cyclic extension on permutations in small groups, with class members keyed
-by their element index sets, and from the Sylow-normalizer argument in
-larger ones, where each conjugate of a Sylow subgroup of prime order is
-keyed by the base images of one canonical generator, and walked in the
-stabilizer of the first base point when the subgroup fixes exactly one
-point of that point's orbit.  No multiplication table is kept.  The
-builtin subgroups (PSL(2,7) in PSU_3(3), a Sylow 13-subgroup) are picked
-from fixed walks over generator words, and the unitary groups' two
-generators are written down; each choice is certified by its chain
-order.  The four builtins of degree 36 and 144 come from one recipe, a
-base builtin on the conjugates of one of its subgroups, and every action
-induced on a list of point sets (point pairs, hyperplanes) is read off
-by one helper.
+position in the sorted list, its class and order, one conjugation table per
+generator, and the breadth-first tree that listed the group, all read off
+the listing walk's targets with no further product.  Subgroups are handled
+as generator sets, one conjugacy class at a time, each class given by one
+representative and its size: grown from class representatives by cyclic
+extension on permutations in small groups, with class members keyed by their
+element index sets, and from the Sylow-normalizer argument in larger ones,
+where the conjugates of a Sylow subgroup of prime order are walked
+(`_conjugate_walk`) in the stabilizer of the first base point when the
+subgroup fixes exactly one point of that point's orbit.  No multiplication
+table is kept.  The builtin subgroups (PSL(2,7) in PSU_3(3), a Sylow
+13-subgroup) are picked from fixed walks over generator words, and the
+unitary groups' two generators are written down; each choice is certified by
+its chain order.  The four builtins of degree 36 and 144 come from one
+recipe, a base builtin on the conjugates of one of its subgroups, and every
+action induced on a list of point sets (point pairs, hyperplanes) is read
+off by one helper.
 
 The classical actions are written down from their defining equations:
 projective and isotropic points are listed in sorted order, a unitary
@@ -1006,31 +1007,26 @@ def _generating_class(subgroup: PermAction) -> Tuple[List[Perm], List[Perm]]:
     raise RuntimeError("the subgroup's elements do not generate it")
 
 
-def subgroup_conjugation_action(
-    action: PermAction, subgroup: PermAction
-) -> PermAction:
-    """Action on the conjugates of a subgroup, in discovery order.
+def _conjugate_walk(
+    action: PermAction, elements: Iterable[Perm], gens: Sequence[Perm]
+) -> Tuple[int, List[int]]:
+    """The breadth-first walk of a subgroup K's conjugates under
+    conjugation by the action's generators: the number of conjugates and
+    the walk's targets (`orbit`), from K's elements of one order and the
+    ones among them that generate K.
 
-    Each conjugate is keyed by its elements of one order d, those of
-    `_generating_class` (Holt, Eick and O'Brien, *Handbook of Computational
-    Group Theory*, 2005, on actions on conjugates).  The walk lists a
-    conjugate's order-d elements once, when it first meets it, and gives
-    every listed element a bit mask of the conjugates holding it.  A move
-    conjugates only the kept generators; its image is the listed conjugate
-    whose bit all of them carry.  That is sound: K^g's order-d elements are
-    the conjugates of K's, and the images generate a group of order |K|, so
-    a conjugate holding them is that group.
+    The walk lists a conjugate's elements once, when it first meets it, and
+    gives every listed element a bit mask of the conjugates holding it.  A
+    move conjugates only the generators; its image is the listed conjugate
+    whose bit all of them carry.  That is sound: K^g's elements of that
+    order are the conjugates of K's, and the images generate a group of
+    order |K|, so a conjugate holding them is that group.
     """
-    if subgroup.degree != action.degree:
-        raise ValueError(
-            f"subgroup of degree {subgroup.degree} in an action of degree "
-            f"{action.degree}"
-        )
     conjugators = [_conjugator(g) for g in action.generators]
-    listed: List[Tuple[Tuple[Perm, ...], List[Perm]]] = []
+    listed: List[Tuple[Tuple[Perm, ...], Sequence[Perm]]] = []
     holders: Dict[Perm, int] = {}
 
-    def new_conjugate(elements: Iterable[Perm], gens: List[Perm]) -> int:
+    def new_conjugate(elements: Iterable[Perm], gens: Sequence[Perm]) -> int:
         bit, elements = 1 << len(listed), tuple(elements)
         listed.append((elements, gens))
         for e in elements:
@@ -1049,11 +1045,25 @@ def subgroup_conjugation_action(
             out.append(mask.bit_length() - 1)
         return out
 
-    start = new_conjugate(*_generating_class(subgroup))
-    conjugates, targets = orbit(start, moves)
+    conjugates, targets = orbit(new_conjugate(elements, gens), moves)
+    return len(conjugates), targets
+
+
+def subgroup_conjugation_action(
+    action: PermAction, subgroup: PermAction
+) -> PermAction:
+    """Action on the conjugates of a subgroup, in discovery order, walked on
+    its elements of one order, those of `_generating_class` (Holt, Eick and
+    O'Brien, *Handbook of Computational Group Theory*, 2005)."""
+    if subgroup.degree != action.degree:
+        raise ValueError(
+            f"subgroup of degree {subgroup.degree} in an action of degree "
+            f"{action.degree}"
+        )
+    count, targets = _conjugate_walk(action, *_generating_class(subgroup))
     n = len(action.generators)
     images = [targets[j::n] for j in range(n)]
-    return PermAction(len(conjugates), images, label=f"{action.label}_conj")
+    return PermAction(count, images, label=f"{action.label}_conj")
 
 
 class SubgroupClass(NamedTuple):
@@ -1272,50 +1282,6 @@ def _cyclic_key(y: Perm) -> Perm:
     return _perm_power(y, cycle.index(min(cycle[1:])))
 
 
-def _base_key(z: Perm, base: Sequence[int]) -> Tuple[int, ...]:
-    """For z of prime order in a group with this complete base: the base
-    images of the generator of <z> that takes the first base point z moves
-    to the least other point of its z-cycle.  Two subgroups of prime order
-    with the same key are equal (the proof is in `_sylow_route`)."""
-    start = next(b for b in base if z[b] != b)
-    point = least = z[start]
-    e = j = 1
-    while True:
-        point = z[point]
-        j += 1
-        if point == start:
-            break
-        if point < least:
-            least, e = point, j
-    images = []
-    for point in base:
-        for _ in range(e):
-            point = z[point]
-        images.append(point)
-    return tuple(images)
-
-
-def _sylow_walk(action: PermAction, x: Perm) -> Tuple[List[Perm], List[int]]:
-    """The orbit walk of the Sylow subgroup <x> of the action, x of a prime
-    order dividing its order once, under conjugation by the generators: one
-    generator of each conjugate, the first x's `_cyclic_key`, and the
-    targets.  A conjugate is named by `_base_key`, and kept as the first
-    to reach its name (see `_sylow_route`)."""
-    conjugators = [_conjugator(g) for g in action.generators]
-    base = action.chain().base
-    conjugates = [_cyclic_key(x)]
-    index = {_base_key(conjugates[0], base): 0}
-    targets: List[int] = []
-    for y in conjugates:
-        for conj in conjugators:
-            z = conj(y)
-            at = index.setdefault(_base_key(z, base), len(conjugates))
-            if at == len(conjugates):
-                conjugates.append(z)
-            targets.append(at)
-    return conjugates, targets
-
-
 def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ...]]:
     """Order-m subgroups when they are exactly the normalizers of a Sylow,
     or the Sylow subgroups themselves.
@@ -1350,22 +1316,9 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
     |G| / |N(P)| members, and the Schreier generators of the walk in G_b0
     generate N(P).  Otherwise the walk runs in G.
 
-    Each node of the walk is the conjugate z = y^g, of a node y by a
-    generator g, that first reached it, and <z> is named by `_base_key` on
-    the complete base of the walked group's chain (Sims 1970; Seress,
-    ch. 4), so no power of z is built.  The key is exact.  Every
-    nontrivial power of z moves the first base point b that z moves, and
-    fixes the base points before b: a nontrivial power that fixed b would
-    generate <z>, ell being prime, and then z would fix b.  So the ell
-    points z^j(b) are distinct, exactly one power z^e takes b to the least
-    other point of that cycle, and z^e depends only on <z>.  It lies in the
-    walked group, whose pointwise stabilizer of a complete base is
-    trivial, so its base images determine it, and <z> = <z^e>.  Which
-    conjugate stands for a node does not change which subgroups its images
-    are, so the walk meets the subgroups in the same order, with the same
-    targets, as one keyed by `_cyclic_key`.  The start node,
-    conjugates[0], is still x's `_cyclic_key`, and the Schreier
-    generators, N(P) and every certificate built on them are unchanged.
+    The walk is `_conjugate_walk`, each conjugate keyed by its ell - 1
+    nontrivial elements, the powers of x's `_cyclic_key`, and moved by the
+    image of x, which generates it.
     """
     n = action.order()
     for ell, e in factorize(m).pairs:
@@ -1387,13 +1340,15 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
             (alpha,) = fixed
             x = compose(compose(chain.trans[0][alpha], x), chain.inv[0][alpha])
             group = action.point_stabilizer(chain.base[0])
-        conjugates, targets = _sylow_walk(group, x)
-        size = n * len(conjugates) // group.order()  # |G : N(P)|
+        key = _cyclic_key(x)
+        powers = itertools.accumulate(itertools.repeat(key, ell - 1), compose)
+        count, targets = _conjugate_walk(group, powers, (x,))
+        size = n * count // group.order()  # |G : N(P)|
         if n // size != m:
             if m == ell:
-                return (SubgroupClass((conjugates[0],), size),)
+                return (SubgroupClass((key,), size),)
             return None  # normalizer bigger than m: route not conclusive
-        if len(conjugates) == 1:  # P is normal in the walked group
+        if count == 1:  # P is normal in the walked group
             return (SubgroupClass(group.generators, size),)
         normalizer, gens = StabChain(action.degree), []
         for s in schreier_generators(group.generators, targets):

@@ -21,6 +21,7 @@ from flagsieve.cli import (
 from flagsieve.designsearch import load_design, stabilizer_search
 from flagsieve.eliminator import CellReport, Final, Step, eliminate, sweep
 from flagsieve.grouporders import GroupSpec, SubgroupCase, case_label, enumerate_cases
+from flagsieve.permgroup import builtin_action, save_action
 from flagsieve.sieve import DesignParams
 
 
@@ -228,6 +229,68 @@ def test_eliminate_fuzz_refuses_every_cell_off_the_enumeration(capsys):
     assert min(codes.values()) >= 20, codes
 
 
+_FILE_JUNK = ("-1", "x", "#", "999", "1.5", "degree", "block", "group", "params")
+
+
+def _mutated(rng, text):
+    """text with one to three seeded mutations: a line dropped, duplicated
+    or replaced by another, or a token dropped, duplicated or replaced by
+    another of the file's tokens or by junk."""
+    lines = [ln.split() for ln in text.splitlines()]
+    pool = sorted({t for ln in lines for t in ln}) + list(_FILE_JUNK)
+    for _ in range(rng.randint(1, 3)):
+        i, op = rng.randrange(len(lines)), rng.randrange(6)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(i, list(lines[i]))
+        elif op == 2:
+            lines[i] = list(rng.choice(lines))
+        elif lines[i]:
+            j = rng.randrange(len(lines[i]))
+            if op == 3:
+                del lines[i][j]
+            elif op == 4:
+                lines[i].insert(j, lines[i][j])
+            else:
+                lines[i][j] = rng.choice(pool)
+    return "".join(" ".join(ln) + "\n" for ln in lines)
+
+
+def _fuzz_file(capsys, tmp_path, text, argv, seed):
+    """Run argv, with '{file}' standing for one file, on 300 seeded
+    mutations of text written to that file: each run exits 0, 1 or 2 and
+    raises nothing.  Returns the count of runs per exit code."""
+    rng, path = random.Random(seed), tmp_path / "fuzzed.txt"
+    codes = {EXIT_OK: 0, EXIT_DISCREPANCY: 0, EXIT_USAGE: 0}
+    for _ in range(300):
+        mutated = _mutated(rng, text)
+        path.write_text(mutated)
+        code = main([a.replace("{file}", str(path)) for a in argv])
+        capsys.readouterr()
+        assert code in codes, mutated
+        codes[code] += 1
+    return codes
+
+
+def test_verify_fuzz_on_design_files(capsys, tmp_path):
+    """Seeded hostile design files for a 2-(8,4,6) design of pgl2_7."""
+    main(["search", "--group", "pgl2_7", "--k", "4", "--out-dir", str(tmp_path)])
+    text = (tmp_path / "pgl2_7_8_28_14_4_6.design").read_text()
+    codes = _fuzz_file(capsys, tmp_path, text, ["verify", "--design", "{file}"], 2)
+    assert codes[EXIT_DISCREPANCY] >= 20 and codes[EXIT_USAGE] >= 20, codes
+
+
+def test_search_fuzz_on_action_files(capsys, tmp_path):
+    """Seeded hostile action files for pgl2_7, searched for 3-subset orbit
+    designs."""
+    save_action(builtin_action("pgl2_7"), str(tmp_path / "pgl2_7.txt"))
+    text = (tmp_path / "pgl2_7.txt").read_text()
+    argv = ["search", "--action-file", "{file}", "--k", "3", "--out-dir", str(tmp_path)]
+    codes = _fuzz_file(capsys, tmp_path, text, argv, 3)
+    assert codes[EXIT_OK] >= 20 and codes[EXIT_USAGE] >= 20, codes
+
+
 def test_eliminate_refuses_an_off_grid_cell_under_optimize(tmp_path):
     """The refusal is a membership test, not an assert: python -O still
     exits 2, names the cell and writes no report."""
@@ -405,6 +468,43 @@ def test_search_korbit_emits_design_files(capsys, tmp_path):
     assert group == "pgl2_7"
     assert params.as_tuple() == (8, 28, 14, 4, 6)
     assert len(blocks) == 28
+
+
+def test_design_files_round_trip_a_group_label_with_a_space(capsys, tmp_path):
+    """A design file written for an action file whose name holds a space
+    reads back with that label, and verifies against the action."""
+    action = tmp_path / "my pgl.txt"
+    save_action(builtin_action("pgl2_7"), str(action))
+    out = tmp_path / "out"
+    argv = ["search", "--action-file", str(action), "--k", "4", "--out-dir", str(out)]
+    code, lines = run_cli(capsys, *argv)
+    assert code == EXIT_OK and "designs 2" in lines
+    files = sorted(out.glob("*.design"))
+    assert len(files) == 2
+    for path in files:
+        assert load_design(str(path))[0] == "my pgl"
+        code, lines = run_cli(
+            capsys, "verify", "--design", str(path), "--action-file", str(action)
+        )
+        assert code == EXIT_OK, lines
+        assert lines[-1].startswith("ok ")
+
+
+@pytest.mark.parametrize("name", ["a#b.txt", "a\nb.txt", "a .txt"])
+def test_search_refuses_a_group_label_a_design_file_cannot_hold(
+    capsys, tmp_path, name
+):
+    """A label with '#' would be cut at the comment, one with a line break
+    split over two lines, and one with outer whitespace stripped: the
+    search exits 2 and writes no design."""
+    action = tmp_path / name
+    save_action(builtin_action("pgl2_7"), str(action))
+    out = tmp_path / "out"
+    argv = ["search", "--action-file", str(action), "--k", "4", "--out-dir", str(out)]
+    code = main(argv)
+    assert code == EXIT_USAGE
+    assert "design files cannot hold the group label" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
 
 
 def test_search_hypothesis_filter_on_socle(capsys, tmp_path):

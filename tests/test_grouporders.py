@@ -3,6 +3,7 @@ reference products and the stabilizer chains of the permutation actions."""
 
 import dataclasses
 import functools
+import itertools
 import math
 import re
 
@@ -31,7 +32,13 @@ from flagsieve.grouporders import (
     sp_order,
     totally_singular_count,
 )
-from flagsieve.permgroup import builtin_action, classical_action, pair_action
+from flagsieve.permgroup import (
+    PermAction,
+    builtin_action,
+    classical_action,
+    pair_action,
+    _set_perms,
+)
 from reference import q_product
 
 L = lambda n, q: GroupSpec("linear", n, q)
@@ -368,6 +375,38 @@ def test_unitary_s_table_entries_pass_admission_bound():
         for q in row["possible_q"]:
             f = prime_power(q).f
             assert q ** (n * n - 3) < 4 * n * n * f * f * order**3, row
+
+
+def test_c2_wreath_subdegree_is_a_union_of_suborbits():
+    """linear n=4 q=2 C2_GLwr(2,2): PSL(4,2) = A_8 on the 280 partitions of
+    8 points of type 3+3+2, each the set of its 7 within-block pairs.  The
+    tabulated 144 is no suborbit, only a sum of nontrivial ones: a
+    G_alpha-invariant set of points other than alpha, whose size r*
+    divides all the same.  The report's gcd is gcd(279, 144) = 9."""
+    pairs = pair_action(builtin_action("psl4_2"))
+    blocks = ({0, 1, 2}, {3, 4, 5}, {6, 7})
+    within = [
+        i
+        for i, pair in enumerate(itertools.combinations(range(8), 2))
+        if any(set(pair) <= block for block in blocks)
+    ]
+    assert len(within) == 7
+    sets = pairs.set_orbit(within)
+    act = PermAction(len(sets), _set_perms(pairs.generators, sets))
+    assert act.degree == 280
+    subs = act.suborbit_lengths(0)
+    assert subs == (1, 6, 9, 12, 18, 18, 36, 36, 36, 36, 72)
+    case = SubgroupCase("C2_GLwr", (2, 2))
+    assert known_subdegrees(L(4, 2), case) == (144,)
+    assert 144 not in subs
+    assert any(
+        sum(part) == 144
+        for size in range(2, len(subs))
+        for part in itertools.combinations(subs[1:], size)
+    )
+    assert math.gcd(279, 144) == 9
+    (step,) = eliminator.eliminate(L(4, 2), case).steps
+    assert step.name == "subdegree" and ("gcd", 9) in step.witnesses
 
 
 def test_s_line_order_for_variable_line():

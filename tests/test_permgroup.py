@@ -39,6 +39,8 @@ from flagsieve.permgroup import (
     subgroup_conjugation_action,
     subgroups_of_order,
     _all_solvable,
+    _conjugate_walk,
+    _cyclic_key,
     _element_of_order,
     _generating_class,
     _lattice_route,
@@ -47,14 +49,12 @@ from flagsieve.permgroup import (
     _perm_power,
     _psl2_7_in_psu3_3,
     _sylow_route,
-    _sylow_walk,
     _two_three_seven_subgroup,
     _unitary_matrix_perms,
 )
 from flagsieve.sieve import DesignParams
 from reference import (
     conjugation_images,
-    cyclic_key,
     cyclic_key_walk,
     digit_add,
     digit_neg,
@@ -1371,25 +1371,24 @@ def test_sylow_route_matches_element_list(name, m, class_members):
     ],
 )
 def test_sylow_walk_matches_cyclic_key_walk(name, ell, seed):
-    """Conjugates keyed by the base images of a canonical generator walk
+    """Conjugates of <x> keyed by their elements, in the shared walk, walk
     as conjugates keyed by a whole canonical generator: the same targets,
-    the same number of conjugates, and the same first generator.  Each
-    node generates the subgroup the oracle found at its place.  The base,
-    and so the key, moves with the labels."""
+    the same number of conjugates, and the same first generator.  Equal
+    targets from one start meet the same subgroups in the same order."""
     act = builtin_action(name)
     if seed is not None:
         act = _relabelled(act, seed)
-    conjugates, targets = _sylow_walk(act, _element_of_order(act, ell))
-    expected, expected_targets = cyclic_key_walk(act, _element_of_order(act, ell))
+    x = _element_of_order(act, ell)
+    count, targets = _walk_of(act, x)
+    expected, expected_targets = cyclic_key_walk(act, x)
     assert targets == expected_targets
-    assert len(conjugates) == len(expected)
-    assert tuple(conjugates[0]) == expected[0]
-    assert [cyclic_key(z) for z in conjugates] == expected
+    assert count == len(expected)
+    assert tuple(_cyclic_key(x)) == expected[0]
 
 
 def test_sylow_route_builds_one_canonical_generator(monkeypatch):
-    """On psl3_3_2_144 at m = 78 only the start of the walk is keyed by a
-    whole canonical generator; the walk's 3 edges read base images."""
+    """On psl3_3_2_144 at m = 78 one canonical generator is built, whose
+    powers are the start of the walk; the walk's 3 edges build none."""
     calls = []
     whole = permgroup._cyclic_key
 
@@ -1431,18 +1430,18 @@ def test_sylow_route_reads_schreier_generators_until_order_m(
             yield s
 
     monkeypatch.setattr(permgroup, "schreier_generators", counted)
-    walks = _recording_walks(monkeypatch)
     act = builtin_action(name)
+    walks = _recording_walks(monkeypatch)
     (cls,) = _sylow_route(act, m)
     ((group, x),) = walks
     assert group is (act.point_stabilizer(act.chain().base[0]) if descends else act)
-    conjugates, targets = _sylow_walk(group, x)
+    count, targets = _walk_of(group, x)
     full = list(lazy(group.generators, targets))
     chain = StabChain(act.degree)
     assert cls.representative == tuple(s for s in full if chain.extend(s))
     assert chain.order() == m
     if descends:
-        assert len(conjugates) == 1 and walked == read == []
+        assert count == 1 and walked == read == []
         assert cls.representative == group.generators == tuple(full)
     else:
         assert walked == [group.generators]
@@ -1497,47 +1496,73 @@ def _fresh(name):
 
 
 @pytest.mark.parametrize(
-    "make,m,calls",
+    "make,m,conjugates,conjugations",
     [
-        pytest.param(lambda: _fresh("psl3_3_2_144"), 78, 4, id="psl3_3_2_144"),
-        pytest.param(lambda: classical_action("linear", 4, 2), 21, 257, id="linear_4_2"),
-        pytest.param(lambda: builtin_action("psu3_3"), 21, 577, id="psu3_3"),
-        pytest.param(lambda: builtin_action("psl4_2"), 5, 673, id="psl4_2"),
+        pytest.param(lambda: _fresh("psl3_3_2_144"), 78, 1, 3, id="psl3_3_2_144"),
+        pytest.param(
+            lambda: classical_action("linear", 4, 2), 21, 64, 256, id="linear_4_2"
+        ),
+        pytest.param(lambda: builtin_action("psu3_3"), 21, 288, 576, id="psu3_3"),
+        pytest.param(lambda: builtin_action("psl4_2"), 5, 336, 672, id="psl4_2"),
     ],
 )
-def test_sylow_route_base_key_counts(monkeypatch, make, m, calls):
-    """Work gate: the Sylow route keys 4 conjugates on a fresh
-    psl3_3_2_144 at m = 78 and 257 on the 15-point PSL(4,2) at m = 21,
-    walking in the stabilizer of the chain's first base point, which
-    their P_13 and P_7 fix alone in its orbit.  Walking the whole group
-    keyed 433 and 1,921.  P_7 fixes none of psu3_3's 28 points and P_5
-    fixes 3 of psl4_2's 8, so those walks stay in G: 577 and 673.  No
-    chain is built for the descent."""
+def test_sylow_route_base_key_counts(monkeypatch, make, m, conjugates, conjugations):
+    """Work gate: the Sylow route walks 1 conjugate on a fresh psl3_3_2_144
+    at m = 78 and 64 on the 15-point PSL(4,2) at m = 21, in the stabilizer
+    of the chain's first base point, which their P_13 and P_7 fix alone in
+    its orbit.  Walking the whole group listed 144 and 960.  P_7 fixes none
+    of psu3_3's 28 points and P_5 fixes 3 of psl4_2's 8, so those walks
+    stay in G: 288 and 336.  Each node conjugates its generator once per
+    generator of the walked group, and each new conjugate's ell - 1
+    elements once each.  No chain is built for the descent."""
     act = make()
     act.order()
     chains = dict(act._chains)
-    count = [0]
-    key = permgroup._base_key
+    calls, walks = [0], []
+    conjugator, walk = permgroup._conjugator, permgroup._conjugate_walk
 
-    def counted(z, base):
-        count[0] += 1
-        return key(z, base)
+    def counted_conjugator(g):
+        conj = conjugator(g)
 
-    monkeypatch.setattr(permgroup, "_base_key", counted)
+        def counted(x):
+            calls[0] += 1
+            return conj(x)
+
+        return counted
+
+    def recorded(group, elements, gens):
+        elements = tuple(elements)
+        count, targets = walk(group, elements, gens)
+        walks.append((len(elements) + 1, count))
+        return count, targets
+
+    monkeypatch.setattr(permgroup, "_conjugator", counted_conjugator)
+    monkeypatch.setattr(permgroup, "_conjugate_walk", recorded)
     assert _sylow_route(act, m) is not None
-    assert count[0] == calls and act._chains == chains
+    ((ell, count),) = walks
+    assert count == conjugates
+    assert calls[0] == conjugations + (count - 1) * (ell - 1)
+    assert act._chains == chains
+
+
+def _walk_of(group, x):
+    """The shared conjugate walk on <x>, x of prime order, as the Sylow
+    route runs it: the number of conjugates and the targets."""
+    key = _cyclic_key(x)
+    powers = [_perm_power(key, j) for j in range(1, perm_order(x))]
+    return _conjugate_walk(group, powers, (x,))
 
 
 def _recording_walks(monkeypatch):
-    """Record the group and start element of every Sylow walk."""
+    """Record the group and start generator of every shared conjugate walk."""
     walks = []
-    walk = permgroup._sylow_walk
+    walk = permgroup._conjugate_walk
 
-    def recorded(group, x):
-        walks.append((group, x))
-        return walk(group, x)
+    def recorded(group, elements, gens):
+        walks.append((group, gens[0]))
+        return walk(group, elements, gens)
 
-    monkeypatch.setattr(permgroup, "_sylow_walk", recorded)
+    monkeypatch.setattr(permgroup, "_conjugate_walk", recorded)
     return walks
 
 
@@ -1582,7 +1607,7 @@ def test_sylow_route_one_node_walk_gives_the_normalizer(monkeypatch, name, seed)
     for m in (m for m in range(2, n + 1) if n % m == 0):
         walks.clear()
         answer = _sylow_route(act, m)
-        if answer is None or not walks or len(_sylow_walk(*walks[0])[0]) > 1:
+        if answer is None or not walks or _walk_of(*walks[0])[0] > 1:
             continue
         ((cls,), ((group, x),)) = answer, walks
         if m == perm_order(x) and group.order() != m:
@@ -1653,7 +1678,7 @@ def test_schreier_generators_match_inverted_words(name, ell):
     """On a Sylow walk, the Schreier generators come out as the reference
     that inverts every transversal word on its own gives them."""
     act = builtin_action(name)
-    _, targets = _sylow_walk(act, _element_of_order(act, ell))
+    _, targets = _walk_of(act, _element_of_order(act, ell))
     expected = schreier_generators_inverting_words(act.generators, targets)
     assert [tuple(s) for s in schreier_generators(act.generators, targets)] == expected
     assert expected

@@ -8,13 +8,16 @@ most 256 is a bytes object, one byte per point, and a larger one a tuple
 one `bytes.translate`, an inverse one `bytes.maketrans`, and a hash is
 computed once per permutation and cached.
 
-Outside the stabilizer chain, which grows its orbits incrementally, every
-orbit (of points, of point sets, of subgroups under conjugation) is found by
-one breadth-first walk, `orbit`, and the conjugates of a subgroup of an
-unlisted group by one walk on it, `_conjugate_walk`, which keys each
-conjugate by its elements.  Stabilizers are read off walks: a Sylow
-normalizer off its Schreier generators (`schreier_generators`), and a
-lattice representative's normalizer off its class walk.
+Every orbit, of points, of point sets and of subgroups under conjugation,
+is found by one breadth-first walk, `orbit`, with two exceptions: the
+stabilizer chain grows its orbits incrementally, and `PermAction.orbits`
+lists all point orbits in one flat loop.  A subgroup in such a walk is
+named by a set of its elements that generates it, and a move conjugates
+the whole set (`_conjugation_moves`): the positions of all its elements in
+a listed group, its elements of one order in an unlisted one
+(`_conjugate_walk`).  Stabilizers are read off walks: a Sylow normalizer
+off its Schreier generators (`schreier_generators`), and a lattice
+representative's normalizer off its class walk.
 
 Group order, membership and point stabilizers are read off a base and strong
 generating set (Sims 1970; Seress, *Permutation Group Algorithms*, ch. 4-5),
@@ -28,11 +31,12 @@ generator, and the breadth-first tree that listed the group, all read off
 the listing walk's targets with no further product.  Subgroups are handled
 as generator sets, one conjugacy class at a time, each class given by one
 representative and its size: grown from class representatives by cyclic
-extension on permutations in small groups, with class members keyed by their
-element index sets, and from the Sylow-normalizer argument in larger ones,
-where the conjugates of a Sylow subgroup of prime order are walked
-(`_conjugate_walk`) in the stabilizer of the first base point when the
-subgroup fixes exactly one point of that point's orbit.  No multiplication
+extension on permutations in small groups, with class members keyed by the
+positions of their elements, and from the Sylow-normalizer argument in
+larger ones, where the conjugates of a Sylow subgroup of prime order,
+keyed by their nontrivial elements, are walked (`_conjugate_walk`) in the
+stabilizer of the first base point when the subgroup fixes exactly one
+point of that point's orbit.  No multiplication
 table is kept.  The builtin subgroups (PSL(2,7) in PSU_3(3), a Sylow
 13-subgroup) are picked from fixed walks over generator words, and the
 unitary groups' two generators are written down; each choice is certified by
@@ -82,7 +86,6 @@ __all__ = [
     "inverse_perm",
     "identity_perm",
     "perm_order",
-    "conjugate_perm",
     "projective_points",
     "hermitian_isotropic_points",
     "classical_action",
@@ -360,13 +363,9 @@ def perm_order(p: Perm) -> int:
     return order
 
 
-def conjugate_perm(x: Perm, g: Perm) -> Perm:
-    """x conjugated by g: apply g-inverse, then x, then g."""
-    return compose(compose(inverse_perm(g), x), g)
-
-
 def _conjugator(g: Perm) -> Callable[[Perm], Perm]:
-    """The map x -> conjugate_perm(x, g), with g inverted once."""
+    """The map x -> g^-1 * x * g (apply g-inverse, then x, then g), with g
+    inverted once."""
     g_inv = inverse_perm(g)
     if len(g) > _BYTE_DEGREE:
         return lambda x: compose(compose(g_inv, x), g)
@@ -987,65 +986,42 @@ def pair_action(action: PermAction) -> PermAction:
 # subgroup machinery
 
 
-def _generating_class(subgroup: PermAction) -> Tuple[List[Perm], List[Perm]]:
+def _generating_class(subgroup: PermAction) -> List[Perm]:
     """The smallest class of the subgroup's elements of one order that
-    generates it, and the generators a stabilizer chain keeps from it.
+    generates it.
 
     Classes are tried by size, then by order; a chain of the class whose
-    order is the subgroup's proves that the class generates it.  Only the
-    identity class keeps no generator, so it keeps itself.
+    order is the subgroup's proves that the class generates it.
     """
     by_order: Dict[int, List[Perm]] = {}
     for e in subgroup.elements():
         by_order.setdefault(perm_order(e), []).append(e)
     order = subgroup.order()
     for d in sorted(by_order, key=lambda d: (len(by_order[d]), d)):
-        chain = StabChain(subgroup.degree)
-        kept = [e for e in by_order[d] if chain.extend(e)]
-        if chain.order() == order:
-            return by_order[d], kept or by_order[d]
+        if StabChain(subgroup.degree, by_order[d]).order() == order:
+            return by_order[d]
     raise RuntimeError("the subgroup's elements do not generate it")
 
 
-def _conjugate_walk(
-    action: PermAction, elements: Iterable[Perm], gens: Sequence[Perm]
-) -> Tuple[int, List[int]]:
-    """The breadth-first walk of a subgroup K's conjugates under
-    conjugation by the action's generators: the number of conjugates and
-    the walk's targets (`orbit`), from K's elements of one order and the
-    ones among them that generate K.
+def _conjugation_moves(
+    maps: Sequence[Callable[[Hashable], Hashable]],
+) -> Callable[[FrozenSet], List[FrozenSet]]:
+    """The `orbit` moves of a set of elements, or of their positions, under
+    conjugation: the set's image under each map, in order."""
+    return lambda key: [frozenset(map(conj, key)) for conj in maps]
 
-    The walk lists a conjugate's elements once, when it first meets it, and
-    gives every listed element a bit mask of the conjugates holding it.  A
-    move conjugates only the generators; its image is the listed conjugate
-    whose bit all of them carry.  That is sound: K^g's elements of that
-    order are the conjugates of K's, and the images generate a group of
-    order |K|, so a conjugate holding them is that group.
+
+def _conjugate_walk(action: PermAction, key: Iterable[Perm]) -> Tuple[int, List[int]]:
+    """The breadth-first walk (`orbit`) of a subgroup K's conjugates under
+    conjugation by the action's generators, from K's elements of one order
+    that generate K: the number of conjugates and the walk's targets.
+
+    Each conjugate K^g is keyed by its elements of that order, which are the
+    g-conjugates of K's, so a move conjugates the key; and they generate
+    K^g, so no two conjugates share a key.
     """
-    conjugators = [_conjugator(g) for g in action.generators]
-    listed: List[Tuple[Tuple[Perm, ...], Sequence[Perm]]] = []
-    holders: Dict[Perm, int] = {}
-
-    def new_conjugate(elements: Iterable[Perm], gens: Sequence[Perm]) -> int:
-        bit, elements = 1 << len(listed), tuple(elements)
-        listed.append((elements, gens))
-        for e in elements:
-            holders[e] = holders.get(e, 0) | bit
-        return len(listed) - 1
-
-    def moves(at: int) -> List[int]:
-        elements, gens = listed[at]
-        out = []
-        for conj in conjugators:
-            images, mask = list(map(conj, gens)), -1
-            for y in images:
-                mask &= holders.get(y, 0)
-            if not mask:
-                mask = 1 << new_conjugate(map(conj, elements), images)
-            out.append(mask.bit_length() - 1)
-        return out
-
-    conjugates, targets = orbit(new_conjugate(elements, gens), moves)
+    moves = _conjugation_moves([_conjugator(g) for g in action.generators])
+    conjugates, targets = orbit(frozenset(key), moves)
     return len(conjugates), targets
 
 
@@ -1060,7 +1036,7 @@ def subgroup_conjugation_action(
             f"subgroup of degree {subgroup.degree} in an action of degree "
             f"{action.degree}"
         )
-    count, targets = _conjugate_walk(action, *_generating_class(subgroup))
+    count, targets = _conjugate_walk(action, _generating_class(subgroup))
     n = len(action.generators)
     images = [targets[j::n] for j in range(n)]
     return PermAction(count, images, label=f"{action.label}_conj")
@@ -1161,11 +1137,7 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     candidates = [i for i, d in enumerate(index.orders) if m % d == 0]
     normalizers_only = _all_solvable(m)
     position = index.position.__getitem__
-    conjugates = [table.__getitem__ for table in index.conj]
-
-    def moves(key: FrozenSet[int]) -> List[FrozenSet[int]]:
-        return [frozenset(map(conj, key)) for conj in conjugates]
-
+    moves = _conjugation_moves([table.__getitem__ for table in index.conj])
     known = set()  # every member of every class opened so far, as positions
     reps: List[Tuple[FrozenSet[Perm], Tuple[Perm, ...], List[int]]] = []
     classes = []
@@ -1213,26 +1185,25 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     return tuple(cls for _, cls in classes)
 
 
-def _words(action: PermAction) -> Iterator[Tuple[Perm, Perm, int]]:
-    """Every non-identity element once, breadth-first over generator words,
-    with the element it was reached from and the generator index applied."""
+def _words(action: PermAction) -> Iterator[Perm]:
+    """Every non-identity element once, breadth-first over generator words."""
     ident = identity_perm(action.degree)
     seen = {ident}
     queue = [ident]
     for cur in queue:
-        for j, g in enumerate(action.generators):
+        for g in action.generators:
             nxt = compose(cur, g)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-                yield nxt, cur, j
+                yield nxt
 
 
 def _element_of_order(action: PermAction, ell: int) -> Perm:
     """An element of prime order ell dividing the group order, from the
     first element of the breadth-first walk over generator words whose
     order ell divides (one exists by Cauchy's theorem)."""
-    for word, _, _ in _words(action):
+    for word in _words(action):
         order = perm_order(word)
         if order % ell == 0:
             return _perm_power(word, order // ell)
@@ -1249,7 +1220,7 @@ def _two_three_seven_subgroup(action: PermAction, order: int) -> PermAction:
     order wins.
     """
     found: Dict[int, List[Perm]] = {2: [], 3: []}
-    for word, _, _ in _words(action):
+    for word in _words(action):
         word_order = perm_order(word)
         for ell, other in ((2, 3), (3, 2)):
             if word_order % ell:
@@ -1317,8 +1288,7 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
     generate N(P).  Otherwise the walk runs in G.
 
     The walk is `_conjugate_walk`, each conjugate keyed by its ell - 1
-    nontrivial elements, the powers of x's `_cyclic_key`, and moved by the
-    image of x, which generates it.
+    nontrivial elements, the powers of x.
     """
     n = action.order()
     for ell, e in factorize(m).pairs:
@@ -1340,13 +1310,12 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
             (alpha,) = fixed
             x = compose(compose(chain.trans[0][alpha], x), chain.inv[0][alpha])
             group = action.point_stabilizer(chain.base[0])
-        key = _cyclic_key(x)
-        powers = itertools.accumulate(itertools.repeat(key, ell - 1), compose)
-        count, targets = _conjugate_walk(group, powers, (x,))
+        powers = itertools.accumulate(itertools.repeat(x, ell - 1), compose)
+        count, targets = _conjugate_walk(group, powers)
         size = n * count // group.order()  # |G : N(P)|
         if n // size != m:
             if m == ell:
-                return (SubgroupClass((key,), size),)
+                return (SubgroupClass((_cyclic_key(x),), size),)
             return None  # normalizer bigger than m: route not conclusive
         if count == 1:  # P is normal in the walked group
             return (SubgroupClass(group.generators, size),)
@@ -1505,6 +1474,11 @@ def load_action(path: str, label: str = "") -> PermAction:
 
 
 def save_action(action: PermAction, path: str) -> None:
+    """Write the action as `load_action` reads it, the label in a comment;
+    raises ValueError, before opening the file, on a label holding a line
+    break, which would end that comment."""
+    if "\n" in action.label or "\r" in action.label:
+        raise ValueError(f"label {action.label!r} holds a line break")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(f"# generators of {action.label or 'a permutation group'}\n")
         handle.write(f"degree {action.degree}\n")

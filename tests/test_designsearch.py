@@ -95,6 +95,44 @@ def test_korbit_budget_and_range_guards():
         korbit_designs(builtin_action("psl2_7"), 9)
 
 
+def test_korbit_agrees_with_stabilizer_search_on_13_points():
+    """The criterion-10 agreement at v = 13: on the 13-point PSL_3(3), for
+    k = 3..11, the k-orbit designs fall under 25 parameter sets.  For 23 of
+    them the search certifies exactly the flag-transitive k-orbit designs.
+    The other 2 need block stabilizers of order 6 and 8 in a group of order
+    5616, which neither subgroup route certifies, so the search refuses."""
+    action = builtin_action("psl3_3")
+    by_params = {}
+    for k in range(3, 12):
+        for rec in korbit_designs(action, k):
+            keys = by_params.setdefault(rec.params, set())
+            if rec.flag_transitive:
+                keys.add(_block_key(rec.blocks))
+    refused = []
+    for params, keys in sorted(by_params.items()):
+        try:
+            result = stabilizer_search(action, params)
+        except RuntimeError as exc:
+            assert str(exc).startswith("cannot certify")
+            refused.append((params.as_tuple(), str(exc)))
+            continue
+        assert result.exhaustive
+        assert {_block_key(r.blocks) for r in result.designs} == keys
+    assert len(by_params) == 25
+    assert sorted(refused) == [
+        (
+            (13, 702, 432, 8, 252),
+            "cannot certify a complete order-8 subgroup enumeration "
+            "in a group of order 5616",
+        ),
+        (
+            (13, 936, 432, 6, 180),
+            "cannot certify a complete order-6 subgroup enumeration "
+            "in a group of order 5616",
+        ),
+    ]
+
+
 # -- flag-transitivity against the flag orbit
 
 

@@ -23,7 +23,6 @@ from flagsieve.permgroup import (
     builtin_action,
     classical_action,
     compose,
-    conjugate_perm,
     hermitian_isotropic_points,
     identity_perm,
     inverse_perm,
@@ -40,6 +39,7 @@ from flagsieve.permgroup import (
     subgroups_of_order,
     _all_solvable,
     _conjugate_walk,
+    _conjugator,
     _cyclic_key,
     _element_of_order,
     _generating_class,
@@ -197,7 +197,7 @@ def test_perm_helpers():
     assert compose(p, inverse_perm(p)) == identity_perm(5)
     q = as_perm((0, 2, 1, 3, 4))
     assert tuple(compose(p, q)) == tuple(q[i] for i in p)
-    assert perm_order(conjugate_perm(p, q)) == perm_order(p)
+    assert perm_order(_conjugator(q)(p)) == perm_order(p)
 
 
 def _near_permutations(rng, n, count):
@@ -234,7 +234,7 @@ def test_kernel_matches_tuple_reference(n):
             (compose(x, g), tuple_compose(p, q)),
             (compose(ident, x), p),
             (inverse_perm(x), tuple_inverse(p)),
-            (conjugate_perm(x, g), tuple_conjugate(p, q)),
+            (_conjugator(g)(x), tuple_conjugate(p, q)),
             (_perm_power(x, e), tuple_power(p, e)),
             (_perm_power(x, 0), tuple(range(n))),
         ]
@@ -847,9 +847,7 @@ def test_element_index_conjugation_tables():
         assert list(index.orders) == [perm_order(e) for e in elements]
         assert len(index.conj) == len(group.generators)
         for g, table in zip(group.generators, index.conj):
-            assert [elements[i] for i in table] == [
-                conjugate_perm(e, g) for e in elements
-            ]
+            assert [elements[i] for i in table] == list(map(_conjugator(g), elements))
 
 
 def test_element_index_classes_match_brute_force():
@@ -864,7 +862,7 @@ def test_element_index_classes_match_brute_force():
         expected = [None] * len(elements)
         for i, e in enumerate(elements):
             if expected[i] is None:
-                for x in {conjugate_perm(e, g) for g in elements}:
+                for x in {_conjugator(g)(e) for g in elements}:
                     expected[position[x]] = i
         assert list(index.classes) == expected
         assert list(index.orders) == [perm_order(e) for e in elements]
@@ -910,7 +908,7 @@ def test_conjugate_indices_give_brute_force_normalizers():
             normalizer = [
                 i
                 for i, y in enumerate(elements)
-                if all(conjugate_perm(u, y) in sub for u in cls.representative)
+                if all(_conjugator(y)(u) in sub for u in cls.representative)
             ]
             assert [i for i, c in enumerate(at) if c == 0] == normalizer
 
@@ -1083,10 +1081,9 @@ def test_conjugation_action_matches_element_set_orbit(action, subgroup):
 )
 def test_generating_class_is_the_smallest_that_generates(subgroup, size, order):
     sub = subgroup()
-    cls, kept = _generating_class(sub)
+    cls = _generating_class(sub)
     assert len(cls) == size and {perm_order(e) for e in cls} == {order}
-    assert set(kept) <= set(cls)
-    assert PermAction(sub.degree, kept).order() == sub.order()
+    assert StabChain(sub.degree, cls).order() == sub.order()
 
 
 def test_conjugation_action_refuses_a_subgroup_of_another_degree():
@@ -1114,11 +1111,10 @@ def test_psl2_7_is_found_once_for_both_36_point_actions(monkeypatch):
 
 @pytest.mark.parametrize("name", ["psu3_3_36", "psu3_3_2_36"])
 def test_unitary_36_conjugation_counts(monkeypatch, name):
-    """Work gate: building a degree-36 action conjugates 35 new conjugates'
-    21 involutions (with the subgroup's own 21, 36 x 21 = 756 listed), plus
-    4 kept involutions under 2 generators at each of the 36 conjugates.
-    Listing all 168 elements of each conjugate and moving the 2 (2,3,7)
-    generators made 35 x 168 + 36 x 2 x 2 = 6024 conjugations."""
+    """Work gate: building a degree-36 action conjugates each of the 36
+    conjugates' 21 involutions under each of the 2 generators, 1,512
+    conjugations.  Listing all 168 elements of each conjugate and moving
+    the 2 (2,3,7) generators made 35 x 168 + 36 x 2 x 2 = 6024."""
     for base in ("psu3_3", "psu3_3_2"):
         builtin_action(base)
     calls = []
@@ -1136,7 +1132,7 @@ def test_unitary_36_conjugation_counts(monkeypatch, name):
     monkeypatch.setattr(permgroup, "_conjugator", counted_conjugator)
     act = permgroup._BUILTINS[name]()
     assert act.degree == 36
-    assert len(calls) == 35 * 21 + 36 * 2 * 4 == 1023
+    assert len(calls) == 36 * 2 * 21 == 1512
 
 
 def test_psl3_3_144_is_built_on_the_13_points(monkeypatch):
@@ -1253,6 +1249,27 @@ def test_save_load_roundtrip(tmp_path):
     assert back.label == "pgl2_7"
 
 
+@pytest.mark.parametrize("label", ["c3\nline two", "c3\rline two", "c3\r\n"])
+def test_save_action_refuses_a_line_break_in_the_label(tmp_path, label):
+    """A label holding a line break would end the comment it is written in,
+    and load_action would refuse the file; save_action refuses it before
+    opening the file, so none is left behind."""
+    path = tmp_path / "c3.gens"
+    with pytest.raises(ValueError, match="line break"):
+        save_action(PermAction(3, [(1, 2, 0)], label=label), str(path))
+    assert not path.exists()
+
+
+def test_save_action_label_with_a_hash_round_trips(tmp_path):
+    """A '#' in the label is harmless: the label sits in a comment, and
+    load_action reads it off the file name."""
+    path = str(tmp_path / "c3#odd.gens")
+    save_action(PermAction(3, [(1, 2, 0)], label="c3#odd"), path)
+    back = load_action(path)
+    assert back.label == "c3#odd" and back.degree == 3
+    assert back.generators == (as_perm((1, 2, 0)),)
+
+
 def test_load_action_rejects_malformed(tmp_path):
     bad_header = tmp_path / "a.gens"
     bad_header.write_text("1 2 3\n")
@@ -1352,7 +1369,7 @@ def test_sylow_route_matches_element_list(name, m, class_members):
     sylow = {g for g in rep if perm_order(g) in (1, 13)}
     assert len(sylow) == 13
     for s in cls.representative:
-        assert {tuple(conjugate_perm(as_perm(x), s)) for x in sylow} == sylow
+        assert {tuple(_conjugator(s)(as_perm(x))) for x in sylow} == sylow
     members = class_members(act, cls)
     assert cls.size == len(members) == sylow_count
     for sub in members:
@@ -1387,8 +1404,9 @@ def test_sylow_walk_matches_cyclic_key_walk(name, ell, seed):
 
 
 def test_sylow_route_builds_one_canonical_generator(monkeypatch):
-    """On psl3_3_2_144 at m = 78 one canonical generator is built, whose
-    powers are the start of the walk; the walk's 3 edges build none."""
+    """On psl3_3_2_144 the walk, keyed by the powers of x, builds no
+    canonical generator: none is built at m = 78, and one at m = 13, as
+    the representative of the class of P itself."""
     calls = []
     whole = permgroup._cyclic_key
 
@@ -1397,8 +1415,10 @@ def test_sylow_route_builds_one_canonical_generator(monkeypatch):
         return whole(y)
 
     monkeypatch.setattr(permgroup, "_cyclic_key", counted)
-    (cls,) = _sylow_route(builtin_action("psl3_3_2_144"), 78)
-    assert cls.size == 144 and len(calls) == 1
+    for m, built in ((78, 0), (13, 1)):
+        calls.clear()
+        (cls,) = _sylow_route(builtin_action("psl3_3_2_144"), m)
+        assert cls.size == 144 and len(calls) == built
 
 
 @pytest.mark.parametrize(
@@ -1433,9 +1453,9 @@ def test_sylow_route_reads_schreier_generators_until_order_m(
     act = builtin_action(name)
     walks = _recording_walks(monkeypatch)
     (cls,) = _sylow_route(act, m)
-    ((group, x),) = walks
+    ((group, key),) = walks
     assert group is (act.point_stabilizer(act.chain().base[0]) if descends else act)
-    count, targets = _walk_of(group, x)
+    count, targets = _conjugate_walk(group, key)
     full = list(lazy(group.generators, targets))
     chain = StabChain(act.degree)
     assert cls.representative == tuple(s for s in full if chain.extend(s))
@@ -1498,12 +1518,12 @@ def _fresh(name):
 @pytest.mark.parametrize(
     "make,m,conjugates,conjugations",
     [
-        pytest.param(lambda: _fresh("psl3_3_2_144"), 78, 1, 3, id="psl3_3_2_144"),
+        pytest.param(lambda: _fresh("psl3_3_2_144"), 78, 1, 36, id="psl3_3_2_144"),
         pytest.param(
-            lambda: classical_action("linear", 4, 2), 21, 64, 256, id="linear_4_2"
+            lambda: classical_action("linear", 4, 2), 21, 64, 1536, id="linear_4_2"
         ),
-        pytest.param(lambda: builtin_action("psu3_3"), 21, 288, 576, id="psu3_3"),
-        pytest.param(lambda: builtin_action("psl4_2"), 5, 336, 672, id="psl4_2"),
+        pytest.param(lambda: builtin_action("psu3_3"), 21, 288, 3456, id="psu3_3"),
+        pytest.param(lambda: builtin_action("psl4_2"), 5, 336, 2688, id="psl4_2"),
     ],
 )
 def test_sylow_route_base_key_counts(monkeypatch, make, m, conjugates, conjugations):
@@ -1512,9 +1532,9 @@ def test_sylow_route_base_key_counts(monkeypatch, make, m, conjugates, conjugati
     of the chain's first base point, which their P_13 and P_7 fix alone in
     its orbit.  Walking the whole group listed 144 and 960.  P_7 fixes none
     of psu3_3's 28 points and P_5 fixes 3 of psl4_2's 8, so those walks
-    stay in G: 288 and 336.  Each node conjugates its generator once per
-    generator of the walked group, and each new conjugate's ell - 1
-    elements once each.  No chain is built for the descent."""
+    stay in G: 288 and 336.  Each node conjugates its ell - 1 key elements
+    once per generator of the walked group.  No chain is built for the
+    descent."""
     act = make()
     act.order()
     chains = dict(act._chains)
@@ -1530,37 +1550,37 @@ def test_sylow_route_base_key_counts(monkeypatch, make, m, conjugates, conjugati
 
         return counted
 
-    def recorded(group, elements, gens):
-        elements = tuple(elements)
-        count, targets = walk(group, elements, gens)
-        walks.append((len(elements) + 1, count))
+    def recorded(group, key):
+        key = tuple(key)
+        count, targets = walk(group, key)
+        walks.append((len(key) + 1, len(group.generators), count))
         return count, targets
 
     monkeypatch.setattr(permgroup, "_conjugator", counted_conjugator)
     monkeypatch.setattr(permgroup, "_conjugate_walk", recorded)
     assert _sylow_route(act, m) is not None
-    ((ell, count),) = walks
+    ((ell, gens, count),) = walks
     assert count == conjugates
-    assert calls[0] == conjugations + (count - 1) * (ell - 1)
+    assert calls[0] == conjugations == count * gens * (ell - 1)
     assert act._chains == chains
 
 
 def _walk_of(group, x):
     """The shared conjugate walk on <x>, x of prime order, as the Sylow
-    route runs it: the number of conjugates and the targets."""
-    key = _cyclic_key(x)
-    powers = [_perm_power(key, j) for j in range(1, perm_order(x))]
-    return _conjugate_walk(group, powers, (x,))
+    route runs it, keyed by x's nontrivial powers: the number of
+    conjugates and the targets."""
+    return _conjugate_walk(group, [_perm_power(x, j) for j in range(1, perm_order(x))])
 
 
 def _recording_walks(monkeypatch):
-    """Record the group and start generator of every shared conjugate walk."""
+    """Record the group and start key set of every shared conjugate walk."""
     walks = []
     walk = permgroup._conjugate_walk
 
-    def recorded(group, elements, gens):
-        walks.append((group, gens[0]))
-        return walk(group, elements, gens)
+    def recorded(group, key):
+        key = frozenset(key)
+        walks.append((group, key))
+        return walk(group, key)
 
     monkeypatch.setattr(permgroup, "_conjugate_walk", recorded)
     return walks
@@ -1585,10 +1605,11 @@ def test_sylow_route_descends_to_a_fixed_point_off_the_base(monkeypatch, name, e
     assert alpha != b0
     walks = _recording_walks(monkeypatch)
     (cls,) = _sylow_route(act, m)
-    ((group, start),) = walks
-    assert group is act.point_stabilizer(b0)
-    assert start[b0] == b0 and perm_order(start) == ell
-    assert act.contains(start) and group.contains(start)
+    ((group, key),) = walks
+    assert group is act.point_stabilizer(b0) and len(key) == ell - 1
+    for y in key:
+        assert y[b0] == b0 and perm_order(y) == ell
+        assert act.contains(y) and group.contains(y)
     assert len(_bfs_closure(act.degree, cls.representative)) == m
 
 
@@ -1607,16 +1628,15 @@ def test_sylow_route_one_node_walk_gives_the_normalizer(monkeypatch, name, seed)
     for m in (m for m in range(2, n + 1) if n % m == 0):
         walks.clear()
         answer = _sylow_route(act, m)
-        if answer is None or not walks or _walk_of(*walks[0])[0] > 1:
+        if answer is None or not walks or _conjugate_walk(*walks[0])[0] > 1:
             continue
-        ((cls,), ((group, x),)) = answer, walks
-        if m == perm_order(x) and group.order() != m:
+        ((cls,), ((group, key),)) = answer, walks
+        if m == len(key) + 1 and group.order() != m:
             continue  # the class of P itself, whose normalizer is bigger
         assert cls.representative == group.generators
         assert StabChain(act.degree, cls.representative).order() == m
-        powers = {_perm_power(x, j) for j in range(perm_order(x))}
         for s in cls.representative:
-            assert conjugate_perm(x, s) in powers
+            assert set(map(_conjugator(s), key)) == key
         one_node.append(m)
     if name in ("psl3_3_144", "psl3_3_2_144"):
         assert one_node == [act.order() // 144]

@@ -79,6 +79,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _design_tuple(text: str) -> DesignParams:
     """v,b,r,k,lambda, in the order of DesignParams.as_tuple."""
     try:
@@ -109,8 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sieve", help="admissible parameter tuples for fixed v")
     p.add_argument("--v", type=int, required=True)
     p.add_argument("--r-divisor", type=int, required=True)
-    p.add_argument("--g-max", type=int, default=None)
-    p.add_argument("--rstar-divisor", type=int, default=None)
+    p.add_argument("--g-max", type=_positive, default=None)
+    p.add_argument("--rstar-divisor", type=_positive, default=None)
     p.add_argument("--tuple-budget", type=_positive, default=10**7)
     add_output(p)
 
@@ -161,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-dir", default="", help="where design files are written")
     p.add_argument("--no-filter", action="store_true")
-    p.add_argument("--expect-designs", type=int, default=None)
+    p.add_argument("--expect-designs", type=_nonnegative, default=None)
     p.add_argument("--orbit-cap", type=_positive, default=10**7)
 
     p = sub.add_parser("verify", help="re-check a design file from scratch")

@@ -433,7 +433,7 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
             rec = _candidate_design(action, params, union, found)
             if rec is not None:
                 found[rec.blocks] = rec
-    if m > 1:  # sorted, since the order of the classes follows the labels
+    if m > 1 and counts:  # sorted, as the classes follow the labels
         tested = (
             f"tested {sum(size * n for size, n in counts)} orbit unions of size "
             f"{k} ({' + '.join(f'{n} x {size}' for size, n in sorted(counts))}: "
@@ -543,8 +543,13 @@ def load_design(path: str) -> Tuple[str, DesignParams, BlockSet]:
         ]
     if not lines or lines[0].split() != ["version", "1"]:
         raise ValueError("expected a 'version 1' header")
+    seen = set()  # the group and params lines, each allowed once
     for line in lines[1:]:
         tokens = line.split()
+        if tokens[0] in ("group", "params"):
+            if tokens[0] in seen:
+                raise ValueError(f"second {tokens[0]} line {line!r}")
+            seen.add(tokens[0])
         if tokens[0] == "group":
             group = line[len("group") :].strip()
         elif tokens[0] == "params" and len(tokens) == 6:

@@ -36,14 +36,14 @@ positions of their elements, and from the Sylow-normalizer argument in
 larger ones, where the conjugates of a Sylow subgroup of prime order,
 keyed by their nontrivial elements, are walked (`_conjugate_walk`) in the
 stabilizer of the first base point when the subgroup fixes exactly one
-point of that point's orbit.  No multiplication
-table is kept.  The builtin subgroups (PSL(2,7) in PSU_3(3), a Sylow
-13-subgroup) are picked from fixed walks over generator words, and the
-unitary groups' two generators are written down; each choice is certified by
-its chain order.  The four builtins of degree 36 and 144 come from one
-recipe, a base builtin on the conjugates of one of its subgroups, and every
-action induced on a list of point sets (point pairs, hyperplanes) is read
-off by one helper.
+point of that point's orbit.  No multiplication table is kept.  The
+unitary groups' two generators and the builtin subgroups (PSL(2,7) in
+PSU_3(3), a Sylow 13-subgroup of PSL_3(3)) are written down, the subgroups
+as words in a builtin's generators (`_written_subgroup`); each is certified
+by its chain order, and each subgroup by its words' orders too.  The four
+builtins of degree 36 and 144 come from one recipe, a base builtin on the
+conjugates of such a subgroup, and every action induced on a list of point
+sets (point pairs, hyperplanes) is read off by one helper.
 
 The classical actions are written down from their defining equations:
 projective and isotropic points are listed in sorted order, a unitary
@@ -1185,61 +1185,22 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
     return tuple(cls for _, cls in classes)
 
 
-def _words(action: PermAction) -> Iterator[Perm]:
-    """Every non-identity element once, breadth-first over generator words."""
+def _element_of_order(action: PermAction, ell: int) -> Perm:
+    """An element of prime order ell dividing the group order: a power of
+    the first element, breadth-first over generator words, whose order ell
+    divides (one exists by Cauchy's theorem)."""
     ident = identity_perm(action.degree)
-    seen = {ident}
-    queue = [ident]
+    seen, queue = {ident}, [ident]
     for cur in queue:
         for g in action.generators:
-            nxt = compose(cur, g)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-                yield nxt
-
-
-def _element_of_order(action: PermAction, ell: int) -> Perm:
-    """An element of prime order ell dividing the group order, from the
-    first element of the breadth-first walk over generator words whose
-    order ell divides (one exists by Cauchy's theorem)."""
-    for word in _words(action):
-        order = perm_order(word)
-        if order % ell == 0:
-            return _perm_power(word, order // ell)
+            word = compose(cur, g)
+            if word not in seen:
+                order = perm_order(word)
+                if order % ell == 0:
+                    return _perm_power(word, order // ell)
+                seen.add(word)
+                queue.append(word)
     raise RuntimeError(f"no element of order {ell} in {action.label or 'the group'}")
-
-
-def _two_three_seven_subgroup(action: PermAction, order: int) -> PermAction:
-    """The subgroup of the given order generated by the first (2,3,7) pair.
-
-    Involutions and elements of order 3 are taken, as powers, from the
-    breadth-first walk over generator words, each once in the order found;
-    every new one is paired with those of the other kind found before it.
-    The first pair (a, b) with a*b of order 7 and <a, b> of chain order
-    order wins.
-    """
-    found: Dict[int, List[Perm]] = {2: [], 3: []}
-    for word in _words(action):
-        word_order = perm_order(word)
-        for ell, other in ((2, 3), (3, 2)):
-            if word_order % ell:
-                continue
-            x = _perm_power(word, word_order // ell)
-            if x in found[ell]:
-                continue
-            for y in found[other]:
-                a, b = (x, y) if ell == 2 else (y, x)
-                if perm_order(compose(a, b)) != 7:
-                    continue
-                sub = PermAction(action.degree, (a, b), label=f"{action.label}_237")
-                if sub.order() == order:
-                    return sub
-            found[ell].append(x)
-    raise RuntimeError(
-        f"no order-{order} subgroup with a (2,3,7) generating pair "
-        f"in {action.label or 'the group'}"
-    )
 
 
 def _cyclic_key(y: Perm) -> Perm:
@@ -1383,24 +1344,46 @@ def _projective_line_7(with_scalar: bool) -> PermAction:
 
 
 @functools.lru_cache(maxsize=None)
-def _psl2_7_in_psu3_3() -> PermAction:
-    """The PSL(2,7) of both 36-point actions, found and listed once."""
-    return _two_three_seven_subgroup(builtin_action("psu3_3"), 168)
-
-
-def _sylow_13(base: PermAction) -> PermAction:
-    """The subgroup of order 13 that `_element_of_order` gives: a Sylow
-    subgroup of PSL_3(3) and PSL_3(3):2, whose orders 13 divides once."""
-    return PermAction(base.degree, [_element_of_order(base, 13)])
-
-
-def _conjugation_builtin(
-    base: str, subgroup: Callable[[PermAction], PermAction], degree: int
+def _written_subgroup(
+    base: str, words: Tuple[Tuple[int, ...], ...], orders: Tuple[int, ...], order: int
 ) -> PermAction:
-    """The builtin named base on the conjugates of subgroup(base),
-    labelled base_degree; raises unless there are degree of them."""
+    """The subgroup of the builtin base generated by these words, each a
+    tuple of indices into the base's generators, multiplied left to right;
+    built and listed once per recipe.
+
+    orders holds the order of each word, then of the words' product, and
+    the chain order must be order; raises unless all of them hold.
+    """
     group = builtin_action(base)
-    act = subgroup_conjugation_action(group, subgroup(group))
+    letters = group.generators.__getitem__
+    gens = [functools.reduce(compose, map(letters, w)) for w in words]
+    found = (*map(perm_order, gens), perm_order(functools.reduce(compose, gens)))
+    sub = PermAction(group.degree, gens, label=f"{base}_sub{order}")
+    if found != orders or sub.order() != order:
+        raise RuntimeError(
+            f"{sub.label}: words of orders {found} and chain order {sub.order()}, "
+            f"expected {orders} and {order}"
+        )
+    return sub
+
+
+# PSL(2,7) in PSU_3(3), shared by both 36-point builtins: a = (g0 g0 g1 g0)^3
+# and b = g1 in psu3_3's generators, with a, b and ab of orders 2, 3 and 7
+# and <a, b> of chain order 168.  The only subgroups of order 168 in U_3(3)
+# are its maximal subgroups L_2(7) of index 36 (Conway et al., *ATLAS of
+# Finite Groups*, 1985).
+_PSL2_7 = ("psu3_3", ((0, 0, 1, 0) * 3, (1,)), (2, 3, 7), 168)
+# The words, orders and order of a Sylow 13-subgroup <g0 g1> of PSL_3(3) or
+# PSL_3(3):2, in that base's generators; 13 divides both group orders once.
+_SYLOW_13 = (((0, 1),), (13, 13), 13)
+
+
+def _conjugation_builtin(base: str, subgroup: Tuple, degree: int) -> PermAction:
+    """The builtin named base on the conjugates of the subgroup written down
+    by `_written_subgroup(*subgroup)`, labelled base_degree; raises unless
+    there are degree of them."""
+    sub = _written_subgroup(*subgroup)
+    act = subgroup_conjugation_action(builtin_action(base), sub)
     act.label = f"{base}_{degree}"
     if act.degree != degree:
         raise RuntimeError(f"{act.label} has degree {act.degree}, expected {degree}")
@@ -1416,14 +1399,14 @@ _BUILTINS: Dict[str, Callable[[], PermAction]] = {
     "pgl2_7": functools.partial(_projective_line_7, True),
     "psu3_3": functools.partial(classical_action, "unitary", 3, 3, "socle"),
     "psu3_3_2": functools.partial(classical_action, "unitary", 3, 3, "socle.2"),
-    "psu3_3_36": functools.partial(
-        _conjugation_builtin, "psu3_3", lambda _: _psl2_7_in_psu3_3(), 36
+    "psu3_3_36": functools.partial(_conjugation_builtin, "psu3_3", _PSL2_7, 36),
+    "psu3_3_2_36": functools.partial(_conjugation_builtin, "psu3_3_2", _PSL2_7, 36),
+    "psl3_3_144": functools.partial(
+        _conjugation_builtin, "psl3_3", ("psl3_3", *_SYLOW_13), 144
     ),
-    "psu3_3_2_36": functools.partial(
-        _conjugation_builtin, "psu3_3_2", lambda _: _psl2_7_in_psu3_3(), 36
+    "psl3_3_2_144": functools.partial(
+        _conjugation_builtin, "psl3_3_2", ("psl3_3_2", *_SYLOW_13), 144
     ),
-    "psl3_3_144": functools.partial(_conjugation_builtin, "psl3_3", _sylow_13, 144),
-    "psl3_3_2_144": functools.partial(_conjugation_builtin, "psl3_3_2", _sylow_13, 144),
 }
 
 BUILTIN_NAMES = tuple(_BUILTINS)

@@ -110,10 +110,13 @@ def admissible_tuples_explained(
 
     r must divide r_divisor; r* must additionally divide rstar_divisor when
     one is given (a refinement, e.g. a p'-part).  g can be capped by g_max.
-    Raises TupleBudgetError when the candidate r* sum past max_work.
+    Raises TupleBudgetError when the candidate r* sum past max_work, and
+    ValueError on a g_max or rstar_divisor below 1.
     """
     if v < 4 or r_divisor < 1:
         raise ValueError("need v >= 4 and a positive r divisor")
+    if any(bound is not None and bound < 1 for bound in (g_max, rstar_divisor)):
+        raise ValueError("g_max and rstar_divisor must be positive when given")
     cap = gcd(v - 1, rstar_divisor if rstar_divisor is not None else r_divisor)
     rstars = [e for e in divisors(cap) if e * e > v]
     if sum(rstars) > max_work:

@@ -667,6 +667,20 @@ def test_verify_refuses_a_design_without_params(capsys, tmp_path):
     assert "error: missing params line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra", ["params 9 9 9 9 9", "group nosuchgroup"])
+def test_verify_refuses_a_second_group_or_params_line(capsys, tmp_path, extra):
+    """A repeated header line is refused, not read as the last one given."""
+    run_cli(capsys, *"search --group psl2_7 --k 4 --out-dir".split(), str(tmp_path))
+    (path,) = sorted(tmp_path.glob("*.design"))
+    lines = path.read_text().splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(extra.split()[0]))
+    path.write_text("\n".join(lines[:at] + [extra] + lines[at:]) + "\n")
+    code = main(["verify", "--design", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert f"error: second {extra.split()[0]} line '{lines[at]}'" in captured.err
+
+
 FANO_LINES = [f"block {i} {(i + 1) % 7} {(i + 3) % 7}" for i in range(7)]
 
 
@@ -956,16 +970,30 @@ def test_outdir_environment_variable(capsys, tmp_path, monkeypatch):
     [
         "search --group psl2_7 --k 4 --orbit-cap 0",
         "sieve --v 8 --r-divisor 42 --tuple-budget 0",
+        "sieve --v 8 --r-divisor 42 --g-max 0",
+        "sieve --v 8 --r-divisor 42 --g-max -5",
+        "sieve --v 8 --r-divisor 42 --rstar-divisor 0",
+        "sieve --v 8 --r-divisor 42 --rstar-divisor -7",
     ],
-    ids=["orbit-cap", "tuple-budget"],
+    ids=["orbit-cap", "tuple-budget", "g-max", "g-max-negative", "rstar-divisor",
+         "rstar-divisor-negative"],
 )
 def test_budgets_must_be_positive(capsys, argv):
     code = main(argv.split())
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
-    flag = argv.split()[-2]
-    assert f"argument {flag}: must be positive, got 0" in captured.err
+    flag, value = argv.split()[-2:]
+    assert f"argument {flag}: must be positive, got {value}" in captured.err
+
+
+def test_expected_design_count_must_not_be_negative(capsys, tmp_path):
+    argv = ["search", "--group", "psl2_7", "--k", "4", "--out-dir", str(tmp_path)]
+    code = main(argv + ["--expect-designs", "-1"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert "argument --expect-designs: must be non-negative, got -1" in captured.err
+    assert list(tmp_path.glob("*.design")) == []
 
 
 def test_orbit_cap_edges(capsys, tmp_path):

@@ -27,8 +27,13 @@ from flagsieve.designsearch import (
 )
 from flagsieve.eliminator import SEARCH_REGISTRY, eliminate
 from flagsieve.grouporders import GroupSpec, SubgroupCase
-from flagsieve.permgroup import PermAction, builtin_action, subgroups_of_order
-from flagsieve.sieve import DesignParams
+from flagsieve.permgroup import (
+    PermAction,
+    builtin_action,
+    pair_action,
+    subgroups_of_order,
+)
+from flagsieve.sieve import DesignParams, admissible_tuples_explained
 from reference import orbit_unions, pair_coverage_by_counting, quotas_met_by_counting
 
 PARAMS_36_SYM = DesignParams(36, 36, 21, 21, 12)
@@ -209,6 +214,46 @@ def test_stabilizer_search_flag_count_infeasible():
 def test_stabilizer_search_degree_mismatch():
     with pytest.raises(ValueError):
         stabilizer_search(builtin_action("psl2_7"), PARAMS_36_SYM)
+
+
+def test_search_behind_computed_subdegrees():
+    """linear n=4 q=2 C8_Sp is Eliminated by its computed subdegrees alone
+    (12 and 15, gcd 3).  PSL(4,2) = A_8 on the 28 point pairs is that action,
+    and an exhaustive search certifies both admissible tuples empty without
+    the subdegrees; with no subgroup of order 40 the flag route tests no
+    union and says so without a breakdown."""
+    act = pair_action(builtin_action("psl4_2"))
+    assert act.suborbit_lengths(0) == (1, 12, 15)
+    tuples = admissible_tuples_explained(28, act.order() // 28)[0]
+    assert [p.as_tuple() for p in tuples] == [(28, 63, 36, 16, 20), (28, 72, 18, 7, 4)]
+    enumerated = (
+        "complete enumeration: {} subgroups of order {} in the point stabilizer "
+        "({} conjugacy classes); every block through the base point is a union "
+        "of orbits of one of them"
+    )
+    expected = [
+        (
+            ("flag-stabilizer-order", "|G| / (v*r) = 20"),
+            ("flag-stabilizer-candidates", enumerated.format(36, 20, 1)),
+            (
+                "candidate-blocks",
+                "tested 72 orbit unions of size 16 (2 x 36: unions of one "
+                "representative per class times the class size; conjugate members "
+                "give the same block sets, so only the representatives' unions "
+                "were enumerated)",
+            ),
+            _NO_DESIGN,
+        ),
+        (
+            ("flag-stabilizer-order", "|G| / (v*r) = 40"),
+            ("flag-stabilizer-candidates", enumerated.format(0, 40, 0)),
+            ("candidate-blocks", "tested 0 orbit unions of size 7"),
+            _NO_DESIGN,
+        ),
+    ]
+    for params, certificate in zip(tuples, expected):
+        result = stabilizer_search(act, params)
+        assert result == SearchResult(act.label, params, (), True, certificate)
 
 
 # -- stabilizer search, 36-point eliminations

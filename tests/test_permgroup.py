@@ -47,10 +47,10 @@ from flagsieve.permgroup import (
     _linear_matrix_generators,
     _matrix_point_perm,
     _perm_power,
-    _psl2_7_in_psu3_3,
+    _PSL2_7,
     _sylow_route,
-    _two_three_seven_subgroup,
     _unitary_matrix_perms,
+    _written_subgroup,
 )
 from flagsieve.sieve import DesignParams
 from reference import (
@@ -1015,18 +1015,25 @@ def test_subgroups_of_order_edge_cases():
     assert PermAction(8, ones[0].representative).order() == 1
 
 
+def _psl2_7():
+    return _written_subgroup(*_PSL2_7)
+
+
 def test_two_three_seven_subgroup():
     socle = builtin_action("psu3_3")
-    sub = _two_three_seven_subgroup(socle, 168)
+    sub = _psl2_7()
     a, b = sub.generators
     assert (perm_order(a), perm_order(b), perm_order(compose(a, b))) == (2, 3, 7)
     assert sub.order() == 168 and all(socle.contains(g) for g in sub.generators)
     assert len(sub.elements()) == 168
     act = subgroup_conjugation_action(socle, sub)
     assert act.degree == 36 and act.order() == 6048
-    # every (2,3,7) pair of PSL(2,7) generates all of it, none a group of order 21
-    with pytest.raises(RuntimeError):
-        _two_three_seven_subgroup(builtin_action("psl2_7"), 21)
+    # the builder raises when the words give another order than the one stated
+    base, words, orders, _ = _PSL2_7
+    with pytest.raises(RuntimeError, match=r"chain order 168, expected .* and 336"):
+        _written_subgroup(base, words, orders, 336)
+    with pytest.raises(RuntimeError, match=r"orders \(3, 2, 7\)"):
+        _written_subgroup(base, words[::-1], orders, 168)
 
 
 def _sylow(name, ell):
@@ -1047,8 +1054,8 @@ def _matrix_part(name):
 @pytest.mark.parametrize(
     "action,subgroup",
     [
-        (lambda: builtin_action("psu3_3"), _psl2_7_in_psu3_3),
-        (lambda: builtin_action("psu3_3_2"), _psl2_7_in_psu3_3),
+        (lambda: builtin_action("psu3_3"), _psl2_7),
+        (lambda: builtin_action("psu3_3_2"), _psl2_7),
         (lambda: builtin_action("psl3_3_2"), lambda: _sylow("psl3_3_2", 13)),
         (lambda: _matrix_part("psl3_3_2"), lambda: _sylow("psl3_3_2", 13)),
         (lambda: builtin_action("psl3_3"), lambda: _sylow("psl3_3", 13)),
@@ -1071,7 +1078,7 @@ def test_conjugation_action_matches_element_set_orbit(action, subgroup):
 @pytest.mark.parametrize(
     "subgroup,size,order",
     [
-        (_psl2_7_in_psu3_3, 21, 2),
+        (_psl2_7, 21, 2),
         # the 2 elements of order 4 generate only C4
         (_d8_in_psl2_7, 5, 2),
         (lambda: _sylow("psl3_3_2", 13), 12, 13),
@@ -1091,22 +1098,19 @@ def test_conjugation_action_refuses_a_subgroup_of_another_degree():
         subgroup_conjugation_action(builtin_action("psu3_3"), builtin_action("psl2_7"))
 
 
-def test_psl2_7_is_found_once_for_both_36_point_actions(monkeypatch):
-    """Both degree-36 actions conjugate the one PSL(2,7) found in psu3_3."""
-    calls = []
-    find = permgroup._two_three_seven_subgroup
-
-    def counted(*args):
-        calls.append(args)
-        return find(*args)
-
-    monkeypatch.setattr(permgroup, "_two_three_seven_subgroup", counted)
-    _psl2_7_in_psu3_3.cache_clear()
+def test_psl2_7_is_written_once_for_both_36_point_actions():
+    """Both degree-36 actions conjugate the one PSL(2,7) written down in
+    psu3_3, and each rebuilt action equals its cached builtin."""
+    subgroups = []
     for name in ("psu3_3_36", "psu3_3_2_36"):
         build = permgroup._BUILTINS[name]
         assert build.func is permgroup._conjugation_builtin
+        subgroups.append(_written_subgroup(*build.args[1]))
         assert build().generators == builtin_action(name).generators
-    assert len(calls) == 1 and _psl2_7_in_psu3_3() is _psl2_7_in_psu3_3()
+    first, second = subgroups
+    assert first is second is _psl2_7()
+    assert set(first.elements()) == set(second.elements())
+    assert first.order() == 168
 
 
 @pytest.mark.parametrize("name", ["psu3_3_36", "psu3_3_2_36"])

@@ -94,6 +94,9 @@ def test_admissible_tuples_g_cap_and_rstar_divisor():
     assert [d.as_tuple() for d in got] == [(8, 28, 14, 4, 6)]
     assert admissible_tuples(8, 42, rstar_divisor=21) == admissible_tuples(8, 42)
     assert admissible_tuples(8, 42, rstar_divisor=6) == ()
+    for bounds in ({"g_max": 0}, {"g_max": -5}, {"rstar_divisor": 0}):
+        with pytest.raises(ValueError, match="must be positive"):
+            admissible_tuples_explained(8, 42, **bounds)
 
 
 def _brute_force_tuples(v: int, r_divisor: int) -> set:

@@ -25,8 +25,11 @@ block and checks flag-transitivity; the screen already makes lambda
 constant on such an orbit (see `_candidate_design`).  Each design found is
 verified once: a later union spanning it is recognized by its canonical
 block set.
-Either way the result carries a certificate describing why the enumeration
-was complete, or the subgroup enumeration raises and no claim is made.
+Either way the result carries the counts of what was enumerated: |G|,
+and each class of candidate subgroups with its size and its
+representative's union count.  The certificate, the text saying why the
+enumeration was complete, is rendered from them (`SearchResult.certificate`);
+or the subgroup enumeration raises and no claim is made.
 
 Block orbits come from permgroup's one orbit walk (`orbit`) on point
 sets, and so does every flag-transitivity check: one walk of the point
@@ -42,6 +45,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import (
     Callable,
+    ClassVar,
     Dict,
     FrozenSet,
     Iterable,
@@ -89,11 +93,75 @@ class DesignRecord:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """What an exhaustive search enumerated, and the designs it found.
+
+    order is |G|; classes holds, per conjugacy class of candidate
+    subgroups in class order, its size and the number of orbit unions of
+    size k of its representative.  The route follows from the parameters
+    and |G|: a flag count v*r that does not divide |G| kills the search,
+    |G| > v*r takes the flag route with m = |G| / (v*r), and |G| = v*r the
+    block route over subgroups of order |G| / b.  A search certifies or
+    raises, so every result is exhaustive.
+    """
+
     group: str
     params: DesignParams
     designs: Tuple[DesignRecord, ...]
-    exhaustive: bool
-    certificate: Tuple[Tuple[str, str], ...]
+    order: int
+    classes: Tuple[Tuple[int, int], ...]
+
+    exhaustive: ClassVar[bool] = True
+
+    @property
+    def certificate(self) -> Tuple[Tuple[str, str], ...]:
+        """Why the enumeration was complete, as (name, text) pairs, written
+        from the counts."""
+        v, b, r, k, _ = self.params.as_tuple()
+        if self.order % (v * r):
+            kill = (
+                f"the flag count v*r = {v * r} does not divide |G| = {self.order}: "
+                "no flag-transitive action is possible"
+            )
+            return (("flag-count", kill),)
+        m = self.order // (v * r)
+        enumerated = (
+            f"complete enumeration: {sum(size for size, _ in self.classes)} "
+            f"subgroups of order {m if m > 1 else self.order // b}"
+        )
+        classes = f"({len(self.classes)} conjugacy classes)"
+        unions = sum(size * n if m > 1 else n for size, n in self.classes)
+        tested = f"tested {unions} orbit unions of size {k}"
+        if m > 1:
+            candidates = (
+                "flag-stabilizer-candidates",
+                f"{enumerated} in the point stabilizer {classes}; every block "
+                "through the base point is a union of orbits of one of them",
+            )
+        else:
+            candidates = (
+                "block-stabilizer-candidates",
+                "trivial flag stabilizer: searching block stabilizers instead; "
+                f"{enumerated} {classes}, one representative tested per class "
+                "since conjugate stabilizers give translated designs",
+            )
+        if m > 1 and self.classes:  # sorted, as the classes follow the labels
+            breakdown = " + ".join(f"{n} x {size}" for size, n in sorted(self.classes))
+            tested += (
+                f" ({breakdown}: unions of one representative per class times "
+                "the class size; conjugate members give the same block sets, "
+                "so only the representatives' unions were enumerated)"
+            )
+        outcome = (
+            f"{len(self.designs)} flag-transitive design(s) with these parameters"
+            if self.designs
+            else "no flag-transitive design with these parameters admits this group"
+        )
+        return (
+            ("flag-stabilizer-order", f"|G| / (v*r) = {m}"),
+            candidates,
+            ("candidate-blocks", tested),
+            ("outcome", outcome),
+        )
 
 
 @dataclass(frozen=True)
@@ -385,39 +453,13 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     if action.degree != v:
         raise ValueError(f"action degree {action.degree} differs from v = {v}")
     order = action.order()
-    flags = v * r
-    if order % flags != 0:
-        kill = (
-            "flag-count",
-            f"the flag count v*r = {flags} does not divide |G| = {order}: "
-            "no flag-transitive action is possible",
-        )
-        return SearchResult(action.label, params, (), True, (kill,))
-    m = order // flags
-    cert = [("flag-stabilizer-order", f"|G| / (v*r) = {m}")]
+    if order % (v * r) != 0:  # the flag-count kill
+        return SearchResult(action.label, params, (), order, ())
+    m = order // (v * r)
     if m > 1:
         alpha, classes = 0, subgroups_of_order(action.point_stabilizer(0), m)
-        cert.append(
-            (
-                "flag-stabilizer-candidates",
-                f"complete enumeration: {sum(c.size for c in classes)} subgroups "
-                f"of order {m} in the point stabilizer ({len(classes)} conjugacy "
-                "classes); every block through the base point is a union of "
-                "orbits of one of them",
-            )
-        )
     else:
         alpha, classes = None, subgroups_of_order(action, order // b)
-        cert.append(
-            (
-                "block-stabilizer-candidates",
-                f"trivial flag stabilizer: searching block stabilizers instead; "
-                f"complete enumeration: {sum(c.size for c in classes)} subgroups "
-                f"of order {order // b} ({len(classes)} conjugacy classes), one "
-                "representative tested per class since conjugate stabilizers "
-                "give translated designs",
-            )
-        )
     screen = _suborbit_screen(action, params)
     found: Dict[BlockSet, DesignRecord] = {}
     counts = []  # (class size, unions of the representative) per class
@@ -433,27 +475,8 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
             rec = _candidate_design(action, params, union, found)
             if rec is not None:
                 found[rec.blocks] = rec
-    if m > 1 and counts:  # sorted, as the classes follow the labels
-        tested = (
-            f"tested {sum(size * n for size, n in counts)} orbit unions of size "
-            f"{k} ({' + '.join(f'{n} x {size}' for size, n in sorted(counts))}: "
-            "unions of one representative per class times the class size; "
-            "conjugate members give the same block sets, so only the "
-            "representatives' unions were enumerated)"
-        )
-    else:
-        tested = f"tested {sum(n for _, n in counts)} orbit unions of size {k}"
-    cert.append(("candidate-blocks", tested))
     designs = tuple(found[key] for key in sorted(found, key=_block_key))
-    cert.append(
-        (
-            "outcome",
-            f"{len(designs)} flag-transitive design(s) with these parameters"
-            if designs
-            else "no flag-transitive design with these parameters admits this group",
-        )
-    )
-    return SearchResult(action.label, params, designs, True, tuple(cert))
+    return SearchResult(action.label, params, designs, order, tuple(counts))
 
 
 def verify_design(

@@ -1,9 +1,13 @@
 """Design search oracles on the eight-, 36-, and 144-point actions."""
 
+import ast
 import functools
+import hashlib
 import itertools
 import math
+import os
 import random
+import re
 import sys
 
 import pytest
@@ -11,7 +15,6 @@ import pytest
 from flagsieve import designsearch, permgroup
 from flagsieve.designsearch import (
     DesignRecord,
-    SearchResult,
     _block_key,
     _candidate_design,
     _orbit_unions,
@@ -30,6 +33,7 @@ from flagsieve.grouporders import GroupSpec, SubgroupCase
 from flagsieve.permgroup import (
     PermAction,
     builtin_action,
+    classical_action,
     pair_action,
     subgroups_of_order,
 )
@@ -253,7 +257,8 @@ def test_search_behind_computed_subdegrees():
     ]
     for params, certificate in zip(tuples, expected):
         result = stabilizer_search(act, params)
-        assert result == SearchResult(act.label, params, (), True, certificate)
+        assert (result.group, result.designs) == (act.label, ())
+        assert result.certificate == certificate
 
 
 # -- stabilizer search, 36-point eliminations
@@ -354,7 +359,7 @@ def test_suborbit_screen_keeps_every_design(group, params, class_members):
     only the class representatives the search enumerates: every orbit union
     that the full candidate check accepts passes the subdegree identity at
     each of its points, the accepted unions give the search's designs, and
-    their number is the certificate's count."""
+    each class's size and representative's union count are the search's."""
     act = builtin_action(group)
     source, order, alpha = _candidate_subgroups(act, params)
     _, _, screen = _suborbit_screen(act, params)
@@ -377,11 +382,7 @@ def test_suborbit_screen_keeps_every_design(group, params, class_members):
     assert unions == sum(n * cls.size for n, cls in zip(counts, classes))
     result = stabilizer_search(act, params)
     assert result.designs == tuple(found[key] for key in sorted(found, key=_block_key))
-    detail = dict(result.certificate)["candidate-blocks"]
-    if alpha is None:  # the block route counts the representatives' unions
-        assert detail == f"tested {sum(counts)} orbit unions of size {params.k}"
-    else:
-        assert detail.startswith(f"tested {unions} orbit unions of size {params.k} (")
+    assert result.classes == tuple((cls.size, n) for cls, n in zip(classes, counts))
     if len(act.point_stabilizer(0).orbits()) > 2:
         assert rejected  # vacuous only on a 2-transitive action
 
@@ -732,7 +733,8 @@ def test_intransitive_action_checks_no_candidate(monkeypatch, params, certificat
     assert not act.is_transitive()
     assert _unions_reaching_check(monkeypatch, act, params) == []
     result = stabilizer_search(act, params)
-    assert result == SearchResult("psl3_2_plus_fixed", params, (), True, certificate)
+    assert (result.group, result.designs) == ("psl3_2_plus_fixed", ())
+    assert result.certificate == certificate
 
 
 def _built_unions(monkeypatch, act, params):
@@ -761,7 +763,8 @@ def test_orbit_unions_match_reference(monkeypatch, group, params):
     class representative of the tier-1 searches: the unions built are, in
     order, the reference descent's unions of size k that meet the subdegree
     identity at the base point (on the block route, all of them; on an
-    intransitive action, none), and the count is the reference's."""
+    intransitive action, none), and the search's union count of each class
+    is the reference's."""
     if group == "psl3_2_plus_fixed":
         act = _fano_plus_fixed_point()
     else:
@@ -782,10 +785,7 @@ def test_orbit_unions_match_reference(monkeypatch, group, params):
     if not act.is_transitive():
         expected = []
     assert built == expected
-    if alpha is not None:  # the flag route counts every member's unions
-        counted = [n * cls.size for n, cls in zip(counted, classes)]
-    detail = dict(result.certificate)["candidate-blocks"]
-    assert detail.startswith(f"tested {sum(counted)} orbit unions of size {params.k}")
+    assert result.classes == tuple((cls.size, n) for cls, n in zip(classes, counted))
 
 
 def test_quota_test_matches_counting(monkeypatch):
@@ -883,6 +883,101 @@ def test_union_budget_edges(monkeypatch):
         RuntimeError, match="size 21 within the base-point quotas exceed the union budget 3$"
     ):
         stabilizer_search(act, params)
+
+
+# -- search certificates
+
+SEARCH_OUTPUT_DIGEST = (
+    "e4da9dbdf90b89c5b054c97801c8a20ae73cabf59d8bb3d8d464516d739dd477"
+)
+
+
+def _pinned_searches():
+    """Every admissible tuple on eight built-ins and the 15-point PSL(4,2);
+    then psu3_3's block route, which reads Schreier generators, a flag
+    route with no subgroup of order m, and a flag-count kill: 36 searches,
+    19 of them refused."""
+    names = ("psl2_7", "pgl2_7", "psl3_3", "psl4_2", "psu3_3_36", "psu3_3_2_36")
+    actions = [builtin_action(name) for name in names + ("psl3_3_144", "psl3_3_2_144")]
+    for act in actions + [classical_action("linear", 4, 2)]:
+        v = act.degree
+        for params in admissible_tuples_explained(v, act.order() // v)[0]:
+            yield act, params
+    yield builtin_action("psu3_3"), DesignParams(28, 288, 216, 21, 160)
+    yield pair_action(builtin_action("psl4_2")), DesignParams(28, 72, 18, 7, 4)
+    yield builtin_action("psl2_7"), DesignParams(8, 56, 28, 4, 12)
+
+
+def test_search_output_digest():
+    """The certificates, designs and refusals of the pinned searches."""
+    digest = hashlib.sha256()
+    for act, params in _pinned_searches():
+        head = f"{act.label} {params.as_tuple()}"
+        try:
+            result = stabilizer_search(act, params)
+        except RuntimeError as exc:
+            digest.update(f"{head} {type(exc).__name__}: {exc}\n".encode())
+            continue
+        blocks = [sorted(map(sorted, rec.blocks)) for rec in result.designs]
+        digest.update(f"{head} {result.certificate!r} {blocks!r}\n".encode())
+    assert digest.hexdigest() == SEARCH_OUTPUT_DIGEST
+
+
+def _bench_certificate_patterns():
+    """The count patterns and kill names by which bench/run.py reads a
+    certificate, read with ast so the harness is not imported."""
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench", "run.py")
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    found = {
+        node.targets[0].id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and len(node.targets) == 1
+        and getattr(node.targets[0], "id", None) in ("_CERT_COUNTS", "_KILLS")
+    }
+    counts = found["_CERT_COUNTS"]
+    patterns = {
+        ast.literal_eval(key): re.compile(ast.literal_eval(call.args[0]))
+        for key, call in zip(counts.keys, counts.values)
+    }
+    return patterns, ast.literal_eval(found["_KILLS"])
+
+
+def test_certificate_text_states_the_counts():
+    """On every certified pinned search the text states the result's
+    integers as bench/run.py reads them: the class sizes sum to the
+    subgroup count, the classes are counted, and the unions tested are
+    sum(size x unions) on the flag route and sum(unions) on the block route;
+    the flag-count kill appears exactly when v*r does not divide |G|."""
+    patterns, kills = _bench_certificate_patterns()
+    assert set(patterns) == {"subgroups", "classes", "unions"}
+    certified = 0
+    for act, params in _pinned_searches():
+        try:
+            result = stabilizer_search(act, params)
+        except RuntimeError:
+            continue
+        certified += 1
+        text = " ".join(line for _, line in result.certificate)
+        stated = {
+            key: int(match.group(1))
+            for key, pattern in patterns.items()
+            if (match := pattern.search(text))
+        }
+        flags = params.v * params.r
+        killed = [name for name, _ in result.certificate if name in kills]
+        assert result.order == act.order()
+        if result.order % flags:
+            assert (killed, stated, result.classes) == (["flag-count"], {}, ())
+            continue
+        flag_route = result.order > flags
+        assert killed == []
+        assert stated == {
+            "subgroups": sum(size for size, _ in result.classes),
+            "classes": len(result.classes),
+            "unions": sum(size * n if flag_route else n for size, n in result.classes),
+        }
+    assert certified == 17
 
 
 # -- verification

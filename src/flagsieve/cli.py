@@ -445,6 +445,14 @@ def _run_eliminate(args: argparse.Namespace) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     family = _family(args.family)
+    expected = None
+    if args.expect_survivors:
+        with open(args.expect_survivors, "r", encoding="utf-8") as handle:
+            expected = {
+                line.strip()
+                for line in handle
+                if line.strip() and not line.lstrip().startswith("#")
+            }
     reports = sweep(
         family,
         args.n_min,
@@ -473,13 +481,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             "qMax": args.q_max,
         }
         emit_report(reports, _resolve_path(args.output), args.format, grid)
-    if args.expect_survivors:
-        with open(args.expect_survivors, "r", encoding="utf-8") as handle:
-            expected = {
-                line.strip()
-                for line in handle
-                if line.strip() and not line.lstrip().startswith("#")
-            }
+    if expected is not None:
         got = {rep.label for rep in alive}
         missing = sorted(expected - got)
         extra = sorted(got - expected)

@@ -487,8 +487,12 @@ def verify_design(
     """Re-check a block set from scratch against the action.
 
     Confirms uniform block size, constant replication, constant pair
-    coverage, the counting identities, invariance of the block set under
-    the group, block-transitivity, and flag-transitivity.
+    coverage, invariance of the block set under the group,
+    block-transitivity, and flag-transitivity.  The counting identities
+    need no check: with b blocks of size k, every point on r of them and
+    every pair on lambda >= 1, counting the pairs (x, B) with x in B gives
+    b*k = v*r, and counting the (y, B) with y != x and x, y in B, at one
+    point x, gives r*(k - 1) = lambda*(v - 1).
     """
     v = action.degree
     bset = _canonical_blocks(frozenset(b) for b in blocks)
@@ -517,8 +521,6 @@ def verify_design(
         problems.append("pair coverage is not constant")
         return VerifyReport(False, None, False, tuple(problems))
     params = DesignParams(v, b, r, k, lam)
-    if r * (k - 1) != lam * (v - 1) or b * k != v * r:
-        problems.append("counting identities fail")
     if expect is not None and params != expect:
         problems.append(f"parameters {params.as_tuple()} differ from expected")
     block_lookup = set(bset)

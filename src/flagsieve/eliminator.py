@@ -40,7 +40,7 @@ from collections import Counter
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .designsearch import SearchResult, stabilizer_search
-from .exactmath import gcd, p_prime_part, prime_powers_upto
+from .exactmath import p_prime_part, prime_powers_upto
 from .grouporders import (
     CaseOrders,
     GroupSpec,
@@ -252,7 +252,7 @@ def _subdegree_step(
     if not subs:
         raise ValueError("the subdegree screen needs at least one subdegree")
     v = cell.orders.v
-    big_r = gcd(v - 1, *subs)
+    big_r = math.gcd(v - 1, *subs)
     wit: List[Witness] = [("v", v)]
     wit += [(f"s{i + 1}", s) for i, s in enumerate(subs)]
     wit.append(("gcd", big_r))
@@ -460,7 +460,7 @@ def _tail(cell: _Cell, run_searches: bool) -> Final:
     d = cell.divisor
     if d is None:
         d = cell.spec.out_order * orders.order_h0
-    big_r = gcd(v - 1, d)
+    big_r = math.gcd(v - 1, d)
     final = cell.check(
         "rstar-square-vs-gcd",
         [("v", v), ("divisor", d), ("gcd", big_r)],
@@ -523,6 +523,8 @@ def sweep(
         raise ValueError("need 3 <= n_min <= n_max and q_max >= 2")
     if kind is not None and kind not in _ROUTES.get(family, ()):
         raise ValueError(f"unknown {family} class {kind!r}")
+    if family not in _ROUTES:
+        raise ValueError(f"unknown family: {family}")
     qs = grid_q_values(q_max)
     reports: List[CellReport] = []
     for n in range(n_min, n_max + 1):

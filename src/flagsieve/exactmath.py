@@ -1,19 +1,19 @@
 """Exact integer helpers used by every other module.
 
 Everything here is exact: Python ints and explicit error raising instead
-of silent truncation.  No floats anywhere.
+of silent truncation.  No floats anywhere.  Results are plain values: a
+factorization is a tuple of (prime, exponent) pairs, primes ascending; a
+prime power q is its (p, f) with q = p^f; divisor lists are ascending
+lists of ints.  Callers take gcd from the standard `math` module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import NamedTuple
 
 __all__ = [
-    "gcd",
     "is_prime",
-    "Factorization",
     "factorize",
     "divisors",
     "divisors_upto",
@@ -24,11 +24,6 @@ __all__ = [
     "prime_powers_upto",
     "binomial_exceeds",
 ]
-
-
-def gcd(*values: int) -> int:
-    """Greatest common divisor of any number of integers (gcd() == 0)."""
-    return math.gcd(*values)
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -72,34 +67,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """A positive integer as a sorted tuple of (prime, exponent) pairs."""
-
-    pairs: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        last = 1
-        for p, e in self.pairs:
-            if p <= last:
-                raise ValueError(f"prime factors out of order: {self.pairs}")
-            if e < 1:
-                raise ValueError(f"nonpositive exponent: {self.pairs}")
-            last = p
-
-    def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
-
-    def multiplicity(self, p: int) -> int:
-        for q, e in self.pairs:
-            if q == p:
-                return e
-        return 0
-
-
 def _brent_rho(n: int) -> int:
     """Return a nontrivial factor of composite odd n (Brent's cycle variant)."""
     if n % 2 == 0:
@@ -131,8 +98,9 @@ def _brent_rho(n: int) -> int:
     raise ValueError(f"factor search failed for {n}")
 
 
-def factorize(n: int) -> Factorization:
-    """Full prime factorization of a positive integer."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Full prime factorization of a positive integer, as (prime, exponent)
+    pairs with the primes ascending; factorize(1) == ()."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     found: dict[int, int] = {}
@@ -163,13 +131,13 @@ def factorize(n: int) -> Factorization:
         d = _brent_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return Factorization(tuple(sorted(found.items())))
+    return tuple(sorted(found.items()))
 
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
     out = [1]
-    for p, e in factorize(n).pairs:
+    for p, e in factorize(n):
         powers = [p**i for i in range(1, e + 1)]
         out += [d * pk for d in out for pk in powers]
     return sorted(out)
@@ -220,33 +188,19 @@ def p_prime_part(n: int, p: int) -> int:
     return abs(n) // p_part(n, p)
 
 
-@dataclass(frozen=True)
-class PrimePower:
-    """q = p^f with p prime and f >= 1."""
+class PrimePower(NamedTuple):
+    """q = p^f with p prime and f >= 1, as prime_power returns it."""
 
     p: int
     f: int
 
-    def __post_init__(self) -> None:
-        if self.f < 1:
-            raise ValueError(f"exponent must be positive: {self.f}")
-        if not is_prime(self.p):
-            raise ValueError(f"base is not prime: {self.p}")
-
-    @property
-    def value(self) -> int:
-        return self.p**self.f
-
 
 def prime_power(q: int) -> PrimePower:
     """Decompose q as p^f, rejecting anything that is not a prime power >= 2."""
-    if q < 2:
+    fac = factorize(q) if q >= 2 else ()
+    if len(fac) != 1:
         raise ValueError(f"not a prime power: {q}")
-    fac = factorize(q)
-    if len(fac.pairs) != 1:
-        raise ValueError(f"not a prime power: {q}")
-    p, f = fac.pairs[0]
-    return PrimePower(p, f)
+    return PrimePower(*fac[0])
 
 
 def prime_powers_upto(limit: int) -> list[int]:

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
-from .exactmath import factorize, gcd, p_prime_part, prime_power
+from .exactmath import factorize, p_prime_part, prime_power
 
 # q -> (p, f), decomposed once per q; a sweep asks for few distinct q
 _prime_power = functools.lru_cache(maxsize=None)(prime_power)
@@ -97,7 +97,7 @@ class GroupSpec:
     @functools.cached_property
     def d(self) -> int:
         """gcd(n, Q - 1): gcd(n, q - 1) linear, gcd(n, q + 1) unitary."""
-        return gcd(self.n, self.signed_q - 1)
+        return math.gcd(self.n, self.signed_q - 1)
 
     @functools.cached_property
     def out_order(self) -> int:
@@ -489,7 +489,7 @@ def case_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
         (i,) = params
         j = n // i
         h0 = _exact_div(
-            gcd(i, j, Q - 1) * gl_order(i, Q) * gl_order(j, Q),
+            math.gcd(i, j, Q - 1) * gl_order(i, Q) * gl_order(j, Q),
             abs(Q - 1) * scalars_d,
             case,
         )
@@ -498,7 +498,7 @@ def case_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
         # SL_n(Q0), Q = Q0^t, extended by c scalars
         q0, t = params
         Q0 = q0 if Q > 0 else -q0
-        c = gcd(n, (Q - 1) // (Q0 - 1))
+        c = math.gcd(n, (Q - 1) // (Q0 - 1))
         h0 = _exact_div(c * gl_order(n, Q0), abs(Q0 - 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "C6":
@@ -514,10 +514,10 @@ def case_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
         m, t = params
         return CaseOrders(order_h0_bound=q ** (t * (m * m - 1)) * math.factorial(t))
     if kind == "C8_Sp":
-        h0 = _exact_div(gcd(n // 2, q - 1) * sp_order(n, q), d, case)
+        h0 = _exact_div(math.gcd(n // 2, q - 1) * sp_order(n, q), d, case)
         return _exact(spec, ox, h0)
     if kind == "C5_Sp":
-        h0 = _exact_div(sp_order(n, q), gcd(2, q - 1), case)
+        h0 = _exact_div(sp_order(n, q), math.gcd(2, q - 1), case)
         return _exact(spec, ox, h0)
     if kind in ("C8_O", "C5_O"):
         (eps,) = params
@@ -525,7 +525,7 @@ def case_orders(spec: GroupSpec, case: SubgroupCase) -> CaseOrders:
     if kind == "C8_U":
         # SU_n(q0), extended by c scalars; |GU_n(q0)| = |GL_n(-q0)|
         (q0,) = params
-        c = gcd(n, q0 - 1)
+        c = math.gcd(n, q0 - 1)
         h0 = _exact_div(c * gl_order(n, -q0), (q0 + 1) * d, case)
         return _exact(spec, ox, h0)
     if kind == "S":
@@ -561,7 +561,7 @@ def _extraspecial_cells(
             continue
         if t == spec.p:
             continue
-        modulus = t * gcd(2, t)
+        modulus = t * math.gcd(2, t)
         if spec.f != 1 or target % modulus != 0:
             continue
         out.append(SubgroupCase("C6", (t, m)))
@@ -577,7 +577,7 @@ def enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
 def _enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
     n, q, f = spec.n, spec.q, spec.f
     linear = spec.family == "linear"
-    n_primes = [t for t, _ in factorize(n).pairs]
+    n_primes = [t for t, _ in factorize(n)]
     cases = [SubgroupCase("C1_Pi", (i,)) for i in range(1, n // 2 + 1)]
 
     for i in range(1, (n + 1) // 2):
@@ -601,7 +601,7 @@ def _enumerate_cases(spec: GroupSpec) -> Tuple[SubgroupCase, ...]:
     for i in range(2, n):
         if n % i == 0 and i * i < n:
             cases.append(SubgroupCase("C4", (i,)))
-    for t, _ in factorize(f).pairs:
+    for t, _ in factorize(f):
         if linear or t % 2:
             cases.append(SubgroupCase("C5_subfield", (spec.p ** (f // t), t)))
 

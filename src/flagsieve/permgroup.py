@@ -1080,7 +1080,7 @@ def _all_solvable(m: int) -> bool:
     m odd (Feit and Thompson 1963) or m with at most two prime factors
     (Burnside's p^a q^b theorem).  The test is sufficient, not necessary:
     every group of order 42 or 84 is solvable too, yet both answer False."""
-    return m % 2 == 1 or len(factorize(m).pairs) <= 2
+    return m % 2 == 1 or len(factorize(m)) <= 2
 
 
 def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
@@ -1186,18 +1186,25 @@ def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
 
 
 def _element_of_order(action: PermAction, ell: int) -> Perm:
-    """An element of prime order ell dividing the group order: a power of
-    the first element, breadth-first over generator words, whose order ell
-    divides (one exists by Cauchy's theorem)."""
+    """An element of order ell, for a prime ell dividing the group order n
+    exactly once: w^(n/ell) for the first generator word w, breadth-first,
+    where that power is not the identity (one exists by Cauchy's theorem).
+
+    The order o of w divides n.  If ell does not divide o, then o divides
+    n/ell and w^(n/ell) = 1.  If it does, (n/ell)/(o/ell) is prime to ell,
+    as ell divides n once, so w^(n/ell) is a power prime to ell of
+    w^(o/ell), which has order ell: it has order ell and generates the same
+    subgroup.  So the word chosen is the first whose order ell divides."""
     ident = identity_perm(action.degree)
+    e = action.order() // ell
     seen, queue = {ident}, [ident]
     for cur in queue:
         for g in action.generators:
             word = compose(cur, g)
             if word not in seen:
-                order = perm_order(word)
-                if order % ell == 0:
-                    return _perm_power(word, order // ell)
+                x = _perm_power(word, e)
+                if x != ident:
+                    return x
                 seen.add(word)
                 queue.append(word)
     raise RuntimeError(f"no element of order {ell} in {action.label or 'the group'}")
@@ -1252,7 +1259,7 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
     nontrivial elements, the powers of x.
     """
     n = action.order()
-    for ell, e in factorize(m).pairs:
+    for ell, e in factorize(m):
         if e != 1:
             continue
         if (n // ell) % ell == 0:

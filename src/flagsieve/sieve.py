@@ -12,9 +12,10 @@ g = (r,lambda) >= 2, lambda >= 4, and v < (r*)^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import List, Optional, Tuple
 
-from .exactmath import binomial_exceeds, divisors, divisors_upto, gcd
+from .exactmath import binomial_exceeds, divisors, divisors_upto
 
 __all__ = [
     "REASON_CODES",
@@ -110,8 +111,9 @@ def admissible_tuples_explained(
 
     r must divide r_divisor; r* must additionally divide rstar_divisor when
     one is given (a refinement, e.g. a p'-part).  g can be capped by g_max.
-    Raises TupleBudgetError when the candidate r* sum past max_work, and
-    ValueError on a g_max or rstar_divisor below 1.
+    The work is the lambda* steps, at most the sum of the candidate r*,
+    plus every g examined; TupleBudgetError is raised as soon as it passes
+    max_work, and ValueError on a g_max or rstar_divisor below 1.
     """
     if v < 4 or r_divisor < 1:
         raise ValueError("need v >= 4 and a positive r divisor")
@@ -119,7 +121,8 @@ def admissible_tuples_explained(
         raise ValueError("g_max and rstar_divisor must be positive when given")
     cap = gcd(v - 1, rstar_divisor if rstar_divisor is not None else r_divisor)
     rstars = [e for e in divisors(cap) if e * e > v]
-    if sum(rstars) > max_work:
+    work = sum(rstars)
+    if work > max_work:
         raise TupleBudgetError(
             f"tuple enumeration over {len(rstars)} divisors exceeds budget"
         )
@@ -131,6 +134,10 @@ def admissible_tuples_explained(
             continue
         g_pool = r_divisor // rstar
         w = (v - 1) // rstar
+        # g <= lamstar <= rstar-1 always, so cap the divisor scan there;
+        # g_pool itself may be astronomically large
+        cap_g = rstar - 1 if g_max is None else min(g_max, rstar - 1)
+        gs: Optional[List[int]] = None
         for lamstar in range(1, rstar):
             if gcd(lamstar, rstar) != 1:
                 continue
@@ -145,12 +152,14 @@ def admissible_tuples_explained(
                     Rejection(rstar, lamstar, k, None, "divisor-conflict")
                 )
                 continue
-            # g <= lamstar <= rstar-1 always, so cap the divisor scan there;
-            # g_pool itself may be astronomically large
-            cap_g = rstar - 1 if g_max is None else min(g_max, rstar - 1)
-            for g in divisors_upto(g_pool, cap_g):
-                if g < 2:
-                    continue
+            if gs is None:
+                gs = [g for g in divisors_upto(g_pool, cap_g) if g >= 2]
+            work += len(gs)
+            if work > max_work:
+                raise TupleBudgetError(
+                    f"tuple enumeration at r* = {rstar} exceeds budget {max_work}"
+                )
+            for g in gs:
                 if lamstar < g:
                     rejected.append(Rejection(rstar, lamstar, k, g, "lambda-bound"))
                     continue

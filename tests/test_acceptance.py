@@ -15,6 +15,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from flagsieve.cli import emit_report, main
 from flagsieve.designsearch import (
@@ -24,7 +25,6 @@ from flagsieve.designsearch import (
     stabilizer_search,
 )
 from flagsieve.eliminator import eliminate, survivors, sweep
-from flagsieve.exactmath import gcd
 from flagsieve.grouporders import GroupSpec, SubgroupCase, case_label
 from flagsieve.permgroup import BUILTIN_NAMES, builtin_action, pair_action
 from flagsieve.sieve import DesignParams, admissible_tuples_explained

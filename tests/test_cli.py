@@ -2,10 +2,12 @@
 
 import functools
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -84,6 +86,19 @@ def test_sieve_budget_error(capsys):
         capsys, "sieve", "--v", "8", "--r-divisor", "42", "--tuple-budget", "0"
     )
     assert code == EXIT_USAGE
+
+
+def test_sieve_budget_bounds_the_g_scan(capsys):
+    """v - 1 = 99991 is prime, so the lone r* = 99991 passes the up-front
+    check; the work is the divisors g of lcm(1..200) scanned for each
+    lambda*, and the budget must stop it."""
+    r_divisor = str(99991 * math.lcm(*range(1, 201)))
+    start = time.perf_counter()
+    code = main(["sieve", "--v", "99992", "--r-divisor", r_divisor,
+                 "--tuple-budget", "300000"])
+    assert time.perf_counter() - start < 5
+    assert code == EXIT_USAGE
+    assert "exceeds budget" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +418,19 @@ def test_sweep_expect_survivors(capsys, tmp_path):
     assert code == EXIT_DISCREPANCY
     assert "missing unitary n=4 q=2 C1_Pi(1)" in lines
     assert "extra unitary n=3 q=3 S(1)" in lines
+
+
+def test_sweep_reads_expected_survivors_first(capsys, tmp_path, monkeypatch):
+    """An unreadable --expect-survivors file is refused before any cell is
+    swept, printed or written."""
+    monkeypatch.setattr(cli, "sweep", lambda *a, **k: pytest.fail("swept"))
+    report = tmp_path / "sweep.json"
+    argv = "sweep --family psu --n-min 3 --n-max 3 --q-max 3 --output".split()
+    code = main(argv + [str(report), "--expect-survivors", str(tmp_path / "none")])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert not report.exists()
 
 
 def test_sweep_class_filter(capsys):

@@ -430,7 +430,7 @@ def test_two_subspace_numerator_identity():
 
 
 def test_even_dimension_gcd_is_one():
-    from flagsieve.exactmath import gcd
+    from math import gcd
 
     for n in range(4, 16, 2):
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
@@ -498,6 +498,11 @@ def test_sweep_input_validation():
     for family, kind in (("unitary", "C8_Sp"), ("linear", "c1"), ("nope", "C1_Pi")):
         with pytest.raises(ValueError, match=rf"^unknown {family} class '{kind}'$"):
             sweep(family, 3, 3, 3, kind=kind)
+    # an unknown family is refused, not swept as an empty grid
+    with pytest.raises(ValueError, match=r"^unknown family: linaer$"):
+        sweep("linaer", 3, 5, 8, run_searches=False)
+    # the one hole of the grid is skipped: PSU_3(2) is solvable
+    assert sweep("unitary", 3, 3, 2) == ()
 
 
 def test_report_structure_invariants():

@@ -1,5 +1,6 @@
 """Frozen oracles for the exact arithmetic layer."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,13 +8,11 @@ import pytest
 
 from flagsieve import exactmath
 from flagsieve.exactmath import (
-    Factorization,
     PrimePower,
     binomial_exceeds,
     divisors,
     divisors_upto,
     factorize,
-    gcd,
     is_prime,
     p_part,
     p_prime_part,
@@ -28,12 +27,12 @@ from reference import (
 
 
 def test_gcd_lcm_basics():
-    assert gcd(432, 26067) == 3
-    assert gcd(119, 126) == 7
-    assert gcd(35, 336) == 7
-    assert gcd(143, 78) == 13
-    assert gcd(7, 5040) == 7
-    assert gcd(27, 12, 15) == 3
+    assert math.gcd(432, 26067) == 3
+    assert math.gcd(119, 126) == 7
+    assert math.gcd(35, 336) == 7
+    assert math.gcd(143, 78) == 13
+    assert math.gcd(7, 5040) == 7
+    assert math.gcd(27, 12, 15) == 3
 
 
 def test_is_prime_small_and_large():
@@ -44,6 +43,10 @@ def test_is_prime_small_and_large():
     assert not is_prime(15554560)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+    # composites with no factor up to 37: 41 * 43, and 151 * 751 * 28351,
+    # a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert not is_prime(1763)
+    assert not is_prime(3215031751)
 
 
 # frozen factorizations, multiplied back by hand
@@ -60,22 +63,18 @@ FACTOR_ORACLES = {
 def test_factorize_oracles():
     for n, pairs in FACTOR_ORACLES.items():
         fac = factorize(n)
-        assert fac.pairs == pairs
-        assert fac.value() == n
+        assert fac == pairs
+        assert math.prod(p**e for p, e in fac) == n
+
+
+def test_factorize_splits_a_product_of_large_primes():
+    # both primes lie past trial division, so Brent's rho splits them
+    assert factorize(1000003 * 1000033) == ((1000003, 1), (1000033, 1))
 
 
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorize(0)
-
-
-def test_factorization_validates():
-    with pytest.raises(ValueError):
-        Factorization(((3, 1), (2, 1)))
-    with pytest.raises(ValueError):
-        Factorization(((2, 0),))
-    assert Factorization(((2, 3), (7, 1))).multiplicity(2) == 3
-    assert Factorization(((2, 3), (7, 1))).multiplicity(5) == 0
 
 
 def test_divisors():
@@ -85,6 +84,10 @@ def test_divisors():
     # cap-driven path works on numbers too large to factorize quickly
     huge = (2**127 - 1) * (2**89 - 1) * 12
     assert divisors_upto(huge, 6) == [1, 2, 3, 4, 6]
+    # past a cap of 100,000 the divisors come from the factorization
+    n = 2**20 * 3**7
+    brute = [d for d in range(1, 150001) if n % d == 0]
+    assert len(brute) == 98 and divisors_upto(n, 150000) == brute
 
 
 def test_p_parts():
@@ -125,8 +128,6 @@ def test_prime_power_decomposition():
     for bad in (1, 6, 12, 15554560):
         with pytest.raises(ValueError):
             prime_power(bad)
-    with pytest.raises(ValueError):
-        PrimePower(4, 2)
 
 
 def test_prime_powers_upto():

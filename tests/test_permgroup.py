@@ -13,7 +13,7 @@ import pytest
 
 from flagsieve import permgroup
 from flagsieve.designsearch import stabilizer_search
-from flagsieve.exactmath import factorize
+from flagsieve.exactmath import divisors, factorize
 from flagsieve.grouporders import GroupSpec
 from flagsieve.permgroup import (
     BUILTIN_NAMES,
@@ -152,7 +152,7 @@ MODULUS_RHS = {
 def test_field_modulus_right_hand_sides_are_pinned():
     """Every field element's digits, and so every classical action's point
     labels, rest on the chosen modulus."""
-    prime_powers = [q for q in range(2, 257) if len(factorize(q).pairs) == 1]
+    prime_powers = [q for q in range(2, 257) if len(factorize(q)) == 1]
     assert prime_powers == list(MODULUS_RHS)
     assert {q: FieldTable(q)._modulus_rhs for q in prime_powers} == MODULUS_RHS
 
@@ -258,6 +258,20 @@ def test_pair_action_past_a_byte_runs_on_tuples():
     a, b = act.generators
     assert act.contains(compose(a, inverse_perm(b)))
     assert not act.contains(tuple(range(1, 378)) + (0,))
+
+
+def test_elements_and_subgroups_past_a_byte():
+    """psl2_7 on the 378 pairs of its 28 point pairs lists its 168
+    elements on tuples, and has, for every order, the subgroup classes of
+    its 8-point action."""
+    small = builtin_action("psl2_7")
+    big = pair_action(pair_action(small))
+    assert big.degree == 378 and len(big.elements()) == 168
+    for m in divisors(168):
+        small_sizes, big_sizes = (
+            sorted(c.size for c in subgroups_of_order(act, m)) for act in (small, big)
+        )
+        assert small_sizes == big_sizes, m
 
 
 @pytest.mark.parametrize("degree", [3, 255, 256, 257])

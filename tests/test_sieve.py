@@ -5,7 +5,7 @@ import math
 import pytest
 
 from flagsieve import sieve
-from flagsieve.exactmath import divisors, gcd
+from flagsieve.exactmath import divisors
 from flagsieve.sieve import (
     REASON_CODES,
     DesignParams,
@@ -112,7 +112,7 @@ def _brute_force_tuples(v: int, r_divisor: int) -> set:
             b = v * r // k
             if b < v:
                 continue
-            g = gcd(r, lam)
+            g = math.gcd(r, lam)
             if g < 2 or lam < g * g:
                 continue
             if b >= math.comb(v, k):

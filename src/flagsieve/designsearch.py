@@ -487,7 +487,8 @@ def verify_design(
     """Re-check a block set from scratch against the action.
 
     Confirms uniform block size, constant replication, constant pair
-    coverage, invariance of the block set under the group,
+    coverage, invariance of the block set under the group (each block's
+    images under the generators are blocks),
     block-transitivity, and flag-transitivity.  The counting identities
     need no check: with b blocks of size k, every point on r of them and
     every pair on lambda >= 1, counting the pairs (x, B) with x in B gives
@@ -524,11 +525,9 @@ def verify_design(
     if expect is not None and params != expect:
         problems.append(f"parameters {params.as_tuple()} differ from expected")
     block_lookup = set(bset)
-    for g in action.generators:
-        for block in bset:
-            if frozenset(g[i] for i in block) not in block_lookup:
-                problems.append("block set is not invariant under the group")
-                return VerifyReport(False, params, False, tuple(problems))
+    if not all(block_lookup.issuperset(action.set_images(block)) for block in bset):
+        problems.append("block set is not invariant under the group")
+        return VerifyReport(False, params, False, tuple(problems))
     walk = orbit(bset[0], action.set_images, b + 1)
     block_transitive = walk is not None and set(walk[0]) == block_lookup
     if not block_transitive:

@@ -13,7 +13,7 @@ is found by one breadth-first walk, `orbit`, with two exceptions: the
 stabilizer chain grows its orbits incrementally, and `PermAction.orbits`
 lists all point orbits in one flat loop.  A subgroup in such a walk is
 named by a set of its elements that generates it, and a move conjugates
-the whole set (`_conjugation_moves`): the positions of all its elements in
+the whole set: the positions of all its elements in
 a listed group, its elements of one order in an unlisted one
 (`_conjugate_walk`).  Stabilizers are read off walks: a Sylow normalizer
 off its Schreier generators (`schreier_generators`), and a lattice
@@ -30,13 +30,15 @@ position in the sorted list, its class and order, one conjugation table per
 generator, and the breadth-first tree that listed the group, all read off
 the listing walk's targets with no further product.  Subgroups are handled
 as generator sets, one conjugacy class at a time, each class given by one
-representative and its size: grown from class representatives by cyclic
-extension on permutations in small groups, with class members keyed by the
-positions of their elements, and from the Sylow-normalizer argument in
-larger ones, where the conjugates of a Sylow subgroup of prime order,
-keyed by their nontrivial elements, are walked (`_conjugate_walk`) in the
-stabilizer of the first base point when the subgroup fixes exactly one
-point of that point's orbit.  No multiplication table is kept.  The
+representative and its size: grown by cyclic extension on permutations in
+small groups, in one lattice per group kept for every order asked
+(`SubgroupLattice`), with class members keyed by the positions of their
+elements and each class represented by its least member; and from the
+Sylow-normalizer argument in larger ones, where the conjugates of a Sylow
+subgroup of prime order, keyed by their nontrivial elements, are walked
+(`_conjugate_walk`) once per prime, in the stabilizer of the first base
+point when the subgroup fixes exactly one point of that point's orbit.
+No multiplication table is kept.  The
 unitary groups' two generators and the builtin subgroups (PSL(2,7) in
 PSU_3(3), a Sylow 13-subgroup of PSL_3(3)) are written down, the subgroups
 as words in a builtin's generators (`_written_subgroup`); each is certified
@@ -74,7 +76,7 @@ from typing import (
     Union,
 )
 
-from .exactmath import factorize, prime_power
+from .exactmath import factorize, is_prime, prime_power
 
 __all__ = [
     "FieldTable",
@@ -93,6 +95,7 @@ __all__ = [
     "subgroup_conjugation_action",
     "subgroups_of_order",
     "SubgroupClass",
+    "SubgroupLattice",
     "StabChain",
     "orbit",
     "schreier_generators",
@@ -596,8 +599,7 @@ class ElementIndex(NamedTuple):
     g^-1 * e_i * g for the j-th generator g of the action; classes[i] is the
     index of the least member of e_i's class; orders[i] is the order of e_i;
     tree is the breadth-first walk that listed them, one (i, parent, j)
-    with e_i = e_parent * g_j per non-identity e_i, parents first; powers
-    keeps the lattice's lists of generators of <e_i>, filled on demand.
+    with e_i = e_parent * g_j per non-identity e_i, parents first.
     The tree edges are the walk's edges that discover their targets, and
     conj is read down them by integers alone, as
     g^-1 * e_parent * g_j = (g^-1 * e_parent) * g_j (`element_index`).
@@ -608,15 +610,18 @@ class ElementIndex(NamedTuple):
     classes: Tuple[int, ...]
     orders: Tuple[int, ...]
     tree: Tuple[Tuple[int, int, int], ...]
-    powers: Dict[int, List[Perm]]
 
-    def conjugate_indices(self, targets: Sequence[int]) -> List[int]:
+    def normalizer(self, targets: Sequence[int]) -> List[int]:
         """For the targets of a subgroup U's walk under conjugation by the
-        generators (`orbit`, from U): the walk index of U^e_i at each i."""
-        n, out = len(self.conj), [0] * len(self.orders)
+        generators (`orbit`, from U): the positions of N(U), ascending.
+        The walk index of U^e_i is read down the tree (`SubgroupLattice`),
+        and e_i normalizes U where it is 0."""
+        n, out, kept = len(self.conj), [0] * len(self.orders), [0]
         for i, parent, j in self.tree:
-            out[i] = targets[out[parent] * n + j]
-        return out
+            c = out[i] = targets[out[parent] * n + j]
+            if not c:
+                kept.append(i)
+        return sorted(kept)
 
 
 class PermAction:
@@ -642,6 +647,10 @@ class PermAction:
         # what listed _elements: discovery indices by value, and edge targets
         self._walk: Tuple[List[int], List[int]] = ([], [])
         self._index: Optional[ElementIndex] = None
+        self._lattice: Optional["SubgroupLattice"] = None
+        # per prime ell: a Sylow generator x, its walked group, the walk
+        # (`_sylow_walk`)
+        self._sylow: Dict[int, Tuple[Perm, "PermAction", int, List[int]]] = {}
         # stabilizer chains by first base point; None is the default base
         self._chains: Dict[Optional[int], StabChain] = {}
         self._stabilizers: Dict[int, "PermAction"] = {}
@@ -704,7 +713,8 @@ class PermAction:
         left[i] = right[k][left[p]], and conj[j][i] = right[j][left[i]] is
         pos(g_j^-1 * e_i * g_j) (the regular representation; Holt, Eick and
         O'Brien, *Handbook of Computational Group Theory*, 2005).  Classes
-        are orbits of the conjugation tables.
+        are orbits of the conjugation tables, listed in one flat loop as
+        `orbits` lists point orbits.
         """
         if self._index is None:
             elements = self.elements()
@@ -731,13 +741,17 @@ class PermAction:
                 conj.append(list(map(table.__getitem__, left)))
             classes, orders = [-1] * len(elements), [0] * len(elements)
             for i, e in enumerate(elements):
-                if classes[i] < 0:  # e is the least member of its class
-                    d = perm_order(e)
-                    for x in orbit(i, lambda x: [table[x] for table in conj])[0]:
-                        classes[x], orders[x] = i, d
-            classes, orders = tuple(classes), tuple(orders)
+                if classes[i] >= 0:
+                    continue
+                classes[i], d, members = i, perm_order(e), [i]  # i is least
+                for x in members:
+                    orders[x] = d
+                    for table in conj:
+                        if classes[table[x]] < 0:
+                            classes[table[x]] = i
+                            members.append(table[x])
             self._index = ElementIndex(
-                position, tuple(conj), classes, orders, tuple(tree), {}
+                position, tuple(conj), tuple(classes), tuple(orders), tuple(tree)
             )
         return self._index
 
@@ -1003,14 +1017,6 @@ def _generating_class(subgroup: PermAction) -> List[Perm]:
     raise RuntimeError("the subgroup's elements do not generate it")
 
 
-def _conjugation_moves(
-    maps: Sequence[Callable[[Hashable], Hashable]],
-) -> Callable[[FrozenSet], List[FrozenSet]]:
-    """The `orbit` moves of a set of elements, or of their positions, under
-    conjugation: the set's image under each map, in order."""
-    return lambda key: [frozenset(map(conj, key)) for conj in maps]
-
-
 def _conjugate_walk(action: PermAction, key: Iterable[Perm]) -> Tuple[int, List[int]]:
     """The breadth-first walk (`orbit`) of a subgroup K's conjugates under
     conjugation by the action's generators, from K's elements of one order
@@ -1020,8 +1026,10 @@ def _conjugate_walk(action: PermAction, key: Iterable[Perm]) -> Tuple[int, List[
     g-conjugates of K's, so a move conjugates the key; and they generate
     K^g, so no two conjugates share a key.
     """
-    moves = _conjugation_moves([_conjugator(g) for g in action.generators])
-    conjugates, targets = orbit(frozenset(key), moves)
+    maps = [_conjugator(g) for g in action.generators]
+    conjugates, targets = orbit(
+        frozenset(key), lambda k: [frozenset(map(conj, k)) for conj in maps]
+    )
     return len(conjugates), targets
 
 
@@ -1044,7 +1052,10 @@ def subgroup_conjugation_action(
 
 class SubgroupClass(NamedTuple):
     """One conjugacy class of subgroups: generators of one member, the
-    representative, and the number of members."""
+    representative, and the number of members.  From the lattice the
+    representative is the class's least member, generated greedily by its
+    least elements (`SubgroupLattice`); from the Sylow route, a Sylow
+    subgroup's normalizer, or the Sylow subgroup itself (`_sylow_route`)."""
 
     representative: Tuple[Perm, ...]
     size: int
@@ -1083,106 +1094,202 @@ def _all_solvable(m: int) -> bool:
     return m % 2 == 1 or len(factorize(m)) <= 2
 
 
-def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
-    """The classes of order-m subgroups, grown up to conjugacy by cyclic
-    extension (Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005, ch. 10).
+class _LatticeClass:
+    """A class of subgroups that a `SubgroupLattice` opened, at its root U,
+    generated by gens: its members' position keys, U first, and the
+    targets of their walk (`orbit`); the normalizer of U
+    (`ElementIndex.normalizer`) and its least member, each found
+    once, when first needed; its representative's generators; and, for
+    extending U, the skip map and the closure memo."""
 
-    The classes of subgroups of order dividing m are found from their
-    representatives: each representative U of order below m is extended by
-    every element y of order dividing m, and <U, y> is closed on
-    permutations.  An element y' = u*y^j with u in U and j prime to the
-    order of y gives <U, y'> = <U, y>, so it is skipped.  A subgroup not
-    met before opens a class, its orbit under conjugation by the group's
-    generators, and becomes the class representative, given by the
-    generators it was grown from; only representatives are extended
-    further.  Class members are keyed by the sets of their elements'
-    positions in `element_index`, and the orbit walk conjugates those
-    positions through the index's tables.
+    __slots__ = ("gens", "members", "targets", "normalizer", "least",
+                 "representative", "cover", "grown")
 
-    The trivial U is extended once per class of elements: y, in sorted
-    order, opens <y> unless its class is covered, and <y> covers the
-    classes of its generators.  Extending by each y in turn opens the same
-    classes from the same y, as there y is skipped (it generates an <x>
-    closed before) or <y> is known exactly when <y> = <x>^g for an <x>
-    opened before, that is when y = (x^j)^g with j prime to |x|, in a class
-    that opening <x> covered.
+    def __init__(
+        self, gens: Tuple[Perm, ...], members: List[FrozenSet[int]], targets: List[int]
+    ):
+        self.gens, self.members, self.targets = gens, members, targets
+        self.normalizer: Optional[List[int]] = None  # positions, ascending
+        self.least: Optional[List[int]] = None
+        self.representative: Optional[Tuple[Perm, ...]] = None
+        # y' -> the candidate y with <U, y'> = <U, y>; -1 for y' in U
+        self.cover: Dict[int, int] = dict.fromkeys(members[0], -1)
+        # y -> the key of <U, y>, or the cap it was found to exceed
+        self.grown: Dict[int, Union[FrozenSet[int], int]] = {}
 
-    This is complete.  Every subgroup K > 1 of order dividing m is <K', y>
-    for some K' < K and y in K, both of order dividing m.  By induction K'
-    = U^g for a representative U, and then K^(g^-1) = <U, y^(g^-1)> is met
-    when U is extended (if y^(g^-1) is skipped, through the element it was
-    skipped for), so K's class is opened.
 
-    When `_all_solvable(m)`, only elements y that normalize U extend it.
-    This stays complete.  A solvable K > 1 has a normal subgroup K' of
-    prime index, so K = <K', y> for any y in K outside K', and y normalizes
-    K'.  With K' = U^g as above, y^(g^-1) normalizes U, so K's class is
-    still opened.  The skip of u*y^j stays sound, since u*y^j normalizes U
-    exactly when y does.  N(U) is read off the walk that opened U's class
-    (Holt, Eick and O'Brien, ch. 4), whose targets[c*n + j] is the member
-    that member c becomes under g_j; U is member 0.  As
-    U^(x*g_j) = (U^x)^(g_j), the member that is U^e is 0 at the identity
-    and targets[member[parent]*n + j] at each edge (e, parent, j) of
-    `ElementIndex.tree` (`ElementIndex.conjugate_indices`), so y
-    normalizes U exactly when member[y] = 0.
+class SubgroupLattice:
+    """The conjugacy classes of subgroups of a listed group opened so far by
+    cyclic extension (Neubüser 1960; Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005, ch. 10), kept to answer every order
+    m, one lattice per group (`_lattice_route`).
 
-    Classes are listed by their least member in sorted element order; the
-    positions follow that order, so sorted position lists compare as the
-    sorted members do.  A class of subgroups K whose size does not divide
-    |G : K| cannot be a conjugacy class, and raises.
+    A subgroup is keyed by its elements' positions in `element_index`, and
+    a class is opened at one member, its root U, by the walk of U's key
+    under conjugation through the index's tables, which lists every member.
+    Asked for m, the lattice opens the cyclic classes, then extends each
+    root U of order below m dividing m by every candidate y, an element of
+    order dividing m: <U, y> is closed on permutations with cap m, and a
+    subgroup of order dividing m not met before opens a class, rooted at it
+    and generated by U's generators and y.  Kept for every m, with the
+    classes and the generators y^j of each <y>, are per root U a skip map
+    and a closure memo.  As <U, u*y^j> = <U, y> for u in U and j prime to
+    |y|, each such y' is mapped to the y extended first, and skipped; U's
+    own elements map to none.  The memo holds the key of <U, y>, or the cap
+    it exceeded, rerun only under a larger cap.  A skip to a y whose order
+    does not divide m loses nothing, as |<U, y>| is a multiple of it.
+
+    The cyclic classes: y, in sorted order, opens <y> unless its class of
+    elements is covered, and <y> covers the classes of its generators, for
+    every m, as y = (x^j)^g with j prime to |x| gives <y> = <x>^g.
+
+    This is complete for every m, whatever was asked before.  A cyclic
+    K = <y> of order dividing m is opened by the cyclic classes.  Any other
+    K of order dividing m is <K', y> for a maximal subgroup K' > 1 and any
+    y in K outside it.  By induction on |K|, K' = U^g for a root U opened by
+    the end of the query, and every root of order below m dividing m is
+    extended, those opened in it included.  So K^(g^-1) = <U, y^(g^-1)> is
+    met: y^(g^-1) is a candidate; if it is skipped for y'', then
+    <U, y''> = K^(g^-1), so y'' is a candidate, extended as the skip map
+    sends it to itself; a memoized cap is below |K| <= m, so the closure
+    is rerun; and a group of order dividing m is opened unless known.
+
+    When `_all_solvable(m)`, only elements y that normalize U extend it.  A
+    solvable K that is not cyclic has a normal subgroup K' > 1 of prime
+    index, so K = <K', y> for any y in K outside K', and y normalizes K';
+    with K' = U^g as above, y^(g^-1) normalizes U.  The skip stays sound,
+    as u*y^j normalizes U exactly when y does.  N(U) is read off the walk
+    that opened U's class (Holt, Eick and O'Brien, ch. 4), whose
+    targets[c*n + j] is the member that member c becomes under g_j, U being
+    member 0.  As U^(x*g_j) = (U^x)^(g_j), the member that is U^e is 0 at
+    the identity and targets[member[parent]*n + j] at each edge
+    (e, parent, j) of `ElementIndex.tree` (`ElementIndex.normalizer`).
+
+    The answer depends on the group and m alone: all classes of order m,
+    each once, as members are keyed, each with its size and its least
+    member in sorted position order, its representative, generated
+    greedily by its least elements: each element not in the group the
+    earlier ones generate is kept.  Classes are listed by least member;
+    positions follow sorted element order, so sorted position lists
+    compare as the sorted members do.  A class of subgroups K whose size
+    does not divide |G : K| cannot be a conjugacy class, and raises.
     """
-    order = action.order()
-    elements, index = action.elements(), action.element_index()
-    candidates = [i for i, d in enumerate(index.orders) if m % d == 0]
-    normalizers_only = _all_solvable(m)
-    position = index.position.__getitem__
-    moves = _conjugation_moves([table.__getitem__ for table in index.conj])
-    known = set()  # every member of every class opened so far, as positions
-    reps: List[Tuple[FrozenSet[Perm], Tuple[Perm, ...], List[int]]] = []
-    classes = []
 
-    def open_class(grown: FrozenSet[Perm], gens: Tuple[Perm, ...]) -> FrozenSet[int]:
-        key = frozenset(map(position, grown))
-        if key not in known:
-            members, walked = orbit(key, moves)
-            if (order // len(grown)) % len(members):
+    def __init__(self, action: PermAction):
+        self.elements, self.index = action.elements(), action.element_index()
+        self.known: set = set()  # every member of every class opened, as keys
+        self.classes: List[_LatticeClass] = []
+        self.covered = {self.index.classes[0]}  # the identity's: it sorts first
+        self.powers: Dict[int, List[Perm]] = {}  # the generators y^j of <y>
+
+    def _open(self, key: FrozenSet[int], gens: Tuple[Perm, ...]) -> None:
+        if key not in self.known:
+            members, targets = orbit(key, self._conjugates)
+            order = len(self.elements)
+            if (order // len(key)) % len(members):
                 raise RuntimeError(
-                    f"a class of {len(members)} subgroups of order {len(grown)} "
+                    f"a class of {len(members)} subgroups of order {len(key)} "
                     f"in a group of order {order}: the size must divide the index"
                 )
-            known.update(members)
-            reps.append((grown, gens, walked))  # with its class walk's targets
-            if len(grown) == m:
-                least = min(sorted(k) for k in members)
-                classes.append((least, SubgroupClass(gens, len(members))))
-        return key
+            self.known.update(members)
+            self.classes.append(_LatticeClass(gens, members, targets))
 
-    covered = {index.classes[0]}  # the identity's: it sorts first
-    for i in candidates:
-        if index.classes[i] not in covered:
-            y, d = elements[i], index.orders[i]
-            key = open_class(frozenset(itertools.accumulate([y] * d, compose)), (y,))
-            covered.update(index.classes[p] for p in key if index.orders[p] == d)
-    unrestricted = [0] * len(elements)  # member 0: y may extend sub
-    for sub, gens, targets in reps:
-        if len(sub) == m:
-            continue
-        tried = set(sub)
-        member = index.conjugate_indices(targets) if normalizers_only else unrestricted
+    def _conjugates(self, key: FrozenSet[int]) -> List[FrozenSet[int]]:
+        """The `orbit` moves of a subgroup's key: its conjugates' keys under
+        the generators, read off the index's tables.  Every key opened has
+        at least two positions, so itemgetter returns a tuple."""
+        images = itemgetter(*key)
+        return [frozenset(images(table)) for table in self.index.conj]
+
+    def _extend(
+        self, cls: _LatticeClass, candidates: List[int], m: int, solvable: bool
+    ) -> None:
+        """Extend the class's root U by every candidate not skipped, only
+        those in N(U) when solvable, that is `_all_solvable(m)`."""
+        elements, position = self.elements, self.index.position.__getitem__
+        if solvable:
+            if cls.normalizer is None:
+                cls.normalizer = self.index.normalizer(cls.targets)
+            orders = self.index.orders
+            candidates = [i for i in cls.normalizer if m % orders[i] == 0]
+        sub = frozenset(map(elements.__getitem__, cls.members[0]))
+        cover, grown = cls.cover, cls.grown
         for i in candidates:
-            y, d = elements[i], index.orders[i]
-            if member[i] or y in tried:
+            by = cover.get(i)
+            if by is None:
+                if i not in self.powers:
+                    y, d = elements[i], self.index.orders[i]
+                    walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
+                    self.powers[i] = [z for j, z in walk if math.gcd(j, d) == 1]
+                for z in self.powers[i]:
+                    for u in sub:
+                        cover.setdefault(position(compose(u, z)), i)
+            elif by != i:
                 continue
-            if i not in index.powers:  # the generators y^j of <y>, kept for every m
-                walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
-                index.powers[i] = [z for j, z in walk if math.gcd(j, d) == 1]
-            tried.update(compose(u, z) for u in sub for z in index.powers[i])
-            grown = _closure(sub, gens + (y,), m)
-            if grown is not None and m % len(grown) == 0:
-                open_class(grown, gens + (y,))
-    classes.sort(key=itemgetter(0))
-    return tuple(cls for _, cls in classes)
+            got = grown.get(i)
+            if got is None or isinstance(got, int) and got < m:
+                closed = _closure(sub, cls.gens + (elements[i],), m)
+                got = m if closed is None else frozenset(map(position, closed))
+                grown[i] = got
+            if not isinstance(got, int) and m % len(got) == 0:
+                self._open(got, cls.gens + (elements[i],))
+
+    def _representative(self, cls: _LatticeClass) -> Tuple[Perm, ...]:
+        """The class's least member, generated greedily by its least
+        elements (`SubgroupLattice`)."""
+        if cls.representative is None:
+            gens: Tuple[Perm, ...] = ()
+            group, size = frozenset([self.elements[0]]), len(cls.least)
+            for p in cls.least:
+                y = self.elements[p]
+                if y in group:
+                    continue
+                gens += (y,)
+                if is_prime(size // len(group)):
+                    break  # no group lies strictly between: <gens> is all
+                if len(gens) == 1:  # <y> is its powers
+                    order = self.index.orders[p]
+                    group = frozenset(itertools.accumulate([y] * order, compose))
+                else:
+                    group = _closure(group, gens, size)
+                if len(group) == size:
+                    break
+            cls.representative = gens
+        return cls.representative
+
+    def classes_of_order(self, m: int) -> Tuple[SubgroupClass, ...]:
+        """The classes of order-m subgroups, for m > 1 dividing the order,
+        by least member."""
+        index, elements, orders = self.index, self.elements, self.index.orders
+        candidates = [i for i, d in enumerate(orders) if m % d == 0]
+        position = index.position.__getitem__
+        for i in candidates:
+            if index.classes[i] not in self.covered:
+                y, d = elements[i], orders[i]
+                key = frozenset(map(position, itertools.accumulate([y] * d, compose)))
+                self._open(key, (y,))
+                self.covered.update(index.classes[p] for p in key if orders[p] == d)
+        solvable = _all_solvable(m)
+        for cls in self.classes:  # grows while it is read
+            size = len(cls.members[0])
+            if size < m and m % size == 0:
+                self._extend(cls, candidates, m, solvable)
+        found = [cls for cls in self.classes if len(cls.members[0]) == m]
+        for cls in found:
+            if cls.least is None:
+                cls.least = min(sorted(key) for key in cls.members)
+        found.sort(key=lambda cls: cls.least)
+        return tuple(
+            SubgroupClass(self._representative(cls), len(cls.members)) for cls in found
+        )
+
+
+def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
+    """The classes of order-m subgroups, from the action's subgroup lattice
+    (`SubgroupLattice`), grown on first use and kept on the action."""
+    if action._lattice is None:
+        action._lattice = SubgroupLattice(action)
+    return action._lattice.classes_of_order(m)
 
 
 def _element_of_order(action: PermAction, ell: int) -> Perm:
@@ -1221,28 +1328,13 @@ def _cyclic_key(y: Perm) -> Perm:
     return _perm_power(y, cycle.index(min(cycle[1:])))
 
 
-def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ...]]:
-    """Order-m subgroups when they are exactly the normalizers of a Sylow,
-    or the Sylow subgroups themselves.
-
-    Applies when some prime ell divides m and the group order exactly once,
-    and the count restrictions force a normal Sylow ell-subgroup in every
-    group of order m.  Then each order-m subgroup normalizes a Sylow
-    ell-subgroup P of the whole group, hence equals the normalizer of P
-    whenever that normalizer has order m; conjugacy of Sylow subgroups makes
-    the enumeration complete, and the normalizers form one class.  When
-    m = ell, the order-m subgroups are the Sylow ell-subgroups, one class
-    of them, whatever the order of N(P).
-
-    No element list is needed: P is generated by one element x, its
-    conjugates are the orbit of P under conjugation by the generators,
-    |N(P)| = |G| / (number of conjugates) decides conclusiveness, and the
-    Schreier generators of that orbit generate N(P), the representative.
-    They are read only until the kept ones generate a group of order m,
-    which is then N(P), so no later one would be kept.  A walk of one node
-    means P is normal in the walked group, so that group is N(P) and its
-    own generators, which are the one node's Schreier generators, are the
-    representative: none is read and no chain is built.
+def _sylow_walk(
+    action: PermAction, ell: int
+) -> Tuple[Perm, PermAction, int, List[int]]:
+    """The walk of a Sylow ell-subgroup P = <x>'s conjugates, for a prime
+    ell dividing the group order once, made once per action and ell and
+    kept for every m (`_sylow_route`): x, the walked group, the number of
+    conjugates there and the walk's targets.
 
     When x fixes exactly one point alpha of the G-orbit of the chain's
     first base point b0, the walk runs in G_b0 instead, the chain's tail
@@ -1258,6 +1350,43 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
     The walk is `_conjugate_walk`, each conjugate keyed by its ell - 1
     nontrivial elements, the powers of x.
     """
+    walk = action._sylow.get(ell)
+    if walk is None:
+        x, group, chain = _element_of_order(action, ell), action, action.chain()
+        fixed = [point for point in chain.trans[0] if x[point] == point]
+        if len(fixed) == 1:
+            (alpha,) = fixed
+            x = compose(compose(chain.trans[0][alpha], x), chain.inv[0][alpha])
+            group = action.point_stabilizer(chain.base[0])
+        powers = itertools.accumulate(itertools.repeat(x, ell - 1), compose)
+        walk = action._sylow[ell] = (x, group, *_conjugate_walk(group, powers))
+    return walk
+
+
+def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ...]]:
+    """Order-m subgroups when they are exactly the normalizers of a Sylow,
+    or the Sylow subgroups themselves.
+
+    Applies when some prime ell divides m and the group order exactly once,
+    and the count restrictions force a normal Sylow ell-subgroup in every
+    group of order m.  Then each order-m subgroup normalizes a Sylow
+    ell-subgroup P of the whole group, hence equals the normalizer of P
+    whenever that normalizer has order m; conjugacy of Sylow subgroups makes
+    the enumeration complete, and the normalizers form one class.  When
+    m = ell, the order-m subgroups are the Sylow ell-subgroups, one class
+    of them, whatever the order of N(P).
+
+    No element list is needed: P is generated by one element x, its
+    conjugates are the orbit of P under conjugation by the generators
+    (`_sylow_walk`, walked once per ell for every m asked), |N(P)| =
+    |G| / (number of conjugates) decides conclusiveness, and the Schreier
+    generators of that orbit generate N(P), the representative.  They are
+    read only until the kept ones generate a group of order m, which is
+    then N(P), so no later one would be kept.  A walk of one node means P
+    is normal in the walked group, so that group is N(P) and its own
+    generators, which are the one node's Schreier generators, are the
+    representative: none is read and no chain is built.
+    """
     n = action.order()
     for ell, e in factorize(m):
         if e != 1:
@@ -1272,14 +1401,7 @@ def _sylow_route(action: PermAction, m: int) -> Optional[Tuple[SubgroupClass, ..
         )
         if not forced:
             continue
-        x, group, chain = _element_of_order(action, ell), action, action.chain()
-        fixed = [point for point in chain.trans[0] if x[point] == point]
-        if len(fixed) == 1:
-            (alpha,) = fixed
-            x = compose(compose(chain.trans[0][alpha], x), chain.inv[0][alpha])
-            group = action.point_stabilizer(chain.base[0])
-        powers = itertools.accumulate(itertools.repeat(x, ell - 1), compose)
-        count, targets = _conjugate_walk(group, powers)
+        x, group, count, targets = _sylow_walk(action, ell)
         size = n * count // group.order()  # |G : N(P)|
         if n // size != m:
             if m == ell:
@@ -1306,7 +1428,10 @@ def subgroups_of_order(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:
 
     Uses the cyclic-extension lattice search up to conjugacy for groups of
     order at most 1000, whatever m, and the Sylow-normalizer argument for
-    larger ones; raises when neither method can certify completeness.
+    larger ones; raises when neither method can certify completeness.  The
+    action keeps what both grow, its lattice (`SubgroupLattice`) and each
+    prime's Sylow walk (`_sylow_walk`), for every later m; the answer for
+    m does not depend on what was asked before.
     """
     order = action.order()
     if m < 1 or order % m != 0:

@@ -12,9 +12,11 @@ walks, the subdegree quotas of a union by counting orbit numbers,
 Schreier generators with every transversal word inverted on its own, a
 block set's pair multiplicity by counting every pair of every block,
 permutation products, inverses, conjugates, powers and orders on tuples
-one image at a time, and the orbits of point pairs by walking pairs of
-points.  The package computes the same quantities another way, so these
-stay independent oracles for it."""
+one image at a time, the orbits of point pairs by walking pairs of
+points, the element index's classes by one orbit walk per class, and the
+lattice route that grows every order m's classes afresh.  The package
+computes the same quantities another way, so these stay independent
+oracles for it."""
 
 import functools
 import itertools
@@ -429,3 +431,82 @@ def pair_orbit_lengths(generators, degree):
                     walk.append(image)
         lengths.append(len(walk))
     return sorted(lengths)
+
+
+def element_classes_by_walks(group):
+    """The classes and orders of the element index, each class found by
+    one `orbit` walk under the conjugation tables from its least member:
+    classes[i] is the position of the least member of e_i's class, and
+    orders[i] the order of e_i."""
+    from flagsieve.permgroup import orbit, perm_order
+
+    elements, conj = group.elements(), group.element_index().conj
+    classes, orders = [-1] * len(elements), [0] * len(elements)
+    for i, e in enumerate(elements):
+        if classes[i] < 0:
+            d = perm_order(e)
+            for x in orbit(i, lambda x: [table[x] for table in conj])[0]:
+                classes[x], orders[x] = i, d
+    return tuple(classes), tuple(orders)
+
+
+def lattice_route_per_m(action, m):
+    """The classes of order-m subgroups, m > 1, grown afresh by cyclic
+    extension for this m alone, as (least member, representative
+    generators, size) by least member; the least member is the sorted
+    list of its element positions.
+
+    Each class representative of order below m dividing m is extended by
+    every element of order dividing m that was not met as u*y^j for an
+    element y it was extended by, and with u in it and j prime to the
+    order of y; only by its normalizer when every group of order dividing
+    m is solvable.  The cyclic classes are opened once per class of
+    elements.  Nothing is kept between calls."""
+    from flagsieve.permgroup import _all_solvable, _closure, compose, orbit
+
+    order = action.order()
+    elements, index = action.elements(), action.element_index()
+    candidates = [i for i, d in enumerate(index.orders) if m % d == 0]
+    normalizers_only = _all_solvable(m)
+    position = index.position.__getitem__
+
+    def moves(key):
+        return [frozenset(table[i] for i in key) for table in index.conj]
+
+    known, reps, classes, powers = set(), [], [], {}
+
+    def open_class(grown, gens):
+        key = frozenset(map(position, grown))
+        if key not in known:
+            members, walked = orbit(key, moves)
+            assert (order // len(grown)) % len(members) == 0
+            known.update(members)
+            reps.append((grown, gens, walked))
+            if len(grown) == m:
+                least = min(sorted(k) for k in members)
+                classes.append((least, gens, len(members)))
+        return key
+
+    covered = {index.classes[0]}
+    for i in candidates:
+        if index.classes[i] not in covered:
+            y, d = elements[i], index.orders[i]
+            key = open_class(frozenset(itertools.accumulate([y] * d, compose)), (y,))
+            covered.update(index.classes[p] for p in key if index.orders[p] == d)
+    for sub, gens, targets in reps:
+        if len(sub) == m:
+            continue
+        tried = set(sub)
+        normalizer = set(index.normalizer(targets)) if normalizers_only else None
+        for i in candidates:
+            y, d = elements[i], index.orders[i]
+            if normalizer is not None and i not in normalizer or y in tried:
+                continue
+            if i not in powers:
+                walk = enumerate(itertools.accumulate([y] * (d - 1), compose), 1)
+                powers[i] = [z for j, z in walk if math.gcd(j, d) == 1]
+            tried.update(compose(u, z) for u in sub for z in powers[i])
+            grown = _closure(sub, gens + (y,), m)
+            if grown is not None and m % len(grown) == 0:
+                open_class(grown, gens + (y,))
+    return sorted(classes, key=lambda cls: cls[0])

@@ -400,11 +400,14 @@ def test_suborbit_screen_keeps_every_design(group, params, class_members):
         # Extending by every element, not only by those normalizing the
         # representative, ran 153, 122, 460 and 716.  Extending the trivial
         # group by every element, not once per class of elements, and
-        # closing each <y> coset by coset, ran 52, 52, 110 and 148.
-        ("psu3_3_36", PARAMS_36_SYM, 1, 10, 4914, "234 x 21"),
+        # closing each <y> coset by coset, ran 52, 52, 110 and 148.  With
+        # each representative the member its class was opened at, and not
+        # the least member generated greedily, the lattice ran 10, 3, 19
+        # and 22.
+        ("psu3_3_36", PARAMS_36_SYM, 1, 11, 4914, "234 x 21"),
         ("psu3_3_36", PARAMS_36_QUASI, 0, 3, 5880, "210 x 28"),
-        ("psu3_3_2_36", PARAMS_36_SYM, 1, 19, 126, "6 x 21"),
-        ("psu3_3_2_36", PARAMS_36_QUASI, 0, 22, 336, "4 x 14 + 10 x 28"),
+        ("psu3_3_2_36", PARAMS_36_SYM, 1, 21, 126, "6 x 21"),
+        ("psu3_3_2_36", PARAMS_36_QUASI, 0, 24, 336, "4 x 14 + 10 x 28"),
     ],
     ids=["psu3_3_36-sym", "psu3_3_36-quasi", "psu3_3_2_36-sym", "psu3_3_2_36-quasi"],
 )
@@ -412,7 +415,8 @@ def test_unitary_36_work_counts(
     monkeypatch, group, params, reached, closures, tested, breakdown
 ):
     """Deterministic work gate: unions that reach the full candidate check,
-    and closures run by the point stabilizer's subgroup lattice."""
+    and closures run by the point stabilizer's subgroup lattice, on a fresh
+    copy of the built-in, as an action keeps its stabilizer's lattice."""
     counts = {"reached": 0, "closures": 0}
     check, close = designsearch._candidate_design, permgroup._closure
 
@@ -426,7 +430,9 @@ def test_unitary_36_work_counts(
 
     monkeypatch.setattr(designsearch, "_candidate_design", counted_check)
     monkeypatch.setattr(permgroup, "_closure", counted_close)
-    result = stabilizer_search(builtin_action(group), params)
+    built = builtin_action(group)
+    fresh = PermAction(built.degree, built.generators, label=built.label)
+    result = stabilizer_search(fresh, params)
     assert counts == {"reached": reached, "closures": closures}
     detail = dict(result.certificate)["candidate-blocks"]
     assert detail.startswith(f"tested {tested} orbit unions of size 21 ({breakdown}: ")

@@ -58,9 +58,11 @@ from reference import (
     cyclic_key_walk,
     digit_add,
     digit_neg,
+    element_classes_by_walks,
     hermitian_form,
     hyperplane_images,
     is_special_unitary,
+    lattice_route_per_m,
     monomial_by_search,
     normalized_projective_points,
     orbits_by_walks,
@@ -778,9 +780,11 @@ LATTICE_36 = {"psu3_3_36": (8, 6), "psu3_3_2_36": (16, 12)}
         # 11,457; extending the trivial group by every element, each with
         # its powers built for each m, took 1,853 and 5,231; conjugating
         # every element by each generator for the element index, two
-        # composes each, took 1,171 and 2,594
-        pytest.param("psu3_3_36", 163, id="psu3_3_36"),
-        pytest.param("psu3_3_2_36", 578, id="psu3_3_2_36"),
+        # composes each, took 1,171 and 2,594; growing the lattice afresh
+        # for each m, each representative the member a class was opened
+        # at, took 163 and 578
+        pytest.param("psu3_3_36", 154, id="psu3_3_36"),
+        pytest.param("psu3_3_2_36", 470, id="psu3_3_2_36"),
     ],
 )
 def test_lattice_36_compose_counts(monkeypatch, name, composed):
@@ -791,7 +795,10 @@ def test_lattice_36_compose_counts(monkeypatch, name, composed):
     off the class walks, so no candidate is composed to test whether it
     normalizes a representative; a candidate's powers are built once, for
     both searches, and only for the candidates that a representative other
-    than the trivial group tries."""
+    than the trivial group tries.  The second search reuses the first's
+    classes, skip maps and closures, and a representative's last generator
+    closes no group when it has prime index, and its first is closed by
+    its powers."""
     base = builtin_action(name).point_stabilizer(0)
     group = PermAction(base.degree, base.generators)
     group.elements()
@@ -815,20 +822,28 @@ def _lattice_groups():
 
 # SHA-256 of every class of `subgroups_of_order` (representative generators
 # and class size, in order) for every m <= 200 dividing |G| on the groups of
-# `_lattice_output`, taken before the cyclic layer was opened per element class
+# `_lattice_output`, taken when each representative became its class's least
+# member, generated greedily by its least elements; before, with the member a
+# class was opened at, it was 0ca9d157ea0ab6f0672ef2a23c0e84a27db3db0ef9054c
+# 67bbda2ed0c1ea35e1
 LATTICE_OUTPUT_DIGEST = (
-    "0ca9d157ea0ab6f0672ef2a23c0e84a27db3db0ef9054c67bbda2ed0c1ea35e1"
+    "aebfd5dfc10882450ef14bb25e41f455972464fd088060cb6eda20334014a271"
 )
+
+
+def _lattice_output_groups():
+    """(name, group): psl2_7, pgl2_7 and the point stabilizers of
+    psu3_3_36, psu3_3_2_36, psl3_3 and psu3_3."""
+    groups = [("psl2_7", builtin_action("psl2_7")), ("pgl2_7", builtin_action("pgl2_7"))]
+    for name in ("psu3_3_36", "psu3_3_2_36", "psl3_3", "psu3_3"):
+        groups.append((f"{name}_stab0", builtin_action(name).point_stabilizer(0)))
+    return groups
 
 
 def _lattice_output():
     """One line per class of order-m subgroups, m <= 200 dividing |G|, on
-    psl2_7, pgl2_7 and the point stabilizers of psu3_3_36, psu3_3_2_36,
-    psl3_3 and psu3_3."""
-    groups = [("psl2_7", builtin_action("psl2_7")), ("pgl2_7", builtin_action("pgl2_7"))]
-    for name in ("psu3_3_36", "psu3_3_2_36", "psl3_3", "psu3_3"):
-        groups.append((f"{name}_stab0", builtin_action(name).point_stabilizer(0)))
-    for name, group in groups:
+    the groups of `_lattice_output_groups`."""
+    for name, group in _lattice_output_groups():
         for m in range(1, 201):
             if group.order() % m == 0:
                 for cls in subgroups_of_order(group, m):
@@ -843,6 +858,68 @@ def test_lattice_output_digest():
     for line in _lattice_output():
         digest.update(line.encode())
     assert digest.hexdigest() == LATTICE_OUTPUT_DIGEST
+
+
+def test_lattice_answers_do_not_depend_on_what_was_asked_before():
+    """Oracle for the kept lattice: on fresh copies of the groups of
+    `_lattice_output`, every m <= 200 dividing |G| asked in increasing,
+    decreasing and seeded random order gives the same classes; their sizes
+    and least members are those of the route that grows each m afresh
+    (`lattice_route_per_m`); and each representative generates a group of
+    order m whose sorted element positions are the least member, kept
+    greedily: each generator is the least element outside the group the
+    earlier ones generate."""
+    rng = random.Random(41)
+    for name, base in _lattice_output_groups():
+        orders = [m for m in range(2, 201) if base.order() % m == 0]
+        shuffled = rng.sample(orders, len(orders))
+        answers = []
+        for asked in (orders, orders[::-1], shuffled):
+            group = PermAction(base.degree, base.generators)
+            answers.append({m: subgroups_of_order(group, m) for m in asked})
+        assert answers[0] == answers[1] == answers[2], name
+        position = group.element_index().position
+        for m in orders:
+            expected = lattice_route_per_m(group, m)
+            got = answers[0][m]
+            assert [cls.size for cls in got] == [size for _, _, size in expected]
+            for cls, (least, _, _) in zip(got, expected):
+                elements = PermAction(group.degree, cls.representative).elements()
+                assert sorted(position[e] for e in elements) == least, (name, m)
+                kept = [position[y] for y in cls.representative]
+                assert kept == sorted(kept) and kept[0] == least[1]
+                for j, y in enumerate(kept[1:], 1):
+                    below = PermAction(group.degree, cls.representative[:j])
+                    inside = {position[e] for e in below.elements()}
+                    assert y == min(p for p in least if p not in inside)
+
+
+def test_lattice_closure_counts(monkeypatch):
+    """Work gate: closures of m = 12 on a fresh psu3_3_2_36 point
+    stabilizer, asked alone and after m = 16.  The second ask reuses the
+    classes of orders 2 and 4, their skip maps and the closures memoized
+    under cap 16 >= 12, and its representatives' greedy generators."""
+    base = builtin_action("psu3_3_2_36").point_stabilizer(0)
+    counts = []
+    close = permgroup._closure
+    for asked in ((12,), (16, 12)):
+        group = PermAction(base.degree, base.generators)
+        group.elements()
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return close(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(permgroup, "_closure", counted)
+            for m in asked:
+                calls[0] = 0
+                subgroups_of_order(group, m)
+        counts.append(calls[0])
+    # the route that grew each m afresh ran 22 either way, and closed no
+    # representative's generators, which here take 2 closures
+    assert counts == [24, 10]
 
 
 def _indexed_groups():
@@ -884,6 +961,14 @@ def test_element_index_classes_match_brute_force():
     assert counts[:2] == [6, 9] and counts[-2:] == [1, 7]
 
 
+def test_element_index_classes_match_per_class_walks():
+    """Oracle for the flat loop that partitions the element index into
+    classes: the same classes and orders as one orbit walk per class."""
+    for group in _indexed_groups():
+        index = group.element_index()
+        assert (index.classes, index.orders) == element_classes_by_walks(group)
+
+
 def test_element_index_tree_lists_each_element_once():
     """Every tree edge is a generator step, each non-identity position is
     reached once, and each parent is reached before its children."""
@@ -902,9 +987,9 @@ def test_conjugate_indices_give_brute_force_normalizers():
     """Oracle for the normalizer read off a class walk: for every class
     representative U that the lattice route may extend by normalizers only
     (the classes of each order m with `_all_solvable(m)`), on the lattice
-    groups and a relabelled copy of each, the positions where
-    `conjugate_indices` is 0 are {y : U^y = U}, found by conjugating U's
-    generators by every y."""
+    groups and a relabelled copy of each, the positions that
+    `ElementIndex.normalizer` reads off the class walk are {y : U^y = U},
+    found by conjugating U's generators by every y."""
     groups = _lattice_groups()
     for group in groups + [_relabelled(group, 5) for group in groups]:
         elements, index = group.elements(), group.element_index()
@@ -918,13 +1003,12 @@ def test_conjugate_indices_give_brute_force_normalizers():
         for cls in (cls for m in solvable for cls in subgroups_of_order(group, m)):
             sub = set(PermAction(group.degree, cls.representative).elements())
             _, targets = orbit(frozenset(index.position[u] for u in sub), moves)
-            at = index.conjugate_indices(targets)
             normalizer = [
                 i
                 for i, y in enumerate(elements)
                 if all(_conjugator(y)(u) in sub for u in cls.representative)
             ]
-            assert [i for i, c in enumerate(at) if c == 0] == normalizer
+            assert index.normalizer(targets) == normalizer
 
 
 def test_element_index_composes_nothing_once_listed(monkeypatch):
@@ -1457,7 +1541,8 @@ def test_sylow_route_reads_schreier_generators_until_order_m(
     stabilizer of the chain's first base point, where P_13 is normal: the
     walk has one node, no Schreier generator is read, and the
     representative is the stabilizer's 2 and 3 generators, all of which a
-    full read of the walk's Schreier generators keeps."""
+    full read of the walk's Schreier generators keeps.  Fresh actions, as
+    an action keeps each prime's walk."""
     read, walked = [], []
     lazy = permgroup.schreier_generators
 
@@ -1468,7 +1553,7 @@ def test_sylow_route_reads_schreier_generators_until_order_m(
             yield s
 
     monkeypatch.setattr(permgroup, "schreier_generators", counted)
-    act = builtin_action(name)
+    act = _fresh(name)
     walks = _recording_walks(monkeypatch)
     (cls,) = _sylow_route(act, m)
     ((group, key),) = walks
@@ -1529,7 +1614,9 @@ def test_sylow_route_matches_whole_group_walk(name, seed, class_members):
 
 
 def _fresh(name):
-    act = builtin_action(name)
+    """A built-in, or "name@seed" as in `_named_action`, as a new action:
+    no chain, element list, lattice or Sylow walk of it is kept yet."""
+    act = _named_action(name)
     return PermAction(act.degree, act.generators)
 
 
@@ -1540,8 +1627,8 @@ def _fresh(name):
         pytest.param(
             lambda: classical_action("linear", 4, 2), 21, 64, 1536, id="linear_4_2"
         ),
-        pytest.param(lambda: builtin_action("psu3_3"), 21, 288, 3456, id="psu3_3"),
-        pytest.param(lambda: builtin_action("psl4_2"), 5, 336, 2688, id="psl4_2"),
+        pytest.param(lambda: _fresh("psu3_3"), 21, 288, 3456, id="psu3_3"),
+        pytest.param(lambda: _fresh("psl4_2"), 5, 336, 2688, id="psl4_2"),
     ],
 )
 def test_sylow_route_base_key_counts(monkeypatch, make, m, conjugates, conjugations):
@@ -1583,6 +1670,25 @@ def test_sylow_route_base_key_counts(monkeypatch, make, m, conjugates, conjugati
     assert act._chains == chains
 
 
+def test_sylow_route_walks_each_prime_once(monkeypatch):
+    """Work gate: asking a fresh psu3_3 for all 47 orders m > 1 dividing
+    6048 walks P_7's 288 conjugates once, kept for every m; walked per m,
+    it took 10 walks.  m = 7 and 21 are answered, every other m refused."""
+    act = _fresh("psu3_3")
+    walks = _recording_walks(monkeypatch)
+    orders = [m for m in range(2, 6049) if 6048 % m == 0]
+    assert len(orders) == 47
+    answered = {}
+    for m in orders:
+        try:
+            answered[m] = [cls.size for cls in subgroups_of_order(act, m)]
+        except RuntimeError as exc:
+            assert f"cannot certify a complete order-{m} subgroup" in str(exc)
+    assert answered == {7: [288], 21: [288]}
+    ((group, key),) = walks
+    assert group is act and len(key) == 6
+
+
 def _walk_of(group, x):
     """The shared conjugate walk on <x>, x of prime order, as the Sylow
     route runs it, keyed by x's nontrivial powers: the number of
@@ -1617,7 +1723,7 @@ def _recording_walks(monkeypatch):
 def test_sylow_route_descends_to_a_fixed_point_off_the_base(monkeypatch, name, ell, m):
     """When P's one fixed point in the orbit of the first base point b0 is
     not b0, the route conjugates P to fix b0 and walks in G_b0."""
-    act = _named_action(name)
+    act = _fresh(name)
     b0, x = act.chain().base[0], _element_of_order(act, ell)
     (alpha,) = [p for p in act.orbit(b0) if x[p] == p]
     assert alpha != b0
@@ -1645,6 +1751,7 @@ def test_sylow_route_one_node_walk_gives_the_normalizer(monkeypatch, name, seed)
     walks = _recording_walks(monkeypatch)
     for m in (m for m in range(2, n + 1) if n % m == 0):
         walks.clear()
+        act._sylow.clear()  # walk again for each m
         answer = _sylow_route(act, m)
         if answer is None or not walks or _conjugate_walk(*walks[0])[0] > 1:
             continue
@@ -1664,7 +1771,7 @@ def test_sylow_route_prime_order_on_the_descended_path(monkeypatch, class_member
     """m == ell after the descent: on psl3_3_2_144 at m = 13 the normalizer
     has order 78, the class is the 144 Sylow 13-subgroups, and the
     representative is the walk's start, which fixes b0."""
-    act = builtin_action("psl3_3_2_144")
+    act = _fresh("psl3_3_2_144")
     walks = _recording_walks(monkeypatch)
     (cls,) = _sylow_route(act, 13)
     b0 = act.chain().base[0]

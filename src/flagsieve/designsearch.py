@@ -31,9 +31,9 @@ representative's union count.  The certificate, the text saying why the
 enumeration was complete, is rendered from them (`SearchResult.certificate`);
 or the subgroup enumeration raises and no claim is made.
 
-Block orbits come from permgroup's one orbit walk (`orbit`) on point
-sets, and so does every flag-transitivity check: one walk of the point
-stabilizer G_0 over the blocks through the point 0.
+Block orbits come from permgroup's one walk on point sets
+(`PermAction.set_orbit`), and so does every flag-transitivity check: one
+walk of the point stabilizer G_0 over the blocks through the point 0.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from typing import (
     Tuple,
 )
 
-from .permgroup import PermAction, orbit, subgroups_of_order
+from .permgroup import PermAction, subgroups_of_order
 from .sieve import DesignParams, check_basic
 
 __all__ = [
@@ -211,8 +211,8 @@ def _flag_transitive(
     if not action.is_transitive():
         return False
     start = next(block for block in blocks if 0 in block)
-    walk = orbit(start, action.point_stabilizer(0).set_images, r)
-    return walk is not None and len(walk[0]) == r
+    walk = action.point_stabilizer(0).set_orbit(start, r)
+    return walk is not None and len(walk) == r
 
 
 def korbit_designs(
@@ -345,10 +345,9 @@ def _candidate_design(
     blocks through 0 and is transitive on Delta, so each beta in Delta lies
     with 0 in lambda blocks; by transitivity every pair does.
     """
-    walk = orbit(union, action.set_images, params.b)
-    if walk is None or len(walk[0]) != params.b:
+    blocks = action.set_orbit(union, params.b)
+    if blocks is None or len(blocks) != params.b:
         return None
-    blocks = _canonical_blocks(walk[0])
     if blocks in known:
         return known[blocks]
     if not verify_design(action, blocks, expect=params).ok:
@@ -487,13 +486,17 @@ def verify_design(
     """Re-check a block set from scratch against the action.
 
     Confirms uniform block size, constant replication, constant pair
-    coverage, invariance of the block set under the group (each block's
-    images under the generators are blocks),
-    block-transitivity, and flag-transitivity.  The counting identities
-    need no check: with b blocks of size k, every point on r of them and
-    every pair on lambda >= 1, counting the pairs (x, B) with x in B gives
-    b*k = v*r, and counting the (y, B) with y != x and x, y in B, at one
-    point x, gives r*(k - 1) = lambda*(v - 1).
+    coverage, invariance of the block set under the group,
+    block-transitivity, and flag-transitivity.  One walk decides the middle
+    two: the orbit of the first block, capped at b, is the block set
+    exactly when the set is invariant and the group transitive on it.
+    Otherwise the set is invariant exactly when each block's images under
+    the generators are blocks, and the problem says which failed.
+
+    The counting identities need no check: with b blocks of size k, every
+    point on r of them and every pair on lambda >= 1, counting the pairs
+    (x, B) with x in B gives b*k = v*r, and counting the (y, B) with y != x
+    and x, y in B, at one point x, gives r*(k - 1) = lambda*(v - 1).
     """
     v = action.degree
     bset = _canonical_blocks(frozenset(b) for b in blocks)
@@ -525,15 +528,15 @@ def verify_design(
     if expect is not None and params != expect:
         problems.append(f"parameters {params.as_tuple()} differ from expected")
     block_lookup = set(bset)
-    if not all(block_lookup.issuperset(action.set_images(block)) for block in bset):
-        problems.append("block set is not invariant under the group")
+    walk = action.set_orbit(bset[0], b)
+    if walk is None or set(walk) != block_lookup:
+        if all(block_lookup.issuperset(action.set_images(block)) for block in bset):
+            problems.append("group is not transitive on blocks")
+        else:
+            problems.append("block set is not invariant under the group")
         return VerifyReport(False, params, False, tuple(problems))
-    walk = orbit(bset[0], action.set_images, b + 1)
-    block_transitive = walk is not None and set(walk[0]) == block_lookup
-    if not block_transitive:
-        problems.append("group is not transitive on blocks")
-    flag = block_transitive and _flag_transitive(action, bset, r)
-    if block_transitive and not flag:
+    flag = _flag_transitive(action, bset, r)
+    if not flag:
         problems.append("block stabilizer is intransitive on its block")
     return VerifyReport(not problems, params, flag, tuple(problems))
 

@@ -11,7 +11,11 @@ computed once per permutation and cached.
 Every orbit, of points, of point sets and of subgroups under conjugation,
 is found by one breadth-first walk, `orbit`, with two exceptions: the
 stabilizer chain grows its orbits incrementally, and `PermAction.orbits`
-lists all point orbits in one flat loop.  A subgroup in such a walk is
+lists all point orbits in one flat loop.  A point set in a walk is its
+indicator, bytes with byte p 1 exactly when p is in the set, so its image
+under g is one `bytes.translate` of g^-1 through it (`_set_mover`), a
+gather above degree 256; `PermAction.set_orbit` converts only the sets
+found to frozensets.  A subgroup in such a walk is
 named by a set of its elements that generates it, and a move conjugates
 the whole set: the positions of all its elements in
 a listed group, its elements of one order in an unlisted one
@@ -45,7 +49,8 @@ as words in a builtin's generators (`_written_subgroup`); each is certified
 by its chain order, and each subgroup by its words' orders too.  The four
 builtins of degree 36 and 144 come from one recipe, a base builtin on the
 conjugates of such a subgroup, and every action induced on a list of point
-sets (point pairs, hyperplanes) is read off by one helper.
+sets (point pairs, hyperplanes) is read off by one helper from the
+sets' indicator images (`_set_perms`).
 
 The classical actions are written down from their defining equations:
 projective and isotropic points are listed in sorted order, a unitary
@@ -337,6 +342,44 @@ def _multiplier(gens: Sequence[Perm]) -> Callable[[Perm], List[Perm]]:
         return lambda x: list(map(itemgetter(*x), gens))
     tables = [g + _PADS[len(g)] for g in gens]
     return lambda x: [x.translate(table) for table in tables]
+
+
+def _set_mover(gens: Sequence[Perm]) -> Callable[[bytes], List[bytes]]:
+    """The map from a point set's indicator to its images' indicators under
+    each of gens, in order, with each g inverted once.
+
+    The indicator of a set is bytes of the degree's length whose byte p is
+    1 exactly when p is in the set.  Its image under g has byte j equal to
+    byte g^-1(j) of the indicator: one `bytes.translate` of g^-1 through the
+    indicator as its table, and a gather by itemgetter above degree 256,
+    the split `compose` makes."""
+    invs = [inverse_perm(as_perm(g)) for g in gens]
+    if len(invs[0]) > _BYTE_DEGREE:
+        getters = [itemgetter(*g) for g in invs]
+        return lambda ind: [bytes(get(ind)) for get in getters]
+    pad = _PADS[len(invs[0])]
+
+    def images(ind: bytes) -> List[bytes]:
+        table = ind + pad
+        return [g.translate(table) for g in invs]
+
+    return images
+
+
+def _indicator(points: Iterable[int], degree: int) -> bytes:
+    """The indicator of a point set (`_set_mover`); ValueError on a point
+    outside the domain."""
+    ind = bytearray(degree)
+    for p in points:
+        if not 0 <= p < degree:
+            raise ValueError("set contains points outside the domain")
+        ind[p] = 1
+    return bytes(ind)
+
+
+def _point_set(ind: bytes) -> FrozenSet[int]:
+    """The point set of an indicator."""
+    return frozenset(itertools.compress(range(len(ind)), ind))
 
 
 def inverse_perm(p: Perm) -> Perm:
@@ -654,6 +697,7 @@ class PermAction:
         # stabilizer chains by first base point; None is the default base
         self._chains: Dict[Optional[int], StabChain] = {}
         self._stabilizers: Dict[int, "PermAction"] = {}
+        self._mover: Optional[Callable[[bytes], List[bytes]]] = None
 
     def __repr__(self) -> str:
         return f"PermAction({self.label or 'unnamed'}, degree={self.degree})"
@@ -811,19 +855,32 @@ class PermAction:
         """Sorted orbit lengths of the stabilizer of point."""
         return tuple(sorted(len(orb) for orb in self.point_stabilizer(point).orbits()))
 
-    def set_images(self, points: FrozenSet[int]) -> List[FrozenSet[int]]:
-        """The image of a point set under each generator, in order."""
-        if len(points) < 2:  # itemgetter of one index returns a bare item
-            return [frozenset(g[i] for i in points) for g in self.generators]
-        images = itemgetter(*points)
-        return [frozenset(images(g)) for g in self.generators]
+    def _set_moves(self) -> Callable[[bytes], List[bytes]]:
+        """The generators' `_set_mover`, built once."""
+        if self._mover is None:
+            self._mover = _set_mover(self.generators)
+        return self._mover
 
-    def set_orbit(self, points: Iterable[int]) -> Tuple[FrozenSet[int], ...]:
-        """Orbit of a point set under the group, sorted canonically."""
-        start = frozenset(points)
-        if not all(0 <= i < self.degree for i in start):
-            raise ValueError("set contains points outside the domain")
-        return tuple(sorted(orbit(start, self.set_images)[0], key=sorted))
+    def set_images(self, points: Iterable[int]) -> List[FrozenSet[int]]:
+        """The image of a point set under each generator, in order."""
+        images = self._set_moves()(_indicator(points, self.degree))
+        return list(map(_point_set, images))
+
+    def set_orbit(
+        self, points: Iterable[int], cap: Optional[int] = None
+    ) -> Optional[Tuple[FrozenSet[int], ...]]:
+        """Orbit of a point set under the group, sorted canonically, by each
+        set's sorted points; None as soon as it grows past cap sets.
+
+        The walk runs on indicators (`_set_mover`), and only the sets found
+        are converted.  Sets of one size, as an orbit's are, sort by their
+        sorted points as their indicators sort in reverse: at the first
+        point where two such sets differ, the set holding it sorts first.
+        """
+        walk = orbit(_indicator(points, self.degree), self._set_moves(), cap)
+        if walk is None:
+            return None
+        return tuple(map(_point_set, sorted(walk[0], reverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -903,11 +960,14 @@ def _point_hyperplane_doubling(
     return doubled + [(*range(N, 2 * N), *range(N))]
 
 
-def _set_perms(perms: Iterable[Perm], sets: Sequence[FrozenSet[int]]) -> List[Perm]:
+def _set_perms(perms: Sequence[Perm], sets: Sequence[FrozenSet[int]]) -> List[Perm]:
     """The permutation each of perms induces on a list of point sets that it
-    permutes, as positions in that list."""
-    index = {s: i for i, s in enumerate(sets)}
-    return [tuple(index[frozenset(map(g.__getitem__, s))] for s in sets) for g in perms]
+    permutes, as positions in that list, read off the sets' indicators
+    (`_set_mover`)."""
+    keys = [_indicator(s, len(perms[0])) for s in sets]
+    index = {key: i for i, key in enumerate(keys)}
+    images = list(map(_set_mover(perms), keys))  # images[i][j]: set i under g_j
+    return [tuple(index[row[j]] for row in images) for j in range(len(perms))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1132,9 +1192,10 @@ class SubgroupLattice:
     order dividing m: <U, y> is closed on permutations with cap m, and a
     subgroup of order dividing m not met before opens a class, rooted at it
     and generated by U's generators and y.  Kept for every m, with the
-    classes and the generators y^j of each <y>, are per root U a skip map
-    and a closure memo.  As <U, u*y^j> = <U, y> for u in U and j prime to
-    |y|, each such y' is mapped to the y extended first, and skipped; U's
+    classes, the generators y^j of each <y> and each m's answer, are per
+    root U a skip map and a closure memo.  As <U, u*y^j> = <U, y> for u in
+    U and j prime to |y|, each such y' is mapped to the y extended first,
+    and skipped; U's
     own elements map to none.  The memo holds the key of <U, y>, or the cap
     it exceeded, rerun only under a larger cap.  A skip to a y whose order
     does not divide m loses nothing, as |<U, y>| is a multiple of it.
@@ -1181,6 +1242,7 @@ class SubgroupLattice:
         self.classes: List[_LatticeClass] = []
         self.covered = {self.index.classes[0]}  # the identity's: it sorts first
         self.powers: Dict[int, List[Perm]] = {}  # the generators y^j of <y>
+        self.answers: Dict[int, Tuple[SubgroupClass, ...]] = {}  # by m
 
     def _open(self, key: FrozenSet[int], gens: Tuple[Perm, ...]) -> None:
         if key not in self.known:
@@ -1259,7 +1321,10 @@ class SubgroupLattice:
 
     def classes_of_order(self, m: int) -> Tuple[SubgroupClass, ...]:
         """The classes of order-m subgroups, for m > 1 dividing the order,
-        by least member."""
+        by least member; kept per m, as a query opens every class of order
+        m and no later query opens another."""
+        if m in self.answers:
+            return self.answers[m]
         index, elements, orders = self.index, self.elements, self.index.orders
         candidates = [i for i, d in enumerate(orders) if m % d == 0]
         position = index.position.__getitem__
@@ -1279,9 +1344,10 @@ class SubgroupLattice:
             if cls.least is None:
                 cls.least = min(sorted(key) for key in cls.members)
         found.sort(key=lambda cls: cls.least)
-        return tuple(
+        self.answers[m] = tuple(
             SubgroupClass(self._representative(cls), len(cls.members)) for cls in found
         )
+        return self.answers[m]
 
 
 def _lattice_route(action: PermAction, m: int) -> Tuple[SubgroupClass, ...]:

@@ -9,7 +9,8 @@ test entry by entry, unitary matrices by trying every matrix of a shape,
 hyperplane images by the inverse transpose, the orbit unions of a size
 by a full descent, the orbits of a group by numbered breadth-first
 walks, the subdegree quotas of a union by counting orbit numbers,
-Schreier generators with every transversal word inverted on its own, a
+Schreier generators with every transversal word inverted on its own,
+point set orbits walked on frozensets, a
 block set's pair multiplicity by counting every pair of every block,
 permutation products, inverses, conjugates, powers and orders on tuples
 one image at a time, the orbits of point pairs by walking pairs of
@@ -431,6 +432,23 @@ def pair_orbit_lengths(generators, degree):
                     walk.append(image)
         lengths.append(len(walk))
     return sorted(lengths)
+
+
+def set_images_by_points(generators, points):
+    """A point set's image under each generator, as a frozenset built
+    point by point."""
+    return [frozenset(g[p] for p in points) for g in generators]
+
+
+def set_orbit_by_frozensets(action, points, cap=None):
+    """The orbit of a point set walked on frozensets (`orbit`), each image
+    built point by point: None once it grows past cap sets, else sorted by
+    each set's sorted points."""
+    from flagsieve.permgroup import orbit
+
+    gens = action.generators
+    walk = orbit(frozenset(points), lambda s: set_images_by_points(gens, s), cap)
+    return None if walk is None else tuple(sorted(walk[0], key=sorted))
 
 
 def element_classes_by_walks(group):

@@ -1060,6 +1060,20 @@ PAIRS_OF_4 = [set(pair) for pair in itertools.combinations(range(4), 2)]
         pytest.param(
             FANO_LINES,
             DesignParams(7, 7, 3, 3, 1),
+            (1, 2, 5, 4, 3, 0, 6),
+            "group is not transitive on blocks",
+            id="collineation-with-4-line-orbit-on-fano",
+        ),
+        pytest.param(
+            FANO_LINES,
+            DesignParams(7, 7, 3, 3, 1),
+            (0, 2, 4, 6, 3, 1, 5),
+            "block set is not invariant under the group",
+            id="3-line-orbit-on-fano-not-invariant",
+        ),
+        pytest.param(
+            FANO_LINES,
+            DesignParams(7, 7, 3, 3, 1),
             (1, 2, 3, 4, 5, 6, 0),
             "block stabilizer is intransitive on its block",
             id="c7-on-fano",
@@ -1068,7 +1082,10 @@ PAIRS_OF_4 = [set(pair) for pair in itertools.combinations(range(4), 2)]
 )
 def test_verify_design_group_side_rejections(blocks, params, generator, problem):
     """A 2-design whose group fails it: the checks after the pair count,
-    which are the search's only flag-transitivity gate."""
+    which are the search's only flag-transitivity gate.  In every case but
+    the last, the orbit of the first block closes inside the block set with
+    fewer than b blocks; whether each block's images are blocks decides
+    the problem."""
     act = PermAction(len(generator), [generator])
     report = verify_design(act, blocks, expect=params)
     assert not report.ok and not report.flag_transitive

@@ -69,6 +69,8 @@ from reference import (
     pair_orbit_lengths,
     root_subgroup_by_search,
     schreier_generators_inverting_words,
+    set_images_by_points,
+    set_orbit_by_frozensets,
     tuple_compose,
     tuple_conjugate,
     tuple_inverse,
@@ -922,6 +924,26 @@ def test_lattice_closure_counts(monkeypatch):
     assert counts == [24, 10]
 
 
+def test_lattice_repeated_ask_reuses_its_answer(monkeypatch):
+    """Asking the same m again returns an equal answer and runs no
+    extension and no closure: each m's answer is kept on the lattice."""
+    base = builtin_action("psu3_3_2_36").point_stabilizer(0)
+    group = PermAction(base.degree, base.generators)
+    first = {m: subgroups_of_order(group, m) for m in (12, 16, 2)}
+    calls = []
+
+    def counted(original):
+        return lambda *args: calls.append(original) or original(*args)
+
+    lattice = permgroup.SubgroupLattice
+    with monkeypatch.context() as patch:
+        patch.setattr(permgroup, "_closure", counted(permgroup._closure))
+        patch.setattr(lattice, "_extend", counted(lattice._extend))
+        again = {m: subgroups_of_order(group, m) for m in (16, 2, 12)}
+    assert again == first and all(first.values())
+    assert calls == []
+
+
 def _indexed_groups():
     """The lattice groups, a relabelled copy of each, the trivial group of
     degree 5, and a cyclic group of order 7 on one generator."""
@@ -1328,9 +1350,36 @@ def test_orbits_match_walks(name):
     assert {1, act.degree} <= seen and len(seen) > 2
 
 
+@pytest.mark.parametrize(
+    "name", ["psl2_7", "psu3_3", "psu3_3_36", "psl3_3_144", "psu3_3_pairs"]
+)
+def test_set_walk_matches_frozenset_walk(name):
+    """Oracle for the indicator walk: `set_orbit` and `set_images` agree
+    with a walk on frozensets, on bytes permutations and on the 378-point
+    pair action of psu3_3, whose permutations are tuples; for the empty
+    set, one point, the whole domain, a 21-point set and a seeded 5-point
+    set, with cap at the orbit's length and one below it."""
+    if name == "psu3_3_pairs":
+        act = pair_action(classical_action("unitary", 3, 3))
+        assert act.degree == 378 and isinstance(act.generators[0], tuple)
+    else:
+        act = builtin_action(name)
+    n, rng = act.degree, random.Random(f"set-walk/{name}")
+    sets = [(), (rng.randrange(n),), range(n), range(min(n, 21))]
+    sets.append(rng.sample(range(n), 5))
+    for points in sets:
+        want = set_orbit_by_frozensets(act, points)
+        assert act.set_orbit(points) == want
+        images = set_images_by_points(act.generators, points)
+        assert act.set_images(frozenset(points)) == images
+        for cap in (len(want), len(want) - 1):
+            assert act.set_orbit(points, cap) == set_orbit_by_frozensets(act, points, cap)
+        if len(want) > 1:
+            assert act.set_orbit(points, len(want) - 1) is None
+
+
 def test_set_orbit_of_one_point():
-    """One-point sets take `set_images`' own branch: on the transitive
-    psl2_7 the orbit of {3} is the 8 singletons."""
+    """On the transitive psl2_7 the orbit of {3} is the 8 singletons."""
     singletons = tuple(frozenset({p}) for p in range(8))
     assert builtin_action("psl2_7").set_orbit([3]) == singletons
 

@@ -14,11 +14,13 @@ permgroup.subgroups_of_order) and testing every orbit union of size k of
 one subgroup per conjugacy class makes the search exhaustive, since
 conjugate subgroups give the same block sets.  When the flag stabilizer
 is trivial that route degenerates, and the search switches to block
-stabilizers of order |G| / b.  Every block of a flag-transitive design
-meets the subdegree identity r * |B & Delta| = lambda * |Delta| at each
-of its points beta, on each orbit Delta of G_0 after taking beta to 0.
-At 0 that is a quota on each Delta: only unions meeting the quotas are
-built, all are counted by a subset sum, and a built union that meets the
+stabilizers of order |G| / b = k, which are regular on their blocks: each
+candidate is one orbit of length k (see `stabilizer_search`).  Every block
+of a flag-transitive design meets the subdegree identity
+r * |B & Delta| = lambda * |Delta| at each of its points beta, on each
+orbit Delta of G_0 after taking beta to 0.  At 0 that is a quota on each
+Delta: the flag route builds only unions meeting the quotas, both count
+all unions of size k by a subset sum, and a candidate that meets the
 identity at every point has its G-orbit walked.  An orbit of b blocks is
 then decided by verify_design alone, which counts every pair of every
 block and checks flag-transitivity; the screen already makes lambda
@@ -220,11 +222,9 @@ def korbit_designs(
 ) -> Tuple[DesignRecord, ...]:
     """All 2-designs whose block set is a single orbit on k-subsets.
 
-    Refuses, before enumerating anything, when C(v, k) exceeds cap.  An
-    orbit that covers every pair lambda > 0 times is a design: counting the
-    pairs (y, B) with x, y in B gives r_x * (k - 1) = lambda * (v - 1) at
-    each point x, so every point lies on r = b*k / v blocks.  An orbit with
-    b*k not a multiple of v is skipped before its pairs are counted.
+    Refuses, before enumerating anything, when C(v, k) exceeds cap.  Each
+    orbit is decided by verify_design: it is a design exactly when the
+    report has parameters, and flag-transitive as the report says.
     """
     v = action.degree
     if not 2 <= k <= v:
@@ -238,24 +238,13 @@ def korbit_designs(
         key = frozenset(combo)
         if key in seen:
             continue
-        blocks = action.set_orbit(key)
+        blocks = action.set_orbit(key)  # sorted canonically
         seen.update(blocks)
-        b = len(blocks)
-        if (b * k) % v != 0:
-            continue
-        lam = _pair_coverage(blocks, v)
-        if lam is None:
-            continue
-        r = b * k // v
-        params = DesignParams(v, b, r, k, lam)
-        records.append(
-            DesignRecord(
-                group=action.label,
-                params=params,
-                blocks=blocks,  # set_orbit sorts canonically
-                flag_transitive=_flag_transitive(action, blocks, r),
+        report = verify_design(action, blocks)
+        if report.params is not None:
+            records.append(
+                DesignRecord(action.label, report.params, blocks, report.flag_transitive)
             )
-        )
     return tuple(
         sorted(records, key=lambda rec: (rec.params, _block_key(rec.blocks)))
     )
@@ -437,12 +426,19 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     does.  Every member of a class therefore yields the same designs and
     the same number of unions; the certificate counts the unions of every
     member, and says which were enumerated.  On the block route, conjugate
-    block stabilizers have translated orbits, whose unions again span the
-    same block sets and meet the screen alike.
+    block stabilizers have translated orbits, which again span the same
+    block sets and meet the screen alike.
 
-    Unions are built by quota (`_orbit_unions`), one per orbit of G_alpha
-    on the flag route and one for all orbits on the block route, and none
-    where the screen passes nothing, as on an intransitive action.
+    The block route tests single orbits.  A block B of a flag-transitive
+    design with these parameters has a stabilizer G_B of order |G| / b = k,
+    transitive on the k points of B, so regular on it: B is one G_B-orbit
+    of length k.  An element conjugating G_B to its class representative
+    takes B to one of the representative's orbits of length k, which spans
+    the same block set.  The certificate counts every orbit union of size
+    k (`_union_count`), the unions the single orbits are drawn from.
+    Flag-route unions are built by quota (`_orbit_unions`), one per orbit
+    of G_alpha.  No candidate is tested where the screen passes nothing, as
+    on an intransitive action.
     """
     v, b, r, k, lam = params.as_tuple()
     if b * k != v * r:
@@ -469,8 +465,11 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
         if screen is None:
             continue
         label, want, passes = screen
-        group, quota = (label, want) if m > 1 else ([0] * v, {0: k})
-        for union in filter(passes, _orbit_unions(orbits, group, quota)):
+        if m > 1:
+            unions = _orbit_unions(orbits, label, want)
+        else:
+            unions = [frozenset(orb) for orb in orbits if len(orb) == k]
+        for union in filter(passes, unions):
             rec = _candidate_design(action, params, union, found)
             if rec is not None:
                 found[rec.blocks] = rec

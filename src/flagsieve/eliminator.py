@@ -521,10 +521,10 @@ def sweep(
     one of the family's routed kinds."""
     if n_min < 3 or n_max < n_min or q_max < 2:
         raise ValueError("need 3 <= n_min <= n_max and q_max >= 2")
-    if kind is not None and kind not in _ROUTES.get(family, ()):
-        raise ValueError(f"unknown {family} class {kind!r}")
     if family not in _ROUTES:
         raise ValueError(f"unknown family: {family}")
+    if kind is not None and kind not in _ROUTES[family]:
+        raise ValueError(f"unknown {family} class {kind!r}")
     qs = grid_q_values(q_max)
     reports: List[CellReport] = []
     for n in range(n_min, n_max + 1):

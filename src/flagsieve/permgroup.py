@@ -446,8 +446,11 @@ def orbit(
     Returns the points in discovery order and, for every point in that
     order and every generator, the discovery index of the image: the
     targets of the walk's edges, generator-major within each point.  None
-    as soon as the orbit grows past cap points.
+    as soon as the orbit grows past cap points, so at once for a cap below
+    1, as the start is a point of its orbit.
     """
+    if cap is not None and cap < 1:
+        return None
     index = {start: 0}
     points = [start]
     targets: List[int] = []

@@ -38,7 +38,12 @@ from flagsieve.permgroup import (
     subgroups_of_order,
 )
 from flagsieve.sieve import DesignParams, admissible_tuples_explained
-from reference import orbit_unions, pair_coverage_by_counting, quotas_met_by_counting
+from reference import (
+    orbit_unions,
+    pair_coverage_by_counting,
+    quotas_met_by_counting,
+    set_orbit_by_frozensets,
+)
 
 PARAMS_36_SYM = DesignParams(36, 36, 21, 21, 12)
 PARAMS_36_QUASI = DesignParams(36, 48, 28, 21, 16)
@@ -164,6 +169,37 @@ def test_flag_transitive_matches_flag_orbit(name):
             seen.add(oracle)
     # A_8 is 6-transitive, so every one of its k-orbit designs is
     assert seen == ({True} if name == "psl4_2" else {True, False})
+
+
+@pytest.mark.parametrize("name", ["psl2_7", "pgl2_7", "psl3_2", "psl3_2_plus_fixed"])
+def test_korbit_designs_match_brute_force(name):
+    """Oracle for korbit_designs, k = 2..v-2: its records are the orbits of
+    k-subsets, walked on frozensets, on which counting every pair of every
+    block finds one multiplicity and counting the blocks through each point
+    one replication; each flag-transitive exactly when one flag's orbit
+    over the listed elements has all b*k flags.  The Fano plane plus a
+    fixed point is intransitive, and the group of a block-transitive 2-design
+    with k < v is transitive on points (Block's lemma), so it has none."""
+    act = _fano_plus_fixed_point() if name == "psl3_2_plus_fixed" else builtin_action(name)
+    v, flags = act.degree, set()
+    for k in range(2, v - 1):
+        seen, expected = set(), []
+        for combo in itertools.combinations(range(v), k):
+            if frozenset(combo) in seen:
+                continue
+            blocks = set_orbit_by_frozensets(act, combo)
+            seen.update(blocks)
+            lam = pair_coverage_by_counting(blocks, v)
+            through = {sum(p in block for block in blocks) for p in range(v)}
+            if lam is None or len(through) != 1:
+                continue
+            params = DesignParams(v, len(blocks), through.pop(), k, lam)
+            flag = _flag_orbit_size(act, blocks[0]) == params.b * k
+            expected.append(DesignRecord(act.label, params, blocks, flag))
+            flags.add(flag)
+        expected.sort(key=lambda rec: (rec.params, _block_key(rec.blocks)))
+        assert korbit_designs(act, k) == tuple(expected), k
+    assert flags == (set() if name == "psl3_2_plus_fixed" else {True, False})
 
 
 def test_flag_transitive_registry_design_matches_flag_orbit():
@@ -768,9 +804,10 @@ def test_orbit_unions_match_reference(monkeypatch, group, params):
     """Oracle for the quota enumerator and the subset-sum count, on every
     class representative of the tier-1 searches: the unions built are, in
     order, the reference descent's unions of size k that meet the subdegree
-    identity at the base point (on the block route, all of them; on an
-    intransitive action, none), and the search's union count of each class
-    is the reference's."""
+    identity at the base point (none on the block route, which tests single
+    orbits, and none on an intransitive action), and the search's union
+    count of each class is the reference's, every union of size k on the
+    block route too."""
     if group == "psl3_2_plus_fixed":
         act = _fano_plus_fixed_point()
     else:
@@ -788,7 +825,7 @@ def test_orbit_unions_match_reference(monkeypatch, group, params):
         if alpha is not None:
             unions = [u for u in unions if _meets_subdegrees_at_0(act, params, u)]
         expected.append(unions)
-    if not act.is_transitive():
+    if alpha is None or not act.is_transitive():
         expected = []
     assert built == expected
     assert result.classes == tuple((cls.size, n) for cls, n in zip(classes, counted))
@@ -798,15 +835,18 @@ def test_quota_test_matches_counting(monkeypatch):
     """Oracle for the screen's test, which compares sorted orbit numbers
     with the sorted quotas: it agrees with counting the orbit numbers of
     the union's image at each point, on every union `_orbit_unions` builds
-    in the flag-route and block-route searches (psl3_3_2_144, degree 36,
-    psl2_7, pgl2_7) and on hand-built unions of one and two points, which
-    `itemgetter` would hand over as a bare point and a tuple."""
+    in the flag-route searches (degree 36, pgl2_7), on every single-orbit
+    candidate of the block-route searches (psl3_3_2_144, psl2_7), and on
+    hand-built unions of one and two points, which `itemgetter` would hand
+    over as a bare point and a tuple."""
     passed = {1: 0, 2: 0, "built": 0}
     for group, params in FLAG_ROUTE_SEARCHES + BLOCK_ROUTE_SEARCHES:
         act = builtin_action(group)
         label, want, passes = _suborbit_screen(act, params)
         to_zero = act.chain(0).inv[0]
         built, _ = _built_unions(monkeypatch, act, params)
+        if (group, params) in BLOCK_ROUTE_SEARCHES:
+            built.append(_block_route_candidates(act, params))
         rng = random.Random(f"quota/{group}/{params.as_tuple()}")
         hand = [frozenset({p}) for p in range(act.degree)]
         hand += [frozenset(rng.sample(range(act.degree), 2)) for _ in range(20)]
@@ -815,8 +855,41 @@ def test_quota_test_matches_counting(monkeypatch):
             got = passes(union)
             assert got == quotas_met_by_counting(label, want, to_zero, union)
             passed[kind] += got
-    # the hand-built pairs pass in pgl2_7's two searches at k = 2
+    # the hand-built pairs pass in pgl2_7's two searches at k = 2; 6 of the
+    # built are psl2_7's orbits of length 4, which are also exactly the
+    # unions of size 4 of its representatives' orbits that pass
     assert passed == {1: 0, 2: 40, "built": 21}
+
+
+def _block_route_candidates(act, params):
+    """The class representatives' orbits of length k, in class order."""
+    source, order, alpha = _candidate_subgroups(act, params)
+    assert alpha is None
+    return [
+        frozenset(orb)
+        for cls in subgroups_of_order(source, order)
+        for orb in PermAction(params.v, cls.representative).orbits()
+        if len(orb) == params.k
+    ]
+
+
+def test_block_route_tests_single_orbits(monkeypatch):
+    """The block route's candidates, on its tier-1 searches and on the
+    intransitive action: the unions that reach the full candidate check
+    are, in order, the class representatives' orbits of length k that pass
+    the subdegree screen, with none on the intransitive action, where the
+    screen passes nothing.  psl3_3_2_144's block stabilizers have orbits 1,
+    13, 26, 26, 39 and 39, none of length 78."""
+    cases = [(builtin_action(group), params) for group, params in BLOCK_ROUTE_SEARCHES]
+    cases.append((_fano_plus_fixed_point(), INTRANSITIVE_SEARCHES[0][0]))
+    counts = []
+    for act, params in cases:
+        single = _block_route_candidates(act, params)
+        screen = _suborbit_screen(act, params)
+        expected = [] if screen is None else list(filter(screen[2], single))
+        assert _unions_reaching_check(monkeypatch, act, params) == expected
+        counts.append((len(single), len(expected)))
+    assert counts == [(0, 0), (6, 6), (2, 0)]
 
 
 def test_orbit_unions_unmet_quota():

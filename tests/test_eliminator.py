@@ -495,12 +495,16 @@ def test_sweep_input_validation():
     with pytest.raises(ValueError):
         sweep("linear", 2, 4, 5)
     # a kind is filtered by its exact name among the family's routed kinds
-    for family, kind in (("unitary", "C8_Sp"), ("linear", "c1"), ("nope", "C1_Pi")):
+    for family, kind in (("unitary", "C8_Sp"), ("linear", "c1")):
         with pytest.raises(ValueError, match=rf"^unknown {family} class '{kind}'$"):
             sweep(family, 3, 3, 3, kind=kind)
-    # an unknown family is refused, not swept as an empty grid
+    # an unknown family is refused, not swept as an empty grid, and named
+    # before any kind is looked up in it
     with pytest.raises(ValueError, match=r"^unknown family: linaer$"):
         sweep("linaer", 3, 5, 8, run_searches=False)
+    for kind in ("C1_Pi", "c1"):
+        with pytest.raises(ValueError, match=r"^unknown family: foo$"):
+            sweep("foo", 3, 3, 2, kind=kind)
     # the one hole of the grid is skipped: PSU_3(2) is solvable
     assert sweep("unitary", 3, 3, 2) == ()
 

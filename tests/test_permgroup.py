@@ -1314,7 +1314,7 @@ def test_psu3_3_maps_three_matrices_and_builds_one_chain(monkeypatch):
 
 def test_orbit_walk_cap_edges():
     """The walk returns an orbit of exactly cap points, and None once the
-    orbit grows past cap."""
+    orbit grows past cap; a one-point orbit passes every cap below 1."""
     act = builtin_action("pgl2_7")
     start = frozenset({0, 1, 2, 3})
     full = orbit(start, act.set_images)
@@ -1324,6 +1324,10 @@ def test_orbit_walk_cap_edges():
     assert len(targets) == len(points) * len(act.generators)
     assert orbit(start, act.set_images, len(points)) == full
     assert orbit(start, act.set_images, len(points) - 1) is None
+    assert orbit(0, lambda x: [x], 1) == ([0], [0])
+    assert orbit(0, lambda x: [x], 0) is None
+    assert orbit(0, lambda x: [x], -1) is None
+    assert builtin_action("psl2_7").set_orbit(range(8), 0) is None
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("linear_3_16",))
@@ -1358,7 +1362,8 @@ def test_set_walk_matches_frozenset_walk(name):
     with a walk on frozensets, on bytes permutations and on the 378-point
     pair action of psu3_3, whose permutations are tuples; for the empty
     set, one point, the whole domain, a 21-point set and a seeded 5-point
-    set, with cap at the orbit's length and one below it."""
+    set, with cap at the orbit's length and one below it, where the walk
+    gives None: at cap 0 for the empty set and the whole domain."""
     if name == "psu3_3_pairs":
         act = pair_action(classical_action("unitary", 3, 3))
         assert act.degree == 378 and isinstance(act.generators[0], tuple)
@@ -1374,8 +1379,7 @@ def test_set_walk_matches_frozenset_walk(name):
         assert act.set_images(frozenset(points)) == images
         for cap in (len(want), len(want) - 1):
             assert act.set_orbit(points, cap) == set_orbit_by_frozensets(act, points, cap)
-        if len(want) > 1:
-            assert act.set_orbit(points, len(want) - 1) is None
+        assert act.set_orbit(points, len(want) - 1) is None
 
 
 def test_set_orbit_of_one_point():

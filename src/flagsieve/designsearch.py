@@ -21,7 +21,10 @@ r * |B & Delta| = lambda * |Delta| at each of its points beta, on each
 orbit Delta of G_0 after taking beta to 0.  At 0 that is a quota on each
 Delta: the flag route builds only unions meeting the quotas, both count
 all unions of size k by a subset sum, and a candidate that meets the
-identity at every point has its G-orbit walked.  An orbit of b blocks is
+identity at every point has its G-orbit walked.  The screen is built once
+per search, when a class first has candidates: at the first class on the
+flag route, and on the block route at the first orbit of length k, so a
+search with none builds no screen.  An orbit of b blocks is
 then decided by verify_design alone, which counts every pair of every
 block and checks flag-transitivity; the screen already makes lambda
 constant on such an orbit (see `_candidate_design`).  Each design found is
@@ -437,8 +440,12 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     the same block set.  The certificate counts every orbit union of size
     k (`_union_count`), the unions the single orbits are drawn from.
     Flag-route unions are built by quota (`_orbit_unions`), one per orbit
-    of G_alpha.  No candidate is tested where the screen passes nothing, as
-    on an intransitive action.
+    of G_alpha.  The suborbit screen is built when a class first has
+    candidates: just before the first `_orbit_unions` call on the flag
+    route, and at the first representative with an orbit of length k on
+    the block route, so a block-route search with no such orbit builds
+    none.  No candidate is tested where the screen passes nothing, as on an
+    intransitive action.
     """
     v, b, r, k, lam = params.as_tuple()
     if b * k != v * r:
@@ -455,20 +462,24 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
         alpha, classes = 0, subgroups_of_order(action.point_stabilizer(0), m)
     else:
         alpha, classes = None, subgroups_of_order(action, order // b)
-    screen = _suborbit_screen(action, params)
+    screen, built = None, False  # the screen, once a class has candidates
     found: Dict[BlockSet, DesignRecord] = {}
     counts = []  # (class size, unions of the representative) per class
     for cls in classes:
         orbits = PermAction(v, cls.representative).orbits()
         free = [len(orb) for orb in orbits if alpha not in orb]
         counts.append((cls.size, _union_count(free, k - (alpha is not None))))
+        if m == 1:
+            unions = [frozenset(orb) for orb in orbits if len(orb) == k]
+            if not unions:
+                continue
+        if not built:
+            screen, built = _suborbit_screen(action, params), True
         if screen is None:
             continue
         label, want, passes = screen
         if m > 1:
             unions = _orbit_unions(orbits, label, want)
-        else:
-            unions = [frozenset(orb) for orb in orbits if len(orb) == k]
         for union in filter(passes, unions):
             rec = _candidate_design(action, params, union, found)
             if rec is not None:

@@ -6,7 +6,9 @@ constructed the same way in every process.  A permutation of degree at
 most 256 is a bytes object, one byte per point, and a larger one a tuple
 (`Perm`): one byte holds any point of the smaller domains, so a product is
 one `bytes.translate`, an inverse one `bytes.maketrans`, and a hash is
-computed once per permutation and cached.
+computed once per permutation and cached.  A generator is checked the same
+way (`_checked_perm`): degree bytes are a permutation exactly when deleting
+them from the points 0..degree-1 by one `bytes.translate` leaves nothing.
 
 Every orbit, of points, of point sets and of subgroups under conjugation,
 is found by one breadth-first walk, `orbit`, with two exceptions: the
@@ -64,6 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from operator import itemgetter
 from typing import (
@@ -323,6 +326,30 @@ def as_perm(images: Sequence[int]) -> Perm:
     """The permutation with these images, in its degree's type (`Perm`).
     Raises ValueError at degree <= 256 on an image no byte holds."""
     return bytes(images) if len(images) <= _BYTE_DEGREE else tuple(images)
+
+
+def _checked_perm(g: Iterable[int], degree: int) -> Perm:
+    """The permutation with the images g, or ValueError unless g holds each
+    of 0..degree-1 once as an int (True and False stand for 1 and 0).
+
+    Up to degree 256 the images become bytes, which refuses an image no
+    byte holds and a non-integer one; degree bytes hold each point once
+    exactly when deleting them from the points leaves nothing.  Above 256
+    the images are read as ints and sorted."""
+    if not isinstance(g, (bytes, tuple, list)):
+        g = tuple(g)  # a one-shot iterator is read once
+    try:
+        if degree <= _BYTE_DEGREE:
+            p: Perm = bytes(g)
+            if len(p) == degree and not _BYTES[:degree].translate(None, p):
+                return p
+        else:
+            p = tuple(map(operator.index, g))
+            if len(p) == degree and sorted(p) == list(range(degree)):
+                return p
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"not a permutation of degree {degree}: {tuple(g)!r}")
 
 
 def identity_perm(n: int) -> Perm:
@@ -677,11 +704,7 @@ class PermAction:
         self, degree: int, generators: Iterable[Sequence[int]], label: str = ""
     ):
         ident, gens = identity_perm(degree), []
-        for g in generators:
-            g = tuple(g)
-            if len(g) != degree or sorted(g) != list(range(degree)):
-                raise ValueError(f"not a permutation of degree {degree}: {g!r}")
-            g = as_perm(g)
+        for g in map(_checked_perm, generators, itertools.repeat(degree)):
             if g != ident and g not in gens:
                 gens.append(g)
         if not gens:
@@ -806,11 +829,13 @@ class PermAction:
         return self.chain().order()
 
     def contains(self, perm: Sequence[int]) -> bool:
-        """Membership by sifting through the stabilizer chain; False for a
-        sequence that is no permutation of the domain, checked before it is
-        converted to a `Perm`."""
-        points = list(range(self.degree))
-        return sorted(perm) == points and self.chain().contains(perm)
+        """Membership by sifting through the stabilizer chain; False for
+        what the constructor refuses as a generator (`_checked_perm`)."""
+        try:
+            p = _checked_perm(perm, self.degree)
+        except ValueError:
+            return False
+        return self.chain().contains(p)
 
     def orbit(self, point: int) -> Tuple[int, ...]:
         gens = self.generators

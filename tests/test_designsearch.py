@@ -892,6 +892,44 @@ def test_block_route_tests_single_orbits(monkeypatch):
     assert counts == [(0, 0), (6, 6), (2, 0)]
 
 
+# SHA-256 of the screen-count searches' labels, certificates and designs,
+# as they were when every search built its screen before the first class
+SCREEN_SEARCH_DIGEST = (
+    "45e45bf4552fe8a01d318e0dcf5ac2892cc28145cd02f08724af6bf01da93a94"
+)
+
+
+def test_screen_is_built_only_for_candidates(monkeypatch):
+    """Gate: a search builds the suborbit screen once, when a class first
+    has a candidate: never on psl3_3_2_144, whose block stabilizers have no
+    orbit of length 78, nor on psl3_3_144, which the flag count kills; once
+    on each flag-route search, on psl2_7's block route (6 orbits of length
+    4) and on the Fano plane plus a fixed point, where it is None.  The
+    certificates and designs are those pinned before the screen was built
+    only for candidates."""
+    calls = []
+    screen = designsearch._suborbit_screen
+
+    def spy(action, params):
+        calls.append(action.label)
+        return screen(action, params)
+
+    monkeypatch.setattr(designsearch, "_suborbit_screen", spy)
+    cases = [(builtin_action(g), PARAMS_144) for g in ("psl3_3_2_144", "psl3_3_144")]
+    cases += [(builtin_action(g), params) for g, params in FLAG_ROUTE_SEARCHES]
+    cases.append((builtin_action("psl2_7"), BLOCK_ROUTE_SEARCHES[1][1]))
+    cases += [(_fano_plus_fixed_point(), params) for params, _ in INTRANSITIVE_SEARCHES]
+    digest, counts = hashlib.sha256(), []
+    for act, params in cases:
+        calls.clear()
+        result = stabilizer_search(act, params)
+        counts.append(len(calls))
+        blocks = [sorted(map(sorted, rec.blocks)) for rec in result.designs]
+        digest.update(repr((act.label, result.certificate, blocks)).encode())
+    assert counts == [0, 0] + [1] * len(FLAG_ROUTE_SEARCHES) + [1] * 3
+    assert digest.hexdigest() == SCREEN_SEARCH_DIGEST
+
+
 def test_orbit_unions_unmet_quota():
     """A quota that the orbits of its group cannot fill, or a group with a
     quota and no orbits, gives no union; a quota they can fill gives every

@@ -38,6 +38,7 @@ from flagsieve.permgroup import (
     subgroup_conjugation_action,
     subgroups_of_order,
     _all_solvable,
+    _checked_perm,
     _conjugate_walk,
     _conjugator,
     _cyclic_key,
@@ -281,10 +282,12 @@ def test_elements_and_subgroups_past_a_byte():
 @pytest.mark.parametrize("degree", [3, 255, 256, 257])
 def test_hostile_generators_at_the_byte_boundary(degree, tmp_path):
     """A generator with an image past the domain, past a byte or below 0
-    is refused with the same message on either side of degree 256, before
-    any conversion to bytes, from a list and from an action file, and is
-    no member of any action.  A bytes, tuple or list generator with the
-    same images gives the same action, holding each of them."""
+    is refused with the same message on either side of degree 256, from a
+    list and from an action file, and is no member of any action; so is
+    one with a float or str image, or one image too few or too many, from
+    a list.  A bytes, tuple, list or one-shot iterator generator with the
+    same images, or with False and True for 0 and 1, gives the same
+    action, holding each of them."""
     for bad_image in (degree, 300, -1):
         images = (*range(degree - 1), bad_image)
         message = re.escape(f"not a permutation of degree {degree}: {images!r}")
@@ -296,12 +299,76 @@ def test_hostile_generators_at_the_byte_boundary(degree, tmp_path):
             load_action(str(path))
     cycle = (*range(1, degree), 0)
     forms = [cycle, list(cycle)] + ([bytes(cycle)] if degree <= 256 else [])
-    actions = [PermAction(degree, [g]) for g in forms]
+    forms.append(tuple(x if x > 1 else bool(x) for x in cycle))
+    actions = [PermAction(degree, [g]) for g in forms + [iter(cycle)]]
     assert all(act.generators == actions[0].generators for act in actions)
     assert {act.order() for act in actions} == {degree}
-    for images in ((*cycle[:-1], 300), (*cycle[:-1], -1), (*cycle[:-1], cycle[0])):
+    hostile = [(*cycle[:-1], 300), (*cycle[:-1], -1), (*cycle[:-1], cycle[0])]
+    hostile += [(1.0, *cycle[1:]), ("1", *cycle[1:]), cycle[:-1], (*cycle, degree)]
+    for images in hostile:
+        message = re.escape(f"not a permutation of degree {degree}: {images!r}")
+        with pytest.raises(ValueError, match=message):
+            PermAction(degree, [images])
         assert not actions[0].contains(images)
     assert all(act.contains(form) for act in actions for form in forms)
+
+
+def _generator_cases(degree):
+    """Seeded image sequences at one degree, named: permutations, each
+    with one image repeated, set to degree, 256 or -1, to a float or to a
+    str, with False and True for 0 and 1, and one image short or over."""
+    rng = random.Random(f"checked-perm/{degree}")
+    for _ in range(3):
+        perm = list(range(degree))
+        rng.shuffle(perm)
+        at = rng.randrange(degree)
+        yield "permutation", perm
+        for name, image in (
+            ("repeated", perm[rng.randrange(degree)]),
+            ("degree", degree),
+            ("256", 256),
+            ("-1", -1),
+            ("float", float(perm[at])),
+            ("str", str(perm[at])),
+        ):
+            yield name, perm[:at] + [image] + perm[at + 1 :]
+        yield "bool", [x if x > 1 else bool(x) for x in perm]
+        yield "short", perm[:-1]
+        yield "over", perm + [rng.choice([degree, perm[0]])]
+
+
+@pytest.mark.parametrize("degree", [1, 2, 36, 255, 256, 257])
+def test_checked_perm_matches_the_definition(degree):
+    """Oracle for the permutation check: a sequence, given as a list, a
+    tuple or a one-shot iterator, is accepted exactly when it holds each of
+    0..degree-1 once as an int (a bool is an int, so False and True stand
+    for 0 and 1), as the `Perm` of those ints; it is refused otherwise
+    with the images shown as a tuple.  An action holds each accepted
+    sequence it is generated by, and holds none of the refused ones."""
+    cycle = PermAction(degree, [(*range(1, degree), 0)])
+    seen = set()
+    for name, images in _generator_cases(degree):
+        ok = all(isinstance(x, int) for x in images)
+        ok = ok and sorted(images) == list(range(degree))
+        seen.add((name, ok))
+        message = f"not a permutation of degree {degree}: {tuple(images)!r}"
+        for form in (list, tuple, iter):
+            if ok:
+                p = _checked_perm(form(images), degree)
+                assert p == as_perm([int(x) for x in images]), name
+                assert all(type(x) is int for x in p), name
+                act = PermAction(degree, [form(images)])
+                assert act.generators == (p,) and act.contains(form(images)), name
+            else:
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    _checked_perm(form(images), degree)
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    PermAction(degree, [form(images)])
+                assert not cycle.contains(form(images)), name
+    accepted = {name for name, ok in seen if ok}
+    assert {"permutation", "bool"} <= accepted <= {"permutation", "bool", "repeated", "256"}
+    refused = {name for name, ok in seen if not ok}
+    assert refused >= {"degree", "-1", "float", "str", "short", "over"}
 
 
 EXPECTED_ORDERS = {

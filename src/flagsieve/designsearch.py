@@ -24,12 +24,9 @@ all unions of size k by a subset sum, and a candidate that meets the
 identity at every point has its G-orbit walked.  The screen is built once
 per search, when a class first has candidates: at the first class on the
 flag route, and on the block route at the first orbit of length k, so a
-search with none builds no screen.  An orbit of b blocks is
-then decided by verify_design alone, which counts every pair of every
-block and checks flag-transitivity; the screen already makes lambda
-constant on such an orbit (see `_candidate_design`).  Each design found is
-verified once: a later union spanning it is recognized by its canonical
-block set.
+search with none builds no screen.  An orbit of b blocks is then decided
+as every walked orbit is (`_orbit_design`); each design found is decided
+once, as a later union spanning it is recognized by its block set.
 Either way the result carries the counts of what was enumerated: |G|,
 and each class of candidate subgroups with its size and its
 representative's union count.  The certificate, the text saying why the
@@ -220,14 +217,32 @@ def _flag_transitive(
     return walk is not None and len(walk) == r
 
 
+def _orbit_design(action: PermAction, blocks: BlockSet) -> Optional[DesignRecord]:
+    """The design a walked G-orbit of k-sets forms, or None.
+
+    An orbit's blocks (`PermAction.set_orbit`) are distinct k-sets, so two
+    checks decide it: every pair must lie on one number lambda >= 1 of
+    blocks (`_pair_coverage`), and `_flag_transitive`.  Counting the pairs
+    (y, B) with y != x and x, y in B at a point x gives r*(k - 1) =
+    lambda*(v - 1), so every point lies on r blocks; counting the (x, B)
+    with x in B gives b*k = v*r.
+    """
+    v, k = action.degree, len(blocks[0])
+    lam = _pair_coverage(blocks, v)
+    if lam is None:
+        return None
+    params = DesignParams(v, len(blocks), lam * (v - 1) // (k - 1), k, lam)
+    flag = _flag_transitive(action, blocks, params.r)
+    return DesignRecord(action.label, params, blocks, flag)
+
+
 def korbit_designs(
     action: PermAction, k: int, cap: int = _KORBIT_LIMIT
 ) -> Tuple[DesignRecord, ...]:
     """All 2-designs whose block set is a single orbit on k-subsets.
 
     Refuses, before enumerating anything, when C(v, k) exceeds cap.  Each
-    orbit is decided by verify_design: it is a design exactly when the
-    report has parameters, and flag-transitive as the report says.
+    orbit is walked once and decided by `_orbit_design`.
     """
     v = action.degree
     if not 2 <= k <= v:
@@ -243,11 +258,9 @@ def korbit_designs(
             continue
         blocks = action.set_orbit(key)  # sorted canonically
         seen.update(blocks)
-        report = verify_design(action, blocks)
-        if report.params is not None:
-            records.append(
-                DesignRecord(action.label, report.params, blocks, report.flag_transitive)
-            )
+        rec = _orbit_design(action, blocks)
+        if rec is not None:
+            records.append(rec)
     return tuple(
         sorted(records, key=lambda rec: (rec.params, _block_key(rec.blocks)))
     )
@@ -322,31 +335,25 @@ def _candidate_design(
     """The design spanned by a candidate block, or None.
 
     The union's G-orbit is walked, capped at b, and must have b blocks.  A
-    design in known, keyed by its canonical block set, was verified when it
-    was first found; a union spanning it again returns it unchecked.  Any
-    other orbit is accepted exactly when verify_design passes it with these
-    parameters, flag-transitivity included.
-
-    No lambda is counted before that, since the orbit of a union passing
-    `_suborbit_screen`'s test has it: the action is transitive, so every
-    point lies on b*k / v of the b blocks, which is r for admissible
-    parameters (verify_design compares them all), and each block C through 0
-    is an image of the union and so meets each orbit Delta != {0} of G_0 in
-    lambda * |Delta| / r points.  The pairs (beta, C) with beta in Delta and
-    C through 0 and beta number lambda * |Delta|, and G_0 permutes the
-    blocks through 0 and is transitive on Delta, so each beta in Delta lies
-    with 0 in lambda blocks; by transitivity every pair does.
+    design in known, keyed by its canonical block set, was decided when it was
+    first found and is returned unchecked.  Any other orbit is accepted exactly
+    when `_orbit_design` finds a flag-transitive design with these parameters.
+    Its pair count finds lambda, as the orbit of a union passing
+    `_suborbit_screen`'s test has it: the action is transitive, so every point
+    lies on b*k / v = r of the b blocks, and each block C through 0 is an image
+    of the union and so meets each orbit Delta != {0} of G_0 in
+    lambda * |Delta| / r points.  The pairs (beta, C) with beta in Delta and C
+    through 0 and beta number lambda * |Delta|, and G_0 permutes the blocks
+    through 0 and is transitive on Delta, so each beta in Delta lies with 0 in
+    lambda blocks; by transitivity every pair does.
     """
     blocks = action.set_orbit(union, params.b)
     if blocks is None or len(blocks) != params.b:
         return None
     if blocks in known:
         return known[blocks]
-    if not verify_design(action, blocks, expect=params).ok:
-        return None
-    return DesignRecord(
-        group=action.label, params=params, blocks=blocks, flag_transitive=True
-    )
+    rec = _orbit_design(action, blocks)
+    return rec if rec and rec.params == params and rec.flag_transitive else None
 
 
 def _suborbit_screen(
@@ -373,15 +380,14 @@ def _suborbit_screen(
     element of G_0, which fixes every Delta; so the test does not depend on
     g, and a union passes exactly when each of its G-images does.
 
-    `_candidate_design` accepts only what verify_design passes as a
-    flag-transitive design with these parameters, whose blocks therefore
-    all pass this test at every point; a union that fails it can be skipped
-    without calling it.  Returned are each point's G_0-orbit number, each
-    orbit's quota |B & Delta| (orbits B misses left out) and the test, which
-    compares sorted orbit numbers with the sorted quotas at each point; None
-    where no union passes: if r does not divide some lambda * |Delta|, the
-    quotas miss k, or the group is not transitive on points, as a
-    flag-transitive one with lambda > 0 is.
+    `_candidate_design` accepts only a flag-transitive design with these
+    parameters, whose blocks therefore all pass this test at every point; a
+    union that fails it can be skipped without calling it.  Returned are each
+    point's G_0-orbit number, each orbit's quota |B & Delta| (orbits B misses
+    left out) and the test, which compares sorted orbit numbers with the
+    sorted quotas at each point; None where no union passes: if r does not
+    divide some lambda * |Delta|, the quotas miss k, or the group is not
+    transitive on points, as a flag-transitive one with lambda > 0 is.
     """
     if not action.is_transitive():
         return None
@@ -440,12 +446,9 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     the same block set.  The certificate counts every orbit union of size
     k (`_union_count`), the unions the single orbits are drawn from.
     Flag-route unions are built by quota (`_orbit_unions`), one per orbit
-    of G_alpha.  The suborbit screen is built when a class first has
-    candidates: just before the first `_orbit_unions` call on the flag
-    route, and at the first representative with an orbit of length k on
-    the block route, so a block-route search with no such orbit builds
-    none.  No candidate is tested where the screen passes nothing, as on an
-    intransitive action.
+    of G_alpha, and the suborbit screen once a class has candidates (see
+    the module docstring).  No candidate is tested where the screen passes
+    nothing, as on an intransitive action.
     """
     v, b, r, k, lam = params.as_tuple()
     if b * k != v * r:
@@ -503,10 +506,7 @@ def verify_design(
     Otherwise the set is invariant exactly when each block's images under
     the generators are blocks, and the problem says which failed.
 
-    The counting identities need no check: with b blocks of size k, every
-    point on r of them and every pair on lambda >= 1, counting the pairs
-    (x, B) with x in B gives b*k = v*r, and counting the (y, B) with y != x
-    and x, y in B, at one point x, gives r*(k - 1) = lambda*(v - 1).
+    The counting identities follow from the pair count (`_orbit_design`).
     """
     v = action.degree
     bset = _canonical_blocks(frozenset(b) for b in blocks)

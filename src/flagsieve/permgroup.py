@@ -594,12 +594,18 @@ class StabChain:
             g = compose(g, inv)
         return g, len(self.base)
 
-    def contains(self, g: Sequence[int]) -> bool:
-        return self.sift(as_perm(g))[0] == self.identity
+    def contains(self, g: Iterable[int]) -> bool:
+        """Membership by sifting; False for what `_checked_perm` refuses."""
+        try:
+            p = _checked_perm(g, self.degree)
+        except ValueError:
+            return False
+        return self.sift(p)[0] == self.identity
 
-    def extend(self, g: Sequence[int]) -> bool:
-        """Add g to the group; False if it was a member already."""
-        residue, level = self.sift(as_perm(g))
+    def extend(self, g: Iterable[int]) -> bool:
+        """Add g to the group; False if it was a member already.  Raises
+        ValueError where `_checked_perm` refuses g."""
+        residue, level = self.sift(_checked_perm(g, self.degree))
         if residue == self.identity:
             return False
         self._install(residue, 0, level)
@@ -828,14 +834,10 @@ class PermAction:
     def order(self) -> int:
         return self.chain().order()
 
-    def contains(self, perm: Sequence[int]) -> bool:
+    def contains(self, perm: Iterable[int]) -> bool:
         """Membership by sifting through the stabilizer chain; False for
         what the constructor refuses as a generator (`_checked_perm`)."""
-        try:
-            p = _checked_perm(perm, self.degree)
-        except ValueError:
-            return False
-        return self.chain().contains(p)
+        return self.chain().contains(perm)
 
     def orbit(self, point: int) -> Tuple[int, ...]:
         gens = self.generators

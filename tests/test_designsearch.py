@@ -9,6 +9,7 @@ import os
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 
@@ -476,20 +477,70 @@ def test_unitary_36_work_counts(
 
 @pytest.mark.parametrize("group,params", FLAG_ROUTE_SEARCHES)
 def test_each_design_verified_once(monkeypatch, group, params):
-    """Work gate: a union spanning a design already found is not verified
-    again.  Unchecked, pgl2_7's (8,56,21,3,6), (8,42,21,4,9) and
-    (8,28,21,6,15) each verified their one design three times."""
+    """Work gate: a union spanning a design already found is not decided
+    again (`_orbit_design`).  Unchecked, pgl2_7's (8,56,21,3,6),
+    (8,42,21,4,9) and (8,28,21,6,15) each checked their one design three
+    times."""
     calls = []
-    check = designsearch.verify_design
+    check = designsearch._orbit_design
 
-    def counted_verify(action, blocks, expect=None):
+    def counted_check(action, blocks):
         calls.append(frozenset(blocks))
-        return check(action, blocks, expect=expect)
+        return check(action, blocks)
 
-    monkeypatch.setattr(designsearch, "verify_design", counted_verify)
+    monkeypatch.setattr(designsearch, "_orbit_design", counted_check)
     result = stabilizer_search(builtin_action(group), params)
     assert len(calls) == len(result.designs)
     assert set(calls) == {frozenset(rec.blocks) for rec in result.designs}
+
+
+def _counted_walks(monkeypatch, act):
+    """Counts of the point-set walks on the action itself and on its point
+    stabilizer G_0, by `PermAction.set_orbit`."""
+    counts = {"action": 0, "G_0": 0}
+    stab, walk = act.point_stabilizer(0), PermAction.set_orbit
+
+    def spy(self, points, cap=None):
+        if self is act or self is stab:
+            counts["action" if self is act else "G_0"] += 1
+        return walk(self, points, cap)
+
+    monkeypatch.setattr(PermAction, "set_orbit", spy)
+    return counts
+
+
+@pytest.mark.parametrize("group,params", FLAG_ROUTE_SEARCHES + BLOCK_ROUTE_SEARCHES)
+def test_each_candidate_orbit_walked_once(monkeypatch, group, params):
+    """Work gate: a search walks the action once per union that reaches
+    the candidate check, and G_0 once per design found.  When every design
+    was passed to verify_design, each one's orbit was walked a second time."""
+    act = builtin_action(group)
+    counts, reached = _counted_walks(monkeypatch, act), []
+    check = designsearch._candidate_design
+
+    def spy(*args):
+        reached.append(args[2])
+        return check(*args)
+
+    monkeypatch.setattr(designsearch, "_candidate_design", spy)
+    result = stabilizer_search(act, params)
+    assert counts == {"action": len(reached), "G_0": len(result.designs)}
+
+
+def test_korbit_walks_each_orbit_once(monkeypatch):
+    """Work gate: korbit_designs walks each orbit of k-subsets once on the
+    action, and G_0 once per design.  psu3_3 is 2-transitive on its 28
+    points, so each of its orbits for k = 3..5 is a design, and the 30
+    designs' blocks are all the k-subsets: 60 walks, where passing every
+    orbit to verify_design took 90."""
+    act = builtin_action("psu3_3")
+    counts = _counted_walks(monkeypatch, act)
+    records = [rec for k in range(3, 6) for rec in korbit_designs(act, k)]
+    assert sum(rec.params.b for rec in records) == sum(
+        math.comb(28, k) for k in range(3, 6)
+    )
+    assert len(records) == 30
+    assert counts == {"action": 30, "G_0": 30}
 
 
 # -- stabilizer search, 144-point eliminations
@@ -694,7 +745,8 @@ def test_certified_144_cell_checks_no_candidate(monkeypatch):
 
 def test_certified_144_cell_counts_no_pairs(monkeypatch):
     """Gate: certifying linear n=3 q=3 C3(1,3) counts no pair of any block.
-    Where a design is found, verify_design is the only caller."""
+    Where a design is found, the per-design check `_orbit_design` is the
+    only caller."""
     callers = []
     count = designsearch._pair_coverage
 
@@ -708,7 +760,7 @@ def test_certified_144_cell_counts_no_pairs(monkeypatch):
     assert callers == []
     result = stabilizer_search(builtin_action("pgl2_7"), DesignParams(8, 28, 14, 4, 6))
     assert len(result.designs) == 1
-    assert callers == ["verify_design"]  # two unions span it, one checks it
+    assert callers == ["_orbit_design"]  # two unions span it, one checks it
 
 
 def _fano_plus_fixed_point():
@@ -1108,6 +1160,55 @@ def test_verify_design_accepts_search_output():
     assert report.flag_transitive
     assert report.params == rec.params
     assert report.problems == ()
+
+
+# SHA-256 of the korbit records of `test_verify_design_passes_every_record`,
+# as they were when every orbit was passed to verify_design
+KORBIT_RECORD_DIGEST = (
+    "6131f2776d6556df235042201d5f164ee6e56af2607ddc047ad6177b6da41106"
+)
+
+
+def test_verify_design_passes_every_record():
+    """Oracle for the per-design check (`_orbit_design`): verify_design,
+    which checks a block set from scratch, gives every record of the
+    searches and of korbit_designs its parameters and its
+    flag-transitivity, and passes it exactly when it is flag-transitive.
+    The searches are the tier-1 ones and both SEARCH_REGISTRY cells; the
+    korbit records, on six actions of 7 to 13 points for k = 2 up to
+    min(v - 1, 8), are those pinned before the check was split from
+    verify_design.  The Fano plane plus a fixed point is intransitive and
+    has none (Block's lemma); 16 of the 48 are not flag-transitive."""
+    searches = FLAG_ROUTE_SEARCHES + BLOCK_ROUTE_SEARCHES
+    for cell, names in SEARCH_REGISTRY.items():
+        spec, case = GroupSpec(*cell[:3]), SubgroupCase(*cell[3:])
+        tuples = eliminate(spec, case, run_searches=False).final.tuples
+        searches += [(name, params) for name in names for params in tuples]
+    searched = [
+        (builtin_action(group), rec)
+        for group, params in searches
+        for rec in stabilizer_search(builtin_action(group), params).designs
+    ]
+    names = ("psl3_2", "psl2_7", "pgl2_7", "psl3_3", "psl4_2")
+    actions = [builtin_action(name) for name in names] + [_fano_plus_fixed_point()]
+    listed = [
+        (act, rec)
+        for act in actions
+        for k in range(2, min(act.degree - 1, 8) + 1)
+        for rec in korbit_designs(act, k)
+    ]
+    digest, flags = hashlib.sha256(), Counter()
+    for act, rec in searched + listed:
+        report = verify_design(act, rec.blocks, expect=rec.params)
+        assert report.params == rec.params, (act.label, rec.params)
+        assert report.ok == report.flag_transitive == rec.flag_transitive
+    for act, rec in listed:
+        flags[rec.flag_transitive] += 1
+        key = (rec.group, rec.params.as_tuple(), sorted(map(sorted, rec.blocks)))
+        digest.update(repr(key + (rec.flag_transitive,)).encode())
+    assert all(rec.flag_transitive for _, rec in searched) and len(searched) == 10
+    assert flags == {True: 32, False: 16}
+    assert digest.hexdigest() == KORBIT_RECORD_DIGEST
 
 
 def test_verify_design_rejects_tampering():

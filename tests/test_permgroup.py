@@ -371,6 +371,39 @@ def test_checked_perm_matches_the_definition(degree):
     assert refused >= {"degree", "-1", "float", "str", "short", "over"}
 
 
+@pytest.mark.parametrize("degree", [3, 36, 256, 257])
+def test_stab_chain_checks_its_permutations(degree):
+    """A chain reads what it is extended by or asked about as
+    `_checked_perm` does, on the cases of its oracle above: extend raises
+    its ValueError on a refused sequence and leaves the chain trivial, and
+    contains answers False, as the action does; an accepted sequence is a
+    member once extended by.  Unchecked, images past the degree raised
+    IndexError, a float above degree 256 TypeError, and a chain built from
+    (0, 0, 1) at degree 3 never returned, where it must refuse at once."""
+    cycle = PermAction(degree, [(*range(1, degree), 0)])
+    for name, images in _generator_cases(degree):
+        ok = all(isinstance(x, int) for x in images)
+        ok = ok and sorted(images) == list(range(degree))
+        message = f"not a permutation of degree {degree}: {tuple(images)!r}"
+        for form in (list, tuple, iter):
+            chain = StabChain(degree)
+            if ok:
+                chain.extend(form(images))
+                assert chain.contains(form(images)), name
+                continue
+            with pytest.raises(ValueError, match=re.escape(message)):
+                chain.extend(form(images))
+            assert chain.order() == 1, name
+            assert not chain.contains(form(images)), name
+            assert not cycle.chain().contains(form(images)), name
+            with pytest.raises(ValueError, match=re.escape(message)):
+                StabChain(degree, [form(images)])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=re.escape("degree 3: (0, 0, 1)")):
+        StabChain(3, [(0, 0, 1)])
+    assert time.perf_counter() - start < 1
+
+
 EXPECTED_ORDERS = {
     "psl3_2": (7, 168),
     "psl3_3": (13, 5616),

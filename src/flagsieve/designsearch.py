@@ -19,14 +19,19 @@ candidate is one orbit of length k (see `stabilizer_search`).  Every block
 of a flag-transitive design meets the subdegree identity
 r * |B & Delta| = lambda * |Delta| at each of its points beta, on each
 orbit Delta of G_0 after taking beta to 0.  At 0 that is a quota on each
-Delta: the flag route builds only unions meeting the quotas, both count
-all unions of size k by a subset sum, and a candidate that meets the
-identity at every point has its G-orbit walked.  The screen is built once
-per search, when a class first has candidates: at the first class on the
-flag route, and on the block route at the first orbit of length k, so a
-search with none builds no screen.  An orbit of b blocks is then decided
-as every walked orbit is (`_orbit_design`); each design found is decided
-once, as a later union spanning it is recognized by its block set.
+Delta: the flag route builds only the unions meeting the quotas, as the
+products over the Delta of the sets of K-orbits in Delta that fill its
+quota, and both routes count all unions of size k by a subset sum.  A
+candidate B is a union of orbits of its subgroup K, so B^kappa = B for
+kappa in K, and the identity at beta^kappa is the identity at beta
+(`_suborbit_screen`): it is tested at one point of each K-orbit in B, at
+one point on the block route, and a candidate that meets it has its
+G-orbit walked.  The screen is built once per search, when a class first
+has candidates: at the first class on the flag route, and on the block
+route at the first orbit of length k, so a search with none builds no
+screen.  An orbit of b blocks is then decided as every walked orbit is
+(`_orbit_design`); each design found is decided once, as a later union
+spanning it is recognized by its block set.
 Either way the result carries the counts of what was enumerated: |G|,
 and each class of candidate subgroups with its size and its
 representative's union count.  The certificate, the text saying why the
@@ -288,42 +293,53 @@ def _union_count(sizes: Sequence[int], target: int) -> int:
     return ways[target]
 
 
+def _quota_fills(
+    orbits: Sequence[Tuple[Tuple[int, ...], int]], quota: int
+) -> List[Tuple[int, Tuple[int, ...]]]:
+    """The sets of these (orbit, bit) pairs whose orbits hold quota points,
+    each as its bits' sum and its points, taking each orbit before leaving
+    it out; a set ends once its untried orbits cannot fill its quota."""
+    room = sum(len(orb) for orb, _ in orbits)
+    fills = [(0, ())] if room >= quota else []
+    for orb, bit in orbits:
+        room -= len(orb)
+        fills = [
+            fill
+            for key, points in fills
+            for fill in ((key + bit, points + orb), (key, points))
+            if quota - room <= len(fill[1]) <= quota
+        ]
+    return fills
+
+
 def _orbit_unions(
     orbits: Sequence[Tuple[int, ...]], group: Sequence[int], quota: Mapping[int, int]
 ) -> List[FrozenSet[int]]:
     """The unions of the orbits that take quota[g] points from the orbits in
     each group g (an orbit's points p share one group[p]) and none from
-    others: orbits are taken or left out largest first, and a branch ends
-    once a group's untried orbits cannot fill what it lacks."""
+    others: the products over the groups of their `_quota_fills`.  Their
+    number, the product of the groups' `_union_count`s, is refused over the
+    union budget before any is built.  They come in the order of a descent
+    that takes or leaves the orbits largest first, taking first: by
+    descending sums of bits, as an orbit's bit is higher the earlier the
+    descent decides it."""
     free = [orb for orb in orbits if quota.get(group[orb[0]])]
     free.sort(key=lambda o: (-len(o), o))
-    lack, room = dict(quota), Counter(group[p] for orb in free for p in orb)
-    if any(room[g] < n for g, n in quota.items()):
-        return []
-    found: List[FrozenSet[int]] = []
-
-    def descend(idx: int, remaining: int, chosen: List[Tuple[int, ...]]) -> None:
-        if remaining == 0:
-            found.append(frozenset(p for orb in chosen for p in orb))
-            if len(found) > _UNION_LIMIT:
-                raise RuntimeError(
-                    f"orbit unions of size {sum(quota.values())} within the "
-                    f"base-point quotas exceed the union budget {_UNION_LIMIT}"
-                )
-            return
-        orb = free[idx]  # some group lacks points, and its room holds them
-        g, n = group[orb[0]], len(orb)
-        room[g] -= n
-        if n <= lack[g]:
-            lack[g] -= n
-            descend(idx + 1, remaining - n, chosen + [orb])
-            lack[g] += n
-        if lack[g] <= room[g]:
-            descend(idx + 1, remaining, chosen)
-        room[g] += n
-
-    descend(0, sum(quota.values()), [])
-    return found
+    parts: Dict[int, list] = {g: [] for g, n in quota.items() if n}
+    for i, orb in enumerate(free):
+        parts[group[orb[0]]].append((orb, 1 << (len(free) - i)))
+    sizes = [([len(orb) for orb, _ in part], quota[g]) for g, part in parts.items()]
+    if math.prod(_union_count(*size) for size in sizes) > _UNION_LIMIT:
+        raise RuntimeError(
+            f"orbit unions of size {sum(quota.values())} within the "
+            f"base-point quotas exceed the union budget {_UNION_LIMIT}"
+        )
+    unions: List[Tuple[int, Tuple[int, ...]]] = [(0, ())]
+    for g, part in parts.items():
+        fills = _quota_fills(part, quota[g])
+        unions = [(a + b, p + q) for a, p in unions for b, q in fills]
+    unions.sort(key=itemgetter(0), reverse=True)
+    return [frozenset(points) for _, points in unions]
 
 
 def _candidate_design(
@@ -358,7 +374,7 @@ def _candidate_design(
 
 def _suborbit_screen(
     action: PermAction, params: DesignParams
-) -> Optional[Tuple[List[int], Counter, Callable[[FrozenSet[int]], bool]]]:
+) -> Optional[Tuple[List[int], Counter, Callable[..., bool]]]:
     """The subdegree identity as quotas on the orbits of G_0, and as a test
     on candidate blocks at each of their points.
 
@@ -378,16 +394,20 @@ def _suborbit_screen(
     so each beta is taken to 0 first, by the inverse transversal element of
     the chain based at 0.  Another g' with beta^g' = 0 is g followed by an
     element of G_0, which fixes every Delta; so the test does not depend on
-    g, and a union passes exactly when each of its G-images does.
+    g, and a union passes exactly when each of its G-images does.  So one
+    point of each orbit of a subgroup K fixing the union B decides it: for
+    kappa in K, B^kappa = B, and kappa^-1 g takes beta^kappa to 0 with
+    B^(kappa^-1 g) = B^g, so the test at beta^kappa is the test at beta.
 
     `_candidate_design` accepts only a flag-transitive design with these
     parameters, whose blocks therefore all pass this test at every point; a
     union that fails it can be skipped without calling it.  Returned are each
     point's G_0-orbit number, each orbit's quota |B & Delta| (orbits B misses
     left out) and the test, which compares sorted orbit numbers with the
-    sorted quotas at each point; None where no union passes: if r does not
-    divide some lambda * |Delta|, the quotas miss k, or the group is not
-    transitive on points, as a flag-transitive one with lambda > 0 is.
+    sorted quotas at each point given, every point of the union by default;
+    None where no union passes: if r does not divide some lambda * |Delta|,
+    the quotas miss k, or the group is not transitive on points, as a
+    flag-transitive one with lambda > 0 is.
     """
     if not action.is_transitive():
         return None
@@ -408,11 +428,11 @@ def _suborbit_screen(
         return None
     to_zero, quota = action.chain(0).inv[0], sorted(want.elements())
 
-    def passes(union: FrozenSet[int]) -> bool:
+    def passes(union: FrozenSet[int], points: Optional[Iterable[int]] = None) -> bool:
         pick = itemgetter(*union) if len(union) > 1 else lambda g: [g[p] for p in union]
         return all(
             sorted(map(label.__getitem__, pick(g))) == quota
-            for g in map(to_zero.__getitem__, union)
+            for g in map(to_zero.__getitem__, union if points is None else points)
         )
 
     return label, want, passes
@@ -447,8 +467,9 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
     k (`_union_count`), the unions the single orbits are drawn from.
     Flag-route unions are built by quota (`_orbit_unions`), one per orbit
     of G_alpha, and the suborbit screen once a class has candidates (see
-    the module docstring).  No candidate is tested where the screen passes
-    nothing, as on an intransitive action.
+    the module docstring).  A union is screened at one point of each of its
+    K-orbits but {alpha}, where the quotas already hold.  No candidate is
+    tested where the screen passes nothing, as on an intransitive action.
     """
     v, b, r, k, lam = params.as_tuple()
     if b * k != v * r:
@@ -483,7 +504,8 @@ def stabilizer_search(action: PermAction, params: DesignParams) -> SearchResult:
         label, want, passes = screen
         if m > 1:
             unions = _orbit_unions(orbits, label, want)
-        for union in filter(passes, unions):
+        heads = frozenset(orb[0] for orb in orbits if alpha not in orb)
+        for union in (u for u in unions if passes(u, u & heads)):
             rec = _candidate_design(action, params, union, found)
             if rec is not None:
                 found[rec.blocks] = rec

@@ -11,19 +11,19 @@ way (`_checked_perm`): degree bytes are a permutation exactly when deleting
 them from the points 0..degree-1 by one `bytes.translate` leaves nothing.
 
 Every orbit, of points, of point sets and of subgroups under conjugation,
-is found by one breadth-first walk, `orbit`, with two exceptions: the
-stabilizer chain grows its orbits incrementally, and `PermAction.orbits`
-lists all point orbits in one flat loop.  A point set in a walk is its
-indicator, bytes with byte p 1 exactly when p is in the set, so its image
-under g is one `bytes.translate` of g^-1 through it (`_set_mover`), a
-gather above degree 256; `PermAction.set_orbit` converts only the sets
-found to frozensets.  A subgroup in such a walk is
-named by a set of its elements that generates it, and a move conjugates
-the whole set: the positions of all its elements in
-a listed group, its elements of one order in an unlisted one
-(`_conjugate_walk`).  Stabilizers are read off walks: a Sylow normalizer
-off its Schreier generators (`schreier_generators`), and a lattice
-representative's normalizer off its class walk.
+is found by a breadth-first walk as `orbit` makes it.  The stabilizer chain
+grows its orbits incrementally, `PermAction.orbits` lists all point orbits
+in one flat loop, and the hot walks up to degree 256 run their own loops,
+with no Python call per image: a group's listing, a point set's orbit and
+a lattice class.  A point set in a walk is its indicator, bytes with byte
+p 1 exactly when p is in the set, so its image under g is one
+`bytes.translate` of g^-1 through it (`_set_mover`), a gather above degree
+256.  A subgroup in a walk is named by a set of its elements that
+generates it, and a move conjugates the whole set: the positions of all
+its elements in a listed group, read off the index's conjugation tables,
+its elements of one order in an unlisted one (`_conjugate_walk`).
+Stabilizers are read off walks: a Sylow normalizer off its Schreier
+generators (`schreier_generators`), a lattice root's off its class walk.
 
 Group order, membership and point stabilizers are read off a base and strong
 generating set (Sims 1970; Seress, *Permutation Group Algorithms*, ch. 4-5),
@@ -361,14 +361,6 @@ def compose(p: Perm, q: Perm) -> Perm:
     if len(p) > _BYTE_DEGREE:
         return itemgetter(*p)(q)
     return p.translate(q + _PADS[len(q)])
-
-
-def _multiplier(gens: Sequence[Perm]) -> Callable[[Perm], List[Perm]]:
-    """The map x -> [compose(x, g) for g in gens], with each g read once."""
-    if len(gens[0]) > _BYTE_DEGREE:
-        return lambda x: list(map(itemgetter(*x), gens))
-    tables = [g + _PADS[len(g)] for g in gens]
-    return lambda x: [x.translate(table) for table in tables]
 
 
 def _set_mover(gens: Sequence[Perm]) -> Callable[[bytes], List[bytes]]:
@@ -729,7 +721,7 @@ class PermAction:
         # stabilizer chains by first base point; None is the default base
         self._chains: Dict[Optional[int], StabChain] = {}
         self._stabilizers: Dict[int, "PermAction"] = {}
-        self._mover: Optional[Callable[[bytes], List[bytes]]] = None
+        self._inverses: Optional[List[Perm]] = None  # of the generators
 
     def __repr__(self) -> str:
         return f"PermAction({self.label or 'unnamed'}, degree={self.degree})"
@@ -759,9 +751,10 @@ class PermAction:
         """All group elements, sorted.
 
         They are listed by the `orbit` walk from the identity under the
-        right multiplications x -> x * g_j, and the walk's edge targets are
-        kept for `element_index`: the edge from e_p by g_j reaches e_p * g_j,
-        and left multiplication follows the walk's tree, as
+        right multiplications x -> x * g_j, in its own loop up to degree 256,
+        where each is one `bytes.translate` by g_j's padded table.  The edge
+        targets are kept for `element_index`: the edge from e_p by g_j reaches
+        e_p * g_j, and left multiplication follows the walk's tree, as
         g^-1 * e_p * g_j = (g^-1 * e_p) * g_j.  Refuses, before listing
         anything, when the group order exceeds limit.
         """
@@ -769,8 +762,20 @@ class PermAction:
         if order > limit:
             raise RuntimeError(f"group order {order} exceeds element budget {limit}")
         if self._elements is None:
-            ident = identity_perm(self.degree)
-            listed, targets = orbit(ident, _multiplier(self.generators))
+            ident, gens = identity_perm(self.degree), self.generators
+            if self.degree > _BYTE_DEGREE:  # x * g is g gathered at x
+                listed, targets = orbit(ident, lambda x: [*map(itemgetter(*x), gens)])
+            else:
+                tables = [g + _PADS[self.degree] for g in gens]
+                index, listed, targets = {ident: 0}, [ident], []
+                for x in listed:
+                    for table in tables:
+                        y = x.translate(table)
+                        at = index.get(y)
+                        if at is None:
+                            at = index[y] = len(listed)
+                            listed.append(y)
+                        targets.append(at)
             by_value = sorted(range(len(listed)), key=listed.__getitem__)
             self._elements = tuple(map(listed.__getitem__, by_value))
             self._walk = (by_value, targets)
@@ -885,15 +890,9 @@ class PermAction:
         """Sorted orbit lengths of the stabilizer of point."""
         return tuple(sorted(len(orb) for orb in self.point_stabilizer(point).orbits()))
 
-    def _set_moves(self) -> Callable[[bytes], List[bytes]]:
-        """The generators' `_set_mover`, built once."""
-        if self._mover is None:
-            self._mover = _set_mover(self.generators)
-        return self._mover
-
     def set_images(self, points: Iterable[int]) -> List[FrozenSet[int]]:
         """The image of a point set under each generator, in order."""
-        images = self._set_moves()(_indicator(points, self.degree))
+        images = _set_mover(self.generators)(_indicator(points, self.degree))
         return list(map(_point_set, images))
 
     def set_orbit(
@@ -902,15 +901,31 @@ class PermAction:
         """Orbit of a point set under the group, sorted canonically, by each
         set's sorted points; None as soon as it grows past cap sets.
 
-        The walk runs on indicators (`_set_mover`), and only the sets found
-        are converted.  Sets of one size, as an orbit's are, sort by their
-        sorted points as their indicators sort in reverse: at the first
+        The walk runs on indicators (`_set_mover`) in its own loop, which
+        keeps no edge targets, and in `orbit` above degree 256; only the sets
+        found are converted.  Sets of one size, as an orbit's are, sort by
+        their sorted points as their indicators sort in reverse: at the first
         point where two such sets differ, the set holding it sorts first.
         """
-        walk = orbit(_indicator(points, self.degree), self._set_moves(), cap)
-        if walk is None:
-            return None
-        return tuple(map(_point_set, sorted(walk[0], reverse=True)))
+        start, limit = _indicator(points, self.degree), math.inf if cap is None else cap
+        if self.degree > _BYTE_DEGREE or limit < 1:  # `orbit` refuses a cap below 1
+            walk = orbit(start, _set_mover(self.generators), cap)
+            if walk is None:
+                return None
+            found = walk[0]
+        else:
+            inv = self._inverses or list(map(inverse_perm, self.generators))
+            self._inverses, found, seen, pad = inv, [start], {start}, _PADS[self.degree]
+            for ind in found:
+                table = ind + pad
+                for g in inv:
+                    image = g.translate(table)
+                    if image not in seen:
+                        if len(found) >= limit:
+                            return None
+                        seen.add(image)
+                        found.append(image)
+        return tuple(map(_point_set, sorted(found, reverse=True)))
 
 
 # ---------------------------------------------------------------------------
@@ -1275,8 +1290,18 @@ class SubgroupLattice:
         self.answers: Dict[int, Tuple[SubgroupClass, ...]] = {}  # by m
 
     def _open(self, key: FrozenSet[int], gens: Tuple[Perm, ...]) -> None:
-        if key not in self.known:
-            members, targets = orbit(key, self._conjugates)
+        if key not in self.known:  # walked in `orbit`'s order, in its own loop;
+            # a key opened has two positions or more, so itemgetter gives a tuple
+            index, members, targets = {key: 0}, [key], []
+            for member in members:
+                images = itemgetter(*member)
+                for table in self.index.conj:
+                    image = frozenset(images(table))
+                    at = index.get(image)
+                    if at is None:
+                        at = index[image] = len(members)
+                        members.append(image)
+                    targets.append(at)
             order = len(self.elements)
             if (order // len(key)) % len(members):
                 raise RuntimeError(
@@ -1285,13 +1310,6 @@ class SubgroupLattice:
                 )
             self.known.update(members)
             self.classes.append(_LatticeClass(gens, members, targets))
-
-    def _conjugates(self, key: FrozenSet[int]) -> List[FrozenSet[int]]:
-        """The `orbit` moves of a subgroup's key: its conjugates' keys under
-        the generators, read off the index's tables.  Every key opened has
-        at least two positions, so itemgetter returns a tuple."""
-        images = itemgetter(*key)
-        return [frozenset(images(table)) for table in self.index.conj]
 
     def _extend(
         self, cls: _LatticeClass, candidates: List[int], m: int, solvable: bool

@@ -10,7 +10,8 @@ hyperplane images by the inverse transpose, the orbit unions of a size
 by a full descent, the orbits of a group by numbered breadth-first
 walks, the subdegree quotas of a union by counting orbit numbers,
 Schreier generators with every transversal word inverted on its own,
-point set orbits walked on frozensets, a
+a group's listing walked by `orbit`, point set orbits walked on
+frozensets, a
 block set's pair multiplicity by counting every pair of every block,
 permutation products, inverses, conjugates, powers and orders on tuples
 one image at a time, the orbits of point pairs by walking pairs of
@@ -438,6 +439,16 @@ def set_images_by_points(generators, points):
     """A point set's image under each generator, as a frozenset built
     point by point."""
     return [frozenset(g[p] for p in points) for g in generators]
+
+
+def element_walk_by_orbit(generators):
+    """The breadth-first walk that lists a group, by `orbit` from the
+    identity with one `compose` per right multiplication x -> x * g: its
+    elements in discovery order and its edge targets."""
+    from flagsieve.permgroup import compose, identity_perm, orbit
+
+    ident = identity_perm(len(generators[0]))
+    return orbit(ident, lambda x: [compose(x, g) for g in generators])
 
 
 def set_orbit_by_frozensets(action, points, cap=None):

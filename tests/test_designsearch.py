@@ -913,6 +913,34 @@ def test_quota_test_matches_counting(monkeypatch):
     assert passed == {1: 0, 2: 40, "built": 21}
 
 
+def test_screen_at_one_point_per_k_orbit_matches_counting():
+    """Oracle for screening a candidate at one point of each orbit of its
+    subgroup K, which fixes it: on every union the flag-route searches build
+    and every block-route candidate, the test at those points, the base
+    point's orbit {0} left out, agrees with counting orbit numbers at every
+    point of the union.  The unions are those the searches build
+    (`test_orbit_unions_match_reference`), as are the 21 that pass; they
+    are screened at 521 points instead of 1608."""
+    counts = Counter()
+    for group, params in FLAG_ROUTE_SEARCHES + BLOCK_ROUTE_SEARCHES:
+        act = builtin_action(group)
+        label, want, passes = _suborbit_screen(act, params)
+        to_zero = act.chain(0).inv[0]
+        source, order, alpha = _candidate_subgroups(act, params)
+        for cls in subgroups_of_order(source, order):
+            orbits = PermAction(params.v, cls.representative).orbits()
+            if alpha is None:
+                unions = [frozenset(orb) for orb in orbits if len(orb) == params.k]
+            else:
+                unions = _orbit_unions(orbits, label, want)
+            heads = frozenset(orb[0] for orb in orbits if alpha not in orb)
+            for union in unions:
+                got = passes(union, union & heads)
+                assert got == quotas_met_by_counting(label, want, to_zero, union)
+                counts.update(passed=got, heads=len(union & heads), points=len(union))
+    assert counts == {"passed": 21, "heads": 521, "points": 1608}
+
+
 def _block_route_candidates(act, params):
     """The class representatives' orbits of length k, in class order."""
     source, order, alpha = _candidate_subgroups(act, params)
@@ -1052,6 +1080,65 @@ def test_union_budget_edges(monkeypatch):
         RuntimeError, match="size 21 within the base-point quotas exceed the union budget 3$"
     ):
         stabilizer_search(act, params)
+
+
+def test_union_budget_refuses_before_building(monkeypatch):
+    """Gate: the union budget refuses on the product of the groups' union
+    counts, before `_quota_fills` builds any part of a union: on psu3_3_36's
+    symmetric search with the budget one below its 4 unions, and on 40
+    one-point orbits with a quota of 20, C(40, 20) unions, which no descent
+    could list."""
+    calls = []
+    fills = designsearch._quota_fills
+
+    def spy(orbits, quota):
+        calls.append(quota)
+        return fills(orbits, quota)
+
+    monkeypatch.setattr(designsearch, "_quota_fills", spy)
+    monkeypatch.setattr(designsearch, "_UNION_LIMIT", 3)
+    with pytest.raises(RuntimeError, match="exceed the union budget 3$"):
+        stabilizer_search(builtin_action("psu3_3_36"), PARAMS_36_SYM)
+    monkeypatch.undo()
+    monkeypatch.setattr(designsearch, "_quota_fills", spy)
+    orbits = [(p,) for p in range(41)]
+    with pytest.raises(RuntimeError, match="size 21 within the base-point quotas"):
+        _orbit_unions(orbits, [0] + [1] * 40, {0: 1, 1: 20})
+    assert calls == []
+    assert len(_orbit_unions(orbits, [0] + [1] * 40, {0: 1, 1: 2})) == 780
+    assert calls == [1, 2]
+
+
+def test_sieve_keeps_every_design_meeting_the_hypothesis():
+    """Oracle for the tuple sieve behind every empty-sieve elimination:
+    each design found that meets the hypothesis (`hypothesis_filter`) has
+    parameters that admissible_tuples_explained(v, |G_0|) keeps, as r
+    divides |G_0| for a flag-transitive group.  The designs are those of
+    the tier-1 searches and of both SEARCH_REGISTRY cells, and every
+    korbit_designs record on psl3_2, psl2_7, pgl2_7 and psl3_3 for
+    k = 2 .. v - 1."""
+    searches = FLAG_ROUTE_SEARCHES + BLOCK_ROUTE_SEARCHES
+    for cell, names in SEARCH_REGISTRY.items():
+        spec, case = GroupSpec(*cell[:3]), SubgroupCase(*cell[3:])
+        tuples = eliminate(spec, case, run_searches=False).final.tuples
+        searches += [(name, params) for name in names for params in tuples]
+    found = [
+        (builtin_action(group), rec)
+        for group, params in searches
+        for rec in stabilizer_search(builtin_action(group), params).designs
+    ]
+    for name in ("psl3_2", "psl2_7", "pgl2_7", "psl3_3"):
+        act = builtin_action(name)
+        found += [(act, rec) for k in range(2, act.degree) for rec in korbit_designs(act, k)]
+    kept = Counter()
+    for act, rec in found:
+        if hypothesis_filter([rec]):
+            v, stabilizer = act.degree, act.point_stabilizer(0).order()
+            assert rec.params in admissible_tuples_explained(v, stabilizer)[0], rec
+            kept[act.label] += 1
+    assert kept == {
+        "psu3_3_36": 2, "psu3_3_2_36": 2, "pgl2_7": 4, "psl2_7": 2, "psl3_3": 2
+    }
 
 
 # -- search certificates

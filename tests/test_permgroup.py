@@ -60,6 +60,7 @@ from reference import (
     digit_add,
     digit_neg,
     element_classes_by_walks,
+    element_walk_by_orbit,
     hermitian_form,
     hyperplane_images,
     is_special_unitary,
@@ -1480,6 +1481,49 @@ def test_set_walk_matches_frozenset_walk(name):
         for cap in (len(want), len(want) - 1):
             assert act.set_orbit(points, cap) == set_orbit_by_frozensets(act, points, cap)
         assert act.set_orbit(points, len(want) - 1) is None
+
+
+def _byte_builtins():
+    return [name for name in BUILTIN_NAMES if builtin_action(name).degree <= 256]
+
+
+@pytest.mark.parametrize("name", _byte_builtins() + ["psl2_7_on_260"])
+def test_element_walk_matches_orbit(name):
+    """Oracle for the listing walk's own loop: on every built-in of degree
+    at most 256, and on psl2_7 with 252 fixed points added, whose
+    permutations are tuples, the elements in discovery order and the edge
+    targets are those of `orbit` with one `compose` per move."""
+    if name == "psl2_7_on_260":
+        gens = [(*g, *range(8, 260)) for g in builtin_action("psl2_7").generators]
+        act = PermAction(260, gens)
+    else:
+        built = builtin_action(name)
+        act = PermAction(built.degree, built.generators)  # listed afresh
+    elements = act.elements()
+    by_value, targets = act._walk
+    listed = [None] * len(elements)
+    for i, d in enumerate(by_value):
+        listed[d] = elements[i]
+    assert (listed, targets) == element_walk_by_orbit(act.generators)
+    assert len(elements) == act.order()
+
+
+@pytest.mark.parametrize("name", _byte_builtins())
+def test_set_orbit_matches_frozenset_walk_on_random_sets(name):
+    """Oracle for the point-set walk's own loop, on every built-in of
+    degree at most 256: seeded random sets of 1 to 6 points give the
+    frozenset walk's orbit uncapped, at cap |orbit| and 1 above it, and
+    None at cap |orbit| - 1, 0 and -1."""
+    act = builtin_action(name)
+    rng = random.Random(f"set-orbit/{name}")
+    for size in range(1, 7):
+        points = rng.sample(range(act.degree), size)
+        want = set_orbit_by_frozensets(act, points)
+        assert act.set_orbit(points) == want
+        for cap in (len(want), len(want) + 1):
+            assert act.set_orbit(points, cap) == want
+        for cap in (len(want) - 1, 0, -1):
+            assert act.set_orbit(points, cap) is None
 
 
 def test_set_orbit_of_one_point():
